@@ -15,13 +15,11 @@
 // presenting the coordinator's join token. This is how a restarted worker
 // re-admits itself — it comes back as a brand-new member with a fresh id —
 // and how extra machines absorb load without the coordinator knowing their
-// addresses up front. With -min/-max the worker offers an elastic range of
-// fleet members over one process: it registers -min connections (each an
-// independent member with its own cache and -slots capacity) and grows to
-// -max while all of them are saturated:
+// addresses up front. One process is one fleet member with one cache; -slots
+// sets how much it runs at once:
 //
-//	afclass -backend remote -fleet-listen :7070 ...   # prints nothing; workers dial in
-//	worker -join coordinator:7070 -token <JoinToken> -min 1 -max 4
+//	afclass -backend remote -fleet-listen :7070 ...   # prints the worker -join line on stderr
+//	worker -join coordinator:7070 -token <JoinToken> -slots 4
 //
 // In both modes the worker opens a peer-transfer listener (-peer-listen,
 // default an ephemeral port) so other workers can pull its resident values
@@ -31,8 +29,7 @@
 //
 // The worker caps the shared kernel layer at one goroutine per task body
 // (internal/par): its parallelism budget is -slots concurrent bodies, and
-// cluster-level parallelism comes from running many workers (or pool
-// members).
+// cluster-level parallelism comes from running many workers.
 //
 // The binary links internal/core, so it carries every registered function
 // of the library — dsarray block ops, the random-forest tasks, the
@@ -58,27 +55,15 @@ func main() {
 	listen := flag.String("listen", ":7077", "TCP address to serve task requests on")
 	join := flag.String("join", "", "coordinator fleet address to dial into instead of listening (see -fleet-listen on the cmd tools)")
 	token := flag.String("token", "", "join credential for -join (the coordinator's JoinToken)")
-	minConns := flag.Int("min", 1, "with -join: fleet members this process always offers")
-	maxConns := flag.Int("max", 0, "with -join: grow up to this many members while saturated (0 = stay at -min)")
-	slots := flag.Int("slots", 1, "concurrent task bodies this worker runs (per member in -join mode)")
+	slots := flag.Int("slots", 1, "concurrent task bodies this worker runs")
 	cacheMB := flag.Int("cache-mb", 0, "future-cache bound in MiB (0 = default, negative disables caching)")
 	peerListen := flag.String("peer-listen", ":0", "TCP address for direct worker-to-worker transfers (\"off\" disables the peer plane)")
 	flag.Parse()
 
-	cacheBytes := int64(0)
-	if *cacheMB != 0 {
-		cacheBytes = int64(*cacheMB) << 20
-	}
-	cfg := exec.WorkerConfig{Slots: *slots, CacheBytes: cacheBytes, PeerListen: *peerListen, Log: os.Stderr}
+	cfg := exec.WorkerConfig{Slots: *slots, CacheBytes: int64(*cacheMB) << 20, PeerListen: *peerListen, Log: os.Stderr}
 
 	if *join != "" {
-		var err error
-		if *minConns > 1 || *maxConns > *minConns {
-			err = exec.JoinPool(*join, *token, *minConns, *maxConns, cfg)
-		} else {
-			err = exec.JoinCoordinator(*join, *token, cfg)
-		}
-		if err != nil {
+		if err := exec.JoinCoordinator(*join, *token, cfg); err != nil {
 			fmt.Fprintln(os.Stderr, "worker:", err)
 			os.Exit(1)
 		}

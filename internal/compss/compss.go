@@ -129,9 +129,8 @@ type Runtime struct {
 	main *TaskCtx
 
 	// ex is the work-stealing executor (see executor.go): per-worker ready
-	// deques, the overflow injector, and the carrier/parking machinery. The
-	// task registry lives in its shards; the runtime keeps no global task
-	// list.
+	// deques and the carrier/parking machinery. The task registry lives in
+	// its shards; the runtime keeps no global task list.
 	ex *executor
 
 	// obs is the copy-on-write observer list; nil when no observer is
@@ -158,8 +157,9 @@ type Runtime struct {
 // draining one lowers it. The executor's carrier structures are sized once
 // to the fleet's slot ceiling, so an autoscaled fleet can grow into
 // capacity the pool merely re-targets. The Watch subscription lives as
-// long as the backend (runtimes have no teardown); it holds only the slot
-// pool, and resizing a quiesced runtime's pool is harmless.
+// long as the backend (runtimes have no teardown) and its closure captures
+// rt, so a runtime stays reachable until its backend closes; capturing only
+// the pool cut gram_remote's peak RSS but slowed its median (see ROADMAP).
 func New(cfg Config) *Runtime {
 	w := cfg.Workers
 	if w <= 0 {
@@ -398,7 +398,8 @@ type TaskCtx struct {
 	// on the carrier/helper goroutine (no Deadline): such a body blocks by
 	// helping — running other ready tasks — instead of parking, and can
 	// never be abandoned. Deadline bodies run on a spawned goroutine
-	// (onCarrier false) and keep the PR 2 park/abandon protocol.
+	// (onCarrier false) and park passively, so the deadline handler can
+	// abandon them.
 	ownerSt   *taskState
 	wkr       *worker
 	onCarrier bool
@@ -631,9 +632,10 @@ func (tc *TaskCtx) submit(o *Opts, nOut int, fn1 TaskFunc, fnN MultiTaskFunc, ar
 	st.deadline, st.fallback, st.execName = o.Deadline, o.Fallback, o.Exec
 	st.fn1, st.fnN, st.nOut, st.args = fn1, fnN, nOut, args
 	st.parentSt, st.floorIDs = tc.ownerSt, floorIDs
-	// The sentinel keeps the task unready until dependency wiring below is
-	// complete, even when producers finish concurrently.
-	st.pending.Store(1)
+	// Count before registering: every future argument plus one submission
+	// sentinel. A producer may complete (and decrement) the instant it has
+	// this task as a child, so its count must already be in pending.
+	st.pending.Store(int32(1 + nArg))
 	var futs []*Future
 	if nOut == 1 {
 		st.vals = st.val1[:]
@@ -661,29 +663,29 @@ func (tc *TaskCtx) submit(o *Opts, nOut int, fn1 TaskFunc, fnN MultiTaskFunc, ar
 	tc.rt.emit(EventSubmit, st, -1, nil, "", false)
 
 	// Wire argument dependencies: register this task as a child of every
-	// still-running producer, counting each registration in pending. A
-	// producer that already completed contributes neither a child entry nor
-	// a pending increment, so the accounting stays balanced; duplicate
-	// future arguments are symmetric too (registered and counted once per
-	// occurrence, decremented once per child entry).
+	// still-running producer. A producer that already completed will never
+	// decrement pending, so its count is dropped here together with the
+	// sentinel; duplicate future arguments are symmetric (counted and
+	// registered once per occurrence).
+	settled := int32(1)
 	for _, a := range args {
 		switch v := a.(type) {
 		case *Future:
-			if tryAddChild(v.st, st) {
-				st.pending.Add(1)
+			if !tryAddChild(v.st, st) {
+				settled++
 			}
 		case []*Future:
 			for _, f := range v {
-				if tryAddChild(f.st, st) {
-					st.pending.Add(1)
+				if !tryAddChild(f.st, st) {
+					settled++
 				}
 			}
 		}
 	}
-	// Drop the sentinel; if every producer already finished, the task is
-	// ready here, on the submitter — a body submit pushes straight to its
-	// own worker's deque without touching any runtime-global state.
-	if st.pending.Add(-1) == 0 {
+	// If every producer already finished, the task is ready here, on the
+	// submitter — a body submit pushes straight to its own worker's deque
+	// without touching any runtime-global state.
+	if st.pending.Add(-settled) == 0 {
 		tc.rt.becomeReady(st, tc.wkr)
 	}
 	return futs
@@ -705,14 +707,14 @@ func tryAddChild(p, c *taskState) bool {
 // becomeReady fires when a task's last argument producer completed (or
 // immediately at submit, for tasks with no pending producers): it screens
 // the producers for failures, then enqueues the task on w's deque — the
-// submitting or completing worker, preserving locality — or the injector.
+// submitting or completing worker, preserving locality.
 //
 // The failure screen walks the arguments in their original order, so the
-// reported dependency error is the first failing argument exactly as the
-// old sequential resolution produced. A failed dependency means the body
-// never runs; the task still emits a terminal "deps" failure event so
-// observers (and through them a StatsObserver) account for every graph
-// node, and still completes so its own dependents cascade.
+// reported dependency error is the first failing argument. A failed
+// dependency means the body never runs; the task still emits a terminal
+// "deps" failure event so observers (and through them a StatsObserver)
+// account for every graph node, and still completes so its own dependents
+// cascade.
 func (rt *Runtime) becomeReady(st *taskState, w *worker) {
 	for _, a := range st.args {
 		switch v := a.(type) {
@@ -1168,9 +1170,8 @@ func (tc *TaskCtx) Get(f *Future) (any, error) {
 //     and the blocked body's goroutine keeps contributing throughput.
 //     Abandonment is impossible here (no deadline), so the slot bookkeeping
 //     is plain.
-//   - A Deadline body runs on a spawned goroutine and keeps the PR 2
-//     park/abandon protocol verbatim: release the slot, wait passively,
-//     reacquire unless the deadline handler abandoned the attempt — in
+//   - A Deadline body runs on a spawned goroutine and parks: release the
+//     slot, wait passively, reacquire unless the deadline handler abandoned the attempt — in
 //     which case the slot stays with the pool (the retry owns that
 //     capacity) and the body resumes slotless.
 func (tc *TaskCtx) blockingWait(f *Future) (any, error) {

@@ -1,35 +1,34 @@
-// Work-stealing executor: per-worker deques, an overflow injector and a
-// parking protocol replace the goroutine-per-task dispatch.
+// Work-stealing executor: per-worker deques and a parking protocol.
 //
 // Layout. The runtime owns Config.Workers worker structs, each holding a
-// bounded ring deque of ready tasks. A *carrier* is a goroutine that claims a
+// ring deque of ready tasks. A *carrier* is a goroutine that claims a
 // worker slot and loops pop→execute; carriers are spawned lazily when work
 // appears and exit after a short idle linger, so an idle Runtime costs no
-// goroutines. Execution capacity is still bounded by the rt.sem slot pool —
-// a carrier acquires a slot per attempt — which keeps the PR 2
-// slot-ownership accounting (deadline abandonment, pool exactness)
-// byte-for-byte intact on top of the dispatch layer. The pool's capacity is
-// elastic (it tracks fleet membership, see New); the carrier and deque
-// arrays here are instead sized once, to the fleet's slot *ceiling*, since
-// thieves iterate ex.workers unlocked.
+// goroutines. Execution capacity is bounded by the rt.sem slot pool — a
+// carrier acquires a slot per attempt — because a Deadline body parked in
+// Get hands its slot over through the pool (deadline abandonment releases
+// exactly the slots an attempt holds). The pool's capacity is elastic (it
+// tracks fleet membership, see New); the carrier and deque arrays here are
+// instead sized once, to the fleet's slot *ceiling*, since thieves iterate
+// ex.workers unlocked.
 //
 // Queues. A task body submitting through its TaskCtx pushes onto its own
 // worker's deque bottom (LIFO: the freshest task is the cache-warmest) and
 // never touches a runtime-global lock; external submits (main program,
 // deadline-task bodies that outlive their carrier, abandoned attempts)
-// round-robin over the live-carrier prefix of the deques, overflowing to
-// the injector FIFO only when the target ring is full. When a task
+// round-robin over the live-carrier prefix of the deques. A ring that fills
+// doubles, so every ready task sits on exactly one deque. When a task
 // completes, its newly-ready children are pushed onto the completing
 // worker's deque — the locality property Taskflow gets from the same
 // design. Thieves take the deque top (FIFO), so the oldest — most likely
 // coldest — task migrates.
 //
-// Steal order. An idle carrier scans its own deque, then batch-pops the
-// injector, then sweeps the victims' deques in a per-carrier xorshift-random
-// order so concurrent thieves fan out over different victims. Deque ops take
-// a per-worker mutex (the "light victim lock" variant): owner and thief
-// serialize on one uncontended-in-the-common-case lock, which the race
-// detector can verify, instead of a fenced Chase-Lev protocol it cannot.
+// Steal order. An idle carrier scans its own deque, then sweeps the
+// victims' deques in a per-carrier xorshift-random order so concurrent
+// thieves fan out over different victims. Deque ops take a per-worker mutex
+// (the "light victim lock" variant): owner and thief serialize on one
+// uncontended-in-the-common-case lock, which the race detector can verify,
+// instead of a fenced Chase-Lev protocol it cannot.
 //
 // Parking. Idle carriers and blocked helpers park on cap-1 channels kept in
 // an idler list. Every enqueue signals — wake one idler, or spawn a carrier
@@ -60,15 +59,10 @@ import (
 )
 
 const (
-	// dequeCap bounds each worker deque (power of two); pushes beyond it
-	// overflow to the injector. Rings start at dequeMin and double.
-	dequeCap = 256
+	// dequeMin is a ring's first size (power of two); a full ring doubles.
 	dequeMin = 32
 	// carrierLinger is how long an idle carrier stays parked before exiting.
 	carrierLinger = 500 * time.Microsecond
-	// injectorBatch is how many tasks a carrier moves from the injector to
-	// its own deque per visit, amortizing the injector lock.
-	injectorBatch = 8
 	// stealSpins is how many full find-work rounds a carrier runs (yielding
 	// between them) before parking.
 	stealSpins = 2
@@ -146,18 +140,13 @@ func (a *taskArena) appendTo(dst []*taskState) []*taskState {
 	return dst
 }
 
-// push adds st to the deque bottom (owner end). It reports false when the
-// ring is at dequeCap; the caller overflows to the injector. The ring
-// starts small and doubles on demand, so the many mostly-idle deques of a
-// wide pool don't each pay for the full capacity up front.
-func (w *worker) push(st *taskState) bool {
+// push adds st to the deque bottom (owner end). The ring starts small and
+// doubles on demand, so the many mostly-idle deques of a wide pool don't
+// each pay for a burst's capacity up front.
+func (w *worker) push(st *taskState) {
 	w.mu.Lock()
 	n := w.tail - w.head
 	if n == len(w.buf) {
-		if n == dequeCap {
-			w.mu.Unlock()
-			return false
-		}
 		grown := make([]*taskState, max(2*n, dequeMin))
 		for i := 0; i < n; i++ {
 			grown[(w.head+i)&(len(grown)-1)] = w.buf[(w.head+i)&(len(w.buf)-1)]
@@ -168,7 +157,6 @@ func (w *worker) push(st *taskState) bool {
 	w.tail++
 	w.size.Store(int32(w.tail - w.head))
 	w.mu.Unlock()
-	return true
 }
 
 // pop removes the most recently pushed task (owner end, LIFO).
@@ -237,12 +225,6 @@ type executor struct {
 	// claimMu guards the free-worker stack.
 	claimMu sync.Mutex
 	free    []*worker
-
-	// injector is the external-submit / overflow FIFO.
-	injMu   sync.Mutex
-	injQ    []*taskState
-	injHead int
-	injSize atomic.Int32
 
 	// extMu guards the registry arena for tasks submitted outside any
 	// worker context.
@@ -329,67 +311,8 @@ func (ex *executor) releaseWorker(w *worker) {
 	ex.claimMu.Unlock()
 }
 
-// pushInjector appends st to the external queue. Callers must signalWork
-// after every enqueue (here and for deque pushes) — the signal is what keeps
-// the carrier population matched to the queued work.
-func (ex *executor) pushInjector(st *taskState) {
-	ex.injMu.Lock()
-	ex.injQ = append(ex.injQ, st)
-	ex.injSize.Store(int32(len(ex.injQ) - ex.injHead))
-	ex.injMu.Unlock()
-}
-
-// popInjector takes one task for the caller and moves up to injectorBatch-1
-// more onto the caller's own deque, amortizing the injector lock across a
-// burst of external submissions.
-func (ex *executor) popInjector(w *worker) *taskState {
-	if ex.injSize.Load() == 0 {
-		return nil
-	}
-	ex.injMu.Lock()
-	n := len(ex.injQ) - ex.injHead
-	if n == 0 {
-		ex.injMu.Unlock()
-		return nil
-	}
-	take := 1
-	if w != nil && n > 1 {
-		take = injectorBatch
-		if take > n {
-			take = n
-		}
-	}
-	batch := ex.injQ[ex.injHead : ex.injHead+take]
-	ex.injHead += take
-	if ex.injHead == len(ex.injQ) {
-		ex.injQ = ex.injQ[:0]
-		ex.injHead = 0
-	}
-	ex.injSize.Store(int32(len(ex.injQ) - ex.injHead))
-	st := batch[0]
-	moved := 0
-	for _, extra := range batch[1:] {
-		if !w.push(extra) { // deque full: leave the rest queued
-			ex.injQ = append(ex.injQ, extra)
-			continue
-		}
-		moved++
-	}
-	if moved > 0 {
-		ex.injSize.Store(int32(len(ex.injQ) - ex.injHead))
-	}
-	ex.injMu.Unlock()
-	if moved > 0 {
-		ex.signalWork() // the moved tasks are parallelism other carriers can take
-	}
-	return st
-}
-
 // anyWork reports whether any queue holds a ready task (atomic probes only).
 func (ex *executor) anyWork() bool {
-	if ex.injSize.Load() > 0 {
-		return true
-	}
 	for _, w := range ex.workers {
 		if w.size.Load() > 0 {
 			return true
@@ -398,7 +321,8 @@ func (ex *executor) anyWork() bool {
 	return false
 }
 
-// signalWork is called after every enqueue: wake one parked idler, else
+// signalWork is called after every enqueue — the signal is what keeps the
+// carrier population matched to the queued work: wake one parked idler, else
 // spawn a carrier if the fleet is not full. The no-idler no-headroom case is
 // two atomic loads — the submit fast path stays lock-free. A carrier that
 // is already searching absorbs the signal (see nSearching): it either takes
@@ -474,17 +398,14 @@ func (ex *executor) retire(p *parker) {
 }
 
 // findWork returns the next ready task for a processor that owns deque w
-// (nil for helpers without one): own deque, then injector batch, then one
-// randomized sweep over the other deques. stolen reports a migration from
+// (nil for helpers without one): own deque, then one randomized sweep over
+// the other deques. stolen reports a migration from
 // another worker's deque.
 func (ex *executor) findWork(w *worker, rng *uint64) (st *taskState, stolen bool) {
 	if w != nil {
 		if st = w.pop(); st != nil {
 			return st, false
 		}
-	}
-	if st = ex.popInjector(w); st != nil {
-		return st, false
 	}
 	n := len(ex.workers)
 	start := int(xorshift(rng) % uint64(n))
@@ -619,7 +540,7 @@ func (ex *executor) helpUntilDone(w *worker, rng *uint64, target *taskState) {
 // the live-carrier prefix of the deques — claimWorker hands slots out from
 // the front, so the first nLive deques are the ones carriers actually drain;
 // spreading over the idle tail would only force thieves to find the tasks.
-// Overflow falls back to the injector. Every enqueue signals.
+// Every enqueue signals.
 func (ex *executor) enqueue(st *taskState, w *worker) {
 	if w == nil {
 		n := int(ex.nLive.Load())
@@ -630,9 +551,7 @@ func (ex *executor) enqueue(st *taskState, w *worker) {
 		}
 		w = ex.workers[int(ex.rr.Add(1))%n]
 	}
-	if !w.push(st) {
-		ex.pushInjector(st)
-	}
+	w.push(st)
 	ex.signalWork()
 }
 

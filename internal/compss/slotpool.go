@@ -3,16 +3,15 @@ package compss
 import "sync"
 
 // slotPool is the runtime's execution-capacity semaphore: acquire blocks
-// while held ≥ cap, release never blocks. It replaces the fixed buffered
-// channel so capacity can follow an elastic backend's fleet — setCap
-// re-targets the pool mid-run and wakes every waiter to re-evaluate.
+// while held ≥ cap, release never blocks. Capacity follows an elastic
+// backend's fleet — setCap re-targets the pool mid-run and wakes every
+// waiter to re-evaluate.
 //
 // Shrinking never revokes held slots: with held > cap the pool is simply
 // over target and admits no one until enough releases bring it back under —
-// the same grace a draining worker gets on the exec side. The acquire /
-// release pairing discipline is exactly the old channel's (a release is
-// always preceded by this goroutine's own acquire), so the PR 2
-// slot-parking protocol in blockingWait carries over token-for-token.
+// the same grace a draining worker gets on the exec side. A release is
+// always preceded by this goroutine's own acquire; blockingWait's
+// slot parking relies on that pairing.
 type slotPool struct {
 	mu   sync.Mutex
 	cond *sync.Cond

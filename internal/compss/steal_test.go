@@ -8,8 +8,8 @@ import (
 
 // TestStealStress drives the work-stealing dispatcher through its
 // migration paths under deliberately unbalanced load: a hot body that
-// submits far more children than one deque holds (forcing the injector
-// overflow path), a deep nested chain whose every level fans out (so ready
+// submits far more children than a deque starts with (forcing the ring to
+// grow), a deep nested chain whose every level fans out (so ready
 // tasks keep appearing on whichever worker completed the parent), and a
 // burst of external submits racing the bodies (the round-robin placement
 // path). Everything must complete with the right values, and the Observer
@@ -17,7 +17,7 @@ import (
 // stealing layer is not allowed to bend.
 func TestStealStress(t *testing.T) {
 	const (
-		hotChildren = 600 // > dequeCap: the hot owner's deque must overflow
+		hotChildren = 600 // the hot owner's ring must double several times
 		chainDepth  = 40
 		chainFan    = 3
 		burst       = 200
@@ -28,8 +28,8 @@ func TestStealStress(t *testing.T) {
 	one := func(_ *TaskCtx, _ []any) (any, error) { return 1, nil }
 
 	// Hot submitter: one body pushes hotChildren tasks onto its own deque
-	// in a tight loop, then gathers them. The ring caps at dequeCap, so the
-	// tail spills to the injector while thieves drain the head.
+	// in a tight loop, then gathers them; the ring grows under the owner
+	// while thieves drain the head.
 	hot := rt.Submit(Opts{Name: "hot"}, func(tc *TaskCtx, _ []any) (any, error) {
 		futs := make([]*Future, hotChildren)
 		for i := range futs {

@@ -15,9 +15,9 @@
 //     registry to it. Request carries resolved argument values plus optional
 //     identity (Session/TaskID/ArgRefs) for the data plane.
 //   - Dial / SpawnLoopback construct a *Remote coordinator; Serve,
-//     JoinCoordinator / JoinPool and MaybeWorkerMain are the worker side;
-//     cmd/worker wraps them in a standalone binary. Config / Flags / Open
-//     are the shared backend flag surface of the cmd tools.
+//     JoinCoordinator and MaybeWorkerMain are the worker side; cmd/worker
+//     wraps them in a standalone binary. Config / Flags / Open are the
+//     shared backend flag surface of the cmd tools.
 //   - Fleet is the membership surface (Join / Drain / Leave / Workers /
 //     SlotTotal / SlotCeiling / Watch), implemented by *Remote: workers
 //     join, drain and leave mid-run, ListenForWorkers admits dial-in
@@ -39,8 +39,8 @@
 //
 // # The data plane
 //
-// Protocol 2 stops re-shipping values the cluster already holds: each
-// worker connection owns a byte-bounded LRU future cache keyed by
+// Values the cluster already holds are not shipped again: each worker
+// connection owns a byte-bounded LRU future cache keyed by
 // ValueRef{Session, Task, Out}, task outputs are stored where they were
 // produced, and the coordinator tracks residency (advisory, folded from
 // Stored/Evicted response reports) to place each task on the worker
@@ -53,7 +53,7 @@
 // with values inlined — eviction or a crashed cache costs one round trip,
 // not a wrong answer.
 //
-// Protocol 4 adds the peer-to-peer plane on top: every worker opens a peer
+// The peer-to-peer plane sits on top: every worker opens a peer
 // listener (advertised in its hello), and a value resident on some *other*
 // alive worker travels as a PeerRef — directions to the holder — instead of
 // a coordinator-shipped RefValue. The executing worker dials the holder

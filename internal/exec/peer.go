@@ -10,16 +10,15 @@ import (
 	"time"
 )
 
-// The peer-to-peer data plane (protocol 4), worker side. Protocol 2 made
-// values resident where they were produced but still moved every byte
-// through the coordinator: a consumer placed away from the producer was
-// seeded by a RefValue hop, so coordinator NIC bandwidth capped aggregate
-// throughput as the fleet grew. Protocol 4 lets the consumer pull the value
-// straight from the holder: each worker process opens one peer listener
-// (advertised in the hello), the coordinator sends a PeerRef naming the
-// holder's address and connection token, and the executing worker dials the
-// holder and transfers the value over a cached, multiplexed peer link. The
-// coordinator carries metadata only for warm refs.
+// The peer-to-peer data plane, worker side. Values are resident where they
+// were produced; seeding a consumer placed elsewhere through the coordinator
+// (a RefValue hop) would let the coordinator's NIC cap aggregate throughput
+// as the fleet grows, so the consumer pulls the value straight from the
+// holder: each worker process opens one peer listener (advertised in the
+// hello), the coordinator sends a PeerRef naming the holder's address and
+// connection token, and the executing worker dials the holder and transfers
+// the value over a cached, multiplexed peer link. The coordinator carries
+// metadata only for warm refs.
 //
 // # Fallback ladder
 //
@@ -84,8 +83,8 @@ func (s *peerStore) drainBytes() (sent, recv int64) {
 }
 
 // peerSrv is the process-wide peer listener: one per worker process, shared
-// by every coordinator connection (a JoinPool worker hosts several tokens
-// behind one address). It opens lazily on the first registration; the first
+// by every coordinator connection (a worker serving several coordinators
+// hosts several tokens behind one address). It opens lazily on the first registration; the first
 // registration's listen address wins, later ones reuse it.
 var peerSrv struct {
 	mu     sync.Mutex
@@ -185,6 +184,11 @@ func servePeerConn(conn net.Conn) {
 				resp.Val = v
 			}
 		}
+		if resp.OK {
+			// Counted before the write: the fetcher may act on the reply
+			// the instant it is on the wire.
+			st.served.Add(1)
+		}
 		err := enc.Encode(&resp)
 		if st != nil {
 			// Attribute the connection's byte deltas (request in, response
@@ -192,9 +196,6 @@ func servePeerConn(conn net.Conn) {
 			// bytes between samples, but every byte lands exactly once.
 			st.recv.Add(cc.read.Load() - lastRead)
 			st.sent.Add(cc.written.Load() - lastWritten)
-			if resp.OK {
-				st.served.Add(1)
-			}
 		}
 		lastRead, lastWritten = cc.read.Load(), cc.written.Load()
 		if err != nil {

@@ -76,8 +76,14 @@ func TestPeerFetchRoundTrip(t *testing.T) {
 	}
 
 	// Both ends accounted the same wire bytes: what the fetcher sent the
-	// store received, and vice versa.
+	// store received, and vice versa. The store can only count a reply's
+	// bytes after writing it, so it may trail the fetcher briefly.
 	fs, fr := f.drainBytes()
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if store.recv.Load() == fs && store.sent.Load() == fr {
+			break
+		}
+	}
 	ss, sr := store.drainBytes()
 	if fs == 0 || fr == 0 || fs != sr || fr != ss {
 		t.Fatalf("byte attribution: fetcher sent/recv %d/%d, store sent/recv %d/%d — want mirrored nonzero totals", fs, fr, ss, sr)

@@ -8,7 +8,6 @@ import (
 	"os"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"taskml/internal/par"
@@ -45,53 +44,41 @@ type WorkerConfig struct {
 // itself.
 const DefaultCacheBytes = 256 << 20
 
+// withDefaults fills the zero fields (Slots 1, DefaultCacheBytes, io.Discard).
+func (cfg WorkerConfig) withDefaults() WorkerConfig {
+	if cfg.Slots < 1 {
+		cfg.Slots = 1
+	}
+	if cfg.CacheBytes == 0 {
+		cfg.CacheBytes = DefaultCacheBytes
+	}
+	if cfg.Log == nil {
+		cfg.Log = io.Discard
+	}
+	return cfg
+}
+
 // Serve runs the worker loop on an accepted listener until the listener
 // closes: accept coordinator connections, send the handshake, execute
 // registered functions, reply. Each connection is independent (a worker can
 // serve several coordinators) and owns a private future cache — the task-id
 // namespace is per-coordinator; within a connection requests run
 // concurrently, bounded by Slots.
-//
-// The worker caps the kernel layer at par.SetLimit(1): its parallelism
-// budget is Slots concurrent *bodies*, matching the contract the runtime's
-// in-process pool follows (DESIGN.md, "The kernel layer").
 func Serve(l net.Listener, cfg WorkerConfig) error {
-	slots := cfg.Slots
-	if slots < 1 {
-		slots = 1
-	}
-	cacheBytes := cfg.CacheBytes
-	if cacheBytes == 0 {
-		cacheBytes = DefaultCacheBytes
-	}
-	logw := cfg.Log
-	if logw == nil {
-		logw = io.Discard
-	}
-	par.SetLimit(1)
-	fmt.Fprintf(logw, "worker: pid %d serving %d registered functions on %s (%d slots, %d MB cache)\n",
-		os.Getpid(), len(Names()), l.Addr(), slots, cacheBytes>>20)
+	cfg = cfg.withDefaults()
+	fmt.Fprintf(cfg.Log, "worker: pid %d serving %d registered functions on %s (%d slots, %d MB cache)\n",
+		os.Getpid(), len(Names()), l.Addr(), cfg.Slots, cfg.CacheBytes>>20)
 	for {
 		conn, err := l.Accept()
 		if err != nil {
 			return err
 		}
-		go serveConn(conn, slots, cfg, cacheBytes, logw)
+		go func() {
+			if err := serveCoordinator(conn, "", cfg); err != nil {
+				fmt.Fprintf(cfg.Log, "worker: handshake: %v\n", err)
+			}
+		}()
 	}
-}
-
-func serveConn(conn net.Conn, slots int, cfg WorkerConfig, cacheBytes int64, logw io.Writer) {
-	defer conn.Close()
-	plane := newConnPlane(cacheBytes, cfg, logw)
-	defer plane.close()
-	enc := gob.NewEncoder(conn)
-	h := &hello{Proto: protoVersion, Pid: os.Getpid(), Slots: slots,
-		PeerAddr: plane.peerAddr, PeerToken: plane.peerTok}
-	if err := enc.Encode(h); err != nil {
-		fmt.Fprintf(logw, "worker: handshake: %v\n", err)
-		return
-	}
-	serveLoop(conn, enc, slots, plane, logw, nil)
 }
 
 // connPlane is one coordinator connection's data-plane state: the private
@@ -100,8 +87,7 @@ func serveConn(conn net.Conn, slots int, cfg WorkerConfig, cacheBytes int64, log
 // PeerRefs from other workers. store and fetcher are nil when peer
 // transfers are disabled (PeerListen "off", cache disabled, or the peer
 // bind failed) — the connection then advertises no PeerAddr and the
-// coordinator routes all values through itself, exactly the protocol-2
-// behaviour.
+// coordinator routes all values through itself.
 type connPlane struct {
 	cache    *futureCache
 	peerAddr string
@@ -110,12 +96,12 @@ type connPlane struct {
 	fetcher  *peerFetcher
 }
 
-func newConnPlane(cacheBytes int64, cfg WorkerConfig, logw io.Writer) *connPlane {
-	p := &connPlane{cache: newFutureCache(cacheBytes)}
-	if cfg.PeerListen == "off" || cacheBytes <= 0 {
+func newConnPlane(cfg WorkerConfig) *connPlane {
+	p := &connPlane{cache: newFutureCache(cfg.CacheBytes)}
+	if cfg.PeerListen == "off" || cfg.CacheBytes <= 0 {
 		return p
 	}
-	addr, tok, store := registerPeerStore(p.cache, cfg.PeerListen, logw)
+	addr, tok, store := registerPeerStore(p.cache, cfg.PeerListen, cfg.Log)
 	if addr == "" {
 		return p
 	}
@@ -133,43 +119,49 @@ func (p *connPlane) close() {
 	}
 }
 
-// serveLoop is the post-handshake body of one coordinator connection:
-// decode requests, execute them concurrently (bounded by slots, each
-// resolved against the connection's private future cache and peer fetcher),
-// reply in completion order. busy, when non-nil, tracks the connection's
-// in-flight request count (the elastic join pool sizes itself from it).
-// Returns when the connection closes.
-func serveLoop(conn net.Conn, enc *gob.Encoder, slots int, plane *connPlane, logw io.Writer, busy *atomic.Int64) {
+// serveCoordinator is the worker side of one coordinator connection, accepted
+// (Serve, empty token) or dialed (JoinCoordinator, the coordinator's join
+// token): send the hello, then decode requests, execute them concurrently
+// (bounded by cfg.Slots, each resolved against the connection's private
+// future cache and peer fetcher) and reply in completion order. cfg has its
+// defaults applied. It closes conn and returns nil when the coordinator
+// closes the connection, an error when the hello could not be sent.
+//
+// The worker caps the kernel layer at par.SetLimit(1): its parallelism
+// budget is Slots concurrent *bodies*, matching the contract the runtime's
+// in-process pool follows (DESIGN.md, "The kernel layer").
+func serveCoordinator(conn net.Conn, token string, cfg WorkerConfig) error {
+	defer conn.Close()
+	par.SetLimit(1)
+	plane := newConnPlane(cfg)
+	defer plane.close()
+	enc := gob.NewEncoder(conn)
+	h := &hello{Proto: protoVersion, Pid: os.Getpid(), Slots: cfg.Slots, Token: token,
+		PeerAddr: plane.peerAddr, PeerToken: plane.peerTok}
+	if err := enc.Encode(h); err != nil {
+		return err
+	}
 	var sendMu sync.Mutex
-	cache := plane.cache
-	sem := make(chan struct{}, slots)
+	sem := make(chan struct{}, cfg.Slots)
 	dec := gob.NewDecoder(conn)
 	for {
 		var req request
 		if err := dec.Decode(&req); err != nil {
 			if err != io.EOF {
-				fmt.Fprintf(logw, "worker: connection closed: %v\n", err)
+				fmt.Fprintf(cfg.Log, "worker: connection closed: %v\n", err)
 			}
-			return
+			return nil
 		}
 		sem <- struct{}{}
-		if busy != nil {
-			busy.Add(1)
-		}
 		go func(req request) {
-			defer func() {
-				if busy != nil {
-					busy.Add(-1)
-				}
-				<-sem
-			}()
+			defer func() { <-sem }()
 			resp := handle(req, plane)
 			// Eviction reports (and peer byte deltas) ride on whichever
 			// response is next; draining immediately before the send keeps
 			// each report delivered exactly once and at most one response
 			// late.
-			resp.Evicted = cache.drainEvicted()
-			resp.CacheBytes = cache.occupancy()
+			resp.Evicted = plane.cache.drainEvicted()
+			resp.CacheBytes = plane.cache.occupancy()
 			sendMu.Lock()
 			if plane.store != nil {
 				s, r := plane.store.drainBytes()
@@ -184,7 +176,7 @@ func serveLoop(conn net.Conn, enc *gob.Encoder, slots int, plane *connPlane, log
 			err := enc.Encode(&resp)
 			sendMu.Unlock()
 			if err != nil {
-				fmt.Fprintf(logw, "worker: replying to %s (req %d): %v\n", req.Name, req.ID, err)
+				fmt.Fprintf(cfg.Log, "worker: replying to %s (req %d): %v\n", req.Name, req.ID, err)
 			}
 		}(req)
 	}
@@ -197,149 +189,17 @@ func serveLoop(conn net.Conn, enc *gob.Encoder, slots int, plane *connPlane, log
 // worker re-admits itself mid-run — it comes back as a brand-new member
 // with a fresh id and an empty cache.
 func JoinCoordinator(addr, token string, cfg WorkerConfig) error {
-	slots := cfg.Slots
-	if slots < 1 {
-		slots = 1
-	}
-	cacheBytes := cfg.CacheBytes
-	if cacheBytes == 0 {
-		cacheBytes = DefaultCacheBytes
-	}
-	logw := cfg.Log
-	if logw == nil {
-		logw = io.Discard
-	}
-	par.SetLimit(1)
+	cfg = cfg.withDefaults()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return fmt.Errorf("exec: joining coordinator at %s: %w", addr, err)
 	}
-	defer conn.Close()
-	plane := newConnPlane(cacheBytes, cfg, logw)
-	defer plane.close()
-	enc := gob.NewEncoder(conn)
-	h := &hello{Proto: protoVersion, Pid: os.Getpid(), Slots: slots, Token: token,
-		PeerAddr: plane.peerAddr, PeerToken: plane.peerTok}
-	if err := enc.Encode(h); err != nil {
+	fmt.Fprintf(cfg.Log, "worker: pid %d joined coordinator %s (%d slots, %d MB cache)\n",
+		os.Getpid(), addr, cfg.Slots, cfg.CacheBytes>>20)
+	if err := serveCoordinator(conn, token, cfg); err != nil {
 		return fmt.Errorf("exec: registering with coordinator at %s: %w", addr, err)
 	}
-	fmt.Fprintf(logw, "worker: pid %d joined coordinator %s (%d slots, %d MB cache)\n",
-		os.Getpid(), addr, slots, cacheBytes>>20)
-	serveLoop(conn, enc, slots, plane, logw, nil)
 	return nil
-}
-
-// JoinPool runs an elastic pool of coordinator connections: each connection
-// registers independently (so to the coordinator each is a fleet member of
-// its own, with its own cache and slot count from cfg), the pool grows by
-// one whenever every member is saturated (up to max), and shrinks back
-// toward min by letting surplus idle connections expire. A connection the
-// coordinator drops (drain, coordinator exit) is detected and replaced only
-// while the pool is below min — the worker machine offers capacity in
-// [min, max] and lets the coordinator's own policy use it.
-//
-// JoinPool returns once the coordinator has become unreachable: the pool is
-// empty and a re-dial fails. A worker supervisor (or systemd) restarting
-// the process re-registers from scratch.
-func JoinPool(addr, token string, min, max int, cfg WorkerConfig) error {
-	if min < 1 {
-		min = 1
-	}
-	if max < min {
-		max = min
-	}
-	slots := cfg.Slots
-	if slots < 1 {
-		slots = 1
-	}
-	logw := cfg.Log
-	if logw == nil {
-		logw = io.Discard
-	}
-
-	type member struct {
-		conn net.Conn
-		busy atomic.Int64
-		done atomic.Bool
-	}
-	var mu sync.Mutex
-	var pool []*member
-
-	dialOne := func() error {
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			return err
-		}
-		cacheBytes := cfg.CacheBytes
-		if cacheBytes == 0 {
-			cacheBytes = DefaultCacheBytes
-		}
-		// Each pool member is an independent fleet member with its own
-		// cache, token and peer store; they all share the process's one
-		// peer listener.
-		plane := newConnPlane(cacheBytes, cfg, logw)
-		enc := gob.NewEncoder(conn)
-		h := &hello{Proto: protoVersion, Pid: os.Getpid(), Slots: slots, Token: token,
-			PeerAddr: plane.peerAddr, PeerToken: plane.peerTok}
-		if err := enc.Encode(h); err != nil {
-			plane.close()
-			conn.Close()
-			return err
-		}
-		m := &member{conn: conn}
-		mu.Lock()
-		pool = append(pool, m)
-		n := len(pool)
-		mu.Unlock()
-		fmt.Fprintf(logw, "worker: pool member %d registered with %s\n", n, addr)
-		go func() {
-			defer plane.close()
-			serveLoop(conn, enc, slots, plane, logw, &m.busy)
-			m.done.Store(true)
-		}()
-		return nil
-	}
-
-	par.SetLimit(1)
-	for i := 0; i < min; i++ {
-		if err := dialOne(); err != nil {
-			return fmt.Errorf("exec: joining coordinator at %s: %w", addr, err)
-		}
-	}
-
-	// Supervision loop: prune dead members, top back up to min, grow by one
-	// when every member is saturated. Growth is capacity *offered*; the
-	// coordinator decides when to place on it (and drains what it no longer
-	// wants, which the prune observes).
-	for {
-		time.Sleep(100 * time.Millisecond)
-		mu.Lock()
-		live := pool[:0]
-		saturated := true
-		for _, m := range pool {
-			if m.done.Load() {
-				continue
-			}
-			live = append(live, m)
-			if m.busy.Load() < int64(slots) {
-				saturated = false
-			}
-		}
-		pool = live
-		n := len(pool)
-		mu.Unlock()
-
-		switch {
-		case n == 0:
-			if err := dialOne(); err != nil {
-				return fmt.Errorf("exec: coordinator at %s unreachable: %w", addr, err)
-			}
-		case n < min:
-			_ = dialOne() // transient failures retried next tick while ≥1 member lives
-		case saturated && n < max:
-			_ = dialOne()
-		}
-	}
 }
 
 // resolveCounts aggregates the resolution outcomes of one request: cache
@@ -468,15 +328,11 @@ func handle(req request, plane *connPlane) (resp response) {
 
 // Env vars of the loopback re-exec protocol (see SpawnLoopback): when
 // workerEnvListen is set, MaybeWorkerMain turns the current process into a
-// listening worker instead of running its normal main; when workerEnvCoord
-// is set instead, it dials the coordinator's fleet listen address with the
-// workerEnvToken credential (the re-exec form of JoinCoordinator).
+// listening worker instead of running its normal main.
 const (
 	workerEnvListen  = "TASKML_EXEC_WORKER"
 	workerEnvSlots   = "TASKML_EXEC_SLOTS"
 	workerEnvCacheMB = "TASKML_EXEC_CACHE_MB"
-	workerEnvCoord   = "TASKML_EXEC_COORD"
-	workerEnvToken   = "TASKML_EXEC_TOKEN"
 	// workerEnvPeer carries WorkerConfig.PeerListen to a re-exec'd child
 	// ("off" disables the peer plane; unset keeps the default ":0").
 	workerEnvPeer = "TASKML_EXEC_PEER"
@@ -487,52 +343,26 @@ const (
 
 // MaybeWorkerMain is the loopback re-exec hook: binaries that can act as
 // loopback workers (the cmd tools, test binaries via TestMain) call it
-// first thing. When neither TASKML_EXEC_WORKER nor TASKML_EXEC_COORD is set
-// it returns immediately. With TASKML_EXEC_WORKER, the process binds that
-// address, prints the bound address on stdout for the spawning coordinator,
-// serves registered functions until killed, and never returns. With
-// TASKML_EXEC_COORD, it instead dials the coordinator's fleet listen
-// address and registers with the TASKML_EXEC_TOKEN credential — the re-exec
-// form of a dial-in fleet member — exiting when the connection closes.
+// first thing. When TASKML_EXEC_WORKER is not set it returns immediately.
+// Otherwise the process binds that address, prints the bound address on
+// stdout for the spawning coordinator, serves registered functions until
+// killed, and never returns.
 func MaybeWorkerMain() {
 	addr := os.Getenv(workerEnvListen)
-	coord := os.Getenv(workerEnvCoord)
-	if addr == "" && coord == "" {
+	if addr == "" {
 		return
 	}
-	slots := 1
-	if s := os.Getenv(workerEnvSlots); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 {
-			slots = n
-		}
-	}
-	var cacheBytes int64
-	if s := os.Getenv(workerEnvCacheMB); s != "" {
-		if n, err := strconv.Atoi(s); err == nil {
-			if n <= 0 {
-				cacheBytes = -1 // caching disabled
-			} else {
-				cacheBytes = int64(n) << 20
-			}
-		}
-	}
-	peerListen := os.Getenv(workerEnvPeer)
-	if coord != "" {
-		err := JoinCoordinator(coord, os.Getenv(workerEnvToken),
-			WorkerConfig{Slots: slots, CacheBytes: cacheBytes, PeerListen: peerListen, Log: os.Stderr})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "worker: %v\n", err)
-			os.Exit(1)
-		}
-		os.Exit(0) // coordinator closed the connection: clean retirement
-	}
+	// Unset or malformed values read as 0, which Serve turns into its
+	// defaults; a negative cache size disables caching, as on the flags.
+	slots, _ := strconv.Atoi(os.Getenv(workerEnvSlots))
+	cacheMB, _ := strconv.Atoi(os.Getenv(workerEnvCacheMB))
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "worker: listen %s: %v\n", addr, err)
 		os.Exit(1)
 	}
 	fmt.Printf("%s%s\n", workerReadyPrefix, l.Addr())
-	err = Serve(l, WorkerConfig{Slots: slots, CacheBytes: cacheBytes, PeerListen: peerListen, Log: os.Stderr})
+	err = Serve(l, WorkerConfig{Slots: slots, CacheBytes: int64(cacheMB) << 20, PeerListen: os.Getenv(workerEnvPeer), Log: os.Stderr})
 	fmt.Fprintf(os.Stderr, "worker: %v\n", err)
 	os.Exit(1)
 }

@@ -112,26 +112,6 @@ func (c *Collector) Events() []compss.Event {
 	return out
 }
 
-// CacheSamples returns a snapshot of the collected data-plane samples in
-// arrival order.
-func (c *Collector) CacheSamples() []CacheSample {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]CacheSample, len(c.samples))
-	copy(out, c.samples)
-	return out
-}
-
-// FleetSamples returns a snapshot of the collected fleet transitions in
-// arrival order.
-func (c *Collector) FleetSamples() []FleetSample {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]FleetSample, len(c.fleet))
-	copy(out, c.fleet)
-	return out
-}
-
 // ServeSamples returns a snapshot of the collected serving-plane samples
 // in arrival order.
 func (c *Collector) ServeSamples() []ServeSample {
@@ -140,12 +120,6 @@ func (c *Collector) ServeSamples() []ServeSample {
 	out := make([]ServeSample, len(c.serving))
 	copy(out, c.serving)
 	return out
-}
-
-// Chrome renders the collected events (and any data-plane, fleet or
-// serving samples); shorthand for ChromeAll over the four snapshots.
-func (c *Collector) Chrome() *Trace {
-	return ChromeAll(c.Events(), c.CacheSamples(), c.FleetSamples(), c.ServeSamples())
 }
 
 // attemptKey identifies one executed attempt of one task.
@@ -172,7 +146,7 @@ type sortable struct {
 	task, attempt int
 }
 
-// Chrome converts a runtime event stream into a Chrome trace. The runtime
+// Chrome renders everything collected as a Chrome trace. The runtime
 // does not pin in-process tasks to worker identities (a body that blocks on
 // a nested Get releases its slot and re-acquires a possibly different one),
 // so the exporter reconstructs worker rows by greedily packing the attempt
@@ -185,7 +159,7 @@ type sortable struct {
 // named after the worker id ("w0", "w1", ...), one extra lane per worker
 // only when a multi-slot worker overlaps attempts ("w0 slot 1").
 //
-// Emitted tracks, all under one process ("taskml runtime"):
+// Emitted tracks of the "taskml runtime" process:
 //
 //   - "worker N" rows: one B/E slice per executed in-process attempt,
 //     failed attempts labelled "name!k" (matching the virtual-cluster Gantt
@@ -196,54 +170,43 @@ type sortable struct {
 //     never ran because a dependency failed;
 //   - counter tracks "ready" (tasks runnable but not yet started) and
 //     "workers" (attempts executing), sampled at every transition.
-func Chrome(events []compss.Event) *Trace { return ChromeCache(events, nil) }
-
-// ChromeCache renders a runtime event stream plus exec data-plane samples.
-// With no samples it is exactly Chrome (the golden trace is unchanged);
-// with samples it adds a second trace process ("exec data plane") holding
-// one instant row per remote worker (cache hit / miss markers) and a
-// "resident bytes" counter track with one series per worker — the
-// re-shipping a reduction tree avoids (or pays) is visible directly in the
-// viewer.
-func ChromeCache(events []compss.Event, samples []CacheSample) *Trace {
-	return ChromeAll(events, samples, nil, nil)
-}
-
-// ChromeAll renders a runtime event stream plus exec data-plane samples
-// plus fleet membership transitions plus serving-plane samples. The fleet
-// rows are additive in the same "exec data plane" process as the cache
-// rows: one instant lane ("fleet") marking joins, drains, deaths and
-// autoscaler decisions, and a "fleet size" counter tracking alive workers
-// and slots — the elasticity of a run is visible next to the queue-depth
-// counters that drove it. Serving samples add a third process ("serving",
-// see renderServeRows) with batcher, alarm and backpressure lanes.
-func ChromeAll(events []compss.Event, samples []CacheSample, fleet []FleetSample, serving []ServeSample) *Trace {
-	t := &Trace{}
-	if len(events) == 0 && len(samples) == 0 && len(fleet) == 0 && len(serving) == 0 {
-		return t
-	}
+//
+// Cache or fleet samples add a second process ("exec data plane"): one
+// instant row per remote worker (cache hit / miss markers) and a "resident
+// bytes" counter with one series per worker — the re-shipping a reduction
+// tree avoids (or pays) is visible directly in the viewer — plus one
+// instant lane ("fleet") marking joins, drains, deaths and autoscaler
+// decisions and a "fleet size" counter tracking alive workers and slots, so
+// the elasticity of a run sits next to the queue-depth counters that drove
+// it. Serving samples add a third process ("serving", see renderServeRows)
+// with batcher, alarm and backpressure lanes. Empty processes are omitted.
+func (c *Collector) Chrome() *Trace {
+	// The slices are append-only, so the prefixes read here stay valid
+	// without a copy.
+	c.mu.Lock()
+	events, samples, fleet, serving := c.events, c.samples, c.fleet, c.serving
+	c.mu.Unlock()
+	// The trace origin is the earliest timestamp of any stream.
 	var origin time.Time
 	haveOrigin := false
-	for _, ev := range events {
-		if !haveOrigin || ev.Time.Before(origin) {
-			origin, haveOrigin = ev.Time, true
+	earliest := func(ts time.Time) {
+		if !haveOrigin || ts.Before(origin) {
+			origin, haveOrigin = ts, true
 		}
+	}
+	for _, ev := range events {
+		earliest(ev.Time)
 	}
 	for _, s := range samples {
-		if !haveOrigin || s.Time.Before(origin) {
-			origin, haveOrigin = s.Time, true
-		}
+		earliest(s.Time)
 	}
 	for _, f := range fleet {
-		if !haveOrigin || f.Time.Before(origin) {
-			origin, haveOrigin = f.Time, true
-		}
+		earliest(f.Time)
 	}
 	for _, s := range serving {
-		if !haveOrigin || s.Time.Before(origin) {
-			origin, haveOrigin = s.Time, true
-		}
+		earliest(s.Time)
 	}
+	t := &Trace{}
 	renderEvents(t, origin, events)
 	if len(samples) > 0 || len(fleet) > 0 {
 		t.Add(processName(cachePid, "exec data plane"))
@@ -254,8 +217,8 @@ func ChromeAll(events []compss.Event, samples []CacheSample, fleet []FleetSample
 	return t
 }
 
-// renderEvents is the task-slice half of the export (see Chrome's doc
-// comment for the emitted tracks).
+// renderEvents is the task-slice half of the export (see Collector.Chrome
+// for the emitted tracks).
 func renderEvents(t *Trace, origin time.Time, events []compss.Event) {
 	if len(events) == 0 {
 		return

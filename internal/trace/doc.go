@@ -5,7 +5,7 @@
 //
 // Two producers emit the format:
 //
-//   - Collector + Chrome (this package) render a *real* execution: per-lane
+//   - Collector.Chrome (this package) renders a *real* execution: per-lane
 //     B/E duration slices for every attempt, instant markers for retries,
 //     failures and degradations, and counter tracks for worker-pool
 //     occupancy and the ready queue;
@@ -15,9 +15,11 @@
 //
 // # Public surface
 //
-// Collector is a compss.Observer that buffers events; its Chrome method
-// (and the free Chrome function over a plain event slice) builds a Trace,
-// which Add/WriteJSON/WriteFile assemble and emit. PackLanes is the greedy
+// Collector is a compss.Observer that buffers events (and exec data-plane,
+// fleet and serving samples via AddCacheSample / AddFleetEvent /
+// AddServeSample); its Chrome method builds a Trace, which
+// Add/WriteJSON/WriteFile assemble and emit. Gauge is the ready-depth
+// observer the exec autoscaler samples. PackLanes is the greedy
 // interval-packing helper both producers share. In-process attempts pack
 // into "worker N" lanes; attempts executed by a remote backend
 // (internal/exec) are pinned to per-worker-id lanes instead, so a

@@ -45,54 +45,34 @@ go test -race ./...
 echo "== go test -race -count=2 ./internal/compss/... ./internal/cluster/... ./internal/trace/... ./internal/eddl/... ./internal/exec/..."
 go test -race -count=2 ./internal/compss/... ./internal/cluster/... ./internal/trace/... ./internal/eddl/... ./internal/exec/...
 
-# The work-stealing dispatcher's migration paths (deque overflow, injector
-# drain, cross-worker steals, stolen-task deadline abandonment) only open
-# up under unbalanced load; run the stealing stress tests twice at both
-# GOMAXPROCS extremes so single-threaded interleavings and truly parallel ones
-# are both exercised under the race detector.
+# The work-stealing dispatcher's migration paths (ring growth, cross-worker
+# steals, stolen-task deadline abandonment) only open up under unbalanced
+# load; run the stealing stress tests twice at both GOMAXPROCS extremes so
+# single-threaded interleavings and truly parallel ones are both exercised
+# under the race detector.
 echo "== go test -race -count=2 -cpu=1,8 -run 'TestStealStress|TestStolenDeadline' ./internal/compss/"
 go test -race -count=2 -cpu=1,8 -run 'TestStealStress|TestStolenDeadline' ./internal/compss/
 
-# The data-plane cache is shared mutable state under the dispatch
-# concurrency (clone-on-hit vs concurrent puts, residency folding vs
-# failWorker, KillWorker vs Close): run the cache and crash-path tests by
-# name so a test reorganization can never silently drop them from the
-# race gate.
-echo "== go test -race -count=2 -run 'TestFutureCache|TestRemoteLocality|TestRemoteMissResend|TestRemoteNestedRefs|TestRemoteAnonymous|TestKillWorker' ./internal/exec/"
-go test -race -count=2 -run 'TestFutureCache|TestRemoteLocality|TestRemoteMissResend|TestRemoteNestedRefs|TestRemoteAnonymous|TestKillWorker' ./internal/exec/
+# internal/core and internal/serve are not in the -count=2 pass above, so
+# the tests there that race membership changes, holder kills and concurrent
+# stream pushes against real worker processes are pinned by name:
+# re-admission and a holder dying under the peer plane must stay
+# bit-identical, and served alarms must match batch edge.Run in-process and
+# across workers.
+echo "== go test -race -count=2 -run 'TestRemoteKillThenRejoinParity|TestRemotePeerKillParity' ./internal/core/"
+go test -race -count=2 -run 'TestRemoteKillThenRejoinParity|TestRemotePeerKillParity' ./internal/core/
+echo "== go test -race -count=2 -run 'TestServe' ./internal/serve/ ./internal/core/"
+go test -race -count=2 -run 'TestServe' ./internal/serve/ ./internal/core/
 
-# Fleet membership is the newest shared-mutable surface: joins race
-# dispatch, drains race in-flight completions, the autoscaler races both,
-# and re-admission must stay bit-identical through a kill. Pin the
-# membership tests by name — same rationale as the cache pins above — plus
-# the elastic-capacity handoff into the compss slot pool.
-echo "== go test -race -count=2 -run 'TestFleet|TestHysteresisPolicy|TestOpenRejects' ./internal/exec/"
-go test -race -count=2 -run 'TestFleet|TestHysteresisPolicy|TestOpenRejects' ./internal/exec/
-echo "== go test -race -count=2 -run 'TestRemoteKillThenRejoinParity' ./internal/core/"
-go test -race -count=2 -run 'TestRemoteKillThenRejoinParity' ./internal/core/
-
-# The peer data plane adds a second wire surface (worker-to-worker pulls)
-# whose failure modes — holder killed mid-fetch, stale session tokens,
-# poisoned addresses, concurrent duplicate fetches collapsing to one
-# transfer — must all fall back to the coordinator Miss path without
-# corrupting results. Pin them by name, plus the mid-run-kill parity test
-# that proves bit-identity survives a holder dying under the p2p plane.
-echo "== go test -race -count=2 -run 'TestPeer' ./internal/exec/"
-go test -race -count=2 -run 'TestPeer' ./internal/exec/
-echo "== go test -race -count=2 -run 'TestRemotePeerKillParity' ./internal/core/"
-go test -race -count=2 -run 'TestRemotePeerKillParity' ./internal/core/
-echo "== go test -race -count=2 -run 'TestElasticCapacity' ./internal/compss/"
-go test -race -count=2 -run 'TestElasticCapacity' ./internal/compss/
-
-# The serving plane multiplexes concurrent stream pushes, per-batch scoring
-# goroutines, the background deadline flusher and hook callbacks over one
-# lock; pin the serving tests by name — batcher flush on both paths (size
-# and deadline), admission rejection at capacity, backpressure shedding
-# accounting, score-error skip semantics, the trace rows, and the
-# alarms-bit-identical parity against batch edge.Run both in-process and
-# across real worker processes.
-echo "== go test -race -count=2 -run 'TestServe' ./internal/serve/ ./internal/core/ ./internal/trace/"
-go test -race -count=2 -run 'TestServe' ./internal/serve/ ./internal/core/ ./internal/trace/
+# The benchmark is a module of its own (bench/go.mod), so ./... above does
+# not reach it, and no file under bench/ may change with the code it
+# measures: build, vet and test it here, then run its smoke, so a change
+# that breaks the frozen benchmark's build fails this gate.
+echo "== go vet -C bench ./... && go test -C bench ./..."
+go vet -C bench ./...
+go test -C bench ./...
+echo "== sh bench/run.sh -quick"
+sh bench/run.sh -quick
 
 # Submit-path smoke: a quick -benchmem pass over the Submit benchmarks so a
 # regression that re-inflates the per-task allocation count is visible in
