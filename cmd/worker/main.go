@@ -2,7 +2,7 @@
 // remote coordinator (see internal/exec). It has two modes:
 //
 // Listen mode (default): bind a TCP address, handshake with protocol
-// version and slot count, and execute gob-serialised task requests until
+// version and slot count, and execute framed task requests until
 // killed. Start one per machine (or per core set), then point a cmd tool at
 // the fleet:
 //

@@ -63,17 +63,15 @@ func (m *ServeModel) Clone() *ServeModel {
 	}
 	out := &ServeModel{Feat: m.Feat, Trees: make([]*forest.Node, len(m.Trees))}
 	for i, t := range m.Trees {
-		out.Trees[i] = t.CloneExecValue().(*forest.Node)
+		out.Trees[i] = t.Clone()
 	}
 	return out
 }
 
-// CloneExecValue opts the model into the worker future cache: the
-// "serve_model" output stays resident per worker and every "serve_score"
-// batch resolves it as a local reference instead of re-shipping the forest.
-func (m *ServeModel) CloneExecValue() any { return m.Clone() }
-
-// ExecValueBytes reports the resident size (dominated by the trees).
+// ExecValueBytes reports the resident size (dominated by the trees) and so
+// opts the model into the worker future cache: the "serve_model" output
+// stays resident per worker and every "serve_score" batch reads it through
+// a local reference instead of re-shipping the forest.
 func (m *ServeModel) ExecValueBytes() int64 {
 	n := int64(64)
 	for _, t := range m.Trees {
@@ -82,8 +80,53 @@ func (m *ServeModel) ExecValueBytes() int64 {
 	return n
 }
 
+// encodeServeModel / decodeServeModel are the model's binary wire form
+// (exec.RegisterCodec): the feature configuration field by field, then the
+// trees as tagged values so each rides forest's own node codec.
+func encodeServeModel(e *exec.Encoder, m *ServeModel) {
+	e.Bool(m != nil)
+	if m == nil {
+		return
+	}
+	e.Float64(m.Feat.PadSec)
+	e.Int(m.Feat.Window)
+	e.Int(m.Feat.Overlap)
+	e.Float64(m.Feat.MaxFreqHz)
+	e.Int(m.Feat.TimePool)
+	e.Bool(m.Trees != nil)
+	e.Len(len(m.Trees))
+	for _, t := range m.Trees {
+		e.Value(t)
+	}
+}
+
+func decodeServeModel(d *exec.Decoder) *ServeModel {
+	if !d.Bool() {
+		return nil
+	}
+	m := &ServeModel{Feat: FeatureConfig{
+		PadSec: d.Float64(), Window: d.Int(), Overlap: d.Int(),
+		MaxFreqHz: d.Float64(), TimePool: d.Int(),
+	}}
+	hasTrees := d.Bool()
+	n := d.Len(8) // a pointer per tree, and no tagged node is that short
+	if hasTrees {
+		m.Trees = make([]*forest.Node, 0, n)
+	} else if n != 0 {
+		d.Fail(fmt.Errorf("core: nil tree list of length %d", n))
+	}
+	for i := 0; i < n && d.Err() == nil; i++ {
+		t, ok := d.Value().(*forest.Node)
+		if !ok && d.Err() == nil {
+			d.Fail(fmt.Errorf("core: ServeModel tree %d is not a *forest.Node", i))
+		}
+		m.Trees = append(m.Trees, t)
+	}
+	return m
+}
+
 func init() {
-	exec.RegisterType(&ServeModel{})
+	exec.RegisterCodec(encodeServeModel, decodeServeModel)
 
 	// serve_model(model) publishes the deployed model as a task output so
 	// scoring batches take it as a future: on a remote backend the forest

@@ -42,13 +42,14 @@ func init() {
 	})
 
 	// mat_add_to(dst, src): dst += src, returning dst. The in-place merge of
-	// reductions whose partials are exclusively owned (ReduceOpts contract);
-	// on a worker dst is the decoded copy, so mutation is process-local.
-	exec.Register("mat_add_to", func(args []any) (any, error) {
+	// reductions whose partials are exclusively owned (ReduceOpts contract),
+	// and the one body that writes to an argument: declared, so a worker
+	// hands it a private copy of a cache-resident dst.
+	exec.RegisterInPlace("mat_add_to", func(args []any) (any, error) {
 		dst := args[0].(*mat.Dense)
 		mat.AddInPlace(dst, args[1].(*mat.Dense))
 		return dst, nil
-	})
+	}, 0)
 
 	// partial_gram(blk): blkᵀ·blk.
 	exec.Register("partial_gram", func(args []any) (any, error) {

@@ -19,20 +19,23 @@ import (
 //
 // # Ownership
 //
-// Registered bodies may mutate arguments they exclusively own (dsarray's
-// mat_add_to accumulates into args[0]); a cached value handed to a body
-// directly would make that mutation visible to the *next* consumer of the
-// same future. Resolution therefore clones on hit: the body always receives
-// a private copy, exactly as if the value had crossed the wire. Only types
-// with a deep-clone path are cached at all — cloneValue below knows the
-// builtin numeric kinds, *mat.Dense, and the common slice shapes; other
-// types opt in by implementing Cloner.
+// A resident value is immutable. Task outputs are moved into the cache —
+// the body that produced them is done with them — and RefValue or
+// peer-fetched replicas are kept as decoded; nothing is copied on the way
+// in, and a hit returns the resident value itself, which later consumers,
+// the response encoder and the peer server all only read. That is what
+// makes Miss/resend, retries and peer serving safe without copies. The one
+// clone on the data path is the worker's (handle, worker.go): a body that
+// declared at registration that it writes to an argument (RegisterInPlace)
+// gets a private copy of that argument when it came out of the cache.
+// cloneValue below knows the builtin numeric kinds, *mat.Dense and the
+// common slice shapes; other types join through Cloner. Only values with a
+// known size are cached at all (sizeOfValue, Sizer).
 
-// Cloner lets a registered argument/output type opt into the future cache.
+// Cloner lets a domain type be handed to a body that mutates it in place.
 // CloneExecValue must return a deep copy sharing no mutable state with the
-// receiver; values whose type is neither builtin-clonable nor a Cloner are
-// simply never cached (they re-ship by value every time, which is always
-// correct).
+// receiver; an in-place argument that is resident and has no clone path
+// fails its request rather than expose the resident value.
 type Cloner interface {
 	CloneExecValue() any
 }
@@ -69,8 +72,6 @@ type futureCache struct {
 	entries  map[ValueRef]*cacheEntry
 	lru      *list.List // front = most recent; values are *cacheEntry
 	evicted  []ValueRef // drained into the next response (exactly once)
-	hits     atomic.Uint64
-	misses   atomic.Uint64
 }
 
 func newFutureCache(maxBytes int64) *futureCache {
@@ -81,43 +82,10 @@ func newFutureCache(maxBytes int64) *futureCache {
 	}
 }
 
-// get returns a deep clone of the cached value for ref, or (nil, false) on
-// miss. The clone keeps the resident copy immutable no matter what the body
-// does to its arguments.
+// get returns the resident value for ref — the value itself, which the
+// caller must not write to — or (nil, false) on miss. Every get is a use and
+// refreshes LRU recency, a peer's fetch (peer.go) as much as a local body's.
 func (c *futureCache) get(ref ValueRef) (any, bool) {
-	c.mu.Lock()
-	e, ok := c.entries[ref]
-	if !ok {
-		c.mu.Unlock()
-		c.misses.Add(1)
-		return nil, false
-	}
-	c.lru.MoveToFront(e.elem)
-	v := e.val
-	c.mu.Unlock()
-	// Clone outside the lock: clones of large matrices are the expensive
-	// part and must not serialize the connection's other bodies.
-	cl, ok := cloneValue(v)
-	if !ok {
-		// Unclonable values are never inserted; getting here means the type
-		// lost its clone path mid-run, which cannot happen for a fixed
-		// binary. Treat as a miss for safety.
-		c.misses.Add(1)
-		return nil, false
-	}
-	c.hits.Add(1)
-	return cl, true
-}
-
-// peek returns the resident value for ref without cloning, or (nil, false)
-// on miss. It backs the peer server (peer.go): a peer fetch gob-encodes the
-// value straight onto the socket, and encoding only reads — resident copies
-// are immutable by construction (get clones, put stores a private copy), so
-// no clone is needed. A peek is a use: it refreshes LRU recency, but it is
-// deliberately not counted in hits/misses — those count the *owning*
-// connection's argument resolutions, and a peer fetch belongs to another
-// connection's request.
-func (c *futureCache) peek(ref ValueRef) (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[ref]
@@ -128,25 +96,18 @@ func (c *futureCache) peek(ref ValueRef) (any, bool) {
 	return e.val, true
 }
 
-// put inserts val under ref and returns its accounted size, evicting LRU
-// entries as needed. Values that cannot be cloned or sized, and values
-// larger than the whole cache, are rejected (returns 0, false) — the caller
-// simply doesn't report a StoredRef and the coordinator never records
-// residency.
-//
-// The inserted copy is private: put clones val, so the caller may keep
-// mutating its own copy (a body's returned output is not re-used, but a
-// RefValue replica's decoded value is handed to the body afterwards).
+// put makes val itself resident under ref — ownership moves to the cache,
+// and the caller may keep reading val but must never write to it again —
+// and returns its accounted size, evicting LRU entries as needed. Values
+// that cannot be sized, and values larger than the whole cache, are
+// rejected (returns 0, false) — the caller simply doesn't report a
+// StoredRef and the coordinator never records residency.
 func (c *futureCache) put(ref ValueRef, val any) (int64, bool) {
 	if c.maxBytes <= 0 {
 		return 0, false
 	}
 	n := sizeOfValue(val)
 	if n <= 0 || n > c.maxBytes {
-		return 0, false
-	}
-	cl, ok := cloneValue(val)
-	if !ok {
 		return 0, false
 	}
 	c.mu.Lock()
@@ -169,7 +130,7 @@ func (c *futureCache) put(ref ValueRef, val any) (int64, bool) {
 		c.bytes -= e.bytes
 		c.evicted = append(c.evicted, e.ref)
 	}
-	e := &cacheEntry{ref: ref, val: cl, bytes: n}
+	e := &cacheEntry{ref: ref, val: val, bytes: n}
 	e.elem = c.lru.PushFront(e)
 	c.entries[ref] = e
 	c.bytes += n
@@ -247,8 +208,8 @@ func sizeOfValue(v any) int64 {
 	}
 }
 
-// Sizer lets a Cloner type report its resident size; without it a Cloner
-// still clones correctly but is kept out of the cache (size unknown).
+// Sizer lets a domain type report its resident size, which is what admits
+// it to the cache; without it the type re-ships by value every time.
 type Sizer interface {
 	ExecValueBytes() int64
 }

@@ -1,8 +1,9 @@
 package exec
 
 // White-box tests for the worker future cache (cache.go) and the
-// coordinator data plane that rides on it (remote.go): LRU accounting,
-// clone-on-hit isolation, the size/clone type tables, locality-aware
+// coordinator data plane that rides on it (remote.go): LRU accounting, who
+// owns a value at each step (moved in, shared out, cloned only for a
+// declared in-place argument), the size/clone type tables, locality-aware
 // placement, and the Miss/resend recovery path driven by a deliberately
 // poisoned residency map.
 
@@ -22,6 +23,21 @@ func init() {
 		}
 		return s, nil
 	})
+	// The ownership tests' bodies: one makes a value, one hands its argument
+	// back untouched, one overwrites its declared in-place argument.
+	Register("test_make_floats", func(args []any) (any, error) {
+		return []float64{1, 2, 3}, nil
+	})
+	Register("test_identity", func(args []any) (any, error) {
+		return args[0], nil
+	})
+	RegisterInPlace("test_bump_in_place", func(args []any) (any, error) {
+		dst := args[0].([]float64)
+		for i := range dst {
+			dst[i] += args[1].(float64)
+		}
+		return dst, nil
+	}, 0)
 }
 
 func ref(task int) ValueRef { return ValueRef{Session: 1, Task: task, Out: 0} }
@@ -68,38 +84,84 @@ func TestFutureCacheLRUEviction(t *testing.T) {
 	}
 }
 
-// TestFutureCacheCloneIsolation: mutations on either side of the cache
-// boundary must not reach the resident copy — a body may scribble on its
-// arguments, and a producer may keep mutating the value it stored.
-func TestFutureCacheCloneIsolation(t *testing.T) {
-	c := newFutureCache(1 << 20)
-	orig := []float64{1, 2, 3}
-	if _, ok := c.put(ref(1), orig); !ok {
-		t.Fatal("put rejected")
+// TestCacheOwnership walks a value through the worker: the output a body
+// returns becomes resident as it is, a read-only consumer is handed the
+// resident value itself, and only a declared in-place argument is cloned —
+// so running the in-place body twice over one resident input (the retry and
+// Miss-resend case) gives the same answer twice and leaves the input's bits
+// alone.
+func TestCacheOwnership(t *testing.T) {
+	plane := &connPlane{cache: newFutureCache(1 << 20)}
+	produced := ValueRef{Session: 1, Task: 1}
+
+	resp := handle(&request{Name: "test_make_floats", NOut: 1, Session: 1, Task: 1, Store: true}, plane)
+	if resp.Err != "" || len(resp.Stored) != 1 || resp.Stored[0].Ref != produced {
+		t.Fatalf("producer response = %+v, want one Stored output", resp)
 	}
-	orig[0] = 99 // producer mutates after the store
-	got1, ok := c.get(ref(1))
-	if !ok {
-		t.Fatal("get missed")
-	}
-	got1.([]float64)[1] = 99 // consumer body mutates its clone
-	got2, ok := c.get(ref(1))
-	if !ok {
-		t.Fatal("second get missed")
-	}
-	if v := got2.([]float64); v[0] != 1 || v[1] != 2 {
-		t.Fatalf("resident copy corrupted: %v, want [1 2 3]", v)
+	out := resp.Vals[0].([]float64)
+	resident, ok := plane.cache.get(produced)
+	if !ok || &resident.([]float64)[0] != &out[0] {
+		t.Fatal("a stored output was copied; the cache must take the body's value itself")
 	}
 
-	m := mat.New(2, 2)
-	m.Data[0] = 7
-	if _, ok := c.put(ref(2), m); !ok {
-		t.Fatal("put matrix rejected")
+	resp = handle(&request{Name: "test_identity", NOut: 1, Args: []any{produced}}, plane)
+	if resp.Err != "" || resp.RefHits != 1 {
+		t.Fatalf("read-only consumer response = %+v, want one hit", resp)
 	}
-	m.Data[0] = -1
-	gm, _ := c.get(ref(2))
-	if gm.(*mat.Dense).Data[0] != 7 {
-		t.Fatal("matrix resident copy shares Data with the caller")
+	if got := resp.Vals[0].([]float64); &got[0] != &out[0] {
+		t.Fatal("a hit on a read-only argument was copied; the body must see the resident value")
+	}
+
+	for run := 0; run < 2; run++ {
+		resp = handle(&request{Name: "test_bump_in_place", NOut: 1, Args: []any{produced, 10.0}}, plane)
+		if resp.Err != "" {
+			t.Fatal(resp.Err)
+		}
+		got := resp.Vals[0].([]float64)
+		if got[0] != 11 || got[1] != 12 || got[2] != 13 {
+			t.Fatalf("run %d: in-place body returned %v, want [11 12 13] from an untouched input", run, got)
+		}
+		if &got[0] == &out[0] {
+			t.Fatal("a declared in-place argument was handed the resident value, not a clone")
+		}
+		if out[0] != 1 || out[1] != 2 || out[2] != 3 {
+			t.Fatalf("run %d: resident value is now %v, want [1 2 3]", run, out)
+		}
+	}
+
+	// A RefValue is kept as decoded and handed to a read-only body as is; an
+	// in-place body still gets its own copy of it.
+	arrived := []float64{5, 6}
+	seeded := ValueRef{Session: 1, Task: 2}
+	resp = handle(&request{Name: "test_identity", NOut: 1, Args: []any{RefValue{Ref: seeded, Val: arrived}}}, plane)
+	if resp.Err != "" || len(resp.Stored) != 1 {
+		t.Fatalf("RefValue response = %+v, want the value stored", resp)
+	}
+	resident, _ = plane.cache.get(seeded)
+	if &resident.([]float64)[0] != &arrived[0] || &resp.Vals[0].([]float64)[0] != &arrived[0] {
+		t.Fatal("a RefValue was copied on its way into the cache or to the body")
+	}
+	resp = handle(&request{Name: "test_bump_in_place", NOut: 1, Args: []any{RefValue{Ref: seeded, Val: arrived}, 1.0}}, plane)
+	if got := resp.Vals[0].([]float64); resp.Err != "" || got[0] != 6 || arrived[0] != 5 {
+		t.Fatalf("in-place body over a RefValue: got %v (err %q), resident %v — want [6 7] and [5 6]", resp.Vals, resp.Err, arrived)
+	}
+
+	// A plain argument was decoded for this request alone: no clone needed.
+	plain := []float64{1}
+	resp = handle(&request{Name: "test_bump_in_place", NOut: 1, Args: []any{plain, 1.0}}, plane)
+	if got := resp.Vals[0].([]float64); resp.Err != "" || &got[0] != &plain[0] {
+		t.Fatalf("a plain in-place argument was copied (err %q)", resp.Err)
+	}
+
+	// A resident in-place argument without a clone path fails the request
+	// instead of exposing the resident value.
+	opaque := ValueRef{Session: 1, Task: 3}
+	if _, ok := plane.cache.put(opaque, sizedOnly{}); !ok {
+		t.Fatal("put of a sized value rejected")
+	}
+	resp = handle(&request{Name: "test_bump_in_place", NOut: 1, Args: []any{opaque, 1.0}}, plane)
+	if resp.Err == "" {
+		t.Fatal("an unclonable resident in-place argument must fail the request")
 	}
 }
 
@@ -151,14 +213,11 @@ func TestFutureCacheRejects(t *testing.T) {
 	if _, ok := c.put(ref(1), floats(4)); ok {
 		t.Fatal("oversized value accepted")
 	}
-	if _, ok := c.put(ref(2), sizedOnly{}); ok {
-		t.Fatal("unclonable value accepted")
-	}
 	if _, ok := c.put(ref(3), cloneOnly{}); ok {
 		t.Fatal("unsizable value accepted")
 	}
 	if _, ok := c.put(ref(4), &sizedCloner{v: []float64{1}}); !ok {
-		t.Fatal("Sizer+Cloner value rejected")
+		t.Fatal("Sizer value rejected")
 	}
 	if c.occupancy() != 8 {
 		t.Fatalf("occupancy = %d, want 8", c.occupancy())

@@ -3,14 +3,20 @@
 // the programming model (PyCOMPSs) from execution on cluster workers; this
 // package is that seam. A nil compss.Config.Backend executes bodies
 // in-process (the default, and the fast path); a *Remote ships them to
-// worker processes over gob-on-TCP, dislib-style — one coordinator, N
-// workers, serialized arguments and results.
+// worker processes over length-prefixed binary frames on TCP (wire.go,
+// codec.go), dislib-style — one coordinator, N workers, serialized
+// arguments and results.
 //
 // # Public surface
 //
-//   - Register / RegisterN / RegisterType build the process-global registry
-//     of named, argument-pure task bodies ("rf_bootstrap", "mat_add", ...);
-//     Has / Names / Fns / Invoke query and run it.
+//   - Register / RegisterN / RegisterInPlace build the process-global
+//     registry of named, argument-pure task bodies ("rf_bootstrap",
+//     "mat_add", ...); RegisterInPlace additionally declares which
+//     arguments the body overwrites (InPlaceArgs reads it back). Has /
+//     Names / Fns / Invoke query and run the registry.
+//   - RegisterCodec gives a domain type its binary wire form, written with
+//     an Encoder and read with a Decoder; RegisterType admits a type
+//     without one through the per-value gob fallback.
 //   - Backend is the two-method seam (ExecuteTask, Close); Local adapts the
 //     registry to it. Request carries resolved argument values plus optional
 //     identity (Session/TaskID/ArgRefs) for the data plane.
@@ -24,8 +30,9 @@
 //     registrations authenticated by JoinToken, and Autoscale drives the
 //     loopback fleet from a ScalePolicy (default: hysteresis on the
 //     ready-queue backlog). SetFleetHook observes every transition.
-//   - Cloner / Sizer let domain types opt their values into the worker
-//     future cache; NextSession mints the per-runtime cache namespace.
+//   - Sizer admits a domain type's values to the worker future cache and
+//     Cloner lets them be a declared in-place argument; NextSession mints
+//     the per-runtime cache namespace.
 //
 // # Fleet lifecycle
 //
@@ -45,10 +52,13 @@
 // produced, and the coordinator tracks residency (advisory, folded from
 // Stored/Evicted response reports) to place each task on the worker
 // holding the most bytes of its inputs and to send resident arguments as
-// references instead of values. Cache hits hand bodies deep clones, so
-// in-place mutation by a body can never corrupt a resident value; types
-// without a clone/size path simply ship by value every time. Staleness is
-// recovered, never trusted: a worker that cannot resolve a reference
+// references instead of values. Resident values are immutable and nothing
+// is copied on the way in or out: outputs are moved into the cache, a hit
+// hands the body the resident value itself, and the single clone on the
+// path goes to a body that declared it overwrites that argument
+// (RegisterInPlace). Types without a known size simply ship by value every
+// time. Staleness is recovered, never trusted: a worker that cannot resolve
+// a reference
 // replies Miss without running the body and the coordinator re-sends once
 // with values inlined — eviction or a crashed cache costs one round trip,
 // not a wrong answer.
@@ -75,11 +85,16 @@
 // request ID, writes are serialised per connection, and a per-worker slot
 // count bounds in-flight bodies, composing with compss.Config.Workers:
 // the runtime watches the fleet and keeps its effective parallelism at
-// max(Workers, Σ alive slots) as members come and go. Arguments and
-// results cross the wire as gob copies (or as cache clones on a reference
-// hit — equivalent by construction), so registered bodies must be
-// argument-pure — no captured state, results freshly allocated — which is
-// exactly what makes local and remote execution bit-identical. A worker
-// crash fails the in-flight attempts with an error (never the whole
-// process); the compss retry machinery decides what happens next.
+// max(Workers, Σ alive slots) as members come and go. Arguments reach a
+// body as bit-exact decoded copies or as the values resident in the
+// worker's cache, which other consumers, retries and peer fetches share —
+// so registered bodies must be argument-pure: no captured state, arguments
+// read-only unless declared in-place, results freshly allocated. That is
+// exactly what makes local and remote execution bit-identical. Every
+// decoder that faces a socket bounds a frame before reading it and checks
+// every length inside it against the bytes the frame has left before
+// allocating, so a corrupt or hostile peer costs its connection, never
+// memory or a panic. A worker crash fails the in-flight attempts with an
+// error (never the whole process); the compss retry machinery decides what
+// happens next.
 package exec

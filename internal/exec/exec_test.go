@@ -19,7 +19,11 @@ import (
 // the tests again.
 func TestMain(m *testing.M) {
 	exec.MaybeWorkerMain()
-	os.Exit(m.Run())
+	code := m.Run()
+	if benchFleet != nil {
+		benchFleet.Close()
+	}
+	os.Exit(code)
 }
 
 // Test task vocabulary. Registered from init so the re-exec'd worker child
@@ -372,15 +376,26 @@ func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
 	t.Fatal("condition not reached in time")
 }
 
-// BenchmarkRemoteRoundtrip measures one gob round-trip to a loopback worker
-// carrying a small matrix block — the per-task wire overhead a remote
-// deployment pays over in-process dispatch.
+// benchFleet is BenchmarkRemoteRoundtrip's one-worker fleet, spawned on the
+// benchmark's first invocation and closed by TestMain. The testing package
+// calls a benchmark function once before it prints the row's name and again
+// for every b.N it tries; spawning per call put the worker's start-up line
+// on stderr in the middle of the row, which is how the row fell out of
+// every folded BENCH_*.json.
+var benchFleet *exec.Remote
+
+// BenchmarkRemoteRoundtrip measures one round trip to a loopback worker
+// carrying a small matrix block (8 KB each way) — the per-task wire
+// overhead a remote deployment pays over in-process dispatch.
 func BenchmarkRemoteRoundtrip(b *testing.B) {
-	r, err := exec.SpawnLoopback(exec.LoopbackConfig{Workers: 1, Slots: 1})
-	if err != nil {
-		b.Fatal(err)
+	if benchFleet == nil {
+		r, err := exec.SpawnLoopback(exec.LoopbackConfig{Workers: 1, Slots: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchFleet = r
 	}
-	defer r.Close()
+	r := benchFleet
 	m := mat.New(32, 32)
 	for i := range m.Data {
 		m.Data[i] = float64(i)

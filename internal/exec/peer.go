@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"encoding/gob"
 	"fmt"
 	"io"
 	"net"
@@ -34,10 +33,10 @@ import (
 // # Byte accounting
 //
 // Each peer connection is bound to one token (the client announces it in
-// peerHello), so every byte on the connection is attributable to exactly one
-// coordinator connection's peerStore/peerFetcher. Both ends accumulate
-// read/written deltas into atomic counters that the serve loop drains onto
-// the next response (PeerSent/PeerRecv) — the coordinator's
+// peerHello), so every frame on the connection is attributable to exactly
+// one coordinator connection's peerStore/peerFetcher. Both ends add each
+// frame's exact size to atomic counters that the serve loop drains onto the
+// next response (PeerSent/PeerRecv) — the coordinator's
 // PeerBytesSent/PeerBytesRecv totals are exact sums of surviving
 // connections' traffic, disjoint from the coordinator-link BytesSent/
 // BytesRecv counters.
@@ -50,10 +49,38 @@ type peerHello struct {
 	Token string
 }
 
+func (h *peerHello) kind() byte { return kindPeerHello }
+
+func (h *peerHello) encode(e *Encoder) {
+	e.Int(h.Proto)
+	e.str(h.Token)
+}
+
+// decode stops after a foreign Proto, like hello's.
+func (h *peerHello) decode(d *Decoder) {
+	if h.Proto = d.Int(); h.Proto != protoVersion {
+		d.skipRest()
+		return
+	}
+	h.Token = d.str()
+}
+
 // peerRequest asks the holder for one resident value.
 type peerRequest struct {
 	ID  uint64
 	Ref ValueRef
+}
+
+func (r *peerRequest) kind() byte { return kindPeerRequest }
+
+func (r *peerRequest) encode(e *Encoder) {
+	e.uvarint(r.ID)
+	e.ref(r.Ref)
+}
+
+func (r *peerRequest) decode(d *Decoder) {
+	r.ID = d.uvarint()
+	r.Ref = d.ref()
 }
 
 // peerResponse answers one peerRequest. OK=false means the value is not
@@ -63,6 +90,20 @@ type peerResponse struct {
 	ID  uint64
 	OK  bool
 	Val any
+}
+
+func (r *peerResponse) kind() byte { return kindPeerResponse }
+
+func (r *peerResponse) encode(e *Encoder) {
+	e.uvarint(r.ID)
+	e.Bool(r.OK)
+	e.Value(r.Val)
+}
+
+func (r *peerResponse) decode(d *Decoder) {
+	r.ID = d.uvarint()
+	r.OK = d.Bool()
+	r.Val = d.Value()
 }
 
 // peerStore is the serving side of one coordinator connection's cache: it
@@ -158,46 +199,42 @@ func lookupPeerStore(token string) *peerStore {
 // token, then answer fetches in arrival order. Requests are handled inline —
 // response writes serialize on the connection anyway, so a goroutine per
 // request would buy nothing — and the store is looked up per request, so a
-// token deregistered mid-connection stops serving immediately.
+// token deregistered mid-connection stops serving immediately. The resident
+// value is encoded straight onto the socket: encoding only reads it. A
+// frame that does not decode closes the connection.
 func servePeerConn(conn net.Conn) {
 	defer conn.Close()
-	cc := &countingConn{Conn: conn}
-	dec := gob.NewDecoder(cc)
+	l := newLink(conn)
 	var h peerHello
 	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if err := dec.Decode(&h); err != nil || h.Proto != protoVersion {
+	helloBytes, err := l.recv(&h)
+	if err != nil || h.Proto != protoVersion {
 		return
 	}
 	_ = conn.SetReadDeadline(time.Time{})
-	enc := gob.NewEncoder(cc)
-	var lastRead, lastWritten int64
 	for {
 		var req peerRequest
-		if err := dec.Decode(&req); err != nil {
+		in, err := l.recv(&req)
+		if err != nil {
 			return
 		}
+		// The hello is charged to the store the first fetch resolves.
+		in, helloBytes = in+helloBytes, 0
 		st := lookupPeerStore(h.Token)
 		resp := peerResponse{ID: req.ID}
 		if st != nil {
-			if v, ok := st.cache.peek(req.Ref); ok {
-				resp.OK = true
-				resp.Val = v
-			}
+			resp.Val, resp.OK = st.cache.get(req.Ref)
 		}
 		if resp.OK {
 			// Counted before the write: the fetcher may act on the reply
 			// the instant it is on the wire.
 			st.served.Add(1)
 		}
-		err := enc.Encode(&resp)
+		out, err := l.send(&resp)
 		if st != nil {
-			// Attribute the connection's byte deltas (request in, response
-			// out) to the token's store. Decoder read-ahead may shift a few
-			// bytes between samples, but every byte lands exactly once.
-			st.recv.Add(cc.read.Load() - lastRead)
-			st.sent.Add(cc.written.Load() - lastWritten)
+			st.recv.Add(in)
+			st.sent.Add(out)
 		}
-		lastRead, lastWritten = cc.read.Load(), cc.written.Load()
 		if err != nil {
 			return
 		}
@@ -213,8 +250,8 @@ const defaultPeerFetchTimeout = 5 * time.Second
 // peerFetcher is the pulling side, one per coordinator connection (so its
 // byte counters drain onto that connection's responses). It keeps one
 // multiplexed link per (addr, token) holder and deduplicates concurrent
-// fetches of the same ref: one transfer crosses the wire, every waiting
-// consumer receives a private clone.
+// fetches of the same ref: one transfer crosses the wire and every waiting
+// consumer receives the one decoded value, to read and not to write.
 type peerFetcher struct {
 	timeout    time.Duration
 	mu         sync.Mutex
@@ -252,17 +289,16 @@ func (f *peerFetcher) drainBytes() (sent, recv int64) {
 	return f.sent.Swap(0), f.recv.Swap(0)
 }
 
-// fetch pulls ref from the holder at addr/token and returns a private deep
-// clone. Concurrent fetches of the same (addr, token, ref) share one wire
-// transfer; every caller — the leader included — clones the shared result,
-// so no two consumers (and no cache insertion) ever alias mutable state.
+// fetch pulls ref from the holder at addr/token. Concurrent fetches of the
+// same (addr, token, ref) share one wire transfer and its one decoded
+// value: callers make it resident and read it, never write to it.
 func (f *peerFetcher) fetch(addr, token string, ref ValueRef) (any, error) {
 	k := fetchKey{addr: addr, token: token, ref: ref}
 	f.mu.Lock()
 	if c, ok := f.calls[k]; ok {
 		f.mu.Unlock()
 		<-c.done
-		return cloneFetched(c)
+		return c.val, c.err
 	}
 	c := &fetchCall{done: make(chan struct{})}
 	f.calls[k] = c
@@ -273,22 +309,7 @@ func (f *peerFetcher) fetch(addr, token string, ref ValueRef) (any, error) {
 	delete(f.calls, k)
 	f.mu.Unlock()
 	close(c.done)
-	return cloneFetched(c)
-}
-
-// cloneFetched hands one consumer its private copy of a shared fetch
-// result. Fetched values came out of a holder's cache, so they are clonable
-// by construction; a lost clone path would mean a mixed-binary fleet, which
-// the protocol version already forbids.
-func cloneFetched(c *fetchCall) (any, error) {
-	if c.err != nil {
-		return nil, c.err
-	}
-	v, ok := cloneValue(c.val)
-	if !ok {
-		return nil, fmt.Errorf("exec: peer-fetched value of type %T has no clone path", c.val)
-	}
-	return v, nil
+	return c.val, c.err
 }
 
 // fetchOne performs one wire transfer on the holder's (cached) link.
@@ -343,12 +364,7 @@ type peerLink struct {
 	dialOnce sync.Once
 	dialErr  error
 
-	conn   *countingConn
-	enc    *gob.Encoder
-	sendMu sync.Mutex
-	// lastWritten tracks the written counter for per-send byte attribution;
-	// guarded by sendMu.
-	lastWritten int64
+	link *link
 
 	pendMu  sync.Mutex
 	pending map[uint64]chan peerResponse
@@ -363,29 +379,30 @@ func (l *peerLink) dial(timeout time.Duration) error {
 		l.dead.Store(true)
 		return fmt.Errorf("exec: dialing peer %s: %w", l.addr, err)
 	}
-	cc := &countingConn{Conn: conn}
-	enc := gob.NewEncoder(cc)
-	if err := enc.Encode(&peerHello{Proto: protoVersion, Token: l.token}); err != nil {
+	lk := newLink(conn)
+	n, err := lk.send(&peerHello{Proto: protoVersion, Token: l.token})
+	if err != nil {
 		conn.Close()
 		l.dead.Store(true)
 		return fmt.Errorf("exec: peer handshake with %s: %w", l.addr, err)
 	}
-	l.conn, l.enc = cc, enc
+	l.fetcher.sent.Add(n)
+	l.link = lk
 	go l.readLoop()
 	return nil
 }
 
+// readLoop demuxes the holder's replies; a frame that does not decode
+// retires the link, which fails every waiting fetch into a Miss.
 func (l *peerLink) readLoop() {
-	dec := gob.NewDecoder(l.conn)
-	var lastRead int64
 	for {
 		var resp peerResponse
-		if err := dec.Decode(&resp); err != nil {
+		n, err := l.link.recv(&resp)
+		if err != nil {
 			l.fail()
 			return
 		}
-		l.fetcher.recv.Add(l.conn.read.Load() - lastRead)
-		lastRead = l.conn.read.Load()
+		l.fetcher.recv.Add(n)
 		l.pendMu.Lock()
 		ch := l.pending[resp.ID]
 		delete(l.pending, resp.ID)
@@ -403,8 +420,8 @@ func (l *peerLink) fail() {
 	if l.dead.Swap(true) {
 		return
 	}
-	if l.conn != nil {
-		l.conn.Close()
+	if l.link != nil {
+		l.link.conn.Close()
 	}
 	l.pendMu.Lock()
 	drained := l.pending
@@ -422,11 +439,8 @@ func (l *peerLink) roundTrip(ref ValueRef, timeout time.Duration) (any, error) {
 	l.pending[id] = ch
 	l.pendMu.Unlock()
 
-	l.sendMu.Lock()
-	err := l.enc.Encode(&peerRequest{ID: id, Ref: ref})
-	l.fetcher.sent.Add(l.conn.written.Load() - l.lastWritten)
-	l.lastWritten = l.conn.written.Load()
-	l.sendMu.Unlock()
+	n, err := l.link.send(&peerRequest{ID: id, Ref: ref})
+	l.fetcher.sent.Add(n)
 	if err != nil {
 		l.fail()
 		return nil, fmt.Errorf("exec: peer %s: sending fetch: %w", l.addr, err)

@@ -9,7 +9,6 @@ package exec
 // coordinates.
 
 import (
-	"encoding/gob"
 	"net"
 	"sync"
 	"testing"
@@ -30,9 +29,9 @@ func newTestPeerStore(t *testing.T, cache *futureCache) (addr, token string, sto
 	return addr, token, store
 }
 
-// TestPeerFetchRoundTrip: a fetch returns the resident value bit-exactly,
-// hands the consumer a private clone, reuses one link per holder, and
-// attributes wire bytes on both sides.
+// TestPeerFetchRoundTrip: a fetch returns the resident value bit-exactly as
+// a decoded copy of its own, reuses one link per holder, and attributes wire
+// bytes on both sides.
 func TestPeerFetchRoundTrip(t *testing.T) {
 	cache := newFutureCache(1 << 20)
 	val := []float64{1.5, 2.25, 3.125}
@@ -53,10 +52,10 @@ func TestPeerFetchRoundTrip(t *testing.T) {
 			t.Fatalf("fetched[%d] = %x, want %x (not bit-identical)", i, gs[i], want)
 		}
 	}
-	// The consumer's copy is private: scribbling on it must not reach the
+	// The fetched value crossed a socket: it shares nothing with the
 	// holder's resident value.
 	gs[0] = 99
-	if resident, _ := cache.peek(ref(1)); resident.([]float64)[0] != 1.5 {
+	if resident, _ := cache.get(ref(1)); resident.([]float64)[0] != 1.5 {
 		t.Fatal("fetched value aliases the holder's resident copy")
 	}
 	if n := store.served.Load(); n != 1 {
@@ -91,8 +90,8 @@ func TestPeerFetchRoundTrip(t *testing.T) {
 }
 
 // TestPeerFetchSingleFlight: concurrent fetches of one ref share a single
-// wire transfer, and every consumer — the leader included — receives a
-// private clone of the shared result.
+// wire transfer and its single decoded value — nobody is handed a copy,
+// because nobody may write to it.
 func TestPeerFetchSingleFlight(t *testing.T) {
 	cache := newFutureCache(1 << 20)
 	cache.put(ref(1), []float64{10, 20})
@@ -145,12 +144,9 @@ func TestPeerFetchSingleFlight(t *testing.T) {
 	if len(all) != consumers {
 		t.Fatalf("%d consumers returned, want %d", len(all), consumers)
 	}
-	// Clones are independent: mutating one consumer's copy must not leak
-	// into any other's (or the shared result).
-	all[0][0] = -1
 	for _, v := range all[1:] {
-		if v[0] != 10 {
-			t.Fatal("joined consumers share one value; every consumer must get a private clone")
+		if &v[0] != &all[0][0] {
+			t.Fatal("joined consumers hold different copies; one transfer must decode one value")
 		}
 	}
 }
@@ -211,11 +207,11 @@ func TestPeerFetchHolderDiesMidFetch(t *testing.T) {
 			if err != nil {
 				return
 			}
-			dec := gob.NewDecoder(conn)
+			l := newLink(conn)
 			var h peerHello
 			var req peerRequest
-			_ = dec.Decode(&h)
-			_ = dec.Decode(&req)
+			_, _ = l.recv(&h)
+			_, _ = l.recv(&req)
 			if hang {
 				time.Sleep(5 * time.Second) // past the fetcher's timeout
 			}

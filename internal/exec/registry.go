@@ -1,12 +1,9 @@
 package exec
 
 import (
-	"encoding/gob"
 	"fmt"
 	"sort"
 	"sync"
-
-	"taskml/internal/mat"
 )
 
 // Func is a registered single-output task body. It receives its resolved
@@ -15,21 +12,30 @@ import (
 //
 // Registered bodies must be *argument-pure*: all state arrives through args
 // (no captured closures — a closure cannot be shipped to another process),
-// and results must be freshly allocated, never aliases of an argument that
-// the caller retains. On the Local backend arguments are shared in-memory
-// values; on the Remote backend they are gob copies. A body that mutates an
-// argument it does not exclusively own would behave differently on the two
-// backends, breaking the bit-identity contract.
+// and arguments are read-only. On the Local backend they are the caller's
+// in-memory values; on a worker they are decoded copies or the values
+// resident in its future cache, shared with every other consumer, with
+// retries and with peer fetches — so a body that writes to an argument
+// corrupts someone else's input on either backend. The one exception is
+// declared: a body registered with RegisterInPlace names the arguments it
+// overwrites (the caller must own them exclusively on the Local backend;
+// the worker hands it a private copy of a resident one). Results are
+// freshly allocated, or share structure with an argument only where no
+// in-place consumer can ever receive them (rf_join's node points at its
+// child subtrees); the body does not touch them after returning — on a
+// worker they become resident as they are.
 type Func func(args []any) (any, error)
 
 // FuncN is a registered multi-output task body (the exec counterpart of
 // compss.MultiTaskFunc).
 type FuncN func(args []any) ([]any, error)
 
-// entry is one registered body; exactly one of fn1/fnN is non-nil.
+// entry is one registered body; exactly one of fn1/fnN is non-nil. inPlace
+// lists the argument indices the body declared it writes to.
 type entry struct {
-	fn1 Func
-	fnN FuncN
+	fn1     Func
+	fnN     FuncN
+	inPlace []int
 }
 
 var (
@@ -51,6 +57,21 @@ func Register(name string, fn Func) {
 	register(name, entry{fn1: fn})
 }
 
+// RegisterInPlace is Register for a body that writes to its arguments: args
+// lists the indices it overwrites (dsarray's "mat_add_to" accumulates into
+// args[0]). Every other argument of every body is read-only.
+func RegisterInPlace(name string, fn Func, args ...int) {
+	register(name, entry{fn1: fn, inPlace: args})
+}
+
+// InPlaceArgs returns the argument indices name's body declared it writes
+// to; nil for a body registered with Register or RegisterN.
+func InPlaceArgs(name string) []int {
+	regMu.RLock()
+	defer regMu.RUnlock()
+	return reg[name].inPlace
+}
+
 // RegisterN binds name to a multi-output body; see Register.
 func RegisterN(name string, fn FuncN) {
 	register(name, entry{fnN: fn})
@@ -67,13 +88,6 @@ func register(name string, e entry) {
 	}
 	reg[name] = e
 }
-
-// RegisterType makes a concrete type transmissible as a task argument or
-// result (a gob.Register passthrough). Packages that register task bodies
-// whose values are not already covered by the built-in set (*mat.Dense,
-// []any, []int, []float64 and the gob-native scalars) must register them
-// alongside the bodies, from the same init.
-func RegisterType(v any) { gob.Register(v) }
 
 // Has reports whether name is registered. compss checks it at submission
 // time so a typo fails fast at the submit site, not as a runtime error on a
@@ -134,15 +148,4 @@ func Invoke(name string, nOut int, args []any) ([]any, error) {
 		return nil, fmt.Errorf("exec: %q returned %d values, %d requested", name, len(vals), nOut)
 	}
 	return vals, nil
-}
-
-func init() {
-	// The built-in wire vocabulary: every block, label slice and scalar the
-	// library's task arguments are made of. Scalars (int, int64, float64,
-	// bool, string) are gob-native and need no registration.
-	gob.Register(&mat.Dense{})
-	gob.Register([]any{})
-	gob.Register([]int{})
-	gob.Register([]float64{})
-	gob.Register([][]float64{})
 }

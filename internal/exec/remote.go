@@ -2,8 +2,8 @@ package exec
 
 import (
 	crand "crypto/rand"
-	"encoding/gob"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -19,14 +19,14 @@ type RemoteConfig struct {
 	// DialTimeout bounds each dial + handshake. Default 5s.
 	DialTimeout time.Duration
 	// NoRefs disables the reference data plane: every request ships full
-	// values and nothing is cached — the protocol-1 behaviour, kept as the
-	// measurable baseline for the refs-vs-values benchmark.
+	// values and nothing is cached — kept as the measurable baseline for the
+	// refs-vs-values benchmark.
 	NoRefs bool
-	// NoPeers disables the peer-to-peer transfer plane (protocol 4): the
-	// coordinator never sends PeerRefs, so a value resident on another
-	// worker re-ships through the coordinator as a RefValue — the
-	// protocol-2 behaviour, kept as the measurable baseline for the
-	// p2p-vs-refs benchmark. Implied by NoRefs (no refs, nothing to fetch).
+	// NoPeers disables the peer-to-peer transfer plane: the coordinator
+	// never sends PeerRefs, so a value resident on another worker re-ships
+	// through the coordinator as a RefValue — kept as the measurable
+	// baseline for the p2p-vs-refs benchmark. Implied by NoRefs (no refs,
+	// nothing to fetch).
 	NoPeers bool
 }
 
@@ -54,8 +54,8 @@ func (s workerState) String() string {
 }
 
 // Remote is the coordinator side of the out-of-process backend: it owns a
-// dynamic fleet of workers — one multiplexed gob-over-TCP connection each —
-// and dispatches ExecuteTask calls onto them.
+// dynamic fleet of workers — one multiplexed framed TCP connection each
+// (wire.go) — and dispatches ExecuteTask calls onto them.
 //
 // # Fleet membership
 //
@@ -146,7 +146,7 @@ type Remote struct {
 	refHits, refMisses            atomic.Uint64
 	missRetries                   atomic.Uint64
 
-	// Peer-plane counters (protocol 4): fetches/fallbacks count outcomes,
+	// Peer-plane counters: fetches/fallbacks count outcomes,
 	// peerBytesSent/Recv are the exact peer-link wire totals folded from
 	// response deltas, and refValueBytes/peerValueBytes partition the
 	// inter-task payload volume by which link carried it (sizeOfValue
@@ -198,9 +198,7 @@ type workerConn struct {
 	pid   int
 	slots int
 
-	conn   *countingConn
-	sendMu sync.Mutex // serialises writes to enc
-	enc    *gob.Encoder
+	link *link
 
 	pendMu  sync.Mutex
 	pending map[uint64]chan response
@@ -230,26 +228,6 @@ type workerConn struct {
 	// corrects any staleness.
 	resident      map[ValueRef]int64
 	residentBytes int64
-}
-
-// countingConn wraps a net.Conn with atomic byte counters, giving the
-// benchmark suite exact bytes-on-wire numbers for the refs-vs-values
-// comparison.
-type countingConn struct {
-	net.Conn
-	read, written atomic.Int64
-}
-
-func (c *countingConn) Read(p []byte) (int, error) {
-	n, err := c.Conn.Read(p)
-	c.read.Add(int64(n))
-	return n, err
-}
-
-func (c *countingConn) Write(p []byte) (int, error) {
-	n, err := c.Conn.Write(p)
-	c.written.Add(int64(n))
-	return n, err
 }
 
 // WorkerInfo is a point-in-time description of one fleet member.
@@ -335,7 +313,7 @@ type CacheSample struct {
 	Hits   int    // references resolved from the worker's cache
 	Misses int    // references the worker could not resolve
 	// PeerFetches counts arguments this request pulled directly from a peer
-	// worker instead of receiving through the coordinator (protocol 4).
+	// worker instead of receiving through the coordinator.
 	PeerFetches int
 	CacheBytes  int64 // the worker's cache occupancy after the request
 }
@@ -394,7 +372,7 @@ func (r *Remote) admit(w *workerConn, proc *os.Process) (string, error) {
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
-		w.conn.Close()
+		w.link.conn.Close()
 		if proc != nil {
 			_ = proc.Kill()
 			_, _ = proc.Wait()
@@ -456,12 +434,14 @@ func dialWorker(addr string, timeout time.Duration) (*workerConn, error) {
 }
 
 // handshake reads the worker's hello off a fresh connection and builds the
-// (not yet admitted) member. The caller owns the connection on error.
+// (not yet admitted) member around the link that read it, so readLoop
+// continues on the same buffered reader. The caller owns the connection on
+// error.
 func handshake(conn net.Conn, addr string, timeout time.Duration) (*workerConn, error) {
-	cc := &countingConn{Conn: conn}
+	l := newLink(conn)
 	var h hello
 	_ = conn.SetReadDeadline(time.Now().Add(timeout))
-	if err := gob.NewDecoder(cc).Decode(&h); err != nil {
+	if _, err := l.recv(&h); err != nil {
 		return nil, fmt.Errorf("exec: handshake with worker at %s: %w", addr, err)
 	}
 	_ = conn.SetReadDeadline(time.Time{})
@@ -474,7 +454,7 @@ func handshake(conn net.Conn, addr string, timeout time.Duration) (*workerConn, 
 	}
 	return &workerConn{
 		addr: addr, pid: h.Pid, slots: slots,
-		conn: cc, enc: gob.NewEncoder(cc),
+		link:     l,
 		pending:  map[uint64]chan response{},
 		resident: map[ValueRef]int64{},
 		joinTok:  h.Token,
@@ -572,15 +552,14 @@ func (r *Remote) ListenAddr() string {
 // -join -token, or the TASKML_EXEC_TOKEN env of a re-exec'd child).
 func (r *Remote) JoinToken() string { return r.token }
 
-// readLoop drains one worker's responses. The decoder owns the connection's
-// read side; any decode error means the stream is unusable (crash, kill,
-// network drop — or the coordinator closed it after a drain) and the worker
-// is retired.
+// readLoop drains one worker's responses. It owns the link's read side; any
+// error means the stream is unusable (crash, kill, network drop, a frame out
+// of bounds or one that does not decode — or the coordinator closed it
+// after a drain) and the worker is retired.
 func (r *Remote) readLoop(w *workerConn) {
-	dec := gob.NewDecoder(w.conn)
 	for {
 		var resp response
-		if err := dec.Decode(&resp); err != nil {
+		if _, err := w.link.recv(&resp); err != nil {
 			r.failWorker(w, fmt.Errorf("connection lost: %w", err), FleetDead)
 			return
 		}
@@ -616,7 +595,7 @@ func (r *Remote) failWorker(w *workerConn, err error, kind string) {
 	r.left++
 	r.cond.Broadcast()
 	r.mu.Unlock()
-	w.conn.Close()
+	w.link.conn.Close()
 
 	w.pendMu.Lock()
 	drained := w.pending
@@ -680,7 +659,7 @@ func (r *Remote) finishDrain(w *workerConn) {
 	r.left++
 	r.cond.Broadcast()
 	r.mu.Unlock()
-	w.conn.Close()
+	w.link.conn.Close()
 	if proc != nil {
 		_ = proc.Kill()
 		_, _ = proc.Wait()
@@ -742,23 +721,27 @@ func (r *Remote) findLocked(id string) *workerConn {
 // local+peer additive weighting would be a no-op: every candidate can reach
 // the same peer-resident total, so it cancels out of the comparison.)
 func (r *Remote) acquire(refs []ValueRef) (*workerConn, error) {
+	// holders[i] counts the alive workers holding refs[i]; allocated once per
+	// call and recounted on every wake-up, since residency moves while this
+	// goroutine waits.
+	var holders []int
+	if !r.noPeers && len(refs) > 0 {
+		holders = make([]int, len(refs))
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for {
 		if r.closed {
 			return nil, fmt.Errorf("exec: backend is closed")
 		}
-		var holders map[ValueRef]int
-		if !r.noPeers && len(refs) > 0 {
-			holders = make(map[ValueRef]int, len(refs))
+		for i := range holders {
+			holders[i] = 0
 			for _, w := range r.workers {
 				if w.state != wsAlive {
 					continue
 				}
-				for _, ref := range refs {
-					if _, ok := w.resident[ref]; ok {
-						holders[ref]++
-					}
+				if _, ok := w.resident[refs[i]]; ok {
+					holders[i]++
 				}
 			}
 		}
@@ -774,9 +757,9 @@ func (r *Remote) acquire(refs []ValueRef) (*workerConn, error) {
 				continue
 			}
 			var score int64
-			for _, ref := range refs {
+			for i, ref := range refs {
 				b := w.resident[ref]
-				if b > 0 && holders != nil && holders[ref] == 1 {
+				if b > 0 && holders != nil && holders[i] == 1 {
 					b *= 2 // sole alive copy: unreachable over peer links elsewhere
 				}
 				score += b
@@ -811,13 +794,13 @@ func (r *Remote) release(w *workerConn) {
 }
 
 // Execute ships one anonymous attempt (no task identity, so no caching and
-// no locality) — the protocol-1 surface, kept for direct callers and tests.
+// no locality), for direct callers and tests.
 func (r *Remote) Execute(name string, nOut int, args []any) ([]any, string, error) {
 	return r.ExecuteTask(&Request{Name: name, NOut: nOut, Args: args, TaskID: -1})
 }
 
 // ExecuteTask ships one attempt to a worker: choose a worker near the
-// request's data, reserve a slot, gob the request out (references for
+// request's data, reserve a slot, send the request (references for
 // resident arguments, values seeding the cache for the rest), await the
 // multiplexed response, and re-send with values inlined if the worker
 // reported unresolvable references. The returned worker id labels the
@@ -892,19 +875,21 @@ func (r *Remote) executeOn(w *workerConn, req *Request, useRefs, inlineAll bool)
 	// Dispatched counts every send *attempt* before its outcome is known,
 	// so a failed encode still satisfies Dispatched == Completed + Failed.
 	r.dispatched.Add(1)
-	w.sendMu.Lock()
-	err := w.enc.Encode(&request{
+	_, err := w.link.send(&request{
 		ID: id, Name: req.Name, NOut: req.NOut, Args: wireArgs,
 		Session: req.Session, Task: req.TaskID, Store: store,
 	})
-	w.sendMu.Unlock()
 	if err != nil {
-		// A gob encode error corrupts the stream state either way; retire
-		// the connection. Whoever removes the pending entry owns the Failed
-		// count: if our delete finds the entry, failWorker hadn't drained it
-		// (it swapped the map before we registered, or races behind us) and
-		// we count the failure; if the entry is gone, failWorker counted it.
-		r.failWorker(w, fmt.Errorf("sending %s: %w", req.Name, err), FleetDead)
+		// An argument with no wire form is refused before a byte is written
+		// and costs only this attempt; any other failed send leaves the
+		// stream out of step, so the connection is retired. Whoever removes
+		// the pending entry owns the Failed count: if our delete finds the
+		// entry, failWorker hadn't drained it (it never ran, it swapped the
+		// map before we registered, or it races behind us) and we count the
+		// failure; if the entry is gone, failWorker counted it.
+		if !errors.Is(err, errEncode) {
+			r.failWorker(w, fmt.Errorf("sending %s: %w", req.Name, err), FleetDead)
+		}
 		w.pendMu.Lock()
 		_, mine := w.pending[id]
 		delete(w.pending, id)
@@ -1197,8 +1182,8 @@ func (r *Remote) Stats() RemoteStats {
 	}
 	r.mu.Lock()
 	for _, w := range r.workers {
-		st.BytesSent += uint64(w.conn.written.Load())
-		st.BytesRecv += uint64(w.conn.read.Load())
+		st.BytesSent += uint64(w.link.sent.Load())
+		st.BytesRecv += uint64(w.link.recvd.Load())
 	}
 	st.Joined = r.joined
 	st.Left = r.left

@@ -1,46 +1,168 @@
 package exec
 
-import "encoding/gob"
+import (
+	"bufio"
+	"encoding/binary"
+	"fmt"
+	"io"
+	"net"
+	"sync"
+	"sync/atomic"
+)
 
-// The wire format: length-free gob streams over one TCP connection per
-// worker, multiplexed by request ID.
+// The wire format (protocol 5): length-prefixed binary frames over one TCP
+// connection per worker — and one per peer link — multiplexed by request
+// ID.
+//
+//	offset  size  field
+//	0       4     length of everything after this field, little-endian; 1 ≤ length ≤ maxFrameBytes
+//	4       1     frame kind (hello, request, response, peerHello, peerRequest, peerResponse)
+//	5       …     the kind's fields in declaration order: integers as varints,
+//	              strings length-prefixed, Args/Vals/Val as tagged values (codec.go)
 //
 // On accept the worker sends a single hello frame advertising its protocol
 // version and slot count; the coordinator then writes request frames and
 // reads response frames, in any interleaving — the worker executes requests
 // concurrently (bounded by its slots) and responses return in completion
-// order, not request order. Both directions reuse one long-lived gob
-// encoder/decoder pair, so concrete-type descriptors cross the wire once
-// per connection, not once per task.
+// order, not request order. A peer link runs the same way: peerHello, then
+// peerRequest/peerResponse frames.
 //
-// Values inside Args/Vals travel as gob interface values: every concrete
-// type must be registered on both ends (see RegisterType), which holds by
-// construction when coordinator and worker run the same binary or link the
-// same packages. Payloads are freshly allocated by gob on decode — a wire
-// hop never aliases pooled scratch, satisfying the mat.Pool ownership
-// contract (DESIGN.md "Memory model") by construction.
+// Each end of a connection is one link: one buffered reader, whose every
+// read is charged against the current frame's length, and one buffered
+// writer under a lock. A frame is sized, then written: the sender walks the
+// message once counting bytes, writes the prefix, and walks it again writing
+// — scalars into the buffer, bulk float data from its backing array to the
+// socket — so no frame is ever staged whole. The receiver decodes bulk data
+// straight into the slice the task body will read. That is the one copy a
+// hop costs.
 //
-// # References (protocol 2)
-//
-// Protocol 2 adds the data plane: an argument may travel as a ValueRef —
-// the *identity* of a task output the worker already holds in its future
-// cache — or as a RefValue — the value plus its identity, which the worker
-// inserts into the cache so the next consumer placed there sends only the
-// reference. The worker never trusts the coordinator's residency view: a
-// request naming a reference it cannot resolve (evicted, crashed cache) is
-// answered with response.Miss and no execution; the coordinator re-sends
-// with every reference inlined, so a stale residency map can cost a round
-// trip but never an answer.
+// An argument may travel as a ValueRef — the *identity* of a task output the
+// worker already holds in its future cache — as a RefValue — the value plus
+// its identity, which the worker keeps resident so the next consumer placed
+// there sends only the reference — or as a PeerRef, directions to another
+// worker that holds it. The worker never trusts the coordinator's residency
+// view: a request naming a reference it cannot resolve (evicted, crashed
+// cache, unreachable holder) is answered with response.Miss and no
+// execution; the coordinator re-sends with every reference inlined, so a
+// stale residency map can cost a round trip but never an answer.
 
 // protoVersion guards against dialing a worker built from an incompatible
-// checkout; the coordinator rejects a mismatched hello instead of
-// mis-decoding task payloads. Version 2 added the reference wire forms
-// (ValueRef, RefValue) and the cache bookkeeping fields of request and
-// response. Version 3 added hello.Token, the fleet join credential that
-// gates the coordinator's listen mode (see Remote.ListenForWorkers).
-// Version 4 added the peer-to-peer data plane: hello.PeerAddr/PeerToken,
-// the PeerRef wire form, and the peer counters of response (see peer.go).
-const protoVersion = 4
+// checkout: both hellos carry it first, and a mismatch is rejected before
+// any task payload is decoded.
+const protoVersion = 5
+
+// maxFrameBytes bounds one frame. A length prefix above it fails the
+// connection before anything is read or allocated; below it, every length
+// inside the frame is checked against the bytes the frame has left.
+const maxFrameBytes = 1 << 30
+
+// Frame kinds.
+const (
+	kindHello byte = iota + 1
+	kindRequest
+	kindResponse
+	kindPeerHello
+	kindPeerRequest
+	kindPeerResponse
+)
+
+// frame is one message of the protocol: it knows its kind byte and how to
+// write and read its fields. encode runs twice per send (Encoder) and must
+// not change what it writes between the two.
+type frame interface {
+	kind() byte
+	encode(e *Encoder)
+	decode(d *Decoder)
+}
+
+// link is one end of a framed connection. send may be called from any
+// goroutine; recv belongs to the single goroutine that reads the connection
+// — from the hello on, so nothing the reader buffered is ever lost between
+// a handshake and the loop that follows it.
+type link struct {
+	conn net.Conn
+	dec  Decoder
+
+	wmu sync.Mutex // serialises frames onto w
+	w   *bufio.Writer
+	enc Encoder
+
+	maxFrame int // maxFrameBytes; tests and fuzzers set a bound they can afford to hit
+
+	// sent / recvd are the exact frame bytes that crossed this end, prefix
+	// included: RemoteStats.BytesSent/BytesRecv sum them per coordinator
+	// link, and the peer plane attributes the per-frame counts send and recv
+	// return.
+	sent, recvd atomic.Int64
+}
+
+// linkBufBytes sizes both buffers of a link: large enough that a small
+// request or response is one write, small enough that a matrix bypasses it.
+const linkBufBytes = 32 << 10
+
+func newLink(conn net.Conn) *link {
+	l := &link{conn: conn, w: bufio.NewWriterSize(conn, linkBufBytes), maxFrame: maxFrameBytes}
+	l.dec.r = bufio.NewReaderSize(conn, linkBufBytes)
+	return l
+}
+
+// send writes f as one frame and returns its size on the wire. An error
+// wrapping errEncode means nothing was written and the link is still good;
+// any other error leaves the stream out of step and the caller must retire
+// the connection.
+func (l *link) send(f frame) (int64, error) {
+	l.wmu.Lock()
+	defer l.wmu.Unlock()
+	n, err := l.enc.size(f.encode)
+	if err != nil {
+		return 0, err
+	}
+	if n+1 > l.maxFrame {
+		return 0, fmt.Errorf("%w: frame of %d bytes exceeds the %d-byte bound", errEncode, n+1, l.maxFrame)
+	}
+	head := l.enc.buf[:5]
+	binary.LittleEndian.PutUint32(head, uint32(n+1))
+	head[4] = f.kind()
+	_, _ = l.w.Write(head) // the writer keeps its first error for Flush
+	if err := l.enc.emit(l.w, f.encode); err != nil {
+		return 0, err
+	}
+	if err := l.w.Flush(); err != nil {
+		return 0, err
+	}
+	total := int64(n) + 5
+	l.sent.Add(total)
+	return total, nil
+}
+
+// recv reads the next frame into f and returns its size on the wire. Any
+// error — a prefix out of bounds, the wrong kind, a value that overruns or
+// underruns its frame — leaves the stream unusable.
+func (l *link) recv(f frame) (int64, error) {
+	d := &l.dec
+	head := d.buf[:5]
+	if _, err := io.ReadFull(d.r, head); err != nil {
+		return 0, err
+	}
+	n, kind := binary.LittleEndian.Uint32(head), head[4]
+	if n < 1 || int64(n) > int64(l.maxFrame) {
+		return 0, fmt.Errorf("exec: frame length %d outside [1, %d]", n, l.maxFrame)
+	}
+	if kind != f.kind() {
+		return 0, fmt.Errorf("exec: frame kind %d, want %d", kind, f.kind())
+	}
+	d.rem, d.depth, d.err = int(n)-1, 0, nil
+	f.decode(d)
+	if d.err != nil {
+		return 0, fmt.Errorf("exec: decoding frame kind %d: %w", kind, d.err)
+	}
+	if d.rem != 0 {
+		return 0, fmt.Errorf("exec: frame kind %d has %d trailing bytes", kind, d.rem)
+	}
+	total := int64(n) + 4
+	l.recvd.Add(total)
+	return total, nil
+}
 
 // hello is the worker → coordinator handshake frame. The worker always
 // sends it first, whichever side dialed: on the classic path the
@@ -58,7 +180,7 @@ type hello struct {
 	// crash presents the same token; the re-admitted worker still gets a
 	// fresh id (its old residency died with the old connection).
 	Token string
-	// PeerAddr is the worker's peer-transfer listener (protocol 4): the
+	// PeerAddr is the worker's peer-transfer listener: the
 	// address other workers dial to pull this connection's resident values
 	// directly. Empty when the worker has peer transfers disabled; the host
 	// may be unspecified ("[::]:port" from a :0 bind), in which case the
@@ -84,9 +206,9 @@ type ValueRef struct {
 	Out     int
 }
 
-// RefValue is a value traveling *with* its identity: the worker uses the
-// value for this request and inserts a private copy into its future cache
-// under Ref, making the value resident there for future reference-only
+// RefValue is a value traveling *with* its identity: the worker keeps the
+// decoded value in its future cache under Ref and hands it to this request's
+// body, making the value resident there for future reference-only
 // requests (this is how a value gets replicated to a second worker, and how
 // the first consumer of a coordinator-produced value seeds the cache).
 type RefValue struct {
@@ -94,7 +216,7 @@ type RefValue struct {
 	Val any
 }
 
-// PeerRef is a reference plus directions to a holder (protocol 4): the
+// PeerRef is a reference plus directions to a holder: the
 // coordinator sends it in place of a RefValue when the value is resident on
 // some *other* alive worker — the executing worker dials Addr, presents
 // Token, and pulls the value over the peer link instead of receiving it
@@ -121,9 +243,8 @@ type request struct {
 	ID   uint64 // multiplexing key, unique per connection
 	Name string // registered function name
 	NOut int    // declared output arity (validated worker-side)
-	// Args are the resolved arguments; concrete types must be registered.
-	// Under protocol 2 an element (or an element of a nested []any) may be
-	// a ValueRef or RefValue instead of a plain value.
+	// Args are the resolved arguments; an element (or an element of a nested
+	// []any) may be a ValueRef, RefValue or PeerRef instead of a plain value.
 	Args []any
 	// Session + Task identify the producing task; the worker caches the
 	// outputs under this identity when Store is set. Store is false when
@@ -135,7 +256,7 @@ type request struct {
 }
 
 // response is the worker's reply to one request. Err is a string — error
-// values do not gob — and is re-wrapped by the coordinator; the task-level
+// values have no wire form — and is re-wrapped by the coordinator; the task-level
 // typed error (compss.TaskError) is applied by the runtime on top.
 type response struct {
 	ID   uint64
@@ -177,23 +298,109 @@ type response struct {
 
 	// connFailure marks a response fabricated by the coordinator's
 	// failWorker when a connection died — not a reply received from a
-	// worker. Unexported: gob never encodes it, so wire responses always
-	// carry false. It keeps the stats partition exact (a drained failure is
+	// worker. It has no wire field, so received responses always carry false.
+	// It keeps the stats partition exact (a drained failure is
 	// counted in Failed, never also in Completed).
 	connFailure bool
 }
 
-// registerWireTypes registers every wire form that travels inside a gob
-// interface field (request.Args elements, peerResponse.Val). The gob
-// registry is process-global, so one registration here serves both the
-// coordinator link and the peer link — and gob.Register itself panics on a
-// conflicting duplicate, so keeping every exec-internal registration in
-// this single helper is the whole duplicate audit: any future second
-// registration site would panic at init.
-func registerWireTypes() {
-	gob.Register(ValueRef{})
-	gob.Register(RefValue{})
-	gob.Register(PeerRef{})
+func (h *hello) kind() byte { return kindHello }
+
+func (h *hello) encode(e *Encoder) {
+	e.Int(h.Proto)
+	e.Int(h.Pid)
+	e.Int(h.Slots)
+	e.str(h.Token)
+	e.str(h.PeerAddr)
+	e.str(h.PeerToken)
 }
 
-func init() { registerWireTypes() }
+// decode stops after a foreign Proto: the rest of the frame is whatever
+// that version put there, and the caller rejects the hello on Proto alone.
+func (h *hello) decode(d *Decoder) {
+	if h.Proto = d.Int(); h.Proto != protoVersion {
+		d.skipRest()
+		return
+	}
+	h.Pid = d.Int()
+	h.Slots = d.Int()
+	h.Token = d.str()
+	h.PeerAddr = d.str()
+	h.PeerToken = d.str()
+}
+
+// skipRest discards what is left of the current frame.
+func (d *Decoder) skipRest() {
+	if d.err != nil {
+		return
+	}
+	if _, err := d.r.Discard(d.rem); err != nil {
+		d.Fail(err)
+	}
+	d.rem = 0
+}
+
+func (r *request) kind() byte { return kindRequest }
+
+func (r *request) encode(e *Encoder) {
+	e.uvarint(r.ID)
+	e.str(r.Name)
+	e.Int(r.NOut)
+	e.uvarint(r.Session)
+	e.Int(r.Task)
+	e.Bool(r.Store)
+	e.anys(r.Args)
+}
+
+func (r *request) decode(d *Decoder) {
+	r.ID = d.uvarint()
+	r.Name = d.str()
+	r.NOut = d.Int()
+	r.Session = d.uvarint()
+	r.Task = d.Int()
+	r.Store = d.Bool()
+	r.Args = d.anys()
+}
+
+func (r *response) kind() byte { return kindResponse }
+
+func (r *response) encode(e *Encoder) {
+	e.uvarint(r.ID)
+	e.anys(r.Vals)
+	e.str(r.Err)
+	e.refs(r.Miss)
+	e.Len(len(r.Stored))
+	for _, st := range r.Stored {
+		e.ref(st.Ref)
+		e.varint(st.Bytes)
+	}
+	e.refs(r.Evicted)
+	e.varint(r.CacheBytes)
+	e.Int(r.RefHits)
+	e.Int(r.RefMisses)
+	e.Int(r.PeerFetched)
+	e.varint(r.PeerValBytes)
+	e.varint(r.PeerSent)
+	e.varint(r.PeerRecv)
+}
+
+func (r *response) decode(d *Decoder) {
+	r.ID = d.uvarint()
+	r.Vals = d.anys()
+	r.Err = d.str()
+	r.Miss = d.refs()
+	if n := d.Len(4); n > 0 {
+		r.Stored = make([]StoredRef, 0, prealloc(n))
+		for i := 0; i < n && d.err == nil; i++ {
+			r.Stored = append(r.Stored, StoredRef{Ref: d.ref(), Bytes: d.varint()})
+		}
+	}
+	r.Evicted = d.refs()
+	r.CacheBytes = d.varint()
+	r.RefHits = d.Int()
+	r.RefMisses = d.Int()
+	r.PeerFetched = d.Int()
+	r.PeerValBytes = d.varint()
+	r.PeerSent = d.varint()
+	r.PeerRecv = d.varint()
+}

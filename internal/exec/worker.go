@@ -1,13 +1,12 @@
 package exec
 
 import (
-	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"os"
 	"strconv"
-	"sync"
 	"time"
 
 	"taskml/internal/par"
@@ -22,9 +21,9 @@ type WorkerConfig struct {
 	// CacheBytes bounds the per-connection future cache (see cache.go).
 	// Default DefaultCacheBytes; <0 disables caching (0 means default).
 	CacheBytes int64
-	// PeerListen is the worker-to-worker transfer listen address (protocol
-	// 4, see peer.go): "" binds ":0" (the default — peer transfers on, any
-	// free port), "off" disables the peer plane for this worker. The bound
+	// PeerListen is the worker-to-worker transfer listen address (see
+	// peer.go): "" binds ":0" (the default — peer transfers on, any free
+	// port), "off" disables the peer plane for this worker. The bound
 	// address is advertised to the coordinator in the hello; one listener
 	// serves every coordinator connection of the process. Disabling the
 	// cache (CacheBytes < 0) disables the peer plane too — a worker with
@@ -121,11 +120,12 @@ func (p *connPlane) close() {
 
 // serveCoordinator is the worker side of one coordinator connection, accepted
 // (Serve, empty token) or dialed (JoinCoordinator, the coordinator's join
-// token): send the hello, then decode requests, execute them concurrently
+// token): send the hello, then read requests, execute them concurrently
 // (bounded by cfg.Slots, each resolved against the connection's private
 // future cache and peer fetcher) and reply in completion order. cfg has its
 // defaults applied. It closes conn and returns nil when the coordinator
-// closes the connection, an error when the hello could not be sent.
+// closes the connection or sends a frame that does not decode, an error
+// when the hello could not be sent.
 //
 // The worker caps the kernel layer at par.SetLimit(1): its parallelism
 // budget is Slots concurrent *bodies*, matching the contract the runtime's
@@ -135,34 +135,30 @@ func serveCoordinator(conn net.Conn, token string, cfg WorkerConfig) error {
 	par.SetLimit(1)
 	plane := newConnPlane(cfg)
 	defer plane.close()
-	enc := gob.NewEncoder(conn)
+	l := newLink(conn)
 	h := &hello{Proto: protoVersion, Pid: os.Getpid(), Slots: cfg.Slots, Token: token,
 		PeerAddr: plane.peerAddr, PeerToken: plane.peerTok}
-	if err := enc.Encode(h); err != nil {
+	if _, err := l.send(h); err != nil {
 		return err
 	}
-	var sendMu sync.Mutex
 	sem := make(chan struct{}, cfg.Slots)
-	dec := gob.NewDecoder(conn)
 	for {
-		var req request
-		if err := dec.Decode(&req); err != nil {
+		req := new(request)
+		if _, err := l.recv(req); err != nil {
 			if err != io.EOF {
 				fmt.Fprintf(cfg.Log, "worker: connection closed: %v\n", err)
 			}
 			return nil
 		}
 		sem <- struct{}{}
-		go func(req request) {
+		go func() {
 			defer func() { <-sem }()
 			resp := handle(req, plane)
 			// Eviction reports (and peer byte deltas) ride on whichever
-			// response is next; draining immediately before the send keeps
-			// each report delivered exactly once and at most one response
-			// late.
+			// response is next; each is drained exactly once, so the
+			// coordinator's sums are exact however responses interleave.
 			resp.Evicted = plane.cache.drainEvicted()
 			resp.CacheBytes = plane.cache.occupancy()
-			sendMu.Lock()
 			if plane.store != nil {
 				s, r := plane.store.drainBytes()
 				resp.PeerSent += s
@@ -173,12 +169,18 @@ func serveCoordinator(conn net.Conn, token string, cfg WorkerConfig) error {
 				resp.PeerSent += s
 				resp.PeerRecv += r
 			}
-			err := enc.Encode(&resp)
-			sendMu.Unlock()
+			_, err := l.send(&resp)
+			if errors.Is(err, errEncode) {
+				// An output has no wire form. Nothing was written, so say so
+				// in an error reply — with the bookkeeping intact — rather
+				// than leave the attempt waiting for a response.
+				resp.Vals, resp.Err = nil, fmt.Sprintf("%s: %v", req.Name, err)
+				_, err = l.send(&resp)
+			}
 			if err != nil {
 				fmt.Fprintf(cfg.Log, "worker: replying to %s (req %d): %v\n", req.Name, req.ID, err)
 			}
-		}(req)
+		}()
 	}
 }
 
@@ -213,13 +215,14 @@ type resolveCounts struct {
 }
 
 // resolveArgs walks the request arguments replacing wire references with
-// values: a ValueRef is looked up in the cache (the hit hands the body a
-// private clone), a RefValue contributes its inline value and seeds the
-// cache under its identity, and a PeerRef is pulled from the named holder
-// over the peer link (protocol 4) — the fetched value is cached like a
-// RefValue replica, so the next co-located consumer resolves it locally.
-// Nested references inside a []any argument (the wire form of a []*Future
-// parameter) resolve the same way.
+// values: a ValueRef resolves to the resident value itself, a RefValue
+// contributes its decoded value and makes it resident under its identity,
+// and a PeerRef is pulled from the named holder over the peer link — the
+// fetched value becomes resident like a RefValue replica, so the next
+// co-located consumer resolves it locally. Nothing is copied: what comes
+// back may be shared with the cache and must only be read (handle clones
+// the declared exceptions). Nested references inside a []any argument (the
+// wire form of a []*Future parameter) resolve the same way.
 //
 // When any ValueRef misses — or a PeerRef cannot be fetched (holder gone,
 // wrong token, timeout, peer plane off) — resolution fails as a whole: the
@@ -284,13 +287,30 @@ func resolveArgs(args []any, plane *connPlane) (resolved []any, miss []ValueRef,
 	return resolved, miss, stored, rc
 }
 
+// holdsRef reports whether a wire argument is, or contains, a reference
+// form — that is, whether its resolved value may be resident in the cache.
+func holdsRef(v any) bool {
+	switch x := v.(type) {
+	case ValueRef, RefValue, PeerRef:
+		return true
+	case []any:
+		for _, e := range x {
+			if holdsRef(e) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // handle executes one request with panic containment: a panicking body
 // fails its request, not the worker process, mirroring the in-process
 // runtime's panic→error conversion. Reference arguments are resolved
 // against the connection's future cache (and peer fetcher) first; an
 // unresolvable reference turns the request into a Miss reply without
-// running the body.
-func handle(req request, plane *connPlane) (resp response) {
+// running the body. The outputs are moved into the cache, not copied: the
+// body is done with them and everyone after it only reads.
+func handle(req *request, plane *connPlane) (resp response) {
 	cache := plane.cache
 	resp.ID = req.ID
 	defer func() {
@@ -308,6 +328,20 @@ func handle(req request, plane *connPlane) (resp response) {
 	if len(miss) > 0 {
 		resp.Miss = miss
 		return resp
+	}
+	// The one clone on the data path: an argument the body declared it
+	// writes to, when it arrived by reference and so may be resident. A
+	// plain value was decoded for this request alone and is already private.
+	for _, i := range InPlaceArgs(req.Name) {
+		if i >= len(args) || !holdsRef(req.Args[i]) {
+			continue
+		}
+		cl, ok := cloneValue(args[i])
+		if !ok {
+			resp.Err = fmt.Sprintf("%s: in-place argument %d (%T) is resident and has no clone path", req.Name, i, args[i])
+			return resp
+		}
+		args[i] = cl
 	}
 	vals, err := Invoke(req.Name, req.NOut, args)
 	if err != nil {

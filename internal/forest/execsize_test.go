@@ -1,0 +1,36 @@
+package forest
+
+import (
+	"testing"
+
+	"taskml/internal/mat"
+)
+
+// A value is admitted to the exec future cache only when its size is known.
+func TestExecValueBytesPositive(t *testing.T) {
+	leaf := &Node{Leaf: true, Probs: []float64{1}}
+	for name, n := range map[string]int64{
+		"TrainSet":       (&TrainSet{X: mat.New(2, 2), Y: []int{0, 1}}).ExecValueBytes(),
+		"Node":           (&Node{Feature: 1, Threshold: 0.5, Left: leaf, Right: leaf}).ExecValueBytes(),
+		"SplitOut split": (&SplitOut{Split: Split{Found: true, Left: []int{1, 2}, Right: []int{3}}}).ExecValueBytes(),
+		"SplitOut leaf":  (&SplitOut{Leaf: leaf}).ExecValueBytes(),
+	} {
+		if n <= 0 {
+			t.Errorf("%s size = %d, want positive (else never cached)", name, n)
+		}
+	}
+}
+
+func TestNodeCloneDeep(t *testing.T) {
+	n := &Node{
+		Feature: 1, Threshold: 0.5,
+		Left:  &Node{Leaf: true, Probs: []float64{0.2, 0.8}},
+		Right: &Node{Leaf: true, Probs: []float64{0.9, 0.1}},
+	}
+	cl := n.Clone()
+	cl.Left.Probs[0] = 99
+	cl.Right = nil
+	if n.Left.Probs[0] != 0.2 || n.Right == nil {
+		t.Fatal("subtree clone shares memory with original")
+	}
+}

@@ -49,7 +49,7 @@ var ErrNotFitted = errors.New("forest: model is not fitted")
 // blocks and their size does not have a direct impact on the computational
 // time and number of tasks created": the workflow gathers the row blocks
 // once and the task count depends only on NEstimators and DistrDepth.
-// Fields are exported so the value gob-serialises to worker processes.
+// It crosses to worker processes through its codec (codec.go).
 type TrainSet struct {
 	X *mat.Dense
 	Y []int

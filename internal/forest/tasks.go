@@ -12,14 +12,13 @@ import (
 // seeds, depths and tree parameters the original closures captured travel
 // as explicit arguments, so every body is a pure function of its args and
 // runs identically in-process and on a worker process. The wire types
-// (TrainSet, SplitOut, Node, TreeParams) are registered alongside; all are
-// trees of exported fields, which gob round-trips exactly — float64s
-// bit-for-bit, so remote training is bit-identical to local.
+// (TrainSet, SplitOut, Node, TreeParams) are registered alongside with
+// their binary codecs (codec.go). Every body only reads its arguments.
 func init() {
-	exec.RegisterType(&TrainSet{})
-	exec.RegisterType(&SplitOut{})
-	exec.RegisterType(&Node{})
-	exec.RegisterType(TreeParams{})
+	exec.RegisterCodec(encodeTrainSet, decodeTrainSet)
+	exec.RegisterCodec(encodeSplitOut, decodeSplitOut)
+	exec.RegisterCodec(encodeNode, decodeNode)
+	exec.RegisterCodec(encodeTreeParams, decodeTreeParams)
 
 	// rf_gather(blocks): alternating x row block / y row block futures,
 	// concatenated into the single TrainSet the tree tasks consume.

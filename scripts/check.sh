@@ -29,6 +29,16 @@ for d in internal/*/; do
     fi
 done
 
+# The exec wire is a hand-written binary format; gob survives only as the
+# per-value fallback for types nobody wrote a codec for. A second importer
+# would be a second wire.
+echo "== encoding/gob has exactly one non-test importer under internal/exec"
+gobfiles=$(grep -l '"encoding/gob"' internal/exec/*.go | grep -v '_test\.go$' || true)
+if [ "$gobfiles" != "internal/exec/fallback.go" ]; then
+    echo "encoding/gob must be imported by internal/exec/fallback.go alone, found: $gobfiles" >&2
+    exit 1
+fi
+
 echo "== go build ./..."
 go build ./...
 
@@ -44,6 +54,15 @@ go test -race ./...
 # single pass can miss.
 echo "== go test -race -count=2 ./internal/compss/... ./internal/cluster/... ./internal/trace/... ./internal/eddl/... ./internal/exec/..."
 go test -race -count=2 ./internal/compss/... ./internal/cluster/... ./internal/trace/... ./internal/eddl/... ./internal/exec/...
+
+# Every decoder that faces a socket is fuzzed: arbitrary bytes must cost an
+# error — no panic, no allocation sized by a length prefix — and whatever
+# decodes must re-encode to the same bytes. Ten seconds per target on top of
+# the seed corpus the unit run above already replayed.
+for target in FuzzDecodeValue FuzzDecodeFrame; do
+    echo "== go test -run=NONE -fuzz=$target -fuzztime=10s ./internal/exec/"
+    go test -run=NONE -fuzz="^$target\$" -fuzztime=10s ./internal/exec/
+done
 
 # The work-stealing dispatcher's migration paths (ring growth, cross-worker
 # steals, stolen-task deadline abandonment) only open up under unbalanced
@@ -82,6 +101,11 @@ sh bench/run.sh -quick
 # locks, and a profile that suddenly grows is the early warning.
 echo "== go test -run=NONE -bench=Submit -benchtime=100x -benchmem ."
 go test -run=NONE -bench=Submit -benchtime=100x -benchmem .
+# Wire-path smoke, same idea: one matrix through a connection's encoder and
+# decoder must stay at two allocations (the matrix and its data) and at
+# memory speed, and the loopback round trip prints next to them.
+echo "== go test -run=NONE -bench='Wire|RemoteRoundtrip' -benchtime=100x -benchmem ./internal/exec/"
+go test -run=NONE -bench='Wire|RemoteRoundtrip' -benchtime=100x -benchmem ./internal/exec/
 echo "== go test -run=NONE -bench=Submit -benchtime=100x -mutexprofile ."
 mutexdir=$(mktemp -d)
 go test -run=NONE -bench=Submit -benchtime=100x -mutexprofile "$mutexdir/mutex.prof" -o "$mutexdir/bench.test" .
