@@ -1,7 +1,10 @@
 package forest
 
 import (
+	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -345,6 +348,316 @@ func TestForestDeterministicWithSeed(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("same seed produced different forests")
+		}
+	}
+}
+
+// bestSplitReference is BestSplit as it stood before the comparator-free
+// rewrite, verbatim: a sort.Slice of (value, label, index) structs per
+// feature. BestSplit must agree with it bit for bit on every input without a
+// NaN; under NaN its comparator is not a strict weak order and its answer
+// depends on the sort's internals.
+func bestSplitReference(x *mat.Dense, y []int, idx []int, nClasses int, p TreeParams, rng *rand.Rand) Split {
+	p = p.withDefaults()
+	nFeat := p.MaxFeatures
+	if nFeat <= 0 {
+		nFeat = int(math.Sqrt(float64(x.Cols)))
+		if nFeat < 1 {
+			nFeat = 1
+		}
+	}
+	if nFeat > x.Cols {
+		nFeat = x.Cols
+	}
+	feats := rng.Perm(x.Cols)[:nFeat]
+
+	total := float64(len(idx))
+	parentCounts := make([]float64, nClasses)
+	for _, i := range idx {
+		parentCounts[y[i]]++
+	}
+	parentGini := giniOf(parentCounts, total)
+	if parentGini == 0 {
+		return Split{}
+	}
+
+	type pair struct {
+		v float64
+		y int
+		i int
+	}
+	best := Split{}
+	bestScore := parentGini - 1e-12
+
+	vals := make([]pair, len(idx))
+	leftCounts := make([]float64, nClasses)
+	for _, f := range feats {
+		for k, i := range idx {
+			vals[k] = pair{v: x.At(i, f), y: y[i], i: i}
+		}
+		sort.Slice(vals, func(a, b int) bool { return vals[a].v < vals[b].v })
+		for c := range leftCounts {
+			leftCounts[c] = 0
+		}
+		for k := 0; k < len(vals)-1; k++ {
+			leftCounts[vals[k].y]++
+			if vals[k].v == vals[k+1].v {
+				continue
+			}
+			nl := float64(k + 1)
+			nr := total - nl
+			rightCounts := make([]float64, nClasses)
+			for c := range rightCounts {
+				rightCounts[c] = parentCounts[c] - leftCounts[c]
+			}
+			score := (nl*giniOf(leftCounts, nl) + nr*giniOf(rightCounts, nr)) / total
+			if score < bestScore {
+				bestScore = score
+				best.Found = true
+				best.Feature = f
+				best.Threshold = (vals[k].v + vals[k+1].v) / 2
+			}
+		}
+	}
+	if !best.Found {
+		return best
+	}
+	for _, i := range idx {
+		if x.At(i, best.Feature) <= best.Threshold {
+			best.Left = append(best.Left, i)
+		} else {
+			best.Right = append(best.Right, i)
+		}
+	}
+	return best
+}
+
+// buildTreeReference is buildRec over bestSplitReference.
+func buildTreeReference(x *mat.Dense, y []int, idx []int, nClasses int, p TreeParams, rng *rand.Rand, depth int) *Node {
+	if depth >= p.MaxDepth || len(idx) < p.MinSamplesSplit {
+		return leafNode(y, idx, nClasses)
+	}
+	sp := bestSplitReference(x, y, idx, nClasses, p, rng)
+	if !sp.Found || len(sp.Left) == 0 || len(sp.Right) == 0 {
+		return leafNode(y, idx, nClasses)
+	}
+	return &Node{
+		Feature:   sp.Feature,
+		Threshold: sp.Threshold,
+		Left:      buildTreeReference(x, y, sp.Left, nClasses, p, rng, depth+1),
+		Right:     buildTreeReference(x, y, sp.Right, nClasses, p, rng, depth+1),
+	}
+}
+
+func sameSplit(a, b Split) bool {
+	return a.Found == b.Found && a.Feature == b.Feature &&
+		math.Float64bits(a.Threshold) == math.Float64bits(b.Threshold) &&
+		slices.Equal(a.Left, b.Left) && slices.Equal(a.Right, b.Right)
+}
+
+// splitMatrix draws a rows×d matrix whose columns are, at random, constant,
+// quantised to 3–8 distinct values (long tie runs, some of them mixing -0
+// and +0), heavy-tailed over hundreds of orders of magnitude with a few
+// infinities, or plain Gaussian.
+func splitMatrix(rng *rand.Rand, rows, d int) *mat.Dense {
+	x := mat.New(rows, d)
+	for j := 0; j < d; j++ {
+		kind, levels, c := rng.Intn(6), 3+rng.Intn(6), rng.NormFloat64()
+		for i := 0; i < rows; i++ {
+			v := rng.NormFloat64()
+			switch kind {
+			case 0:
+				v = c
+			case 1:
+				v = math.Floor(v*float64(levels)/4) / 2
+				if v == 0 && rng.Intn(2) == 0 {
+					v = math.Copysign(0, -1)
+				}
+			case 2:
+				v = math.Copysign(math.Exp(200*v), rng.NormFloat64())
+			}
+			x.Set(i, j, v)
+		}
+	}
+	return x
+}
+
+// BestSplit against the sort.Slice implementation it replaced, field for
+// field, over seeded nodes: bootstrap indices with repeats, 2–5 classes,
+// labels that follow a feature, random labels and pure nodes, tie-heavy and
+// constant columns, MaxFeatures 0, 1 and d.
+func TestBestSplitMatchesReference(t *testing.T) {
+	const matrices, perMatrix = 40, 55
+	rng := rand.New(rand.NewSource(1601))
+	found, cases := 0, 0
+	for m := 0; m < matrices; m++ {
+		rows, d := 2+rng.Intn(899), 1+rng.Intn(120)
+		x := splitMatrix(rng, rows, d)
+		for k := 0; k < perMatrix; k++ {
+			// Small nodes dominate a tree, so they dominate here.
+			u := rng.Float64()
+			n := 2 + int(898*u*u)
+			nClasses := 2 + rng.Intn(4)
+			idx := make([]int, n)
+			for i := range idx {
+				idx[i] = rng.Intn(rows)
+			}
+			y := make([]int, rows)
+			switch f, mode := rng.Intn(d), rng.Intn(8); {
+			case mode == 0: // a pure node
+				for i := range y {
+					y[i] = nClasses - 1
+				}
+			case mode < 4:
+				for i := range y {
+					y[i] = rng.Intn(nClasses)
+				}
+			default: // the class follows feature f, with label noise
+				for i := range y {
+					c := int(math.Floor(x.At(i, f)+rng.NormFloat64()/3)) + nClasses/2
+					y[i] = min(max(c, 0), nClasses-1)
+				}
+			}
+			p := TreeParams{MaxFeatures: []int{0, 1, d}[rng.Intn(3)]}
+			seed := rng.Int63()
+			gotRng, wantRng := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+			got := BestSplit(x, y, idx, nClasses, p, gotRng)
+			want := bestSplitReference(x, y, idx, nClasses, p, wantRng)
+			if !sameSplit(got, want) {
+				t.Fatalf("matrix %d case %d (n=%d d=%d classes=%d %+v):\n got %+v\nwant %+v",
+					m, k, n, d, nClasses, p, got, want)
+			}
+			if gotRng.Int63() != wantRng.Int63() {
+				t.Fatalf("matrix %d case %d: rng streams diverge after the split", m, k)
+			}
+			cases++
+			if got.Found {
+				found++
+			}
+		}
+	}
+	if cases < 2000 || found < cases/3 || found > cases-cases/10 {
+		t.Fatalf("%d cases, %d with a split: the generator no longer covers both outcomes", cases, found)
+	}
+}
+
+// A 5-fold RF cross-validation grown by BuildTree and by the reference
+// split search from the same seeds: the same trees, so the same confusion
+// matrix.
+func TestForestCVMatchesReferenceSplit(t *testing.T) {
+	rng := rand.New(rand.NewSource(1602))
+	const n, d, folds, trees = 400, 30, 5, 8
+	x, y := blobs(rng, n, d, 0.9)
+	p := TreeParams{}.withDefaults()
+	var got, want [2][2]int
+	for fold := 0; fold < folds; fold++ {
+		var train []int
+		for i := 0; i < n; i++ {
+			if i%folds != fold {
+				train = append(train, i)
+			}
+		}
+		var forest, ref []*Node
+		for e := 0; e < trees; e++ {
+			boot := make([]int, len(train))
+			for i := range boot {
+				boot[i] = train[rng.Intn(len(train))]
+			}
+			seed := rng.Int63()
+			forest = append(forest, BuildTree(x, y, boot, 2, p, rand.New(rand.NewSource(seed))))
+			ref = append(ref, buildTreeReference(x, y, boot, 2, p, rand.New(rand.NewSource(seed)), 0))
+		}
+		vote := func(ts []*Node, row []float64) int {
+			var p1 float64
+			for _, tr := range ts {
+				p1 += tr.PredictProbs(row)[1]
+			}
+			if p1 > float64(len(ts))/2 {
+				return 1
+			}
+			return 0
+		}
+		for i := fold; i < n; i += folds {
+			got[y[i]][vote(forest, x.Row(i))]++
+			want[y[i]][vote(ref, x.Row(i))]++
+		}
+	}
+	if got != want {
+		t.Fatalf("confusion matrix %v, reference split gives %v", got, want)
+	}
+	if acc := float64(got[0][0]+got[1][1]) / n; acc < 0.7 || acc == 1 {
+		t.Fatalf("accuracy %v: the problem is too easy or too hard to tell two forests apart", acc)
+	}
+}
+
+// A NaN among a node's values of a sampled feature leaves that feature
+// without an order to scan: it offers no threshold, whatever the other
+// values are. The feature draw is consumed all the same.
+func TestBestSplitSkipsFeatureWithNaN(t *testing.T) {
+	nan := math.NaN()
+	// Column 0 separates the classes perfectly but for its NaN in row 2;
+	// column 1 separates them less well.
+	x := mat.NewFromRows([][]float64{{0, 0}, {1, 5}, {nan, 1}, {10, 6}, {11, 7}, {12, 2}})
+	y := []int{0, 0, 0, 1, 1, 1}
+	p := TreeParams{MaxFeatures: 2}
+
+	rng := rand.New(rand.NewSource(9))
+	sp := BestSplit(x, y, []int{0, 1, 2, 3, 4, 5}, 2, p, rng)
+	if !sp.Found || sp.Feature != 1 {
+		t.Fatalf("with a NaN in column 0: %+v, want a split on column 1", sp)
+	}
+	after := rand.New(rand.NewSource(9))
+	after.Perm(2)
+	if rng.Int63() != after.Int63() {
+		t.Fatal("the feature draw was not consumed exactly once")
+	}
+
+	// The NaN row outside the node: column 0 is an ordinary feature.
+	sp = BestSplit(x, y, []int{0, 1, 3, 4, 5, 5}, 2, p, rand.New(rand.NewSource(9)))
+	if !sp.Found || sp.Feature != 0 || sp.Threshold != 5.5 {
+		t.Fatalf("NaN outside the node: %+v, want column 0 at 5.5", sp)
+	}
+
+	// Every sampled feature has one: no split.
+	x.Set(4, 1, nan)
+	if sp = BestSplit(x, y, []int{0, 1, 2, 3, 4, 5}, 2, p, rand.New(rand.NewSource(9))); sp.Found {
+		t.Fatalf("all features NaN: %+v, want no split", sp)
+	}
+}
+
+// splitBenchNode is one root node of the CV workloads' forest: a fold's 800
+// training rows after PCA (115 components), bootstrap indices, √d features.
+func splitBenchNode(n int) (*mat.Dense, []int, []int) {
+	rng := rand.New(rand.NewSource(1603))
+	x, y := blobs(rng, 800, 115, 0.5)
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = rng.Intn(x.Rows)
+	}
+	return x, y, idx
+}
+
+// The scratch of a split search is allocated per call, not per candidate
+// threshold: a node with eight times the thresholds allocates no more often.
+func TestBestSplitAllocsIndependentOfThresholds(t *testing.T) {
+	allocs := func(n int) float64 {
+		x, y, idx := splitBenchNode(n)
+		rng := rand.New(rand.NewSource(1))
+		return testing.AllocsPerRun(20, func() { BestSplit(x, y, idx, 2, TreeParams{}, rng) })
+	}
+	if small, large := allocs(100), allocs(800); small != large || large > 8 {
+		t.Fatalf("allocs per call: %v at n=100, %v at n=800; want equal and at most 8", small, large)
+	}
+}
+
+func BenchmarkBestSplit800x115(b *testing.B) {
+	x, y, idx := splitBenchNode(800)
+	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if sp := BestSplit(x, y, idx, 2, TreeParams{}, rng); !sp.Found {
+			b.Fatal("no split")
 		}
 	}
 }

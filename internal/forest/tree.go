@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"taskml/internal/mat"
 )
@@ -112,7 +112,10 @@ type Split struct {
 }
 
 // BestSplit searches the Gini-optimal binary split of the samples idx,
-// scanning MaxFeatures randomly sampled features.
+// scanning MaxFeatures randomly sampled features: midpoints of consecutive
+// distinct values in ascending order, features in sampled order, the first
+// best wins. A feature with a NaN among the node's values has no order to
+// scan and offers no threshold.
 func BestSplit(x *mat.Dense, y []int, idx []int, nClasses int, p TreeParams, rng *rand.Rand) Split {
 	p = p.withDefaults()
 	nFeat := p.MaxFeatures
@@ -128,7 +131,8 @@ func BestSplit(x *mat.Dense, y []int, idx []int, nClasses int, p TreeParams, rng
 	feats := rng.Perm(x.Cols)[:nFeat]
 
 	total := float64(len(idx))
-	parentCounts := make([]float64, nClasses)
+	counts := make([]float64, 3*nClasses)
+	parentCounts, leftCounts, rightCounts := counts[:nClasses], counts[nClasses:2*nClasses], counts[2*nClasses:]
 	for _, i := range idx {
 		parentCounts[y[i]]++
 	}
@@ -137,55 +141,118 @@ func BestSplit(x *mat.Dense, y []int, idx []int, nClasses int, p TreeParams, rng
 		return Split{}
 	}
 
-	type pair struct {
-		v float64
-		y int
-		i int
+	// Group the samples by class: rows[first[c]:first[c+1]] are class c's
+	// offsets into x.Data, so a gather fills vals with one run per class.
+	// Sorting each run and merging the run heads visits the values in
+	// ascending order, the class of each known from its run.
+	bounds := make([]int, 2*nClasses+1)
+	first, head := bounds[:nClasses+1], bounds[nClasses+1:]
+	for c, n := range parentCounts {
+		first[c+1] = first[c] + int(n)
 	}
+	copy(head, first)
+	ints := make([]int, 2*len(idx)+1)
+	rows, ends := ints[:len(idx)], ints[len(idx):]
+	for _, i := range idx {
+		rows[head[y[i]]] = i * x.Cols
+		head[y[i]]++
+	}
+	floats := make([]float64, 2*len(idx))
+	vals, tmp := floats[:len(idx)], floats[len(idx):]
+
 	best := Split{}
 	bestScore := parentGini - 1e-12
-
-	vals := make([]pair, len(idx))
-	leftCounts := make([]float64, nClasses)
 	for _, f := range feats {
-		for k, i := range idx {
-			vals[k] = pair{v: x.At(i, f), y: y[i], i: i}
+		for k, off := range rows {
+			vals[k] = x.Data[off+f]
 		}
-		sort.Slice(vals, func(a, b int) bool { return vals[a].v < vals[b].v })
-		for c := range leftCounts {
-			leftCounts[c] = 0
+		if slices.ContainsFunc(vals, math.IsNaN) {
+			continue
 		}
-		for k := 0; k < len(vals)-1; k++ {
-			leftCounts[vals[k].y]++
-			if vals[k].v == vals[k+1].v {
+		for c := range head {
+			sortRun(vals[first[c]:first[c+1]], tmp, ends)
+		}
+		copy(head, first)
+		clear(leftCounts)
+		// A round moves every run's copies of v left and finds the next value.
+		for v, next, nl := math.Inf(-1), 0.0, 0; nl < len(idx); v = next {
+			next = math.Inf(1)
+			for c, h := range head {
+				for ; h < first[c+1] && vals[h] == v; h++ {
+					leftCounts[c]++
+					nl++
+				}
+				if head[c] = h; h < first[c+1] && vals[h] < next {
+					next = vals[h]
+				}
+			}
+			if nl == 0 || nl == len(idx) {
 				continue
 			}
-			nl := float64(k + 1)
-			nr := total - nl
-			rightCounts := make([]float64, nClasses)
+			nr := total - float64(nl)
 			for c := range rightCounts {
 				rightCounts[c] = parentCounts[c] - leftCounts[c]
 			}
-			score := (nl*giniOf(leftCounts, nl) + nr*giniOf(rightCounts, nr)) / total
+			score := (float64(nl)*giniOf(leftCounts, float64(nl)) + nr*giniOf(rightCounts, nr)) / total
 			if score < bestScore {
 				bestScore = score
 				best.Found = true
 				best.Feature = f
-				best.Threshold = (vals[k].v + vals[k+1].v) / 2
+				best.Threshold = (v + next) / 2
 			}
 		}
 	}
 	if !best.Found {
 		return best
 	}
+	// A midpoint of adjacent floats may round up, so the comparison decides.
+	best.Left, best.Right = make([]int, 0, len(idx)), make([]int, 0, len(idx))
 	for _, i := range idx {
-		if x.At(i, best.Feature) <= best.Threshold {
+		if x.Data[i*x.Cols+best.Feature] <= best.Threshold {
 			best.Left = append(best.Left, i)
 		} else {
 			best.Right = append(best.Right, i)
 		}
 	}
 	return best
+}
+
+// sortRun sorts v, which holds no NaN, ascending. A long run is first spread
+// over len(v) equal-width buckets between its extremes: the spread is
+// monotone, so only the order inside a bucket is left to slices.Sort, and
+// without heavy ties or outliers that is a value or two. tmp and ends are
+// scratch of at least len(v) and len(v)+1.
+func sortRun(v, tmp []float64, ends []int) {
+	n, lo, hi, scale := len(v), math.Inf(1), math.Inf(-1), 0.0
+	if n >= 32 {
+		for _, x := range v {
+			lo, hi = min(lo, x), max(hi, x)
+		}
+		scale = float64(n-1) / (hi - lo)
+	}
+	if !(scale > 0) || math.IsInf(scale, 0) { // short, constant, or too wide or narrow to scale
+		slices.Sort(v)
+		return
+	}
+	ends = ends[:n+1]
+	clear(ends)
+	for _, x := range v {
+		ends[int((x-lo)*scale)+1]++
+	}
+	for b := 1; b < n; b++ {
+		ends[b] += ends[b-1] // bucket b starts where b-1 ends
+	}
+	for _, x := range v {
+		b := int((x - lo) * scale)
+		tmp[ends[b]] = x
+		ends[b]++
+	}
+	start := 0
+	for _, end := range ends[:n] {
+		slices.Sort(tmp[start:end])
+		start = end
+	}
+	copy(v, tmp)
 }
 
 // BuildTree grows a CART tree on the samples idx (nil means all rows).

@@ -3,9 +3,9 @@
 // products, and a symmetric eigendecomposition (the replacement for
 // numpy.linalg.eigh used by the PCA covariance method in the paper).
 //
-// The hot kernels (Mul, MulAtB, MulABt, MulVec, the Jacobi rotations of
-// EigSym) are cache-blocked and row-band parallel on the bounded
-// internal/par pool, sharing the unrolled Dot/Axpy micro-kernels in
+// The hot products (Mul, MulAtB, MulABt, MulVec) are cache-blocked and
+// row-band parallel on the bounded internal/par pool; they and the serial
+// EigSym (tridiagonal QL) share the unrolled Dot/Axpy micro-kernels in
 // kernels.go. Kernel parallelism composes with the task-level parallelism
 // of internal/compss through par.SetLimit — see the par package comment for
 // the oversubscription contract. At par.SetLimit(1) every kernel runs

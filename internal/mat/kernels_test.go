@@ -156,9 +156,9 @@ func TestMulAddShapePanics(t *testing.T) {
 	}
 }
 
-// EigSym must produce identical eigenpairs whether the rotations are
-// applied serially or in parallel chunks (the per-element arithmetic is
-// unchanged).
+// EigSym must produce identical eigenpairs at every par limit. The QL
+// solver is serial, so this holds trivially; the test stays so that a
+// parallel solver has to keep it true.
 func TestEigSymBitIdenticalAcrossLimits(t *testing.T) {
 	defer par.SetLimit(runtime.GOMAXPROCS(0))
 	rng := rand.New(rand.NewSource(14))
@@ -210,9 +210,10 @@ func BenchmarkGEMM512Serial(b *testing.B) {
 	benchGEMM(b, 512)
 }
 
-func BenchmarkEigSym(b *testing.B) {
-	rng := rand.New(rand.NewSource(4))
-	g := randDense(rng, 128, 128)
+// benchEigSym decomposes the Gram matrix of rows Gaussian samples by n
+// features.
+func benchEigSym(b *testing.B, rows, n int) {
+	g := randDense(rand.New(rand.NewSource(4)), rows, n)
 	a := MulAtB(g, g)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -222,6 +223,12 @@ func BenchmarkEigSym(b *testing.B) {
 		}
 	}
 }
+
+func BenchmarkEigSym(b *testing.B) { benchEigSym(b, 128, 128) }
+
+// BenchmarkEigSym280 is the pca_eigh task of the CV workloads: the
+// covariance of 1000 samples by 280 features.
+func BenchmarkEigSym280(b *testing.B) { benchEigSym(b, 1000, 280) }
 
 func BenchmarkMulABt512x64(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))

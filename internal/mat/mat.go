@@ -1,9 +1,11 @@
 package mat
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"taskml/internal/par"
 )
@@ -316,152 +318,201 @@ func Norm2(m *Dense) float64 {
 	return math.Sqrt(Dot(m.Data, m.Data))
 }
 
-// ErrNotConverged is returned by iterative solvers that exhaust their sweep
-// budget before reaching the requested tolerance.
+// ErrNotConverged is returned by iterative solvers that exhaust their
+// iteration budget before reaching the requested tolerance.
 var ErrNotConverged = errors.New("mat: iteration did not converge")
 
-// EigSym computes the eigendecomposition of the symmetric matrix a using the
-// cyclic Jacobi method. It returns eigenvalues in descending order and the
-// matching unit eigenvectors as the *columns* of the returned matrix, the
-// same convention as numpy.linalg.eigh after a descending sort (which is
-// what dislib's PCA does with the covariance matrix).
+// EigSym computes the eigendecomposition of the symmetric matrix a by
+// Householder tridiagonalisation and implicit-shift QL with accumulated
+// transforms (EISPACK tred2/tql2). It returns eigenvalues in descending
+// order and the matching unit eigenvectors as the *columns* of the returned
+// matrix, the same convention as numpy.linalg.eigh after a descending sort
+// (which is what dislib's PCA does with the covariance matrix). The sign of
+// each eigenvector is canonical: its largest-magnitude component (the first
+// on ties) is positive, so the result does not depend on the solver.
 //
-// a is not modified. Symmetry is assumed; only the upper triangle is
-// trusted. EigSym returns ErrNotConverged if off-diagonal mass remains after
-// the sweep budget, with the best available approximation still returned.
+// a is not modified. Symmetry is assumed; only the upper triangle is read.
+// EigSym returns ErrNotConverged if an eigenvalue exceeds its QL iteration
+// budget, with the best available approximation still returned.
 func EigSym(a *Dense) (vals []float64, vecs *Dense, err error) {
 	n := a.Rows
 	if n != a.Cols {
 		panic(fmt.Sprintf("mat: EigSym on non-square %dx%d", n, a.Cols))
 	}
-	w := a.Clone()
-	// Symmetrise from the upper triangle so tiny asymmetries from
-	// accumulated floating error cannot bias the rotations.
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			v := w.At(i, j)
-			w.Set(j, i, v)
-		}
+	// The solver works on the transpose of the textbook layout: row i of w
+	// ends up holding eigenvector i, so every inner loop below walks a row.
+	w := slices.Clone(a.Data)
+	d, e := make([]float64, n), make([]float64, n)
+	if n > 0 {
+		tridiagonalize(w, d, e, n)
+		err = tridiagQL(w, d, e, n)
 	}
-	v := Identity(n)
-
-	const maxSweeps = 64
-	tol := 1e-11 * offDiagNorm(w)
-	if tol == 0 {
-		tol = 1e-300
-	}
-	converged := false
-	for sweep := 0; sweep < maxSweeps; sweep++ {
-		if offDiagNorm(w) <= tol {
-			converged = true
-			break
-		}
-		for p := 0; p < n-1; p++ {
-			for q := p + 1; q < n; q++ {
-				apq := w.At(p, q)
-				if math.Abs(apq) < 1e-300 {
-					continue
-				}
-				app, aqq := w.At(p, p), w.At(q, q)
-				theta := (aqq - app) / (2 * apq)
-				var t float64
-				if theta >= 0 {
-					t = 1 / (theta + math.Sqrt(1+theta*theta))
-				} else {
-					t = -1 / (-theta + math.Sqrt(1+theta*theta))
-				}
-				c := 1 / math.Sqrt(1+t*t)
-				s := t * c
-				rotate(w, v, p, q, c, s)
-			}
-		}
-	}
-	if !converged && offDiagNorm(w) > tol {
-		err = ErrNotConverged
-	}
-
-	vals = make([]float64, n)
-	for i := range vals {
-		vals[i] = w.At(i, i)
-	}
-	// Sort eigenpairs by descending eigenvalue.
-	order := argsortDesc(vals)
-	sortedVals := make([]float64, n)
-	sortedVecs := New(n, n)
-	for newCol, oldCol := range order {
-		sortedVals[newCol] = vals[oldCol]
-		for r := 0; r < n; r++ {
-			sortedVecs.Set(r, newCol, v.At(r, oldCol))
-		}
-	}
-	return sortedVals, sortedVecs, err
-}
-
-// rotateGrain is the minimum row-chunk per goroutine when a Jacobi rotation
-// is applied in parallel: a rotation is O(n) work, so only large matrices
-// (the wide-feature PCA covariances) clear it; small ones run serially.
-const rotateGrain = 384
-
-// rotate applies the Jacobi rotation J(p,q,c,s) as w ← JᵀwJ and accumulates
-// it into the eigenvector matrix v ← vJ. The column update (pass 1) must
-// fully precede the row update (pass 2) because the row pass reads the
-// rotated 2×2 pivot block; within a pass every k is independent, so each
-// pass is chunk-parallel across k. The eigenvector column update is
-// independent of w and rides in the second pass. The arithmetic per element
-// is identical to the serial form, so results are bit-for-bit equal
-// regardless of the chunking.
-func rotate(w, v *Dense, p, q int, c, s float64) {
-	n := w.Rows
-	par.For(n, rotateGrain, func(lo, hi int) {
-		for k := lo; k < hi; k++ {
-			wkp, wkq := w.At(k, p), w.At(k, q)
-			w.Set(k, p, c*wkp-s*wkq)
-			w.Set(k, q, s*wkp+c*wkq)
-		}
-	})
-	par.For(n, rotateGrain, func(lo, hi int) {
-		prow, qrow := w.Row(p), w.Row(q)
-		for k := lo; k < hi; k++ {
-			wpk, wqk := prow[k], qrow[k]
-			prow[k] = c*wpk - s*wqk
-			qrow[k] = s*wpk + c*wqk
-		}
-		for k := lo; k < hi; k++ {
-			vkp, vkq := v.At(k, p), v.At(k, q)
-			v.Set(k, p, c*vkp-s*vkq)
-			v.Set(k, q, s*vkp+c*vkq)
-		}
-	})
-}
-
-func offDiagNorm(m *Dense) float64 {
-	var s float64
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			if i != j {
-				v := m.At(i, j)
-				s += v * v
-			}
-		}
-	}
-	return math.Sqrt(s)
-}
-
-func argsortDesc(vals []float64) []int {
-	order := make([]int, len(vals))
+	order := make([]int, n)
 	for i := range order {
 		order[i] = i
 	}
-	// Insertion sort: n is the feature count after reduction, small enough,
-	// and we avoid importing sort for a closure-based Slice here.
-	for i := 1; i < len(order); i++ {
-		j := i
-		for j > 0 && vals[order[j-1]] < vals[order[j]] {
-			order[j-1], order[j] = order[j], order[j-1]
-			j--
+	slices.SortStableFunc(order, func(i, j int) int { return cmp.Compare(d[j], d[i]) })
+	vals, vecs = make([]float64, n), New(n, n)
+	for col, src := range order {
+		vals[col] = d[src]
+		row := w[src*n : (src+1)*n]
+		sign, big := 1.0, 0.0
+		for _, x := range row {
+			if ax := math.Abs(x); ax > big {
+				big = ax
+				sign = math.Copysign(1, x)
+			}
+		}
+		for r, x := range row {
+			vecs.Data[r*n+col] = sign * x
 		}
 	}
-	return order
+	return vals, vecs, err
+}
+
+// tridiagonalize reduces the symmetric matrix in the upper triangle of the
+// row-major n×n buffer w to tridiagonal form (diagonal d, subdiagonal e[1:])
+// and leaves the transposed accumulated transform in w: tred2 with rows and
+// columns exchanged.
+func tridiagonalize(w, d, e []float64, n int) {
+	last := n - 1
+	for j := 0; j < n; j++ {
+		d[j] = w[j*n+last]
+	}
+	for i := last; i > 0; i-- {
+		var scale, h float64
+		for _, x := range d[:i] {
+			scale += math.Abs(x)
+		}
+		e[i] = 0
+		if scale != 0 { // else row i is already reduced: the transform is the identity
+			// Householder vector of row i, scaled against under/overflow.
+			for k := range d[:i] {
+				d[k] /= scale
+				h += d[k] * d[k]
+			}
+			f, g := d[i-1], math.Sqrt(h)
+			if f > 0 {
+				g = -g
+			}
+			e[i] = scale * g
+			h -= f * g
+			d[i-1] = f - g
+			// Similarity transform of the leading i×i block: e = A·d from
+			// the upper triangle, then the rank-two update.
+			clear(e[:i])
+			for j := 0; j < i; j++ {
+				row := w[j*n : j*n+i]
+				w[i*n+j] = d[j]
+				e[j] += Dot(row[j:], d[j:i])
+				Axpy(d[j], row[j+1:], e[j+1:i])
+			}
+			for j := range e[:i] {
+				e[j] /= h
+			}
+			Axpy(-Dot(e[:i], d[:i])/(h+h), d[:i], e[:i])
+			for j := 0; j < i; j++ {
+				f, g, row := d[j], e[j], w[j*n:j*n+i]
+				for k := j; k < i; k++ {
+					row[k] -= f*e[k] + g*d[k]
+				}
+			}
+		}
+		for j := 0; j < i; j++ {
+			d[j] = w[j*n+i-1]
+			w[j*n+i] = 0
+		}
+		d[i] = h
+	}
+	// Accumulate the transforms.
+	for i := 0; i < last; i++ {
+		w[i*n+last] = w[i*n+i]
+		w[i*n+i] = 1
+		hv := w[(i+1)*n : (i+1)*n+i+1]
+		if h := d[i+1]; h != 0 {
+			for k, x := range hv {
+				d[k] = x / h
+			}
+			for j := 0; j <= i; j++ {
+				row := w[j*n : j*n+i+1]
+				Axpy(-Dot(hv, row), d[:i+1], row)
+			}
+		}
+		clear(hv)
+	}
+	for j := 0; j < n; j++ {
+		d[j] = w[j*n+last]
+		w[j*n+last] = 0
+	}
+	w[last*n+last] = 1
+	e[0] = 0
+}
+
+// tridiagQL diagonalises the tridiagonal matrix (d, e) by implicit-shift QL
+// (tql2), applying every rotation to the rows of w. On return d holds the
+// eigenvalues, unsorted, and row i of w the eigenvector of d[i].
+func tridiagQL(w, d, e []float64, n int) error {
+	copy(e, e[1:])
+	e[n-1] = 0
+	const eps = 0x1p-52
+	var f, tst1 float64
+	for l := 0; l < n; l++ {
+		tst1 = math.Max(tst1, math.Abs(d[l])+math.Abs(e[l]))
+		m := l
+		for m < n-1 && math.Abs(e[m]) > eps*tst1 {
+			m++
+		}
+		for iter := 0; m > l; iter++ {
+			if iter == 30 { // EISPACK's budget per eigenvalue
+				for i := l; i < n; i++ {
+					d[i] += f // undo the shifts on what is left
+				}
+				return ErrNotConverged
+			}
+			g := d[l] // the implicit shift
+			p := (d[l+1] - g) / (2 * e[l])
+			r := math.Hypot(p, 1)
+			if p < 0 {
+				r = -r
+			}
+			dl1 := e[l] * (p + r)
+			d[l], d[l+1] = e[l]/(p+r), dl1
+			h := g - d[l]
+			for i := l + 2; i < n; i++ {
+				d[i] -= h
+			}
+			f += h
+			// QL sweep from m down to l.
+			p = d[m]
+			el1, c, c2, c3, s, s2 := e[l+1], 1.0, 1.0, 1.0, 0.0, 0.0
+			for i := m - 1; i >= l; i-- {
+				c3, c2, s2 = c2, c, s
+				g = c * e[i]
+				h = c * p
+				r = math.Hypot(p, e[i])
+				e[i+1] = s * r
+				s = e[i] / r
+				c = p / r
+				p = c*d[i] - s*g
+				d[i+1] = h + s*(c*g+s*d[i])
+				lo, hi := w[i*n:(i+1)*n], w[(i+1)*n:(i+2)*n]
+				for k, x := range lo {
+					y := hi[k]
+					hi[k] = s*x + c*y
+					lo[k] = c*x - s*y
+				}
+			}
+			p = -s * s2 * c3 * el1 * e[l] / dl1
+			e[l] = s * p
+			d[l] = c * p
+			if math.Abs(e[l]) <= eps*tst1 {
+				break
+			}
+		}
+		d[l] += f
+		e[l] = 0
+	}
+	return nil
 }
 
 // Identity returns the n×n identity matrix.

@@ -344,6 +344,103 @@ func TestEigSymTraceInvariant(t *testing.T) {
 	}
 }
 
+// checkEigSym holds a decomposition of the symmetric matrix a to the solver's
+// contract: residual, orthonormality, descending order and the canonical
+// sign of every column.
+func checkEigSym(t *testing.T, a *Dense, vals []float64, vecs *Dense) {
+	t.Helper()
+	n := a.Rows
+	if len(vals) != n || vecs.Rows != n || vecs.Cols != n {
+		t.Fatalf("shapes: %d values, %dx%d vectors, want %d", len(vals), vecs.Rows, vecs.Cols, n)
+	}
+	for i := 1; i < n; i++ {
+		if vals[i] > vals[i-1] {
+			t.Fatalf("eigenvalues not descending at %d: %v > %v", i, vals[i], vals[i-1])
+		}
+	}
+	if res := Norm2(Sub(Mul(a, vecs), Mul(vecs, Diag(vals)))); res > 1e-9*(1+Norm2(a)) {
+		t.Fatalf("residual |AV - VL| = %g, |A| = %g", res, Norm2(a))
+	}
+	if res := Norm2(Sub(MulAtB(vecs, vecs), Identity(n))); res > 1e-10 {
+		t.Fatalf("|VtV - I| = %g", res)
+	}
+	for c := 0; c < n; c++ {
+		big := 0
+		for r := 1; r < n; r++ {
+			if math.Abs(vecs.At(r, c)) > math.Abs(vecs.At(big, c)) {
+				big = r
+			}
+		}
+		if vecs.At(big, c) <= 0 {
+			t.Fatalf("column %d: largest component %v at row %d is not positive", c, vecs.At(big, c), big)
+		}
+	}
+}
+
+// The PCA covariance of the CV workloads: a 1000x280 Gram matrix.
+func TestEigSym280Gram(t *testing.T) {
+	g := randDense(rand.New(rand.NewSource(21)), 1000, 280)
+	a := MulAtB(g, g)
+	vals, vecs, err := EigSym(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkEigSym(t, a, vals, vecs)
+}
+
+func TestEigSymEdgeCases(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	low := randDense(rng, 5, 40)
+	cases := map[string]*Dense{
+		"empty":             New(0, 0),
+		"1x1":               Diag([]float64{-3}),
+		"zero":              New(6, 6),
+		"repeated diagonal": Diag([]float64{2, 7, 2, 7, 7, -1, 2}),
+		"rank 5 of 40":      MulAtB(low, low),
+	}
+	for name, a := range cases {
+		vals, vecs, err := EigSym(a)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		checkEigSym(t, a, vals, vecs)
+		if name == "rank 5 of 40" {
+			for i, v := range vals {
+				if (i < 5) != (math.Abs(v) > 1e-9*vals[0]) {
+					t.Fatalf("rank 5 of 40: eigenvalue %d = %g (largest %g)", i, v, vals[0])
+				}
+			}
+		}
+	}
+}
+
+// Only the upper triangle is read: garbage below the diagonal changes no bit.
+func TestEigSymIgnoresLowerTriangle(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	g := randDense(rng, 30, 17)
+	a := MulAtB(g, g)
+	dirty := a.Clone()
+	for i := 0; i < dirty.Rows; i++ {
+		for j := 0; j < i; j++ {
+			dirty.Set(i, j, math.NaN())
+		}
+	}
+	vals, vecs, err := EigSym(a)
+	dvals, dvecs, derr := EigSym(dirty)
+	if err != nil || derr != nil {
+		t.Fatal(err, derr)
+	}
+	checkEigSym(t, a, vals, vecs)
+	for i := range vals {
+		if math.Float64bits(vals[i]) != math.Float64bits(dvals[i]) {
+			t.Fatalf("eigenvalue %d: %v vs %v with a dirty lower triangle", i, vals[i], dvals[i])
+		}
+	}
+	if !Equal(vecs, dvecs, 0) {
+		t.Fatal("eigenvectors depend on the lower triangle")
+	}
+}
+
 func TestIdentityDiag(t *testing.T) {
 	if !Equal(Identity(3), Diag([]float64{1, 1, 1}), 0) {
 		t.Fatal("Identity(3) != Diag(ones)")
