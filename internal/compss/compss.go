@@ -144,6 +144,10 @@ type Runtime struct {
 	// never alias each other's cached outputs. 0 when no Backend is
 	// attached.
 	execSession uint64
+	// chains is the backend's chain-dispatch side (see chain.go); nil — no
+	// task is ever chained — without a backend that has one, while its
+	// reference plane is off, or on a runtime with a fault plan.
+	chains exec.ChainBackend
 
 	mu sync.Mutex
 }
@@ -199,6 +203,9 @@ func New(cfg Config) *Runtime {
 	}
 	if cfg.Backend != nil {
 		rt.execSession = exec.NextSession()
+	}
+	if cb, ok := cfg.Backend.(exec.ChainBackend); ok && cfg.Faults == nil && cb.Chains() {
+		rt.chains = cb
 	}
 	if len(cfg.Observers) > 0 {
 		obs := make([]Observer, len(cfg.Observers))
@@ -316,6 +323,9 @@ type taskState struct {
 	completed atomic.Bool
 	children  []*taskState
 	stolen    bool
+	// chained marks a follower of a chain in flight (chain.go): becomeReady
+	// leaves it to the chain's runner.
+	chained atomic.Bool
 	// reg marks the submit-time field initialization as complete: the
 	// arena slot is reachable by snapshotTasks the moment it is handed
 	// out, so the gather skips slots whose submit has not yet published
@@ -508,6 +518,20 @@ func (tc *TaskCtx) checkExec(o Opts) {
 	}
 }
 
+// eachFuture calls fn on every future among args, in argument order.
+func eachFuture(args []any, fn func(*Future)) {
+	for _, a := range args {
+		switch v := a.(type) {
+		case *Future:
+			fn(v)
+		case []*Future:
+			for _, f := range v {
+				fn(f)
+			}
+		}
+	}
+}
+
 // appendArgDep adds an argument dependency on task id, collapsing duplicate
 // future arguments into one edge. ViaMaster follows synced membership: a
 // value the context already synchronised travels through the master again
@@ -545,30 +569,14 @@ func (tc *TaskCtx) submit(o *Opts, nOut int, fn1 TaskFunc, fnN MultiTaskFunc, ar
 	// deps first (deduplicated by a linear scan; fan-ins are small), then
 	// the floor remainder — so the hot path builds no intermediate maps.
 	nArg := 0
-	for _, a := range args {
-		switch v := a.(type) {
-		case *Future:
-			nArg++
-		case []*Future:
-			nArg += len(v)
-		}
-	}
+	eachFuture(args, func(*Future) { nArg++ })
 	tc.mu.Lock()
 	tc.materializeFloorLocked()
 	var gdeps []graph.Dep
 	if n := nArg + len(tc.floor); n > 0 {
 		gdeps = make([]graph.Dep, 0, n)
 	}
-	for _, a := range args {
-		switch v := a.(type) {
-		case *Future:
-			gdeps = appendArgDep(gdeps, v.st.id, tc.synced)
-		case []*Future:
-			for _, f := range v {
-				gdeps = appendArgDep(gdeps, f.st.id, tc.synced)
-			}
-		}
-	}
+	eachFuture(args, func(f *Future) { gdeps = appendArgDep(gdeps, f.st.id, tc.synced) })
 	nArgDeps := len(gdeps)
 	var floorIDs []int
 	if len(tc.floor) > 0 {
@@ -668,20 +676,11 @@ func (tc *TaskCtx) submit(o *Opts, nOut int, fn1 TaskFunc, fnN MultiTaskFunc, ar
 	// sentinel; duplicate future arguments are symmetric (counted and
 	// registered once per occurrence).
 	settled := int32(1)
-	for _, a := range args {
-		switch v := a.(type) {
-		case *Future:
-			if !tryAddChild(v.st, st) {
-				settled++
-			}
-		case []*Future:
-			for _, f := range v {
-				if !tryAddChild(f.st, st) {
-					settled++
-				}
-			}
+	eachFuture(args, func(f *Future) {
+		if !tryAddChild(f.st, st) {
+			settled++
 		}
-	}
+	})
 	// If every producer already finished, the task is ready here, on the
 	// submitter — a body submit pushes straight to its own worker's deque
 	// without touching any runtime-global state.
@@ -716,21 +715,18 @@ func tryAddChild(p, c *taskState) bool {
 // account for every graph node, and still completes so its own dependents
 // cascade.
 func (rt *Runtime) becomeReady(st *taskState, w *worker) {
-	for _, a := range st.args {
-		switch v := a.(type) {
-		case *Future:
-			if v.st.err != nil {
-				rt.failDepsCascade(st, v.st.err, w)
-				return
-			}
-		case []*Future:
-			for _, f := range v {
-				if f.st.err != nil {
-					rt.failDepsCascade(st, f.st.err, w)
-					return
-				}
-			}
+	if st.chained.Load() {
+		return // it ran, or is running, inside a chain: finishChain completes it
+	}
+	var depErr error
+	eachFuture(st.args, func(f *Future) {
+		if depErr == nil {
+			depErr = f.st.err
 		}
+	})
+	if depErr != nil {
+		rt.failDepsCascade(st, depErr, w)
+		return
 	}
 	rt.emit(EventDepsReady, st, -1, nil, "", false)
 	rt.ex.enqueue(st, w)
@@ -778,25 +774,8 @@ func (rt *Runtime) complete(st *taskState, w *worker) {
 func (rt *Runtime) runReady(st *taskState, w *worker, stolen bool) {
 	st.stolen = stolen
 	id, nOut := st.id, st.nOut
-	args := st.args
-	var resolved []any
-	if len(args) > 0 {
-		resolved = make([]any, len(args))
-		for i, a := range args {
-			switch v := a.(type) {
-			case *Future:
-				resolved[i] = v.st.vals[v.idx]
-			case []*Future:
-				vals := make([]any, len(v))
-				for j, f := range v {
-					vals[j] = f.st.vals[f.idx]
-				}
-				resolved[i] = vals
-			default:
-				resolved[i] = a
-			}
-		}
-	}
+	resolved := rt.resolveArgs(st.args, nil)
+	var chain *chainRun
 
 	for attempt := 0; ; attempt++ {
 		rt.sem.acquire()
@@ -818,6 +797,7 @@ func (rt *Runtime) runReady(st *taskState, w *worker, stolen bool) {
 		if !res.slotLost {
 			rt.sem.release()
 		}
+		chain = res.chain
 		// The body is done and the slot released; End events are stamped
 		// here so End−Start measures body execution, not the bookkeeping
 		// (nested-children wait) below. With no observers attached the
@@ -827,6 +807,9 @@ func (rt *Runtime) runReady(st *taskState, w *worker, stolen bool) {
 		var bodyDone time.Time
 		if rt.obs.Load() != nil {
 			bodyDone = time.Now()
+			if chain != nil {
+				bodyDone = chain.headEnd // the followers ran after it, before now
+			}
 		}
 
 		if res.mode == "timeout" {
@@ -885,6 +868,41 @@ func (rt *Runtime) runReady(st *taskState, w *worker, stolen bool) {
 		break
 	}
 	rt.complete(st, w)
+	if chain != nil {
+		rt.finishChain(chain, w)
+	}
+}
+
+// resolveArgs replaces the futures among a ready task's arguments by their
+// values. A future produced by a member of chain (nil outside chain dispatch)
+// has no value yet and becomes the exec.ValueRef its worker will find it
+// under.
+func (rt *Runtime) resolveArgs(args []any, chain []*taskState) []any {
+	if len(args) == 0 {
+		return nil
+	}
+	value := func(f *Future) any {
+		if inChain(chain, f.st) {
+			return exec.ValueRef{Session: rt.execSession, Task: f.st.id, Out: f.idx}
+		}
+		return f.st.vals[f.idx]
+	}
+	resolved := make([]any, len(args))
+	for i, a := range args {
+		switch v := a.(type) {
+		case *Future:
+			resolved[i] = value(v)
+		case []*Future:
+			vals := make([]any, len(v))
+			for j, f := range v {
+				vals[j] = value(f)
+			}
+			resolved[i] = vals
+		default:
+			resolved[i] = a
+		}
+	}
+	return resolved
 }
 
 // failDeps records a dep-resolution failure: a collapsed DepError, surfaced
@@ -909,6 +927,9 @@ type attemptResult struct {
 	// worker identifies the execution-backend worker that ran the attempt;
 	// "" for in-process execution (including every non-Exec task).
 	worker string
+	// chain is set when the attempt ran as the head of a chain and followers
+	// ran with it: they complete once the head has (finishChain).
+	chain *chainRun
 }
 
 // execAttempt runs one attempt of the task body inside the caller's worker
@@ -933,10 +954,10 @@ func (rt *Runtime) execAttempt(st *taskState, child *TaskCtx, attempt, nOut int,
 	if d <= 0 {
 		// No deadline: run the body inline on the calling carrier/helper —
 		// no goroutine, no result channel, no closure allocation.
-		return rt.runAttemptBody(st, child, nOut, fn1, fnN, resolved, frac)
+		return rt.runAttemptBody(st, child, attempt, nOut, fn1, fnN, resolved, frac)
 	}
 	ch := make(chan attemptResult, 1)
-	go func() { ch <- rt.runAttemptBody(st, child, nOut, fn1, fnN, resolved, frac) }()
+	go func() { ch <- rt.runAttemptBody(st, child, attempt, nOut, fn1, fnN, resolved, frac) }()
 	timer := time.NewTimer(d)
 	defer timer.Stop()
 	// While blocked on this select the calling carrier processes nothing, so
@@ -990,7 +1011,7 @@ func (rt *Runtime) execAttempt(st *taskState, child *TaskCtx, attempt, nOut int,
 // runAttemptBody executes the (possibly fault-swapped) body of one attempt
 // with panic containment. It runs inline on the dispatching goroutine for
 // deadline-free tasks and on a spawned goroutine under a Deadline.
-func (rt *Runtime) runAttemptBody(st *taskState, child *TaskCtx, nOut int, fn1 TaskFunc, fnN MultiTaskFunc, resolved []any, frac float64) (res attemptResult) {
+func (rt *Runtime) runAttemptBody(st *taskState, child *TaskCtx, attempt, nOut int, fn1 TaskFunc, fnN MultiTaskFunc, resolved []any, frac float64) (res attemptResult) {
 	defer func() {
 		if r := recover(); r != nil {
 			res = attemptResult{
@@ -1025,7 +1046,7 @@ func (rt *Runtime) runAttemptBody(st *taskState, child *TaskCtx, nOut int, fn1 T
 		// Injected faults never reach here — the injected body replaced
 		// fnN in execAttempt, so a fault-plan entry fails the attempt
 		// without a wire round-trip, exactly as it bypasses closure bodies.
-		return rt.execBody(st, nOut, resolved)
+		return rt.execBody(st, attempt, nOut, resolved)
 	}
 }
 
@@ -1043,15 +1064,18 @@ func (rt *Runtime) runAttemptBody(st *taskState, child *TaskCtx, nOut int, fn1 T
 // the executing worker at whichever peer worker holds the value so it is
 // pulled directly, without a coordinator hop. The resolved values always
 // travel too — identity is a hint, never a dependency.
-func (rt *Runtime) execBody(st *taskState, nOut int, resolved []any) attemptResult {
+//
+// A first attempt over a chain backend takes along every task only it still
+// holds back (chain.go); alone, it is the ordinary ExecuteTask.
+func (rt *Runtime) execBody(st *taskState, attempt, nOut int, resolved []any) attemptResult {
 	name := st.execName
 	if be := rt.cfg.Backend; be != nil {
-		req := &exec.Request{
-			Name: name, NOut: nOut, Args: resolved,
-			Session: rt.execSession, TaskID: st.id,
-			ArgRefs: argRefs(st.args, rt.execSession),
+		if attempt == 0 && rt.chains != nil && st.deadline <= 0 {
+			if chain := collectChain(st); len(chain) > 1 {
+				return rt.execChain(chain, resolved)
+			}
 		}
-		vals, worker, err := be.ExecuteTask(req)
+		vals, worker, err := be.ExecuteTask(rt.request(st, resolved, nil))
 		if err != nil {
 			return attemptResult{
 				err:    &TaskError{ID: st.id, Name: st.name, Err: err},
@@ -1092,11 +1116,22 @@ func (rt *Runtime) execBody(st *taskState, nOut int, resolved []any) attemptResu
 	return attemptResult{vals: vals}
 }
 
+// request builds st's backend request from its resolved arguments.
+func (rt *Runtime) request(st *taskState, resolved []any, chain []*taskState) *exec.Request {
+	return &exec.Request{
+		Name: st.execName, NOut: st.nOut, Args: resolved,
+		Session: rt.execSession, TaskID: st.id,
+		ArgRefs: argRefs(st.args, rt.execSession, chain),
+	}
+}
+
 // argRefs derives the exec.ArgRef provenance list from a task's raw
 // (unresolved) argument list: each *Future argument — and each element of a
 // []*Future argument — is the (session, producing-task, output) triple the
-// data plane caches values under. Plain-value arguments carry no ref.
-func argRefs(args []any, session uint64) []exec.ArgRef {
+// data plane caches values under. Plain-value arguments carry no ref, and
+// neither do futures a member of chain produces: resolveArgs already put
+// their bare ValueRefs among the values.
+func argRefs(args []any, session uint64, chain []*taskState) []exec.ArgRef {
 	if session == 0 {
 		return nil
 	}
@@ -1104,12 +1139,18 @@ func argRefs(args []any, session uint64) []exec.ArgRef {
 	for i, a := range args {
 		switch v := a.(type) {
 		case *Future:
+			if inChain(chain, v.st) {
+				continue
+			}
 			refs = append(refs, exec.ArgRef{
 				Arg: i, Elem: -1,
 				Ref: exec.ValueRef{Session: session, Task: v.st.id, Out: v.idx},
 			})
 		case []*Future:
 			for j, f := range v {
+				if inChain(chain, f.st) {
+					continue
+				}
 				refs = append(refs, exec.ArgRef{
 					Arg: i, Elem: j,
 					Ref: exec.ValueRef{Session: session, Task: f.st.id, Out: f.idx},

@@ -35,7 +35,11 @@
 // registered functions (internal/exec) instead of closures, and
 // Config.Backend routes those attempts either in-process (nil backend) or
 // to out-of-process workers (exec.Remote). Closure tasks always run
-// in-process.
+// in-process. Over a backend that takes chains (exec.ChainBackend), a ready
+// task's first attempt carries along every submitted task only it still holds
+// back — up to 16, one round trip for a whole forest tree — and anything
+// that does not come back with values runs the ordinary way (chain.go); the
+// event sequences and failure policies below are unchanged by it.
 //
 // # Failure, observation
 //

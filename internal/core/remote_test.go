@@ -2,6 +2,7 @@ package core
 
 import (
 	"os"
+	"reflect"
 	"testing"
 	"time"
 
@@ -341,5 +342,85 @@ func TestRemoteKillThenRejoinParity(t *testing.T) {
 			t.Fatalf("fold %d accuracy: local %x, remote %x (not bit-identical)",
 				i, local.FoldAccuracies[i], remote.FoldAccuracies[i])
 		}
+	}
+}
+
+// TestRemoteChainParity: the RF cross-validation rides chains — a whole tree
+// a round trip — and ends bit-identical to the in-process run whatever a
+// chain meets on the way: a roomy cache (where the frame count shows the
+// chains are there), a 4 MB cache that evicts a member's input under it, a
+// worker with no cache at all (every follower misses and goes back to the
+// scheduler), and a worker killed while chains are in flight.
+func TestRemoteChainParity(t *testing.T) {
+	ds, err := BuildDataset(smallData(25))
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := RunCV(ModelRF, ds, fastCfg(25))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []struct {
+		name    string
+		cfg     exec.LoopbackConfig
+		killAt  uint64 // kill worker 0 once this many requests were dispatched
+		chained bool   // the run must use fewer than a third as many frames as requests
+	}{
+		{name: "roomy cache", cfg: exec.LoopbackConfig{Workers: 2, Slots: 1}, chained: true},
+		{name: "4 MB cache", cfg: exec.LoopbackConfig{Workers: 2, Slots: 1, CacheMB: 4}},
+		{name: "no cache", cfg: exec.LoopbackConfig{Workers: 2, Slots: 1, CacheMB: -1}},
+		{name: "killed mid-chain", cfg: exec.LoopbackConfig{Workers: 2, Slots: 1}, killAt: 150},
+	} {
+		t.Run(v.name, func(t *testing.T) {
+			backend, err := exec.SpawnLoopback(v.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer backend.Close()
+			cfg := fastCfg(25)
+			cfg.Backend = backend
+			done := make(chan struct{})
+			defer close(done)
+			if v.killAt > 0 {
+				cfg.Retries = 3
+				cfg.RetryBackoff = 1
+				go func() {
+					for backend.Stats().Dispatched < v.killAt {
+						select {
+						case <-done:
+							return
+						case <-time.After(200 * time.Microsecond):
+						}
+					}
+					_ = backend.KillWorker(0)
+				}()
+			}
+			remote, err := RunCV(ModelRF, ds, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := backend.Stats()
+			if st.Dispatched != st.Completed+st.Failed {
+				t.Fatalf("stats not a partition at quiescence: %+v", st)
+			}
+			if v.killAt > 0 && st.Failed == 0 {
+				t.Fatalf("stats %+v: the kill lost no request — it proved nothing", st)
+			}
+			if v.chained && 3*st.Frames >= st.Dispatched {
+				t.Fatalf("%d frames for %d requests, want fewer than a third: the trees are not riding chains", st.Frames, st.Dispatched)
+			}
+			if !reflect.DeepEqual(local.Confusion.Counts, remote.Confusion.Counts) {
+				t.Fatalf("confusion: local %v, remote %v", local.Confusion.Counts, remote.Confusion.Counts)
+			}
+			if len(local.FoldAccuracies) != len(remote.FoldAccuracies) {
+				t.Fatalf("fold counts differ: %d vs %d", len(local.FoldAccuracies), len(remote.FoldAccuracies))
+			}
+			for i := range local.FoldAccuracies {
+				if local.FoldAccuracies[i] != remote.FoldAccuracies[i] {
+					t.Fatalf("fold %d accuracy: local %x, remote %x (not bit-identical)", i, local.FoldAccuracies[i], remote.FoldAccuracies[i])
+				}
+			}
+			t.Logf("%d requests in %d frames, %d failed, %d miss retries", st.Dispatched, st.Frames, st.Failed, st.MissRetries)
+		})
 	}
 }

@@ -1,11 +1,13 @@
 package exec
 
+import "time"
+
 // Backend executes Opts.Exec-named task attempts on behalf of the compss
-// runtime. Exactly one attempt maps to exactly one ExecuteTask call: the
-// runtime's retry/deadline/fault machinery sits *above* the backend, so a
-// backend failure (worker crash, dropped connection, unknown function) is
-// just an attempt error — it surfaces as a compss.TaskError and is retried,
-// degraded or finalised by the same policies as any in-process failure.
+// runtime. One attempt is one ExecuteTask call (or one member of a
+// ChainBackend's ExecuteChain): the runtime's retry/deadline/fault machinery
+// sits *above* the backend, so a backend failure (worker crash, dropped
+// connection, unknown function) is just an attempt error — a compss.TaskError,
+// retried, degraded or finalised like any in-process failure.
 type Backend interface {
 	// ExecuteTask runs the registered function req.Name with req.Args and
 	// returns its req.NOut outputs. worker identifies the executing worker
@@ -17,6 +19,30 @@ type Backend interface {
 	// Close releases the backend's resources (connections, spawned loopback
 	// processes). The backend must not be used after Close.
 	Close() error
+}
+
+// ChainBackend is a Backend that runs a chain — a ready task and tasks only
+// it still holds back — in one round trip, on one worker, in order. The
+// runtime offers chains only while Chains reports true (the reference plane
+// is on: an argument can travel before it has a value).
+type ChainBackend interface {
+	Backend
+	Chains() bool
+	// ExecuteChain runs reqs[0] and then, as far as each one's inputs allow,
+	// the requests after it. An argument an earlier member produces is a bare
+	// ValueRef in Args and has no ArgRef; all else is as in ExecuteTask, the
+	// chain of one. err is the head's lost attempt (no worker, connection
+	// failure); without one, replies has an entry per request.
+	ExecuteChain(reqs []*Request) (replies []Reply, worker string, err error)
+}
+
+// Reply is one chain member's outcome. Err means it failed or never ran (an
+// earlier member failed, a reference it named was gone); Body is the time the
+// worker spent on this member alone.
+type Reply struct {
+	Vals []any
+	Err  error
+	Body time.Duration
 }
 
 // Request describes one task attempt handed to a Backend.

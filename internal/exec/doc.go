@@ -19,7 +19,9 @@
 //     without one through the per-value gob fallback.
 //   - Backend is the two-method seam (ExecuteTask, Close); Local adapts the
 //     registry to it. Request carries resolved argument values plus optional
-//     identity (Session/TaskID/ArgRefs) for the data plane.
+//     identity (Session/TaskID/ArgRefs) for the data plane. ChainBackend adds
+//     ExecuteChain: a ready task and the tasks only it holds back, as one
+//     request frame on one slot, answered by one frame of Replies.
 //   - Dial / SpawnLoopback construct a *Remote coordinator; Serve,
 //     JoinCoordinator and MaybeWorkerMain are the worker side; cmd/worker
 //     wraps them in a standalone binary. Config / Flags / Open are the
@@ -58,10 +60,10 @@
 // path goes to a body that declared it overwrites that argument
 // (RegisterInPlace). Types without a known size simply ship by value every
 // time. Staleness is recovered, never trusted: a worker that cannot resolve
-// a reference
-// replies Miss without running the body and the coordinator re-sends once
-// with values inlined — eviction or a crashed cache costs one round trip,
-// not a wrong answer.
+// a reference replies Miss without running the body and the coordinator
+// re-sends once with values inlined — eviction or a crashed cache costs one
+// round trip, not a wrong answer. A chain member names an earlier member's
+// output by bare reference and, when it misses, goes back to the runtime.
 //
 // The peer-to-peer plane sits on top: every worker opens a peer
 // listener (advertised in its hello), and a value resident on some *other*
@@ -81,9 +83,10 @@
 //
 // The registry is write-at-init, read-only afterwards (Register panics on
 // duplicates so collisions surface at program start). Remote is safe for
-// concurrent ExecuteTask calls: each worker connection is multiplexed by
-// request ID, writes are serialised per connection, and a per-worker slot
-// count bounds in-flight bodies, composing with compss.Config.Workers:
+// concurrent ExecuteTask / ExecuteChain calls: each worker connection is
+// multiplexed by frame ID, writes are serialised per connection, and a
+// per-worker slot count bounds in-flight frames (a chain's requests run one
+// after another on its frame's slot), composing with compss.Config.Workers:
 // the runtime watches the fleet and keeps its effective parallelism at
 // max(Workers, Σ alive slots) as members come and go. Arguments reach a
 // body as bit-exact decoded copies or as the values resident in the

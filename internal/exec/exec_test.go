@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"taskml/internal/compss"
 	"taskml/internal/exec"
 	"taskml/internal/mat"
 )
@@ -56,6 +57,9 @@ func init() {
 	exec.Register("test_panic", func(args []any) (any, error) {
 		panic("deliberate panic")
 	})
+	// The chain benchmark's bodies: nothing to compute, one output or three.
+	exec.Register("test_noop", func([]any) (any, error) { return 1.0, nil })
+	exec.RegisterN("test_noop3", func([]any) ([]any, error) { return []any{1.0, 2.0, 3.0}, nil })
 	exec.Register("test_sleep_ms", func(args []any) (any, error) {
 		time.Sleep(time.Duration(args[0].(int)) * time.Millisecond)
 		return args[0], nil
@@ -376,8 +380,9 @@ func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
 	t.Fatal("condition not reached in time")
 }
 
-// benchFleet is BenchmarkRemoteRoundtrip's one-worker fleet, spawned on the
-// benchmark's first invocation and closed by TestMain. The testing package
+// benchFleet is the one-worker fleet of BenchmarkRemoteRoundtrip and
+// BenchmarkRemoteChainTree, spawned on the first invocation of either and
+// closed by TestMain. The testing package
 // calls a benchmark function once before it prints the row's name and again
 // for every b.N it tries; spawning per call put the worker's start-up line
 // on stderr in the middle of the row, which is how the row fell out of
@@ -388,14 +393,7 @@ var benchFleet *exec.Remote
 // carrying a small matrix block (8 KB each way) — the per-task wire
 // overhead a remote deployment pays over in-process dispatch.
 func BenchmarkRemoteRoundtrip(b *testing.B) {
-	if benchFleet == nil {
-		r, err := exec.SpawnLoopback(exec.LoopbackConfig{Workers: 1, Slots: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchFleet = r
-	}
-	r := benchFleet
+	r := theBenchFleet(b)
 	m := mat.New(32, 32)
 	for i := range m.Data {
 		m.Data[i] = float64(i)
@@ -407,4 +405,55 @@ func BenchmarkRemoteRoundtrip(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+func theBenchFleet(b *testing.B) *exec.Remote {
+	if benchFleet == nil {
+		r, err := exec.SpawnLoopback(exec.LoopbackConfig{Workers: 1, Slots: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchFleet = r
+	}
+	return benchFleet
+}
+
+// BenchmarkRemoteChainTree runs the forest's tree shape — bootstrap, a split,
+// two splits, four subtrees, three joins: eleven tasks — with no-op bodies
+// through a real runtime and one loopback worker, each tree submitted whole
+// before its first task is ready. What is left is dispatch: µs a task, and
+// how many round trips a tree took (one, when it rides a chain; eleven
+// without).
+func BenchmarkRemoteChainTree(b *testing.B) {
+	r := theBenchFleet(b)
+	rt := compss.New(compss.Config{Backend: r})
+	noop := compss.Opts{Name: "noop", Exec: "test_noop"}
+	split := func(rows *compss.Future) []*compss.Future {
+		return rt.SubmitExecN(compss.Opts{Name: "noop3", Exec: "test_noop3"}, 3, rows)
+	}
+	before := r.Stats()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		held := make(chan struct{})
+		gate := rt.Submit(compss.Opts{Name: "gate"}, func(*compss.TaskCtx, []any) (any, error) {
+			<-held
+			return 0.0, nil
+		})
+		root := split(rt.SubmitExec(noop, gate))
+		left, right := split(root[1]), split(root[2])
+		joinL := rt.SubmitExec(noop, left[0], rt.SubmitExec(noop, left[1]), rt.SubmitExec(noop, left[2]))
+		joinR := rt.SubmitExec(noop, right[0], rt.SubmitExec(noop, right[1]), rt.SubmitExec(noop, right[2]))
+		tree := rt.SubmitExec(noop, root[0], joinL, joinR)
+		close(held)
+		if _, err := rt.Get(tree); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	after := r.Stats()
+	if got, want := after.Dispatched-before.Dispatched, uint64(11*b.N); got != want {
+		b.Fatalf("%d requests dispatched, want %d", got, want)
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(11*b.N), "us/task")
+	b.ReportMetric(float64(after.Frames-before.Frames)/float64(b.N), "frames/op")
 }

@@ -61,6 +61,17 @@ func SampleFrames(vals []any) [][]byte {
 		&response{ID: 9, Vals: vals, Stored: []StoredRef{{Ref: ref, Bytes: 4096}}, Evicted: []ValueRef{ref},
 			CacheBytes: 1 << 20, RefHits: 2, RefMisses: 1, PeerFetched: 1, PeerValBytes: 512, PeerSent: 40, PeerRecv: 600},
 		&response{ID: 11, Err: "rf_split: deliberate failure", Miss: []ValueRef{ref, {Session: 3, Task: 2}}},
+		// A chain: the head, a member naming the head's output by its bare
+		// reference, a member carrying values; and the three replies, the
+		// middle one a Miss.
+		&request{ID: 12, Name: "rf_bootstrap", NOut: 1, Args: vals, Session: 3, Task: 20, Store: true, Chain: []request{
+			{Name: "rf_split", NOut: 3, Args: []any{ValueRef{Session: 3, Task: 20}, int64(7)}, Session: 3, Task: 21, Store: true},
+			{Name: "rf_join", NOut: 1, Args: vals, Session: 3, Task: 22, Store: true},
+		}},
+		&response{ID: 12, Vals: vals, Stored: []StoredRef{{Ref: ref, Bytes: 64}}, Evicted: []ValueRef{ref}, CacheBytes: 1 << 10, BodyNs: 427000, Chain: []response{
+			{Miss: []ValueRef{{Session: 3, Task: 20}}, RefMisses: 1, BodyNs: 900},
+			{Vals: vals, Stored: []StoredRef{{Ref: ValueRef{Session: 3, Task: 22}, Bytes: 128}}, RefHits: 2, PeerFetched: 1, PeerValBytes: 512, BodyNs: 31000},
+		}},
 		&peerHello{Proto: protoVersion, Token: "peer"},
 		&peerRequest{ID: 5, Ref: ref},
 		&peerResponse{ID: 5, OK: true, Val: vals},

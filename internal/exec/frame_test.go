@@ -6,9 +6,12 @@ package exec
 // failure paths, and never a panic or an allocation sized by the attacker.
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
 	"io"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -42,7 +45,10 @@ func hostileFrames(kind byte, idBytes ...byte) map[string][]byte {
 // response, the attempt fails with a connection error, the member is
 // retired through failWorker, and the stats stay a partition.
 func TestHostileResponseFailsWorker(t *testing.T) {
-	for name, reply := range hostileFrames(kindResponse, 1 /* ID */, 2 /* Vals: one value */) {
+	replies := hostileFrames(kindResponse, 1 /* ID */, 2 /* Vals: one value */)
+	// Well formed, but not an answer to what was asked: one request went out.
+	replies["replies to more requests than were sent"] = encoded(t, &response{ID: 1, Vals: []any{1.0}, Chain: []response{{Vals: []any{2.0}}}})
+	for name, reply := range replies {
 		t.Run(name, func(t *testing.T) {
 			l, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
@@ -80,6 +86,66 @@ func TestHostileResponseFailsWorker(t *testing.T) {
 				t.Fatalf("Stats = %+v, want the one dispatch counted Failed", st)
 			}
 		})
+	}
+}
+
+// encoded returns f as a link writes it.
+func encoded(t *testing.T, f frame) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	l := &link{w: bufio.NewWriter(&buf), maxFrame: maxFrameBytes}
+	if _, err := l.send(f); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestHostileChainFrames: the member count of a request or response frame is
+// checked against the bytes the frame has left before anything is allocated
+// from it, a frame that ends inside a member fails, and a member cannot carry
+// members of its own — the encoding has no place for them, so whatever follows
+// the last member is trailing bytes.
+func TestHostileChainFrames(t *testing.T) {
+	huge := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f} // 2^63-1 as a uvarint
+	for _, tc := range []struct {
+		name  string
+		kind  byte
+		empty frame
+		fresh func() frame
+	}{
+		{"request", kindRequest, &request{ID: 1, Name: "f", NOut: 1, Args: []any{1.0}}, func() frame { return &request{} }},
+		{"response", kindResponse, &response{ID: 1, Vals: []any{1.0}, BodyNs: 5}, func() frame { return &response{} }},
+	} {
+		whole := encoded(t, tc.empty)
+		fields := whole[5 : len(whole)-1] // one member's fields: the frame minus its prefix and its member count of 0
+		join := func(parts ...[]byte) []byte { return rawFrame(tc.kind, bytes.Join(parts, nil)...) }
+		for name, b := range map[string][]byte{
+			"count past the frame":  join(fields, huge),
+			"count without members": join(fields, []byte{3}),
+			"truncated member":      join(fields, []byte{2}, fields, fields[:3]),
+			"member with members":   join(fields, []byte{1}, fields, []byte{1}, fields),
+		} {
+			t.Run(tc.name+"/"+name, func(t *testing.T) {
+				l := &link{maxFrame: maxFrameBytes}
+				l.dec.r = bufio.NewReader(bytes.NewReader(b))
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				_, err := l.recv(tc.fresh())
+				runtime.ReadMemStats(&after)
+				if err == nil {
+					t.Fatal("decoded")
+				}
+				if got := after.TotalAlloc - before.TotalAlloc; got > 1<<16 {
+					t.Fatalf("allocated %d bytes decoding a %d-byte frame", got, len(b))
+				}
+			})
+		}
+		// And the shape the cases above are corruptions of does decode.
+		l := &link{maxFrame: maxFrameBytes}
+		l.dec.r = bufio.NewReader(bytes.NewReader(join(fields, []byte{2}, fields, fields)))
+		if _, err := l.recv(tc.fresh()); err != nil {
+			t.Fatalf("%s: a frame of three well-formed members: %v", tc.name, err)
+		}
 	}
 }
 

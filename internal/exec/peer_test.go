@@ -151,6 +151,86 @@ func TestPeerFetchSingleFlight(t *testing.T) {
 	}
 }
 
+// TestPeerPrefetchOverlaps: a request naming forty values on one holder (an
+// rf_predict and its forty trees) has all forty fetches in flight at once. The
+// holder here answers nothing until it has read every request, so fetching
+// one round trip at a time would stop at the first and time out; the request
+// still counts forty peer fetches and forty insertions, and one failed fetch
+// among forty is still the whole request's Miss, with the others kept.
+func TestPeerPrefetchOverlaps(t *testing.T) {
+	const n, gone = 40, 1000 // task gone is the value the holder no longer has
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	go func() {
+		conn, err := l.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		lk := newLink(conn)
+		var h peerHello
+		if _, err := lk.recv(&h); err != nil {
+			return
+		}
+		for {
+			reqs := make([]peerRequest, n)
+			for i := range reqs {
+				if _, err := lk.recv(&reqs[i]); err != nil {
+					return
+				}
+			}
+			for _, req := range reqs {
+				_, _ = lk.send(&peerResponse{ID: req.ID, OK: req.Ref.Task != gone, Val: []float64{float64(req.Ref.Task)}})
+			}
+		}
+	}()
+
+	plane := &connPlane{cache: newFutureCache(1 << 20), fetcher: newPeerFetcher(3 * time.Second)}
+	defer plane.fetcher.close()
+	resolve := func(first int, missing bool) (miss []ValueRef, stored []StoredRef, rc resolveCounts) {
+		t.Helper()
+		trees := make([]any, n)
+		for i := range trees {
+			trees[i] = PeerRef{Ref: ref(first + i), Addr: l.Addr().String(), Token: "tok"}
+		}
+		if missing {
+			trees[7] = PeerRef{Ref: ref(gone), Addr: l.Addr().String(), Token: "tok"}
+		}
+		start := time.Now()
+		resolved, miss, stored, rc := resolveArgs([]any{1.5, trees}, plane)
+		if el := time.Since(start); el > 2*time.Second {
+			t.Fatalf("resolution took %v: the fetches did not overlap", el)
+		}
+		for i, v := range resolved[1].([]any) {
+			if missing && i == 7 {
+				continue
+			}
+			if f := v.([]float64); f[0] != float64(first+i) {
+				t.Fatalf("tree %d resolved to %v", first+i, f)
+			}
+			if _, ok := plane.cache.get(ref(first + i)); !ok {
+				t.Fatalf("tree %d was fetched and not made resident", first+i)
+			}
+		}
+		return miss, stored, rc
+	}
+
+	miss, stored, rc := resolve(0, false)
+	if len(miss) != 0 || rc.peerFetched != n || len(stored) != n || rc.peerValBytes != n*sizeOfValue([]float64{0}) {
+		t.Fatalf("miss %v, fetched %d (%d bytes), stored %d: want %d fetched and stored, none missed", miss, rc.peerFetched, rc.peerValBytes, len(stored), n)
+	}
+	miss, stored, rc = resolve(n, true)
+	if len(miss) != 1 || miss[0] != ref(gone) || rc.misses != 1 {
+		t.Fatalf("miss = %v (%d counted), want exactly the value the holder lacks", miss, rc.misses)
+	}
+	if rc.peerFetched != n-1 || len(stored) != n-1 {
+		t.Fatalf("fetched %d, stored %d, want %d each: what arrived beside the miss is kept", rc.peerFetched, len(stored), n-1)
+	}
+}
+
 // TestPeerFetchFailureModes: every way a fetch can fail yields an error (the
 // Miss trigger), never a wrong or stale value.
 func TestPeerFetchFailureModes(t *testing.T) {
@@ -283,7 +363,8 @@ func TestPeerWireArgsSelection(t *testing.T) {
 			}
 			r.workers = []*workerConn{w, h}
 
-			out, peerSent := r.buildWireArgs(w, mkReq(), tc.inlineAll)
+			peerSent := map[ValueRef]bool{}
+			out := r.buildWireArgs(w, mkReq(), tc.inlineAll, peerSent)
 			switch tc.wantForm {
 			case "PeerRef":
 				pr, ok := out[0].(PeerRef)
@@ -297,8 +378,8 @@ func TestPeerWireArgsSelection(t *testing.T) {
 				if _, ok := out[0].(RefValue); !ok {
 					t.Fatalf("wire form = %T, want RefValue", out[0])
 				}
-				if len(peerSent) != 0 {
-					t.Fatalf("peerSent = %v, want empty", peerSent)
+				if sent, ok := peerSent[rf]; !ok || sent {
+					t.Fatalf("peerSent = %v, want the ref named as shipped by value", peerSent)
 				}
 			}
 			if got := r.refValueBytes.Load(); got != tc.wantRVB {
@@ -314,7 +395,8 @@ func TestPeerWireArgsSelection(t *testing.T) {
 	h := mkw("w1", wsAlive, "h:1")
 	h.resident[rf] = 40
 	r.workers = []*workerConn{w, h}
-	out, peerSent := r.buildWireArgs(w, mkReq(), false)
+	peerSent := map[ValueRef]bool{}
+	out := r.buildWireArgs(w, mkReq(), false, peerSent)
 	if _, ok := out[0].(ValueRef); !ok || len(peerSent) != 0 {
 		t.Fatalf("resident-on-target wire form = %T (peerSent %v), want bare ValueRef", out[0], peerSent)
 	}

@@ -78,9 +78,11 @@ func (s workerState) String() string {
 // # Slot accounting
 //
 // Every worker advertises a slot count in its handshake (how many task
-// bodies it runs concurrently). ExecuteTask picks an alive worker with a
-// free slot and blocks while every alive worker is saturated, so the
-// in-flight request count per worker never exceeds its slots. This composes
+// bodies it runs concurrently). ExecuteChain — and ExecuteTask, its chain of
+// one — picks an alive worker with a free slot and blocks while every alive
+// worker is saturated, so the in-flight frame count per worker never exceeds
+// its slots; a chain's requests run one after another on the one slot their
+// frame holds. This composes
 // with the runtime's own worker pool, which bounds the number of attempts
 // in flight at all: effective remote parallelism is min(runtime pool,
 // Σ alive worker slots) — and since the runtime re-resolves the fleet's
@@ -114,7 +116,9 @@ func (s workerState) String() string {
 // Dispatched/Completed/Failed partition outcomes exactly: every request
 // written to a connection counts Dispatched once and then exactly one of
 // Completed (a response came back, error or not) or Failed (the connection
-// died first). At quiescence Dispatched == Completed + Failed. Membership
+// died first) — the members of a chain each count, together. At quiescence
+// Dispatched == Completed + Failed. Frames counts the round trips that
+// carried them. Membership
 // changes never break the partition: a drained worker finishes its
 // in-flight requests (they count Completed), a killed or left one fails
 // them (they count Failed).
@@ -143,6 +147,7 @@ type Remote struct {
 
 	nextID                        atomic.Uint64
 	dispatched, completed, failed atomic.Uint64
+	frames                        atomic.Uint64
 	refHits, refMisses            atomic.Uint64
 	missRetries                   atomic.Uint64
 
@@ -201,7 +206,7 @@ type workerConn struct {
 	link *link
 
 	pendMu  sync.Mutex
-	pending map[uint64]chan response
+	pending map[uint64]call
 
 	state    workerState
 	inflight int
@@ -228,6 +233,13 @@ type workerConn struct {
 	// corrects any staleness.
 	resident      map[ValueRef]int64
 	residentBytes int64
+}
+
+// call is one request frame awaiting its response; n is how many requests it
+// carries (what it added to Dispatched, and adds to Failed if it is lost).
+type call struct {
+	ch chan response
+	n  uint64
 }
 
 // WorkerInfo is a point-in-time description of one fleet member.
@@ -258,6 +270,9 @@ type RemoteStats struct {
 	// an error and the runtime decides whether to retry). Dispatched ==
 	// Completed + Failed + in-flight, always.
 	Failed uint64
+	// Frames counts request frames written — round trips; a chain is one
+	// frame, so Dispatched/Frames is the mean chain length.
+	Frames uint64
 
 	// RefHits / RefMisses count worker-side reference resolutions; a high
 	// miss share means residency is being evicted or killed faster than it
@@ -455,7 +470,7 @@ func handshake(conn net.Conn, addr string, timeout time.Duration) (*workerConn, 
 	return &workerConn{
 		addr: addr, pid: h.Pid, slots: slots,
 		link:     l,
-		pending:  map[uint64]chan response{},
+		pending:  map[uint64]call{},
 		resident: map[ValueRef]int64{},
 		joinTok:  h.Token,
 		peerAddr: fixupPeerAddr(h.PeerAddr, addr),
@@ -565,11 +580,11 @@ func (r *Remote) readLoop(w *workerConn) {
 		}
 		w.done.Add(1)
 		w.pendMu.Lock()
-		ch := w.pending[resp.ID]
+		c, ok := w.pending[resp.ID]
 		delete(w.pending, resp.ID)
 		w.pendMu.Unlock()
-		if ch != nil {
-			ch <- resp
+		if ok {
+			c.ch <- resp
 		}
 	}
 }
@@ -577,9 +592,9 @@ func (r *Remote) readLoop(w *workerConn) {
 // failWorker retires w immediately: no further dispatches land on it, its
 // residency is dropped (the cache died with the connection), and every
 // pending request fails with a connection error (which the runtime treats
-// as an attempt failure and may retry elsewhere). Each drained request
-// counts Failed here and is handed a connFailure response so the receive
-// path in executeOn does not also count it Completed — the counters stay a
+// as an attempt failure and may retry elsewhere). Each drained frame counts
+// its requests Failed here and is handed a connFailure response so the
+// receive path in executeOn does not also count them Completed — the counters stay a
 // partition. kind labels the fleet event ("" emits none: Close retires the
 // whole fleet without narrating it).
 func (r *Remote) failWorker(w *workerConn, err error, kind string) {
@@ -599,11 +614,11 @@ func (r *Remote) failWorker(w *workerConn, err error, kind string) {
 
 	w.pendMu.Lock()
 	drained := w.pending
-	w.pending = map[uint64]chan response{}
+	w.pending = map[uint64]call{}
 	w.pendMu.Unlock()
-	for _, ch := range drained {
-		r.failed.Add(1)
-		ch <- response{Err: fmt.Sprintf("worker %s (%s): %v", w.id, w.addr, err), connFailure: true}
+	for _, c := range drained {
+		r.failed.Add(c.n)
+		c.ch <- response{Err: fmt.Sprintf("worker %s (%s): %v", w.id, w.addr, err), connFailure: true}
 	}
 	if kind != "" {
 		r.membershipChanged(kind, w.id, err.Error())
@@ -799,19 +814,34 @@ func (r *Remote) Execute(name string, nOut int, args []any) ([]any, string, erro
 	return r.ExecuteTask(&Request{Name: name, NOut: nOut, Args: args, TaskID: -1})
 }
 
-// ExecuteTask ships one attempt to a worker: choose a worker near the
-// request's data, reserve a slot, send the request (references for
-// resident arguments, values seeding the cache for the rest), await the
-// multiplexed response, and re-send with values inlined if the worker
-// reported unresolvable references. The returned worker id labels the
-// attempt in traces.
+// ExecuteTask ships one attempt to a worker: the chain of one request.
 func (r *Remote) ExecuteTask(req *Request) ([]any, string, error) {
-	useRefs := !r.noRefs && req.Session != 0
+	replies, worker, err := r.ExecuteChain([]*Request{req})
+	if err != nil {
+		return nil, worker, err
+	}
+	return replies[0].Vals, worker, replies[0].Err
+}
+
+// Chains reports whether the reference plane is on: values alone cannot name
+// an output that is not there yet.
+func (r *Remote) Chains() bool { return !r.noRefs }
+
+// ExecuteChain ships reqs as one frame to one worker: choose a worker near
+// the members' data, reserve a slot, send the requests (references for
+// resident arguments, values seeding the cache for the rest), await the one
+// multiplexed response, and re-send the head alone with values inlined if the
+// worker could not resolve one of its references (no follower ran then: each
+// depends on the head). The returned worker id labels the attempts in traces.
+func (r *Remote) ExecuteChain(reqs []*Request) ([]Reply, string, error) {
+	head := reqs[0]
+	useRefs := !r.noRefs && head.Session != 0
 	var refs []ValueRef
 	if useRefs {
-		refs = make([]ValueRef, len(req.ArgRefs))
-		for i, ar := range req.ArgRefs {
-			refs[i] = ar.Ref
+		for _, req := range reqs {
+			for _, ar := range req.ArgRefs {
+				refs = append(refs, ar.Ref)
+			}
 		}
 	}
 	w, err := r.acquire(refs)
@@ -820,65 +850,88 @@ func (r *Remote) ExecuteTask(req *Request) ([]any, string, error) {
 	}
 	defer r.release(w)
 
-	resp, peerSent, err := r.executeOn(w, req, useRefs, false)
+	resp, shipped, err := r.executeOn(w, reqs, useRefs, false)
 	if err != nil {
 		return nil, w.id, err
 	}
+	replies := make([]Reply, len(reqs))
+	resp.each(func(i int, m *response) {
+		for _, ref := range m.Miss {
+			if shipped[ref] {
+				r.peerFallbacks.Add(1)
+			}
+		}
+		replies[i] = replyOf(w, reqs[i], m)
+	})
 	if len(resp.Miss) > 0 {
 		// The worker lacked references the residency map promised (evicted
 		// or raced) or could not pull a PeerRef from its holder (crashed,
 		// drained, timed out); re-send on the same reserved slot with every
 		// value inlined. The inlined form cannot miss.
-		for _, m := range resp.Miss {
-			if peerSent[m] {
-				r.peerFallbacks.Add(1)
-			}
-		}
 		r.missRetries.Add(1)
-		resp, _, err = r.executeOn(w, req, useRefs, true)
+		resp, _, err = r.executeOn(w, reqs[:1], useRefs, true)
 		if err != nil {
 			return nil, w.id, err
 		}
 		if len(resp.Miss) > 0 {
-			return nil, w.id, fmt.Errorf("exec: worker %s reported misses for fully inlined %s", w.id, req.Name)
+			return nil, w.id, fmt.Errorf("exec: worker %s reported misses for fully inlined %s", w.id, head.Name)
 		}
+		replies[0] = replyOf(w, head, &resp)
 	}
-	if resp.Err != "" {
-		return nil, w.id, fmt.Errorf("exec: %s: %s", req.Name, resp.Err)
-	}
-	if len(resp.Vals) != req.NOut {
-		return nil, w.id, fmt.Errorf("exec: worker %s returned %d values for %s, want %d", w.id, len(resp.Vals), req.Name, req.NOut)
-	}
-	return resp.Vals, w.id, nil
+	return replies, w.id, nil
 }
 
-// executeOn performs one wire round trip on an already-reserved worker
-// slot. inlineAll forces every reference to travel as a RefValue (the
-// post-Miss form). The returned set names the refs that traveled as
-// PeerRefs — the caller counts a peer fallback for each one that comes back
-// in a Miss.
-func (r *Remote) executeOn(w *workerConn, req *Request, useRefs, inlineAll bool) (response, map[ValueRef]bool, error) {
-	wireArgs := req.Args
-	var peerSent map[ValueRef]bool
-	store := false
-	if useRefs {
-		wireArgs, peerSent = r.buildWireArgs(w, req, inlineAll)
-		store = req.TaskID >= 0
+// replyOf turns one member's wire reply into its Reply.
+func replyOf(w *workerConn, req *Request, m *response) Reply {
+	rep := Reply{Body: time.Duration(m.BodyNs)}
+	switch {
+	case len(m.Miss) > 0:
+		rep.Err = fmt.Errorf("exec: %s did not run on %s: %d references unresolved", req.Name, w.id, len(m.Miss))
+	case m.Err != "":
+		rep.Err = fmt.Errorf("exec: %s: %s", req.Name, m.Err)
+	case len(m.Vals) != req.NOut:
+		rep.Err = fmt.Errorf("exec: worker %s returned %d values for %s, want %d", w.id, len(m.Vals), req.Name, req.NOut)
+	default:
+		rep.Vals = m.Vals
 	}
+	return rep
+}
 
+// executeOn performs one wire round trip — reqs as one frame — on an
+// already-reserved worker slot. inlineAll forces every reference to travel
+// as a RefValue (the post-Miss form). The returned map is buildWireArgs's
+// shipped: a PeerRef in it that comes back in a Miss is a peer fallback.
+func (r *Remote) executeOn(w *workerConn, reqs []*Request, useRefs, inlineAll bool) (response, map[ValueRef]bool, error) {
+	var shipped map[ValueRef]bool
+	if useRefs {
+		shipped = map[ValueRef]bool{}
+	}
+	wire := func(req *Request) request {
+		m := request{Name: req.Name, NOut: req.NOut, Args: req.Args, Session: req.Session, Task: req.TaskID}
+		if useRefs {
+			m.Args = r.buildWireArgs(w, req, inlineAll, shipped)
+			m.Store = req.TaskID >= 0
+		}
+		return m
+	}
 	id := r.nextID.Add(1)
+	msg := wire(reqs[0])
+	msg.ID = id
+	for _, req := range reqs[1:] {
+		msg.Chain = append(msg.Chain, wire(req))
+	}
+	name, n := reqs[0].Name, uint64(len(reqs))
+
 	ch := make(chan response, 1)
 	w.pendMu.Lock()
-	w.pending[id] = ch
+	w.pending[id] = call{ch: ch, n: n}
 	w.pendMu.Unlock()
 
 	// Dispatched counts every send *attempt* before its outcome is known,
 	// so a failed encode still satisfies Dispatched == Completed + Failed.
-	r.dispatched.Add(1)
-	_, err := w.link.send(&request{
-		ID: id, Name: req.Name, NOut: req.NOut, Args: wireArgs,
-		Session: req.Session, Task: req.TaskID, Store: store,
-	})
+	r.dispatched.Add(n)
+	r.frames.Add(1)
+	_, err := w.link.send(&msg)
 	if err != nil {
 		// An argument with no wire form is refused before a byte is written
 		// and costs only this attempt; any other failed send leaves the
@@ -888,45 +941,50 @@ func (r *Remote) executeOn(w *workerConn, req *Request, useRefs, inlineAll bool)
 		// map before we registered, or it races behind us) and we count the
 		// failure; if the entry is gone, failWorker counted it.
 		if !errors.Is(err, errEncode) {
-			r.failWorker(w, fmt.Errorf("sending %s: %w", req.Name, err), FleetDead)
+			r.failWorker(w, fmt.Errorf("sending %s: %w", name, err), FleetDead)
 		}
 		w.pendMu.Lock()
 		_, mine := w.pending[id]
 		delete(w.pending, id)
 		w.pendMu.Unlock()
 		if mine {
-			r.failed.Add(1)
+			r.failed.Add(n)
 		}
-		return response{}, nil, fmt.Errorf("exec: worker %s (%s): sending %s: %w", w.id, w.addr, req.Name, err)
+		return response{}, nil, fmt.Errorf("exec: worker %s (%s): sending %s: %w", w.id, w.addr, name, err)
 	}
 
 	resp := <-ch
 	if resp.connFailure {
 		// Fabricated by failWorker, already counted Failed; a drained
 		// request is not a completed one.
-		return response{}, nil, fmt.Errorf("exec: %s: %s", req.Name, resp.Err)
+		return response{}, nil, fmt.Errorf("exec: %s: %s", name, resp.Err)
 	}
-	r.completed.Add(1)
+	if len(resp.Chain) != len(msg.Chain) {
+		r.failed.Add(n)
+		// Not an answer to what was asked: the requests are lost with the stream.
+		r.failWorker(w, fmt.Errorf("%d replies to a frame of %d requests", len(resp.Chain)+1, n), FleetDead)
+		return response{}, nil, fmt.Errorf("exec: worker %s (%s): %d replies to %d requests", w.id, w.addr, len(resp.Chain)+1, n)
+	}
+	r.completed.Add(n)
 	r.applyResidency(w, &resp)
-	r.refHits.Add(uint64(resp.RefHits))
-	r.refMisses.Add(uint64(resp.RefMisses))
-	r.peerFetches.Add(uint64(resp.PeerFetched))
-	r.peerValueBytes.Add(resp.PeerValBytes)
 	r.peerBytesSent.Add(resp.PeerSent)
 	r.peerBytesRecv.Add(resp.PeerRecv)
-	if hook := r.cacheHook.Load(); hook != nil && useRefs {
-		task := req.TaskID
-		if !store {
-			task = -1
+	hook := r.cacheHook.Load()
+	resp.each(func(i int, m *response) {
+		r.refHits.Add(uint64(m.RefHits))
+		r.refMisses.Add(uint64(m.RefMisses))
+		r.peerFetches.Add(uint64(m.PeerFetched))
+		r.peerValueBytes.Add(m.PeerValBytes)
+		if hook != nil && useRefs {
+			(*hook)(CacheSample{
+				Worker: w.id, Task: max(reqs[i].TaskID, -1),
+				Hits: m.RefHits, Misses: m.RefMisses,
+				PeerFetches: m.PeerFetched,
+				CacheBytes:  resp.CacheBytes,
+			})
 		}
-		(*hook)(CacheSample{
-			Worker: w.id, Task: task,
-			Hits: resp.RefHits, Misses: resp.RefMisses,
-			PeerFetches: resp.PeerFetched,
-			CacheBytes:  resp.CacheBytes,
-		})
-	}
-	return resp, peerSent, nil
+	})
+	return resp, shipped, nil
 }
 
 // buildWireArgs maps req.Args to their wire form for worker w: an argument
@@ -939,13 +997,15 @@ func (r *Remote) executeOn(w *workerConn, req *Request, useRefs, inlineAll bool)
 // w at a connection that is going away. The input slices are never mutated
 // — the runtime owns req.Args.
 //
-// The returned set names the refs sent as PeerRefs (for fallback
-// accounting). RefValues of already-resident values additionally count into
+// shipped names the refs the frame has shipped so far, true for PeerRefs
+// (for fallback accounting): what an earlier member of the frame carried, a
+// later one names by its bare ValueRef — the worker holds it by then.
+// RefValues of already-resident values additionally count into
 // refValueBytes: payload the coordinator link carried even though a peer
 // held it — the p2p benchmark's offload denominator.
-func (r *Remote) buildWireArgs(w *workerConn, req *Request, inlineAll bool) ([]any, map[ValueRef]bool) {
+func (r *Remote) buildWireArgs(w *workerConn, req *Request, inlineAll bool, shipped map[ValueRef]bool) []any {
 	if len(req.ArgRefs) == 0 {
-		return req.Args, nil
+		return req.Args
 	}
 	type argPlan struct {
 		resident bool   // resident on w: send the bare ValueRef
@@ -957,7 +1017,9 @@ func (r *Remote) buildWireArgs(w *workerConn, req *Request, inlineAll bool) ([]a
 	r.mu.Lock()
 	if !inlineAll && w.state != wsDead {
 		for i, ar := range req.ArgRefs {
-			_, plans[i].resident = w.resident[ar.Ref]
+			if _, plans[i].resident = w.resident[ar.Ref]; !plans[i].resident {
+				_, plans[i].resident = shipped[ar.Ref]
+			}
 		}
 	}
 	usePeers := !r.noPeers && w.peerAddr != "" && w.state != wsDead
@@ -981,7 +1043,6 @@ func (r *Remote) buildWireArgs(w *workerConn, req *Request, inlineAll bool) ([]a
 	}
 	r.mu.Unlock()
 
-	var peerSent map[ValueRef]bool
 	out := append([]any(nil), req.Args...)
 	cloned := map[int]bool{} // []any args copied-on-write for Elem substitution
 	for i, ar := range req.ArgRefs {
@@ -1004,12 +1065,10 @@ func (r *Remote) buildWireArgs(w *workerConn, req *Request, inlineAll bool) ([]a
 			wire = ar.Ref
 		case plans[i].peerAddr != "":
 			wire = PeerRef{Ref: ar.Ref, Addr: plans[i].peerAddr, Token: plans[i].peerTok}
-			if peerSent == nil {
-				peerSent = map[ValueRef]bool{}
-			}
-			peerSent[ar.Ref] = true
+			shipped[ar.Ref] = true
 		default:
 			wire = RefValue{Ref: ar.Ref, Val: val}
+			shipped[ar.Ref] = false
 			if plans[i].warm {
 				r.refValueBytes.Add(sizeOfValue(val))
 			}
@@ -1024,17 +1083,14 @@ func (r *Remote) buildWireArgs(w *workerConn, req *Request, inlineAll bool) ([]a
 			out[ar.Arg].([]any)[ar.Elem] = wire
 		}
 	}
-	return out, peerSent
+	return out
 }
 
-// applyResidency folds one response's Stored/Evicted reports into the
+// applyResidency folds one response frame's Stored/Evicted reports into the
 // coordinator's view of w's cache. Draining members still fold — their
 // in-flight responses are the flush of the piggybacked reports — though the
 // view is dropped wholesale when the drain finishes.
 func (r *Remote) applyResidency(w *workerConn, resp *response) {
-	if len(resp.Stored) == 0 && len(resp.Evicted) == 0 {
-		return
-	}
 	r.mu.Lock()
 	if w.state != wsDead {
 		for _, ev := range resp.Evicted {
@@ -1043,12 +1099,14 @@ func (r *Remote) applyResidency(w *workerConn, resp *response) {
 				w.residentBytes -= n
 			}
 		}
-		for _, st := range resp.Stored {
-			if _, ok := w.resident[st.Ref]; !ok {
-				w.residentBytes += st.Bytes
+		resp.each(func(_ int, m *response) {
+			for _, st := range m.Stored {
+				if _, ok := w.resident[st.Ref]; !ok {
+					w.residentBytes += st.Bytes
+				}
+				w.resident[st.Ref] = st.Bytes
 			}
-			w.resident[st.Ref] = st.Bytes
-		}
+		})
 	}
 	r.mu.Unlock()
 }
@@ -1170,6 +1228,7 @@ func (r *Remote) Stats() RemoteStats {
 		Dispatched:     r.dispatched.Load(),
 		Completed:      r.completed.Load(),
 		Failed:         r.failed.Load(),
+		Frames:         r.frames.Load(),
 		RefHits:        r.refHits.Load(),
 		RefMisses:      r.refMisses.Load(),
 		MissRetries:    r.missRetries.Load(),

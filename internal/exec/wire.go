@@ -10,9 +10,8 @@ import (
 	"sync/atomic"
 )
 
-// The wire format (protocol 5): length-prefixed binary frames over one TCP
-// connection per worker — and one per peer link — multiplexed by request
-// ID.
+// The wire format (protocol 6): length-prefixed binary frames over one TCP
+// connection per worker — and one per peer link — multiplexed by frame ID.
 //
 //	offset  size  field
 //	0       4     length of everything after this field, little-endian; 1 ≤ length ≤ maxFrameBytes
@@ -22,10 +21,13 @@ import (
 //
 // On accept the worker sends a single hello frame advertising its protocol
 // version and slot count; the coordinator then writes request frames and
-// reads response frames, in any interleaving — the worker executes requests
+// reads response frames, in any interleaving — the worker executes frames
 // concurrently (bounded by its slots) and responses return in completion
-// order, not request order. A peer link runs the same way: peerHello, then
-// peerRequest/peerResponse frames.
+// order, not request order. A request frame carries one request or a chain —
+// a head, then requests whose missing inputs earlier members produce — which
+// the worker runs in order on one slot and answers with one response frame
+// holding every member's reply. A peer link runs the same way: peerHello,
+// then peerRequest/peerResponse frames.
 //
 // Each end of a connection is one link: one buffered reader, whose every
 // read is charged against the current frame's length, and one buffered
@@ -44,12 +46,15 @@ import (
 // view: a request naming a reference it cannot resolve (evicted, crashed
 // cache, unreachable holder) is answered with response.Miss and no
 // execution; the coordinator re-sends with every reference inlined, so a
-// stale residency map can cost a round trip but never an answer.
+// stale residency map can cost a round trip but never an answer. A chain
+// rests on the same rule: a follower names an earlier member's output by its
+// bare ValueRef and misses — alone, without running — unless that member ran
+// and its output is still in the cache.
 
 // protoVersion guards against dialing a worker built from an incompatible
 // checkout: both hellos carry it first, and a mismatch is rejected before
 // any task payload is decoded.
-const protoVersion = 5
+const protoVersion = 6
 
 // maxFrameBytes bounds one frame. A length prefix above it fails the
 // connection before anything is read or allocated; below it, every length
@@ -238,9 +243,10 @@ type StoredRef struct {
 	Bytes int64
 }
 
-// request is one coordinator → worker task dispatch.
+// request is one coordinator → worker task dispatch; the head of a frame
+// carries the frame's other requests in Chain.
 type request struct {
-	ID   uint64 // multiplexing key, unique per connection
+	ID   uint64 // multiplexing key, unique per connection (0 on chain members)
 	Name string // registered function name
 	NOut int    // declared output arity (validated worker-side)
 	// Args are the resolved arguments; an element (or an element of a nested
@@ -253,6 +259,9 @@ type request struct {
 	Session uint64
 	Task    int
 	Store   bool
+	// Chain are the requests that follow this one in its frame. Members have
+	// none of their own: the encoding has no place for it.
+	Chain []request
 }
 
 // response is the worker's reply to one request. Err is a string — error
@@ -295,6 +304,12 @@ type response struct {
 	// so summing them coordinator-side yields exact per-link totals.
 	PeerSent int64
 	PeerRecv int64
+	// BodyNs is the time the worker spent on this request alone (resolve,
+	// run, store), in nanoseconds.
+	BodyNs int64
+	// Chain are the replies to request.Chain, in order. Evicted, CacheBytes,
+	// PeerSent and PeerRecv are drained once per frame, onto the head.
+	Chain []response
 
 	// connFailure marks a response fabricated by the coordinator's
 	// failWorker when a connection died — not a reply received from a
@@ -343,6 +358,14 @@ func (d *Decoder) skipRest() {
 func (r *request) kind() byte { return kindRequest }
 
 func (r *request) encode(e *Encoder) {
+	r.encodeOne(e)
+	e.Len(len(r.Chain))
+	for i := range r.Chain {
+		r.Chain[i].encodeOne(e)
+	}
+}
+
+func (r *request) encodeOne(e *Encoder) {
 	e.uvarint(r.ID)
 	e.str(r.Name)
 	e.Int(r.NOut)
@@ -353,6 +376,15 @@ func (r *request) encode(e *Encoder) {
 }
 
 func (r *request) decode(d *Decoder) {
+	r.decodeOne(d)
+	for n := d.Len(7); n > 0 && d.err == nil; n-- { // 7: the smallest member
+		var m request
+		m.decodeOne(d)
+		r.Chain = append(r.Chain, m)
+	}
+}
+
+func (r *request) decodeOne(d *Decoder) {
 	r.ID = d.uvarint()
 	r.Name = d.str()
 	r.NOut = d.Int()
@@ -365,6 +397,14 @@ func (r *request) decode(d *Decoder) {
 func (r *response) kind() byte { return kindResponse }
 
 func (r *response) encode(e *Encoder) {
+	r.encodeOne(e)
+	e.Len(len(r.Chain))
+	for i := range r.Chain {
+		r.Chain[i].encodeOne(e)
+	}
+}
+
+func (r *response) encodeOne(e *Encoder) {
 	e.uvarint(r.ID)
 	e.anys(r.Vals)
 	e.str(r.Err)
@@ -382,9 +422,19 @@ func (r *response) encode(e *Encoder) {
 	e.varint(r.PeerValBytes)
 	e.varint(r.PeerSent)
 	e.varint(r.PeerRecv)
+	e.varint(r.BodyNs)
 }
 
 func (r *response) decode(d *Decoder) {
+	r.decodeOne(d)
+	for n := d.Len(14); n > 0 && d.err == nil; n-- { // 14: the smallest member
+		var m response
+		m.decodeOne(d)
+		r.Chain = append(r.Chain, m)
+	}
+}
+
+func (r *response) decodeOne(d *Decoder) {
 	r.ID = d.uvarint()
 	r.Vals = d.anys()
 	r.Err = d.str()
@@ -403,4 +453,13 @@ func (r *response) decode(d *Decoder) {
 	r.PeerValBytes = d.varint()
 	r.PeerSent = d.varint()
 	r.PeerRecv = d.varint()
+	r.BodyNs = d.varint()
+}
+
+// each calls fn on the head reply and on every chain member's, in order.
+func (r *response) each(fn func(i int, m *response)) {
+	fn(0, r)
+	for i := range r.Chain {
+		fn(i+1, &r.Chain[i])
+	}
 }

@@ -7,6 +7,7 @@ import (
 	"net"
 	"os"
 	"strconv"
+	"sync"
 	"time"
 
 	"taskml/internal/par"
@@ -120,9 +121,10 @@ func (p *connPlane) close() {
 
 // serveCoordinator is the worker side of one coordinator connection, accepted
 // (Serve, empty token) or dialed (JoinCoordinator, the coordinator's join
-// token): send the hello, then read requests, execute them concurrently
-// (bounded by cfg.Slots, each resolved against the connection's private
-// future cache and peer fetcher) and reply in completion order. cfg has its
+// token): send the hello, then read request frames, execute them concurrently
+// (bounded by cfg.Slots; a frame's requests run in order on its one slot,
+// each resolved against the connection's private future cache and peer
+// fetcher) and reply in completion order. cfg has its
 // defaults applied. It closes conn and returns nil when the coordinator
 // closes the connection or sends a frame that does not decode, an error
 // when the hello could not be sent.
@@ -154,6 +156,9 @@ func serveCoordinator(conn net.Conn, token string, cfg WorkerConfig) error {
 		go func() {
 			defer func() { <-sem }()
 			resp := handle(req, plane)
+			for i := range req.Chain {
+				resp.Chain = append(resp.Chain, handle(&req.Chain[i], plane))
+			}
 			// Eviction reports (and peer byte deltas) ride on whichever
 			// response is next; each is drained exactly once, so the
 			// coordinator's sums are exact however responses interleave.
@@ -174,7 +179,7 @@ func serveCoordinator(conn net.Conn, token string, cfg WorkerConfig) error {
 				// An output has no wire form. Nothing was written, so say so
 				// in an error reply — with the bookkeeping intact — rather
 				// than leave the attempt waiting for a response.
-				resp.Vals, resp.Err = nil, fmt.Sprintf("%s: %v", req.Name, err)
+				resp.each(func(_ int, m *response) { m.Vals, m.Err = nil, fmt.Sprintf("%s: %v", req.Name, err) })
 				_, err = l.send(&resp)
 			}
 			if err != nil {
@@ -217,11 +222,12 @@ type resolveCounts struct {
 // resolveArgs walks the request arguments replacing wire references with
 // values: a ValueRef resolves to the resident value itself, a RefValue
 // contributes its decoded value and makes it resident under its identity,
-// and a PeerRef is pulled from the named holder over the peer link — the
-// fetched value becomes resident like a RefValue replica, so the next
-// co-located consumer resolves it locally. Nothing is copied: what comes
-// back may be shared with the cache and must only be read (handle clones
-// the declared exceptions). Nested references inside a []any argument (the
+// and a PeerRef is pulled from the named holder over the peer link (all of
+// a request's pulls at once, see prefetch) — the fetched value becomes
+// resident like a RefValue replica, so the next co-located consumer
+// resolves it locally. Nothing is copied: what comes back may be shared
+// with the cache and must only be read (handle clones the declared
+// exceptions). Nested references inside a []any argument (the
 // wire form of a []*Future parameter) resolve the same way.
 //
 // When any ValueRef misses — or a PeerRef cannot be fetched (holder gone,
@@ -231,6 +237,7 @@ type resolveCounts struct {
 // (and still reported) — the resent request will find them resident.
 func resolveArgs(args []any, plane *connPlane) (resolved []any, miss []ValueRef, stored []StoredRef, rc resolveCounts) {
 	cache := plane.cache
+	fetched := prefetch(args, plane)
 	var resolveOne func(v any) any
 	resolveOne = func(v any) any {
 		switch x := v.(type) {
@@ -255,15 +262,13 @@ func resolveArgs(args []any, plane *connPlane) (resolved []any, miss []ValueRef,
 				rc.hits++
 				return val
 			}
-			if plane.fetcher != nil {
-				if val, err := plane.fetcher.fetch(x.Addr, x.Token, x.Ref); err == nil {
-					rc.peerFetched++
-					rc.peerValBytes += sizeOfValue(val)
-					if n, ok := cache.put(x.Ref, val); ok {
-						stored = append(stored, StoredRef{Ref: x.Ref, Bytes: n})
-					}
-					return val
+			if val, ok := fetched[x.Ref]; ok {
+				rc.peerFetched++
+				rc.peerValBytes += sizeOfValue(val)
+				if n, ok := cache.put(x.Ref, val); ok {
+					stored = append(stored, StoredRef{Ref: x.Ref, Bytes: n})
 				}
+				return val
 			}
 			// Fetch failed (or no fetcher): degrade into an ordinary Miss —
 			// the coordinator re-sends with the value inlined.
@@ -285,6 +290,52 @@ func resolveArgs(args []any, plane *connPlane) (resolved []any, miss []ValueRef,
 		resolved[i] = resolveOne(a)
 	}
 	return resolved, miss, stored, rc
+}
+
+// prefetch pulls every PeerRef among args that is not resident yet, all at
+// once over the holders' multiplexed links: a request naming forty trees
+// waits one round trip, not forty. It returns what arrived; a ref that is
+// absent failed (or there is no fetcher) and resolves as a Miss.
+func prefetch(args []any, plane *connPlane) map[ValueRef]any {
+	if plane.fetcher == nil {
+		return nil
+	}
+	var want []PeerRef
+	var collect func(v any)
+	collect = func(v any) {
+		switch x := v.(type) {
+		case PeerRef:
+			if _, ok := plane.cache.get(x.Ref); !ok {
+				want = append(want, x)
+			}
+		case []any:
+			for _, e := range x {
+				collect(e)
+			}
+		}
+	}
+	collect(args)
+	if len(want) == 0 {
+		return nil
+	}
+	fetched := make(map[ValueRef]any, len(want))
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	fetch := func(x PeerRef) {
+		defer wg.Done()
+		if val, err := plane.fetcher.fetch(x.Addr, x.Token, x.Ref); err == nil {
+			mu.Lock()
+			fetched[x.Ref] = val
+			mu.Unlock()
+		}
+	}
+	wg.Add(len(want))
+	for _, x := range want[1:] {
+		go fetch(x)
+	}
+	fetch(want[0]) // the common case, one reference, spawns nothing
+	wg.Wait()
+	return fetched
 }
 
 // holdsRef reports whether a wire argument is, or contains, a reference
@@ -313,11 +364,13 @@ func holdsRef(v any) bool {
 func handle(req *request, plane *connPlane) (resp response) {
 	cache := plane.cache
 	resp.ID = req.ID
+	start := time.Now()
 	defer func() {
 		if r := recover(); r != nil {
 			resp.Vals = nil
 			resp.Err = fmt.Sprintf("%s: panic: %v", req.Name, r)
 		}
+		resp.BodyNs = int64(time.Since(start))
 	}()
 	args, miss, stored, rc := resolveArgs(req.Args, plane)
 	resp.Stored = stored

@@ -68,18 +68,20 @@ done
 # steals, stolen-task deadline abandonment) only open up under unbalanced
 # load; run the stealing stress tests twice at both GOMAXPROCS extremes so
 # single-threaded interleavings and truly parallel ones are both exercised
-# under the race detector.
-echo "== go test -race -count=2 -cpu=1,8 -run 'TestStealStress|TestStolenDeadline' ./internal/compss/"
-go test -race -count=2 -cpu=1,8 -run 'TestStealStress|TestStolenDeadline' ./internal/compss/
+# under the race detector. Chain dispatch marks tasks from one goroutine that
+# another completes, and hands them back across the same boundary: its tests
+# (fake chain backend, no sockets) ride along.
+echo "== go test -race -count=2 -cpu=1,8 -run 'TestStealStress|TestStolenDeadline|TestChainMembership|TestChainHandBack|TestChainHeadFailure|TestChainEventsAndStats' ./internal/compss/"
+go test -race -count=2 -cpu=1,8 -run 'TestStealStress|TestStolenDeadline|TestChainMembership|TestChainHandBack|TestChainHeadFailure|TestChainEventsAndStats' ./internal/compss/
 
 # internal/core and internal/serve are not in the -count=2 pass above, so
 # the tests there that race membership changes, holder kills and concurrent
 # stream pushes against real worker processes are pinned by name:
-# re-admission and a holder dying under the peer plane must stay
-# bit-identical, and served alarms must match batch edge.Run in-process and
-# across workers.
-echo "== go test -race -count=2 -run 'TestRemoteKillThenRejoinParity|TestRemotePeerKillParity' ./internal/core/"
-go test -race -count=2 -run 'TestRemoteKillThenRejoinParity|TestRemotePeerKillParity' ./internal/core/
+# re-admission, a holder dying under the peer plane and a chain meeting an
+# evicting cache, no cache or a killed worker must stay bit-identical, and
+# served alarms must match batch edge.Run in-process and across workers.
+echo "== go test -race -count=2 -run 'TestRemoteKillThenRejoinParity|TestRemotePeerKillParity|TestRemoteChainParity' ./internal/core/"
+go test -race -count=2 -run 'TestRemoteKillThenRejoinParity|TestRemotePeerKillParity|TestRemoteChainParity' ./internal/core/
 echo "== go test -race -count=2 -run 'TestServe' ./internal/serve/ ./internal/core/"
 go test -race -count=2 -run 'TestServe' ./internal/serve/ ./internal/core/
 
@@ -103,9 +105,11 @@ echo "== go test -run=NONE -bench=Submit -benchtime=100x -benchmem ."
 go test -run=NONE -bench=Submit -benchtime=100x -benchmem .
 # Wire-path smoke, same idea: one matrix through a connection's encoder and
 # decoder must stay at two allocations (the matrix and its data) and at
-# memory speed, and the loopback round trip prints next to them.
-echo "== go test -run=NONE -bench='Wire|RemoteRoundtrip' -benchtime=100x -benchmem ./internal/exec/"
-go test -run=NONE -bench='Wire|RemoteRoundtrip' -benchtime=100x -benchmem ./internal/exec/
+# memory speed, and the loopback round trip prints next to them — alone, and
+# as the eleven-task tree that must ride one frame (frames/op 1; the
+# benchmark fails if the tree's requests do not all arrive).
+echo "== go test -run=NONE -bench='Wire|RemoteRoundtrip|RemoteChainTree' -benchtime=100x -benchmem ./internal/exec/"
+go test -run=NONE -bench='Wire|RemoteRoundtrip|RemoteChainTree' -benchtime=100x -benchmem ./internal/exec/
 # Kernel smoke: the two loops a CV pass spends its time in. EigSym allocates
 # its buffers once per call (7 allocs/op, at most 16 whatever n), and
 # BestSplit its scratch once per call (7 allocs/op), never per candidate
