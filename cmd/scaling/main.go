@@ -564,9 +564,17 @@ func runReduce(rows, cols, brows, reps int, backendMode string, refs, p2p bool) 
 		rec["peer_bytes_recv"] = st.PeerBytesRecv
 		rec["ref_value_bytes"] = st.RefValueBytes
 		rec["peer_value_bytes"] = st.PeerValueBytes
+		rec["held"] = st.Held
+		rec["pulls"] = st.Pulls
+		rec["pull_bytes"] = st.PullBytes
+		rec["recomputed"] = st.Recomputed
 		fmt.Printf("  wire: %d dispatched, %.2f MB sent, %.2f MB recv, cache hit rate %.0f%% (%d misses, %d resends)\n",
 			st.Dispatched, float64(st.BytesSent)/1e6, float64(st.BytesRecv)/1e6,
 			100*hitRate, st.RefMisses, st.MissRetries)
+		if st.Held > 0 {
+			fmt.Printf("  held: %d outputs left on the workers, %d pulls brought %.2f MB home, %d producers recomputed\n",
+				st.Held, st.Pulls, float64(st.PullBytes)/1e6, st.Recomputed)
+		}
 		if st.PeerFetches > 0 || st.PeerFallbacks > 0 {
 			offload := 0.0
 			if tot := st.PeerValueBytes + st.RefValueBytes; tot > 0 {

@@ -121,9 +121,9 @@ func chainable(c *taskState, chain []*taskState) bool {
 func (rt *Runtime) execChain(chain []*taskState, resolved []any) attemptResult {
 	st := chain[0]
 	reqs := make([]*exec.Request, len(chain))
-	reqs[0] = rt.request(st, resolved, nil)
+	reqs[0] = rt.request(st, resolved, nil, false)
 	for i, m := range chain[1:] {
-		reqs[i+1] = rt.request(m, rt.resolveArgs(m.args, chain), chain)
+		reqs[i+1] = rt.request(m, rt.resolveArgs(m.args, chain), chain, false)
 	}
 	sent := time.Now()
 	replies, worker, err := rt.chains.ExecuteChain(reqs)

@@ -1,6 +1,7 @@
 package compss
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -148,6 +149,9 @@ type Runtime struct {
 	// task is ever chained — without a backend that has one, while its
 	// reference plane is off, or on a runtime with a fault plan.
 	chains exec.ChainBackend
+	// holder is the backend's held-results side (held.go); nil when outputs
+	// always come home in the reply.
+	holder exec.Holder
 
 	mu sync.Mutex
 }
@@ -207,6 +211,7 @@ func New(cfg Config) *Runtime {
 	if cb, ok := cfg.Backend.(exec.ChainBackend); ok && cfg.Faults == nil && cb.Chains() {
 		rt.chains = cb
 	}
+	rt.holder, _ = cfg.Backend.(exec.Holder)
 	if len(cfg.Observers) > 0 {
 		obs := make([]Observer, len(cfg.Observers))
 		copy(obs, cfg.Observers)
@@ -299,6 +304,11 @@ type taskState struct {
 	vals     []any
 	err      error
 	degraded bool
+	// last is the attempt that made vals, counted on by reruns of a task whose
+	// held outputs were lost (held.go; chMu serialises them). It sits, like
+	// want below, in what was padding: the arena chunk is at the edge of its
+	// allocation size class.
+	last int32
 
 	// Execution record carried from submit to runReady: the body, its output
 	// arity, the raw argument list (futures unresolved), and the submitting
@@ -333,6 +343,9 @@ type taskState struct {
 	// skipped mid-submit is covered transitively — its submitting parent
 	// is gathered, and a parent's completion waits on its children.
 	reg atomic.Bool
+	// want is set by a Get that waits for the task: its outputs should come
+	// home in the reply instead of staying on the worker (held.go).
+	want atomic.Bool
 
 	val1  [1]any     // backing for vals when nOut == 1
 	fut1  Future     // the single Future when nOut == 1
@@ -774,6 +787,13 @@ func (rt *Runtime) complete(st *taskState, w *worker) {
 func (rt *Runtime) runReady(st *taskState, w *worker, stolen bool) {
 	st.stolen = stolen
 	id, nOut := st.id, st.nOut
+	if st.execName == "" && rt.holder != nil {
+		// A body that runs here reads its arguments here.
+		if err := rt.restore(st.args); err != nil {
+			rt.failDepsCascade(st, err, w)
+			return
+		}
+	}
 	resolved := rt.resolveArgs(st.args, nil)
 	var chain *chainRun
 
@@ -836,6 +856,7 @@ func (rt *Runtime) runReady(st *taskState, w *worker, stolen bool) {
 			} else {
 				st.vals[0] = res.val // single-output fast path (nOut == 1)
 			}
+			st.last = int32(attempt)
 			if bodyDone.IsZero() && rt.obs.Load() != nil {
 				bodyDone = time.Now() // observer attached mid-attempt
 			}
@@ -876,7 +897,8 @@ func (rt *Runtime) runReady(st *taskState, w *worker, stolen bool) {
 // resolveArgs replaces the futures among a ready task's arguments by their
 // values. A future produced by a member of chain (nil outside chain dispatch)
 // has no value yet and becomes the exec.ValueRef its worker will find it
-// under.
+// under; an output a worker holds stays its *exec.Held marker, which a
+// backend task passes on as it is, unless the value is home already.
 func (rt *Runtime) resolveArgs(args []any, chain []*taskState) []any {
 	if len(args) == 0 {
 		return nil
@@ -885,7 +907,13 @@ func (rt *Runtime) resolveArgs(args []any, chain []*taskState) []any {
 		if inChain(chain, f.st) {
 			return exec.ValueRef{Session: rt.execSession, Task: f.st.id, Out: f.idx}
 		}
-		return f.st.vals[f.idx]
+		v := f.st.vals[f.idx]
+		if h, ok := v.(*exec.Held); ok {
+			if home, ok := h.Value(); ok {
+				return home
+			}
+		}
+		return v
 	}
 	resolved := make([]any, len(args))
 	for i, a := range args {
@@ -1069,13 +1097,17 @@ func (rt *Runtime) runAttemptBody(st *taskState, child *TaskCtx, attempt, nOut i
 // holds back (chain.go); alone, it is the ordinary ExecuteTask.
 func (rt *Runtime) execBody(st *taskState, attempt, nOut int, resolved []any) attemptResult {
 	name := st.execName
-	if be := rt.cfg.Backend; be != nil {
+	if rt.cfg.Backend != nil {
 		if attempt == 0 && rt.chains != nil && st.deadline <= 0 {
 			if chain := collectChain(st); len(chain) > 1 {
-				return rt.execChain(chain, resolved)
+				// A lost argument, and nothing was sent: the followers are back
+				// with the scheduler, the head goes alone past the loss.
+				if res := rt.execChain(chain, resolved); !errors.Is(res.err, exec.ErrLost) {
+					return res
+				}
 			}
 		}
-		vals, worker, err := be.ExecuteTask(rt.request(st, resolved, nil))
+		vals, worker, err := rt.dispatch(st, resolved, false)
 		if err != nil {
 			return attemptResult{
 				err:    &TaskError{ID: st.id, Name: st.name, Err: err},
@@ -1116,12 +1148,15 @@ func (rt *Runtime) execBody(st *taskState, attempt, nOut int, resolved []any) at
 	return attemptResult{vals: vals}
 }
 
-// request builds st's backend request from its resolved arguments.
-func (rt *Runtime) request(st *taskState, resolved []any, chain []*taskState) *exec.Request {
+// request builds st's backend request from its resolved arguments. The
+// outputs may stay on the worker unless someone is known to read them here.
+// redo marks the rerun of a task that completed before (held.go).
+func (rt *Runtime) request(st *taskState, resolved []any, chain []*taskState, redo bool) *exec.Request {
 	return &exec.Request{
 		Name: st.execName, NOut: st.nOut, Args: resolved,
 		Session: rt.execSession, TaskID: st.id,
 		ArgRefs: argRefs(st.args, rt.execSession, chain),
+		Hold:    !redo && rt.holder != nil && !st.readHere(), Redo: redo,
 	}
 }
 
@@ -1180,7 +1215,25 @@ func fallbackValues(fb any, nOut int) ([]any, bool) {
 // floor: tasks submitted afterwards in this context will not start, in
 // virtual time, before the synchronised data reached the master process.
 func (tc *TaskCtx) Get(f *Future) (any, error) {
+	tc.wantHere(f)
 	v, err := tc.blockingWait(f)
+	tc.raiseFloor(f)
+	if _, held := v.(*exec.Held); held {
+		vals, err := tc.rt.values([]*Future{f}) // the batch of one
+		return vals[0], err
+	}
+	return v, err
+}
+
+// wantHere tells a task still to run that f will be read on this side.
+func (tc *TaskCtx) wantHere(f *Future) {
+	if tc.rt.holder != nil && !f.st.completed.Load() {
+		f.st.want.Store(true)
+	}
+}
+
+// raiseFloor is the bookkeeping of a synchronisation on f.
+func (tc *TaskCtx) raiseFloor(f *Future) {
 	tc.mu.Lock()
 	tc.materializeFloorLocked()
 	if tc.floor == nil {
@@ -1197,7 +1250,6 @@ func (tc *TaskCtx) Get(f *Future) (any, error) {
 		delete(tc.floor, id)
 	}
 	tc.mu.Unlock()
-	return v, err
 }
 
 // blockingWait waits for a future. Three callers, three strategies:
@@ -1392,15 +1444,18 @@ func (rt *Runtime) errorAbsorbed(st *taskState) bool {
 }
 
 // GetAll resolves a slice of futures with Get semantics and returns the
-// values. It fails on the first error.
+// values. It fails on the first error. Outputs that workers hold come home
+// together once all are there: a round trip a worker, not one a future.
 func (tc *TaskCtx) GetAll(fs []*Future) ([]any, error) {
-	out := make([]any, len(fs))
-	for i, f := range fs {
-		v, err := tc.Get(f)
+	for _, f := range fs {
+		tc.wantHere(f)
+	}
+	for _, f := range fs {
+		_, err := tc.blockingWait(f)
+		tc.raiseFloor(f)
 		if err != nil {
 			return nil, err
 		}
-		out[i] = v
 	}
-	return out, nil
+	return tc.rt.values(fs)
 }

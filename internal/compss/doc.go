@@ -39,7 +39,11 @@
 // task's first attempt carries along every submitted task only it still holds
 // back — up to 16, one round trip for a whole forest tree — and anything
 // that does not come back with values runs the ordinary way (chain.go); the
-// event sequences and failure policies below are unchanged by it.
+// event sequences and failure policies below are unchanged by it. Over a
+// backend that holds results (exec.Holder) an output nobody is known to read
+// here stays on its worker: Get, GetAll and closure bodies pull what they
+// read — a round trip a worker — and a value lost with its holder is rebuilt
+// by running its producer again (held.go; a Retry after the End, no more).
 //
 // # Failure, observation
 //

@@ -1,6 +1,21 @@
 package compss
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
+
+// TestTaskChunkKeepsItsSizeClass: an arena chunk is one allocation of
+// taskChunk taskStates plus the allocator's 8-byte header, and 14336 bytes is
+// a size class; one more word in taskState moves every chunk to the 16384
+// class — 64 bytes a task on the submit path (BenchmarkSubmitNoObserver B/op).
+// A new field goes into padding, or pays for itself.
+func TestTaskChunkKeepsItsSizeClass(t *testing.T) {
+	if got := unsafe.Sizeof([taskChunk]taskState{}) + 8; got > 14336 {
+		t.Fatalf("a chunk of %d taskStates of %d bytes is %d bytes with its header, past the 14336 size class",
+			taskChunk, unsafe.Sizeof(taskState{}), got)
+	}
+}
 
 // TestDequeGrowsPastFirstSize parks far more ready tasks on one worker's
 // deque than a ring starts with and takes them all back through findWork,

@@ -275,7 +275,12 @@ func RunCVReduced(model Model, rt *compss.Runtime, rx *mat.Dense, k int, y []int
 		return report, nil
 	}
 
+	// Every fold is submitted before any is scored: nothing in the estimators
+	// below synchronises, so fold k+1's first tasks overlap fold k's last and
+	// the main program stops once a model, not once a fold. The folds' blocks
+	// are alive together until then.
 	folds := metrics.StratifiedKFold(y, cfg.Folds, cfg.Seed)
+	preds, truths := make([]*dsarray.Array, len(folds)), make([]*dsarray.Array, len(folds))
 	for fi, fold := range folds {
 		xtr, ytr, xte, yte := foldArrays(rt.Main(), rx, y, fold, cfg.BlockRows)
 		var pred *dsarray.Array
@@ -315,7 +320,10 @@ func RunCVReduced(model Model, rt *compss.Runtime, rx *mat.Dense, k int, y []int
 		if err != nil {
 			return nil, fmt.Errorf("core: fold %d predict: %w", fi, err)
 		}
-		conf, err := foldConfusion(pred, yte)
+		preds[fi], truths[fi] = pred, yte
+	}
+	for fi := range folds {
+		conf, err := foldConfusion(preds[fi], truths[fi])
 		if err != nil {
 			return nil, fmt.Errorf("core: fold %d score: %w", fi, err)
 		}

@@ -131,17 +131,23 @@ func (a *Array) RowBlock(i int) *compss.Future {
 }
 
 // Collect synchronises on every block and assembles the full matrix on the
-// master. Like dislib's collect() it is a synchronisation point.
+// master. Like dislib's collect() it is a synchronisation point — one: the
+// blocks are waited for together, so those a worker holds come home in one
+// round trip a worker (compss.TaskCtx.GetAll).
 func (a *Array) Collect() (*mat.Dense, error) {
+	var all []*compss.Future
+	for _, row := range a.blocks {
+		all = append(all, row...)
+	}
+	vals, err := a.tc.GetAll(all)
+	if err != nil {
+		return nil, err
+	}
 	rowParts := make([]*mat.Dense, a.NumRowBlocks())
 	for i := range a.blocks {
 		colParts := make([]*mat.Dense, a.NumColBlocks())
-		for j := range a.blocks[i] {
-			v, err := a.tc.Get(a.blocks[i][j])
-			if err != nil {
-				return nil, err
-			}
-			colParts[j] = v.(*mat.Dense)
+		for j := range colParts {
+			colParts[j] = vals[i*len(colParts)+j].(*mat.Dense)
 		}
 		rowParts[i] = mat.HStack(colParts...)
 	}

@@ -1,6 +1,10 @@
 package exec
 
-import "time"
+import (
+	"errors"
+	"sync"
+	"time"
+)
 
 // Backend executes Opts.Exec-named task attempts on behalf of the compss
 // runtime. One attempt is one ExecuteTask call (or one member of a
@@ -36,6 +40,46 @@ type ChainBackend interface {
 	ExecuteChain(reqs []*Request) (replies []Reply, worker string, err error)
 }
 
+// Holder is a Backend that may leave the outputs of a Request with Hold set
+// where they were made: Vals then has a *Held per output, and Pull brings
+// values home, one round trip a worker however many of hs it holds. ErrLost —
+// from Pull, or from a request that needs a held argument by value — means a
+// value is on no worker any more: its producer has to run again (Redo).
+type Holder interface {
+	Backend
+	Pull(hs []*Held) error
+}
+
+// ErrLost reports a held value that every holder lost, evicted or died with.
+var ErrLost = errors.New("exec: a held value is gone from every worker")
+
+// Held stands in Vals for an output left on its worker, and passes as an
+// argument in its place: the backend turns it into a reference without
+// touching the value. Pulled, or filled from the producer's rerun, it keeps
+// the value. mu is held across a pull, so readers wait for the one transfer.
+type Held struct {
+	Ref   ValueRef
+	Bytes int64 // accounted size, as in StoredRef
+
+	mu   sync.Mutex
+	val  any
+	have bool
+}
+
+// Value returns the value once it is home.
+func (h *Held) Value() (any, bool) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.val, h.have
+}
+
+// Fill brings the value home from a rerun of its producer.
+func (h *Held) Fill(v any) {
+	h.mu.Lock()
+	h.val, h.have = v, true
+	h.mu.Unlock()
+}
+
 // Reply is one chain member's outcome. Err means it failed or never ran (an
 // earlier member failed, a reference it named was gone); Body is the time the
 // worker spent on this member alone.
@@ -68,6 +112,10 @@ type Request struct {
 	// ArgRefs names the task-output provenance of arguments that are
 	// futures. Arguments not covered by an ArgRef are plain values.
 	ArgRefs []ArgRef
+	// Hold allows a Holder to answer with *Held outputs: nobody is known to
+	// read them on this side. Redo marks the rerun of a task whose held
+	// outputs were lost (counted in RemoteStats.Recomputed; never held).
+	Hold, Redo bool
 }
 
 // ArgRef states that one argument (or one element of a []any argument) is

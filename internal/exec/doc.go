@@ -21,7 +21,8 @@
 //     registry to it. Request carries resolved argument values plus optional
 //     identity (Session/TaskID/ArgRefs) for the data plane. ChainBackend adds
 //     ExecuteChain: a ready task and the tasks only it holds back, as one
-//     request frame on one slot, answered by one frame of Replies.
+//     request frame on one slot, answered by one frame of Replies. Holder
+//     adds Pull: outputs left on their workers (*Held) come home when read.
 //   - Dial / SpawnLoopback construct a *Remote coordinator; Serve,
 //     JoinCoordinator and MaybeWorkerMain are the worker side; cmd/worker
 //     wraps them in a standalone binary. Config / Flags / Open are the
@@ -48,36 +49,34 @@
 //
 // # The data plane
 //
-// Values the cluster already holds are not shipped again: each worker
-// connection owns a byte-bounded LRU future cache keyed by
-// ValueRef{Session, Task, Out}, task outputs are stored where they were
-// produced, and the coordinator tracks residency (advisory, folded from
-// Stored/Evicted response reports) to place each task on the worker
-// holding the most bytes of its inputs and to send resident arguments as
-// references instead of values. Resident values are immutable and nothing
-// is copied on the way in or out: outputs are moved into the cache, a hit
-// hands the body the resident value itself, and the single clone on the
-// path goes to a body that declared it overwrites that argument
-// (RegisterInPlace). Types without a known size simply ship by value every
-// time. Staleness is recovered, never trusted: a worker that cannot resolve
-// a reference replies Miss without running the body and the coordinator
-// re-sends once with values inlined — eviction or a crashed cache costs one
-// round trip, not a wrong answer. A chain member names an earlier member's
-// output by bare reference and, when it misses, goes back to the runtime.
+// Values stay where they were made (DESIGN.md, "Who holds a value when").
+// Each worker connection owns a byte-bounded LRU future cache keyed by
+// ValueRef{Session, Task, Out}; a task's outputs are moved into it, and when
+// nobody on the coordinator is known to read them (Request.Hold) the reply
+// carries only their Stored reports: the runtime gets a *Held marker per
+// output, passes it to consumers as it is, and Pull — one frame a holder,
+// answered beside the slots — brings home what is read after all. The
+// coordinator tracks residency (advisory, folded from Stored/Evicted reports)
+// to place a task on the worker holding the most bytes of its inputs and to
+// send each argument in its cheapest form: a ValueRef when the worker holds
+// it, a PeerRef — directions to a holder, pulled over a cached, multiplexed
+// peer link — when another worker does, a RefValue otherwise. Resident values
+// are immutable and nothing is copied on the way in or out; the one clone
+// goes to a body that declared it overwrites an argument (RegisterInPlace).
+// Types without a known size are never cached and ship by value.
 //
-// The peer-to-peer plane sits on top: every worker opens a peer
-// listener (advertised in its hello), and a value resident on some *other*
-// alive worker travels as a PeerRef — directions to the holder — instead of
-// a coordinator-shipped RefValue. The executing worker dials the holder
-// over a cached, multiplexed peer connection and pulls the value straight
-// into its own cache, demoting the coordinator to metadata for inter-worker
-// traffic. Every peer failure (holder crashed, draining, restarted under a
-// stale token, timeout) degrades into the same Miss/resend backstop, so the
-// peer plane changes bytes-on-which-link, never answers. RemoteStats
-// splits the accounting exactly: BytesSent/BytesRecv count only the
-// coordinator links, PeerBytesSent/PeerBytesRecv count only the
-// worker-to-worker links, and RefValueBytes/PeerValueBytes partition
-// inter-task payload by which link carried it.
+// Staleness is recovered, never trusted: a worker that cannot resolve a
+// reference — evicted, a peer holder gone, a chain member's input missing —
+// replies Miss without running the body and the request goes once more with
+// values inlined; a held value no worker has any more is ErrLost and the
+// runtime runs its producer again. A loss costs round trips, never a wrong
+// answer. A member whose hello says it does not cache is offered neither
+// chains nor held outputs, and a NoRefs fleet gets values inline throughout.
+// RemoteStats splits the accounting exactly: BytesSent/BytesRecv count only
+// the coordinator links (pulls included), PeerBytesSent/PeerBytesRecv only the
+// worker-to-worker links, RefValueBytes/PeerValueBytes partition inter-task
+// payload by link, Held/Pulls/PullBytes/Recomputed count what stayed, what
+// came home and what was rebuilt.
 //
 // # Concurrency and ownership
 //

@@ -418,33 +418,51 @@ func theBenchFleet(b *testing.B) *exec.Remote {
 	return benchFleet
 }
 
-// BenchmarkRemoteChainTree runs the forest's tree shape — bootstrap, a split,
-// two splits, four subtrees, three joins: eleven tasks — with no-op bodies
-// through a real runtime and one loopback worker, each tree submitted whole
-// before its first task is ready. What is left is dispatch: µs a task, and
-// how many round trips a tree took (one, when it rides a chain; eleven
-// without).
-func BenchmarkRemoteChainTree(b *testing.B) {
-	r := theBenchFleet(b)
-	rt := compss.New(compss.Config{Backend: r})
+// noopTree submits the forest's tree shape — bootstrap, a split, two splits,
+// four subtrees, three joins: eleven tasks — with no-op bodies, whole, before
+// its first task is ready, and returns the root once the gate is open.
+func noopTree(rt *compss.Runtime) *compss.Future {
 	noop := compss.Opts{Name: "noop", Exec: "test_noop"}
 	split := func(rows *compss.Future) []*compss.Future {
 		return rt.SubmitExecN(compss.Opts{Name: "noop3", Exec: "test_noop3"}, 3, rows)
 	}
+	held := make(chan struct{})
+	gate := rt.Submit(compss.Opts{Name: "gate"}, func(*compss.TaskCtx, []any) (any, error) {
+		<-held
+		return 0.0, nil
+	})
+	root := split(rt.SubmitExec(noop, gate))
+	left, right := split(root[1]), split(root[2])
+	joinL := rt.SubmitExec(noop, left[0], rt.SubmitExec(noop, left[1]), rt.SubmitExec(noop, left[2]))
+	joinR := rt.SubmitExec(noop, right[0], rt.SubmitExec(noop, right[1]), rt.SubmitExec(noop, right[2]))
+	tree := rt.SubmitExec(noop, root[0], joinL, joinR)
+	close(held)
+	return tree
+}
+
+// BenchmarkRemoteChainTree runs noopTree through a real runtime and one
+// loopback worker. What is left is dispatch: µs a task, and how many round
+// trips a tree took (one, when it rides a chain; eleven without). The Get is
+// waiting when the root is dispatched, so the root comes home in the reply.
+func BenchmarkRemoteChainTree(b *testing.B) { benchTree(b, false) }
+
+// BenchmarkRemoteHeldTree is the same tree with nobody waiting: every output
+// is held, the root too, and pulled by a Get after the Barrier. recvB/op is
+// what the coordinator link carried home for a tree.
+func BenchmarkRemoteHeldTree(b *testing.B) { benchTree(b, true) }
+
+func benchTree(b *testing.B, barrierFirst bool) {
+	r := theBenchFleet(b)
+	rt := compss.New(compss.Config{Backend: r})
 	before := r.Stats()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		held := make(chan struct{})
-		gate := rt.Submit(compss.Opts{Name: "gate"}, func(*compss.TaskCtx, []any) (any, error) {
-			<-held
-			return 0.0, nil
-		})
-		root := split(rt.SubmitExec(noop, gate))
-		left, right := split(root[1]), split(root[2])
-		joinL := rt.SubmitExec(noop, left[0], rt.SubmitExec(noop, left[1]), rt.SubmitExec(noop, left[2]))
-		joinR := rt.SubmitExec(noop, right[0], rt.SubmitExec(noop, right[1]), rt.SubmitExec(noop, right[2]))
-		tree := rt.SubmitExec(noop, root[0], joinL, joinR)
-		close(held)
+		tree := noopTree(rt)
+		if barrierFirst {
+			if err := rt.Barrier(); err != nil {
+				b.Fatal(err)
+			}
+		}
 		if _, err := rt.Get(tree); err != nil {
 			b.Fatal(err)
 		}
@@ -454,6 +472,10 @@ func BenchmarkRemoteChainTree(b *testing.B) {
 	if got, want := after.Dispatched-before.Dispatched, uint64(11*b.N); got != want {
 		b.Fatalf("%d requests dispatched, want %d", got, want)
 	}
+	if got := after.Pulls - before.Pulls; barrierFirst && got != uint64(b.N) {
+		b.Fatalf("%d pulls, want one a tree: the root was not held", got)
+	}
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(11*b.N), "us/task")
 	b.ReportMetric(float64(after.Frames-before.Frames)/float64(b.N), "frames/op")
+	b.ReportMetric(float64(after.BytesRecv-before.BytesRecv)/float64(b.N), "recvB/op")
 }

@@ -55,7 +55,7 @@ func HasCodec(v any) bool {
 func SampleFrames(vals []any) [][]byte {
 	ref := ValueRef{Session: 3, Task: 7, Out: 1}
 	frames := []frame{
-		&hello{Proto: protoVersion, Pid: 4242, Slots: 2, Token: "join", PeerAddr: "127.0.0.1:9", PeerToken: "peer"},
+		&hello{Proto: protoVersion, Pid: 4242, Slots: 2, Token: "join", PeerAddr: "127.0.0.1:9", PeerToken: "peer", Caches: true},
 		&request{ID: 9, Name: "rf_split", NOut: 3, Args: vals, Session: 3, Task: 8, Store: true},
 		&request{ID: 10, Name: "anonymous", NOut: 1, Task: -1},
 		&response{ID: 9, Vals: vals, Stored: []StoredRef{{Ref: ref, Bytes: 4096}}, Evicted: []ValueRef{ref},
@@ -72,6 +72,12 @@ func SampleFrames(vals []any) [][]byte {
 			{Miss: []ValueRef{{Session: 3, Task: 20}}, RefMisses: 1, BodyNs: 900},
 			{Vals: vals, Stored: []StoredRef{{Ref: ValueRef{Session: 3, Task: 22}, Bytes: 128}}, RefHits: 2, PeerFetched: 1, PeerValBytes: 512, BodyNs: 31000},
 		}},
+		// A held reply — no values, the Stored report of each output — a pull
+		// for two refs, and its reply: one value, one Miss.
+		&request{ID: 13, Name: "rf_join", NOut: 1, Args: vals, Session: 3, Task: 23, Store: true, Hold: true},
+		&response{ID: 13, Stored: []StoredRef{{Ref: ValueRef{Session: 3, Task: 23}, Bytes: 2048}}, BodyNs: 1200},
+		&pull{ID: 14, Refs: []ValueRef{ref, {Session: 3, Task: 23}}},
+		&response{ID: 14, Vals: []any{vals, nil}, Miss: []ValueRef{{Session: 3, Task: 23}}},
 		&peerHello{Proto: protoVersion, Token: "peer"},
 		&peerRequest{ID: 5, Ref: ref},
 		&peerResponse{ID: 5, OK: true, Val: vals},
@@ -110,6 +116,8 @@ func RecodeFrame(b []byte, maxFrame int) (reencoded []byte, n int, err error) {
 		f = &peerRequest{}
 	case kindPeerResponse:
 		f = &peerResponse{}
+	case kindPull:
+		f = &pull{}
 	default:
 		return nil, 0, fmt.Errorf("unknown frame kind %d", b[4])
 	}

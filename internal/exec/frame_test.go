@@ -12,6 +12,7 @@ import (
 	"io"
 	"net"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -86,6 +87,32 @@ func TestHostileResponseFailsWorker(t *testing.T) {
 				t.Fatalf("Stats = %+v, want the one dispatch counted Failed", st)
 			}
 		})
+	}
+}
+
+// TestProtocolMismatchRefused: a worker of the previous protocol is refused
+// on its hello's first field, before anything else of the frame — whatever
+// that version put there — is decoded, and never becomes a member.
+func TestProtocolMismatchRefused(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	go func() {
+		conn, err := l.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		// Protocol 6's hello had no Caches field; what follows Proto here is
+		// an any-slice claiming 2^63-1 elements, which must not be looked at.
+		_, _ = conn.Write(rawFrame(kindHello, 2*(protoVersion-1), tagAnys, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f))
+		_, _ = io.Copy(io.Discard, conn)
+	}()
+	_, err = Dial(RemoteConfig{Peers: []string{l.Addr().String()}, DialTimeout: 2 * time.Second})
+	if err == nil || !strings.Contains(err.Error(), "speaks protocol 6, want 7") {
+		t.Fatalf("Dial = %v, want the hello refused on its protocol version", err)
 	}
 }
 

@@ -364,7 +364,7 @@ func TestPeerWireArgsSelection(t *testing.T) {
 			r.workers = []*workerConn{w, h}
 
 			peerSent := map[ValueRef]bool{}
-			out := r.buildWireArgs(w, mkReq(), tc.inlineAll, peerSent)
+			out, _ := r.buildWireArgs(w, mkReq(), tc.inlineAll, peerSent)
 			switch tc.wantForm {
 			case "PeerRef":
 				pr, ok := out[0].(PeerRef)
@@ -396,7 +396,7 @@ func TestPeerWireArgsSelection(t *testing.T) {
 	h.resident[rf] = 40
 	r.workers = []*workerConn{w, h}
 	peerSent := map[ValueRef]bool{}
-	out := r.buildWireArgs(w, mkReq(), false, peerSent)
+	out, _ := r.buildWireArgs(w, mkReq(), false, peerSent)
 	if _, ok := out[0].(ValueRef); !ok || len(peerSent) != 0 {
 		t.Fatalf("resident-on-target wire form = %T (peerSent %v), want bare ValueRef", out[0], peerSent)
 	}

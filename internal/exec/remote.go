@@ -1,12 +1,14 @@
 package exec
 
 import (
+	"cmp"
 	crand "crypto/rand"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"net"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -77,51 +79,42 @@ func (s workerState) String() string {
 //
 // # Slot accounting
 //
-// Every worker advertises a slot count in its handshake (how many task
-// bodies it runs concurrently). ExecuteChain — and ExecuteTask, its chain of
-// one — picks an alive worker with a free slot and blocks while every alive
-// worker is saturated, so the in-flight frame count per worker never exceeds
-// its slots; a chain's requests run one after another on the one slot their
-// frame holds. This composes
-// with the runtime's own worker pool, which bounds the number of attempts
-// in flight at all: effective remote parallelism is min(runtime pool,
-// Σ alive worker slots) — and since the runtime re-resolves the fleet's
-// live slot total on every membership change, a joined worker raises
-// effective parallelism mid-run.
+// Every worker advertises a slot count in its hello (how many task bodies it
+// runs concurrently). ExecuteChain — and ExecuteTask, its chain of one — picks
+// an alive worker with a free slot and blocks while all are saturated, so a
+// worker never has more frames in flight than slots; a chain's requests run
+// one after another on their frame's slot, and a pull takes none. The
+// runtime's own pool bounds attempts in flight at all: effective parallelism
+// is min(runtime pool, Σ alive slots), re-resolved on every membership change.
 //
 // # Placement and the data plane
 //
-// Among the free-slot workers, placement prefers the one already holding
-// the most bytes of the request's future-valued arguments in its cache
-// (locality-aware dispatch; ties and the no-data case fall back to
-// least-loaded). Arguments the chosen worker holds travel as ValueRefs;
-// arguments it lacks travel as RefValues, seeding its cache for the next
-// consumer. The coordinator's residency map is advisory — built from the
-// Stored/Evicted reports piggybacked on responses — and a stale entry costs
-// one extra round trip, never a wrong answer: a worker that cannot resolve
-// a reference replies Miss, and the coordinator re-sends the request with
-// every value inlined (see wire.go).
+// Among the free-slot workers, placement prefers the one holding the most
+// bytes of the request's future-valued arguments (ties, and no data: least
+// loaded). Arguments the chosen worker holds travel as ValueRefs, those
+// another worker holds as PeerRefs, the rest as RefValues seeding its cache.
+// Outputs nobody is known to read here stay on their worker (Request.Hold):
+// the reply is a *Held per output, Pull brings values home, and ErrLost says
+// a value is on no worker any more — the runtime reruns its producer. The
+// residency map behind all this is advisory, folded from the Stored/Evicted
+// reports on responses; a stale entry costs a round trip, never an answer: a
+// worker that cannot resolve a reference replies Miss and the request goes
+// again with every value inlined (wire.go).
 //
 // # Failure
 //
-// A connection error (worker crash, network drop) marks the worker dead,
-// fails its in-flight requests, drops its residency (the cache died with
-// the process), and excludes it from further dispatch; the remaining
-// workers absorb re-dispatched retries. Remote never fails a *task* — it
-// fails attempts, and the runtime's OnTaskFailure policy decides what that
-// means.
+// A connection error (crash, network drop, a frame that does not decode)
+// marks the worker dead, fails its in-flight requests, drops its residency
+// (the cache died with it) and excludes it from dispatch. Remote never fails
+// a *task* — it fails attempts, and the runtime's policy decides the rest.
 //
 // # Stats invariant
 //
-// Dispatched/Completed/Failed partition outcomes exactly: every request
-// written to a connection counts Dispatched once and then exactly one of
-// Completed (a response came back, error or not) or Failed (the connection
-// died first) — the members of a chain each count, together. At quiescence
-// Dispatched == Completed + Failed. Frames counts the round trips that
-// carried them. Membership
-// changes never break the partition: a drained worker finishes its
-// in-flight requests (they count Completed), a killed or left one fails
-// them (they count Failed).
+// Every request written to a connection counts Dispatched once and then
+// exactly one of Completed (a response came back, error or not) or Failed
+// (the connection died first) — the members of a chain each count, together,
+// and a pull counts in neither. At quiescence Dispatched == Completed +
+// Failed, across every membership change; Frames counts the round trips.
 type Remote struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -150,6 +143,8 @@ type Remote struct {
 	frames                        atomic.Uint64
 	refHits, refMisses            atomic.Uint64
 	missRetries                   atomic.Uint64
+	held, pulls, recomputed       atomic.Uint64
+	pullBytes                     atomic.Int64
 
 	// Peer-plane counters: fetches/fallbacks count outcomes,
 	// peerBytesSent/Recv are the exact peer-link wire totals folded from
@@ -202,6 +197,9 @@ type workerConn struct {
 	addr  string
 	pid   int
 	slots int
+	// caches is the hello's word that the member has a future cache; one
+	// without is offered neither chains nor held outputs.
+	caches bool
 
 	link *link
 
@@ -235,8 +233,8 @@ type workerConn struct {
 	residentBytes int64
 }
 
-// call is one request frame awaiting its response; n is how many requests it
-// carries (what it added to Dispatched, and adds to Failed if it is lost).
+// call is one frame awaiting its response; n is how many requests it carries
+// (what it added to Dispatched, and adds to Failed if it is lost; 0 for a pull).
 type call struct {
 	ch chan response
 	n  uint64
@@ -282,6 +280,15 @@ type RemoteStats struct {
 	// MissRetries counts requests re-sent with values inlined after a Miss
 	// reply.
 	MissRetries uint64
+	// Held counts outputs left on the worker that produced them instead of
+	// coming home in the reply; Pulls counts pull frames — round trips that
+	// brought some home after all — and PullBytes their payload (accounted
+	// sizes, as ResidentBytes). Recomputed counts producers run again because
+	// no worker had their held output any more.
+	Held       uint64
+	Pulls      uint64
+	PullBytes  uint64
+	Recomputed uint64
 	// BytesSent / BytesRecv are exact wire totals of the *coordinator* links
 	// only — every coordinator↔worker connection's requests, handshakes and
 	// responses. Worker-to-worker traffic never crosses those connections;
@@ -331,6 +338,10 @@ type CacheSample struct {
 	// worker instead of receiving through the coordinator.
 	PeerFetches int
 	CacheBytes  int64 // the worker's cache occupancy after the request
+	// Pulled counts the held values a pull brought home from this worker (a
+	// sample of its own, Task -1); Redo marks the rerun of a lost producer.
+	Pulled int
+	Redo   bool
 }
 
 // SetCacheHook installs fn to receive one CacheSample per worker response
@@ -468,7 +479,7 @@ func handshake(conn net.Conn, addr string, timeout time.Duration) (*workerConn, 
 		slots = 1
 	}
 	return &workerConn{
-		addr: addr, pid: h.Pid, slots: slots,
+		addr: addr, pid: h.Pid, slots: slots, caches: h.Caches,
 		link:     l,
 		pending:  map[uint64]call{},
 		resident: map[ValueRef]int64{},
@@ -611,7 +622,17 @@ func (r *Remote) failWorker(w *workerConn, err error, kind string) {
 	r.cond.Broadcast()
 	r.mu.Unlock()
 	w.link.conn.Close()
+	r.failPending(w, err)
+	if kind != "" {
+		r.membershipChanged(kind, w.id, err.Error())
+	} else {
+		r.notifyWatchers()
+	}
+}
 
+// failPending answers every frame still waiting on w's closed connection with
+// a connFailure and counts its requests Failed.
+func (r *Remote) failPending(w *workerConn, err error) {
 	w.pendMu.Lock()
 	drained := w.pending
 	w.pending = map[uint64]call{}
@@ -619,11 +640,6 @@ func (r *Remote) failWorker(w *workerConn, err error, kind string) {
 	for _, c := range drained {
 		r.failed.Add(c.n)
 		c.ch <- response{Err: fmt.Sprintf("worker %s (%s): %v", w.id, w.addr, err), connFailure: true}
-	}
-	if kind != "" {
-		r.membershipChanged(kind, w.id, err.Error())
-	} else {
-		r.notifyWatchers()
 	}
 }
 
@@ -675,6 +691,7 @@ func (r *Remote) finishDrain(w *workerConn) {
 	r.cond.Broadcast()
 	r.mu.Unlock()
 	w.link.conn.Close()
+	r.failPending(w, w.deadErr) // no request is in flight, but a pull may be
 	if proc != nil {
 		_ = proc.Kill()
 		_, _ = proc.Wait()
@@ -833,6 +850,7 @@ func (r *Remote) Chains() bool { return !r.noRefs }
 // multiplexed response, and re-send the head alone with values inlined if the
 // worker could not resolve one of its references (no follower ran then: each
 // depends on the head). The returned worker id labels the attempts in traces.
+// ErrLost: a held argument had to travel by value and no worker has it.
 func (r *Remote) ExecuteChain(reqs []*Request) ([]Reply, string, error) {
 	head := reqs[0]
 	useRefs := !r.noRefs && head.Session != 0
@@ -849,19 +867,29 @@ func (r *Remote) ExecuteChain(reqs []*Request) ([]Reply, string, error) {
 		return nil, "", err
 	}
 	defer r.release(w)
+	replies := make([]Reply, len(reqs))
+	if !w.caches {
+		// Followers name outputs this member will not keep: not offered.
+		for i := range replies[1:] {
+			replies[i+1].Err = fmt.Errorf("exec: no chains on %s, it does not cache", w.id)
+		}
+		reqs = reqs[:1]
+	}
 
 	resp, shipped, err := r.executeOn(w, reqs, useRefs, false)
 	if err != nil {
 		return nil, w.id, err
 	}
-	replies := make([]Reply, len(reqs))
+	if head.Redo {
+		r.recomputed.Add(1)
+	}
 	resp.each(func(i int, m *response) {
 		for _, ref := range m.Miss {
 			if shipped[ref] {
 				r.peerFallbacks.Add(1)
 			}
 		}
-		replies[i] = replyOf(w, reqs[i], m)
+		replies[i] = r.replyOf(w, reqs[i], m)
 	})
 	if len(resp.Miss) > 0 {
 		// The worker lacked references the residency map promised (evicted
@@ -876,19 +904,39 @@ func (r *Remote) ExecuteChain(reqs []*Request) ([]Reply, string, error) {
 		if len(resp.Miss) > 0 {
 			return nil, w.id, fmt.Errorf("exec: worker %s reported misses for fully inlined %s", w.id, head.Name)
 		}
-		replies[0] = replyOf(w, head, &resp)
+		replies[0] = r.replyOf(w, head, &resp)
 	}
 	return replies, w.id, nil
 }
 
-// replyOf turns one member's wire reply into its Reply.
-func replyOf(w *workerConn, req *Request, m *response) Reply {
+// holds reports whether w may keep req's outputs to itself.
+func (w *workerConn) holds(req *Request) bool {
+	return req.Hold && !req.Redo && w.caches && req.TaskID >= 0
+}
+
+// replyOf turns one member's wire reply into its Reply. A reply without
+// values to a request that allowed it is a held one: a marker per output,
+// sized by its Stored report.
+func (r *Remote) replyOf(w *workerConn, req *Request, m *response) Reply {
 	rep := Reply{Body: time.Duration(m.BodyNs)}
 	switch {
 	case len(m.Miss) > 0:
 		rep.Err = fmt.Errorf("exec: %s did not run on %s: %d references unresolved", req.Name, w.id, len(m.Miss))
 	case m.Err != "":
 		rep.Err = fmt.Errorf("exec: %s: %s", req.Name, m.Err)
+	case len(m.Vals) == 0 && req.NOut > 0 && w.holds(req):
+		hs := make([]Held, req.NOut)
+		rep.Vals = make([]any, req.NOut)
+		for i := range hs {
+			hs[i].Ref = ValueRef{Session: req.Session, Task: req.TaskID, Out: i}
+			for _, st := range m.Stored {
+				if st.Ref == hs[i].Ref {
+					hs[i].Bytes = st.Bytes
+				}
+			}
+			rep.Vals[i] = &hs[i] // not among Stored: held nowhere, lost on first use
+		}
+		r.held.Add(uint64(req.NOut))
 	case len(m.Vals) != req.NOut:
 		rep.Err = fmt.Errorf("exec: worker %s returned %d values for %s, want %d", w.id, len(m.Vals), req.Name, req.NOut)
 	default:
@@ -901,63 +949,32 @@ func replyOf(w *workerConn, req *Request, m *response) Reply {
 // already-reserved worker slot. inlineAll forces every reference to travel
 // as a RefValue (the post-Miss form). The returned map is buildWireArgs's
 // shipped: a PeerRef in it that comes back in a Miss is a peer fallback.
+// Nothing is sent, or counted, when an argument turns out lost (ErrLost).
 func (r *Remote) executeOn(w *workerConn, reqs []*Request, useRefs, inlineAll bool) (response, map[ValueRef]bool, error) {
 	var shipped map[ValueRef]bool
 	if useRefs {
 		shipped = map[ValueRef]bool{}
 	}
-	wire := func(req *Request) request {
+	msgs := make([]request, len(reqs))
+	for i, req := range reqs {
 		m := request{Name: req.Name, NOut: req.NOut, Args: req.Args, Session: req.Session, Task: req.TaskID}
 		if useRefs {
-			m.Args = r.buildWireArgs(w, req, inlineAll, shipped)
-			m.Store = req.TaskID >= 0
+			var err error
+			if m.Args, err = r.buildWireArgs(w, req, inlineAll, shipped); err != nil {
+				return response{}, nil, err
+			}
+			m.Store, m.Hold = req.TaskID >= 0, w.holds(req)
 		}
-		return m
+		msgs[i] = m
 	}
-	id := r.nextID.Add(1)
-	msg := wire(reqs[0])
-	msg.ID = id
-	for _, req := range reqs[1:] {
-		msg.Chain = append(msg.Chain, wire(req))
-	}
+	msg := &msgs[0]
+	msg.ID, msg.Chain = r.nextID.Add(1), msgs[1:]
 	name, n := reqs[0].Name, uint64(len(reqs))
 
-	ch := make(chan response, 1)
-	w.pendMu.Lock()
-	w.pending[id] = call{ch: ch, n: n}
-	w.pendMu.Unlock()
-
-	// Dispatched counts every send *attempt* before its outcome is known,
-	// so a failed encode still satisfies Dispatched == Completed + Failed.
-	r.dispatched.Add(n)
 	r.frames.Add(1)
-	_, err := w.link.send(&msg)
+	resp, err := r.roundTrip(w, msg.ID, msg, n, name)
 	if err != nil {
-		// An argument with no wire form is refused before a byte is written
-		// and costs only this attempt; any other failed send leaves the
-		// stream out of step, so the connection is retired. Whoever removes
-		// the pending entry owns the Failed count: if our delete finds the
-		// entry, failWorker hadn't drained it (it never ran, it swapped the
-		// map before we registered, or it races behind us) and we count the
-		// failure; if the entry is gone, failWorker counted it.
-		if !errors.Is(err, errEncode) {
-			r.failWorker(w, fmt.Errorf("sending %s: %w", name, err), FleetDead)
-		}
-		w.pendMu.Lock()
-		_, mine := w.pending[id]
-		delete(w.pending, id)
-		w.pendMu.Unlock()
-		if mine {
-			r.failed.Add(n)
-		}
-		return response{}, nil, fmt.Errorf("exec: worker %s (%s): sending %s: %w", w.id, w.addr, name, err)
-	}
-
-	resp := <-ch
-	if resp.connFailure {
-		// Fabricated by failWorker, already counted Failed; a drained
-		// request is not a completed one.
-		return response{}, nil, fmt.Errorf("exec: %s: %s", name, resp.Err)
+		return response{}, nil, err
 	}
 	if len(resp.Chain) != len(msg.Chain) {
 		r.failed.Add(n)
@@ -980,11 +997,128 @@ func (r *Remote) executeOn(w *workerConn, reqs []*Request, useRefs, inlineAll bo
 				Worker: w.id, Task: max(reqs[i].TaskID, -1),
 				Hits: m.RefHits, Misses: m.RefMisses,
 				PeerFetches: m.PeerFetched,
-				CacheBytes:  resp.CacheBytes,
+				CacheBytes:  resp.CacheBytes, Redo: reqs[i].Redo,
 			})
 		}
 	})
 	return resp, shipped, nil
+}
+
+// roundTrip writes f — frame id, standing for n requests — to w and waits for
+// the response of that id. Dispatched counts every send *attempt* before its
+// outcome is known, so a failed encode still satisfies Dispatched == Completed
+// + Failed; the caller counts Completed.
+func (r *Remote) roundTrip(w *workerConn, id uint64, f frame, n uint64, name string) (response, error) {
+	ch := make(chan response, 1)
+	w.pendMu.Lock()
+	w.pending[id] = call{ch: ch, n: n}
+	w.pendMu.Unlock()
+	r.dispatched.Add(n)
+	if _, err := w.link.send(f); err != nil {
+		// An argument with no wire form is refused before a byte is written
+		// and costs only this attempt; any other failed send leaves the
+		// stream out of step, so the connection is retired. Whoever removes
+		// the pending entry owns the Failed count: if our delete finds the
+		// entry, failWorker hadn't drained it (it never ran, it swapped the
+		// map before we registered, or it races behind us) and we count the
+		// failure; if the entry is gone, failWorker counted it.
+		if !errors.Is(err, errEncode) {
+			r.failWorker(w, fmt.Errorf("sending %s: %w", name, err), FleetDead)
+		}
+		w.pendMu.Lock()
+		_, mine := w.pending[id]
+		delete(w.pending, id)
+		w.pendMu.Unlock()
+		if mine {
+			r.failed.Add(n)
+		}
+		return response{}, fmt.Errorf("exec: worker %s (%s): sending %s: %w", w.id, w.addr, name, err)
+	}
+	resp := <-ch
+	if resp.connFailure {
+		// Fabricated by failWorker, already counted Failed; a drained
+		// request is not a completed one.
+		return response{}, fmt.Errorf("exec: %s: %s", name, resp.Err)
+	}
+	return resp, nil
+}
+
+// Pull brings the values of hs home and keeps them in their markers: a pull
+// frame to a holder of each, answered from its cache beside the slots, then
+// the next holder for what that one turned out not to have. ErrLost when a
+// value is on no worker any more — the others are home all the same.
+func (r *Remote) Pull(hs []*Held) (err error) {
+	hs = slices.Clone(hs)
+	slices.SortFunc(hs, func(a, b *Held) int {
+		return cmp.Or(cmp.Compare(a.Ref.Session, b.Ref.Session), cmp.Compare(a.Ref.Task, b.Ref.Task), cmp.Compare(a.Ref.Out, b.Ref.Out))
+	})
+	var todo []*Held
+	for _, h := range slices.Compact(hs) {
+		// One order for everyone and each marker once: the locks cannot
+		// cross, and whoever comes second finds the value home.
+		h.mu.Lock()
+		defer h.mu.Unlock()
+		if !h.have {
+			todo = append(todo, h)
+		}
+	}
+	for len(todo) > 0 {
+		byHolder := map[*workerConn][]*Held{} // under nil: on no worker
+		r.mu.Lock()
+		for _, h := range todo {
+			var holder *workerConn
+			for _, w := range r.workers {
+				if _, ok := w.resident[h.Ref]; ok {
+					holder = w
+					break
+				}
+			}
+			byHolder[holder] = append(byHolder[holder], h)
+		}
+		r.mu.Unlock()
+		todo = nil
+		for w, held := range byHolder {
+			if w == nil {
+				err = ErrLost
+			} else {
+				todo = append(todo, r.pullFrom(w, held)...)
+			}
+		}
+	}
+	return err
+}
+
+// pullFrom asks w for hs — locked by the caller — in one frame, fills the ones
+// that came and returns the rest, forgotten from w's residency: a holder is
+// asked once.
+func (r *Remote) pullFrom(w *workerConn, hs []*Held) (missing []*Held) {
+	p := &pull{ID: r.nextID.Add(1), Refs: make([]ValueRef, len(hs))}
+	for i, h := range hs {
+		p.Refs[i] = h.Ref
+	}
+	r.pulls.Add(1)
+	resp, err := r.roundTrip(w, p.ID, p, 0, "pull")
+	if err == nil && len(resp.Vals) != len(hs) {
+		err = fmt.Errorf("%d values to a pull of %d", len(resp.Vals), len(hs))
+		r.failWorker(w, err, FleetDead)
+	}
+	if err != nil {
+		return hs // the connection is gone, and its residency with it
+	}
+	var gone []ValueRef
+	for i, h := range hs {
+		if resp.Vals[i] == nil { // no held value is nil: nil is never cached
+			missing, gone = append(missing, h), append(gone, h.Ref)
+			continue
+		}
+		h.val, h.have = resp.Vals[i], true
+		r.pullBytes.Add(h.Bytes)
+	}
+	r.applyResidency(w, &response{Evicted: gone})
+	if hook := r.cacheHook.Load(); hook != nil {
+		(*hook)(CacheSample{Worker: w.id, Task: -1, Pulled: len(hs) - len(missing)})
+	}
+	return missing
 }
 
 // buildWireArgs maps req.Args to their wire form for worker w: an argument
@@ -1003,9 +1137,13 @@ func (r *Remote) executeOn(w *workerConn, reqs []*Request, useRefs, inlineAll bo
 // RefValues of already-resident values additionally count into
 // refValueBytes: payload the coordinator link carried even though a peer
 // held it — the p2p benchmark's offload denominator.
-func (r *Remote) buildWireArgs(w *workerConn, req *Request, inlineAll bool, shipped map[ValueRef]bool) []any {
+//
+// An argument may be a *Held: as a reference it travels untouched, and the
+// ones that have to travel as values are pulled first, together (ErrLost when
+// one is on no worker any more).
+func (r *Remote) buildWireArgs(w *workerConn, req *Request, inlineAll bool, shipped map[ValueRef]bool) ([]any, error) {
 	if len(req.ArgRefs) == 0 {
-		return req.Args
+		return req.Args, nil
 	}
 	type argPlan struct {
 		resident bool   // resident on w: send the bare ValueRef
@@ -1043,21 +1181,26 @@ func (r *Remote) buildWireArgs(w *workerConn, req *Request, inlineAll bool, ship
 	}
 	r.mu.Unlock()
 
+	var pull []*Held
+	for i, ar := range req.ArgRefs {
+		v, _ := argAt(req.Args, ar)
+		if h, ok := v.(*Held); ok && !plans[i].resident && plans[i].peerAddr == "" {
+			pull = append(pull, h)
+		}
+	}
+	if err := r.Pull(pull); err != nil {
+		return nil, err
+	}
+
 	out := append([]any(nil), req.Args...)
 	cloned := map[int]bool{} // []any args copied-on-write for Elem substitution
 	for i, ar := range req.ArgRefs {
-		if ar.Arg < 0 || ar.Arg >= len(out) {
+		val, ok := argAt(req.Args, ar)
+		if !ok {
 			continue
 		}
-		var val any
-		if ar.Elem < 0 {
-			val = out[ar.Arg]
-		} else {
-			inner, ok := out[ar.Arg].([]any)
-			if !ok || ar.Elem >= len(inner) {
-				continue
-			}
-			val = inner[ar.Elem]
+		if h, ok := val.(*Held); ok {
+			val, _ = h.Value()
 		}
 		var wire any
 		switch {
@@ -1083,7 +1226,21 @@ func (r *Remote) buildWireArgs(w *workerConn, req *Request, inlineAll bool, ship
 			out[ar.Arg].([]any)[ar.Elem] = wire
 		}
 	}
-	return out
+	return out, nil
+}
+
+// argAt returns the argument — or []any element — ar names, if there is one.
+func argAt(args []any, ar ArgRef) (any, bool) {
+	if ar.Arg < 0 || ar.Arg >= len(args) {
+		return nil, false
+	}
+	if ar.Elem < 0 {
+		return args[ar.Arg], true
+	}
+	if inner, ok := args[ar.Arg].([]any); ok && ar.Elem < len(inner) {
+		return inner[ar.Elem], true
+	}
+	return nil, false
 }
 
 // applyResidency folds one response frame's Stored/Evicted reports into the
@@ -1232,6 +1389,10 @@ func (r *Remote) Stats() RemoteStats {
 		RefHits:        r.refHits.Load(),
 		RefMisses:      r.refMisses.Load(),
 		MissRetries:    r.missRetries.Load(),
+		Held:           r.held.Load(),
+		Pulls:          r.pulls.Load(),
+		PullBytes:      uint64(r.pullBytes.Load()),
+		Recomputed:     r.recomputed.Load(),
 		PeerFetches:    r.peerFetches.Load(),
 		PeerFallbacks:  r.peerFallbacks.Load(),
 		PeerBytesSent:  uint64(r.peerBytesSent.Load()),

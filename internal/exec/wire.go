@@ -10,51 +10,45 @@ import (
 	"sync/atomic"
 )
 
-// The wire format (protocol 6): length-prefixed binary frames over one TCP
+// The wire format (protocol 7): length-prefixed binary frames over one TCP
 // connection per worker — and one per peer link — multiplexed by frame ID.
 //
 //	offset  size  field
 //	0       4     length of everything after this field, little-endian; 1 ≤ length ≤ maxFrameBytes
-//	4       1     frame kind (hello, request, response, peerHello, peerRequest, peerResponse)
+//	4       1     frame kind (hello, request, response, peerHello, peerRequest, peerResponse, pull)
 //	5       …     the kind's fields in declaration order: integers as varints,
 //	              strings length-prefixed, Args/Vals/Val as tagged values (codec.go)
 //
-// On accept the worker sends a single hello frame advertising its protocol
-// version and slot count; the coordinator then writes request frames and
-// reads response frames, in any interleaving — the worker executes frames
-// concurrently (bounded by its slots) and responses return in completion
-// order, not request order. A request frame carries one request or a chain —
-// a head, then requests whose missing inputs earlier members produce — which
-// the worker runs in order on one slot and answers with one response frame
-// holding every member's reply. A peer link runs the same way: peerHello,
-// then peerRequest/peerResponse frames.
+// The worker sends one hello; the coordinator then writes request frames and
+// reads response frames in any interleaving — frames run concurrently, bounded
+// by the worker's slots, and are answered in completion order. A request
+// frame carries one request or a chain — a head, then requests whose missing
+// inputs earlier members produce — run in order on one slot and answered by
+// one response frame with every member's reply. A stored request that allows
+// it (Hold) is answered without its outputs when the cache took them all; a
+// pull frame, answered from the cache by a response and beside the slots,
+// brings home the ones the coordinator turns out to read. A peer link runs
+// the same way: peerHello, then peerRequest/peerResponse frames.
 //
-// Each end of a connection is one link: one buffered reader, whose every
-// read is charged against the current frame's length, and one buffered
-// writer under a lock. A frame is sized, then written: the sender walks the
-// message once counting bytes, writes the prefix, and walks it again writing
-// — scalars into the buffer, bulk float data from its backing array to the
-// socket — so no frame is ever staged whole. The receiver decodes bulk data
-// straight into the slice the task body will read. That is the one copy a
-// hop costs.
+// Each end of a connection is one link: one buffered reader, every read
+// charged against the current frame's length, and one buffered writer under a
+// lock. A frame is sized, then written — scalars into the buffer, bulk float
+// data from its backing array to the socket — and decoded straight into the
+// slice the body will read: one copy a hop, no frame staged whole.
 //
-// An argument may travel as a ValueRef — the *identity* of a task output the
-// worker already holds in its future cache — as a RefValue — the value plus
-// its identity, which the worker keeps resident so the next consumer placed
-// there sends only the reference — or as a PeerRef, directions to another
-// worker that holds it. The worker never trusts the coordinator's residency
-// view: a request naming a reference it cannot resolve (evicted, crashed
-// cache, unreachable holder) is answered with response.Miss and no
-// execution; the coordinator re-sends with every reference inlined, so a
-// stale residency map can cost a round trip but never an answer. A chain
-// rests on the same rule: a follower names an earlier member's output by its
-// bare ValueRef and misses — alone, without running — unless that member ran
-// and its output is still in the cache.
+// An argument travels as a ValueRef (the identity of an output the worker
+// holds in its future cache), a RefValue (value plus identity, kept resident
+// for the next consumer) or a PeerRef (directions to a worker that holds it).
+// The worker never trusts the coordinator's residency view: a reference it
+// cannot resolve is answered with response.Miss and no execution, and the
+// coordinator re-sends with every reference inlined — a stale map costs a
+// round trip, never an answer. A chain follower names an earlier member's
+// output by bare ValueRef and misses, alone, unless that output is cached.
 
 // protoVersion guards against dialing a worker built from an incompatible
 // checkout: both hellos carry it first, and a mismatch is rejected before
 // any task payload is decoded.
-const protoVersion = 6
+const protoVersion = 7
 
 // maxFrameBytes bounds one frame. A length prefix above it fails the
 // connection before anything is read or allocated; below it, every length
@@ -69,6 +63,7 @@ const (
 	kindPeerHello
 	kindPeerRequest
 	kindPeerResponse
+	kindPull
 )
 
 // frame is one message of the protocol: it knows its kind byte and how to
@@ -144,29 +139,41 @@ func (l *link) send(f frame) (int64, error) {
 // error — a prefix out of bounds, the wrong kind, a value that overruns or
 // underruns its frame — leaves the stream unusable.
 func (l *link) recv(f frame) (int64, error) {
+	_, n, err := l.recvAny(f)
+	return n, err
+}
+
+// recvAny is recv for a reader that takes more than one kind of frame: the
+// next frame goes into the one of fs that has its kind, whose index is
+// returned.
+func (l *link) recvAny(fs ...frame) (int, int64, error) {
 	d := &l.dec
 	head := d.buf[:5]
 	if _, err := io.ReadFull(d.r, head); err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	n, kind := binary.LittleEndian.Uint32(head), head[4]
 	if n < 1 || int64(n) > int64(l.maxFrame) {
-		return 0, fmt.Errorf("exec: frame length %d outside [1, %d]", n, l.maxFrame)
+		return 0, 0, fmt.Errorf("exec: frame length %d outside [1, %d]", n, l.maxFrame)
 	}
-	if kind != f.kind() {
-		return 0, fmt.Errorf("exec: frame kind %d, want %d", kind, f.kind())
+	which := 0
+	for which < len(fs) && fs[which].kind() != kind {
+		which++
+	}
+	if which == len(fs) {
+		return 0, 0, fmt.Errorf("exec: frame kind %d, want %d", kind, fs[0].kind())
 	}
 	d.rem, d.depth, d.err = int(n)-1, 0, nil
-	f.decode(d)
+	fs[which].decode(d)
 	if d.err != nil {
-		return 0, fmt.Errorf("exec: decoding frame kind %d: %w", kind, d.err)
+		return 0, 0, fmt.Errorf("exec: decoding frame kind %d: %w", kind, d.err)
 	}
 	if d.rem != 0 {
-		return 0, fmt.Errorf("exec: frame kind %d has %d trailing bytes", kind, d.rem)
+		return 0, 0, fmt.Errorf("exec: frame kind %d has %d trailing bytes", kind, d.rem)
 	}
 	total := int64(n) + 4
 	l.recvd.Add(total)
-	return total, nil
+	return which, total, nil
 }
 
 // hello is the worker → coordinator handshake frame. The worker always
@@ -198,6 +205,9 @@ type hello struct {
 	// never be served stale data — they fail token lookup and fall back to
 	// the coordinator Miss/resend path.
 	PeerToken string
+	// Caches says the connection has a future cache. A member without one is
+	// offered neither chains nor held outputs: both would come back as Misses.
+	Caches bool
 }
 
 // ValueRef names one output of a task executed earlier: (session, task,
@@ -259,16 +269,42 @@ type request struct {
 	Session uint64
 	Task    int
 	Store   bool
+	// Hold lets the worker keep the outputs of a stored request to itself:
+	// when its cache took every one, the reply carries their Stored reports
+	// and no Vals. Unset when someone on the coordinator is known to read them.
+	Hold bool
 	// Chain are the requests that follow this one in its frame. Members have
 	// none of their own: the encoding has no place for it.
 	Chain []request
+}
+
+// pull asks a worker for values its cache holds. The reply is a response:
+// Vals in the order of Refs, Miss naming the ones that are not there (their
+// Vals are nil). It is answered beside the slots, not through them.
+type pull struct {
+	ID   uint64
+	Refs []ValueRef
+}
+
+func (p *pull) kind() byte { return kindPull }
+
+func (p *pull) encode(e *Encoder) {
+	e.uvarint(p.ID)
+	e.refs(p.Refs)
+}
+
+func (p *pull) decode(d *Decoder) {
+	p.ID = d.uvarint()
+	p.Refs = d.refs()
 }
 
 // response is the worker's reply to one request. Err is a string — error
 // values have no wire form — and is re-wrapped by the coordinator; the task-level
 // typed error (compss.TaskError) is applied by the runtime on top.
 type response struct {
-	ID   uint64
+	ID uint64
+	// Vals are the outputs; none, with no Err and no Miss, when the request
+	// allowed the worker to hold them and Stored reports every one.
 	Vals []any
 	Err  string
 
@@ -328,6 +364,7 @@ func (h *hello) encode(e *Encoder) {
 	e.str(h.Token)
 	e.str(h.PeerAddr)
 	e.str(h.PeerToken)
+	e.Bool(h.Caches)
 }
 
 // decode stops after a foreign Proto: the rest of the frame is whatever
@@ -342,6 +379,7 @@ func (h *hello) decode(d *Decoder) {
 	h.Token = d.str()
 	h.PeerAddr = d.str()
 	h.PeerToken = d.str()
+	h.Caches = d.Bool()
 }
 
 // skipRest discards what is left of the current frame.
@@ -372,12 +410,13 @@ func (r *request) encodeOne(e *Encoder) {
 	e.uvarint(r.Session)
 	e.Int(r.Task)
 	e.Bool(r.Store)
+	e.Bool(r.Hold)
 	e.anys(r.Args)
 }
 
 func (r *request) decode(d *Decoder) {
 	r.decodeOne(d)
-	for n := d.Len(7); n > 0 && d.err == nil; n-- { // 7: the smallest member
+	for n := d.Len(8); n > 0 && d.err == nil; n-- { // 8: the smallest member
 		var m request
 		m.decodeOne(d)
 		r.Chain = append(r.Chain, m)
@@ -391,6 +430,7 @@ func (r *request) decodeOne(d *Decoder) {
 	r.Session = d.uvarint()
 	r.Task = d.Int()
 	r.Store = d.Bool()
+	r.Hold = d.Bool()
 	r.Args = d.anys()
 }
 

@@ -139,18 +139,23 @@ func serveCoordinator(conn net.Conn, token string, cfg WorkerConfig) error {
 	defer plane.close()
 	l := newLink(conn)
 	h := &hello{Proto: protoVersion, Pid: os.Getpid(), Slots: cfg.Slots, Token: token,
-		PeerAddr: plane.peerAddr, PeerToken: plane.peerTok}
+		PeerAddr: plane.peerAddr, PeerToken: plane.peerTok, Caches: cfg.CacheBytes > 0}
 	if _, err := l.send(h); err != nil {
 		return err
 	}
 	sem := make(chan struct{}, cfg.Slots)
 	for {
-		req := new(request)
-		if _, err := l.recv(req); err != nil {
+		req, pl := new(request), new(pull)
+		which, _, err := l.recvAny(req, pl)
+		if err != nil {
 			if err != io.EOF {
 				fmt.Fprintf(cfg.Log, "worker: connection closed: %v\n", err)
 			}
 			return nil
+		}
+		if which == 1 {
+			go answerPull(l, pl, plane.cache) // beside the slots: a pull never waits for a body
+			continue
 		}
 		sem <- struct{}{}
 		go func() {
@@ -186,6 +191,23 @@ func serveCoordinator(conn net.Conn, token string, cfg WorkerConfig) error {
 				fmt.Fprintf(cfg.Log, "worker: replying to %s (req %d): %v\n", req.Name, req.ID, err)
 			}
 		}()
+	}
+}
+
+// answerPull replies to p with what the cache holds of its refs. Nothing but
+// values and misses rides on the reply: eviction reports and byte deltas wait
+// for the next task response.
+func answerPull(l *link, p *pull, cache *futureCache) {
+	resp := response{ID: p.ID, Vals: make([]any, len(p.Refs))}
+	for i, ref := range p.Refs {
+		var ok bool
+		if resp.Vals[i], ok = cache.get(ref); !ok {
+			resp.Miss = append(resp.Miss, ref)
+		}
+	}
+	if _, err := l.send(&resp); errors.Is(err, errEncode) {
+		// A held output with no wire form: as good as gone, its rerun says why.
+		_, _ = l.send(&response{ID: p.ID, Vals: make([]any, len(p.Refs)), Miss: p.Refs})
 	}
 }
 
@@ -360,7 +382,8 @@ func holdsRef(v any) bool {
 // against the connection's future cache (and peer fetcher) first; an
 // unresolvable reference turns the request into a Miss reply without
 // running the body. The outputs are moved into the cache, not copied: the
-// body is done with them and everyone after it only reads.
+// body is done with them and everyone after it only reads — and kept from
+// the reply altogether when the request allows it (Hold) and all went in.
 func handle(req *request, plane *connPlane) (resp response) {
 	cache := plane.cache
 	resp.ID = req.ID
@@ -401,15 +424,19 @@ func handle(req *request, plane *connPlane) (resp response) {
 		resp.Err = err.Error()
 		return resp
 	}
+	kept := 0
 	if req.Store {
 		for i, v := range vals {
 			ref := ValueRef{Session: req.Session, Task: req.Task, Out: i}
 			if n, ok := cache.put(ref, v); ok {
 				resp.Stored = append(resp.Stored, StoredRef{Ref: ref, Bytes: n})
+				kept++
 			}
 		}
 	}
-	resp.Vals = vals
+	if !req.Hold || kept < len(vals) {
+		resp.Vals = vals // else they stay here, every one, until someone pulls
+	}
 	return resp
 }
 

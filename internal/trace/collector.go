@@ -368,6 +368,7 @@ func renderEvents(t *Trace, origin time.Time, events []compss.Event) {
 	// Instant markers and counter samples from the raw stream, stamped with
 	// the same monotonic-clamped timestamps as the slices they refer to.
 	ready, busy := 0, 0
+	ended := map[int]bool{}
 	counter := func(ts float64, task int, name string, v int) sortable {
 		return sortable{ord: 2, task: task, ev: TraceEvent{
 			Name: name, Cat: "runtime", Ph: "C", Ts: ts, Pid: pid,
@@ -393,6 +394,12 @@ func renderEvents(t *Trace, origin time.Time, events []compss.Event) {
 			ready++
 			out = append(out, counter(ts, ev.Task, "ready", ready))
 		case compss.EventRetry:
+			if ended[ev.Task] {
+				// After its End a task's Retry is a rerun from lineage (a held
+				// output was lost): it queues nowhere, no Start follows, and the
+				// worker's cache lane carries its "recompute" instant.
+				continue
+			}
 			ready++
 			out = append(out, counter(ts, ev.Task, "ready", ready))
 			out = append(out, instant(ts, ev, "retry", laneOf[attemptKey{ev.Task, ev.Attempt - 1}]))
@@ -402,6 +409,7 @@ func renderEvents(t *Trace, origin time.Time, events []compss.Event) {
 			out = append(out, counter(ts, ev.Task, "ready", ready), counter(ts, ev.Task, "workers", busy))
 		case compss.EventEnd:
 			busy--
+			ended[ev.Task] = true
 			out = append(out, counter(ts, ev.Task, "workers", busy))
 		case compss.EventFailure:
 			if ev.Attempt < 0 {
@@ -448,8 +456,8 @@ func renderEvents(t *Trace, origin time.Time, events []compss.Event) {
 // lanes, the fleet lane, and their counters.
 const cachePid = 1
 
-// renderCacheRows emits the per-worker cache hit/miss and peer-fetch
-// instant rows and the multi-series "resident bytes" counter, all on the
+// renderCacheRows emits the per-worker cache hit/miss, peer-fetch, pull and
+// recompute instant rows and the multi-series "resident bytes" counter, all on the
 // same clock as the task slices; it returns the number of lanes it used
 // (the fleet lane starts after them).
 func renderCacheRows(t *Trace, origin time.Time, samples []CacheSample) int {
@@ -478,6 +486,19 @@ func renderCacheRows(t *Trace, origin time.Time, samples []CacheSample) int {
 			ts = 0
 		}
 		lane := laneOf[s.Worker]
+		if s.Pulled > 0 || s.Redo {
+			name, args := "pull", map[string]any{"values": s.Pulled}
+			if s.Redo {
+				name, args = "recompute", map[string]any{"task": s.Task}
+			}
+			t.Add(TraceEvent{
+				Name: name, Cat: "cache", Ph: "i", Ts: ts,
+				Pid: cachePid, Tid: lane, Scope: "t", Args: args,
+			})
+			if s.Pulled > 0 {
+				continue // a pull reports no occupancy
+			}
+		}
 		if s.Hits > 0 || s.Misses > 0 {
 			name := "cache hit"
 			if s.Misses > 0 {

@@ -77,11 +77,13 @@ go test -race -count=2 -cpu=1,8 -run 'TestStealStress|TestStolenDeadline|TestCha
 # internal/core and internal/serve are not in the -count=2 pass above, so
 # the tests there that race membership changes, holder kills and concurrent
 # stream pushes against real worker processes are pinned by name:
-# re-admission, a holder dying under the peer plane and a chain meeting an
-# evicting cache, no cache or a killed worker must stay bit-identical, and
-# served alarms must match batch edge.Run in-process and across workers.
-echo "== go test -race -count=2 -run 'TestRemoteKillThenRejoinParity|TestRemotePeerKillParity|TestRemoteChainParity' ./internal/core/"
-go test -race -count=2 -run 'TestRemoteKillThenRejoinParity|TestRemotePeerKillParity|TestRemoteChainParity' ./internal/core/
+# re-admission, a holder dying under the peer plane, a chain meeting an
+# evicting cache, no cache or a killed worker, and held outputs lost with
+# their only holder or to a 1 MB cache (rebuilt from lineage) must stay
+# bit-identical, and served alarms must match batch edge.Run in-process and
+# across workers.
+echo "== go test -race -count=2 -run 'TestRemoteKillThenRejoinParity|TestRemotePeerKillParity|TestRemoteChainParity|TestRemoteLineageParity' ./internal/core/"
+go test -race -count=2 -run 'TestRemoteKillThenRejoinParity|TestRemotePeerKillParity|TestRemoteChainParity|TestRemoteLineageParity' ./internal/core/
 echo "== go test -race -count=2 -run 'TestServe' ./internal/serve/ ./internal/core/"
 go test -race -count=2 -run 'TestServe' ./internal/serve/ ./internal/core/
 
@@ -107,9 +109,11 @@ go test -run=NONE -bench=Submit -benchtime=100x -benchmem .
 # decoder must stay at two allocations (the matrix and its data) and at
 # memory speed, and the loopback round trip prints next to them — alone, and
 # as the eleven-task tree that must ride one frame (frames/op 1; the
-# benchmark fails if the tree's requests do not all arrive).
-echo "== go test -run=NONE -bench='Wire|RemoteRoundtrip|RemoteChainTree' -benchtime=100x -benchmem ./internal/exec/"
-go test -run=NONE -bench='Wire|RemoteRoundtrip|RemoteChainTree' -benchtime=100x -benchmem ./internal/exec/
+# benchmark fails if the tree's requests do not all arrive), with the root
+# awaited and with every output held and the root pulled (recvB/op is what
+# came home: a few hundred bytes of reports either way, not the values).
+echo "== go test -run=NONE -bench='Wire|RemoteRoundtrip|RemoteChainTree|RemoteHeldTree' -benchtime=100x -benchmem ./internal/exec/"
+go test -run=NONE -bench='Wire|RemoteRoundtrip|RemoteChainTree|RemoteHeldTree' -benchtime=100x -benchmem ./internal/exec/
 # Kernel smoke: the two loops a CV pass spends its time in. EigSym allocates
 # its buffers once per call (7 allocs/op, at most 16 whatever n), and
 # BestSplit its scratch once per call (7 allocs/op), never per candidate
