@@ -33,12 +33,10 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"taskml/internal/cluster"
 	"taskml/internal/compss"
@@ -173,7 +171,7 @@ func withFaults(cfg core.PipelineConfig) core.PipelineConfig {
 
 func main() {
 	exec.MaybeWorkerMain() // loopback re-exec hook: serve tasks instead when spawned as a worker
-	exp := flag.String("exp", "csvm", "experiment: csvm | knn | rf | cnn | pca | reduce")
+	exp := flag.String("exp", "csvm", "experiment: csvm | knn | rf | cnn | pca")
 	samples := flag.Int("samples", 1200, "dataset rows (after balancing)")
 	seed := flag.Int64("seed", 1, "experiment seed")
 	flag.IntVar(&ft.every, "faults", 0, "inject a first-attempt failure into every Nth task of the model workflow (0 disables)")
@@ -182,9 +180,6 @@ func main() {
 	flag.StringVar(&traceOut, "trace", "", "write Chrome traces: the real run to this file, the last replayed schedule to <name>.replay.json")
 	var ecfg exec.Config
 	ecfg.Flags(flag.CommandLine)
-	features := flag.Int("features", 256, "feature columns for -exp reduce")
-	brows := flag.Int("reduce-block-rows", 300, "row-block size for -exp reduce")
-	reps := flag.Int("reduce-reps", 3, "measured repetitions for -exp reduce (best wall time wins)")
 	flag.Parse()
 	if traceOut != "" {
 		collector = trace.NewCollector()
@@ -203,12 +198,6 @@ func main() {
 	if r, ok := backend.(*exec.Remote); ok && collector != nil {
 		r.SetCacheHook(collector.AddCacheSample)
 		r.SetFleetHook(collector.AddFleetEvent)
-	}
-
-	if *exp == "reduce" {
-		runReduce(*samples, *features, *brows, *reps, ecfg.Backend, ecfg.Refs, ecfg.P2P && ecfg.Refs)
-		writeRunTrace()
-		return
 	}
 
 	fmt.Printf("generating dataset (%d rows)...\n", *samples)
@@ -461,134 +450,6 @@ func runPCA(ds *core.Dataset) {
 	}
 	sweepTable("PCA stage (the paper's ≈850 s constant, excluded from its per-model plots)",
 		rt.Graph().Scaled(PCACostScale, BytesScale), configs)
-}
-
-// runReduce is the data-plane benchmark behind `-exp reduce`: a Gram-matrix
-// reduction tree (one gram_block task per row block, then pairwise mat_add
-// merges) executed for real on the selected backend. The reduction re-uses
-// every merge output exactly once at the next tree level, so with
-// `-backend=remote` it measures precisely what the worker future cache and
-// locality-aware placement buy: with refs each merge input stays resident
-// on the worker that produced it, with `-exec-refs=false` every level
-// re-ships full matrices both ways.
-//
-// Besides the human-readable table it prints one machine-readable line
-//
-//	REDUCEBENCH {"backend":...,"refs":...,"wall_ms_best":...,...}
-//
-// which scripts/bench.sh folds into its BENCH JSON output (values-vs-refs
-// wall clock, bytes on wire, cache hit rate — and, for autoscaled runs,
-// peak fleet size).
-func runReduce(rows, cols, brows, reps int, backendMode string, refs, p2p bool) {
-	if rows < 2 || cols < 1 || brows < 1 || reps < 1 {
-		fatal(fmt.Errorf("reduce: need rows ≥ 2, cols ≥ 1, block rows ≥ 1, reps ≥ 1"))
-	}
-	// Everything below executes through a task runtime; hand the cores to
-	// the worker pool (see the internal/par oversubscription contract).
-	par.SetLimit(1)
-
-	// Deterministic fill (SplitMix64-style): the same input matrix for every
-	// backend mode, so checksums are comparable across invocations.
-	x := mat.New(rows, cols)
-	var s uint64 = 0x9e3779b97f4a7c15
-	for i := range x.Data {
-		s += 0x9e3779b97f4a7c15
-		z := s
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		z ^= z >> 31
-		x.Data[i] = float64(z>>11)/float64(1<<53) - 0.5
-	}
-
-	remote, _ := backend.(*exec.Remote)
-	nBlocks := (rows + brows - 1) / brows
-	fmt.Printf("=== reduce — %d×%d Gram reduction, %d row blocks, backend=%s refs=%v p2p=%v\n",
-		rows, cols, nBlocks, backendMode, refs, p2p)
-
-	best := 0.0
-	var checksum float64
-	tasks := 0
-	for rep := 0; rep < reps; rep++ {
-		rt := compss.New(compss.Config{Observers: observers(), Backend: backend})
-		start := time.Now()
-		xa := dsarray.FromMatrix(rt.Main(), x, brows, cols)
-		v, err := rt.Get(xa.Gram())
-		if err != nil {
-			fatal(err)
-		}
-		if err := rt.Barrier(); err != nil {
-			fatal(err)
-		}
-		wall := float64(time.Since(start).Nanoseconds()) / 1e6
-		sum := 0.0
-		for _, e := range v.(*mat.Dense).Data {
-			sum += e
-		}
-		if rep == 0 {
-			checksum = sum
-		} else if sum != checksum {
-			fatal(fmt.Errorf("reduce: rep %d checksum %x differs from rep 0 %x (not bit-identical)", rep, sum, checksum))
-		}
-		if best == 0 || wall < best {
-			best = wall
-		}
-		tasks = rt.Graph().Len()
-		fmt.Printf("  rep %d: %10.2f ms (%d tasks)\n", rep, wall, tasks)
-	}
-
-	rec := map[string]any{
-		"backend": backendMode, "refs": refs, "p2p": p2p,
-		"rows": rows, "cols": cols, "block_rows": brows, "reps": reps,
-		"wall_ms_best": best, "tasks": tasks,
-		"checksum": fmt.Sprintf("%x", checksum),
-	}
-	if remote != nil {
-		st := remote.Stats()
-		rec["dispatched"] = st.Dispatched
-		rec["bytes_sent"] = st.BytesSent
-		rec["bytes_recv"] = st.BytesRecv
-		rec["ref_hits"] = st.RefHits
-		rec["ref_misses"] = st.RefMisses
-		rec["miss_retries"] = st.MissRetries
-		hitRate := 0.0
-		if st.RefHits+st.RefMisses > 0 {
-			hitRate = float64(st.RefHits) / float64(st.RefHits+st.RefMisses)
-		}
-		rec["cache_hit_rate"] = hitRate
-		rec["peak_workers"] = st.PeakWorkers
-		rec["joined"] = st.Joined
-		rec["left"] = st.Left
-		rec["peer_fetches"] = st.PeerFetches
-		rec["peer_fallbacks"] = st.PeerFallbacks
-		rec["peer_bytes_sent"] = st.PeerBytesSent
-		rec["peer_bytes_recv"] = st.PeerBytesRecv
-		rec["ref_value_bytes"] = st.RefValueBytes
-		rec["peer_value_bytes"] = st.PeerValueBytes
-		rec["held"] = st.Held
-		rec["pulls"] = st.Pulls
-		rec["pull_bytes"] = st.PullBytes
-		rec["recomputed"] = st.Recomputed
-		fmt.Printf("  wire: %d dispatched, %.2f MB sent, %.2f MB recv, cache hit rate %.0f%% (%d misses, %d resends)\n",
-			st.Dispatched, float64(st.BytesSent)/1e6, float64(st.BytesRecv)/1e6,
-			100*hitRate, st.RefMisses, st.MissRetries)
-		if st.Held > 0 {
-			fmt.Printf("  held: %d outputs left on the workers, %d pulls brought %.2f MB home, %d producers recomputed\n",
-				st.Held, st.Pulls, float64(st.PullBytes)/1e6, st.Recomputed)
-		}
-		if st.PeerFetches > 0 || st.PeerFallbacks > 0 {
-			offload := 0.0
-			if tot := st.PeerValueBytes + st.RefValueBytes; tot > 0 {
-				offload = float64(st.PeerValueBytes) / float64(tot)
-			}
-			fmt.Printf("  peer: %d fetches (%d fallbacks), %.2f MB over peer links, %.0f%% of inter-worker payload off the coordinator\n",
-				st.PeerFetches, st.PeerFallbacks, float64(st.PeerBytesRecv)/1e6, 100*offload)
-		}
-	}
-	line, err := json.Marshal(rec)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("REDUCEBENCH %s\n", line)
 }
 
 func fatal(err error) {

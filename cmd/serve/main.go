@@ -16,14 +16,9 @@
 //	serve -slo-ms 50 -batch 32       # tighter SLO, smaller batches
 //	serve -trace serve.json          # Chrome trace with the serving rows
 //	serve -backend remote            # scoring on loopback worker processes
-//
-// The final line is machine-readable:
-//
-//	SERVEBENCH {"streams":1000,...,"win_p50_ms":...,"alarm_p99_ms":...}
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -201,21 +196,6 @@ func main() {
 	fmt.Printf("serving latency: p50 %v, p99 %v; alarm latency: p50 %v, p99 %v; svc %v/window\n",
 		m.WindowP50, m.WindowP99, m.AlarmP50, m.AlarmP99, m.ServicePerWindow)
 
-	out, err := json.Marshal(map[string]any{
-		"streams": *streams, "admitted": m.Admitted, "rejected": m.Rejected,
-		"windows": m.Windows, "scored": m.Scored, "shed": m.Shed,
-		"shed_rate": rate(m.Shed, m.Windows), "score_errors": m.ScoreErrors,
-		"alarms": m.Alarms, "batches": m.Batches,
-		"mean_batch": mean(m.Scored+m.ScoreErrors, m.Batches),
-		"win_p50_ms": ms(m.WindowP50), "win_p99_ms": ms(m.WindowP99),
-		"alarm_p50_ms": ms(m.AlarmP50), "alarm_p99_ms": ms(m.AlarmP99),
-		"svc_us": m.ServicePerWindow.Microseconds(), "wall_s": wall.Seconds(),
-	})
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("SERVEBENCH %s\n", out)
-
 	if collector != nil {
 		if err := collector.Chrome().WriteFile(*traceOut); err != nil {
 			fatal(err)
@@ -299,8 +279,6 @@ func mean(sum, n int64) float64 {
 	}
 	return float64(sum) / float64(n)
 }
-
-func ms(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "serve:", err)

@@ -53,8 +53,6 @@ func init() {
 }
 
 type fakeChains struct {
-	off bool // Chains() reports false
-
 	mu       sync.Mutex
 	frames   [][]int               // task ids of every frame, in arrival order
 	cache    map[exec.ValueRef]any // outputs by identity, as a worker holds them
@@ -72,7 +70,10 @@ func newFakeChains() *fakeChains {
 }
 
 func (f *fakeChains) Close() error { return nil }
-func (f *fakeChains) Chains() bool { return !f.off }
+
+// unchained is f as a plain exec.Backend: not being a ChainBackend is all it
+// takes for the runtime to offer no chains.
+func (f *fakeChains) unchained() exec.Backend { return struct{ exec.Backend }{f} }
 
 func (f *fakeChains) ExecuteTask(req *exec.Request) ([]any, string, error) {
 	replies, worker, err := f.ExecuteChain([]*exec.Request{req})
@@ -307,12 +308,14 @@ func TestChainMembership(t *testing.T) {
 	})
 	t.Run("never", func(t *testing.T) {
 		for name, cfg := range map[string]Config{
-			"fault plan":     {Faults: &FaultPlan{Faults: []Fault{{Name: "nothing"}}}},
-			"references off": {},
+			"fault plan":         {Faults: &FaultPlan{Faults: []Fault{{Name: "nothing"}}}},
+			"not a ChainBackend": {},
 		} {
 			be := newFakeChains()
-			be.off = name == "references off"
 			cfg.Workers, cfg.Backend = 2, be
+			if name == "not a ChainBackend" {
+				cfg.Backend = be.unchained()
+			}
 			rt := New(cfg)
 			g, release := gate(rt)
 			a := sum(rt, Opts{}, g)
@@ -371,11 +374,14 @@ func TestChainHandBack(t *testing.T) {
 		{name: "member error", lose: -1, failBody: 5},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			outcome := func(off bool) (vals []any, errs []string, be *fakeChains) {
+			outcome := func(chains bool) (vals []any, errs []string, be *fakeChains) {
 				be = newFakeChains()
-				be.off = off
+				var backend exec.Backend = be
+				if !chains {
+					backend = be.unchained()
+				}
 				so := newSeqObserver()
-				rt := New(Config{Workers: 2, Backend: be, Observers: []Observer{so}})
+				rt := New(Config{Workers: 2, Backend: backend, Observers: []Observer{so}})
 				fs, release := chainDAG(rt, Opts{})
 				if tc.lose >= 0 {
 					be.lose[fs[tc.lose].TaskID()] = true
@@ -397,8 +403,8 @@ func TestChainHandBack(t *testing.T) {
 				so.check(t, rt.Graph().Len())
 				return vals, errs, be
 			}
-			wantVals, wantErrs, plain := outcome(true)
-			vals, errs, be := outcome(false)
+			wantVals, wantErrs, plain := outcome(false)
+			vals, errs, be := outcome(true)
 			if !reflect.DeepEqual(vals, wantVals) || !reflect.DeepEqual(errs, wantErrs) {
 				t.Fatalf("chained run: %v %q\nunchained:   %v %q", vals, errs, wantVals, wantErrs)
 			}

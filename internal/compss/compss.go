@@ -208,7 +208,7 @@ func New(cfg Config) *Runtime {
 	if cfg.Backend != nil {
 		rt.execSession = exec.NextSession()
 	}
-	if cb, ok := cfg.Backend.(exec.ChainBackend); ok && cfg.Faults == nil && cb.Chains() {
+	if cb, ok := cfg.Backend.(exec.ChainBackend); ok && cfg.Faults == nil {
 		rt.chains = cb
 	}
 	rt.holder, _ = cfg.Backend.(exec.Holder)

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"net"
 	"os"
 	"reflect"
 	"testing"
 	"time"
 
 	"taskml/internal/exec"
+	"taskml/internal/par"
 )
 
 // TestMain lets the coordinator side of the remote tests re-exec this test
@@ -34,20 +36,21 @@ func TestRemoteParityBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Four backend configurations, all required to be bit-identical to the
-	// in-process run: the full data plane with peer-to-peer transfers
-	// (default), references without the peer plane (every value routed
-	// through the coordinator), a deliberately tiny 1 MiB cache (constant
-	// eviction, so most references Miss and re-send inlined values), and
-	// the values-only baseline (refs disabled entirely).
+	// Four fleets, all required to be bit-identical to the in-process run:
+	// two ordinary workers (peer-to-peer transfers), one ordinary worker beside
+	// a member with no peer listener (every cross-worker value routed through
+	// the coordinator), a deliberately tiny 1 MiB cache (constant eviction, so
+	// most references Miss and re-send inlined values), and workers that do
+	// not cache (values inline throughout).
 	variants := []struct {
-		name string
-		cfg  exec.LoopbackConfig
+		name     string
+		cfg      exec.LoopbackConfig
+		peerless bool // one more member, in-process, started with its peer listener off
 	}{
-		{"refs-p2p", exec.LoopbackConfig{Workers: 2, Slots: 1}},
-		{"refs-no-p2p", exec.LoopbackConfig{Workers: 2, Slots: 1, NoPeers: true}},
-		{"refs-tiny-cache", exec.LoopbackConfig{Workers: 2, Slots: 1, CacheMB: 1}},
-		{"values-baseline", exec.LoopbackConfig{Workers: 2, Slots: 1, NoRefs: true}},
+		{name: "refs-p2p", cfg: exec.LoopbackConfig{Workers: 2, Slots: 1}},
+		{name: "no-peer-listener", cfg: exec.LoopbackConfig{Workers: 1, Slots: 1}, peerless: true},
+		{name: "refs-tiny-cache", cfg: exec.LoopbackConfig{Workers: 2, Slots: 1, CacheMB: 1}},
+		{name: "no-cache", cfg: exec.LoopbackConfig{Workers: 2, Slots: 1, CacheMB: -1}},
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
@@ -56,6 +59,18 @@ func TestRemoteParityBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer backend.Close()
+			if v.peerless {
+				l, err := net.Listen("tcp", "127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer l.Close()
+				defer par.SetLimit(par.Limit()) // a worker caps the kernels of its process
+				go func() { _ = exec.Serve(l, exec.WorkerConfig{Slots: 1, PeerListen: "off"}) }()
+				if _, err := backend.Join(l.Addr().String()); err != nil {
+					t.Fatal(err)
+				}
+			}
 			cfg := fastCfg(21)
 			cfg.Backend = backend
 			remote, err := RunCV(ModelRF, ds, cfg)
@@ -72,16 +87,21 @@ func TestRemoteParityBitIdentical(t *testing.T) {
 			if st.Dispatched != st.Completed+st.Failed {
 				t.Fatalf("stats not a partition at quiescence: %+v", st)
 			}
-			if v.cfg.NoRefs && (st.RefHits != 0 || st.RefMisses != 0) {
-				t.Fatalf("values baseline still resolved references: %+v", st)
+			noCache := v.cfg.CacheMB < 0
+			if noCache && (st.RefHits != 0 || st.RefMisses != 0 || st.Held != 0 || st.Frames != st.Dispatched) {
+				t.Fatalf("workers that do not cache were sent references, chains or held outputs: %+v", st)
 			}
-			// With the peer plane off (explicitly, or implied by NoRefs) no
-			// byte may cross a worker-to-worker link — the peer counters are
+			// A member without a peer listener (a non-caching one has none
+			// either) can neither fetch nor be fetched from, so in these fleets
+			// no byte may cross a worker-to-worker link — the peer counters are
 			// an exact partition, not an estimate.
-			if v.cfg.NoPeers || v.cfg.NoRefs {
+			if v.peerless || noCache {
 				if st.PeerFetches != 0 || st.PeerFallbacks != 0 || st.PeerBytesSent != 0 || st.PeerBytesRecv != 0 {
 					t.Fatalf("%s still used the peer plane: %+v", v.name, st)
 				}
+			}
+			if v.peerless && st.RefValueBytes == 0 {
+				t.Fatalf("no warm value was routed through the coordinator: %+v", st)
 			}
 			for i := 0; i < 2; i++ {
 				for j := 0; j < 2; j++ {

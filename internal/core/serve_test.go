@@ -160,7 +160,7 @@ func TestServeRemoteParityBitIdentical(t *testing.T) {
 	}{
 		{"local", nil},
 		{"refs-p2p", &exec.LoopbackConfig{Workers: 2, Slots: 1}},
-		{"values-baseline", &exec.LoopbackConfig{Workers: 2, Slots: 1, NoRefs: true}},
+		{"no-cache", &exec.LoopbackConfig{Workers: 2, Slots: 1, CacheMB: -1}},
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {

@@ -26,12 +26,9 @@ type Backend interface {
 }
 
 // ChainBackend is a Backend that runs a chain — a ready task and tasks only
-// it still holds back — in one round trip, on one worker, in order. The
-// runtime offers chains only while Chains reports true (the reference plane
-// is on: an argument can travel before it has a value).
+// it still holds back — in one round trip, on one worker, in order.
 type ChainBackend interface {
 	Backend
-	Chains() bool
 	// ExecuteChain runs reqs[0] and then, as far as each one's inputs allow,
 	// the requests after it. An argument an earlier member produces is a bare
 	// ValueRef in Args and has no ArgRef; all else is as in ExecuteTask, the
@@ -94,11 +91,11 @@ type Reply struct {
 // Args always carries the fully resolved argument values — a backend can
 // execute the task from Args alone. Session/TaskID name the producing task
 // and ArgRefs name the producing tasks of the arguments; a data-plane
-// backend (Remote with references enabled) uses them to substitute wire
-// references for values the chosen worker already holds, to place the task
-// near its data, and to cache its outputs. Zero values disable all of that:
-// a Request with only Name/NOut/Args set ships values, exactly as protocol
-// 1 did.
+// backend (Remote) uses them to substitute wire references for values the
+// chosen worker already holds, to place the task near its data, and to cache
+// its outputs. Zero values make the request anonymous: with only
+// Name/NOut/Args set, every argument travels by value, nothing is cached
+// and the outputs come home in the reply.
 type Request struct {
 	Name string
 	NOut int
@@ -117,6 +114,9 @@ type Request struct {
 	// outputs were lost (counted in RemoteStats.Recomputed; never held).
 	Hold, Redo bool
 }
+
+// named reports whether req's outputs have an identity to be cached under.
+func (req *Request) named() bool { return req.Session != 0 && req.TaskID >= 0 }
 
 // ArgRef states that one argument (or one element of a []any argument) is
 // the Out-th output of task (Session, Task).

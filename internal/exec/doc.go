@@ -70,13 +70,17 @@
 // replies Miss without running the body and the request goes once more with
 // values inlined; a held value no worker has any more is ErrLost and the
 // runtime runs its producer again. A loss costs round trips, never a wrong
-// answer. A member whose hello says it does not cache is offered neither
-// chains nor held outputs, and a NoRefs fleet gets values inline throughout.
+// answer. There is one data plane and no switch on it: what a member gets
+// follows from what the coordinator observes. One whose hello says it does
+// not cache gets values inline and is offered neither chains nor held
+// outputs; one with no peer listener, and a value whose holder has none or is
+// draining or dead, gets RefValues routed through the coordinator.
 // RemoteStats splits the accounting exactly: BytesSent/BytesRecv count only
 // the coordinator links (pulls included), PeerBytesSent/PeerBytesRecv only the
 // worker-to-worker links, RefValueBytes/PeerValueBytes partition inter-task
-// payload by link, Held/Pulls/PullBytes/Recomputed count what stayed, what
-// came home and what was rebuilt.
+// payload by link (a test's oracle for which one carried a value),
+// Held/Pulls/PullBytes/Recomputed count what stayed, what came home and what
+// was rebuilt.
 //
 // # Concurrency and ownership
 //

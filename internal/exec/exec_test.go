@@ -358,13 +358,27 @@ func TestOpenBackend(t *testing.T) {
 	if _, err := exec.Open(exec.Config{Backend: "bogus"}); err == nil {
 		t.Fatal("Open with an unknown backend should error")
 	}
-	r, err := exec.Open(exec.Config{Backend: "remote", Workers: 1, Slots: 1, Refs: true, P2P: true})
+	// The zero Config opens the one data plane there is: a dependent pair rides
+	// one frame and an output nobody reads here stays on its worker.
+	b, err = exec.Open(exec.Config{Backend: "remote", Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
-	if _, _, err := r.ExecuteTask(&exec.Request{Name: "test_add", NOut: 1, Args: []any{1.0, 2.0}, TaskID: -1}); err != nil {
-		t.Fatalf("loopback backend from Open: %v", err)
+	defer b.Close()
+	r := b.(*exec.Remote)
+	sess := exec.NextSession()
+	replies, _, err := r.ExecuteChain([]*exec.Request{
+		{Name: "test_add", NOut: 1, Args: []any{1.0, 2.0}, Session: sess, TaskID: 1, Hold: true},
+		{Name: "test_add", NOut: 1, Args: []any{exec.ValueRef{Session: sess, Task: 1}, 4.0}, Session: sess, TaskID: 2},
+	})
+	if err != nil || replies[1].Err != nil || replies[1].Vals[0] != 7.0 {
+		t.Fatalf("loopback backend from Open: %+v, %v", replies, err)
+	}
+	if _, held := replies[0].Vals[0].(*exec.Held); !held {
+		t.Fatalf("head reply = %+v, want its output held on the worker", replies[0])
+	}
+	if st := r.Stats(); st.Frames != 1 || st.Dispatched != 2 || st.Held != 1 {
+		t.Fatalf("Stats = %+v, want 2 requests in 1 frame and 1 output held", st)
 	}
 }
 

@@ -29,14 +29,10 @@ type Config struct {
 	// CacheMB bounds each spawned worker's future cache in MiB; 0 keeps the
 	// worker default (DefaultCacheBytes), <0 disables worker caching.
 	CacheMB int
-	// Refs enables the reference data plane (default true; false is the
-	// values baseline, RemoteConfig.NoRefs).
-	Refs bool
-	// P2P enables direct worker-to-worker transfers on top of the reference
-	// plane (default true; false is the refs baseline where every value
-	// ships through the coordinator, RemoteConfig.NoPeers). Implied off when
-	// Refs is off.
-	P2P bool
+	// Refs and P2P are inert: Open ignores them. They are still here only
+	// because bench/harness.go, frozen while the code it measures changes,
+	// sets them; a bench-only PR drops them from both sides.
+	Refs, P2P bool
 
 	// Listen, when non-empty, opens the coordinator's fleet listen address
 	// (Remote.ListenForWorkers) so restarted or brand-new workers can dial
@@ -67,16 +63,14 @@ type Config struct {
 //
 //	-backend local|remote     -peers host:port,...
 //	-loopback-workers N       -slots N
-//	-exec-cache-mb N          -exec-refs       -exec-p2p
-//	-fleet-listen host:port   -min-workers N  -max-workers N
+//	-exec-cache-mb N          -fleet-listen host:port
+//	-min-workers N            -max-workers N
 func (cfg *Config) Flags(fs *flag.FlagSet) {
 	fs.StringVar(&cfg.Backend, "backend", "local", "execution backend: local | remote")
 	fs.StringVar(&cfg.Peers, "peers", "", "comma-separated worker addresses for -backend=remote (empty spawns loopback workers)")
 	fs.IntVar(&cfg.Workers, "loopback-workers", 2, "loopback worker processes when -backend=remote without -peers")
 	fs.IntVar(&cfg.Slots, "slots", 1, "task slots per loopback worker")
 	fs.IntVar(&cfg.CacheMB, "exec-cache-mb", 0, "per-worker future-cache bound in MiB (0 = default, negative disables)")
-	fs.BoolVar(&cfg.Refs, "exec-refs", true, "pass references instead of values between co-located remote tasks")
-	fs.BoolVar(&cfg.P2P, "exec-p2p", true, "let workers pull values directly from peer workers instead of through the coordinator")
 	fs.StringVar(&cfg.Listen, "fleet-listen", "", "coordinator listen address for mid-run worker registration (host:0 for ephemeral)")
 	fs.IntVar(&cfg.MinWorkers, "min-workers", 0, "autoscale floor; used with -max-workers")
 	fs.IntVar(&cfg.MaxWorkers, "max-workers", 0, "autoscale the loopback fleet up to this many workers (0 = fixed fleet)")
@@ -114,7 +108,7 @@ func Open(cfg Config) (Backend, error) {
 			}
 		}
 		var err error
-		r, err = Dial(RemoteConfig{Peers: addrs, NoRefs: !cfg.Refs, NoPeers: !cfg.P2P, DialTimeout: cfg.DialTimeout})
+		r, err = Dial(RemoteConfig{Peers: addrs, DialTimeout: cfg.DialTimeout})
 		if err != nil {
 			return nil, err
 		}
@@ -133,10 +127,7 @@ func Open(cfg Config) (Backend, error) {
 			n = 2
 		}
 		var err error
-		r, err = SpawnLoopback(LoopbackConfig{
-			Workers: n, Slots: cfg.Slots,
-			CacheMB: cfg.CacheMB, NoRefs: !cfg.Refs, NoPeers: !cfg.P2P,
-		})
+		r, err = SpawnLoopback(LoopbackConfig{Workers: n, Slots: cfg.Slots, CacheMB: cfg.CacheMB})
 		if err != nil {
 			return nil, err
 		}

@@ -196,7 +196,7 @@ func expectClosed(t *testing.T, addr string, payload []byte) {
 // TestHostileRegistrationDropped: garbage on the fleet listen port is hung
 // up on before it can become a member.
 func TestHostileRegistrationDropped(t *testing.T) {
-	r := newRemote(false, false, time.Second)
+	r := newRemote(time.Second)
 	defer r.Close()
 	addr, err := r.ListenForWorkers("127.0.0.1:0")
 	if err != nil {

@@ -19,12 +19,6 @@ type LoopbackConfig struct {
 	// CacheMB bounds each worker's future cache in MiB; 0 keeps the worker
 	// default (DefaultCacheBytes), <0 disables worker caching.
 	CacheMB int
-	// NoRefs disables the coordinator's reference data plane (values
-	// baseline; see RemoteConfig.NoRefs).
-	NoRefs bool
-	// NoPeers disables the worker-to-worker transfer plane (refs baseline;
-	// see RemoteConfig.NoPeers). Implied by NoRefs.
-	NoPeers bool
 }
 
 // spawnConfig is how a loopback fleet re-execs one more worker: stored on
@@ -35,7 +29,6 @@ type spawnConfig struct {
 	exe     string
 	slots   int
 	cacheMB int
-	peer    string // TASKML_EXEC_PEER for children: a listen address or "off"
 }
 
 // SpawnLoopback starts cfg.Workers copies of the current binary as worker
@@ -65,12 +58,8 @@ func SpawnLoopback(cfg LoopbackConfig) (*Remote, error) {
 		return nil, fmt.Errorf("exec: resolving own binary: %w", err)
 	}
 
-	r := newRemote(cfg.NoRefs, cfg.NoPeers, 0)
-	peer := "127.0.0.1:0" // loopback fleet: peer links ride the same interface
-	if cfg.NoPeers || cfg.NoRefs {
-		peer = "off"
-	}
-	r.spawn = &spawnConfig{exe: exe, slots: slots, cacheMB: cfg.CacheMB, peer: peer}
+	r := newRemote(0)
+	r.spawn = &spawnConfig{exe: exe, slots: slots, cacheMB: cfg.CacheMB}
 	for i := 0; i < n; i++ {
 		if _, err := r.SpawnWorker(); err != nil {
 			r.Close()
@@ -102,7 +91,6 @@ func (r *Remote) SpawnWorker() (string, error) {
 	cmd.Env = append(os.Environ(),
 		workerEnvListen+"=127.0.0.1:0",
 		fmt.Sprintf("%s=%d", workerEnvSlots, sc.slots),
-		workerEnvPeer+"="+sc.peer,
 	)
 	if sc.cacheMB != 0 {
 		cmd.Env = append(cmd.Env, fmt.Sprintf("%s=%d", workerEnvCacheMB, sc.cacheMB))

@@ -25,7 +25,7 @@ import (
 // failure — holder crashed, holder drained away, poisoned address, wrong or
 // stale token, fetch timeout — turns the PeerRef into an ordinary Miss: the
 // body does not run, the coordinator re-sends with values inlined, and the
-// result is bit-identical to the values baseline. A restarted worker at the
+// result is bit-identical to the in-process run. A restarted worker at the
 // same address mints a fresh PeerToken per coordinator connection, so a
 // PeerRef built against a dead connection can never be served stale data:
 // the token lookup fails and the ladder takes over.

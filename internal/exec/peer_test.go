@@ -316,9 +316,9 @@ func TestPeerFetchHolderDiesMidFetch(t *testing.T) {
 
 // TestPeerWireArgsSelection pins buildWireArgs' wire-form ladder: resident on
 // the target → ValueRef, resident on an alive peer-capable holder → PeerRef,
-// anything else (draining holder, peerless endpoint, inlineAll, peers
-// disabled) → RefValue — with refValueBytes counting exactly the RefValues
-// some alive worker could have served.
+// anything else (draining holder, peerless endpoint, inlineAll) → RefValue —
+// with refValueBytes counting exactly the RefValues some alive worker could
+// have served.
 func TestPeerWireArgsSelection(t *testing.T) {
 	rf := ref(1)
 	val := floats(4) // 40 accounted bytes
@@ -337,7 +337,6 @@ func TestPeerWireArgsSelection(t *testing.T) {
 
 	cases := []struct {
 		name       string
-		noPeers    bool
 		inlineAll  bool
 		targetAddr string      // target's peer listener ("" = peerless)
 		holder     workerState // holder state; wsDead = ref not resident anywhere
@@ -350,12 +349,11 @@ func TestPeerWireArgsSelection(t *testing.T) {
 		{name: "holder-peerless", targetAddr: "t:1", holder: wsAlive, holderAddr: "", wantForm: "RefValue", wantRVB: 40},
 		{name: "target-peerless", targetAddr: "", holder: wsAlive, holderAddr: "h:1", wantForm: "RefValue", wantRVB: 40},
 		{name: "inline-all", inlineAll: true, targetAddr: "t:1", holder: wsAlive, holderAddr: "h:1", wantForm: "RefValue", wantRVB: 40},
-		{name: "peers-disabled", noPeers: true, targetAddr: "t:1", holder: wsAlive, holderAddr: "h:1", wantForm: "RefValue", wantRVB: 40},
 		{name: "cold", targetAddr: "t:1", holder: wsDead, holderAddr: "h:1", wantForm: "RefValue"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			r := newRemote(false, tc.noPeers, 0)
+			r := newRemote(0)
 			w := mkw("w0", wsAlive, tc.targetAddr)
 			h := mkw("w1", tc.holder, tc.holderAddr)
 			if tc.holder != wsDead {
@@ -389,7 +387,7 @@ func TestPeerWireArgsSelection(t *testing.T) {
 	}
 
 	// Resident on the target beats every peer consideration.
-	r := newRemote(false, false, 0)
+	r := newRemote(0)
 	w := mkw("w0", wsAlive, "t:1")
 	w.resident[rf] = 40
 	h := mkw("w1", wsAlive, "h:1")
@@ -402,41 +400,29 @@ func TestPeerWireArgsSelection(t *testing.T) {
 	}
 }
 
-// TestPeerPlacementReplicaDiscount: with the peer plane on, a candidate
-// holding the sole alive copy of a ref outscores one holding a larger but
-// replicated ref — replicas are cheap to reach over peer links, sole copies
-// are not. With peers disabled the flat byte score decides.
+// TestPeerPlacementReplicaDiscount: a candidate holding the sole alive copy
+// of a ref outscores one holding a larger but replicated ref — replicas are
+// cheap to reach over peer links, sole copies are not.
 func TestPeerPlacementReplicaDiscount(t *testing.T) {
 	refA, refB := ref(1), ref(2)
-	build := func(noPeers bool) *Remote {
-		r := newRemote(false, noPeers, 0)
-		mkw := func(id string, res map[ValueRef]int64) *workerConn {
-			return &workerConn{id: id, state: wsAlive, slots: 1,
-				peerAddr: id + ":1", peerTok: "tok-" + id, resident: res}
-		}
-		// w0 is refA's sole holder (100 B); refB (150 B) is replicated on
-		// w1 and w2.
-		r.workers = []*workerConn{
-			mkw("w0", map[ValueRef]int64{refA: 100}),
-			mkw("w1", map[ValueRef]int64{refB: 150}),
-			mkw("w2", map[ValueRef]int64{refB: 150}),
-		}
-		return r
+	r := newRemote(0)
+	mkw := func(id string, res map[ValueRef]int64) *workerConn {
+		return &workerConn{id: id, state: wsAlive, slots: 1,
+			peerAddr: id + ":1", peerTok: "tok-" + id, resident: res}
 	}
-
-	w, err := build(false).acquire([]ValueRef{refA, refB})
+	// w0 is refA's sole holder (100 B); refB (150 B) is replicated on w1 and
+	// w2.
+	r.workers = []*workerConn{
+		mkw("w0", map[ValueRef]int64{refA: 100}),
+		mkw("w1", map[ValueRef]int64{refB: 150}),
+		mkw("w2", map[ValueRef]int64{refB: 150}),
+	}
+	w, err := r.acquire([]ValueRef{refA, refB})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if w.id != "w0" {
-		t.Fatalf("p2p placement chose %s, want w0 (sole copy of refA counts double)", w.id)
-	}
-	w, err = build(true).acquire([]ValueRef{refA, refB})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.id != "w1" {
-		t.Fatalf("flat placement chose %s, want w1 (most resident bytes)", w.id)
+		t.Fatalf("placement chose %s, want w0 (sole copy of refA counts double)", w.id)
 	}
 }
 
@@ -615,16 +601,25 @@ func TestPeerFallbackLadder(t *testing.T) {
 	}
 }
 
-// TestPeerDisabledShipsThroughCoordinator: with NoPeers the cross-worker
-// value re-ships through the coordinator (counted in RefValueBytes) and the
-// peer counters stay zero — the refs baseline the benchmark compares
-// against.
+// TestPeerDisabledShipsThroughCoordinator: a member started with its peer
+// listener off says so in its hello (no PeerAddr), and a value it needs from
+// another worker re-ships through the coordinator (counted in RefValueBytes)
+// while the peer counters stay zero.
 func TestPeerDisabledShipsThroughCoordinator(t *testing.T) {
-	r, err := SpawnLoopback(LoopbackConfig{Workers: 2, Slots: 1, NoPeers: true})
+	r, err := SpawnLoopback(LoopbackConfig{Workers: 1, Slots: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	go func() { _ = Serve(l, WorkerConfig{Slots: 1, PeerListen: "off"}) }()
+	if _, err := r.Join(l.Addr().String()); err != nil {
+		t.Fatal(err)
+	}
 
 	sess := NextSession()
 	m, want := testPeerMatrix()
@@ -655,7 +650,7 @@ func TestPeerDisabledShipsThroughCoordinator(t *testing.T) {
 	}
 	st := r.Stats()
 	if st.PeerFetches != 0 || st.PeerFallbacks != 0 || st.PeerBytesSent != 0 || st.PeerBytesRecv != 0 || st.PeerValueBytes != 0 {
-		t.Fatalf("Stats = %+v, want every peer counter zero with NoPeers", st)
+		t.Fatalf("Stats = %+v, want every peer counter zero beside a peerless member", st)
 	}
 	if st.RefValueBytes == 0 {
 		t.Fatalf("RefValueBytes = 0, want > 0 (the warm value re-shipped over the coordinator link)")

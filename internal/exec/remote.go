@@ -20,16 +20,6 @@ type RemoteConfig struct {
 	Peers []string
 	// DialTimeout bounds each dial + handshake. Default 5s.
 	DialTimeout time.Duration
-	// NoRefs disables the reference data plane: every request ships full
-	// values and nothing is cached — kept as the measurable baseline for the
-	// refs-vs-values benchmark.
-	NoRefs bool
-	// NoPeers disables the peer-to-peer transfer plane: the coordinator
-	// never sends PeerRefs, so a value resident on another worker re-ships
-	// through the coordinator as a RefValue — kept as the measurable
-	// baseline for the p2p-vs-refs benchmark. Implied by NoRefs (no refs,
-	// nothing to fetch).
-	NoPeers bool
 }
 
 // workerState is the lifecycle of one fleet member. Transitions only move
@@ -121,8 +111,6 @@ type Remote struct {
 	workers []*workerConn
 	spawned []*workerConn // loopback children in spawn order (KillWorker index)
 	closed  bool
-	noRefs  bool
-	noPeers bool
 
 	nextWID     int    // fresh member ids: w<nextWID>, monotone, never reused
 	token       string // fleet join credential (hello.Token on dial-in)
@@ -150,7 +138,7 @@ type Remote struct {
 	// peerBytesSent/Recv are the exact peer-link wire totals folded from
 	// response deltas, and refValueBytes/peerValueBytes partition the
 	// inter-task payload volume by which link carried it (sizeOfValue
-	// units) — the coordinator-offload metric of the p2p benchmark.
+	// units) — the tests' oracle for which link moved a value.
 	peerFetches, peerFallbacks    atomic.Uint64
 	peerBytesSent, peerBytesRecv  atomic.Int64
 	refValueBytes, peerValueBytes atomic.Int64
@@ -164,13 +152,11 @@ type Remote struct {
 }
 
 // newRemote builds an empty fleet; members are admitted afterwards.
-func newRemote(noRefs, noPeers bool, dialTimeout time.Duration) *Remote {
+func newRemote(dialTimeout time.Duration) *Remote {
 	if dialTimeout <= 0 {
 		dialTimeout = 5 * time.Second
 	}
 	r := &Remote{
-		noRefs:      noRefs,
-		noPeers:     noPeers || noRefs,
 		dialTimeout: dialTimeout,
 		token:       newJoinToken(),
 		watchers:    map[int]func(int){},
@@ -247,7 +233,6 @@ type WorkerInfo struct {
 	Pid      int
 	Slots    int
 	State    string // "alive", "draining" or "dead"
-	Alive    bool   // State == "alive" (kept for callers predating Drain)
 	Inflight int
 	// Done counts responses this member returned across its lifetime.
 	Done uint64
@@ -312,15 +297,13 @@ type RemoteStats struct {
 	// RefValueBytes / PeerValueBytes partition inter-task payload volume
 	// (sizeOfValue units) by which link carried it: RefValueBytes is value
 	// payload the coordinator link re-shipped even though some alive peer
-	// held it, PeerValueBytes is payload pulled over peer links. With the
-	// peer plane on, PeerValueBytes/(PeerValueBytes+RefValueBytes) is the
-	// coordinator-offload fraction of the p2p benchmark.
+	// held it, PeerValueBytes is payload pulled over peer links. No benchmark
+	// row reads them: they are how a test tells which link carried a value.
 	RefValueBytes  uint64
 	PeerValueBytes uint64
 
 	// Joined / Left count fleet admissions and retirements across the
-	// lifetime; PeakWorkers is the largest alive-member count ever observed
-	// (the elasticity benchmark records it as peak fleet size).
+	// lifetime; PeakWorkers is the largest alive-member count ever observed.
 	Joined      uint64
 	Left        uint64
 	PeakWorkers int
@@ -364,7 +347,7 @@ func Dial(cfg RemoteConfig) (*Remote, error) {
 	if len(cfg.Peers) == 0 {
 		return nil, fmt.Errorf("exec: Dial needs at least one peer")
 	}
-	r := newRemote(cfg.NoRefs, cfg.NoPeers, cfg.DialTimeout)
+	r := newRemote(cfg.DialTimeout)
 	for _, addr := range cfg.Peers {
 		if _, err := r.Join(addr); err != nil {
 			r.Close()
@@ -575,7 +558,7 @@ func (r *Remote) ListenAddr() string {
 }
 
 // JoinToken returns the credential a dial-in worker must present (cmd/worker
-// -join -token, or the TASKML_EXEC_TOKEN env of a re-exec'd child).
+// -join -token).
 func (r *Remote) JoinToken() string { return r.token }
 
 // readLoop drains one worker's responses. It owns the link's read side; any
@@ -746,20 +729,17 @@ func (r *Remote) findLocked(id string) *workerConn {
 // their retirement (or a join) will move things along. It errors once no
 // worker is alive or draining.
 //
-// With the peer plane on, the scoring weighs peer reachability: a ref whose
-// only alive copy the candidate holds counts double, while a replicated ref
-// counts plain — any other free worker can pull a replica cheaply over a
-// peer link, so sole copies are the residency worth chasing. (A flat
-// local+peer additive weighting would be a no-op: every candidate can reach
-// the same peer-resident total, so it cancels out of the comparison.)
+// The scoring weighs peer reachability: a ref whose only alive copy the
+// candidate holds counts double, while a replicated ref counts plain — any
+// other free worker can pull a replica cheaply over a peer link, so sole
+// copies are the residency worth chasing. (A flat local+peer additive
+// weighting would be a no-op: every candidate can reach the same
+// peer-resident total, so it cancels out of the comparison.)
 func (r *Remote) acquire(refs []ValueRef) (*workerConn, error) {
 	// holders[i] counts the alive workers holding refs[i]; allocated once per
 	// call and recounted on every wake-up, since residency moves while this
 	// goroutine waits.
-	var holders []int
-	if !r.noPeers && len(refs) > 0 {
-		holders = make([]int, len(refs))
-	}
+	holders := make([]int, len(refs))
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for {
@@ -791,7 +771,7 @@ func (r *Remote) acquire(refs []ValueRef) (*workerConn, error) {
 			var score int64
 			for i, ref := range refs {
 				b := w.resident[ref]
-				if b > 0 && holders != nil && holders[i] == 1 {
+				if b > 0 && holders[i] == 1 {
 					b *= 2 // sole alive copy: unreachable over peer links elsewhere
 				}
 				score += b
@@ -840,10 +820,6 @@ func (r *Remote) ExecuteTask(req *Request) ([]any, string, error) {
 	return replies[0].Vals, worker, replies[0].Err
 }
 
-// Chains reports whether the reference plane is on: values alone cannot name
-// an output that is not there yet.
-func (r *Remote) Chains() bool { return !r.noRefs }
-
 // ExecuteChain ships reqs as one frame to one worker: choose a worker near
 // the members' data, reserve a slot, send the requests (references for
 // resident arguments, values seeding the cache for the rest), await the one
@@ -853,13 +829,10 @@ func (r *Remote) Chains() bool { return !r.noRefs }
 // ErrLost: a held argument had to travel by value and no worker has it.
 func (r *Remote) ExecuteChain(reqs []*Request) ([]Reply, string, error) {
 	head := reqs[0]
-	useRefs := !r.noRefs && head.Session != 0
 	var refs []ValueRef
-	if useRefs {
-		for _, req := range reqs {
-			for _, ar := range req.ArgRefs {
-				refs = append(refs, ar.Ref)
-			}
+	for _, req := range reqs {
+		for _, ar := range req.ArgRefs {
+			refs = append(refs, ar.Ref)
 		}
 	}
 	w, err := r.acquire(refs)
@@ -876,7 +849,7 @@ func (r *Remote) ExecuteChain(reqs []*Request) ([]Reply, string, error) {
 		reqs = reqs[:1]
 	}
 
-	resp, shipped, err := r.executeOn(w, reqs, useRefs, false)
+	resp, shipped, err := r.executeOn(w, reqs, false)
 	if err != nil {
 		return nil, w.id, err
 	}
@@ -897,7 +870,7 @@ func (r *Remote) ExecuteChain(reqs []*Request) ([]Reply, string, error) {
 		// drained, timed out); re-send on the same reserved slot with every
 		// value inlined. The inlined form cannot miss.
 		r.missRetries.Add(1)
-		resp, _, err = r.executeOn(w, reqs[:1], useRefs, true)
+		resp, _, err = r.executeOn(w, reqs[:1], true)
 		if err != nil {
 			return nil, w.id, err
 		}
@@ -911,7 +884,7 @@ func (r *Remote) ExecuteChain(reqs []*Request) ([]Reply, string, error) {
 
 // holds reports whether w may keep req's outputs to itself.
 func (w *workerConn) holds(req *Request) bool {
-	return req.Hold && !req.Redo && w.caches && req.TaskID >= 0
+	return req.Hold && !req.Redo && w.caches && req.named()
 }
 
 // replyOf turns one member's wire reply into its Reply. A reply without
@@ -950,22 +923,16 @@ func (r *Remote) replyOf(w *workerConn, req *Request, m *response) Reply {
 // as a RefValue (the post-Miss form). The returned map is buildWireArgs's
 // shipped: a PeerRef in it that comes back in a Miss is a peer fallback.
 // Nothing is sent, or counted, when an argument turns out lost (ErrLost).
-func (r *Remote) executeOn(w *workerConn, reqs []*Request, useRefs, inlineAll bool) (response, map[ValueRef]bool, error) {
-	var shipped map[ValueRef]bool
-	if useRefs {
-		shipped = map[ValueRef]bool{}
-	}
+func (r *Remote) executeOn(w *workerConn, reqs []*Request, inlineAll bool) (response, map[ValueRef]bool, error) {
+	shipped := map[ValueRef]bool{}
 	msgs := make([]request, len(reqs))
 	for i, req := range reqs {
-		m := request{Name: req.Name, NOut: req.NOut, Args: req.Args, Session: req.Session, Task: req.TaskID}
-		if useRefs {
-			var err error
-			if m.Args, err = r.buildWireArgs(w, req, inlineAll, shipped); err != nil {
-				return response{}, nil, err
-			}
-			m.Store, m.Hold = req.TaskID >= 0, w.holds(req)
+		args, err := r.buildWireArgs(w, req, inlineAll, shipped)
+		if err != nil {
+			return response{}, nil, err
 		}
-		msgs[i] = m
+		msgs[i] = request{Name: req.Name, NOut: req.NOut, Args: args, Session: req.Session, Task: req.TaskID,
+			Store: req.named(), Hold: w.holds(req)}
 	}
 	msg := &msgs[0]
 	msg.ID, msg.Chain = r.nextID.Add(1), msgs[1:]
@@ -992,7 +959,7 @@ func (r *Remote) executeOn(w *workerConn, reqs []*Request, useRefs, inlineAll bo
 		r.refMisses.Add(uint64(m.RefMisses))
 		r.peerFetches.Add(uint64(m.PeerFetched))
 		r.peerValueBytes.Add(m.PeerValBytes)
-		if hook != nil && useRefs {
+		if hook != nil && reqs[i].Session != 0 {
 			(*hook)(CacheSample{
 				Worker: w.id, Task: max(reqs[i].TaskID, -1),
 				Hits: m.RefHits, Misses: m.RefMisses,
@@ -1124,8 +1091,8 @@ func (r *Remote) pullFrom(w *workerConn, hs []*Held) (missing []*Held) {
 // buildWireArgs maps req.Args to their wire form for worker w: an argument
 // (or []any element) named by an ArgRef travels as a ValueRef when w is
 // believed to hold it, as a PeerRef when some *other* alive worker holds it
-// and both ends speak the peer plane (w pulls the value directly from the
-// holder), and as a cache-seeding RefValue otherwise; everything else
+// and both ends advertised a peer listener (w pulls the value directly from
+// the holder), and as a cache-seeding RefValue otherwise; everything else
 // travels by value. Draining and dead holders are never advertised — their
 // values re-ship through the coordinator, failing open instead of pointing
 // w at a connection that is going away. The input slices are never mutated
@@ -1136,7 +1103,7 @@ func (r *Remote) pullFrom(w *workerConn, hs []*Held) (missing []*Held) {
 // later one names by its bare ValueRef — the worker holds it by then.
 // RefValues of already-resident values additionally count into
 // refValueBytes: payload the coordinator link carried even though a peer
-// held it — the p2p benchmark's offload denominator.
+// held it — how a test tells a coordinator-routed value from a cold one.
 //
 // An argument may be a *Held: as a reference it travels untouched, and the
 // ones that have to travel as values are pulled first, together (ErrLost when
@@ -1160,7 +1127,7 @@ func (r *Remote) buildWireArgs(w *workerConn, req *Request, inlineAll bool, ship
 			}
 		}
 	}
-	usePeers := !r.noPeers && w.peerAddr != "" && w.state != wsDead
+	usePeers := w.peerAddr != "" && w.state != wsDead
 	for i, ar := range req.ArgRefs {
 		if plans[i].resident {
 			continue
@@ -1277,8 +1244,7 @@ func (r *Remote) Workers() []WorkerInfo {
 	for i, w := range r.workers {
 		out[i] = WorkerInfo{
 			ID: w.id, Addr: w.addr, Pid: w.pid, Slots: w.slots,
-			State: w.state.String(), Alive: w.state == wsAlive,
-			Inflight: w.inflight, Done: w.done.Load(),
+			State: w.state.String(), Inflight: w.inflight, Done: w.done.Load(),
 			ResidentBytes: w.residentBytes,
 		}
 	}

@@ -263,9 +263,8 @@ type request struct {
 	// []any) may be a ValueRef, RefValue or PeerRef instead of a plain value.
 	Args []any
 	// Session + Task identify the producing task; the worker caches the
-	// outputs under this identity when Store is set. Store is false when
-	// references are disabled (values-baseline mode) or the task id is
-	// unknown (direct Execute calls).
+	// outputs under this identity when Store is set. Store is false for an
+	// anonymous request (no session or no task id: direct Execute calls).
 	Session uint64
 	Task    int
 	Store   bool

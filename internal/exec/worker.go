@@ -447,9 +447,6 @@ const (
 	workerEnvListen  = "TASKML_EXEC_WORKER"
 	workerEnvSlots   = "TASKML_EXEC_SLOTS"
 	workerEnvCacheMB = "TASKML_EXEC_CACHE_MB"
-	// workerEnvPeer carries WorkerConfig.PeerListen to a re-exec'd child
-	// ("off" disables the peer plane; unset keeps the default ":0").
-	workerEnvPeer = "TASKML_EXEC_PEER"
 	// workerReadyPrefix is the machine-readable first stdout line carrying
 	// the bound address back to the spawning coordinator.
 	workerReadyPrefix = "TASKML_WORKER_LISTENING "
@@ -476,7 +473,8 @@ func MaybeWorkerMain() {
 		os.Exit(1)
 	}
 	fmt.Printf("%s%s\n", workerReadyPrefix, l.Addr())
-	err = Serve(l, WorkerConfig{Slots: slots, CacheBytes: int64(cacheMB) << 20, PeerListen: os.Getenv(workerEnvPeer), Log: os.Stderr})
+	// A loopback fleet's peer links ride the interface its coordinator links do.
+	err = Serve(l, WorkerConfig{Slots: slots, CacheBytes: int64(cacheMB) << 20, PeerListen: "127.0.0.1:0", Log: os.Stderr})
 	fmt.Fprintf(os.Stderr, "worker: %v\n", err)
 	os.Exit(1)
 }

@@ -81,9 +81,13 @@ go test -race -count=2 -cpu=1,8 -run 'TestStealStress|TestStolenDeadline|TestCha
 # evicting cache, no cache or a killed worker, and held outputs lost with
 # their only holder or to a 1 MB cache (rebuilt from lineage) must stay
 # bit-identical, and served alarms must match batch edge.Run in-process and
-# across workers.
+# across workers. The two degraded forms of the one data plane ride along by
+# variant name: a member with no peer listener (coordinator-routed values)
+# and workers that do not cache (values inline).
 echo "== go test -race -count=2 -run 'TestRemoteKillThenRejoinParity|TestRemotePeerKillParity|TestRemoteChainParity|TestRemoteLineageParity' ./internal/core/"
 go test -race -count=2 -run 'TestRemoteKillThenRejoinParity|TestRemotePeerKillParity|TestRemoteChainParity|TestRemoteLineageParity' ./internal/core/
+echo "== go test -race -count=2 -run 'TestRemoteParityBitIdentical/^(no-peer-listener|no-cache)\$' ./internal/core/"
+go test -race -count=2 -run 'TestRemoteParityBitIdentical/^(no-peer-listener|no-cache)$' ./internal/core/
 echo "== go test -race -count=2 -run 'TestServe' ./internal/serve/ ./internal/core/"
 go test -race -count=2 -run 'TestServe' ./internal/serve/ ./internal/core/
 
@@ -99,8 +103,8 @@ sh bench/run.sh -quick
 
 # Submit-path smoke: a quick -benchmem pass over the Submit benchmarks so a
 # regression that re-inflates the per-task allocation count is visible in
-# every gate run (the numbers land in the log; BENCH_PR6.json via
-# scripts/bench.sh is the recorded baseline). The -mutexprofile run keeps
+# every gate run (the numbers land in the log; bench/'s task_storm workload,
+# compss.submit_ns_per_task, is the measurement). The -mutexprofile run keeps
 # the submit fast path honest: it must stay off contended runtime-global
 # locks, and a profile that suddenly grows is the early warning.
 echo "== go test -run=NONE -bench=Submit -benchtime=100x -benchmem ."
