@@ -4,6 +4,7 @@ import (
 	"net"
 	"os"
 	"reflect"
+	"syscall"
 	"testing"
 	"time"
 
@@ -383,7 +384,7 @@ func TestRemoteChainParity(t *testing.T) {
 	for _, v := range []struct {
 		name    string
 		cfg     exec.LoopbackConfig
-		killAt  uint64 // kill worker 0 once this many requests were dispatched
+		killAt  uint64 // freeze, then kill, worker 0 once this many requests were dispatched
 		chained bool   // the run must use fewer than a third as many frames as requests
 	}{
 		{name: "roomy cache", cfg: exec.LoopbackConfig{Workers: 2, Slots: 1}, chained: true},
@@ -405,14 +406,40 @@ func TestRemoteChainParity(t *testing.T) {
 				cfg.Retries = 3
 				cfg.RetryBackoff = 1
 				go func() {
-					for backend.Stats().Dispatched < v.killAt {
+					// Freeze worker 0 (SIGSTOP), then kill it once Workers()
+					// has reported it Inflight for a millisecond: frozen, it
+					// cannot answer the frame it holds, so the kill loses it.
+					// A tree body takes microseconds on this data; killed on
+					// the fly, the worker is as likely as not idle or already
+					// answered. The 50 ms bound keeps a pull stuck on the
+					// frozen worker from hanging the test.
+					var frozenAt time.Time
+					busy := 0
+					for {
 						select {
 						case <-done:
 							return
 						case <-time.After(200 * time.Microsecond):
 						}
+						w0 := backend.Workers()[0]
+						if backend.Stats().Dispatched < v.killAt {
+							continue
+						}
+						if frozenAt.IsZero() {
+							if p, err := os.FindProcess(w0.Pid); err == nil {
+								_ = p.Signal(syscall.SIGSTOP)
+							}
+							frozenAt = time.Now()
+							continue
+						}
+						if busy++; w0.Inflight == 0 {
+							busy = 0
+						}
+						if busy >= 5 || time.Since(frozenAt) > 50*time.Millisecond {
+							_ = backend.KillWorker(0)
+							return
+						}
 					}
-					_ = backend.KillWorker(0)
 				}()
 			}
 			remote, err := RunCV(ModelRF, ds, cfg)

@@ -77,7 +77,11 @@ func corpus() []any {
 	ref := exec.ValueRef{Session: 1 << 40, Task: 12345, Out: 2}
 	leaf := &forest.Node{Leaf: true, Probs: []float64{1, 0}}
 	chain := &forest.Node{Feature: 3, Threshold: -2.5, Left: leaf}
-	train := &forest.TrainSet{X: dense, Y: []int{0, 1, 1, 0, -7, 1 << 40}}
+	trainX := mat.New(6, len(oddFloats))
+	for r := 0; r < trainX.Rows; r++ {
+		copy(trainX.Row(r), oddFloats)
+	}
+	train := mustTrainSet(trainX, []int{0, 1, 1, 0, -7, 1 << 40})
 	return []any{
 		nil, true, false, 0, -1, math.MaxInt, math.MinInt, int64(-1 << 62), uint64(math.MaxUint64),
 		math.Float64frombits(0x7ff8000000000001), math.Copysign(0, -1), "", "héllo\x00wire",
@@ -92,7 +96,8 @@ func corpus() []any {
 		[]any{1.5, ref, exec.RefValue{Ref: ref, Val: []int{1, 2}}, exec.PeerRef{Ref: ref, Addr: "a:1", Token: "t"},
 			[]any{oddFloats, []any{"deep", nil}}, dense, leaf},
 		leaf, chain, negZeroSplit, deepTree(7), (*forest.Node)(nil), &forest.Node{},
-		train, &forest.TrainSet{}, &forest.TrainSet{X: mat.New(0, 4), Y: []int{}}, (*forest.TrainSet)(nil),
+		train, mustTrainSet(mat.NewFromRows([][]float64{{math.NaN()}, {math.NaN()}}), []int{0, 1}),
+		mustTrainSet(mat.New(0, 4), []int{}), (*forest.TrainSet)(nil),
 		&forest.SplitOut{Leaf: leaf},
 		&forest.SplitOut{Split: forest.Split{Found: true, Feature: 9, Threshold: -0.125, Left: []int{1, 5, 9}, Right: []int{0, 2}}},
 		&forest.SplitOut{}, (*forest.SplitOut)(nil),
@@ -101,6 +106,15 @@ func corpus() []any {
 		&core.ServeModel{}, &core.ServeModel{Trees: []*forest.Node{}}, (*core.ServeModel)(nil),
 		legacyPoint{X: math.Inf(-1), Y: 2}, int32(-5), map[string]int{"k": 1},
 	}
+}
+
+// mustTrainSet is forest.NewTrainSet for values known to be well formed.
+func mustTrainSet(x *mat.Dense, y []int) *forest.TrainSet {
+	ts, err := forest.NewTrainSet(x, y)
+	if err != nil {
+		panic(err)
+	}
+	return ts
 }
 
 // sameBits is reflect.DeepEqual with floats compared by their bits — NaN
@@ -119,6 +133,10 @@ func sameBits(a, b reflect.Value, nilIsEmpty bool) bool {
 	switch a.Kind() {
 	case reflect.Float64, reflect.Float32:
 		return math.Float64bits(a.Float()) == math.Float64bits(b.Float())
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		return a.Int() == b.Int() // unexported fields cannot Interface()
+	case reflect.Bool:
+		return a.Bool() == b.Bool()
 	case reflect.Interface, reflect.Pointer:
 		if a.IsNil() || b.IsNil() {
 			return a.IsNil() == b.IsNil()
@@ -179,9 +197,39 @@ func TestWireRoundTripBitIdentical(t *testing.T) {
 		if err := gob.NewDecoder(&buf).Decode(&viaGob); err != nil {
 			t.Fatalf("corpus[%d] %T: gob reference path: %v", i, v, err)
 		}
+		if ts, ok := viaGob.(*forest.TrainSet); ok { // gob carries X and Y; the ranks follow from them
+			viaGob = mustTrainSet(ts.X, ts.Y)
+		}
 		if !equalBits(viaGob, got, true) {
 			t.Fatalf("corpus[%d] %T: codec decoded %#v, gob decoded %#v", i, v, got, viaGob)
 		}
+	}
+}
+
+// TestHostileTrainSetShape: a training set whose label count is not its row
+// count encodes — the encoder trusts its caller — but no decoder accepts it,
+// alone or inside a frame of any kind.
+func TestHostileTrainSetShape(t *testing.T) {
+	bad := &forest.TrainSet{X: mat.New(3, 2), Y: make([]int, 6)}
+	enc, err := exec.EncodeValue(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := exec.DecodeValue(enc); err == nil || !strings.Contains(err.Error(), "6 labels for 3 rows") {
+		t.Fatalf("decoding 6 labels for 3 rows: err %v, want the shape refused", err)
+	}
+	carriers := 0
+	for i, f := range exec.SampleFrames([]any{bad}) {
+		if !bytes.Contains(f, enc) {
+			continue // a frame kind that carries no values
+		}
+		carriers++
+		if _, _, err := exec.RecodeFrame(f, 1<<30); err == nil {
+			t.Fatalf("frame %d carrying 6 labels for 3 rows decoded", i)
+		}
+	}
+	if carriers == 0 {
+		t.Fatal("no sample frame carries the value")
 	}
 }
 
@@ -351,9 +399,10 @@ func BenchmarkWireDense300x256(b *testing.B) {
 // BenchmarkWireTrainSet800x115 is the gathered training set every forest
 // task of a cross-validation fold refers to.
 func BenchmarkWireTrainSet800x115(b *testing.B) {
-	ts := &forest.TrainSet{X: filled(800, 115), Y: make([]int, 800)}
-	for i := range ts.Y {
-		ts.Y[i] = i & 1
+	y := make([]int, 800)
+	for i := range y {
+		y[i] = i & 1
 	}
+	ts := mustTrainSet(filled(800, 115), y)
 	benchWire(b, ts, 8*len(ts.X.Data)+8*len(ts.Y))
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"taskml/internal/exec"
+	"taskml/internal/mat"
 )
 
 // Binary wire forms of the forest task values (exec.RegisterCodec, see
@@ -30,11 +31,14 @@ func decodeTrainSet(d *exec.Decoder) *TrainSet {
 	if !d.Bool() {
 		return nil
 	}
-	t := &TrainSet{}
+	var x *mat.Dense
 	if d.Bool() {
-		t.X = d.Dense()
+		x = d.Dense()
 	}
-	t.Y = d.Ints()
+	t, err := NewTrainSet(x, d.Ints()) // the rank table never travels
+	if err != nil {
+		d.Fail(err)
+	}
 	return t
 }
 

@@ -10,9 +10,9 @@
 // RandomForest (Fit/Predict over ds-arrays, configured by Params) is the
 // estimator; TreeParams/Node/Split/BuildTree/BestSplit expose the
 // single-tree CART machinery it distributes. TrainSet and SplitOut are the
-// wire-visible intermediate values of the distributed fit. BestSplit, the
-// loop a fit spends its time in, sorts one []float64 run per class and
-// merges the runs; no (value, label) struct is built or moved.
+// wire-visible intermediate values of the distributed fit. NewTrainSet ranks
+// each column once a fold; BestSplit, the loop a fit spends its time in, then
+// never sorts: it walks a node's (rank, class) histogram in rank order.
 //
 // # Concurrency and ownership
 //

@@ -8,14 +8,16 @@ package forest
 // forest body writes to its arguments every one of them reads that one
 // copy.
 
-// ExecValueBytes reports the resident payload size.
+// ExecValueBytes reports the resident payload size, rank table included:
+// with distinct values in every column the table is 1.5× the size of X.
 func (t *TrainSet) ExecValueBytes() int64 {
 	if t == nil {
 		return 8
 	}
-	n := int64(len(t.Y))*8 + 32
-	if t.X != nil {
-		n += int64(len(t.X.Data)) * 8
+	n := int64(len(t.Y)+len(t.X.Data))*8 + 32 + int64(len(t.ranks.rank))*4
+	n += int64(len(t.ranks.nan)) * (1 + 24) // a NaN flag and a slice header a column
+	for _, v := range t.ranks.vals {
+		n += int64(len(v)) * 8
 	}
 	return n
 }

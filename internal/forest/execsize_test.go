@@ -10,7 +10,7 @@ import (
 func TestExecValueBytesPositive(t *testing.T) {
 	leaf := &Node{Leaf: true, Probs: []float64{1}}
 	for name, n := range map[string]int64{
-		"TrainSet":       (&TrainSet{X: mat.New(2, 2), Y: []int{0, 1}}).ExecValueBytes(),
+		"TrainSet":       trainSet(t, mat.New(2, 2), []int{0, 1}).ExecValueBytes(),
 		"Node":           (&Node{Feature: 1, Threshold: 0.5, Left: leaf, Right: leaf}).ExecValueBytes(),
 		"SplitOut split": (&SplitOut{Split: Split{Found: true, Left: []int{1, 2}, Right: []int{3}}}).ExecValueBytes(),
 		"SplitOut leaf":  (&SplitOut{Leaf: leaf}).ExecValueBytes(),
@@ -18,6 +18,21 @@ func TestExecValueBytesPositive(t *testing.T) {
 		if n <= 0 {
 			t.Errorf("%s size = %d, want positive (else never cached)", name, n)
 		}
+	}
+}
+
+// The cache bound covers what a resident TrainSet really holds: X and Y,
+// and the rank table beside them — at least four bytes a cell for the ranks
+// and eight a distinct value.
+func TestTrainSetBytesCountRankTable(t *testing.T) {
+	ts, _ := splitBenchNode(t, 0)
+	distinct := 0
+	for f := 0; f < ts.X.Cols; f++ {
+		distinct += len(ts.ranks.vals[f])
+	}
+	data := int64(len(ts.X.Data))*8 + int64(len(ts.Y))*8
+	if got, table := ts.ExecValueBytes(), int64(len(ts.X.Data))*4+int64(distinct)*8; got < data+table {
+		t.Fatalf("ExecValueBytes = %d, want at least %d for X and Y and %d for the rank table", got, data, table)
 	}
 }
 

@@ -49,10 +49,24 @@ var ErrNotFitted = errors.New("forest: model is not fitted")
 // blocks and their size does not have a direct impact on the computational
 // time and number of tasks created": the workflow gathers the row blocks
 // once and the task count depends only on NEstimators and DistrDepth.
-// It crosses to worker processes through its codec (codec.go).
+// It crosses to worker processes through its codec (codec.go). Build it with
+// NewTrainSet, which ranks every column once for all the fold's trees.
 type TrainSet struct {
 	X *mat.Dense
 	Y []int
+
+	ranks rankTable // derived from X, never encoded
+}
+
+// NewTrainSet pairs x with one label per row and ranks its columns.
+func NewTrainSet(x *mat.Dense, y []int) (*TrainSet, error) {
+	if x == nil {
+		return nil, errors.New("forest: training set without a matrix")
+	}
+	if len(y) != x.Rows {
+		return nil, fmt.Errorf("forest: %d labels for %d rows", len(y), x.Rows)
+	}
+	return &TrainSet{X: x, Y: y, ranks: rankColumns(x)}, nil
 }
 
 // SplitOut is a distr-depth split task's output.

@@ -15,6 +15,15 @@ import (
 
 func newRT() *compss.Runtime { return compss.New(compss.Config{Workers: 4}) }
 
+func trainSet(t testing.TB, x *mat.Dense, y []int) *TrainSet {
+	t.Helper()
+	ts, err := NewTrainSet(x, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ts
+}
+
 func blobs(rng *rand.Rand, n, d int, sep float64) (*mat.Dense, []int) {
 	x := mat.New(n, d)
 	y := make([]int, n)
@@ -50,7 +59,7 @@ func xorData(rng *rand.Rand, n int) (*mat.Dense, []int) {
 func TestBuildTreeSeparatesBlobs(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	x, y := blobs(rng, 200, 3, 5)
-	tree := BuildTree(x, y, nil, 2, TreeParams{}, rng)
+	tree := BuildTree(trainSet(t, x, y), nil, 2, TreeParams{}, rng)
 	if err := tree.Validate(2); err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +77,7 @@ func TestBuildTreeSeparatesBlobs(t *testing.T) {
 func TestBuildTreeHandlesXor(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	x, y := xorData(rng, 300)
-	tree := BuildTree(x, y, nil, 2, TreeParams{MaxFeatures: 2}, rng)
+	tree := BuildTree(trainSet(t, x, y), nil, 2, TreeParams{MaxFeatures: 2}, rng)
 	correct := 0
 	for i := 0; i < x.Rows; i++ {
 		if tree.PredictLabel(x.Row(i)) == y[i] {
@@ -83,7 +92,7 @@ func TestBuildTreeHandlesXor(t *testing.T) {
 func TestMaxDepthRespected(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	x, y := xorData(rng, 300)
-	tree := BuildTree(x, y, nil, 2, TreeParams{MaxDepth: 3}, rng)
+	tree := BuildTree(trainSet(t, x, y), nil, 2, TreeParams{MaxDepth: 3}, rng)
 	if d := tree.Depth(); d > 4 { // depth counts nodes, MaxDepth counts splits
 		t.Fatalf("tree depth %d with MaxDepth 3", d)
 	}
@@ -92,7 +101,7 @@ func TestMaxDepthRespected(t *testing.T) {
 func TestPureNodeBecomesLeaf(t *testing.T) {
 	x := mat.NewFromRows([][]float64{{0}, {1}, {2}})
 	y := []int{1, 1, 1}
-	tree := BuildTree(x, y, nil, 2, TreeParams{}, rand.New(rand.NewSource(4)))
+	tree := BuildTree(trainSet(t, x, y), nil, 2, TreeParams{}, rand.New(rand.NewSource(4)))
 	if !tree.Leaf {
 		t.Fatal("pure training set must yield a single leaf")
 	}
@@ -104,7 +113,7 @@ func TestPureNodeBecomesLeaf(t *testing.T) {
 func TestBestSplitKnownThreshold(t *testing.T) {
 	x := mat.NewFromRows([][]float64{{0}, {1}, {10}, {11}})
 	y := []int{0, 0, 1, 1}
-	sp := BestSplit(x, y, []int{0, 1, 2, 3}, 2, TreeParams{MaxFeatures: 1}, rand.New(rand.NewSource(5)))
+	sp := BestSplit(trainSet(t, x, y), []int{0, 1, 2, 3}, 2, TreeParams{MaxFeatures: 1}, rand.New(rand.NewSource(5)))
 	if !sp.Found {
 		t.Fatal("split not found")
 	}
@@ -120,7 +129,7 @@ func TestBestSplitNoGain(t *testing.T) {
 	// Identical feature values: no split possible.
 	x := mat.NewFromRows([][]float64{{5}, {5}, {5}, {5}})
 	y := []int{0, 1, 0, 1}
-	sp := BestSplit(x, y, []int{0, 1, 2, 3}, 2, TreeParams{}, rand.New(rand.NewSource(6)))
+	sp := BestSplit(trainSet(t, x, y), []int{0, 1, 2, 3}, 2, TreeParams{}, rand.New(rand.NewSource(6)))
 	if sp.Found {
 		t.Fatal("split found on constant feature")
 	}
@@ -141,7 +150,7 @@ func TestTreeStructureProperty(t *testing.T) {
 				x.Set(i, j, rng.NormFloat64())
 			}
 		}
-		tree := BuildTree(x, y, nil, 3, TreeParams{MaxDepth: 6}, rng)
+		tree := BuildTree(trainSet(t, x, y), nil, 3, TreeParams{MaxDepth: 6}, rng)
 		if tree.Validate(3) != nil {
 			return false
 		}
@@ -482,6 +491,28 @@ func splitMatrix(rng *rand.Rand, rows, d int) *mat.Dense {
 	return x
 }
 
+// splitLabels draws labels for x's rows: all one class (one time in eight),
+// uniform (three in eight), or following a random feature with label noise.
+func splitLabels(rng *rand.Rand, x *mat.Dense, nClasses int) []int {
+	y := make([]int, x.Rows)
+	switch f, mode := rng.Intn(x.Cols), rng.Intn(8); {
+	case mode == 0:
+		for i := range y {
+			y[i] = nClasses - 1
+		}
+	case mode < 4:
+		for i := range y {
+			y[i] = rng.Intn(nClasses)
+		}
+	default:
+		for i := range y {
+			c := int(math.Floor(x.At(i, f)+rng.NormFloat64()/3)) + nClasses/2
+			y[i] = min(max(c, 0), nClasses-1)
+		}
+	}
+	return y
+}
+
 // BestSplit against the sort.Slice implementation it replaced, field for
 // field, over seeded nodes: bootstrap indices with repeats, 2–5 classes,
 // labels that follow a feature, random labels and pure nodes, tie-heavy and
@@ -493,6 +524,7 @@ func TestBestSplitMatchesReference(t *testing.T) {
 	for m := 0; m < matrices; m++ {
 		rows, d := 2+rng.Intn(899), 1+rng.Intn(120)
 		x := splitMatrix(rng, rows, d)
+		ts := trainSet(t, x, make([]int, rows)) // the ranks do not read the labels
 		for k := 0; k < perMatrix; k++ {
 			// Small nodes dominate a tree, so they dominate here.
 			u := rng.Float64()
@@ -502,26 +534,12 @@ func TestBestSplitMatchesReference(t *testing.T) {
 			for i := range idx {
 				idx[i] = rng.Intn(rows)
 			}
-			y := make([]int, rows)
-			switch f, mode := rng.Intn(d), rng.Intn(8); {
-			case mode == 0: // a pure node
-				for i := range y {
-					y[i] = nClasses - 1
-				}
-			case mode < 4:
-				for i := range y {
-					y[i] = rng.Intn(nClasses)
-				}
-			default: // the class follows feature f, with label noise
-				for i := range y {
-					c := int(math.Floor(x.At(i, f)+rng.NormFloat64()/3)) + nClasses/2
-					y[i] = min(max(c, 0), nClasses-1)
-				}
-			}
+			y := splitLabels(rng, x, nClasses)
+			ts.Y = y
 			p := TreeParams{MaxFeatures: []int{0, 1, d}[rng.Intn(3)]}
 			seed := rng.Int63()
 			gotRng, wantRng := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
-			got := BestSplit(x, y, idx, nClasses, p, gotRng)
+			got := BestSplit(ts, idx, nClasses, p, gotRng)
 			want := bestSplitReference(x, y, idx, nClasses, p, wantRng)
 			if !sameSplit(got, want) {
 				t.Fatalf("matrix %d case %d (n=%d d=%d classes=%d %+v):\n got %+v\nwant %+v",
@@ -548,6 +566,7 @@ func TestForestCVMatchesReferenceSplit(t *testing.T) {
 	rng := rand.New(rand.NewSource(1602))
 	const n, d, folds, trees = 400, 30, 5, 8
 	x, y := blobs(rng, n, d, 0.9)
+	ts := trainSet(t, x, y)
 	p := TreeParams{}.withDefaults()
 	var got, want [2][2]int
 	for fold := 0; fold < folds; fold++ {
@@ -564,7 +583,7 @@ func TestForestCVMatchesReferenceSplit(t *testing.T) {
 				boot[i] = train[rng.Intn(len(train))]
 			}
 			seed := rng.Int63()
-			forest = append(forest, BuildTree(x, y, boot, 2, p, rand.New(rand.NewSource(seed))))
+			forest = append(forest, BuildTree(ts, boot, 2, p, rand.New(rand.NewSource(seed))))
 			ref = append(ref, buildTreeReference(x, y, boot, 2, p, rand.New(rand.NewSource(seed)), 0))
 		}
 		vote := func(ts []*Node, row []float64) int {
@@ -590,6 +609,125 @@ func TestForestCVMatchesReferenceSplit(t *testing.T) {
 	}
 }
 
+// sameTree compares two trees node for node, thresholds and leaf
+// distributions by their bits.
+func sameTree(a, b *Node) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return a.Leaf == b.Leaf && a.Feature == b.Feature &&
+		math.Float64bits(a.Threshold) == math.Float64bits(b.Threshold) &&
+		slices.EqualFunc(a.Probs, b.Probs, func(p, q float64) bool { return math.Float64bits(p) == math.Float64bits(q) }) &&
+		sameTree(a.Left, b.Left) && sameTree(a.Right, b.Right)
+}
+
+// BuildTree against buildTreeReference, whole trees node for node, over
+// seeded bootstrap samples of splitMatrix columns (constant, tie-heavy with
+// mixed ±0, heavy-tailed with ±Inf, Gaussian), 2–5 classes, MaxFeatures 0,
+// 1 and d: the in-place partition and the shared scratch change no node and
+// no draw.
+func TestBuildTreeMatchesReference(t *testing.T) {
+	const matrices, perMatrix = 12, 5
+	rng := rand.New(rand.NewSource(1604))
+	splits := 0
+	for m := 0; m < matrices; m++ {
+		rows, d := 2+rng.Intn(399), 1+rng.Intn(40)
+		x := splitMatrix(rng, rows, d)
+		ts := trainSet(t, x, make([]int, rows))
+		for k := 0; k < perMatrix; k++ {
+			nClasses := 2 + rng.Intn(4)
+			boot := make([]int, rows)
+			for i := range boot {
+				boot[i] = rng.Intn(rows)
+			}
+			y := splitLabels(rng, x, nClasses)
+			ts.Y = y
+			p := TreeParams{MaxFeatures: []int{0, 1, d}[rng.Intn(3)]}.withDefaults()
+			seed := rng.Int63()
+			gotRng, wantRng := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+			got := BuildTree(ts, boot, nClasses, p, gotRng)
+			want := buildTreeReference(x, y, boot, nClasses, p, wantRng, 0)
+			if !sameTree(got, want) {
+				t.Fatalf("matrix %d case %d (rows=%d d=%d classes=%d %+v): trees differ (%d vs %d nodes)",
+					m, k, rows, d, nClasses, p, got.CountNodes(), want.CountNodes())
+			}
+			if gotRng.Int63() != wantRng.Int63() {
+				t.Fatalf("matrix %d case %d: rng streams diverge after the tree", m, k)
+			}
+			splits += got.CountNodes() / 2
+		}
+	}
+	if splits < 500 {
+		t.Fatalf("%d splits in %d trees: the generator no longer grows trees", splits, matrices*perMatrix)
+	}
+}
+
+// The rank table: dense ranks whose order is the values' order, one rank
+// for −0 and +0, none for NaN; and a NaN row outside a node leaves its
+// feature usable.
+func TestTrainSetRanks(t *testing.T) {
+	nan, negZero := math.NaN(), math.Copysign(0, -1)
+	x := mat.NewFromRows([][]float64{
+		{3, 0, 7}, {negZero, 1, 7}, {nan, 2, 7}, {0, 3, 7}, {math.Inf(-1), 4, 7}, {3, 5, 7}, {math.Inf(1), 6, 7},
+	})
+	ts := trainSet(t, x, []int{0, 0, 0, 1, 1, 1, 1})
+	rt := ts.ranks
+	if want := []bool{true, false, false}; !slices.Equal(rt.nan, want) {
+		t.Fatalf("NaN flags %v, want %v", rt.nan, want)
+	}
+	if want := []int32{2, 1, -1, 1, 0, 2, 3}; !slices.Equal(rt.rank[:x.Rows], want) {
+		t.Fatalf("column 0 ranks %v, want %v", rt.rank[:x.Rows], want)
+	}
+	if got := rt.vals[2]; len(got) != 1 || got[0] != 7 || rt.rank[2*x.Rows+4] != 0 {
+		t.Fatalf("constant column: values %v", got)
+	}
+	// The same properties on the split search's own generator, NaNs added.
+	rng := rand.New(rand.NewSource(1605))
+	x = splitMatrix(rng, 300, 30)
+	for k := 0; k < 40; k++ {
+		x.Data[rng.Intn(len(x.Data))] = nan
+	}
+	ts = trainSet(t, x, make([]int, x.Rows))
+	for f := 0; f < x.Cols; f++ {
+		vals, rank := ts.ranks.vals[f], ts.ranks.rank[f*x.Rows:(f+1)*x.Rows]
+		seen := make([]bool, len(vals))
+		for i, r := range rank {
+			v := x.At(i, f)
+			if math.IsNaN(v) != (r < 0) || (r >= 0 && vals[r] != v) {
+				t.Fatalf("column %d row %d: value %v has rank %d", f, i, v, r)
+			}
+			if r >= 0 {
+				seen[r] = true
+			}
+		}
+		if slices.Contains(seen, false) {
+			t.Fatalf("column %d: ranks not dense", f)
+		}
+		for r := 1; r < len(vals); r++ {
+			if !(vals[r-1] < vals[r]) {
+				t.Fatalf("column %d: values not strictly ascending at rank %d: %v", f, r, vals)
+			}
+		}
+		if ts.ranks.nan[f] != slices.ContainsFunc(rank, func(r int32) bool { return r < 0 }) {
+			t.Fatalf("column %d: NaN flag %v disagrees with the ranks", f, ts.ranks.nan[f])
+		}
+	}
+
+	// Row 2's NaN outside the node: column 0 still splits it.
+	sp := BestSplit(trainSet(t, mat.NewFromRows([][]float64{{0}, {1}, {nan}, {10}, {11}}), []int{0, 0, 1, 1, 1}),
+		[]int{0, 1, 3, 4}, 2, TreeParams{}, rand.New(rand.NewSource(1)))
+	if !sp.Found || sp.Threshold != 5.5 {
+		t.Fatalf("NaN outside the node: %+v, want a split at 5.5", sp)
+	}
+
+	if _, err := NewTrainSet(mat.New(3, 2), make([]int, 6)); err == nil {
+		t.Fatal("NewTrainSet accepted 6 labels for 3 rows")
+	}
+	if _, err := NewTrainSet(nil, nil); err == nil {
+		t.Fatal("NewTrainSet accepted a nil matrix")
+	}
+}
+
 // A NaN among a node's values of a sampled feature leaves that feature
 // without an order to scan: it offers no threshold, whatever the other
 // values are. The feature draw is consumed all the same.
@@ -599,10 +737,11 @@ func TestBestSplitSkipsFeatureWithNaN(t *testing.T) {
 	// column 1 separates them less well.
 	x := mat.NewFromRows([][]float64{{0, 0}, {1, 5}, {nan, 1}, {10, 6}, {11, 7}, {12, 2}})
 	y := []int{0, 0, 0, 1, 1, 1}
+	ts := trainSet(t, x, y)
 	p := TreeParams{MaxFeatures: 2}
 
 	rng := rand.New(rand.NewSource(9))
-	sp := BestSplit(x, y, []int{0, 1, 2, 3, 4, 5}, 2, p, rng)
+	sp := BestSplit(ts, []int{0, 1, 2, 3, 4, 5}, 2, p, rng)
 	if !sp.Found || sp.Feature != 1 {
 		t.Fatalf("with a NaN in column 0: %+v, want a split on column 1", sp)
 	}
@@ -613,37 +752,37 @@ func TestBestSplitSkipsFeatureWithNaN(t *testing.T) {
 	}
 
 	// The NaN row outside the node: column 0 is an ordinary feature.
-	sp = BestSplit(x, y, []int{0, 1, 3, 4, 5, 5}, 2, p, rand.New(rand.NewSource(9)))
+	sp = BestSplit(ts, []int{0, 1, 3, 4, 5, 5}, 2, p, rand.New(rand.NewSource(9)))
 	if !sp.Found || sp.Feature != 0 || sp.Threshold != 5.5 {
 		t.Fatalf("NaN outside the node: %+v, want column 0 at 5.5", sp)
 	}
 
 	// Every sampled feature has one: no split.
 	x.Set(4, 1, nan)
-	if sp = BestSplit(x, y, []int{0, 1, 2, 3, 4, 5}, 2, p, rand.New(rand.NewSource(9))); sp.Found {
+	if sp = BestSplit(trainSet(t, x, y), []int{0, 1, 2, 3, 4, 5}, 2, p, rand.New(rand.NewSource(9))); sp.Found {
 		t.Fatalf("all features NaN: %+v, want no split", sp)
 	}
 }
 
 // splitBenchNode is one root node of the CV workloads' forest: a fold's 800
 // training rows after PCA (115 components), bootstrap indices, √d features.
-func splitBenchNode(n int) (*mat.Dense, []int, []int) {
+func splitBenchNode(tb testing.TB, n int) (*TrainSet, []int) {
 	rng := rand.New(rand.NewSource(1603))
 	x, y := blobs(rng, 800, 115, 0.5)
 	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = rng.Intn(x.Rows)
 	}
-	return x, y, idx
+	return trainSet(tb, x, y), idx
 }
 
 // The scratch of a split search is allocated per call, not per candidate
 // threshold: a node with eight times the thresholds allocates no more often.
 func TestBestSplitAllocsIndependentOfThresholds(t *testing.T) {
 	allocs := func(n int) float64 {
-		x, y, idx := splitBenchNode(n)
+		ts, idx := splitBenchNode(t, n)
 		rng := rand.New(rand.NewSource(1))
-		return testing.AllocsPerRun(20, func() { BestSplit(x, y, idx, 2, TreeParams{}, rng) })
+		return testing.AllocsPerRun(20, func() { BestSplit(ts, idx, 2, TreeParams{}, rng) })
 	}
 	if small, large := allocs(100), allocs(800); small != large || large > 8 {
 		t.Fatalf("allocs per call: %v at n=100, %v at n=800; want equal and at most 8", small, large)
@@ -651,13 +790,40 @@ func TestBestSplitAllocsIndependentOfThresholds(t *testing.T) {
 }
 
 func BenchmarkBestSplit800x115(b *testing.B) {
-	x, y, idx := splitBenchNode(800)
+	ts, idx := splitBenchNode(b, 800)
 	rng := rand.New(rand.NewSource(1))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if sp := BestSplit(x, y, idx, 2, TreeParams{}, rng); !sp.Found {
+		if sp := BestSplit(ts, idx, 2, TreeParams{}, rng); !sp.Found {
 			b.Fatal("no split")
+		}
+	}
+}
+
+// BenchmarkBuildTree800x115 is the body of rf_subtree on a fold's whole
+// bootstrap sample: one tree, default parameters.
+func BenchmarkBuildTree800x115(b *testing.B) {
+	ts, idx := splitBenchNode(b, 800)
+	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if tree := BuildTree(ts, idx, 2, TreeParams{}, rng); tree.Leaf {
+			b.Fatal("no split")
+		}
+	}
+}
+
+// BenchmarkNewTrainSet800x115 is the rank build every fold pays once, at
+// the head of all its trees.
+func BenchmarkNewTrainSet800x115(b *testing.B) {
+	ts, _ := splitBenchNode(b, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewTrainSet(ts.X, ts.Y); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

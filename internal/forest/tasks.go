@@ -30,7 +30,7 @@ func init() {
 			xs = append(xs, vals[i].(*mat.Dense))
 			labels = append(labels, dsarray.LabelsToInts(vals[i+1].(*mat.Dense))...)
 		}
-		return &TrainSet{X: mat.VStack(xs...), Y: labels}, nil
+		return NewTrainSet(mat.VStack(xs...), labels)
 	})
 
 	// rf_bootstrap(data, seed): one estimator's bootstrap sample of row
@@ -56,7 +56,7 @@ func init() {
 		tp := args[3].(TreeParams)
 		nClasses := args[4].(int)
 		rng := rand.New(rand.NewSource(seed))
-		return BuildTree(ts.X, ts.Y, rows, nClasses, tp, rng), nil
+		return BuildTree(ts, rows, nClasses, tp, rng), nil
 	})
 
 	// rf_split(data, rows, seed, tp, nClasses) -> (SplitOut, left, right):
@@ -71,7 +71,7 @@ func init() {
 		if len(rows) < tp.withDefaults().MinSamplesSplit {
 			return []any{&SplitOut{Leaf: leafNode(ts.Y, rows, nClasses)}, []int{}, []int{}}, nil
 		}
-		sp := BestSplit(ts.X, ts.Y, rows, nClasses, tp, rng)
+		sp := BestSplit(ts, rows, nClasses, tp, rng)
 		if !sp.Found || len(sp.Left) == 0 || len(sp.Right) == 0 {
 			return []any{&SplitOut{Leaf: leafNode(ts.Y, rows, nClasses)}, []int{}, []int{}}, nil
 		}

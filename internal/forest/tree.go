@@ -3,6 +3,7 @@ package forest
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 
@@ -111,176 +112,214 @@ type Split struct {
 	Right     []int
 }
 
-// BestSplit searches the Gini-optimal binary split of the samples idx,
-// scanning MaxFeatures randomly sampled features: midpoints of consecutive
-// distinct values in ascending order, features in sampled order, the first
-// best wins. A feature with a NaN among the node's values has no order to
-// scan and offers no threshold.
-func BestSplit(x *mat.Dense, y []int, idx []int, nClasses int, p TreeParams, rng *rand.Rand) Split {
-	p = p.withDefaults()
-	nFeat := p.MaxFeatures
-	if nFeat <= 0 {
-		nFeat = int(math.Sqrt(float64(x.Cols)))
-		if nFeat < 1 {
-			nFeat = 1
-		}
-	}
-	if nFeat > x.Cols {
-		nFeat = x.Cols
-	}
-	feats := rng.Perm(x.Cols)[:nFeat]
+// rankTable orders every column of a TrainSet once, so no split search
+// sorts. rank[f*rows+i] is row i's dense rank among column f's distinct
+// non-NaN values, −0 and +0 being one value, or −1 for a NaN; vals[f] are
+// those values ascending; nan[f] says column f has a NaN.
+type rankTable struct {
+	rank []int32
+	vals [][]float64
+	nan  []bool
+}
 
-	total := float64(len(idx))
-	counts := make([]float64, 3*nClasses)
-	parentCounts, leftCounts, rightCounts := counts[:nClasses], counts[nClasses:2*nClasses], counts[2*nClasses:]
-	for _, i := range idx {
-		parentCounts[y[i]]++
+// rankColumns builds x's rank table. A matrix without rows has nothing to
+// rank, whatever width it claims.
+func rankColumns(x *mat.Dense) rankTable {
+	n := x.Rows
+	if n == 0 {
+		return rankTable{}
 	}
-	parentGini := giniOf(parentCounts, total)
-	if parentGini == 0 {
-		return Split{}
-	}
-
-	// Group the samples by class: rows[first[c]:first[c+1]] are class c's
-	// offsets into x.Data, so a gather fills vals with one run per class.
-	// Sorting each run and merging the run heads visits the values in
-	// ascending order, the class of each known from its run.
-	bounds := make([]int, 2*nClasses+1)
-	first, head := bounds[:nClasses+1], bounds[nClasses+1:]
-	for c, n := range parentCounts {
-		first[c+1] = first[c] + int(n)
-	}
-	copy(head, first)
-	ints := make([]int, 2*len(idx)+1)
-	rows, ends := ints[:len(idx)], ints[len(idx):]
-	for _, i := range idx {
-		rows[head[y[i]]] = i * x.Cols
-		head[y[i]]++
-	}
-	floats := make([]float64, 2*len(idx))
-	vals, tmp := floats[:len(idx)], floats[len(idx):]
-
-	best := Split{}
-	bestScore := parentGini - 1e-12
-	for _, f := range feats {
-		for k, off := range rows {
-			vals[k] = x.Data[off+f]
-		}
-		if slices.ContainsFunc(vals, math.IsNaN) {
-			continue
-		}
-		for c := range head {
-			sortRun(vals[first[c]:first[c+1]], tmp, ends)
-		}
-		copy(head, first)
-		clear(leftCounts)
-		// A round moves every run's copies of v left and finds the next value.
-		for v, next, nl := math.Inf(-1), 0.0, 0; nl < len(idx); v = next {
-			next = math.Inf(1)
-			for c, h := range head {
-				for ; h < first[c+1] && vals[h] == v; h++ {
-					leftCounts[c]++
-					nl++
-				}
-				if head[c] = h; h < first[c+1] && vals[h] < next {
-					next = vals[h]
-				}
-			}
-			if nl == 0 || nl == len(idx) {
+	t := rankTable{rank: make([]int32, len(x.Data)), vals: make([][]float64, x.Cols), nan: make([]bool, x.Cols)}
+	keys, rows := make([]uint64, 2*n), make([]int32, 2*n)
+	vals := make([]float64, 0, n)
+	for f := range t.vals {
+		rank, k := t.rank[f*n:(f+1)*n], 0
+		for i := range rank {
+			v := x.Data[i*x.Cols+f]
+			if math.IsNaN(v) {
+				rank[i] = -1
 				continue
 			}
-			nr := total - float64(nl)
-			for c := range rightCounts {
-				rightCounts[c] = parentCounts[c] - leftCounts[c]
+			// v+0 makes −0 +0; flipping the sign bit of a positive float and
+			// every bit of a negative one orders the bits as the floats.
+			b := math.Float64bits(v + 0)
+			keys[k], rows[k] = b^(uint64(int64(b)>>63)|1<<63), int32(i)
+			k++
+		}
+		t.nan[f] = k < n
+		sorted, order := radixSort(keys[:k], rows[:k], keys[n:n+k], rows[n:n+k])
+		vals = vals[:0]
+		for j, key := range sorted {
+			if j == 0 || key != sorted[j-1] {
+				vals = append(vals, x.Data[int(order[j])*x.Cols+f])
 			}
-			score := (float64(nl)*giniOf(leftCounts, float64(nl)) + nr*giniOf(rightCounts, nr)) / total
-			if score < bestScore {
-				bestScore = score
-				best.Found = true
-				best.Feature = f
-				best.Threshold = (v + next) / 2
+			rank[order[j]] = int32(len(vals) - 1)
+		}
+		t.vals[f] = slices.Clone(vals)
+	}
+	return t
+}
+
+// radixSort sorts keys ascending and rows with them, one stable counting
+// pass a byte; tk and tr are scratch of the same lengths. It returns
+// whichever pair holds the result.
+func radixSort(keys []uint64, rows []int32, tk []uint64, tr []int32) ([]uint64, []int32) {
+	for shift := 0; shift < 64 && len(keys) > 1; shift += 8 {
+		var start [257]int
+		for _, k := range keys {
+			start[k>>shift&0xff+1]++
+		}
+		for b := 1; b < len(start); b++ {
+			start[b] += start[b-1]
+		}
+		for j, k := range keys {
+			b := k >> shift & 0xff
+			tk[start[b]], tr[start[b]] = k, rows[j]
+			start[b]++
+		}
+		keys, rows, tk, tr = tk, tr, keys, rows
+	}
+	return keys, rows
+}
+
+// splitter is the scratch of split searches over one TrainSet, sized once
+// and reused by every node of a tree.
+type splitter struct {
+	ts       *TrainSet
+	nClasses int
+	nFeat    int
+	feats    []int     // the feature permutation
+	counts   []float64 // parent, left and right class counts
+	hist     []int32   // the node's rows by (rank, class)
+	occ      []uint64  // one bit per rank the node's rows take
+}
+
+func newSplitter(ts *TrainSet, nClasses int, p TreeParams) *splitter {
+	d, nFeat, maxVals := ts.X.Cols, p.MaxFeatures, 0
+	if nFeat <= 0 {
+		nFeat = max(int(math.Sqrt(float64(d))), 1)
+	}
+	for _, v := range ts.ranks.vals {
+		maxVals = max(maxVals, len(v))
+	}
+	return &splitter{
+		ts: ts, nClasses: nClasses, nFeat: min(nFeat, d),
+		feats: make([]int, d), counts: make([]float64, 3*nClasses),
+		hist: make([]int32, maxVals*nClasses), occ: make([]uint64, (maxVals+63)/64),
+	}
+}
+
+// search finds the Gini-optimal binary split of rows over nFeat randomly
+// sampled features: midpoints of consecutive distinct values in ascending
+// order, features in sampled order, the first best wins. A feature with a
+// NaN among the rows' values has no order to scan and offers no threshold.
+func (s *splitter) search(rows []int, rng *rand.Rand) (feature int, threshold float64, found bool) {
+	for i := range s.feats { // rng.Perm(d), drawn into scratch
+		j := rng.Intn(i + 1)
+		s.feats[i], s.feats[j] = s.feats[j], i
+	}
+	y, t, nc, m := s.ts.Y, &s.ts.ranks, s.nClasses, s.ts.X.Rows
+	parent, left, right := s.counts[:nc], s.counts[nc:2*nc], s.counts[2*nc:]
+	clear(parent)
+	for _, i := range rows {
+		parent[y[i]]++
+	}
+	total := float64(len(rows))
+	parentGini := giniOf(parent, total)
+	if parentGini == 0 {
+		return 0, 0, false
+	}
+	best := parentGini - 1e-12
+	for _, f := range s.feats[:s.nFeat] {
+		rank := t.rank[f*m : (f+1)*m]
+		if t.nan[f] && slices.ContainsFunc(rows, func(i int) bool { return rank[i] < 0 }) {
+			continue
+		}
+		for _, i := range rows {
+			r := rank[i]
+			s.hist[int(r)*nc+y[i]]++
+			s.occ[r>>6] |= 1 << (r & 63)
+		}
+		// Walk the node's ranks ascending, emptying the histogram as it goes:
+		// the rows below each rank are the left side of a candidate split.
+		clear(left)
+		vals, nl, prev := t.vals[f], 0, 0
+		for w, word := range s.occ[:(len(vals)+63)/64] {
+			s.occ[w] = 0
+			for ; word != 0; word &= word - 1 {
+				r := w<<6 | bits.TrailingZeros64(word)
+				if nl > 0 {
+					nr := total - float64(nl)
+					for c := range right {
+						right[c] = parent[c] - left[c]
+					}
+					score := (float64(nl)*giniOf(left, float64(nl)) + nr*giniOf(right, nr)) / total
+					if score < best {
+						best, feature, threshold, found = score, f, (vals[prev]+vals[r])/2, true
+					}
+				}
+				h := s.hist[r*nc : (r+1)*nc]
+				for c, k := range h {
+					left[c] += float64(k)
+					nl += int(k)
+				}
+				clear(h)
+				prev = r
 			}
 		}
 	}
-	if !best.Found {
-		return best
+	return feature, threshold, found
+}
+
+// BestSplit searches the Gini-optimal binary split of the samples idx of ts
+// (see splitter.search) and returns the samples of each side in idx order.
+func BestSplit(ts *TrainSet, idx []int, nClasses int, p TreeParams, rng *rand.Rand) Split {
+	f, thr, found := newSplitter(ts, nClasses, p).search(idx, rng)
+	if !found {
+		return Split{}
 	}
 	// A midpoint of adjacent floats may round up, so the comparison decides.
-	best.Left, best.Right = make([]int, 0, len(idx)), make([]int, 0, len(idx))
+	sp := Split{Found: true, Feature: f, Threshold: thr, Left: make([]int, 0, len(idx)), Right: make([]int, 0, len(idx))}
 	for _, i := range idx {
-		if x.Data[i*x.Cols+best.Feature] <= best.Threshold {
-			best.Left = append(best.Left, i)
+		if ts.X.Data[i*ts.X.Cols+f] <= thr {
+			sp.Left = append(sp.Left, i)
 		} else {
-			best.Right = append(best.Right, i)
+			sp.Right = append(sp.Right, i)
 		}
 	}
-	return best
+	return sp
 }
 
-// sortRun sorts v, which holds no NaN, ascending. A long run is first spread
-// over len(v) equal-width buckets between its extremes: the spread is
-// monotone, so only the order inside a bucket is left to slices.Sort, and
-// without heavy ties or outliers that is a value or two. tmp and ends are
-// scratch of at least len(v) and len(v)+1.
-func sortRun(v, tmp []float64, ends []int) {
-	n, lo, hi, scale := len(v), math.Inf(1), math.Inf(-1), 0.0
-	if n >= 32 {
-		for _, x := range v {
-			lo, hi = min(lo, x), max(hi, x)
-		}
-		scale = float64(n-1) / (hi - lo)
-	}
-	if !(scale > 0) || math.IsInf(scale, 0) { // short, constant, or too wide or narrow to scale
-		slices.Sort(v)
-		return
-	}
-	ends = ends[:n+1]
-	clear(ends)
-	for _, x := range v {
-		ends[int((x-lo)*scale)+1]++
-	}
-	for b := 1; b < n; b++ {
-		ends[b] += ends[b-1] // bucket b starts where b-1 ends
-	}
-	for _, x := range v {
-		b := int((x - lo) * scale)
-		tmp[ends[b]] = x
-		ends[b]++
-	}
-	start := 0
-	for _, end := range ends[:n] {
-		slices.Sort(tmp[start:end])
-		start = end
-	}
-	copy(v, tmp)
-}
-
-// BuildTree grows a CART tree on the samples idx (nil means all rows).
-func BuildTree(x *mat.Dense, y []int, idx []int, nClasses int, p TreeParams, rng *rand.Rand) *Node {
+// BuildTree grows a CART tree on the samples idx of ts (nil means all rows).
+// idx is copied once; the copy is partitioned in place as the tree grows.
+func BuildTree(ts *TrainSet, idx []int, nClasses int, p TreeParams, rng *rand.Rand) *Node {
 	p = p.withDefaults()
+	rows := slices.Clone(idx)
 	if idx == nil {
-		idx = make([]int, x.Rows)
-		for i := range idx {
-			idx[i] = i
+		rows = make([]int, ts.X.Rows)
+		for i := range rows {
+			rows[i] = i
 		}
 	}
-	return buildRec(x, y, idx, nClasses, p, rng, 0)
+	return newSplitter(ts, nClasses, p).grow(rows, p, rng, 0)
 }
 
-func buildRec(x *mat.Dense, y []int, idx []int, nClasses int, p TreeParams, rng *rand.Rand, depth int) *Node {
-	if depth >= p.MaxDepth || len(idx) < p.MinSamplesSplit {
-		return leafNode(y, idx, nClasses)
+func (s *splitter) grow(rows []int, p TreeParams, rng *rand.Rand, depth int) *Node {
+	if depth >= p.MaxDepth || len(rows) < p.MinSamplesSplit {
+		return leafNode(s.ts.Y, rows, s.nClasses)
 	}
-	sp := BestSplit(x, y, idx, nClasses, p, rng)
-	if !sp.Found || len(sp.Left) == 0 || len(sp.Right) == 0 {
-		return leafNode(y, idx, nClasses)
+	f, thr, found := s.search(rows, rng)
+	nl := 0
+	for j, i := range rows {
+		if found && s.ts.X.Data[i*s.ts.X.Cols+f] <= thr {
+			rows[nl], rows[j] = i, rows[nl]
+			nl++
+		}
 	}
-	return &Node{
-		Feature:   sp.Feature,
-		Threshold: sp.Threshold,
-		Left:      buildRec(x, y, sp.Left, nClasses, p, rng, depth+1),
-		Right:     buildRec(x, y, sp.Right, nClasses, p, rng, depth+1),
+	if nl == 0 || nl == len(rows) {
+		return leafNode(s.ts.Y, rows, s.nClasses)
 	}
+	return &Node{Feature: f, Threshold: thr, Left: s.grow(rows[:nl], p, rng, depth+1), Right: s.grow(rows[nl:], p, rng, depth+1)}
 }
 
 // PredictProbs walks one sample down the tree to its leaf distribution.

@@ -118,12 +118,13 @@ go test -run=NONE -bench=Submit -benchtime=100x -benchmem .
 # came home: a few hundred bytes of reports either way, not the values).
 echo "== go test -run=NONE -bench='Wire|RemoteRoundtrip|RemoteChainTree|RemoteHeldTree' -benchtime=100x -benchmem ./internal/exec/"
 go test -run=NONE -bench='Wire|RemoteRoundtrip|RemoteChainTree|RemoteHeldTree' -benchtime=100x -benchmem ./internal/exec/
-# Kernel smoke: the two loops a CV pass spends its time in. EigSym allocates
-# its buffers once per call (7 allocs/op, at most 16 whatever n), and
-# BestSplit its scratch once per call (7 allocs/op), never per candidate
-# threshold; a count that grows with the input is the regression to catch.
-echo "== go test -run=NONE -bench='BestSplit|EigSym' -benchtime=10x -benchmem ./internal/forest/ ./internal/mat/"
-go test -run=NONE -bench='BestSplit|EigSym' -benchtime=10x -benchmem ./internal/forest/ ./internal/mat/
+# Kernel smoke: the loops a CV pass spends its time in. EigSym allocates its
+# buffers once per call (7 allocs/op, at most 16 whatever n), BestSplit its
+# scratch once per call (6 allocs/op) and BuildTree once per tree, never per
+# candidate threshold; a count that grows with the input is the regression to
+# catch. NewTrainSet, the rank build every fold pays once, prints beside them.
+echo "== go test -run=NONE -bench='BestSplit|BuildTree|NewTrainSet|EigSym' -benchtime=10x -benchmem ./internal/forest/ ./internal/mat/"
+go test -run=NONE -bench='BestSplit|BuildTree|NewTrainSet|EigSym' -benchtime=10x -benchmem ./internal/forest/ ./internal/mat/
 echo "== go test -run=NONE -bench=Submit -benchtime=100x -mutexprofile ."
 mutexdir=$(mktemp -d)
 go test -run=NONE -bench=Submit -benchtime=100x -mutexprofile "$mutexdir/mutex.prof" -o "$mutexdir/bench.test" .
