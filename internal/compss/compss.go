@@ -152,8 +152,24 @@ type Runtime struct {
 	// holder is the backend's held-results side (held.go); nil when outputs
 	// always come home in the reply.
 	holder exec.Holder
+	rel    *release // given back once nothing can reach the runtime (New)
 
 	mu sync.Mutex
+}
+
+// release is a runtime's claim on a backend that holds values: the session
+// the backend holds them under and the fleet subscription. It points at
+// nothing of the runtime, so it becomes unreachable with it, and its
+// finalizer lets go.
+type release struct {
+	session uint64
+	cancel  func() // unsubscribes from Fleet.Watch; a no-op without a fleet
+	holder  exec.Holder
+}
+
+func (r *release) run() {
+	r.cancel()
+	go r.holder.Forget(r.session) // it writes to sockets: not on the finalizer goroutine
 }
 
 // New creates a runtime.
@@ -164,10 +180,13 @@ type Runtime struct {
 // change — a worker joining mid-run raises effective parallelism, a
 // draining one lowers it. The executor's carrier structures are sized once
 // to the fleet's slot ceiling, so an autoscaled fleet can grow into
-// capacity the pool merely re-targets. The Watch subscription lives as
-// long as the backend (runtimes have no teardown) and its closure captures
-// rt, so a runtime stays reachable until its backend closes; capturing only
-// the pool cut gram_remote's peak RSS but slowed its median (see ROADMAP).
+// capacity the pool merely re-targets. The Watch subscription captures only
+// the pool.
+//
+// A runtime has no Close. Once nothing can reach it — every Future, TaskCtx
+// and running body leads back to it — over a backend that holds values
+// (exec.Holder, like exec.Remote) a finalizer cancels its Watch subscription
+// and has the backend forget its session everywhere.
 func New(cfg Config) *Runtime {
 	w := cfg.Workers
 	if w <= 0 {
@@ -195,15 +214,10 @@ func New(cfg Config) *Runtime {
 		sem: newSlotPool(capacity),
 	}
 	rt.ex = newExecutor(rt, ceiling)
+	cancel := func() {}
 	if elastic {
-		base := w
-		fleet.Watch(func(slotTotal int) {
-			n := slotTotal
-			if base > n {
-				n = base
-			}
-			rt.sem.setCap(n)
-		})
+		base, sem := w, rt.sem
+		cancel = fleet.Watch(func(slotTotal int) { sem.setCap(max(base, slotTotal)) })
 	}
 	if cfg.Backend != nil {
 		rt.execSession = exec.NextSession()
@@ -212,6 +226,10 @@ func New(cfg Config) *Runtime {
 		rt.chains = cb
 	}
 	rt.holder, _ = cfg.Backend.(exec.Holder)
+	if rt.holder != nil {
+		rt.rel = &release{session: rt.execSession, cancel: cancel, holder: rt.holder}
+		runtime.SetFinalizer(rt.rel, (*release).run)
+	}
 	if len(cfg.Observers) > 0 {
 		obs := make([]Observer, len(cfg.Observers))
 		copy(obs, cfg.Observers)
@@ -653,6 +671,7 @@ func (tc *TaskCtx) submit(o *Opts, nOut int, fn1 TaskFunc, fnN MultiTaskFunc, ar
 	st.deadline, st.fallback, st.execName = o.Deadline, o.Fallback, o.Exec
 	st.fn1, st.fnN, st.nOut, st.args = fn1, fnN, nOut, args
 	st.parentSt, st.floorIDs = tc.ownerSt, floorIDs
+	st.ctx0.rt = tc.rt // a future keeps its runtime, and so its session, alive
 	// Count before registering: every future argument plus one submission
 	// sentinel. A producer may complete (and decrement) the instant it has
 	// this task as a child, so its count must already be in pending.

@@ -2,6 +2,7 @@ package compss
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -16,7 +17,8 @@ type fakeFleet struct {
 	mu       sync.Mutex
 	slots    int
 	ceiling  int
-	watchers []func(int)
+	watchers map[int]func(int)
+	nextW    int
 }
 
 func (f *fakeFleet) ExecuteTask(*exec.Request) ([]any, string, error) {
@@ -38,22 +40,63 @@ func (f *fakeFleet) SlotCeiling() int { return f.ceiling }
 func (f *fakeFleet) Watch(fn func(int)) func() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.watchers = append(f.watchers, fn)
-	return func() {}
+	if f.watchers == nil {
+		f.watchers = map[int]func(int){}
+	}
+	id := f.nextW
+	f.nextW++
+	f.watchers[id] = fn
+	return func() {
+		f.mu.Lock()
+		delete(f.watchers, id)
+		f.mu.Unlock()
+	}
 }
 
 func (f *fakeFleet) setSlots(n int) {
 	f.mu.Lock()
 	f.slots = n
-	fns := append([]func(int){}, f.watchers...)
+	var fns []func(int)
+	for _, fn := range f.watchers {
+		fns = append(fns, fn)
+	}
 	f.mu.Unlock()
 	for _, fn := range fns {
 		fn(n)
 	}
 }
 
-var _ exec.Backend = (*fakeFleet)(nil)
 var _ exec.Fleet = (*fakeFleet)(nil)
+
+// holdingFleet is a fakeFleet that is also an exec.Holder: it holds nothing
+// and records the sessions it is told to forget.
+type holdingFleet struct {
+	fakeFleet
+	forgot []uint64 // under fakeFleet.mu
+}
+
+func (f *holdingFleet) Pull([]*exec.Held) error { return exec.ErrLost }
+
+func (f *holdingFleet) Forget(session uint64) {
+	f.mu.Lock()
+	f.forgot = append(f.forgot, session)
+	f.mu.Unlock()
+}
+
+// state returns how many watchers are subscribed and how often session was
+// forgotten.
+func (f *holdingFleet) state(session uint64) (watchers, forgotten int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for _, s := range f.forgot {
+		if s == session {
+			forgotten++
+		}
+	}
+	return len(f.watchers), forgotten
+}
+
+var _ exec.Holder = (*holdingFleet)(nil)
 
 // TestElasticCapacity pins the membership→parallelism contract: a runtime
 // over an elastic backend starts with the fleet's live slot total as its
@@ -111,5 +154,60 @@ func TestElasticCapacity(t *testing.T) {
 		if _, err := rt.Get(f); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// gcUntil runs the collector until cond holds, for at most five seconds.
+func gcUntil(cond func() bool) bool {
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		runtime.GC()
+		if cond() {
+			return true
+		}
+		if time.Now().After(deadline) {
+			return false
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestReleaseWhenUnreachable: once a runtime and its futures are dropped, the
+// collector releases it — its Watch subscription is cancelled and its backend
+// forgets its session, exactly once. A Future still held keeps the runtime,
+// so nothing is forgotten and Get through it still answers.
+func TestReleaseWhenUnreachable(t *testing.T) {
+	fleet := &holdingFleet{fakeFleet: fakeFleet{slots: 1, ceiling: 1}}
+	run := func() *Future {
+		rt := New(Config{Workers: 1, Backend: fleet})
+		f := rt.Submit(Opts{Name: "one"}, func(*TaskCtx, []any) (any, error) { return 1, nil })
+		if _, err := rt.Get(f); err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+
+	dropped := func() uint64 { return run().st.ctx0.rt.execSession }()
+	released := func() bool { w, n := fleet.state(dropped); return w == 0 && n >= 1 }
+	if !gcUntil(released) {
+		w, n := fleet.state(dropped)
+		t.Fatalf("after the collector: %d watchers, session forgotten %d times; want 0 and 1", w, n)
+	}
+	runtime.GC()
+	if _, n := fleet.state(dropped); n != 1 {
+		t.Fatalf("session forgotten %d times, want once", n)
+	}
+
+	f := run()
+	kept := f.st.ctx0.rt.execSession
+	for i := 0; i < 5; i++ {
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+	}
+	if w, n := fleet.state(kept); w != 1 || n != 0 {
+		t.Fatalf("a held Future: %d watchers, session forgotten %d times; want 1 and 0", w, n)
+	}
+	if v, err := f.st.ctx0.rt.Get(f); err != nil || v != 1 {
+		t.Fatalf("Get through the held Future = %v, %v", v, err)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"net"
 	"os"
 	"reflect"
+	"runtime"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -363,6 +365,102 @@ func TestRemoteKillThenRejoinParity(t *testing.T) {
 			t.Fatalf("fold %d accuracy: local %x, remote %x (not bit-identical)",
 				i, local.FoldAccuracies[i], remote.FoldAccuracies[i])
 		}
+	}
+}
+
+func init() {
+	// test_hold_ms(ms) occupies a worker's slot and stores nothing.
+	exec.Register("test_hold_ms", func(args []any) (any, error) {
+		time.Sleep(time.Duration(args[0].(int)) * time.Millisecond)
+		return 0.0, nil
+	})
+}
+
+// TestRemoteFleetForgetsFinishedRuns: three cross-validations share one
+// fleet, each bit-identical to the in-process run; once their reports are
+// dropped the collector releases the runtimes, and every member ends up
+// holding nothing — in the coordinator's map and by its own report — with the
+// stats still a partition.
+func TestRemoteFleetForgetsFinishedRuns(t *testing.T) {
+	ds, err := BuildDataset(smallData(28))
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := RunCV(ModelRF, ds, fastCfg(28))
+	if err != nil {
+		t.Fatal(err)
+	}
+	backend, err := exec.SpawnLoopback(exec.LoopbackConfig{Workers: 2, Slots: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer backend.Close()
+	for pass := 0; pass < 3; pass++ {
+		cfg := fastCfg(28)
+		cfg.Backend = backend
+		remote, err := RunCV(ModelRF, ds, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(local.Confusion.Counts, remote.Confusion.Counts) || !reflect.DeepEqual(local.FoldAccuracies, remote.FoldAccuracies) {
+			t.Fatalf("pass %d: confusion %v and folds %x, local %v and %x", pass,
+				remote.Confusion.Counts, remote.FoldAccuracies, local.Confusion.Counts, local.FoldAccuracies)
+		}
+	}
+	if st := backend.Stats(); st.Held == 0 {
+		t.Fatalf("stats %+v: nothing was held, nothing to forget", st)
+	}
+
+	// One slot-filling probe a member — they land on distinct members — asks
+	// each what its cache holds.
+	var mu sync.Mutex
+	reported := map[string]int64{}
+	backend.SetCacheHook(func(s exec.CacheSample) {
+		mu.Lock()
+		reported[s.Worker] = s.CacheBytes
+		mu.Unlock()
+	})
+	probe := exec.NextSession()
+	empty := func() bool {
+		for _, w := range backend.Workers() {
+			if w.ResidentBytes != 0 {
+				return false
+			}
+		}
+		mu.Lock()
+		clear(reported)
+		mu.Unlock()
+		var wg sync.WaitGroup
+		for i := 0; i < 2; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, _, err := backend.ExecuteTask(&exec.Request{Name: "test_hold_ms", NOut: 1, Args: []any{50}, Session: probe, TaskID: -1}); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+		mu.Lock()
+		defer mu.Unlock()
+		for _, b := range reported {
+			if b != 0 {
+				return false
+			}
+		}
+		return len(reported) == 2
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for !empty() {
+		if time.Now().After(deadline) {
+			mu.Lock()
+			defer mu.Unlock()
+			t.Fatalf("members %+v report %v cached bytes: the finished runs were not forgotten", backend.Workers(), reported)
+		}
+		runtime.GC()
+	}
+	if st := backend.Stats(); st.Dispatched != st.Completed+st.Failed {
+		t.Fatalf("stats not a partition at quiescence: %+v", st)
 	}
 }
 

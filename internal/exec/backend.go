@@ -42,9 +42,12 @@ type ChainBackend interface {
 // values home, one round trip a worker however many of hs it holds. ErrLost —
 // from Pull, or from a request that needs a held argument by value — means a
 // value is on no worker any more: its producer has to run again (Redo).
+// Forget says nothing can read a value of session any more: the holder drops
+// them all, here and wherever it keeps them.
 type Holder interface {
 	Backend
 	Pull(hs []*Held) error
+	Forget(session uint64)
 }
 
 // ErrLost reports a held value that every holder lost, evicted or died with.

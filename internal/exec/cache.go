@@ -2,6 +2,7 @@ package exec
 
 import (
 	"container/list"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -135,6 +136,23 @@ func (c *futureCache) put(ref ValueRef, val any) (int64, bool) {
 	c.entries[ref] = e
 	c.bytes += n
 	return n, true
+}
+
+// forget drops every entry of sessions, replicas included, in one walk of the
+// LRU list, and reports none of them as evicted: the coordinator forgot them
+// first.
+func (c *futureCache) forget(sessions []uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for el := c.lru.Front(); el != nil; {
+		e, next := el.Value.(*cacheEntry), el.Next()
+		if slices.Contains(sessions, e.ref.Session) {
+			c.lru.Remove(el)
+			delete(c.entries, e.ref)
+			c.bytes -= e.bytes
+		}
+		el = next
+	}
 }
 
 // drainEvicted returns the refs evicted since the last call, for

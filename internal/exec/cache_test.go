@@ -84,6 +84,40 @@ func TestFutureCacheLRUEviction(t *testing.T) {
 	}
 }
 
+// TestFutureCacheForget: forgetting a session drops its entries, reports none
+// of them evicted, leaves every other session's alone and the LRU order of
+// what is left intact.
+func TestFutureCacheForget(t *testing.T) {
+	c := newFutureCache(200) // five 40-byte entries
+	dead := func(task int) ValueRef { return ValueRef{Session: 2, Task: task} }
+	c.put(ref(1), floats(4))
+	c.put(dead(1), floats(4))
+	c.put(ref(2), floats(4))
+	c.put(dead(2), floats(4))
+	c.forget([]uint64{2, 99})
+	if got := c.occupancy(); got != 80 {
+		t.Fatalf("occupancy = %d, want the live session's 80", got)
+	}
+	if ev := c.drainEvicted(); len(ev) != 0 {
+		t.Fatalf("drainEvicted = %v, want nothing: a forgotten entry is not an eviction", ev)
+	}
+	for _, r := range []ValueRef{dead(1), dead(2)} {
+		if _, ok := c.get(r); ok {
+			t.Fatalf("%v survived its session", r)
+		}
+	}
+	// ref(1) is least recent: filling the cache past its bound evicts it first.
+	for task := 3; task <= 6; task++ {
+		c.put(ref(task), floats(4))
+	}
+	if ev := c.drainEvicted(); len(ev) != 1 || ev[0] != ref(1) {
+		t.Fatalf("drainEvicted = %v, want [ref(1)]", ev)
+	}
+	if _, ok := c.get(ref(2)); !ok {
+		t.Fatal("the live session lost an entry it had room for")
+	}
+}
+
 // TestCacheOwnership walks a value through the worker: the output a body
 // returns becomes resident as it is, a read-only consumer is handed the
 // resident value itself, and only a declared in-place argument is cloned —

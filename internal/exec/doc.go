@@ -22,7 +22,8 @@
 //     identity (Session/TaskID/ArgRefs) for the data plane. ChainBackend adds
 //     ExecuteChain: a ready task and the tasks only it holds back, as one
 //     request frame on one slot, answered by one frame of Replies. Holder
-//     adds Pull: outputs left on their workers (*Held) come home when read.
+//     adds Pull — outputs left on their workers (*Held) come home when read —
+//     and Forget, which drops a session's values everywhere.
 //   - Dial / SpawnLoopback construct a *Remote coordinator; Serve,
 //     JoinCoordinator and MaybeWorkerMain are the worker side; cmd/worker
 //     wraps them in a standalone binary. Config / Flags / Open are the
@@ -63,7 +64,9 @@
 // peer link — when another worker does, a RefValue otherwise. Resident values
 // are immutable and nothing is copied on the way in or out; the one clone
 // goes to a body that declared it overwrites an argument (RegisterInPlace).
-// Types without a known size are never cached and ship by value.
+// Types without a known size are never cached and ship by value. A value
+// stays until the LRU pushes it out or its session is forgotten: once nothing
+// can reach the compss runtime that drew the session (compss.New).
 //
 // Staleness is recovered, never trusted: a worker that cannot resolve a
 // reference — evicted, a peer holder gone, a chain member's input missing —

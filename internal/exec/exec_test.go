@@ -3,6 +3,7 @@ package exec_test
 import (
 	"fmt"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -392,6 +393,72 @@ func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatal("condition not reached in time")
+}
+
+// forgetful is a Remote that also says which sessions it was asked to forget.
+type forgetful struct {
+	*exec.Remote
+	forgot chan uint64
+}
+
+func (f forgetful) Forget(session uint64) {
+	f.Remote.Forget(session)
+	f.forgot <- session
+}
+
+// TestReleaseAfterFleetEnds: a runtime whose fleet closed, or whose only
+// member left or drained, before the runtime became unreachable is released
+// all the same — its finalizer forgets the session without writing to a
+// closed link and without a panic.
+func TestReleaseAfterFleetEnds(t *testing.T) {
+	for _, end := range []string{"closed", "left", "drained"} {
+		t.Run(end, func(t *testing.T) {
+			r, err := exec.SpawnLoopback(exec.LoopbackConfig{Workers: 1, Slots: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			fr := forgetful{Remote: r, forgot: make(chan uint64, 1)}
+			func() {
+				rt := compss.New(compss.Config{Backend: fr})
+				noopTree(rt)
+				if err := rt.Barrier(); err != nil {
+					t.Fatal(err)
+				}
+			}()
+			if r.Stats().Held == 0 {
+				t.Fatal("nothing was held: the release has nothing to forget")
+			}
+			switch end {
+			case "closed":
+				r.Close()
+			case "left":
+				if err := r.Leave("w0"); err != nil {
+					t.Fatal(err)
+				}
+			case "drained":
+				if err := r.Drain("w0"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sent := r.Stats().BytesSent
+			deadline := time.Now().Add(5 * time.Second)
+			for {
+				runtime.GC()
+				select {
+				case <-fr.forgot:
+					if got := r.Stats().BytesSent; got != sent {
+						t.Fatalf("%d bytes written to a fleet that had ended", got-sent)
+					}
+					return
+				case <-time.After(10 * time.Millisecond):
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("the runtime was never released")
+				}
+			}
+		})
+	}
 }
 
 // benchFleet is the one-worker fleet of BenchmarkRemoteRoundtrip and

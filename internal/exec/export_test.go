@@ -78,6 +78,9 @@ func SampleFrames(vals []any) [][]byte {
 		&response{ID: 13, Stored: []StoredRef{{Ref: ValueRef{Session: 3, Task: 23}, Bytes: 2048}}, BodyNs: 1200},
 		&pull{ID: 14, Refs: []ValueRef{ref, {Session: 3, Task: 23}}},
 		&response{ID: 14, Vals: []any{vals, nil}, Miss: []ValueRef{{Session: 3, Task: 23}}},
+		// Two sessions that ended together, and a frame of none.
+		&forget{Sessions: []uint64{3, 1 << 40}},
+		&forget{},
 		&peerHello{Proto: protoVersion, Token: "peer"},
 		&peerRequest{ID: 5, Ref: ref},
 		&peerResponse{ID: 5, OK: true, Val: vals},
@@ -118,6 +121,8 @@ func RecodeFrame(b []byte, maxFrame int) (reencoded []byte, n int, err error) {
 		f = &peerResponse{}
 	case kindPull:
 		f = &pull{}
+	case kindForget:
+		f = &forget{}
 	default:
 		return nil, 0, fmt.Errorf("unknown frame kind %d", b[4])
 	}

@@ -9,6 +9,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"net"
 	"runtime"
@@ -105,14 +106,42 @@ func TestProtocolMismatchRefused(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		// Protocol 6's hello had no Caches field; what follows Proto here is
-		// an any-slice claiming 2^63-1 elements, which must not be looked at.
+		// What follows Proto here is an any-slice claiming 2^63-1 elements,
+		// which must not be looked at.
 		_, _ = conn.Write(rawFrame(kindHello, 2*(protoVersion-1), tagAnys, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f))
 		_, _ = io.Copy(io.Discard, conn)
 	}()
 	_, err = Dial(RemoteConfig{Peers: []string{l.Addr().String()}, DialTimeout: 2 * time.Second})
-	if err == nil || !strings.Contains(err.Error(), "speaks protocol 6, want 7") {
+	if want := fmt.Sprintf("speaks protocol %d, want %d", protoVersion-1, protoVersion); err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("Dial = %v, want the hello refused on its protocol version", err)
+	}
+}
+
+// TestHostileForget: a forget frame's session count is checked against the
+// bytes the frame has left before anything is made from it, and a session
+// that runs past the frame fails it.
+func TestHostileForget(t *testing.T) {
+	huge := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}
+	for name, b := range map[string][]byte{
+		"count past the frame": rawFrame(kindForget, huge...),
+		"truncated session":    rawFrame(kindForget, 2, 7, 0x80),
+		"trailing bytes":       rawFrame(kindForget, 1, 7, 9),
+		"past the frame bound": {0xff, 0xff, 0xff, 0x7f, kindForget},
+	} {
+		t.Run(name, func(t *testing.T) {
+			l := &link{maxFrame: 1 << 20}
+			l.dec.r = bufio.NewReader(bytes.NewReader(b))
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, _, err := l.recvAny(&request{}, &pull{}, &forget{})
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatal("decoded")
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got > 1<<16 {
+				t.Fatalf("allocated %d bytes decoding a %d-byte frame", got, len(b))
+			}
+		})
 	}
 }
 

@@ -103,7 +103,7 @@ func (s workerState) String() string {
 // Every request written to a connection counts Dispatched once and then
 // exactly one of Completed (a response came back, error or not) or Failed
 // (the connection died first) — the members of a chain each count, together,
-// and a pull counts in neither. At quiescence Dispatched == Completed +
+// and a pull or a forget counts in neither. At quiescence Dispatched == Completed +
 // Failed, across every membership change; Frames counts the round trips.
 type Remote struct {
 	mu      sync.Mutex
@@ -1086,6 +1086,36 @@ func (r *Remote) pullFrom(w *workerConn, hs []*Held) (missing []*Held) {
 		(*hook)(CacheSample{Worker: w.id, Task: -1, Pulled: len(hs) - len(missing)})
 	}
 	return missing
+}
+
+// Forget drops session's values from the residency map and tells every live
+// member, in a one-way forget frame, to drop them from its cache. The frame
+// counts nowhere in RemoteStats; dead members, and every member of a closed
+// Remote, are sent nothing.
+func (r *Remote) Forget(session uint64) {
+	r.mu.Lock()
+	var to []*workerConn
+	for _, w := range r.workers {
+		if w.state == wsDead {
+			continue // its residency went with it
+		}
+		for ref, n := range w.resident {
+			if ref.Session == session {
+				delete(w.resident, ref)
+				w.residentBytes -= n
+			}
+		}
+		if !r.closed {
+			to = append(to, w)
+		}
+	}
+	r.mu.Unlock()
+	f := &forget{Sessions: []uint64{session}}
+	for _, w := range to {
+		if _, err := w.link.send(f); err != nil {
+			r.failWorker(w, fmt.Errorf("sending forget: %w", err), FleetDead)
+		}
+	}
 }
 
 // buildWireArgs maps req.Args to their wire form for worker w: an argument

@@ -10,12 +10,12 @@ import (
 	"sync/atomic"
 )
 
-// The wire format (protocol 7): length-prefixed binary frames over one TCP
+// The wire format (protocol 8): length-prefixed binary frames over one TCP
 // connection per worker — and one per peer link — multiplexed by frame ID.
 //
 //	offset  size  field
 //	0       4     length of everything after this field, little-endian; 1 ≤ length ≤ maxFrameBytes
-//	4       1     frame kind (hello, request, response, peerHello, peerRequest, peerResponse, pull)
+//	4       1     frame kind (hello, request, response, peerHello, peerRequest, peerResponse, pull, forget)
 //	5       …     the kind's fields in declaration order: integers as varints,
 //	              strings length-prefixed, Args/Vals/Val as tagged values (codec.go)
 //
@@ -27,7 +27,9 @@ import (
 // one response frame with every member's reply. A stored request that allows
 // it (Hold) is answered without its outputs when the cache took them all; a
 // pull frame, answered from the cache by a response and beside the slots,
-// brings home the ones the coordinator turns out to read. A peer link runs
+// brings home the ones the coordinator turns out to read. A forget frame is
+// one-way: nothing can read the sessions it lists any more, and the worker
+// drops their entries from its cache, inline, with no reply. A peer link runs
 // the same way: peerHello, then peerRequest/peerResponse frames.
 //
 // Each end of a connection is one link: one buffered reader, every read
@@ -48,7 +50,7 @@ import (
 // protoVersion guards against dialing a worker built from an incompatible
 // checkout: both hellos carry it first, and a mismatch is rejected before
 // any task payload is decoded.
-const protoVersion = 7
+const protoVersion = 8
 
 // maxFrameBytes bounds one frame. A length prefix above it fails the
 // connection before anything is read or allocated; below it, every length
@@ -64,6 +66,7 @@ const (
 	kindPeerRequest
 	kindPeerResponse
 	kindPull
+	kindForget
 )
 
 // frame is one message of the protocol: it knows its kind byte and how to
@@ -295,6 +298,28 @@ func (p *pull) encode(e *Encoder) {
 func (p *pull) decode(d *Decoder) {
 	p.ID = d.uvarint()
 	p.Refs = d.refs()
+}
+
+// forget tells a worker that nothing can read a value of these sessions any
+// more. Nobody waits for it: it has no ID and no reply.
+type forget struct {
+	Sessions []uint64
+}
+
+func (f *forget) kind() byte { return kindForget }
+
+func (f *forget) encode(e *Encoder) {
+	e.Len(len(f.Sessions))
+	for _, s := range f.Sessions {
+		e.uvarint(s)
+	}
+}
+
+func (f *forget) decode(d *Decoder) {
+	f.Sessions = nil
+	for n := d.Len(1); n > 0 && d.err == nil; n-- {
+		f.Sessions = append(f.Sessions, d.uvarint())
+	}
 }
 
 // response is the worker's reply to one request. Err is a string — error

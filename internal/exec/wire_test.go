@@ -353,6 +353,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	}
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 3, 1})           // a length prefix of 4 GiB
 	f.Add([]byte{9, 0, 0, 0, 6, 1, 1, 13, 0xff, 0xff, 3}) // a peerResponse whose matrix claims 2^14 rows
+	f.Add([]byte{4, 0, 0, 0, 8, 0xff, 0xff, 3})           // a forget that claims 65535 sessions
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var again []byte
 		var n int

@@ -124,7 +124,8 @@ func (p *connPlane) close() {
 // token): send the hello, then read request frames, execute them concurrently
 // (bounded by cfg.Slots; a frame's requests run in order on its one slot,
 // each resolved against the connection's private future cache and peer
-// fetcher) and reply in completion order. cfg has its
+// fetcher) and reply in completion order; pulls are answered beside the slots
+// and forget frames applied to the cache as they arrive. cfg has its
 // defaults applied. It closes conn and returns nil when the coordinator
 // closes the connection or sends a frame that does not decode, an error
 // when the hello could not be sent.
@@ -144,17 +145,22 @@ func serveCoordinator(conn net.Conn, token string, cfg WorkerConfig) error {
 		return err
 	}
 	sem := make(chan struct{}, cfg.Slots)
+	var fg forget
 	for {
 		req, pl := new(request), new(pull)
-		which, _, err := l.recvAny(req, pl)
+		which, _, err := l.recvAny(req, pl, &fg)
 		if err != nil {
 			if err != io.EOF {
 				fmt.Fprintf(cfg.Log, "worker: connection closed: %v\n", err)
 			}
 			return nil
 		}
-		if which == 1 {
+		switch which {
+		case 1:
 			go answerPull(l, pl, plane.cache) // beside the slots: a pull never waits for a body
+			continue
+		case 2:
+			plane.cache.forget(fg.Sessions) // inline, no slot, no reply
 			continue
 		}
 		sem <- struct{}{}

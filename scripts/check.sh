@@ -80,12 +80,15 @@ go test -race -count=2 -cpu=1,8 -run 'TestStealStress|TestStolenDeadline|TestCha
 # re-admission, a holder dying under the peer plane, a chain meeting an
 # evicting cache, no cache or a killed worker, and held outputs lost with
 # their only holder or to a 1 MB cache (rebuilt from lineage) must stay
-# bit-identical, and served alarms must match batch edge.Run in-process and
-# across workers. The two degraded forms of the one data plane ride along by
-# variant name: a member with no peer listener (coordinator-routed values)
-# and workers that do not cache (values inline).
-echo "== go test -race -count=2 -run 'TestRemoteKillThenRejoinParity|TestRemotePeerKillParity|TestRemoteChainParity|TestRemoteLineageParity' ./internal/core/"
-go test -race -count=2 -run 'TestRemoteKillThenRejoinParity|TestRemotePeerKillParity|TestRemoteChainParity|TestRemoteLineageParity' ./internal/core/
+# bit-identical, finished runs on a shared fleet must be collected and
+# forgotten on every worker, and served alarms must match batch edge.Run
+# in-process and across workers. The two degraded forms of the one data plane
+# ride along by variant name: a member with no peer listener
+# (coordinator-routed values) and workers that do not cache (values inline).
+# The release's unit tests (TestReleaseWhenUnreachable, TestForget*,
+# TestReleaseAfterFleetEnds) are in the compss and exec package pass above.
+echo "== go test -race -count=2 -run 'TestRemoteKillThenRejoinParity|TestRemotePeerKillParity|TestRemoteChainParity|TestRemoteLineageParity|TestRemoteFleetForgetsFinishedRuns' ./internal/core/"
+go test -race -count=2 -run 'TestRemoteKillThenRejoinParity|TestRemotePeerKillParity|TestRemoteChainParity|TestRemoteLineageParity|TestRemoteFleetForgetsFinishedRuns' ./internal/core/
 echo "== go test -race -count=2 -run 'TestRemoteParityBitIdentical/^(no-peer-listener|no-cache)\$' ./internal/core/"
 go test -race -count=2 -run 'TestRemoteParityBitIdentical/^(no-peer-listener|no-cache)$' ./internal/core/
 echo "== go test -race -count=2 -run 'TestServe' ./internal/serve/ ./internal/core/"
