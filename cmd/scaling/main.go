@@ -95,20 +95,14 @@ var (
 // shared by the runners the same way ft is.
 var backend exec.Backend
 
-// gauge tracks the live ready-queue depth across every runtime this command
-// creates; it is the autoscaler's load signal (exec.Config.Depth) when
-// -max-workers enables fleet elasticity.
-var gauge = trace.NewGauge()
-
 // observers is the observer list shared by every runtime this command
-// creates: always the ready-depth gauge, plus the trace collector when
-// -trace is set.
+// creates: the trace collector when -trace is set, otherwise none, so the
+// runtimes keep the zero-observer submit path.
 func observers() []compss.Observer {
-	obs := []compss.Observer{gauge}
-	if collector != nil {
-		obs = append(obs, collector)
+	if collector == nil {
+		return nil
 	}
-	return obs
+	return []compss.Observer{collector}
 }
 
 // replayPath derives the replay trace's file name from -trace's value:
@@ -184,9 +178,6 @@ func main() {
 	if traceOut != "" {
 		collector = trace.NewCollector()
 	}
-	// The autoscaler's load signal: live ready-queue depth summed across
-	// every runtime attached to the gauge.
-	ecfg.Depth = gauge.Ready
 	var err error
 	backend, err = exec.Open(ecfg)
 	if err != nil {

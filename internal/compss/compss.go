@@ -158,35 +158,29 @@ type Runtime struct {
 }
 
 // release is a runtime's claim on a backend that holds values: the session
-// the backend holds them under and the fleet subscription. It points at
-// nothing of the runtime, so it becomes unreachable with it, and its
-// finalizer lets go.
+// the backend holds them under. It points at nothing of the runtime, so it
+// becomes unreachable with it, and its finalizer lets go.
 type release struct {
 	session uint64
-	cancel  func() // unsubscribes from Fleet.Watch; a no-op without a fleet
 	holder  exec.Holder
 }
 
 func (r *release) run() {
-	r.cancel()
 	go r.holder.Forget(r.session) // it writes to sockets: not on the finalizer goroutine
 }
 
 // New creates a runtime.
 //
-// With an elastic backend (one implementing exec.Fleet, like exec.Remote),
-// the runtime's execution capacity follows the fleet: it starts at
-// max(Workers, live slot total) and is re-resolved on every membership
-// change — a worker joining mid-run raises effective parallelism, a
-// draining one lowers it. The executor's carrier structures are sized once
-// to the fleet's slot ceiling, so an autoscaled fleet can grow into
-// capacity the pool merely re-targets. The Watch subscription captures only
-// the pool.
+// Its parallelism is fixed here: the executor and the slot pool are both
+// sized to max(Workers, the backend's SlotTotal() now) when the backend
+// reports one, as exec.Remote does. A worker that joins the fleet later
+// makes up for one that was lost and is fully used by runtimes created after
+// it.
 //
 // A runtime has no Close. Once nothing can reach it — every Future, TaskCtx
 // and running body leads back to it — over a backend that holds values
-// (exec.Holder, like exec.Remote) a finalizer cancels its Watch subscription
-// and has the backend forget its session everywhere.
+// (exec.Holder, like exec.Remote) a finalizer has the backend forget its
+// session everywhere.
 func New(cfg Config) *Runtime {
 	w := cfg.Workers
 	if w <= 0 {
@@ -198,27 +192,15 @@ func New(cfg Config) *Runtime {
 	if cfg.DefaultBackoff < 0 {
 		cfg.DefaultBackoff = 0
 	}
-	capacity, ceiling := w, w
-	fleet, elastic := cfg.Backend.(exec.Fleet)
-	if elastic {
-		if total := fleet.SlotTotal(); total > capacity {
-			capacity = total
-		}
-		if c := fleet.SlotCeiling(); c > ceiling {
-			ceiling = c
-		}
+	if fleet, ok := cfg.Backend.(interface{ SlotTotal() int }); ok {
+		w = max(w, fleet.SlotTotal())
 	}
 	rt := &Runtime{
 		g:   graph.New(),
 		cfg: cfg,
-		sem: newSlotPool(capacity),
+		sem: newSlotPool(w),
 	}
-	rt.ex = newExecutor(rt, ceiling)
-	cancel := func() {}
-	if elastic {
-		base, sem := w, rt.sem
-		cancel = fleet.Watch(func(slotTotal int) { sem.setCap(max(base, slotTotal)) })
-	}
+	rt.ex = newExecutor(rt, w)
 	if cfg.Backend != nil {
 		rt.execSession = exec.NextSession()
 	}
@@ -227,7 +209,7 @@ func New(cfg Config) *Runtime {
 	}
 	rt.holder, _ = cfg.Backend.(exec.Holder)
 	if rt.holder != nil {
-		rt.rel = &release{session: rt.execSession, cancel: cancel, holder: rt.holder}
+		rt.rel = &release{session: rt.execSession, holder: rt.holder}
 		runtime.SetFinalizer(rt.rel, (*release).run)
 	}
 	if len(cfg.Observers) > 0 {
@@ -1303,7 +1285,7 @@ func (tc *TaskCtx) blockingWait(f *Future) (any, error) {
 		tc.holdsSlot = false
 		tc.slotMu.Unlock()
 		if held {
-			tc.rt.sem.release() // hand the slot back; never blocks, we held a token
+			tc.rt.sem.release() // hand the slot back; release never blocks
 		}
 		rng := tc.rt.ex.nextSeed()
 		tc.rt.ex.helpUntilDone(tc.wkr, &rng, f.st)
@@ -1324,8 +1306,8 @@ func (tc *TaskCtx) blockingWait(f *Future) (any, error) {
 		tc.slotMu.Unlock()
 		return f.wait()
 	}
-	// Park: hand the slot back. The receive never blocks — this attempt
-	// holds a slot, so the pool has at least its token.
+	// Park: hand the slot back. This attempt holds one, so the pool's count
+	// includes it and release only lowers that count and wakes one waiter.
 	tc.rt.sem.release()
 	tc.holdsSlot = false
 	tc.slotMu.Unlock()
@@ -1344,9 +1326,9 @@ func (tc *TaskCtx) blockingWait(f *Future) (any, error) {
 	tc.rt.sem.acquire()
 	tc.slotMu.Lock()
 	if tc.abandoned {
-		// Abandoned while blocked on the reacquire: return the token. The
-		// receive never blocks — the send above put a token in the pool and
-		// every other holder only ever receives its own.
+		// Abandoned while blocked on the reacquire: give back the slot the
+		// acquire above took. The deadline handler saw holdsSlot == false and
+		// released nothing, so the pool counts this slot exactly once.
 		tc.slotMu.Unlock()
 		tc.rt.sem.release()
 		return f.wait()

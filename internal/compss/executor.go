@@ -7,10 +7,9 @@
 // goroutines. Execution capacity is bounded by the rt.sem slot pool — a
 // carrier acquires a slot per attempt — because a Deadline body parked in
 // Get hands its slot over through the pool (deadline abandonment releases
-// exactly the slots an attempt holds). The pool's capacity is elastic (it
-// tracks fleet membership, see New); the carrier and deque arrays here are
-// instead sized once, to the fleet's slot *ceiling*, since thieves iterate
-// ex.workers unlocked.
+// exactly the slots an attempt holds). The pool and the carrier and deque
+// arrays here are sized once, from the same number (see New); thieves
+// iterate ex.workers unlocked.
 //
 // Queues. A task body submitting through its TaskCtx pushes onto its own
 // worker's deque bottom (LIFO: the freshest task is the cache-warmest) and
@@ -219,7 +218,7 @@ func getParker() *parker {
 // executor is the scheduler state hanging off a Runtime.
 type executor struct {
 	rt       *Runtime
-	maxProcs int // carrier/deque count: max(Config.Workers, fleet slot ceiling)
+	maxProcs int // carrier/deque count: the slot pool's capacity
 	workers  []*worker
 
 	// claimMu guards the free-worker stack.

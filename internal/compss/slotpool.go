@@ -3,15 +3,10 @@ package compss
 import "sync"
 
 // slotPool is the runtime's execution-capacity semaphore: acquire blocks
-// while held ≥ cap, release never blocks. Capacity follows an elastic
-// backend's fleet — setCap re-targets the pool mid-run and wakes every
-// waiter to re-evaluate.
+// while held ≥ cap, release never blocks. Its capacity is fixed at New.
 //
-// Shrinking never revokes held slots: with held > cap the pool is simply
-// over target and admits no one until enough releases bring it back under —
-// the same grace a draining worker gets on the exec side. A release is
-// always preceded by this goroutine's own acquire; blockingWait's
-// slot parking relies on that pairing.
+// A release is always preceded by this goroutine's own acquire;
+// blockingWait's slot parking relies on that pairing.
 type slotPool struct {
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -20,10 +15,7 @@ type slotPool struct {
 }
 
 func newSlotPool(capacity int) *slotPool {
-	if capacity < 1 {
-		capacity = 1
-	}
-	p := &slotPool{cap: capacity}
+	p := &slotPool{cap: max(capacity, 1)}
 	p.cond = sync.NewCond(&p.mu)
 	return p
 }
@@ -38,29 +30,11 @@ func (p *slotPool) acquire() {
 	p.mu.Unlock()
 }
 
-// release returns one slot; it never blocks.
+// release returns one slot; it never blocks. One slot admits one waiter, so
+// it wakes one.
 func (p *slotPool) release() {
 	p.mu.Lock()
 	p.held--
-	p.cond.Broadcast()
+	p.cond.Signal()
 	p.mu.Unlock()
-}
-
-// setCap re-targets the pool's capacity (clamped to ≥ 1) and wakes waiters
-// so a raised cap admits them immediately.
-func (p *slotPool) setCap(n int) {
-	if n < 1 {
-		n = 1
-	}
-	p.mu.Lock()
-	p.cap = n
-	p.cond.Broadcast()
-	p.mu.Unlock()
-}
-
-// capacity returns the current target capacity.
-func (p *slotPool) capacity() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.cap
 }

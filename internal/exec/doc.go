@@ -28,12 +28,11 @@
 //     JoinCoordinator and MaybeWorkerMain are the worker side; cmd/worker
 //     wraps them in a standalone binary. Config / Flags / Open are the
 //     shared backend flag surface of the cmd tools.
-//   - Fleet is the membership surface (Join / Drain / Leave / Workers /
-//     SlotTotal / SlotCeiling / Watch), implemented by *Remote: workers
-//     join, drain and leave mid-run, ListenForWorkers admits dial-in
-//     registrations authenticated by JoinToken, and Autoscale drives the
-//     loopback fleet from a ScalePolicy (default: hysteresis on the
-//     ready-queue backlog). SetFleetHook observes every transition.
+//   - *Remote's membership methods (Join / SpawnWorker / Drain / Leave /
+//     Workers / SlotTotal): workers join, drain and leave mid-run, and
+//     ListenForWorkers admits dial-in registrations authenticated by
+//     JoinToken. SetFleetHook observes every transition. The fleet never
+//     resizes itself; whoever deploys it adds and removes members.
 //   - Sizer admits a domain type's values to the worker future cache and
 //     Cloner lets them be a declared in-place argument; NextSession mints
 //     the per-runtime cache namespace.
@@ -93,9 +92,10 @@
 // multiplexed by frame ID, writes are serialised per connection, and a
 // per-worker slot count bounds in-flight frames (a chain's requests run one
 // after another on its frame's slot), composing with compss.Config.Workers:
-// the runtime watches the fleet and keeps its effective parallelism at
-// max(Workers, Σ alive slots) as members come and go. Arguments reach a
-// body as bit-exact decoded copies or as the values resident in the
+// a runtime fixes its pool at max(Workers, Σ alive slots) when it is
+// created; a member lost afterwards lowers what runs at once, and one that
+// joins afterwards makes up for it. Arguments reach a body as bit-exact
+// decoded copies or as the values resident in the
 // worker's cache, which other consumers, retries and peer fetches share —
 // so registered bodies must be argument-pure: no captured state, arguments
 // read-only unless declared in-place, results freshly allocated. That is

@@ -9,10 +9,8 @@ import (
 )
 
 // Config is the one-stop backend configuration shared by the cmd tools: a
-// single struct covering backend selection, fleet sizing, the data plane,
-// and elasticity, with Flags binding the standard flag set and Open
-// interpreting the result. It replaces the per-tool flag scatter the cmd
-// tools grew before PR 8.
+// single struct covering backend selection, fleet sizing and membership,
+// with Flags binding the standard flag set and Open interpreting the result.
 type Config struct {
 	// Backend selects the execution backend: "" or "local" → nil
 	// (in-process), "remote" → Dial Peers, or SpawnLoopback when Peers is
@@ -21,8 +19,7 @@ type Config struct {
 	// Peers is a comma-separated worker address list for Backend "remote".
 	Peers string
 	// Workers is how many loopback workers SpawnLoopback starts when Peers
-	// is empty (default 2). With autoscaling (MaxWorkers > 0) the fleet
-	// instead starts at MinWorkers.
+	// is empty (default 2).
 	Workers int
 	// Slots is the per-worker concurrent-body count for spawned workers.
 	Slots int
@@ -40,20 +37,6 @@ type Config struct {
 	// join token are available on the Remote.
 	Listen string
 
-	// MinWorkers / MaxWorkers enable queue-depth autoscaling of a loopback
-	// fleet when MaxWorkers > 0: the fleet starts at MinWorkers (default 1)
-	// and Remote.Autoscale grows/shrinks it within [MinWorkers, MaxWorkers].
-	// Only loopback fleets autoscale — Open rejects MaxWorkers with Peers.
-	MinWorkers int
-	MaxWorkers int
-	// ScalePolicy overrides the autoscaler's default &HysteresisPolicy{}.
-	ScalePolicy ScalePolicy
-	// ScaleInterval overrides the autoscaler's sampling interval.
-	ScaleInterval time.Duration
-	// Depth feeds the autoscaler the ready-queue depth (typically
-	// trace.Gauge.Ready). Nil falls back to the slot-waiter count.
-	Depth func() int
-
 	// DialTimeout bounds each worker dial + handshake (default 5s).
 	DialTimeout time.Duration
 }
@@ -64,7 +47,6 @@ type Config struct {
 //	-backend local|remote     -peers host:port,...
 //	-loopback-workers N       -slots N
 //	-exec-cache-mb N          -fleet-listen host:port
-//	-min-workers N            -max-workers N
 func (cfg *Config) Flags(fs *flag.FlagSet) {
 	fs.StringVar(&cfg.Backend, "backend", "local", "execution backend: local | remote")
 	fs.StringVar(&cfg.Peers, "peers", "", "comma-separated worker addresses for -backend=remote (empty spawns loopback workers)")
@@ -72,8 +54,6 @@ func (cfg *Config) Flags(fs *flag.FlagSet) {
 	fs.IntVar(&cfg.Slots, "slots", 1, "task slots per loopback worker")
 	fs.IntVar(&cfg.CacheMB, "exec-cache-mb", 0, "per-worker future-cache bound in MiB (0 = default, negative disables)")
 	fs.StringVar(&cfg.Listen, "fleet-listen", "", "coordinator listen address for mid-run worker registration (host:0 for ephemeral)")
-	fs.IntVar(&cfg.MinWorkers, "min-workers", 0, "autoscale floor; used with -max-workers")
-	fs.IntVar(&cfg.MaxWorkers, "max-workers", 0, "autoscale the loopback fleet up to this many workers (0 = fixed fleet)")
 }
 
 // Open builds the backend cfg describes:
@@ -81,12 +61,11 @@ func (cfg *Config) Flags(fs *flag.FlagSet) {
 //	Backend "local" (or "")  → nil: the runtime executes everything in-process.
 //	Backend "remote", Peers  → Dial the comma-separated worker addresses.
 //	Backend "remote", no Peers → SpawnLoopback: the tool re-execs itself as
-//	    worker processes on 127.0.0.1, MinWorkers of them when autoscaling.
+//	    Workers worker processes on 127.0.0.1.
 //
 // With Listen set, the coordinator's fleet listen port opens before Open
-// returns; with MaxWorkers set on a loopback fleet, the autoscaler is
-// already running. The caller owns the returned backend (Close it after
-// Barrier); a nil Backend needs no Close.
+// returns. The caller owns the returned backend (Close it after Barrier); a
+// nil Backend needs no Close.
 func Open(cfg Config) (Backend, error) {
 	switch cfg.Backend {
 	case "", "local":
@@ -97,40 +76,24 @@ func Open(cfg Config) (Backend, error) {
 	}
 
 	var r *Remote
+	var err error
 	if cfg.Peers != "" {
-		if cfg.MaxWorkers > 0 {
-			return nil, fmt.Errorf("exec: autoscaling (-max-workers) needs a loopback fleet, not -peers — dialed workers cannot be spawned")
-		}
 		var addrs []string
 		for _, a := range strings.Split(cfg.Peers, ",") {
 			if a = strings.TrimSpace(a); a != "" {
 				addrs = append(addrs, a)
 			}
 		}
-		var err error
 		r, err = Dial(RemoteConfig{Peers: addrs, DialTimeout: cfg.DialTimeout})
-		if err != nil {
-			return nil, err
-		}
 	} else {
 		n := cfg.Workers
-		if cfg.MaxWorkers > 0 {
-			n = cfg.MinWorkers
-			if n < 1 {
-				n = 1
-			}
-			if n > cfg.MaxWorkers {
-				return nil, fmt.Errorf("exec: -min-workers %d > -max-workers %d", n, cfg.MaxWorkers)
-			}
-		}
 		if n < 1 {
 			n = 2
 		}
-		var err error
 		r, err = SpawnLoopback(LoopbackConfig{Workers: n, Slots: cfg.Slots, CacheMB: cfg.CacheMB})
-		if err != nil {
-			return nil, err
-		}
+	}
+	if err != nil {
+		return nil, err
 	}
 
 	if cfg.Listen != "" {
@@ -143,17 +106,6 @@ func Open(cfg Config) (Backend, error) {
 		// the announcement out of piped experiment output.
 		fmt.Fprintf(os.Stderr, "exec: fleet registration open on %s (worker -join %s -token %s)\n",
 			addr, addr, r.JoinToken())
-	}
-	if cfg.MaxWorkers > 0 {
-		err := r.Autoscale(AutoscaleConfig{
-			Min: cfg.MinWorkers, Max: cfg.MaxWorkers,
-			Policy: cfg.ScalePolicy, Depth: cfg.Depth,
-			Interval: cfg.ScaleInterval,
-		})
-		if err != nil {
-			r.Close()
-			return nil, err
-		}
 	}
 	return r, nil
 }

@@ -1,31 +1,22 @@
 package exec
 
-import (
-	"fmt"
-	"time"
-)
-
-// FleetEvent kinds. Join/Drain/Drained/Leave/Dead narrate membership;
-// ScaleUp/ScaleDown narrate autoscaler decisions (each is followed by the
-// membership events it causes).
+// FleetEvent kinds: each narrates one membership transition.
 const (
-	FleetJoin      = "join"       // a member was admitted (fresh id)
-	FleetDrain     = "drain"      // Drain marked a member; in-flight work continues
-	FleetDrained   = "drained"    // the drain finished; connection closed
-	FleetLeave     = "leave"      // Leave removed a member immediately
-	FleetDead      = "dead"       // connection failure retired a member
-	FleetScaleUp   = "scale-up"   // the autoscaler is growing the fleet
-	FleetScaleDown = "scale-down" // the autoscaler is shrinking the fleet
+	FleetJoin    = "join"    // a member was admitted (fresh id)
+	FleetDrain   = "drain"   // Drain marked a member; in-flight work continues
+	FleetDrained = "drained" // the drain finished; connection closed
+	FleetLeave   = "leave"   // Leave removed a member immediately
+	FleetDead    = "dead"    // connection failure retired a member
 )
 
-// FleetEvent is one membership or scaling transition, delivered to the hook
-// installed with SetFleetHook. Workers/Slots are the alive totals *after*
-// the transition — the Chrome trace renders them as the fleet-size counter
-// next to the event instant.
+// FleetEvent is one membership transition, delivered to the hook installed
+// with SetFleetHook. Workers/Slots are the alive totals *after* the
+// transition — the Chrome trace renders them as the fleet-size counter next
+// to the event instant.
 type FleetEvent struct {
 	Kind   string // one of the Fleet* constants
-	Worker string // member id, "" for pure scaling decisions
-	Reason string // human-readable cause ("connection lost: ...", policy note)
+	Worker string // member id
+	Reason string // human-readable cause ("connection lost: ...")
 
 	Workers int // alive members after the transition
 	Slots   int // alive slot total after the transition
@@ -33,7 +24,7 @@ type FleetEvent struct {
 
 // SetFleetHook installs fn to observe every fleet transition (nil
 // uninstalls). The hook runs on whichever goroutine changed membership —
-// dispatchers, the listener, the autoscaler — and must be cheap and
+// dispatchers, the listener, a Drain or Leave caller — and must be cheap and
 // non-blocking.
 func (r *Remote) SetFleetHook(fn func(FleetEvent)) {
 	if fn == nil {
@@ -41,248 +32,4 @@ func (r *Remote) SetFleetHook(fn func(FleetEvent)) {
 		return
 	}
 	r.fleetHook.Store(&fn)
-}
-
-// Fleet is the membership surface of an elastic backend. *Remote implements
-// it; the compss runtime type-asserts its Backend to Fleet to size its
-// worker pool from live slot totals (and resize it on every membership
-// change via Watch). Fixed backends — local execution, nil — simply don't
-// implement it and keep their static capacity.
-type Fleet interface {
-	// Join dials a worker and admits it mid-run, returning its fresh id.
-	Join(addr string) (string, error)
-	// Drain gracefully retires a member: no new placements, in-flight
-	// attempts finish, then the connection closes.
-	Drain(id string) error
-	// Leave retires a member immediately, failing its in-flight attempts
-	// into the retry machinery.
-	Leave(id string) error
-	// Workers snapshots every member ever admitted (dead ones included).
-	Workers() []WorkerInfo
-	// SlotTotal is the live execution capacity (Σ slots over alive members).
-	SlotTotal() int
-	// SlotCeiling is the largest slot total the fleet is configured to
-	// reach; fixed structures are sized from it once.
-	SlotCeiling() int
-	// Watch subscribes fn to slot-total changes; the returned cancel
-	// unsubscribes. fn runs on membership-changing goroutines and must be
-	// cheap and non-blocking.
-	Watch(fn func(slotTotal int)) (cancel func())
-}
-
-var _ Fleet = (*Remote)(nil)
-
-// ScaleSample is one autoscaler observation of the fleet and its load.
-type ScaleSample struct {
-	Workers   int // alive members
-	Draining  int // members mid-drain (capacity leaving, not yet gone)
-	SlotTotal int // alive slot total
-	Inflight  int // attempts currently on workers
-	Ready     int // ready-queue depth (tasks runnable but not started)
-	Waiting   int // dispatch goroutines blocked waiting for a free slot
-}
-
-// ScalePolicy decides the fleet size from load samples. Desired returns the
-// target alive-worker count; the autoscaler clamps it to [Min, Max] and
-// moves one worker per tick toward it. Policies may keep state across calls
-// (the default hysteresis policy counts streaks).
-type ScalePolicy interface {
-	Desired(s ScaleSample) int
-}
-
-// HysteresisPolicy is the default ScalePolicy: grow when the backlog has
-// clearly outrun capacity for a few consecutive samples, shrink when the
-// fleet has been clearly idle for longer, hold otherwise. The asymmetric
-// streaks (grow fast, shrink slow) keep a bursty load from thrashing the
-// fleet — the cost of a missing worker is queue latency now, the cost of an
-// extra one is a mostly-idle process.
-type HysteresisPolicy struct {
-	// GrowAt grows the fleet when backlog (Ready + Waiting) exceeds GrowAt ×
-	// SlotTotal for GrowAfter consecutive samples. Default 2.0 and 2.
-	GrowAt    float64
-	GrowAfter int
-	// ShrinkAt shrinks when backlog + Inflight stays below ShrinkAt ×
-	// SlotTotal for ShrinkAfter consecutive samples. Default 0.25 and 4.
-	ShrinkAt    float64
-	ShrinkAfter int
-
-	growStreak, shrinkStreak int
-}
-
-// Desired implements ScalePolicy.
-func (p *HysteresisPolicy) Desired(s ScaleSample) int {
-	growAt := p.GrowAt
-	if growAt <= 0 {
-		growAt = 2.0
-	}
-	growAfter := p.GrowAfter
-	if growAfter <= 0 {
-		growAfter = 2
-	}
-	shrinkAt := p.ShrinkAt
-	if shrinkAt <= 0 {
-		shrinkAt = 0.25
-	}
-	shrinkAfter := p.ShrinkAfter
-	if shrinkAfter <= 0 {
-		shrinkAfter = 4
-	}
-
-	backlog := float64(s.Ready + s.Waiting)
-	capacity := float64(s.SlotTotal)
-	switch {
-	case backlog > growAt*capacity:
-		p.growStreak++
-		p.shrinkStreak = 0
-	case backlog+float64(s.Inflight) < shrinkAt*capacity:
-		p.shrinkStreak++
-		p.growStreak = 0
-	default:
-		p.growStreak, p.shrinkStreak = 0, 0
-	}
-	if p.growStreak >= growAfter {
-		p.growStreak = 0
-		return s.Workers + 1
-	}
-	if p.shrinkStreak >= shrinkAfter {
-		p.shrinkStreak = 0
-		return s.Workers - 1
-	}
-	return s.Workers
-}
-
-// AutoscaleConfig configures Remote.Autoscale.
-type AutoscaleConfig struct {
-	// Min and Max bound the alive-worker count. Min defaults to 1; Max is
-	// required (> 0).
-	Min, Max int
-	// Policy decides the target size; default &HysteresisPolicy{}.
-	Policy ScalePolicy
-	// Depth reports the ready-queue depth (typically trace.Gauge.Ready).
-	// When nil the autoscaler falls back to the count of dispatch
-	// goroutines blocked waiting for a slot — a weaker signal, since the
-	// runtime's own worker pool bounds how many dispatchers exist.
-	Depth func() int
-	// Interval between samples; default 50ms.
-	Interval time.Duration
-}
-
-// Autoscale starts a background loop that grows and shrinks the loopback
-// fleet between cfg.Min and cfg.Max workers, one per tick, as cfg.Policy
-// directs. Growth re-execs a new loopback child (the fleet must have been
-// created by SpawnLoopback — dialed fleets have no process to start);
-// shrink drains the newest spawned idle-capable worker, never below Min and
-// never while another drain is still in flight. Scale decisions surface as
-// FleetScaleUp/FleetScaleDown events. The loop stops at Close.
-func (r *Remote) Autoscale(cfg AutoscaleConfig) error {
-	if cfg.Max <= 0 {
-		return fmt.Errorf("exec: Autoscale needs Max > 0")
-	}
-	if cfg.Min <= 0 {
-		cfg.Min = 1
-	}
-	if cfg.Min > cfg.Max {
-		return fmt.Errorf("exec: Autoscale Min %d > Max %d", cfg.Min, cfg.Max)
-	}
-	if cfg.Policy == nil {
-		cfg.Policy = &HysteresisPolicy{}
-	}
-	if cfg.Interval <= 0 {
-		cfg.Interval = 50 * time.Millisecond
-	}
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return fmt.Errorf("exec: backend is closed")
-	}
-	if r.spawn == nil {
-		r.mu.Unlock()
-		return fmt.Errorf("exec: Autoscale needs a loopback fleet (SpawnLoopback)")
-	}
-	if r.scaleStop != nil {
-		r.mu.Unlock()
-		return fmt.Errorf("exec: autoscaler already running")
-	}
-	stop := make(chan struct{})
-	r.scaleStop = stop
-	r.scaleMax = cfg.Max
-	r.mu.Unlock()
-	go r.scaleLoop(cfg, stop)
-	return nil
-}
-
-// scaleLoop is the autoscaler body: sample, ask the policy, move one
-// worker toward the target.
-func (r *Remote) scaleLoop(cfg AutoscaleConfig, stop chan struct{}) {
-	tick := time.NewTicker(cfg.Interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-tick.C:
-		}
-
-		r.mu.Lock()
-		s := ScaleSample{Waiting: r.waiting}
-		draining := false
-		for _, w := range r.workers {
-			switch w.state {
-			case wsAlive:
-				s.Workers++
-				s.SlotTotal += w.slots
-				s.Inflight += w.inflight
-			case wsDraining:
-				s.Draining++
-				draining = true
-			}
-		}
-		r.mu.Unlock()
-		if cfg.Depth != nil {
-			s.Ready = cfg.Depth()
-		}
-
-		want := cfg.Policy.Desired(s)
-		if want > cfg.Max {
-			want = cfg.Max
-		}
-		if want < cfg.Min {
-			want = cfg.Min
-		}
-		switch {
-		case want > s.Workers:
-			r.emitScale(FleetScaleUp, fmt.Sprintf("backlog ready=%d waiting=%d over %d slots", s.Ready, s.Waiting, s.SlotTotal))
-			if _, err := r.SpawnWorker(); err != nil {
-				return // closed (or the executable vanished); stop scaling
-			}
-		case want < s.Workers && s.Workers > cfg.Min && !draining:
-			// Shrink the newest spawned alive worker; skip while any drain
-			// is still completing so capacity leaves one worker at a time.
-			id := ""
-			r.mu.Lock()
-			for i := len(r.spawned) - 1; i >= 0; i-- {
-				if r.spawned[i].state == wsAlive {
-					id = r.spawned[i].id
-					break
-				}
-			}
-			r.mu.Unlock()
-			if id != "" {
-				r.emitScale(FleetScaleDown, fmt.Sprintf("idle: inflight=%d ready=%d over %d slots", s.Inflight, s.Ready, s.SlotTotal))
-				_ = r.Drain(id)
-			}
-		}
-	}
-}
-
-// emitScale publishes one autoscaler decision as a fleet event.
-func (r *Remote) emitScale(kind, reason string) {
-	hook := r.fleetHook.Load()
-	if hook == nil {
-		return
-	}
-	r.mu.Lock()
-	ev := FleetEvent{Kind: kind, Reason: reason, Workers: r.aliveLocked(), Slots: r.slotTotalLocked()}
-	r.mu.Unlock()
-	(*hook)(ev)
 }

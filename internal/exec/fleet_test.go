@@ -204,128 +204,3 @@ func TestFleetListenRejoin(t *testing.T) {
 		t.Fatalf("partition broken: %+v", st)
 	}
 }
-
-// TestFleetAutoscaleSoak runs the 1→N→1 elasticity loop for real: a burst
-// of sleep tasks grows the loopback fleet to Max, the idle tail shrinks it
-// back to Min, and at quiescence no attempt was lost or double-counted.
-func TestFleetAutoscaleSoak(t *testing.T) {
-	r, err := exec.SpawnLoopback(exec.LoopbackConfig{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-
-	var ups, downs atomic.Int64
-	r.SetFleetHook(func(ev exec.FleetEvent) {
-		switch ev.Kind {
-		case exec.FleetScaleUp:
-			ups.Add(1)
-		case exec.FleetScaleDown:
-			downs.Add(1)
-		}
-	})
-	err = r.Autoscale(exec.AutoscaleConfig{
-		Min: 1, Max: 3, Interval: 10 * time.Millisecond,
-		Policy: &exec.HysteresisPolicy{GrowAfter: 1, ShrinkAfter: 2},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Autoscale(exec.AutoscaleConfig{Min: 1, Max: 3}); err == nil {
-		t.Fatal("second Autoscale should be rejected")
-	}
-
-	// Burst: far more concurrent attempts than the one slot — the waiter
-	// count (the fallback depth signal) drives growth to Max.
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	var failures atomic.Int64
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if _, _, err := r.Execute("test_sleep_ms", 1, []any{5}); err != nil {
-					failures.Add(1)
-					return
-				}
-			}
-		}()
-	}
-	waitFor(t, 10*time.Second, func() bool { return r.AliveWorkers() == 3 })
-	close(stop)
-	wg.Wait()
-
-	// Idle: the fleet must shrink back to Min, one graceful drain at a time.
-	waitFor(t, 10*time.Second, func() bool { return r.AliveWorkers() == 1 })
-
-	if n := failures.Load(); n != 0 {
-		t.Fatalf("%d attempts failed during the scale soak", n)
-	}
-	st := r.Stats()
-	if st.Failed != 0 {
-		t.Fatalf("autoscaling counted %d Failed; drains must be graceful", st.Failed)
-	}
-	if st.Dispatched != st.Completed {
-		t.Fatalf("partition broken at quiescence: dispatched %d != completed %d", st.Dispatched, st.Completed)
-	}
-	if st.PeakWorkers != 3 {
-		t.Fatalf("PeakWorkers = %d, want 3", st.PeakWorkers)
-	}
-	if ups.Load() < 2 || downs.Load() < 2 {
-		t.Fatalf("scale events up=%d down=%d, want ≥2 each", ups.Load(), downs.Load())
-	}
-	// The fleet can still do work at Min.
-	if v, _, err := r.Execute("test_add", 1, []any{20.0, 22.0}); err != nil || v[0].(float64) != 42 {
-		t.Fatalf("post-soak Execute = %v, %v", v, err)
-	}
-}
-
-// TestHysteresisPolicy pins the default policy's streak behaviour: grow
-// only after sustained backlog, shrink only after a longer idle streak,
-// hold in between.
-func TestHysteresisPolicy(t *testing.T) {
-	p := &exec.HysteresisPolicy{} // defaults: GrowAt 2.0×, GrowAfter 2, ShrinkAt 0.25×, ShrinkAfter 4
-	busy := exec.ScaleSample{Workers: 2, SlotTotal: 2, Ready: 10}
-	idle := exec.ScaleSample{Workers: 2, SlotTotal: 2}
-	mid := exec.ScaleSample{Workers: 2, SlotTotal: 2, Ready: 1, Inflight: 1}
-
-	if got := p.Desired(busy); got != 2 {
-		t.Fatalf("one busy sample grew the fleet to %d", got)
-	}
-	if got := p.Desired(busy); got != 3 {
-		t.Fatalf("two busy samples → %d, want grow to 3", got)
-	}
-	for i := 0; i < 3; i++ {
-		if got := p.Desired(idle); got != 2 {
-			t.Fatalf("idle sample %d shrank early to %d", i, got)
-		}
-	}
-	if got := p.Desired(idle); got != 1 {
-		t.Fatalf("four idle samples → %d, want shrink to 1", got)
-	}
-	// A middling sample resets both streaks.
-	p.Desired(idle)
-	p.Desired(idle)
-	p.Desired(mid)
-	if got := p.Desired(idle); got != 2 {
-		t.Fatalf("streak not reset by a middling sample: %d", got)
-	}
-}
-
-// TestOpenRejectsAutoscaledPeers pins the Config contract: a dialed fleet
-// has no executable to re-exec, so -max-workers with -peers must fail fast.
-func TestOpenRejectsAutoscaledPeers(t *testing.T) {
-	_, err := exec.Open(exec.Config{Backend: "remote", Peers: "127.0.0.1:1", MaxWorkers: 4})
-	if err == nil || !strings.Contains(err.Error(), "loopback") {
-		t.Fatalf("Open(peers + autoscale) = %v, want a loopback-only error", err)
-	}
-	if _, err := exec.Open(exec.Config{Backend: "remote", MinWorkers: 5, MaxWorkers: 2}); err == nil {
-		t.Fatal("Open(min > max) should fail")
-	}
-}

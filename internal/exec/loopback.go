@@ -22,9 +22,8 @@ type LoopbackConfig struct {
 }
 
 // spawnConfig is how a loopback fleet re-execs one more worker: stored on
-// the Remote at SpawnLoopback so SpawnWorker (and through it the
-// autoscaler) can grow the fleet mid-run with identically-configured
-// children.
+// the Remote at SpawnLoopback so SpawnWorker can add identically-configured
+// children mid-run.
 type spawnConfig struct {
 	exe     string
 	slots   int
@@ -41,9 +40,8 @@ type spawnConfig struct {
 // The children are re-execs of os.Executable() with TASKML_EXEC_WORKER set,
 // so they carry exactly the same registered-function table as the
 // coordinator (see MaybeWorkerMain, which every spawnable binary calls
-// first thing in main). The fleet stays elastic: SpawnWorker adds one more
-// child, Drain/Leave retire them, and Autoscale does both automatically.
-// Close kills and reaps whatever is left.
+// first thing in main). Membership stays open: SpawnWorker adds one more
+// child and Drain/Leave retire them. Close kills and reaps whatever is left.
 func SpawnLoopback(cfg LoopbackConfig) (*Remote, error) {
 	n := cfg.Workers
 	if n < 1 {
@@ -72,9 +70,9 @@ func SpawnLoopback(cfg LoopbackConfig) (*Remote, error) {
 // SpawnWorker re-execs one more loopback child, waits for it to bind, dials
 // it, and admits it into the fleet with a fresh id (which it returns). Only
 // fleets created by SpawnLoopback can spawn — a dialed fleet has no
-// executable to run. This is both the autoscaler's grow primitive and the
-// crash-recovery test hook: kill a worker, SpawnWorker, and the replacement
-// is a brand-new member absorbing retried attempts.
+// executable to run. This is the crash-recovery hook: kill a worker,
+// SpawnWorker, and the replacement is a brand-new member absorbing retried
+// attempts.
 func (r *Remote) SpawnWorker() (string, error) {
 	r.mu.Lock()
 	sc := r.spawn

@@ -62,10 +62,9 @@ func (s workerState) String() string {
 // member gracefully — no new placements, in-flight attempts finish (their
 // piggybacked cache reports still apply), then the connection closes —
 // while Leave and connection failure retire it immediately, failing
-// in-flight attempts into the runtime's retry machinery. Watch subscribes
-// to live slot-total changes (the compss runtime resizes its worker pool
-// from it), and SetFleetHook observes every membership transition (the
-// Chrome trace renders them as instants).
+// in-flight attempts into the runtime's retry machinery. SetFleetHook
+// observes every membership transition (the Chrome trace renders them as
+// instants).
 //
 // # Slot accounting
 //
@@ -75,7 +74,8 @@ func (s workerState) String() string {
 // worker never has more frames in flight than slots; a chain's requests run
 // one after another on their frame's slot, and a pull takes none. The
 // runtime's own pool bounds attempts in flight at all: effective parallelism
-// is min(runtime pool, Σ alive slots), re-resolved on every membership change.
+// is min(runtime pool, Σ alive slots), the pool sized once when the runtime
+// is created.
 //
 // # Placement and the data plane
 //
@@ -118,13 +118,9 @@ type Remote struct {
 	spawn       *spawnConfig // how to re-exec one more loopback worker; nil for dialed fleets
 	dialTimeout time.Duration
 
-	waiting   int // dispatch goroutines blocked in acquire (autoscale backlog signal)
 	peakAlive int
 	joined    uint64 // admissions across the fleet's lifetime
 	left      uint64 // retirements (drained, dead, left) across the lifetime
-
-	scaleMax  int           // autoscale ceiling in workers; 0 when not autoscaling
-	scaleStop chan struct{} // closes to stop the autoscaler; nil when not autoscaling
 
 	nextID                        atomic.Uint64
 	dispatched, completed, failed atomic.Uint64
@@ -145,10 +141,6 @@ type Remote struct {
 
 	cacheHook atomic.Pointer[func(CacheSample)]
 	fleetHook atomic.Pointer[func(FleetEvent)]
-
-	watchMu  sync.Mutex
-	watchSeq int
-	watchers map[int]func(slotTotal int)
 }
 
 // newRemote builds an empty fleet; members are admitted afterwards.
@@ -159,7 +151,6 @@ func newRemote(dialTimeout time.Duration) *Remote {
 	r := &Remote{
 		dialTimeout: dialTimeout,
 		token:       newJoinToken(),
-		watchers:    map[int]func(int){},
 	}
 	r.cond = sync.NewCond(&r.mu)
 	return r
@@ -359,7 +350,8 @@ func Dial(cfg RemoteConfig) (*Remote, error) {
 
 // Join dials one worker and admits it into the fleet mid-run with a fresh
 // id, which it returns. The new member is placed on as soon as it is
-// admitted; the runtime's effective parallelism rises with the slot total.
+// admitted; a runtime created afterwards sizes its pool from the new slot
+// total.
 func (r *Remote) Join(addr string) (string, error) {
 	r.mu.Lock()
 	timeout := r.dialTimeout
@@ -608,8 +600,6 @@ func (r *Remote) failWorker(w *workerConn, err error, kind string) {
 	r.failPending(w, err)
 	if kind != "" {
 		r.membershipChanged(kind, w.id, err.Error())
-	} else {
-		r.notifyWatchers()
 	}
 }
 
@@ -788,9 +778,7 @@ func (r *Remote) acquire(refs []ValueRef) (*workerConn, error) {
 			best.inflight++
 			return best, nil
 		}
-		r.waiting++
 		r.cond.Wait()
-		r.waiting--
 	}
 }
 
@@ -1289,90 +1277,28 @@ func (r *Remote) AliveWorkers() int {
 }
 
 // SlotTotal returns the live slot total across alive members — the fleet's
-// current execution capacity. The compss runtime re-resolves it through
-// Watch on every membership change.
+// current execution capacity. The compss runtime reads it once, in New, to
+// size its pool.
 func (r *Remote) SlotTotal() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.slotTotalLocked()
 }
 
-// SlotCeiling returns the largest slot total this fleet is configured to
-// reach: the autoscale ceiling for autoscaled fleets, otherwise the current
-// total including draining members. The runtime sizes fixed structures
-// (its worker deques) from it once, then tracks SlotTotal within it.
-func (r *Remote) SlotCeiling() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	total := 0
-	for _, w := range r.workers {
-		if w.state != wsDead {
-			total += w.slots
-		}
-	}
-	if r.scaleMax > 0 && r.spawn != nil {
-		if c := r.scaleMax * r.spawn.slots; c > total {
-			total = c
-		}
-	}
-	return total
-}
-
-// Watch subscribes fn to live slot-total changes: it is called (on the
-// goroutine that changed membership, so it must be cheap and non-blocking)
-// after every join, drain completion, leave or death, with the new alive
-// slot total. The returned cancel unsubscribes.
-func (r *Remote) Watch(fn func(slotTotal int)) (cancel func()) {
-	r.watchMu.Lock()
-	id := r.watchSeq
-	r.watchSeq++
-	r.watchers[id] = fn
-	r.watchMu.Unlock()
-	return func() {
-		r.watchMu.Lock()
-		delete(r.watchers, id)
-		r.watchMu.Unlock()
-	}
-}
-
-// notifyWatchers delivers the current slot total to every Watch subscriber.
-func (r *Remote) notifyWatchers() {
-	r.mu.Lock()
-	total := r.slotTotalLocked()
-	r.mu.Unlock()
-	r.watchMu.Lock()
-	fns := make([]func(int), 0, len(r.watchers))
-	for _, fn := range r.watchers {
-		fns = append(fns, fn)
-	}
-	r.watchMu.Unlock()
-	for _, fn := range fns {
-		fn(total)
-	}
-}
-
-// membershipChanged publishes one fleet transition: a FleetEvent to the
-// hook (traces) and the new slot total to the Watch subscribers (runtime
-// capacity).
+// membershipChanged publishes one fleet transition as a FleetEvent to the
+// hook (traces).
 func (r *Remote) membershipChanged(kind, worker, reason string) {
+	hook := r.fleetHook.Load()
+	if hook == nil {
+		return
+	}
 	r.mu.Lock()
 	ev := FleetEvent{
 		Kind: kind, Worker: worker, Reason: reason,
 		Workers: r.aliveLocked(), Slots: r.slotTotalLocked(),
 	}
 	r.mu.Unlock()
-	if hook := r.fleetHook.Load(); hook != nil {
-		(*hook)(ev)
-	}
-	r.watchMu.Lock()
-	fns := make([]func(int), 0, len(r.watchers))
-	for _, fn := range r.watchers {
-		fns = append(fns, fn)
-	}
-	r.watchMu.Unlock()
-	for _, fn := range fns {
-		fn(ev.Slots)
-	}
+	(*hook)(ev)
 }
 
 // Stats returns cumulative dispatch counters.
@@ -1428,10 +1354,10 @@ func (r *Remote) KillWorker(i int) error {
 	return r.spawned[i].proc.Kill()
 }
 
-// Close stops the autoscaler and the fleet listener, retires every member,
-// fails pending requests, and reaps loopback processes. The per-member proc
-// handles are tombstoned under r.mu before reaping so a concurrent
-// KillWorker can never touch a reaped process.
+// Close stops the fleet listener, retires every member, fails pending
+// requests, and reaps loopback processes. The per-member proc handles are
+// tombstoned under r.mu before reaping so a concurrent KillWorker can never
+// touch a reaped process.
 func (r *Remote) Close() error {
 	r.mu.Lock()
 	if r.closed {
@@ -1448,14 +1374,9 @@ func (r *Remote) Close() error {
 		}
 	}
 	l := r.listener
-	stop := r.scaleStop
-	r.scaleStop = nil
 	r.cond.Broadcast()
 	r.mu.Unlock()
 
-	if stop != nil {
-		close(stop)
-	}
 	if l != nil {
 		l.Close()
 	}

@@ -2,7 +2,7 @@
 // half of the paper's Figure 1: where internal/edge simulates one wearable
 // monitoring one patient, a serve.Server multiplexes thousands of
 // concurrent ECG streams onto a single task runtime, so continuous
-// inference rides the same work-stealing executor, data plane and elastic
+// inference rides the same work-stealing executor, data plane and worker
 // fleet that trained the model (the hybrid task/dataflow shape from
 // PAPERS.md, with Compass-style per-request latency targets).
 //

@@ -35,9 +35,8 @@ type CacheSample struct {
 	exec.CacheSample
 }
 
-// FleetSample is one fleet membership/scaling transition plus its arrival
-// time — joins, drains, deaths and autoscaler decisions on the same clock
-// as the task slices. Wire it with
+// FleetSample is one fleet membership transition plus its arrival time —
+// joins, drains, leaves and deaths on the same clock as the task slices. Wire it with
 // exec.Remote.SetFleetHook(collector.AddFleetEvent).
 type FleetSample struct {
 	Time time.Time
@@ -175,11 +174,11 @@ type sortable struct {
 // instant row per remote worker (cache hit / miss markers) and a "resident
 // bytes" counter with one series per worker — the re-shipping a reduction
 // tree avoids (or pays) is visible directly in the viewer — plus one
-// instant lane ("fleet") marking joins, drains, deaths and autoscaler
-// decisions and a "fleet size" counter tracking alive workers and slots, so
-// the elasticity of a run sits next to the queue-depth counters that drove
-// it. Serving samples add a third process ("serving", see renderServeRows)
-// with batcher, alarm and backpressure lanes. Empty processes are omitted.
+// instant lane ("fleet") marking joins, drains, leaves and deaths and a
+// "fleet size" counter tracking alive workers and slots, so a run's
+// membership changes sit next to its queue-depth counters. Serving samples
+// add a third process ("serving", see renderServeRows) with batcher, alarm
+// and backpressure lanes. Empty processes are omitted.
 func (c *Collector) Chrome() *Trace {
 	// The slices are append-only, so the prefixes read here stay valid
 	// without a copy.
@@ -595,7 +594,7 @@ func renderServeRows(t *Trace, origin time.Time, serving []ServeSample) {
 }
 
 // renderFleetRows emits the fleet membership lane: one instant per
-// transition (named by its kind — "join", "drained", "scale-up", ...) and a
+// transition (named by its kind — "join", "drained", "dead", ...) and a
 // "fleet size" counter carrying the alive worker and slot totals after each
 // transition.
 func renderFleetRows(t *Trace, origin time.Time, fleet []FleetSample, lane int) {

@@ -18,8 +18,7 @@
 // Collector is a compss.Observer that buffers events (and exec data-plane,
 // fleet and serving samples via AddCacheSample / AddFleetEvent /
 // AddServeSample); its Chrome method builds a Trace, which
-// Add/WriteJSON/WriteFile assemble and emit. Gauge is the ready-depth
-// observer the exec autoscaler samples. PackLanes is the greedy
+// Add/WriteJSON/WriteFile assemble and emit. PackLanes is the greedy
 // interval-packing helper both producers share. In-process attempts pack
 // into "worker N" lanes; attempts executed by a remote backend
 // (internal/exec) are pinned to per-worker-id lanes instead, so a

@@ -68,11 +68,13 @@ done
 # steals, stolen-task deadline abandonment) only open up under unbalanced
 # load; run the stealing stress tests twice at both GOMAXPROCS extremes so
 # single-threaded interleavings and truly parallel ones are both exercised
-# under the race detector. Chain dispatch marks tasks from one goroutine that
-# another completes, and hands them back across the same boundary: its tests
-# (fake chain backend, no sockets) ride along.
-echo "== go test -race -count=2 -cpu=1,8 -run 'TestStealStress|TestStolenDeadline|TestChainMembership|TestChainHandBack|TestChainHeadFailure|TestChainEventsAndStats' ./internal/compss/"
-go test -race -count=2 -cpu=1,8 -run 'TestStealStress|TestStolenDeadline|TestChainMembership|TestChainHandBack|TestChainHeadFailure|TestChainEventsAndStats' ./internal/compss/
+# under the race detector. The deadline-abandon tests guard the slot pool a
+# parked Deadline body hands its slot back through, so they run here too.
+# Chain dispatch marks tasks from one goroutine that another completes, and
+# hands them back across the same boundary: its tests (fake chain backend, no
+# sockets) ride along.
+echo "== go test -race -count=2 -cpu=1,8 -run 'TestStealStress|TestStolenDeadline|TestDeadlineAbandon|TestChainMembership|TestChainHandBack|TestChainHeadFailure|TestChainEventsAndStats' ./internal/compss/"
+go test -race -count=2 -cpu=1,8 -run 'TestStealStress|TestStolenDeadline|TestDeadlineAbandon|TestChainMembership|TestChainHandBack|TestChainHeadFailure|TestChainEventsAndStats' ./internal/compss/
 
 # internal/core and internal/serve are not in the -count=2 pass above, so
 # the tests there that race membership changes, holder kills and concurrent
@@ -85,8 +87,10 @@ go test -race -count=2 -cpu=1,8 -run 'TestStealStress|TestStolenDeadline|TestCha
 # in-process and across workers. The two degraded forms of the one data plane
 # ride along by variant name: a member with no peer listener
 # (coordinator-routed values) and workers that do not cache (values inline).
-# The release's unit tests (TestReleaseWhenUnreachable, TestForget*,
-# TestReleaseAfterFleetEnds) are in the compss and exec package pass above.
+# The unit tests of a runtime's claim on a fleet — its pool sized once at New
+# (TestCapacityFixedAtNew), its session forgotten once it is unreachable
+# (TestReleaseWhenUnreachable, TestForget*, TestReleaseAfterFleetEnds) — run
+# in the -count=2 compss and exec pass above.
 echo "== go test -race -count=2 -run 'TestRemoteKillThenRejoinParity|TestRemotePeerKillParity|TestRemoteChainParity|TestRemoteLineageParity|TestRemoteFleetForgetsFinishedRuns' ./internal/core/"
 go test -race -count=2 -run 'TestRemoteKillThenRejoinParity|TestRemotePeerKillParity|TestRemoteChainParity|TestRemoteLineageParity|TestRemoteFleetForgetsFinishedRuns' ./internal/core/
 echo "== go test -race -count=2 -run 'TestRemoteParityBitIdentical/^(no-peer-listener|no-cache)\$' ./internal/core/"
