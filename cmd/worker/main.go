@@ -21,11 +21,9 @@
 //	afclass -backend remote -fleet-listen :7070 ...   # prints the worker -join line on stderr
 //	worker -join coordinator:7070 -token <JoinToken> -slots 4
 //
-// In both modes the worker opens a peer-transfer listener (-peer-listen,
-// default an ephemeral port) so other workers can pull its resident values
-// directly instead of routing them through the coordinator; pass
-// -peer-listen off to force all traffic onto the coordinator link. On a
-// multi-homed machine bind it to the interface the other workers route to.
+// In both modes the coordinator connection is the worker's only link: it
+// opens no other listener, and a value another worker produced reaches it
+// through the coordinator.
 //
 // The worker caps the shared kernel layer at one goroutine per task body
 // (internal/par): its parallelism budget is -slots concurrent bodies, and
@@ -57,10 +55,9 @@ func main() {
 	token := flag.String("token", "", "join credential for -join (the coordinator's JoinToken)")
 	slots := flag.Int("slots", 1, "concurrent task bodies this worker runs")
 	cacheMB := flag.Int("cache-mb", 0, "future-cache bound in MiB (0 = default, negative disables caching)")
-	peerListen := flag.String("peer-listen", ":0", "TCP address for direct worker-to-worker transfers (\"off\" disables the peer plane)")
 	flag.Parse()
 
-	cfg := exec.WorkerConfig{Slots: *slots, CacheBytes: int64(*cacheMB) << 20, PeerListen: *peerListen, Log: os.Stderr}
+	cfg := exec.WorkerConfig{Slots: *slots, CacheBytes: int64(*cacheMB) << 20, Log: os.Stderr}
 
 	if *join != "" {
 		if err := exec.JoinCoordinator(*join, *token, cfg); err != nil {

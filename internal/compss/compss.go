@@ -1089,10 +1089,8 @@ func (rt *Runtime) runAttemptBody(st *taskState, child *TaskCtx, attempt, nOut i
 // The backend request carries the task's identity (execSession + id) and
 // the provenance of every future-valued argument (exec.ArgRef), so a
 // data-plane backend can place the attempt near resident inputs and pass
-// references instead of values — or, on exec.Remote's peer plane, point
-// the executing worker at whichever peer worker holds the value so it is
-// pulled directly, without a coordinator hop. The resolved values always
-// travel too — identity is a hint, never a dependency.
+// references instead of values. The resolved values always travel too —
+// identity is a hint, never a dependency.
 //
 // A first attempt over a chain backend takes along every task only it still
 // holds back (chain.go); alone, it is the ordinary ExecuteTask.

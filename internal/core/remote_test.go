@@ -1,7 +1,6 @@
 package core
 
 import (
-	"net"
 	"os"
 	"reflect"
 	"runtime"
@@ -27,8 +26,8 @@ func TestMain(m *testing.M) {
 // backend: the full RF cross-validation (PCA included) over two real worker
 // processes must produce a confusion matrix and fold accuracies
 // bit-identical to the in-process run. Registered bodies are argument-pure
-// and results freshly allocated, so gob-copying every argument across a
-// socket must not change a single bit.
+// and results freshly allocated, so copying every argument across a socket
+// must not change a single bit.
 func TestRemoteParityBitIdentical(t *testing.T) {
 	ds, err := BuildDataset(smallData(21))
 	if err != nil {
@@ -40,18 +39,19 @@ func TestRemoteParityBitIdentical(t *testing.T) {
 	}
 
 	// Four fleets, all required to be bit-identical to the in-process run:
-	// two ordinary workers (peer-to-peer transfers), one ordinary worker beside
-	// a member with no peer listener (every cross-worker value routed through
-	// the coordinator), a deliberately tiny 1 MiB cache (constant eviction, so
-	// most references Miss and re-send inlined values), and workers that do
-	// not cache (values inline throughout).
+	// two ordinary workers, one ordinary worker beside an in-process member
+	// that dialed in to the coordinator's fleet listener, a deliberately tiny
+	// 1 MiB cache (constant eviction, so most references Miss and re-send
+	// inlined values), and workers that do not cache (values inline
+	// throughout). Every value that crosses between workers goes through the
+	// coordinator.
 	variants := []struct {
-		name     string
-		cfg      exec.LoopbackConfig
-		peerless bool // one more member, in-process, started with its peer listener off
+		name   string
+		cfg    exec.LoopbackConfig
+		dialIn bool // one more member, in-process, joined through the fleet listener
 	}{
-		{name: "refs-p2p", cfg: exec.LoopbackConfig{Workers: 2, Slots: 1}},
-		{name: "no-peer-listener", cfg: exec.LoopbackConfig{Workers: 1, Slots: 1}, peerless: true},
+		{name: "refs", cfg: exec.LoopbackConfig{Workers: 2, Slots: 1}},
+		{name: "dial-in-member", cfg: exec.LoopbackConfig{Workers: 1, Slots: 1}, dialIn: true},
 		{name: "refs-tiny-cache", cfg: exec.LoopbackConfig{Workers: 2, Slots: 1, CacheMB: 1}},
 		{name: "no-cache", cfg: exec.LoopbackConfig{Workers: 2, Slots: 1, CacheMB: -1}},
 	}
@@ -62,16 +62,17 @@ func TestRemoteParityBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer backend.Close()
-			if v.peerless {
-				l, err := net.Listen("tcp", "127.0.0.1:0")
+			if v.dialIn {
+				addr, err := backend.ListenForWorkers("127.0.0.1:0")
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer l.Close()
 				defer par.SetLimit(par.Limit()) // a worker caps the kernels of its process
-				go func() { _ = exec.Serve(l, exec.WorkerConfig{Slots: 1, PeerListen: "off"}) }()
-				if _, err := backend.Join(l.Addr().String()); err != nil {
-					t.Fatal(err)
+				go func() { _ = exec.JoinCoordinator(addr, backend.JoinToken(), exec.WorkerConfig{Slots: 1}) }()
+				for deadline := time.Now().Add(5 * time.Second); backend.AliveWorkers() < 2; time.Sleep(time.Millisecond) {
+					if time.Now().After(deadline) {
+						t.Fatal("the dial-in member was never admitted")
+					}
 				}
 			}
 			cfg := fastCfg(21)
@@ -94,16 +95,7 @@ func TestRemoteParityBitIdentical(t *testing.T) {
 			if noCache && (st.RefHits != 0 || st.RefMisses != 0 || st.Held != 0 || st.Frames != st.Dispatched) {
 				t.Fatalf("workers that do not cache were sent references, chains or held outputs: %+v", st)
 			}
-			// A member without a peer listener (a non-caching one has none
-			// either) can neither fetch nor be fetched from, so in these fleets
-			// no byte may cross a worker-to-worker link — the peer counters are
-			// an exact partition, not an estimate.
-			if v.peerless || noCache {
-				if st.PeerFetches != 0 || st.PeerFallbacks != 0 || st.PeerBytesSent != 0 || st.PeerBytesRecv != 0 {
-					t.Fatalf("%s still used the peer plane: %+v", v.name, st)
-				}
-			}
-			if v.peerless && st.RefValueBytes == 0 {
+			if v.dialIn && st.RefValueBytes == 0 {
 				t.Fatalf("no warm value was routed through the coordinator: %+v", st)
 			}
 			for i := 0; i < 2; i++ {
@@ -200,13 +192,12 @@ func TestRemoteSurvivesWorkerKill(t *testing.T) {
 	}
 }
 
-// TestRemotePeerKillParity is the peer plane's crash acceptance test: with
-// worker-to-worker transfers on, a worker holding peer-advertised values is
-// SIGKILLed mid-run. Any PeerRef already pointing at it degrades into the
-// Miss/resend fallback, a replacement joins under a fresh peer token (so a
-// stale PeerRef can never be served old-session data), and the confusion
+// TestRemoteHolderKillParity is the crash acceptance test of a holder: a
+// worker holding values other workers consume is SIGKILLed mid-run and a
+// replacement joins with an empty cache. What only the dead worker held is
+// rebuilt from lineage or re-shipped by the coordinator, and the confusion
 // matrix stays bit-identical to the in-process baseline.
-func TestRemotePeerKillParity(t *testing.T) {
+func TestRemoteHolderKillParity(t *testing.T) {
 	ds, err := BuildDataset(smallData(24))
 	if err != nil {
 		t.Fatal(err)
@@ -217,7 +208,7 @@ func TestRemotePeerKillParity(t *testing.T) {
 	}
 
 	// Three 1-slot workers: saturated holders routinely force consumers onto
-	// other workers, so inter-worker values flow over peer links throughout.
+	// other workers, so values cross between workers throughout.
 	backend, err := exec.SpawnLoopback(exec.LoopbackConfig{Workers: 3, Slots: 1, CacheMB: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -249,24 +240,23 @@ func TestRemotePeerKillParity(t *testing.T) {
 
 	remote, err := RunCV(ModelRF, ds, cfg)
 	if err != nil {
-		t.Fatalf("run must survive losing a peer holder: %v", err)
+		t.Fatalf("run must survive losing a holder: %v", err)
 	}
 	st := backend.Stats()
-	if st.PeerFetches+st.PeerFallbacks == 0 {
-		t.Fatalf("stats %+v: the peer plane was never exercised — the kill test proved nothing", st)
+	if st.RefValueBytes+st.Pulls+st.Recomputed == 0 {
+		t.Fatalf("stats %+v: no value crossed between workers, came home or was rebuilt — the kill test proved nothing", st)
 	}
-	// Quiescent: outcomes partition, and the byte ledgers stay disjoint
-	// (coordinator-link totals on one side, peer-link totals on the other).
+	// Quiescent: outcomes partition, and the coordinator links carried it all.
 	if st.Dispatched != st.Completed+st.Failed {
-		t.Fatalf("stats not a partition after peer-holder kill: %+v", st)
+		t.Fatalf("stats not a partition after holder kill: %+v", st)
 	}
 	if st.BytesSent == 0 || st.BytesRecv == 0 {
-		t.Fatalf("stats %+v: coordinator-link byte counters must stay live with p2p on", st)
+		t.Fatalf("stats %+v: coordinator-link byte counters must stay live", st)
 	}
 	for i := 0; i < 2; i++ {
 		for j := 0; j < 2; j++ {
 			if local.Confusion.Counts[i][j] != remote.Confusion.Counts[i][j] {
-				t.Fatalf("confusion[%d][%d]: local %d, post-kill remote %d — peer recovery changed the result",
+				t.Fatalf("confusion[%d][%d]: local %d, post-kill remote %d — holder recovery changed the result",
 					i, j, local.Confusion.Counts[i][j], remote.Confusion.Counts[i][j])
 			}
 		}

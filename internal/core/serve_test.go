@@ -159,7 +159,7 @@ func TestServeRemoteParityBitIdentical(t *testing.T) {
 		cfg  *exec.LoopbackConfig
 	}{
 		{"local", nil},
-		{"refs-p2p", &exec.LoopbackConfig{Workers: 2, Slots: 1}},
+		{"refs", &exec.LoopbackConfig{Workers: 2, Slots: 1}},
 		{"no-cache", &exec.LoopbackConfig{Workers: 2, Slots: 1, CacheMB: -1}},
 	}
 	for _, v := range variants {

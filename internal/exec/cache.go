@@ -21,11 +21,11 @@ import (
 // # Ownership
 //
 // A resident value is immutable. Task outputs are moved into the cache —
-// the body that produced them is done with them — and RefValue or
-// peer-fetched replicas are kept as decoded; nothing is copied on the way
-// in, and a hit returns the resident value itself, which later consumers,
-// the response encoder and the peer server all only read. That is what
-// makes Miss/resend, retries and peer serving safe without copies. The one
+// the body that produced them is done with them — and RefValue replicas are
+// kept as decoded; nothing is copied on the way in, and a hit returns the
+// resident value itself, which later consumers, the response encoder and a
+// pull all only read. That is what makes Miss/resend, retries and pulls
+// safe without copies. The one
 // clone on the data path is the worker's (handle, worker.go): a body that
 // declared at registration that it writes to an argument (RegisterInPlace)
 // gets a private copy of that argument when it came out of the cache.
@@ -85,7 +85,7 @@ func newFutureCache(maxBytes int64) *futureCache {
 
 // get returns the resident value for ref — the value itself, which the
 // caller must not write to — or (nil, false) on miss. Every get is a use and
-// refreshes LRU recency, a peer's fetch (peer.go) as much as a local body's.
+// refreshes LRU recency, a pull's as much as a local body's.
 func (c *futureCache) get(ref ValueRef) (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

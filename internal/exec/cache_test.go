@@ -4,11 +4,13 @@ package exec
 // coordinator data plane that rides on it (remote.go): LRU accounting, who
 // owns a value at each step (moved in, shared out, cloned only for a
 // declared in-place argument), the size/clone type tables, locality-aware
-// placement, and the Miss/resend recovery path driven by a deliberately
-// poisoned residency map.
+// placement, the wire form each argument takes, a value crossing from one
+// worker to another through the coordinator, and the Miss/resend recovery
+// path driven by a deliberately poisoned residency map.
 
 import (
 	"testing"
+	"time"
 
 	"taskml/internal/mat"
 )
@@ -125,20 +127,20 @@ func TestFutureCacheForget(t *testing.T) {
 // Miss-resend case) gives the same answer twice and leaves the input's bits
 // alone.
 func TestCacheOwnership(t *testing.T) {
-	plane := &connPlane{cache: newFutureCache(1 << 20)}
+	cache := newFutureCache(1 << 20)
 	produced := ValueRef{Session: 1, Task: 1}
 
-	resp := handle(&request{Name: "test_make_floats", NOut: 1, Session: 1, Task: 1, Store: true}, plane)
+	resp := handle(&request{Name: "test_make_floats", NOut: 1, Session: 1, Task: 1, Store: true}, cache)
 	if resp.Err != "" || len(resp.Stored) != 1 || resp.Stored[0].Ref != produced {
 		t.Fatalf("producer response = %+v, want one Stored output", resp)
 	}
 	out := resp.Vals[0].([]float64)
-	resident, ok := plane.cache.get(produced)
+	resident, ok := cache.get(produced)
 	if !ok || &resident.([]float64)[0] != &out[0] {
 		t.Fatal("a stored output was copied; the cache must take the body's value itself")
 	}
 
-	resp = handle(&request{Name: "test_identity", NOut: 1, Args: []any{produced}}, plane)
+	resp = handle(&request{Name: "test_identity", NOut: 1, Args: []any{produced}}, cache)
 	if resp.Err != "" || resp.RefHits != 1 {
 		t.Fatalf("read-only consumer response = %+v, want one hit", resp)
 	}
@@ -147,7 +149,7 @@ func TestCacheOwnership(t *testing.T) {
 	}
 
 	for run := 0; run < 2; run++ {
-		resp = handle(&request{Name: "test_bump_in_place", NOut: 1, Args: []any{produced, 10.0}}, plane)
+		resp = handle(&request{Name: "test_bump_in_place", NOut: 1, Args: []any{produced, 10.0}}, cache)
 		if resp.Err != "" {
 			t.Fatal(resp.Err)
 		}
@@ -167,22 +169,22 @@ func TestCacheOwnership(t *testing.T) {
 	// in-place body still gets its own copy of it.
 	arrived := []float64{5, 6}
 	seeded := ValueRef{Session: 1, Task: 2}
-	resp = handle(&request{Name: "test_identity", NOut: 1, Args: []any{RefValue{Ref: seeded, Val: arrived}}}, plane)
+	resp = handle(&request{Name: "test_identity", NOut: 1, Args: []any{RefValue{Ref: seeded, Val: arrived}}}, cache)
 	if resp.Err != "" || len(resp.Stored) != 1 {
 		t.Fatalf("RefValue response = %+v, want the value stored", resp)
 	}
-	resident, _ = plane.cache.get(seeded)
+	resident, _ = cache.get(seeded)
 	if &resident.([]float64)[0] != &arrived[0] || &resp.Vals[0].([]float64)[0] != &arrived[0] {
 		t.Fatal("a RefValue was copied on its way into the cache or to the body")
 	}
-	resp = handle(&request{Name: "test_bump_in_place", NOut: 1, Args: []any{RefValue{Ref: seeded, Val: arrived}, 1.0}}, plane)
+	resp = handle(&request{Name: "test_bump_in_place", NOut: 1, Args: []any{RefValue{Ref: seeded, Val: arrived}, 1.0}}, cache)
 	if got := resp.Vals[0].([]float64); resp.Err != "" || got[0] != 6 || arrived[0] != 5 {
 		t.Fatalf("in-place body over a RefValue: got %v (err %q), resident %v — want [6 7] and [5 6]", resp.Vals, resp.Err, arrived)
 	}
 
 	// A plain argument was decoded for this request alone: no clone needed.
 	plain := []float64{1}
-	resp = handle(&request{Name: "test_bump_in_place", NOut: 1, Args: []any{plain, 1.0}}, plane)
+	resp = handle(&request{Name: "test_bump_in_place", NOut: 1, Args: []any{plain, 1.0}}, cache)
 	if got := resp.Vals[0].([]float64); resp.Err != "" || &got[0] != &plain[0] {
 		t.Fatalf("a plain in-place argument was copied (err %q)", resp.Err)
 	}
@@ -190,10 +192,10 @@ func TestCacheOwnership(t *testing.T) {
 	// A resident in-place argument without a clone path fails the request
 	// instead of exposing the resident value.
 	opaque := ValueRef{Session: 1, Task: 3}
-	if _, ok := plane.cache.put(opaque, sizedOnly{}); !ok {
+	if _, ok := cache.put(opaque, sizedOnly{}); !ok {
 		t.Fatal("put of a sized value rejected")
 	}
-	resp = handle(&request{Name: "test_bump_in_place", NOut: 1, Args: []any{opaque, 1.0}}, plane)
+	resp = handle(&request{Name: "test_bump_in_place", NOut: 1, Args: []any{opaque, 1.0}}, cache)
 	if resp.Err == "" {
 		t.Fatal("an unclonable resident in-place argument must fail the request")
 	}
@@ -385,6 +387,193 @@ func TestRemoteLocalityPlacement(t *testing.T) {
 	}
 	if holder <= 0 || other != 0 {
 		t.Fatalf("ResidentBytes holder=%d other=%d, want holder>0 and other==0", holder, other)
+	}
+}
+
+// TestWireArgsSelection pins buildWireArgs' wire forms: resident on a live
+// target → ValueRef, anything else (held by another alive worker, by a
+// draining one, by nobody, on a target already retired, or inlineAll) →
+// RefValue — with refValueBytes counting exactly the RefValues another alive
+// worker held.
+func TestWireArgsSelection(t *testing.T) {
+	rf := ref(1)
+	val := floats(4) // 40 accounted bytes
+	cases := []struct {
+		name       string
+		inlineAll  bool
+		target     bool        // the target holds the value
+		targetDead bool        // the target was retired after it was picked
+		holder     workerState // another worker's state; wsDead = it holds nothing
+		wantRef    bool        // bare ValueRef, else RefValue
+		wantRVB    int64       // refValueBytes delta
+	}{
+		{name: "resident", target: true, holder: wsAlive, wantRef: true},
+		{name: "holder-alive", holder: wsAlive, wantRVB: 40},
+		{name: "target-dead", target: true, targetDead: true, holder: wsAlive, wantRVB: 40},
+		{name: "holder-draining", holder: wsDraining},
+		{name: "inline-all", inlineAll: true, target: true, holder: wsAlive, wantRVB: 40},
+		{name: "cold", holder: wsDead},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRemote(0)
+			w := &workerConn{id: "w0", state: wsAlive, slots: 1, resident: map[ValueRef]int64{}}
+			if tc.targetDead {
+				w.state = wsDead
+			}
+			h := &workerConn{id: "w1", state: tc.holder, slots: 1, resident: map[ValueRef]int64{}}
+			if tc.target {
+				w.resident[rf] = 40
+			}
+			if tc.holder != wsDead {
+				h.resident[rf] = 40
+			}
+			r.workers = []*workerConn{w, h}
+
+			shipped := map[ValueRef]bool{}
+			req := &Request{Name: "x", NOut: 1, Args: []any{val}, Session: 1, TaskID: 5,
+				ArgRefs: []ArgRef{{Arg: 0, Elem: -1, Ref: rf}}}
+			out, err := r.buildWireArgs(w, req, tc.inlineAll, shipped)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.wantRef {
+				if _, ok := out[0].(ValueRef); !ok || len(shipped) != 0 {
+					t.Fatalf("wire form = %T (shipped %v), want a bare ValueRef", out[0], shipped)
+				}
+			} else if _, ok := out[0].(RefValue); !ok || !shipped[rf] {
+				t.Fatalf("wire form = %T (shipped %v), want a RefValue named as shipped", out[0], shipped)
+			}
+			if got := r.refValueBytes.Load(); got != tc.wantRVB {
+				t.Fatalf("refValueBytes = %d, want %d", got, tc.wantRVB)
+			}
+		})
+	}
+}
+
+// testMatrix returns a deterministic 64×64 input and its expected doubled
+// result.
+func testMatrix() (*mat.Dense, *mat.Dense) {
+	m := mat.New(64, 64)
+	for i := range m.Data {
+		m.Data[i] = 0.1 * float64(i+1)
+	}
+	return m, mat.Scale(2.0, m)
+}
+
+// saturateWorker parks a sleeping body on the first-spawned worker (the
+// deterministic tie-break target of anonymous dispatch) so the next
+// placement must land elsewhere; the returned func waits for it to finish.
+func saturateWorker(t *testing.T, r *Remote) func() {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := r.Execute("test_sleep_ms", 1, []any{800})
+		done <- err
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) {
+		if ws := r.Workers(); ws[0].Inflight == 1 {
+			return func() {
+				if err := <-done; err != nil {
+					t.Fatalf("saturating sleep: %v", err)
+				}
+			}
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	t.Fatal("saturating sleep never reached w0")
+	return nil
+}
+
+// TestCrossWorkerValueShipsThroughCoordinator: a value produced on one
+// worker and consumed on the other travels through the coordinator as a
+// RefValue, lands bit-identically, is counted in RefValueBytes, seeds the
+// consumer's cache — so both workers hold it afterwards — and leaves the
+// counters a partition with every peer counter at zero. The fleet is two
+// loopback worker processes, or one beside an in-process member the
+// coordinator joined mid-run.
+func TestCrossWorkerValueShipsThroughCoordinator(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		joined bool // the second member is an in-process Serve, joined
+	}{
+		{name: "loopback-workers"},
+		{name: "joined-member", joined: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			workers := 2
+			if tc.joined {
+				workers = 1
+			}
+			r, err := SpawnLoopback(LoopbackConfig{Workers: workers, Slots: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			if tc.joined {
+				if _, err := r.Join(serveHere(t)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			crossWorker(t, r)
+		})
+	}
+}
+
+// crossWorker produces a matrix on one member of r's two, consumes it on the
+// other, and checks what TestCrossWorkerValueShipsThroughCoordinator claims.
+func crossWorker(t *testing.T, r *Remote) {
+	t.Helper()
+	sess := NextSession()
+	m, want := testMatrix()
+	_, producer, err := r.ExecuteTask(&Request{
+		Name: "test_scale_mat", NOut: 1, Args: []any{m, 1.0},
+		Session: sess, TaskID: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := ValueRef{Session: sess, Task: 1, Out: 0}
+
+	wait := saturateWorker(t, r)
+	vals, consumer, err := r.ExecuteTask(&Request{
+		Name: "test_scale_mat", NOut: 1, Args: []any{mat.Scale(1.0, m), 2.0},
+		Session: sess, TaskID: 2,
+		ArgRefs: []ArgRef{{Arg: 0, Elem: -1, Ref: out}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wait()
+	if consumer == producer {
+		t.Fatalf("consumer landed on the saturated producer %s; the test needs a cross-worker placement", producer)
+	}
+	got := vals[0].(*mat.Dense)
+	for i := range want.Data {
+		if got.Data[i] != want.Data[i] {
+			t.Fatalf("Data[%d] = %x, want %x (the crossing changed the value)", i, got.Data[i], want.Data[i])
+		}
+	}
+
+	st := r.Stats()
+	if st.RefValueBytes == 0 {
+		t.Fatalf("RefValueBytes = 0, want > 0 (the held value re-shipped through the coordinator)")
+	}
+	if st.MissRetries != 0 || st.Dispatched != st.Completed+st.Failed {
+		t.Fatalf("Stats = %+v, want no misses and the outcome partition at quiescence", st)
+	}
+	if st.PeerFetches != 0 || st.PeerFallbacks != 0 || st.PeerBytesSent != 0 || st.PeerBytesRecv != 0 {
+		t.Fatalf("Stats = %+v, want every peer counter zero", st)
+	}
+	holders := 0
+	for _, w := range r.Workers() {
+		if w.ResidentBytes > 0 {
+			holders++
+		}
+	}
+	if holders != 2 {
+		t.Fatalf("%d workers hold residency after the crossing, want 2 (the RefValue seeds the consumer's cache)", holders)
 	}
 }
 

@@ -14,9 +14,9 @@ import (
 	"taskml/internal/mat"
 )
 
-// The value codec: how everything inside request.Args, response.Vals and
-// peerResponse.Val is laid out in a frame (wire.go). One tag byte, then a
-// body that depends on the tag:
+// The value codec: how everything inside request.Args and response.Vals is
+// laid out in a frame (wire.go). One tag byte, then a body that depends on
+// the tag:
 //
 //	tag            body
 //	nil            —
@@ -35,15 +35,13 @@ import (
 //	nil *mat.Dense —
 //	ValueRef       session uvarint, task varint, out varint
 //	RefValue       ValueRef body, then a tagged value
-//	PeerRef        ValueRef body, addr string, token string
 //	named          type name string, then the body its RegisterCodec wrote
-//	fallback       uvarint length, one self-contained gob stream
 //
 // Float bits are copied, never converted, so NaN payloads and −0 cross
 // unchanged; []int stays varint because row-index slices would quadruple as
-// raw int64. Every encoding but the fallback's is canonical (minimal
-// varints, 0/1 bools, no trailing bytes), so a frame that decodes re-encodes
-// to the same bytes.
+// raw int64. Every encoding is canonical (minimal varints, 0/1 bools, no
+// trailing bytes), so a frame that decodes re-encodes to the same bytes. A
+// value of any other type has no wire form: it is refused at encode.
 const (
 	tagNil byte = iota
 	tagBool
@@ -62,9 +60,7 @@ const (
 	tagNilDense
 	tagValueRef
 	tagRefValue
-	tagPeerRef
 	tagNamed
-	tagFallback
 )
 
 // maxWireDepth bounds the nesting of []any values and of whatever recursive
@@ -103,8 +99,8 @@ var (
 // link the registering package — which holds whenever they can run the same
 // task bodies. dec reports malformed input through Decoder.Fail (the
 // Decoder's own methods do so themselves) and must check a length with
-// Decoder.Len before allocating from it. A type without a codec still
-// crosses the wire, through RegisterType and gob.
+// Decoder.Len before allocating from it. A type with neither a built-in tag
+// nor a codec cannot cross the wire at all.
 //
 // Call it from the init that registers the bodies using T; like Register it
 // panics on a duplicate.
@@ -134,10 +130,6 @@ type Encoder struct {
 	n   int           // bytes produced by the current pass
 	err error         // first value that could not be encoded
 	buf [binary.MaxVarintLen64]byte
-	// blobs holds the fallback encodings made on the counting pass, replayed
-	// in order on the writing pass so gob runs once per value.
-	blobs [][]byte
-	blob  int
 }
 
 // errEncode marks a frame refused before any byte of it was written: the
@@ -146,7 +138,7 @@ var errEncode = errors.New("exec: value cannot be encoded")
 
 // size runs body as the counting pass and returns the bytes it will write.
 func (e *Encoder) size(body func(*Encoder)) (int, error) {
-	e.w, e.n, e.err, e.blobs, e.blob = nil, 0, nil, e.blobs[:0], 0
+	e.w, e.n, e.err = nil, 0, nil
 	body(e)
 	if e.err != nil {
 		return 0, fmt.Errorf("%w: %v", errEncode, e.err)
@@ -159,7 +151,7 @@ func (e *Encoder) size(body func(*Encoder)) (int, error) {
 // no longer matches its length prefix.
 func (e *Encoder) emit(w *bufio.Writer, body func(*Encoder)) error {
 	want := e.n
-	e.w, e.n, e.blob = w, 0, 0
+	e.w, e.n = w, 0
 	body(e)
 	e.w = nil
 	if e.n != want {
@@ -281,8 +273,8 @@ func (e *Encoder) anys(vs []any) {
 	}
 }
 
-// Value writes v behind its tag: natively for the built-in kinds and the
-// RegisterCodec types, through the gob fallback for anything else.
+// Value writes v behind its tag: the built-in kinds and the RegisterCodec
+// types. Anything else fails the frame before a byte of it is written.
 func (e *Encoder) Value(v any) {
 	switch x := v.(type) {
 	case nil:
@@ -346,49 +338,24 @@ func (e *Encoder) Value(v any) {
 		e.byte(tagRefValue)
 		e.ref(x.Ref)
 		e.Value(x.Val)
-	case PeerRef:
-		e.byte(tagPeerRef)
-		e.ref(x.Ref)
-		e.str(x.Addr)
-		e.str(x.Token)
 	default:
 		regMu.RLock()
 		c := codecByType[reflect.TypeOf(v)]
 		regMu.RUnlock()
-		if c != nil {
-			e.byte(tagNamed)
-			e.str(c.name)
-			c.enc(e, v)
+		if c == nil {
+			e.fail(fmt.Errorf("%T has no wire form: give it one with exec.RegisterCodec", v))
 			return
 		}
-		e.byte(tagFallback)
-		e.fallback(v)
+		e.byte(tagNamed)
+		e.str(c.name)
+		c.enc(e, v)
 	}
-}
-
-// fallback writes v as a length-prefixed gob stream, encoding it on the
-// counting pass and replaying the bytes on the writing pass.
-func (e *Encoder) fallback(v any) {
-	var b []byte
-	if e.w == nil {
-		var err error
-		if b, err = encodeFallback(v); err != nil {
-			e.fail(err)
-			return
-		}
-		e.blobs = append(e.blobs, b)
-	} else {
-		b = e.blobs[e.blob]
-		e.blob++
-	}
-	e.uvarint(uint64(len(b)))
-	e.write(b)
 }
 
 // Decoder reads wire values out of one frame. It never trusts a length: a
 // count is checked against the bytes the frame has left before anything is
 // allocated from it, and the frame itself is bounded (wire.go), so a corrupt
-// or hostile peer costs an error, not memory. The first error sticks; every
+// or hostile sender costs an error, not memory. The first error sticks; every
 // later read returns a zero value, so codecs decode straight through and the
 // frame reader checks once.
 type Decoder struct {
@@ -414,7 +381,7 @@ func (d *Decoder) Err() error { return d.err }
 // is larger than their encoding (a one-byte varint becomes an eight-byte
 // int): the rest is appended as its bytes actually arrive, so what a frame
 // can make the decoder allocate stays within a small factor of the bytes
-// the peer really sent.
+// the sender really sent.
 func prealloc(n int) int { return min(n, 1<<12) }
 
 // readFull fills p from the frame; bulk reads bypass the reader's buffer and
@@ -710,8 +677,6 @@ func (d *Decoder) Value() any {
 		rv := RefValue{Ref: d.ref(), Val: d.Value()}
 		d.Unnest()
 		return rv
-	case tagPeerRef:
-		return PeerRef{Ref: d.ref(), Addr: d.str(), Token: d.str()}
 	case tagNamed:
 		name := d.str()
 		if d.err != nil {
@@ -725,17 +690,6 @@ func (d *Decoder) Value() any {
 			return nil
 		}
 		return c.dec(d)
-	case tagFallback:
-		b := make([]byte, d.Len(1))
-		d.readFull(b)
-		if d.err != nil {
-			return nil
-		}
-		v, err := decodeFallback(b)
-		if err != nil {
-			d.Fail(err)
-		}
-		return v
 	default:
 		d.Fail(fmt.Errorf("unknown value tag %d", tag))
 		return nil

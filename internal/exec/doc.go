@@ -15,8 +15,8 @@
 //     arguments the body overwrites (InPlaceArgs reads it back). Has /
 //     Names / Fns / Invoke query and run the registry.
 //   - RegisterCodec gives a domain type its binary wire form, written with
-//     an Encoder and read with a Decoder; RegisterType admits a type
-//     without one through the per-value gob fallback.
+//     an Encoder and read with a Decoder. A type with neither a built-in
+//     tag nor a codec is refused at encode, costing only its attempt.
 //   - Backend is the two-method seam (ExecuteTask, Close); Local adapts the
 //     registry to it. Request carries resolved argument values plus optional
 //     identity (Session/TaskID/ArgRefs) for the data plane. ChainBackend adds
@@ -59,30 +59,28 @@
 // coordinator tracks residency (advisory, folded from Stored/Evicted reports)
 // to place a task on the worker holding the most bytes of its inputs and to
 // send each argument in its cheapest form: a ValueRef when the worker holds
-// it, a PeerRef — directions to a holder, pulled over a cached, multiplexed
-// peer link — when another worker does, a RefValue otherwise. Resident values
-// are immutable and nothing is copied on the way in or out; the one clone
-// goes to a body that declared it overwrites an argument (RegisterInPlace).
+// it, a RefValue otherwise. Workers have no links to each other: a value
+// another worker holds is pulled to the coordinator if it is not there yet
+// and travels on as a RefValue. Resident values are immutable and nothing is
+// copied on the way in or out; the one clone goes to a body that declared it
+// overwrites an argument (RegisterInPlace).
 // Types without a known size are never cached and ship by value. A value
 // stays until the LRU pushes it out or its session is forgotten: once nothing
 // can reach the compss runtime that drew the session (compss.New).
 //
 // Staleness is recovered, never trusted: a worker that cannot resolve a
-// reference — evicted, a peer holder gone, a chain member's input missing —
+// reference — evicted, a chain member's input missing, a stale map —
 // replies Miss without running the body and the request goes once more with
 // values inlined; a held value no worker has any more is ErrLost and the
 // runtime runs its producer again. A loss costs round trips, never a wrong
 // answer. There is one data plane and no switch on it: what a member gets
 // follows from what the coordinator observes. One whose hello says it does
 // not cache gets values inline and is offered neither chains nor held
-// outputs; one with no peer listener, and a value whose holder has none or is
-// draining or dead, gets RefValues routed through the coordinator.
-// RemoteStats splits the accounting exactly: BytesSent/BytesRecv count only
-// the coordinator links (pulls included), PeerBytesSent/PeerBytesRecv only the
-// worker-to-worker links, RefValueBytes/PeerValueBytes partition inter-task
-// payload by link (a test's oracle for which one carried a value),
-// Held/Pulls/PullBytes/Recomputed count what stayed, what came home and what
-// was rebuilt.
+// outputs. RemoteStats counts it: BytesSent/BytesRecv are the coordinator
+// links' wire totals (pulls included), RefValueBytes the payload re-shipped
+// from one worker to another (a test's oracle that a value crossed), and
+// Held/Pulls/PullBytes/Recomputed what stayed, what came home and what was
+// rebuilt.
 //
 // # Concurrency and ownership
 //
@@ -96,13 +94,13 @@
 // created; a member lost afterwards lowers what runs at once, and one that
 // joins afterwards makes up for it. Arguments reach a body as bit-exact
 // decoded copies or as the values resident in the
-// worker's cache, which other consumers, retries and peer fetches share —
+// worker's cache, which other consumers, retries and pulls share —
 // so registered bodies must be argument-pure: no captured state, arguments
 // read-only unless declared in-place, results freshly allocated. That is
 // exactly what makes local and remote execution bit-identical. Every
 // decoder that faces a socket bounds a frame before reading it and checks
 // every length inside it against the bytes the frame has left before
-// allocating, so a corrupt or hostile peer costs its connection, never
+// allocating, so a corrupt or hostile sender costs its connection, never
 // memory or a panic. A worker crash fails the in-flight attempts with an
 // error (never the whole process); the compss retry machinery decides what
 // happens next.

@@ -9,7 +9,7 @@ import (
 // Hooks for the external tests (package exec_test), which import the domain
 // packages — forest, core — that package exec itself cannot.
 
-// ProtoVersion is the protocol version both hellos carry.
+// ProtoVersion is the protocol version the hello carries.
 const ProtoVersion = protoVersion
 
 // EncodeValue returns the tagged wire form of v.
@@ -43,23 +43,16 @@ func DecodeValue(b []byte) (any, error) {
 	return v, nil
 }
 
-// HasCodec reports whether v's own type encodes natively rather than through
-// the gob fallback (it does not look inside containers).
-func HasCodec(v any) bool {
-	b, err := EncodeValue(v)
-	return err == nil && b[0] != tagFallback
-}
-
 // SampleFrames returns one encoded frame of every kind, the request and
 // response carrying vals.
 func SampleFrames(vals []any) [][]byte {
 	ref := ValueRef{Session: 3, Task: 7, Out: 1}
 	frames := []frame{
-		&hello{Proto: protoVersion, Pid: 4242, Slots: 2, Token: "join", PeerAddr: "127.0.0.1:9", PeerToken: "peer", Caches: true},
+		&hello{Proto: protoVersion, Pid: 4242, Slots: 2, Token: "join", Caches: true},
 		&request{ID: 9, Name: "rf_split", NOut: 3, Args: vals, Session: 3, Task: 8, Store: true},
 		&request{ID: 10, Name: "anonymous", NOut: 1, Task: -1},
 		&response{ID: 9, Vals: vals, Stored: []StoredRef{{Ref: ref, Bytes: 4096}}, Evicted: []ValueRef{ref},
-			CacheBytes: 1 << 20, RefHits: 2, RefMisses: 1, PeerFetched: 1, PeerValBytes: 512, PeerSent: 40, PeerRecv: 600},
+			CacheBytes: 1 << 20, RefHits: 2, RefMisses: 1},
 		&response{ID: 11, Err: "rf_split: deliberate failure", Miss: []ValueRef{ref, {Session: 3, Task: 2}}},
 		// A chain: the head, a member naming the head's output by its bare
 		// reference, a member carrying values; and the three replies, the
@@ -70,7 +63,7 @@ func SampleFrames(vals []any) [][]byte {
 		}},
 		&response{ID: 12, Vals: vals, Stored: []StoredRef{{Ref: ref, Bytes: 64}}, Evicted: []ValueRef{ref}, CacheBytes: 1 << 10, BodyNs: 427000, Chain: []response{
 			{Miss: []ValueRef{{Session: 3, Task: 20}}, RefMisses: 1, BodyNs: 900},
-			{Vals: vals, Stored: []StoredRef{{Ref: ValueRef{Session: 3, Task: 22}, Bytes: 128}}, RefHits: 2, PeerFetched: 1, PeerValBytes: 512, BodyNs: 31000},
+			{Vals: vals, Stored: []StoredRef{{Ref: ValueRef{Session: 3, Task: 22}, Bytes: 128}}, RefHits: 2, BodyNs: 31000},
 		}},
 		// A held reply — no values, the Stored report of each output — a pull
 		// for two refs, and its reply: one value, one Miss.
@@ -81,16 +74,20 @@ func SampleFrames(vals []any) [][]byte {
 		// Two sessions that ended together, and a frame of none.
 		&forget{Sessions: []uint64{3, 1 << 40}},
 		&forget{},
-		&peerHello{Proto: protoVersion, Token: "peer"},
-		&peerRequest{ID: 5, Ref: ref},
-		&peerResponse{ID: 5, OK: true, Val: vals},
-		&peerResponse{ID: 6},
+		// A member with neither cache nor join token; a request whose first
+		// argument another worker held, re-shipped by the coordinator beside a
+		// reference resident on the target, and its reply; and the error reply
+		// of an output that has no wire form.
+		&hello{Proto: protoVersion, Pid: 1, Slots: 1},
+		&request{ID: 15, Name: "rf_split", NOut: 3, Args: []any{RefValue{Ref: ref, Val: vals}, ValueRef{Session: 3, Task: 23}}, Session: 3, Task: 24, Store: true},
+		&response{ID: 15, Vals: vals, Stored: []StoredRef{{Ref: ValueRef{Session: 3, Task: 24}, Bytes: 512}}, RefHits: 1, BodyNs: 700},
+		&response{ID: 16, Err: "rf_split: output 0: no wire form; see RegisterCodec"},
 	}
 	out := make([][]byte, len(frames))
 	for i, f := range frames {
 		var buf bytes.Buffer
 		l := &link{w: bufio.NewWriter(&buf), maxFrame: maxFrameBytes}
-		if _, err := l.send(f); err != nil {
+		if err := l.send(f); err != nil {
 			panic(err)
 		}
 		out[i] = buf.Bytes()
@@ -113,12 +110,6 @@ func RecodeFrame(b []byte, maxFrame int) (reencoded []byte, n int, err error) {
 		f = &request{}
 	case kindResponse:
 		f = &response{}
-	case kindPeerHello:
-		f = &peerHello{}
-	case kindPeerRequest:
-		f = &peerRequest{}
-	case kindPeerResponse:
-		f = &peerResponse{}
 	case kindPull:
 		f = &pull{}
 	case kindForget:
@@ -128,29 +119,29 @@ func RecodeFrame(b []byte, maxFrame int) (reencoded []byte, n int, err error) {
 	}
 	in := &link{maxFrame: maxFrame}
 	in.dec.r = bufio.NewReader(bytes.NewReader(b))
-	size, err := in.recv(f)
-	if err != nil {
+	if err := in.recv(f); err != nil {
 		return nil, 0, err
 	}
 	// A hello of another version is rejected on Proto alone, its other
 	// fields unread — there is nothing to re-encode.
-	proto := protoVersion
-	switch h := f.(type) {
-	case *hello:
-		proto = h.Proto
-	case *peerHello:
-		proto = h.Proto
-	}
-	if proto != protoVersion {
-		return nil, 0, fmt.Errorf("protocol %d", proto)
+	if h, ok := f.(*hello); ok && h.Proto != protoVersion {
+		return nil, 0, fmt.Errorf("protocol %d", h.Proto)
 	}
 	var buf bytes.Buffer
 	out := &link{w: bufio.NewWriter(&buf), maxFrame: maxFrame}
-	if _, err := out.send(f); err != nil {
+	if err := out.send(f); err != nil {
 		return nil, 0, err
 	}
-	return buf.Bytes(), int(size), nil
+	return buf.Bytes(), int(in.recvd.Load()), nil
 }
+
+// valueFrame is a frame of one tagged value and nothing else: the payload of
+// the wire benchmarks, without a reply's envelope around it.
+type valueFrame struct{ Val any }
+
+func (f *valueFrame) kind() byte        { return kindResponse }
+func (f *valueFrame) encode(e *Encoder) { e.Value(f.Val) }
+func (f *valueFrame) decode(d *Decoder) { f.Val = d.Value() }
 
 // Pipe is an in-memory connection for the wire benchmarks: one long-lived
 // sending link and one receiving link over a shared buffer, as a worker
@@ -158,7 +149,7 @@ func RecodeFrame(b []byte, maxFrame int) (reencoded []byte, n int, err error) {
 type Pipe struct {
 	buf      bytes.Buffer
 	out, in  *link
-	msg, got peerResponse
+	msg, got valueFrame
 }
 
 func NewPipe() *Pipe {
@@ -171,11 +162,11 @@ func NewPipe() *Pipe {
 
 // RoundTrip sends v as the payload of one frame and decodes it back.
 func (p *Pipe) RoundTrip(v any) (any, error) {
-	p.msg = peerResponse{OK: true, Val: v}
-	if _, err := p.out.send(&p.msg); err != nil {
+	p.msg = valueFrame{Val: v}
+	if err := p.out.send(&p.msg); err != nil {
 		return nil, err
 	}
-	if _, err := p.in.recv(&p.got); err != nil {
+	if err := p.in.recv(&p.got); err != nil {
 		return nil, err
 	}
 	return p.got.Val, nil

@@ -15,8 +15,7 @@ import (
 	"taskml/internal/par"
 )
 
-// serveHere starts an in-process worker with its peer plane off and returns
-// its address.
+// serveHere starts an in-process worker and returns its address.
 func serveHere(t *testing.T) string {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -28,7 +27,7 @@ func serveHere(t *testing.T) string {
 		l.Close()
 		par.SetLimit(limit)
 	})
-	go func() { _ = Serve(l, WorkerConfig{Slots: 1, PeerListen: "off"}) }()
+	go func() { _ = Serve(l, WorkerConfig{Slots: 1}) }()
 	return l.Addr().String()
 }
 

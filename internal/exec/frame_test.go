@@ -1,9 +1,9 @@
 package exec
 
 // Hostile and corrupt frames on every decoder that faces a socket — the
-// coordinator's worker links, its dial-in listener, the peer listener and a
-// fetcher's peer link: each costs the connection, through the ordinary
-// failure paths, and never a panic or an allocation sized by the attacker.
+// coordinator's worker links, its dial-in listener and a worker's
+// coordinator link: each costs the connection, through the ordinary failure
+// paths, and never a panic or an allocation sized by the attacker.
 
 import (
 	"bufio"
@@ -64,9 +64,9 @@ func TestHostileResponseFailsWorker(t *testing.T) {
 				}
 				defer conn.Close()
 				lk := newLink(conn)
-				_, _ = lk.send(&hello{Proto: protoVersion, Pid: 1, Slots: 1})
+				_ = lk.send(&hello{Proto: protoVersion, Pid: 1, Slots: 1})
 				var req request
-				if _, err := lk.recv(&req); err != nil {
+				if err := lk.recv(&req); err != nil {
 					return
 				}
 				_, _ = conn.Write(reply)
@@ -133,7 +133,7 @@ func TestHostileForget(t *testing.T) {
 			l.dec.r = bufio.NewReader(bytes.NewReader(b))
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			_, _, err := l.recvAny(&request{}, &pull{}, &forget{})
+			_, err := l.recvAny(&request{}, &pull{}, &forget{})
 			runtime.ReadMemStats(&after)
 			if err == nil {
 				t.Fatal("decoded")
@@ -150,7 +150,7 @@ func encoded(t *testing.T, f frame) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	l := &link{w: bufio.NewWriter(&buf), maxFrame: maxFrameBytes}
-	if _, err := l.send(f); err != nil {
+	if err := l.send(f); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -186,7 +186,7 @@ func TestHostileChainFrames(t *testing.T) {
 				l.dec.r = bufio.NewReader(bytes.NewReader(b))
 				var before, after runtime.MemStats
 				runtime.ReadMemStats(&before)
-				_, err := l.recv(tc.fresh())
+				err := l.recv(tc.fresh())
 				runtime.ReadMemStats(&after)
 				if err == nil {
 					t.Fatal("decoded")
@@ -199,7 +199,7 @@ func TestHostileChainFrames(t *testing.T) {
 		// And the shape the cases above are corruptions of does decode.
 		l := &link{maxFrame: maxFrameBytes}
 		l.dec.r = bufio.NewReader(bytes.NewReader(join(fields, []byte{2}, fields, fields)))
-		if _, err := l.recv(tc.fresh()); err != nil {
+		if err := l.recv(tc.fresh()); err != nil {
 			t.Fatalf("%s: a frame of three well-formed members: %v", tc.name, err)
 		}
 	}
@@ -239,23 +239,14 @@ func TestHostileRegistrationDropped(t *testing.T) {
 	}
 }
 
-// TestHostilePeerTraffic: the peer listener hangs up on a hostile hello and
-// on a hostile fetch after a good hello, and a fetcher handed a hostile
-// reply fails the fetch — a Miss — and retires the link.
-func TestHostilePeerTraffic(t *testing.T) {
-	cache := newFutureCache(1 << 20)
-	cache.put(ref(1), []float64{1})
-	addr, token, _ := newTestPeerStore(t, cache)
-	goodHello := rawFrame(kindPeerHello, append([]byte{2 * protoVersion, byte(len(token))}, token...)...)
-	for name, payload := range hostileFrames(kindPeerHello) {
-		t.Run("hello/"+name, func(t *testing.T) { expectClosed(t, addr, payload) })
-	}
-	for name, payload := range hostileFrames(kindPeerRequest) {
-		t.Run("request/"+name, func(t *testing.T) { expectClosed(t, addr, append(append([]byte{}, goodHello...), payload...)) })
-	}
-
-	for name, reply := range hostileFrames(kindPeerResponse, 1 /* ID */, 1 /* OK */) {
-		t.Run("response/"+name, func(t *testing.T) {
+// TestHostileWorkerHelloRefused: a worker the coordinator dials that answers
+// with garbage instead of a hello is refused at once — on the frame, not
+// after the handshake timeout — and never becomes a member.
+func TestHostileWorkerHelloRefused(t *testing.T) {
+	r := newRemote(5 * time.Second)
+	defer r.Close()
+	for name, payload := range hostileFrames(kindHello) {
+		t.Run(name, func(t *testing.T) {
 			l, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
 				t.Fatal(err)
@@ -267,23 +258,30 @@ func TestHostilePeerTraffic(t *testing.T) {
 					return
 				}
 				defer conn.Close()
-				lk := newLink(conn)
-				var h peerHello
-				var req peerRequest
-				_, _ = lk.recv(&h)
-				_, _ = lk.recv(&req)
-				_, _ = conn.Write(reply)
-				_, _ = io.Copy(io.Discard, conn)
+				_, _ = conn.Write(payload)
+				_, _ = io.Copy(io.Discard, conn) // until the coordinator hangs up
 			}()
-			f := newPeerFetcher(2 * time.Second)
-			defer f.close()
 			start := time.Now()
-			if _, err := f.fetch(l.Addr().String(), "tok", ref(1)); err == nil {
-				t.Fatal("a hostile peer reply must fail the fetch")
+			if _, err := r.Join(l.Addr().String()); err == nil {
+				t.Fatal("a worker whose hello is hostile was admitted")
 			}
 			if el := time.Since(start); el > time.Second {
-				t.Fatalf("the fetch took %v: a frame that does not decode must fail the link at once, not wait out the timeout", el)
+				t.Fatalf("the refusal took %v: a hello that does not decode must fail at once, not wait out the timeout", el)
 			}
 		})
+	}
+	if n := len(r.Workers()); n != 0 {
+		t.Fatalf("%d members admitted from hostile hellos", n)
+	}
+}
+
+// TestHostileRequestDropsCoordinator: whatever a coordinator sends a worker
+// instead of a request — each value where the request's first argument goes
+// — the worker hangs up after its hello.
+func TestHostileRequestDropsCoordinator(t *testing.T) {
+	addr := serveHere(t)
+	args := []byte{1 /* ID */, 0 /* Name */, 2 /* NOut */, 0, 0 /* Session, Task */, 0, 0 /* Store, Hold */, 2 /* Args: one value */}
+	for name, payload := range hostileFrames(kindRequest, args...) {
+		t.Run(name, func(t *testing.T) { expectClosed(t, addr, payload) })
 	}
 }

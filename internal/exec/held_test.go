@@ -9,6 +9,7 @@ package exec
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"net"
@@ -222,7 +223,7 @@ func TestHostilePull(t *testing.T) {
 			l.dec.r = bufio.NewReader(bytes.NewReader(b))
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			_, _, err := l.recvAny(&request{}, &pull{})
+			_, err := l.recvAny(&request{}, &pull{})
 			runtime.ReadMemStats(&after)
 			if err == nil {
 				t.Fatal("decoded")
@@ -246,17 +247,17 @@ func TestHostilePull(t *testing.T) {
 		}
 		defer conn.Close()
 		lk := newLink(conn)
-		_, _ = lk.send(&hello{Proto: protoVersion, Pid: 1, Slots: 1, Caches: true})
+		_ = lk.send(&hello{Proto: protoVersion, Pid: 1, Slots: 1, Caches: true})
 		var req request
 		var p pull
-		if _, err := lk.recv(&req); err != nil {
+		if err := lk.recv(&req); err != nil {
 			return
 		}
-		_, _ = lk.send(&response{ID: req.ID, Stored: []StoredRef{{Ref: outOf(sess, 1), Bytes: 64}}})
-		if _, err := lk.recv(&p); err != nil {
+		_ = lk.send(&response{ID: req.ID, Stored: []StoredRef{{Ref: outOf(sess, 1), Bytes: 64}}})
+		if err := lk.recv(&p); err != nil {
 			return
 		}
-		_, _ = lk.send(&response{ID: p.ID, Vals: []any{1.0, 2.0}})
+		_ = lk.send(&response{ID: p.ID, Vals: []any{1.0, 2.0}})
 		_, _ = io.Copy(io.Discard, conn)
 	}()
 	r, err := Dial(RemoteConfig{Peers: []string{l.Addr().String()}, DialTimeout: 2 * time.Second})
@@ -273,5 +274,68 @@ func TestHostilePull(t *testing.T) {
 	}
 	if st := r.Stats(); st.Dispatched != 1 || st.Completed != 1 || st.Failed != 0 {
 		t.Fatalf("Stats = %+v, want the one request completed and the pull outside the partition", st)
+	}
+}
+
+// TestHostilePullReplyFailsHolder: whatever a holder sends instead of the
+// reply to a pull — each value where the reply's first value goes — fails
+// the link at once: the holder is retired, the value counts as lost, and the
+// stats stay a partition.
+func TestHostilePullReplyFailsHolder(t *testing.T) {
+	for name := range hostileFrames(kindResponse) {
+		t.Run(name, func(t *testing.T) {
+			l, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			sess := NextSession()
+			go func() {
+				conn, err := l.Accept()
+				if err != nil {
+					return
+				}
+				defer conn.Close()
+				lk := newLink(conn)
+				_ = lk.send(&hello{Proto: protoVersion, Pid: 1, Slots: 1, Caches: true})
+				var req request
+				var p pull
+				if err := lk.recv(&req); err != nil {
+					return
+				}
+				_ = lk.send(&response{ID: req.ID, Stored: []StoredRef{{Ref: outOf(sess, 1), Bytes: 64}}})
+				if err := lk.recv(&p); err != nil {
+					return
+				}
+				reply := hostileFrames(kindResponse, append(binary.AppendUvarint(nil, p.ID), 2 /* Vals: one value */)...)[name]
+				_, _ = conn.Write(reply)
+				_, _ = io.Copy(io.Discard, conn) // until the coordinator hangs up
+			}()
+			r, err := Dial(RemoteConfig{Peers: []string{l.Addr().String()}, DialTimeout: 2 * time.Second})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			h := heldOf(t, r, holdReq(sess, 1, "anything"))
+			pulled := make(chan error, 1)
+			go func() { pulled <- r.Pull([]*Held{h}) }()
+			select {
+			case err := <-pulled:
+				if !errors.Is(err, ErrLost) {
+					t.Fatalf("Pull = %v, want ErrLost once the only holder is retired", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("the pull still waits on a hostile reply: a frame that does not decode must fail the link")
+			}
+			if _, ok := h.Value(); ok {
+				t.Fatal("a value came home from a hostile reply")
+			}
+			if n := r.AliveWorkers(); n != 0 {
+				t.Fatalf("AliveWorkers = %d, want the holder retired", n)
+			}
+			if st := r.Stats(); st.Dispatched != 1 || st.Completed != 1 || st.Failed != 0 || st.Pulls != 1 {
+				t.Fatalf("Stats = %+v, want the one request completed and one pull outside the partition", st)
+			}
+		})
 	}
 }

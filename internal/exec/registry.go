@@ -15,7 +15,7 @@ import (
 // and arguments are read-only. On the Local backend they are the caller's
 // in-memory values; on a worker they are decoded copies or the values
 // resident in its future cache, shared with every other consumer, with
-// retries and with peer fetches — so a body that writes to an argument
+// retries and with pulls — so a body that writes to an argument
 // corrupts someone else's input on either backend. The one exception is
 // declared: a body registered with RegisterInPlace names the arguments it
 // overwrites (the caller must own them exclusively on the Local backend;

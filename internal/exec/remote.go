@@ -81,8 +81,9 @@ func (s workerState) String() string {
 //
 // Among the free-slot workers, placement prefers the one holding the most
 // bytes of the request's future-valued arguments (ties, and no data: least
-// loaded). Arguments the chosen worker holds travel as ValueRefs, those
-// another worker holds as PeerRefs, the rest as RefValues seeding its cache.
+// loaded). Arguments the chosen worker holds travel as ValueRefs, the rest as
+// RefValues seeding its cache: every value that moves between workers goes
+// through the coordinator.
 // Outputs nobody is known to read here stay on their worker (Request.Hold):
 // the reply is a *Held per output, Pull brings values home, and ErrLost says
 // a value is on no worker any more — the runtime reruns its producer. The
@@ -129,15 +130,7 @@ type Remote struct {
 	missRetries                   atomic.Uint64
 	held, pulls, recomputed       atomic.Uint64
 	pullBytes                     atomic.Int64
-
-	// Peer-plane counters: fetches/fallbacks count outcomes,
-	// peerBytesSent/Recv are the exact peer-link wire totals folded from
-	// response deltas, and refValueBytes/peerValueBytes partition the
-	// inter-task payload volume by which link carried it (sizeOfValue
-	// units) — the tests' oracle for which link moved a value.
-	peerFetches, peerFallbacks    atomic.Uint64
-	peerBytesSent, peerBytesRecv  atomic.Int64
-	refValueBytes, peerValueBytes atomic.Int64
+	refValueBytes                 atomic.Int64 // see RemoteStats.RefValueBytes
 
 	cacheHook atomic.Pointer[func(CacheSample)]
 	fleetHook atomic.Pointer[func(FleetEvent)]
@@ -188,15 +181,8 @@ type workerConn struct {
 	deadErr  error
 	joinTok  string // hello.Token presented on this connection (dial-in auth)
 
-	// peerAddr / peerTok are the worker's advertised peer listener (host
-	// fixed up from the connection when the bind was unspecified) and the
-	// per-connection fetch credential; both empty when the worker has the
-	// peer plane off. Immutable after the handshake.
-	peerAddr string
-	peerTok  string
-
 	// proc is the loopback child process behind this connection, nil for
-	// dialed peers. Tombstoned (set nil) under r.mu before any kill/reap so
+	// dialed workers. Tombstoned (set nil) under r.mu before any kill/reap so
 	// KillWorker, Close and drain-completion can never reap twice.
 	proc *os.Process
 
@@ -265,33 +251,24 @@ type RemoteStats struct {
 	Pulls      uint64
 	PullBytes  uint64
 	Recomputed uint64
-	// BytesSent / BytesRecv are exact wire totals of the *coordinator* links
-	// only — every coordinator↔worker connection's requests, handshakes and
-	// responses. Worker-to-worker traffic never crosses those connections;
-	// it is accounted separately and exactly in PeerBytesSent/PeerBytesRecv,
-	// so the two pairs partition the fleet's task traffic by link.
+	// BytesSent / BytesRecv are exact wire totals of the coordinator links —
+	// every coordinator↔worker connection's requests, handshakes and
+	// responses, which is all the fleet's task traffic.
 	BytesSent uint64
 	BytesRecv uint64
 
-	// PeerFetches counts arguments workers pulled directly from a peer
-	// holder; PeerFallbacks counts PeerRefs that failed (holder gone,
-	// draining, wrong token, timeout) and degraded into the Miss/resend
-	// path. PeerBytesSent / PeerBytesRecv are exact wire totals of the
-	// worker-to-worker links (fetch requests + served values), summed from
-	// the per-response deltas every worker piggybacks on its coordinator
-	// connection — at quiescence they are the complete peer-plane mirror of
-	// BytesSent/BytesRecv.
-	PeerFetches   uint64
-	PeerFallbacks uint64
-	PeerBytesSent uint64
-	PeerBytesRecv uint64
-	// RefValueBytes / PeerValueBytes partition inter-task payload volume
-	// (sizeOfValue units) by which link carried it: RefValueBytes is value
-	// payload the coordinator link re-shipped even though some alive peer
-	// held it, PeerValueBytes is payload pulled over peer links. No benchmark
-	// row reads them: they are how a test tells which link carried a value.
-	RefValueBytes  uint64
-	PeerValueBytes uint64
+	// The four Peer* counters are inert: workers have no links to each other.
+	// They stay only because bench/harness.go, frozen while the code it
+	// measures changes, reads them; a benchmark-only change drops them from
+	// both sides.
+	PeerFetches   uint64 // always 0: no worker fetches from another
+	PeerFallbacks uint64 // always 0: no worker fetches from another
+	PeerBytesSent uint64 // always 0: there are no worker-to-worker links
+	PeerBytesRecv uint64 // always 0: there are no worker-to-worker links
+	// RefValueBytes is payload (sizeOfValue units) the coordinator re-shipped
+	// that another alive worker held: the value volume moved between workers.
+	// No benchmark row reads it; it is how a test tells that a value crossed.
+	RefValueBytes uint64
 
 	// Joined / Left count fleet admissions and retirements across the
 	// lifetime; PeakWorkers is the largest alive-member count ever observed.
@@ -304,14 +281,11 @@ type RemoteStats struct {
 // with SetCacheHook: the reference-resolution outcome and cache occupancy
 // reported by one worker response.
 type CacheSample struct {
-	Worker string // worker id (w0, w1, ...)
-	Task   int    // runtime task id, -1 for anonymous requests
-	Hits   int    // references resolved from the worker's cache
-	Misses int    // references the worker could not resolve
-	// PeerFetches counts arguments this request pulled directly from a peer
-	// worker instead of receiving through the coordinator.
-	PeerFetches int
-	CacheBytes  int64 // the worker's cache occupancy after the request
+	Worker     string // worker id (w0, w1, ...)
+	Task       int    // runtime task id, -1 for anonymous requests
+	Hits       int    // references resolved from the worker's cache
+	Misses     int    // references the worker could not resolve
+	CacheBytes int64  // the worker's cache occupancy after the request
 	// Pulled counts the held values a pull brought home from this worker (a
 	// sample of its own, Task -1); Redo marks the rerun of a lost producer.
 	Pulled int
@@ -329,14 +303,14 @@ func (r *Remote) SetCacheHook(fn func(CacheSample)) {
 	r.cacheHook.Store(&fn)
 }
 
-// Dial connects to every peer, performs the handshake, and returns the
-// coordinator. It fails if any peer is unreachable or speaks the wrong
+// Dial connects to every worker address, performs the handshake, and returns
+// the coordinator. It fails if any worker is unreachable or speaks the wrong
 // protocol — a partially-connected start would silently shrink the cluster.
 // The fleet stays open afterwards: Join, ListenForWorkers and Drain/Leave
 // change membership mid-run.
 func Dial(cfg RemoteConfig) (*Remote, error) {
 	if len(cfg.Peers) == 0 {
-		return nil, fmt.Errorf("exec: Dial needs at least one peer")
+		return nil, fmt.Errorf("exec: Dial needs at least one worker address")
 	}
 	r := newRemote(cfg.DialTimeout)
 	for _, addr := range cfg.Peers {
@@ -442,7 +416,7 @@ func handshake(conn net.Conn, addr string, timeout time.Duration) (*workerConn, 
 	l := newLink(conn)
 	var h hello
 	_ = conn.SetReadDeadline(time.Now().Add(timeout))
-	if _, err := l.recv(&h); err != nil {
+	if err := l.recv(&h); err != nil {
 		return nil, fmt.Errorf("exec: handshake with worker at %s: %w", addr, err)
 	}
 	_ = conn.SetReadDeadline(time.Time{})
@@ -459,32 +433,7 @@ func handshake(conn net.Conn, addr string, timeout time.Duration) (*workerConn, 
 		pending:  map[uint64]call{},
 		resident: map[ValueRef]int64{},
 		joinTok:  h.Token,
-		peerAddr: fixupPeerAddr(h.PeerAddr, addr),
-		peerTok:  h.PeerToken,
 	}, nil
-}
-
-// fixupPeerAddr makes a worker's advertised peer listener dialable by other
-// workers: a :0 bind advertises an unspecified host ("[::]:port"), which is
-// replaced with the host this coordinator reaches the worker at — the one
-// address known to route there. A malformed advertisement disables the peer
-// plane for the member (fail open) rather than poisoning PeerRefs.
-func fixupPeerAddr(peerAddr, connAddr string) string {
-	if peerAddr == "" {
-		return ""
-	}
-	host, port, err := net.SplitHostPort(peerAddr)
-	if err != nil {
-		return ""
-	}
-	if ip := net.ParseIP(host); host == "" || (ip != nil && ip.IsUnspecified()) {
-		chost, _, err := net.SplitHostPort(connAddr)
-		if err != nil {
-			return ""
-		}
-		host = chost
-	}
-	return net.JoinHostPort(host, port)
 }
 
 // ListenForWorkers opens the coordinator's fleet listen address: workers
@@ -560,7 +509,7 @@ func (r *Remote) JoinToken() string { return r.token }
 func (r *Remote) readLoop(w *workerConn) {
 	for {
 		var resp response
-		if _, err := w.link.recv(&resp); err != nil {
+		if err := w.link.recv(&resp); err != nil {
 			r.failWorker(w, fmt.Errorf("connection lost: %w", err), FleetDead)
 			return
 		}
@@ -718,34 +667,12 @@ func (r *Remote) findLocked(id string) *workerConn {
 // values. Draining members are skipped for placement but still waited on —
 // their retirement (or a join) will move things along. It errors once no
 // worker is alive or draining.
-//
-// The scoring weighs peer reachability: a ref whose only alive copy the
-// candidate holds counts double, while a replicated ref counts plain — any
-// other free worker can pull a replica cheaply over a peer link, so sole
-// copies are the residency worth chasing. (A flat local+peer additive
-// weighting would be a no-op: every candidate can reach the same
-// peer-resident total, so it cancels out of the comparison.)
 func (r *Remote) acquire(refs []ValueRef) (*workerConn, error) {
-	// holders[i] counts the alive workers holding refs[i]; allocated once per
-	// call and recounted on every wake-up, since residency moves while this
-	// goroutine waits.
-	holders := make([]int, len(refs))
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for {
 		if r.closed {
 			return nil, fmt.Errorf("exec: backend is closed")
-		}
-		for i := range holders {
-			holders[i] = 0
-			for _, w := range r.workers {
-				if w.state != wsAlive {
-					continue
-				}
-				if _, ok := w.resident[refs[i]]; ok {
-					holders[i]++
-				}
-			}
 		}
 		var best *workerConn
 		var bestScore int64 = -1
@@ -759,12 +686,8 @@ func (r *Remote) acquire(refs []ValueRef) (*workerConn, error) {
 				continue
 			}
 			var score int64
-			for i, ref := range refs {
-				b := w.resident[ref]
-				if b > 0 && holders[i] == 1 {
-					b *= 2 // sole alive copy: unreachable over peer links elsewhere
-				}
-				score += b
+			for _, ref := range refs {
+				score += w.resident[ref]
 			}
 			if best == nil || score > bestScore ||
 				(score == bestScore && w.inflight < best.inflight) {
@@ -837,28 +760,20 @@ func (r *Remote) ExecuteChain(reqs []*Request) ([]Reply, string, error) {
 		reqs = reqs[:1]
 	}
 
-	resp, shipped, err := r.executeOn(w, reqs, false)
+	resp, err := r.executeOn(w, reqs, false)
 	if err != nil {
 		return nil, w.id, err
 	}
 	if head.Redo {
 		r.recomputed.Add(1)
 	}
-	resp.each(func(i int, m *response) {
-		for _, ref := range m.Miss {
-			if shipped[ref] {
-				r.peerFallbacks.Add(1)
-			}
-		}
-		replies[i] = r.replyOf(w, reqs[i], m)
-	})
+	resp.each(func(i int, m *response) { replies[i] = r.replyOf(w, reqs[i], m) })
 	if len(resp.Miss) > 0 {
 		// The worker lacked references the residency map promised (evicted
-		// or raced) or could not pull a PeerRef from its holder (crashed,
-		// drained, timed out); re-send on the same reserved slot with every
-		// value inlined. The inlined form cannot miss.
+		// or raced); re-send on the same reserved slot with every value
+		// inlined. The inlined form cannot miss.
 		r.missRetries.Add(1)
-		resp, _, err = r.executeOn(w, reqs[:1], true)
+		resp, err = r.executeOn(w, reqs[:1], true)
 		if err != nil {
 			return nil, w.id, err
 		}
@@ -908,16 +823,15 @@ func (r *Remote) replyOf(w *workerConn, req *Request, m *response) Reply {
 
 // executeOn performs one wire round trip — reqs as one frame — on an
 // already-reserved worker slot. inlineAll forces every reference to travel
-// as a RefValue (the post-Miss form). The returned map is buildWireArgs's
-// shipped: a PeerRef in it that comes back in a Miss is a peer fallback.
-// Nothing is sent, or counted, when an argument turns out lost (ErrLost).
-func (r *Remote) executeOn(w *workerConn, reqs []*Request, inlineAll bool) (response, map[ValueRef]bool, error) {
+// as a RefValue (the post-Miss form). Nothing is sent, or counted, when an
+// argument turns out lost (ErrLost).
+func (r *Remote) executeOn(w *workerConn, reqs []*Request, inlineAll bool) (response, error) {
 	shipped := map[ValueRef]bool{}
 	msgs := make([]request, len(reqs))
 	for i, req := range reqs {
 		args, err := r.buildWireArgs(w, req, inlineAll, shipped)
 		if err != nil {
-			return response{}, nil, err
+			return response{}, err
 		}
 		msgs[i] = request{Name: req.Name, NOut: req.NOut, Args: args, Session: req.Session, Task: req.TaskID,
 			Store: req.named(), Hold: w.holds(req)}
@@ -929,34 +843,29 @@ func (r *Remote) executeOn(w *workerConn, reqs []*Request, inlineAll bool) (resp
 	r.frames.Add(1)
 	resp, err := r.roundTrip(w, msg.ID, msg, n, name)
 	if err != nil {
-		return response{}, nil, err
+		return response{}, err
 	}
 	if len(resp.Chain) != len(msg.Chain) {
 		r.failed.Add(n)
 		// Not an answer to what was asked: the requests are lost with the stream.
 		r.failWorker(w, fmt.Errorf("%d replies to a frame of %d requests", len(resp.Chain)+1, n), FleetDead)
-		return response{}, nil, fmt.Errorf("exec: worker %s (%s): %d replies to %d requests", w.id, w.addr, len(resp.Chain)+1, n)
+		return response{}, fmt.Errorf("exec: worker %s (%s): %d replies to %d requests", w.id, w.addr, len(resp.Chain)+1, n)
 	}
 	r.completed.Add(n)
 	r.applyResidency(w, &resp)
-	r.peerBytesSent.Add(resp.PeerSent)
-	r.peerBytesRecv.Add(resp.PeerRecv)
 	hook := r.cacheHook.Load()
 	resp.each(func(i int, m *response) {
 		r.refHits.Add(uint64(m.RefHits))
 		r.refMisses.Add(uint64(m.RefMisses))
-		r.peerFetches.Add(uint64(m.PeerFetched))
-		r.peerValueBytes.Add(m.PeerValBytes)
 		if hook != nil && reqs[i].Session != 0 {
 			(*hook)(CacheSample{
 				Worker: w.id, Task: max(reqs[i].TaskID, -1),
 				Hits: m.RefHits, Misses: m.RefMisses,
-				PeerFetches: m.PeerFetched,
-				CacheBytes:  resp.CacheBytes, Redo: reqs[i].Redo,
+				CacheBytes: resp.CacheBytes, Redo: reqs[i].Redo,
 			})
 		}
 	})
-	return resp, shipped, nil
+	return resp, nil
 }
 
 // roundTrip writes f — frame id, standing for n requests — to w and waits for
@@ -969,7 +878,7 @@ func (r *Remote) roundTrip(w *workerConn, id uint64, f frame, n uint64, name str
 	w.pending[id] = call{ch: ch, n: n}
 	w.pendMu.Unlock()
 	r.dispatched.Add(n)
-	if _, err := w.link.send(f); err != nil {
+	if err := w.link.send(f); err != nil {
 		// An argument with no wire form is refused before a byte is written
 		// and costs only this attempt; any other failed send leaves the
 		// stream out of step, so the connection is retired. Whoever removes
@@ -1100,7 +1009,7 @@ func (r *Remote) Forget(session uint64) {
 	r.mu.Unlock()
 	f := &forget{Sessions: []uint64{session}}
 	for _, w := range to {
-		if _, err := w.link.send(f); err != nil {
+		if err := w.link.send(f); err != nil {
 			r.failWorker(w, fmt.Errorf("sending forget: %w", err), FleetDead)
 		}
 	}
@@ -1108,20 +1017,16 @@ func (r *Remote) Forget(session uint64) {
 
 // buildWireArgs maps req.Args to their wire form for worker w: an argument
 // (or []any element) named by an ArgRef travels as a ValueRef when w is
-// believed to hold it, as a PeerRef when some *other* alive worker holds it
-// and both ends advertised a peer listener (w pulls the value directly from
-// the holder), and as a cache-seeding RefValue otherwise; everything else
-// travels by value. Draining and dead holders are never advertised — their
-// values re-ship through the coordinator, failing open instead of pointing
-// w at a connection that is going away. The input slices are never mutated
-// — the runtime owns req.Args.
+// believed to hold it and as a cache-seeding RefValue otherwise; everything
+// else travels by value. A value another worker holds is among the
+// RefValues — the coordinator re-ships it — and when that holder is alive
+// its payload counts into refValueBytes: how a test tells a value that
+// crossed between workers from a cold one. The input slices are never
+// mutated — the runtime owns req.Args.
 //
-// shipped names the refs the frame has shipped so far, true for PeerRefs
-// (for fallback accounting): what an earlier member of the frame carried, a
-// later one names by its bare ValueRef — the worker holds it by then.
-// RefValues of already-resident values additionally count into
-// refValueBytes: payload the coordinator link carried even though a peer
-// held it — how a test tells a coordinator-routed value from a cold one.
+// shipped names the refs the frame has shipped so far: what an earlier
+// member of the frame carried, a later one names by its bare ValueRef — the
+// worker holds it by then.
 //
 // An argument may be a *Held: as a reference it travels untouched, and the
 // ones that have to travel as values are pulled first, together (ErrLost when
@@ -1130,37 +1035,19 @@ func (r *Remote) buildWireArgs(w *workerConn, req *Request, inlineAll bool, ship
 	if len(req.ArgRefs) == 0 {
 		return req.Args, nil
 	}
-	type argPlan struct {
-		resident bool   // resident on w: send the bare ValueRef
-		peerAddr string // non-empty: send a PeerRef to this holder
-		peerTok  string
-		warm     bool // resident on some alive worker (peer-servable payload)
-	}
-	plans := make([]argPlan, len(req.ArgRefs))
+	resident := make([]bool, len(req.ArgRefs)) // on w: send the bare ValueRef
+	warm := make([]bool, len(req.ArgRefs))     // on another alive worker
 	r.mu.Lock()
-	if !inlineAll && w.state != wsDead {
-		for i, ar := range req.ArgRefs {
-			if _, plans[i].resident = w.resident[ar.Ref]; !plans[i].resident {
-				_, plans[i].resident = shipped[ar.Ref]
-			}
-		}
-	}
-	usePeers := w.peerAddr != "" && w.state != wsDead
 	for i, ar := range req.ArgRefs {
-		if plans[i].resident {
-			continue
+		if !inlineAll && w.state != wsDead {
+			_, held := w.resident[ar.Ref]
+			if resident[i] = held || shipped[ar.Ref]; resident[i] {
+				continue
+			}
 		}
 		for _, h := range r.workers {
-			if h == w || h.state != wsAlive {
-				continue
-			}
-			if _, ok := h.resident[ar.Ref]; !ok {
-				continue
-			}
-			plans[i].warm = true
-			if usePeers && !inlineAll && h.peerAddr != "" && h.peerTok != "" {
-				plans[i].peerAddr, plans[i].peerTok = h.peerAddr, h.peerTok
-				break
+			if _, ok := h.resident[ar.Ref]; ok && h != w && h.state == wsAlive {
+				warm[i] = true
 			}
 		}
 	}
@@ -1169,7 +1056,7 @@ func (r *Remote) buildWireArgs(w *workerConn, req *Request, inlineAll bool, ship
 	var pull []*Held
 	for i, ar := range req.ArgRefs {
 		v, _ := argAt(req.Args, ar)
-		if h, ok := v.(*Held); ok && !plans[i].resident && plans[i].peerAddr == "" {
+		if h, ok := v.(*Held); ok && !resident[i] {
 			pull = append(pull, h)
 		}
 	}
@@ -1187,17 +1074,11 @@ func (r *Remote) buildWireArgs(w *workerConn, req *Request, inlineAll bool, ship
 		if h, ok := val.(*Held); ok {
 			val, _ = h.Value()
 		}
-		var wire any
-		switch {
-		case plans[i].resident:
-			wire = ar.Ref
-		case plans[i].peerAddr != "":
-			wire = PeerRef{Ref: ar.Ref, Addr: plans[i].peerAddr, Token: plans[i].peerTok}
-			shipped[ar.Ref] = true
-		default:
+		var wire any = ar.Ref
+		if !resident[i] {
 			wire = RefValue{Ref: ar.Ref, Val: val}
-			shipped[ar.Ref] = false
-			if plans[i].warm {
+			shipped[ar.Ref] = true
+			if warm[i] {
 				r.refValueBytes.Add(sizeOfValue(val))
 			}
 		}
@@ -1304,23 +1185,18 @@ func (r *Remote) membershipChanged(kind, worker, reason string) {
 // Stats returns cumulative dispatch counters.
 func (r *Remote) Stats() RemoteStats {
 	st := RemoteStats{
-		Dispatched:     r.dispatched.Load(),
-		Completed:      r.completed.Load(),
-		Failed:         r.failed.Load(),
-		Frames:         r.frames.Load(),
-		RefHits:        r.refHits.Load(),
-		RefMisses:      r.refMisses.Load(),
-		MissRetries:    r.missRetries.Load(),
-		Held:           r.held.Load(),
-		Pulls:          r.pulls.Load(),
-		PullBytes:      uint64(r.pullBytes.Load()),
-		Recomputed:     r.recomputed.Load(),
-		PeerFetches:    r.peerFetches.Load(),
-		PeerFallbacks:  r.peerFallbacks.Load(),
-		PeerBytesSent:  uint64(r.peerBytesSent.Load()),
-		PeerBytesRecv:  uint64(r.peerBytesRecv.Load()),
-		RefValueBytes:  uint64(r.refValueBytes.Load()),
-		PeerValueBytes: uint64(r.peerValueBytes.Load()),
+		Dispatched:    r.dispatched.Load(),
+		Completed:     r.completed.Load(),
+		Failed:        r.failed.Load(),
+		Frames:        r.frames.Load(),
+		RefHits:       r.refHits.Load(),
+		RefMisses:     r.refMisses.Load(),
+		MissRetries:   r.missRetries.Load(),
+		Held:          r.held.Load(),
+		Pulls:         r.pulls.Load(),
+		PullBytes:     uint64(r.pullBytes.Load()),
+		Recomputed:    r.recomputed.Load(),
+		RefValueBytes: uint64(r.refValueBytes.Load()),
 	}
 	r.mu.Lock()
 	for _, w := range r.workers {

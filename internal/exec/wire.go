@@ -10,12 +10,14 @@ import (
 	"sync/atomic"
 )
 
-// The wire format (protocol 8): length-prefixed binary frames over one TCP
-// connection per worker — and one per peer link — multiplexed by frame ID.
+// The wire format (protocol 9): length-prefixed binary frames over one TCP
+// connection per worker, multiplexed by frame ID. Workers have no links to
+// each other: every value that moves between them goes through the
+// coordinator.
 //
 //	offset  size  field
 //	0       4     length of everything after this field, little-endian; 1 ≤ length ≤ maxFrameBytes
-//	4       1     frame kind (hello, request, response, peerHello, peerRequest, peerResponse, pull, forget)
+//	4       1     frame kind (hello, request, response, pull, forget)
 //	5       …     the kind's fields in declaration order: integers as varints,
 //	              strings length-prefixed, Args/Vals/Val as tagged values (codec.go)
 //
@@ -29,8 +31,7 @@ import (
 // pull frame, answered from the cache by a response and beside the slots,
 // brings home the ones the coordinator turns out to read. A forget frame is
 // one-way: nothing can read the sessions it lists any more, and the worker
-// drops their entries from its cache, inline, with no reply. A peer link runs
-// the same way: peerHello, then peerRequest/peerResponse frames.
+// drops their entries from its cache, inline, with no reply.
 //
 // Each end of a connection is one link: one buffered reader, every read
 // charged against the current frame's length, and one buffered writer under a
@@ -39,18 +40,17 @@ import (
 // slice the body will read: one copy a hop, no frame staged whole.
 //
 // An argument travels as a ValueRef (the identity of an output the worker
-// holds in its future cache), a RefValue (value plus identity, kept resident
-// for the next consumer) or a PeerRef (directions to a worker that holds it).
-// The worker never trusts the coordinator's residency view: a reference it
+// holds in its future cache) or a RefValue (value plus identity, kept
+// resident for the next consumer). The worker never trusts the coordinator's residency view: a reference it
 // cannot resolve is answered with response.Miss and no execution, and the
 // coordinator re-sends with every reference inlined — a stale map costs a
 // round trip, never an answer. A chain follower names an earlier member's
 // output by bare ValueRef and misses, alone, unless that output is cached.
 
 // protoVersion guards against dialing a worker built from an incompatible
-// checkout: both hellos carry it first, and a mismatch is rejected before
+// checkout: the hello carries it first, and a mismatch is rejected before
 // any task payload is decoded.
-const protoVersion = 8
+const protoVersion = 9
 
 // maxFrameBytes bounds one frame. A length prefix above it fails the
 // connection before anything is read or allocated; below it, every length
@@ -62,9 +62,6 @@ const (
 	kindHello byte = iota + 1
 	kindRequest
 	kindResponse
-	kindPeerHello
-	kindPeerRequest
-	kindPeerResponse
 	kindPull
 	kindForget
 )
@@ -94,8 +91,7 @@ type link struct {
 
 	// sent / recvd are the exact frame bytes that crossed this end, prefix
 	// included: RemoteStats.BytesSent/BytesRecv sum them per coordinator
-	// link, and the peer plane attributes the per-frame counts send and recv
-	// return.
+	// link.
 	sent, recvd atomic.Int64
 }
 
@@ -109,74 +105,71 @@ func newLink(conn net.Conn) *link {
 	return l
 }
 
-// send writes f as one frame and returns its size on the wire. An error
-// wrapping errEncode means nothing was written and the link is still good;
-// any other error leaves the stream out of step and the caller must retire
-// the connection.
-func (l *link) send(f frame) (int64, error) {
+// send writes f as one frame. An error wrapping errEncode means nothing was
+// written and the link is still good; any other error leaves the stream out
+// of step and the caller must retire the connection.
+func (l *link) send(f frame) error {
 	l.wmu.Lock()
 	defer l.wmu.Unlock()
 	n, err := l.enc.size(f.encode)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	if n+1 > l.maxFrame {
-		return 0, fmt.Errorf("%w: frame of %d bytes exceeds the %d-byte bound", errEncode, n+1, l.maxFrame)
+		return fmt.Errorf("%w: frame of %d bytes exceeds the %d-byte bound", errEncode, n+1, l.maxFrame)
 	}
 	head := l.enc.buf[:5]
 	binary.LittleEndian.PutUint32(head, uint32(n+1))
 	head[4] = f.kind()
 	_, _ = l.w.Write(head) // the writer keeps its first error for Flush
 	if err := l.enc.emit(l.w, f.encode); err != nil {
-		return 0, err
+		return err
 	}
 	if err := l.w.Flush(); err != nil {
-		return 0, err
+		return err
 	}
-	total := int64(n) + 5
-	l.sent.Add(total)
-	return total, nil
+	l.sent.Add(int64(n) + 5)
+	return nil
 }
 
-// recv reads the next frame into f and returns its size on the wire. Any
-// error — a prefix out of bounds, the wrong kind, a value that overruns or
-// underruns its frame — leaves the stream unusable.
-func (l *link) recv(f frame) (int64, error) {
-	_, n, err := l.recvAny(f)
-	return n, err
+// recv reads the next frame into f. Any error — a prefix out of bounds, the
+// wrong kind, a value that overruns or underruns its frame — leaves the
+// stream unusable.
+func (l *link) recv(f frame) error {
+	_, err := l.recvAny(f)
+	return err
 }
 
 // recvAny is recv for a reader that takes more than one kind of frame: the
 // next frame goes into the one of fs that has its kind, whose index is
 // returned.
-func (l *link) recvAny(fs ...frame) (int, int64, error) {
+func (l *link) recvAny(fs ...frame) (int, error) {
 	d := &l.dec
 	head := d.buf[:5]
 	if _, err := io.ReadFull(d.r, head); err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	n, kind := binary.LittleEndian.Uint32(head), head[4]
 	if n < 1 || int64(n) > int64(l.maxFrame) {
-		return 0, 0, fmt.Errorf("exec: frame length %d outside [1, %d]", n, l.maxFrame)
+		return 0, fmt.Errorf("exec: frame length %d outside [1, %d]", n, l.maxFrame)
 	}
 	which := 0
 	for which < len(fs) && fs[which].kind() != kind {
 		which++
 	}
 	if which == len(fs) {
-		return 0, 0, fmt.Errorf("exec: frame kind %d, want %d", kind, fs[0].kind())
+		return 0, fmt.Errorf("exec: frame kind %d, want %d", kind, fs[0].kind())
 	}
 	d.rem, d.depth, d.err = int(n)-1, 0, nil
 	fs[which].decode(d)
 	if d.err != nil {
-		return 0, 0, fmt.Errorf("exec: decoding frame kind %d: %w", kind, d.err)
+		return 0, fmt.Errorf("exec: decoding frame kind %d: %w", kind, d.err)
 	}
 	if d.rem != 0 {
-		return 0, 0, fmt.Errorf("exec: frame kind %d has %d trailing bytes", kind, d.rem)
+		return 0, fmt.Errorf("exec: frame kind %d has %d trailing bytes", kind, d.rem)
 	}
-	total := int64(n) + 4
-	l.recvd.Add(total)
-	return which, total, nil
+	l.recvd.Add(int64(n) + 4)
+	return which, nil
 }
 
 // hello is the worker → coordinator handshake frame. The worker always
@@ -195,19 +188,6 @@ type hello struct {
 	// crash presents the same token; the re-admitted worker still gets a
 	// fresh id (its old residency died with the old connection).
 	Token string
-	// PeerAddr is the worker's peer-transfer listener: the
-	// address other workers dial to pull this connection's resident values
-	// directly. Empty when the worker has peer transfers disabled; the host
-	// may be unspecified ("[::]:port" from a :0 bind), in which case the
-	// coordinator substitutes the host it reaches the worker at.
-	PeerAddr string
-	// PeerToken scopes peer fetches to this coordinator connection: it is
-	// minted fresh per connection and names the connection's future cache on
-	// the peer listener (peer.go). A restarted worker at the same address
-	// mints a new token, so PeerRefs built against the old connection can
-	// never be served stale data — they fail token lookup and fall back to
-	// the coordinator Miss/resend path.
-	PeerToken string
 	// Caches says the connection has a future cache. A member without one is
 	// offered neither chains nor held outputs: both would come back as Misses.
 	Caches bool
@@ -234,21 +214,6 @@ type RefValue struct {
 	Val any
 }
 
-// PeerRef is a reference plus directions to a holder: the
-// coordinator sends it in place of a RefValue when the value is resident on
-// some *other* alive worker — the executing worker dials Addr, presents
-// Token, and pulls the value over the peer link instead of receiving it
-// through the coordinator. Every failure (holder gone, draining away, wrong
-// token, timeout) degrades the PeerRef into a Miss, which the coordinator
-// answers by re-sending with values inlined — the peer plane is an
-// optimization layered on the Miss/resend correctness backstop, never a new
-// way to get a wrong answer.
-type PeerRef struct {
-	Ref   ValueRef
-	Addr  string // the holder's peer listener (hello.PeerAddr, host fixed up)
-	Token string // the holder connection's PeerToken
-}
-
 // StoredRef reports one cache insertion back to the coordinator, which
 // records residency (Bytes feeds placement scoring).
 type StoredRef struct {
@@ -263,7 +228,7 @@ type request struct {
 	Name string // registered function name
 	NOut int    // declared output arity (validated worker-side)
 	// Args are the resolved arguments; an element (or an element of a nested
-	// []any) may be a ValueRef, RefValue or PeerRef instead of a plain value.
+	// []any) may be a ValueRef or RefValue instead of a plain value.
 	Args []any
 	// Session + Task identify the producing task; the worker caches the
 	// outputs under this identity when Store is set. Store is false for an
@@ -350,25 +315,11 @@ type response struct {
 	CacheBytes int64
 	RefHits    int
 	RefMisses  int
-
-	// PeerFetched counts arguments this request resolved over the peer
-	// link (a deduplicated transfer still counts once per consuming
-	// request — the counter measures values that did NOT need a coordinator
-	// hop), and PeerValBytes is their total payload size (sizeOfValue
-	// units, comparable with StoredRef.Bytes).
-	PeerFetched  int
-	PeerValBytes int64
-	// PeerSent / PeerRecv are exact wire-byte deltas of this worker
-	// connection's peer traffic (fetch requests sent + values served, and
-	// the mirror image) since the previous response — drained like Evicted,
-	// so summing them coordinator-side yields exact per-link totals.
-	PeerSent int64
-	PeerRecv int64
 	// BodyNs is the time the worker spent on this request alone (resolve,
 	// run, store), in nanoseconds.
 	BodyNs int64
-	// Chain are the replies to request.Chain, in order. Evicted, CacheBytes,
-	// PeerSent and PeerRecv are drained once per frame, onto the head.
+	// Chain are the replies to request.Chain, in order. Evicted and
+	// CacheBytes are drained once per frame, onto the head.
 	Chain []response
 
 	// connFailure marks a response fabricated by the coordinator's
@@ -386,8 +337,6 @@ func (h *hello) encode(e *Encoder) {
 	e.Int(h.Pid)
 	e.Int(h.Slots)
 	e.str(h.Token)
-	e.str(h.PeerAddr)
-	e.str(h.PeerToken)
 	e.Bool(h.Caches)
 }
 
@@ -401,8 +350,6 @@ func (h *hello) decode(d *Decoder) {
 	h.Pid = d.Int()
 	h.Slots = d.Int()
 	h.Token = d.str()
-	h.PeerAddr = d.str()
-	h.PeerToken = d.str()
 	h.Caches = d.Bool()
 }
 
@@ -482,16 +429,12 @@ func (r *response) encodeOne(e *Encoder) {
 	e.varint(r.CacheBytes)
 	e.Int(r.RefHits)
 	e.Int(r.RefMisses)
-	e.Int(r.PeerFetched)
-	e.varint(r.PeerValBytes)
-	e.varint(r.PeerSent)
-	e.varint(r.PeerRecv)
 	e.varint(r.BodyNs)
 }
 
 func (r *response) decode(d *Decoder) {
 	r.decodeOne(d)
-	for n := d.Len(14); n > 0 && d.err == nil; n-- { // 14: the smallest member
+	for n := d.Len(10); n > 0 && d.err == nil; n-- { // 10: the smallest member
 		var m response
 		m.decodeOne(d)
 		r.Chain = append(r.Chain, m)
@@ -513,10 +456,6 @@ func (r *response) decodeOne(d *Decoder) {
 	r.CacheBytes = d.varint()
 	r.RefHits = d.Int()
 	r.RefMisses = d.Int()
-	r.PeerFetched = d.Int()
-	r.PeerValBytes = d.varint()
-	r.PeerSent = d.varint()
-	r.PeerRecv = d.varint()
 	r.BodyNs = d.varint()
 }
 

@@ -19,28 +19,19 @@ import (
 	"taskml/internal/mat"
 )
 
-// legacyPoint has no codec: it crosses the wire through the gob fallback.
-type legacyPoint struct{ X, Y float64 }
-
-// unregistered has no codec and no gob registration: it cannot cross at all.
+// unregistered has neither a built-in tag nor a codec: it cannot cross.
 type unregistered struct{ A int }
 
 func init() {
-	exec.RegisterType(legacyPoint{})
-	exec.RegisterType(map[string]int{})
-	exec.Register("test_shift_point", func(args []any) (any, error) {
-		p := args[0].(legacyPoint)
-		return legacyPoint{X: p.X + 1, Y: p.Y - 1}, nil
-	})
 	exec.Register("test_return_unregistered", func(args []any) (any, error) {
 		return unregistered{A: 1}, nil
 	})
 
 	// The reference path of the differential test: what the wire used to be.
-	// The production registry no longer gob-registers any of these.
+	// Nothing outside this file uses gob.
 	for _, v := range []any{
 		&mat.Dense{}, []any{}, [][]float64{}, []string{}, []bool{},
-		exec.ValueRef{}, exec.RefValue{}, exec.PeerRef{},
+		exec.ValueRef{}, exec.RefValue{},
 		&forest.TrainSet{}, &forest.SplitOut{}, &forest.Node{}, forest.TreeParams{},
 		&core.ServeModel{},
 	} {
@@ -92,8 +83,8 @@ func corpus() []any {
 		[]string{"a", "", "ccc"}, []string(nil), []string{},
 		[]any(nil), []any{},
 		dense, &mat.Dense{}, (*mat.Dense)(nil), mat.New(0, 5), mat.New(5, 0), mat.New(1, 1),
-		ref, exec.RefValue{Ref: ref, Val: dense}, exec.RefValue{Ref: ref}, exec.PeerRef{Ref: ref, Addr: "10.0.0.7:4100", Token: "tok"},
-		[]any{1.5, ref, exec.RefValue{Ref: ref, Val: []int{1, 2}}, exec.PeerRef{Ref: ref, Addr: "a:1", Token: "t"},
+		ref, exec.RefValue{Ref: ref, Val: dense}, exec.RefValue{Ref: ref},
+		[]any{1.5, ref, exec.RefValue{Ref: ref, Val: []int{1, 2}},
 			[]any{oddFloats, []any{"deep", nil}}, dense, leaf},
 		leaf, chain, negZeroSplit, deepTree(7), (*forest.Node)(nil), &forest.Node{},
 		train, mustTrainSet(mat.NewFromRows([][]float64{{math.NaN()}, {math.NaN()}}), []int{0, 1}),
@@ -104,7 +95,11 @@ func corpus() []any {
 		forest.TreeParams{MaxDepth: 6, MinSamplesSplit: 2, MaxFeatures: 11}, forest.TreeParams{},
 		&core.ServeModel{Feat: core.FeatureConfig{PadSec: 20, Window: 512, MaxFreqHz: 30, TimePool: 1}, Trees: []*forest.Node{deepTree(3), leaf}},
 		&core.ServeModel{}, &core.ServeModel{Trees: []*forest.Node{}}, (*core.ServeModel)(nil),
-		legacyPoint{X: math.Inf(-1), Y: 2}, int32(-5), map[string]int{"k": 1},
+		// The forms a value takes crossing between workers: the zero reference,
+		// a re-shipped slice and split, and a []*Future argument with one
+		// element re-shipped and one resident on the target.
+		exec.ValueRef{}, exec.RefValue{Ref: ref, Val: oddFloats}, exec.RefValue{Ref: ref, Val: &forest.SplitOut{Leaf: leaf}},
+		[]any{exec.RefValue{Ref: ref, Val: mat.New(0, 3)}, ref, 2.0},
 	}
 }
 
@@ -246,32 +241,24 @@ func TestWireFramesRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWireFallback: a type nobody wrote a codec for still crosses the wire,
-// both ways, through real worker processes; a type that is not even
-// gob-registered costs its attempt an error in either direction — never the
-// worker, never a hang.
-func TestWireFallback(t *testing.T) {
-	if exec.HasCodec(legacyPoint{}) {
-		t.Fatal("legacyPoint has a native codec; the test needs a fallback type")
+// TestWireRefusesUnregisteredType: a type with neither a built-in tag nor a
+// RegisterCodec has no wire form. It is refused at encode with an error that
+// names RegisterCodec, and through real worker processes it costs its
+// attempt an error in either direction — never the worker, never a hang.
+func TestWireRefusesUnregisteredType(t *testing.T) {
+	if _, err := exec.EncodeValue([]any{1.0, unregistered{}}); err == nil || !strings.Contains(err.Error(), "RegisterCodec") {
+		t.Fatalf("encoding an unregistered type: err %v, want a refusal naming RegisterCodec", err)
 	}
 	r, err := exec.SpawnLoopback(exec.LoopbackConfig{Workers: 1, Slots: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	vals, _, err := r.Execute("test_shift_point", 1, []any{legacyPoint{X: 1, Y: 1}})
-	if err != nil {
-		t.Fatal(err)
+	if _, _, err := r.Execute("test_add", 1, []any{unregistered{}, 1.0}); err == nil || !strings.Contains(err.Error(), "RegisterCodec") {
+		t.Fatalf("an argument with no wire form must fail its attempt naming RegisterCodec, got %v", err)
 	}
-	if got := vals[0].(legacyPoint); got != (legacyPoint{X: 2, Y: 0}) {
-		t.Fatalf("fallback round trip = %+v, want {2 0}", got)
-	}
-
-	if _, _, err := r.Execute("test_add", 1, []any{unregistered{}, 1.0}); err == nil {
-		t.Fatal("an argument with no wire form must fail its attempt")
-	}
-	if _, _, err := r.Execute("test_return_unregistered", 1, nil); err == nil || !strings.Contains(err.Error(), "cannot be encoded") {
-		t.Fatalf("an output with no wire form must come back as an error reply, got %v", err)
+	if _, _, err := r.Execute("test_return_unregistered", 1, nil); err == nil || !strings.Contains(err.Error(), "RegisterCodec") {
+		t.Fatalf("an output with no wire form must come back as an error reply naming RegisterCodec, got %v", err)
 	}
 	if n := r.AliveWorkers(); n != 1 {
 		t.Fatalf("AliveWorkers = %d after unencodable values, want 1 (they must not cost the connection)", n)
@@ -283,11 +270,6 @@ func TestWireFallback(t *testing.T) {
 		t.Fatalf("Stats = %+v, want the refused send counted Failed and the partition intact", st)
 	}
 }
-
-// usesFallback reports whether b may hold a fallback value (its tag byte,
-// 19, occurs anywhere): gob streams are not canonical, so the re-encoding
-// property is not claimed for them.
-func usesFallback(b []byte) bool { return bytes.IndexByte(b, 19) >= 0 }
 
 // fuzzFrameBound is the frame bound the fuzzers decode under: small enough
 // that a decoder allocating what a length claims shows up at once.
@@ -305,15 +287,9 @@ func allocatedBy(fn func()) uint64 {
 // allocBudget is what decoding (and re-encoding) b may allocate: one frame
 // bound for a bulk payload claimed and not delivered, the fixed buffers, and
 // a small multiple of the bytes really present (a one-byte element can
-// become a sixteen-byte interface, and slices grow by doubling). A fallback
-// value adds gob's own fixed read chunk, which it allocates for a message
-// length it has not seen the bytes of yet.
+// become a sixteen-byte interface, and slices grow by doubling).
 func allocBudget(b []byte) uint64 {
-	budget := fuzzFrameBound + 1<<20 + 96*uint64(len(b))
-	if usesFallback(b) {
-		budget += 16 << 20
-	}
-	return budget
+	return fuzzFrameBound + 1<<20 + 96*uint64(len(b))
 }
 
 // FuzzDecodeValue: arbitrary bytes never panic the value decoder, never make
@@ -335,7 +311,7 @@ func FuzzDecodeValue(f *testing.F) {
 		if got, budget := allocatedBy(func() { v, err = exec.DecodeValue(b) }), allocBudget(b); got > budget {
 			t.Fatalf("decoding %d bytes allocated %d, budget %d", len(b), got, budget)
 		}
-		if err != nil || usesFallback(b) {
+		if err != nil {
 			return
 		}
 		again, err := exec.EncodeValue(v)
@@ -352,8 +328,8 @@ func FuzzDecodeFrame(f *testing.F) {
 		f.Add(fr)
 	}
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 3, 1})           // a length prefix of 4 GiB
-	f.Add([]byte{9, 0, 0, 0, 6, 1, 1, 13, 0xff, 0xff, 3}) // a peerResponse whose matrix claims 2^14 rows
-	f.Add([]byte{4, 0, 0, 0, 8, 0xff, 0xff, 3})           // a forget that claims 65535 sessions
+	f.Add([]byte{9, 0, 0, 0, 3, 1, 2, 13, 0xff, 0xff, 3}) // a response whose one value, a matrix, claims 65535 rows
+	f.Add([]byte{4, 0, 0, 0, 5, 0xff, 0xff, 3})           // a forget that claims 65535 sessions
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var again []byte
 		var n int
@@ -361,7 +337,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		if got, budget := allocatedBy(func() { again, n, err = exec.RecodeFrame(b, fuzzFrameBound) }), allocBudget(b); got > budget {
 			t.Fatalf("decoding %d bytes allocated %d, budget %d", len(b), got, budget)
 		}
-		if err != nil || usesFallback(b[:n]) {
+		if err != nil {
 			return
 		}
 		if !bytes.Equal(again, b[:n]) {

@@ -7,7 +7,6 @@ import (
 	"net"
 	"os"
 	"strconv"
-	"sync"
 	"time"
 
 	"taskml/internal/par"
@@ -22,18 +21,6 @@ type WorkerConfig struct {
 	// CacheBytes bounds the per-connection future cache (see cache.go).
 	// Default DefaultCacheBytes; <0 disables caching (0 means default).
 	CacheBytes int64
-	// PeerListen is the worker-to-worker transfer listen address (see
-	// peer.go): "" binds ":0" (the default — peer transfers on, any free
-	// port), "off" disables the peer plane for this worker. The bound
-	// address is advertised to the coordinator in the hello; one listener
-	// serves every coordinator connection of the process. Disabling the
-	// cache (CacheBytes < 0) disables the peer plane too — a worker with
-	// nothing resident has nothing to serve.
-	PeerListen string
-	// PeerFetchTimeout bounds one peer fetch (dial + transfer); a fetch
-	// that exceeds it degrades into a Miss and the coordinator re-sends the
-	// value. Default 5s.
-	PeerFetchTimeout time.Duration
 	// Log receives human-readable progress lines; nil discards them.
 	Log io.Writer
 }
@@ -81,52 +68,13 @@ func Serve(l net.Listener, cfg WorkerConfig) error {
 	}
 }
 
-// connPlane is one coordinator connection's data-plane state: the private
-// future cache plus, when the peer plane is on, the peer-serving store
-// registered under this connection's fresh token and the fetcher that pulls
-// PeerRefs from other workers. store and fetcher are nil when peer
-// transfers are disabled (PeerListen "off", cache disabled, or the peer
-// bind failed) — the connection then advertises no PeerAddr and the
-// coordinator routes all values through itself.
-type connPlane struct {
-	cache    *futureCache
-	peerAddr string
-	peerTok  string
-	store    *peerStore
-	fetcher  *peerFetcher
-}
-
-func newConnPlane(cfg WorkerConfig) *connPlane {
-	p := &connPlane{cache: newFutureCache(cfg.CacheBytes)}
-	if cfg.PeerListen == "off" || cfg.CacheBytes <= 0 {
-		return p
-	}
-	addr, tok, store := registerPeerStore(p.cache, cfg.PeerListen, cfg.Log)
-	if addr == "" {
-		return p
-	}
-	p.peerAddr, p.peerTok, p.store = addr, tok, store
-	p.fetcher = newPeerFetcher(cfg.PeerFetchTimeout)
-	return p
-}
-
-// close retires the connection's peer-plane state: the token stops
-// resolving (the stale-session guard) and the fetch links drop.
-func (p *connPlane) close() {
-	deregisterPeerStore(p.peerTok)
-	if p.fetcher != nil {
-		p.fetcher.close()
-	}
-}
-
 // serveCoordinator is the worker side of one coordinator connection, accepted
 // (Serve, empty token) or dialed (JoinCoordinator, the coordinator's join
 // token): send the hello, then read request frames, execute them concurrently
 // (bounded by cfg.Slots; a frame's requests run in order on its one slot,
-// each resolved against the connection's private future cache and peer
-// fetcher) and reply in completion order; pulls are answered beside the slots
-// and forget frames applied to the cache as they arrive. cfg has its
-// defaults applied. It closes conn and returns nil when the coordinator
+// each resolved against the connection's private future cache) and reply in
+// completion order; pulls are answered beside the slots and forget frames
+// applied to the cache as they arrive. cfg has its defaults applied. It closes conn and returns nil when the coordinator
 // closes the connection or sends a frame that does not decode, an error
 // when the hello could not be sent.
 //
@@ -136,19 +84,17 @@ func (p *connPlane) close() {
 func serveCoordinator(conn net.Conn, token string, cfg WorkerConfig) error {
 	defer conn.Close()
 	par.SetLimit(1)
-	plane := newConnPlane(cfg)
-	defer plane.close()
+	cache := newFutureCache(cfg.CacheBytes)
 	l := newLink(conn)
-	h := &hello{Proto: protoVersion, Pid: os.Getpid(), Slots: cfg.Slots, Token: token,
-		PeerAddr: plane.peerAddr, PeerToken: plane.peerTok, Caches: cfg.CacheBytes > 0}
-	if _, err := l.send(h); err != nil {
+	h := &hello{Proto: protoVersion, Pid: os.Getpid(), Slots: cfg.Slots, Token: token, Caches: cfg.CacheBytes > 0}
+	if err := l.send(h); err != nil {
 		return err
 	}
 	sem := make(chan struct{}, cfg.Slots)
 	var fg forget
 	for {
 		req, pl := new(request), new(pull)
-		which, _, err := l.recvAny(req, pl, &fg)
+		which, err := l.recvAny(req, pl, &fg)
 		if err != nil {
 			if err != io.EOF {
 				fmt.Fprintf(cfg.Log, "worker: connection closed: %v\n", err)
@@ -157,41 +103,31 @@ func serveCoordinator(conn net.Conn, token string, cfg WorkerConfig) error {
 		}
 		switch which {
 		case 1:
-			go answerPull(l, pl, plane.cache) // beside the slots: a pull never waits for a body
+			go answerPull(l, pl, cache) // beside the slots: a pull never waits for a body
 			continue
 		case 2:
-			plane.cache.forget(fg.Sessions) // inline, no slot, no reply
+			cache.forget(fg.Sessions) // inline, no slot, no reply
 			continue
 		}
 		sem <- struct{}{}
 		go func() {
 			defer func() { <-sem }()
-			resp := handle(req, plane)
+			resp := handle(req, cache)
 			for i := range req.Chain {
-				resp.Chain = append(resp.Chain, handle(&req.Chain[i], plane))
+				resp.Chain = append(resp.Chain, handle(&req.Chain[i], cache))
 			}
-			// Eviction reports (and peer byte deltas) ride on whichever
-			// response is next; each is drained exactly once, so the
-			// coordinator's sums are exact however responses interleave.
-			resp.Evicted = plane.cache.drainEvicted()
-			resp.CacheBytes = plane.cache.occupancy()
-			if plane.store != nil {
-				s, r := plane.store.drainBytes()
-				resp.PeerSent += s
-				resp.PeerRecv += r
-			}
-			if plane.fetcher != nil {
-				s, r := plane.fetcher.drainBytes()
-				resp.PeerSent += s
-				resp.PeerRecv += r
-			}
-			_, err := l.send(&resp)
+			// Eviction reports ride on whichever response is next; each is
+			// drained exactly once, so the coordinator's view is exact however
+			// responses interleave.
+			resp.Evicted = cache.drainEvicted()
+			resp.CacheBytes = cache.occupancy()
+			err := l.send(&resp)
 			if errors.Is(err, errEncode) {
 				// An output has no wire form. Nothing was written, so say so
 				// in an error reply — with the bookkeeping intact — rather
 				// than leave the attempt waiting for a response.
 				resp.each(func(_ int, m *response) { m.Vals, m.Err = nil, fmt.Sprintf("%s: %v", req.Name, err) })
-				_, err = l.send(&resp)
+				err = l.send(&resp)
 			}
 			if err != nil {
 				fmt.Fprintf(cfg.Log, "worker: replying to %s (req %d): %v\n", req.Name, req.ID, err)
@@ -201,8 +137,8 @@ func serveCoordinator(conn net.Conn, token string, cfg WorkerConfig) error {
 }
 
 // answerPull replies to p with what the cache holds of its refs. Nothing but
-// values and misses rides on the reply: eviction reports and byte deltas wait
-// for the next task response.
+// values and misses rides on the reply: eviction reports wait for the next
+// task response.
 func answerPull(l *link, p *pull, cache *futureCache) {
 	resp := response{ID: p.ID, Vals: make([]any, len(p.Refs))}
 	for i, ref := range p.Refs {
@@ -211,9 +147,9 @@ func answerPull(l *link, p *pull, cache *futureCache) {
 			resp.Miss = append(resp.Miss, ref)
 		}
 	}
-	if _, err := l.send(&resp); errors.Is(err, errEncode) {
+	if err := l.send(&resp); errors.Is(err, errEncode) {
 		// A held output with no wire form: as good as gone, its rerun says why.
-		_, _ = l.send(&response{ID: p.ID, Vals: make([]any, len(p.Refs)), Miss: p.Refs})
+		_ = l.send(&response{ID: p.ID, Vals: make([]any, len(p.Refs)), Miss: p.Refs})
 	}
 }
 
@@ -237,44 +173,27 @@ func JoinCoordinator(addr, token string, cfg WorkerConfig) error {
 	return nil
 }
 
-// resolveCounts aggregates the resolution outcomes of one request: cache
-// hits/misses plus the peer fetches performed and their payload volume
-// (sizeOfValue units, the coordinator's RefValueBytes/PeerValueBytes
-// partition).
-type resolveCounts struct {
-	hits, misses int
-	peerFetched  int
-	peerValBytes int64
-}
-
 // resolveArgs walks the request arguments replacing wire references with
-// values: a ValueRef resolves to the resident value itself, a RefValue
-// contributes its decoded value and makes it resident under its identity,
-// and a PeerRef is pulled from the named holder over the peer link (all of
-// a request's pulls at once, see prefetch) — the fetched value becomes
-// resident like a RefValue replica, so the next co-located consumer
-// resolves it locally. Nothing is copied: what comes back may be shared
-// with the cache and must only be read (handle clones the declared
-// exceptions). Nested references inside a []any argument (the
-// wire form of a []*Future parameter) resolve the same way.
+// values: a ValueRef resolves to the resident value itself, and a RefValue
+// contributes its decoded value and makes it resident under its identity, so
+// the next co-located consumer resolves it locally. Nothing is copied: what
+// comes back may be shared with the cache and must only be read (handle
+// clones the declared exceptions). Nested references inside a []any argument
+// (the wire form of a []*Future parameter) resolve the same way.
 //
-// When any ValueRef misses — or a PeerRef cannot be fetched (holder gone,
-// wrong token, timeout, peer plane off) — resolution fails as a whole: the
-// returned miss list is non-empty, and the caller must not run the body.
-// Stored insertions performed before the miss was discovered are still real
-// (and still reported) — the resent request will find them resident.
-func resolveArgs(args []any, plane *connPlane) (resolved []any, miss []ValueRef, stored []StoredRef, rc resolveCounts) {
-	cache := plane.cache
-	fetched := prefetch(args, plane)
+// When any ValueRef misses, resolution fails as a whole: the returned miss
+// list is non-empty, and the caller must not run the body. Stored insertions
+// performed before the miss was discovered are still real (and still
+// reported) — the resent request will find them resident.
+func resolveArgs(args []any, cache *futureCache) (resolved []any, miss []ValueRef, stored []StoredRef, hits int) {
 	var resolveOne func(v any) any
 	resolveOne = func(v any) any {
 		switch x := v.(type) {
 		case ValueRef:
 			if val, ok := cache.get(x); ok {
-				rc.hits++
+				hits++
 				return val
 			}
-			rc.misses++
 			miss = append(miss, x)
 			return nil
 		case RefValue:
@@ -282,27 +201,6 @@ func resolveArgs(args []any, plane *connPlane) (resolved []any, miss []ValueRef,
 				stored = append(stored, StoredRef{Ref: x.Ref, Bytes: n})
 			}
 			return x.Val
-		case PeerRef:
-			// The coordinator believed the value resident elsewhere — but a
-			// local copy may exist anyway (an earlier fetch or replica the
-			// coordinator's advisory map missed); prefer it.
-			if val, ok := cache.get(x.Ref); ok {
-				rc.hits++
-				return val
-			}
-			if val, ok := fetched[x.Ref]; ok {
-				rc.peerFetched++
-				rc.peerValBytes += sizeOfValue(val)
-				if n, ok := cache.put(x.Ref, val); ok {
-					stored = append(stored, StoredRef{Ref: x.Ref, Bytes: n})
-				}
-				return val
-			}
-			// Fetch failed (or no fetcher): degrade into an ordinary Miss —
-			// the coordinator re-sends with the value inlined.
-			rc.misses++
-			miss = append(miss, x.Ref)
-			return nil
 		case []any:
 			out := make([]any, len(x))
 			for i, e := range x {
@@ -317,60 +215,14 @@ func resolveArgs(args []any, plane *connPlane) (resolved []any, miss []ValueRef,
 	for i, a := range args {
 		resolved[i] = resolveOne(a)
 	}
-	return resolved, miss, stored, rc
-}
-
-// prefetch pulls every PeerRef among args that is not resident yet, all at
-// once over the holders' multiplexed links: a request naming forty trees
-// waits one round trip, not forty. It returns what arrived; a ref that is
-// absent failed (or there is no fetcher) and resolves as a Miss.
-func prefetch(args []any, plane *connPlane) map[ValueRef]any {
-	if plane.fetcher == nil {
-		return nil
-	}
-	var want []PeerRef
-	var collect func(v any)
-	collect = func(v any) {
-		switch x := v.(type) {
-		case PeerRef:
-			if _, ok := plane.cache.get(x.Ref); !ok {
-				want = append(want, x)
-			}
-		case []any:
-			for _, e := range x {
-				collect(e)
-			}
-		}
-	}
-	collect(args)
-	if len(want) == 0 {
-		return nil
-	}
-	fetched := make(map[ValueRef]any, len(want))
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	fetch := func(x PeerRef) {
-		defer wg.Done()
-		if val, err := plane.fetcher.fetch(x.Addr, x.Token, x.Ref); err == nil {
-			mu.Lock()
-			fetched[x.Ref] = val
-			mu.Unlock()
-		}
-	}
-	wg.Add(len(want))
-	for _, x := range want[1:] {
-		go fetch(x)
-	}
-	fetch(want[0]) // the common case, one reference, spawns nothing
-	wg.Wait()
-	return fetched
+	return resolved, miss, stored, hits
 }
 
 // holdsRef reports whether a wire argument is, or contains, a reference
 // form — that is, whether its resolved value may be resident in the cache.
 func holdsRef(v any) bool {
 	switch x := v.(type) {
-	case ValueRef, RefValue, PeerRef:
+	case ValueRef, RefValue:
 		return true
 	case []any:
 		for _, e := range x {
@@ -385,13 +237,12 @@ func holdsRef(v any) bool {
 // handle executes one request with panic containment: a panicking body
 // fails its request, not the worker process, mirroring the in-process
 // runtime's panic→error conversion. Reference arguments are resolved
-// against the connection's future cache (and peer fetcher) first; an
-// unresolvable reference turns the request into a Miss reply without
-// running the body. The outputs are moved into the cache, not copied: the
-// body is done with them and everyone after it only reads — and kept from
-// the reply altogether when the request allows it (Hold) and all went in.
-func handle(req *request, plane *connPlane) (resp response) {
-	cache := plane.cache
+// against the connection's future cache first; an unresolvable reference
+// turns the request into a Miss reply without running the body. The outputs
+// are moved into the cache, not copied: the body is done with them and
+// everyone after it only reads — and kept from the reply altogether when the
+// request allows it (Hold) and all went in.
+func handle(req *request, cache *futureCache) (resp response) {
 	resp.ID = req.ID
 	start := time.Now()
 	defer func() {
@@ -401,12 +252,10 @@ func handle(req *request, plane *connPlane) (resp response) {
 		}
 		resp.BodyNs = int64(time.Since(start))
 	}()
-	args, miss, stored, rc := resolveArgs(req.Args, plane)
+	args, miss, stored, hits := resolveArgs(req.Args, cache)
 	resp.Stored = stored
-	resp.RefHits = rc.hits
-	resp.RefMisses = rc.misses
-	resp.PeerFetched = rc.peerFetched
-	resp.PeerValBytes = rc.peerValBytes
+	resp.RefHits = hits
+	resp.RefMisses = len(miss)
 	if len(miss) > 0 {
 		resp.Miss = miss
 		return resp
@@ -479,8 +328,7 @@ func MaybeWorkerMain() {
 		os.Exit(1)
 	}
 	fmt.Printf("%s%s\n", workerReadyPrefix, l.Addr())
-	// A loopback fleet's peer links ride the interface its coordinator links do.
-	err = Serve(l, WorkerConfig{Slots: slots, CacheBytes: int64(cacheMB) << 20, PeerListen: "127.0.0.1:0", Log: os.Stderr})
+	err = Serve(l, WorkerConfig{Slots: slots, CacheBytes: int64(cacheMB) << 20, Log: os.Stderr})
 	fmt.Fprintf(os.Stderr, "worker: %v\n", err)
 	os.Exit(1)
 }

@@ -455,8 +455,8 @@ func renderEvents(t *Trace, origin time.Time, events []compss.Event) {
 // lanes, the fleet lane, and their counters.
 const cachePid = 1
 
-// renderCacheRows emits the per-worker cache hit/miss, peer-fetch, pull and
-// recompute instant rows and the multi-series "resident bytes" counter, all on the
+// renderCacheRows emits the per-worker cache hit/miss, pull and recompute
+// instant rows and the multi-series "resident bytes" counter, all on the
 // same clock as the task slices; it returns the number of lanes it used
 // (the fleet lane starts after them).
 func renderCacheRows(t *Trace, origin time.Time, samples []CacheSample) int {
@@ -507,13 +507,6 @@ func renderCacheRows(t *Trace, origin time.Time, samples []CacheSample) int {
 				Name: name, Cat: "cache", Ph: "i", Ts: ts,
 				Pid: cachePid, Tid: lane, Scope: "t",
 				Args: map[string]any{"task": s.Task, "hits": s.Hits, "misses": s.Misses},
-			})
-		}
-		if s.PeerFetches > 0 {
-			t.Add(TraceEvent{
-				Name: "peer fetch", Cat: "cache", Ph: "i", Ts: ts,
-				Pid: cachePid, Tid: lane, Scope: "t",
-				Args: map[string]any{"task": s.Task, "fetches": s.PeerFetches},
 			})
 		}
 		occupancy[s.Worker] = s.CacheBytes

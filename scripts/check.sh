@@ -29,13 +29,13 @@ for d in internal/*/; do
     fi
 done
 
-# The exec wire is a hand-written binary format; gob survives only as the
-# per-value fallback for types nobody wrote a codec for. A second importer
-# would be a second wire.
-echo "== encoding/gob has exactly one non-test importer under internal/exec"
-gobfiles=$(grep -l '"encoding/gob"' internal/exec/*.go | grep -v '_test\.go$' || true)
-if [ "$gobfiles" != "internal/exec/fallback.go" ]; then
-    echo "encoding/gob must be imported by internal/exec/fallback.go alone, found: $gobfiles" >&2
+# The exec wire is a hand-written binary format and carries only what the
+# repo registers: a type without a tag or a codec is refused at encode. gob
+# survives only in internal/exec/wire_test.go, as the differential oracle; a
+# worker binary that links it has grown a second wire.
+echo "== go list -deps ./cmd/worker has no encoding/gob"
+if go list -deps ./cmd/worker | grep -qx 'encoding/gob'; then
+    echo "cmd/worker links encoding/gob: the exec wire must not reach for reflection" >&2
     exit 1
 fi
 
@@ -79,22 +79,23 @@ go test -race -count=2 -cpu=1,8 -run 'TestStealStress|TestStolenDeadline|TestDea
 # internal/core and internal/serve are not in the -count=2 pass above, so
 # the tests there that race membership changes, holder kills and concurrent
 # stream pushes against real worker processes are pinned by name:
-# re-admission, a holder dying under the peer plane, a chain meeting an
-# evicting cache, no cache or a killed worker, and held outputs lost with
-# their only holder or to a 1 MB cache (rebuilt from lineage) must stay
-# bit-identical, finished runs on a shared fleet must be collected and
+# re-admission, a holder of values other workers consume dying, a chain
+# meeting an evicting cache, no cache or a killed worker, and held outputs
+# lost with their only holder or to a 1 MB cache (rebuilt from lineage) must
+# stay bit-identical, finished runs on a shared fleet must be collected and
 # forgotten on every worker, and served alarms must match batch edge.Run
-# in-process and across workers. The two degraded forms of the one data plane
-# ride along by variant name: a member with no peer listener
-# (coordinator-routed values) and workers that do not cache (values inline).
+# in-process and across workers. Two more fleets of the one data plane ride
+# along by variant name: an in-process member that dialed in to the fleet
+# listener beside a loopback worker (values cross between them through the
+# coordinator) and workers that do not cache (values inline).
 # The unit tests of a runtime's claim on a fleet — its pool sized once at New
 # (TestCapacityFixedAtNew), its session forgotten once it is unreachable
 # (TestReleaseWhenUnreachable, TestForget*, TestReleaseAfterFleetEnds) — run
 # in the -count=2 compss and exec pass above.
-echo "== go test -race -count=2 -run 'TestRemoteKillThenRejoinParity|TestRemotePeerKillParity|TestRemoteChainParity|TestRemoteLineageParity|TestRemoteFleetForgetsFinishedRuns' ./internal/core/"
-go test -race -count=2 -run 'TestRemoteKillThenRejoinParity|TestRemotePeerKillParity|TestRemoteChainParity|TestRemoteLineageParity|TestRemoteFleetForgetsFinishedRuns' ./internal/core/
-echo "== go test -race -count=2 -run 'TestRemoteParityBitIdentical/^(no-peer-listener|no-cache)\$' ./internal/core/"
-go test -race -count=2 -run 'TestRemoteParityBitIdentical/^(no-peer-listener|no-cache)$' ./internal/core/
+echo "== go test -race -count=2 -run 'TestRemoteKillThenRejoinParity|TestRemoteHolderKillParity|TestRemoteChainParity|TestRemoteLineageParity|TestRemoteFleetForgetsFinishedRuns' ./internal/core/"
+go test -race -count=2 -run 'TestRemoteKillThenRejoinParity|TestRemoteHolderKillParity|TestRemoteChainParity|TestRemoteLineageParity|TestRemoteFleetForgetsFinishedRuns' ./internal/core/
+echo "== go test -race -count=2 -run 'TestRemoteParityBitIdentical/^(dial-in-member|no-cache)\$' ./internal/core/"
+go test -race -count=2 -run 'TestRemoteParityBitIdentical/^(dial-in-member|no-cache)$' ./internal/core/
 echo "== go test -race -count=2 -run 'TestServe' ./internal/serve/ ./internal/core/"
 go test -race -count=2 -run 'TestServe' ./internal/serve/ ./internal/core/
 
