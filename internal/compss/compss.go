@@ -312,7 +312,8 @@ type taskState struct {
 
 	// Execution record carried from submit to runReady: the body, its output
 	// arity, the raw argument list (futures unresolved), and the submitting
-	// context's task state for the barrier's absorbed-error walk.
+	// context's task state for the barrier's absorbed-error walk. The body
+	// and the arguments go at completion (letGo).
 	fn1      TaskFunc
 	fnN      MultiTaskFunc
 	nOut     int
@@ -760,6 +761,7 @@ func (rt *Runtime) failDepsCascade(st *taskState, err error, w *worker) {
 // have published st.vals / st.err before calling: the completed store is
 // the release waiters synchronise on.
 func (rt *Runtime) complete(st *taskState, w *worker) {
+	st.letGo()
 	st.chMu.Lock()
 	st.completed.Store(true)
 	if st.done != nil {
@@ -773,6 +775,21 @@ func (rt *Runtime) complete(st *taskState, w *worker) {
 			rt.becomeReady(c, w)
 		}
 	}
+}
+
+// letGo drops what only running st needed — its body, its argument list and
+// its fallback — once its outputs are published: the executor's arena keeps
+// every taskState for the runtime's life (barrierAll), so whatever a completed
+// task still points at lives as long. A task with an output held on a worker
+// keeps args, which its lineage rerun reads (held.go).
+func (st *taskState) letGo() {
+	st.fn1, st.fnN, st.fallback = nil, nil, nil
+	for _, v := range st.vals {
+		if _, held := v.(*exec.Held); held {
+			return
+		}
+	}
+	st.args = nil
 }
 
 // runReady executes a ready task to completion: resolve the (already

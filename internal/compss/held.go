@@ -3,8 +3,9 @@
 // value staying on its worker. Markers flow to backend consumers as they are;
 // the two places that read a value here — Get/GetAll and the arguments of a
 // body that runs here — go through values, which pulls, and rebuilds from
-// lineage what no worker has any more: taskState.args is kept and registered
-// bodies are argument-pure, so the producer runs again as an ordinary request,
+// lineage what no worker has any more: a task with a held output keeps its
+// taskState.args past completion (letGo) and registered bodies are
+// argument-pure, so the producer runs again as an ordinary request,
 // past its own lost inputs, one rerun at a time per task, outside the retry
 // budget and the fault plan. Observers see a Retry after the producer's End,
 // never a second End. A loss costs round trips, never a wrong answer.

@@ -32,7 +32,10 @@
 // delivered asynchronously), and the injected Featurizer/Classifier are
 // called synchronously from Monitor.Push. Windower.Peek returns a view
 // into the internal buffer valid until the next Push — copy it to retain
-// it (internal/serve does, since its windows outlive the ingest call). Use
+// it (internal/serve does, since its windows outlive the ingest call): the
+// Windower compacts its one backing array in place, so a Push may move the
+// samples a view points at, and a stream holds at most one window and one
+// push of samples however long it runs. Use
 // one Monitor (or Windower/Debouncer pair) per stream; distinct instances
 // are independent.
 package edge

@@ -89,9 +89,16 @@ func (c Config) StrideSamples() int {
 // sample stream. It is the buffering half of a Monitor, split out so a
 // serving coordinator can cut windows synchronously while scoring them
 // elsewhere.
+//
+// It reuses one backing array, compacting in place: a Push that finds the
+// array full moves the unconsumed samples to its front, and the array grows
+// only when a window, or the unconsumed samples and the push, would not fit.
+// A stream whose windows are taken as they complete holds at most one window
+// and one push of samples, however long it runs.
 type Windower struct {
-	buf      []float64
-	consumed int // samples dropped from the front of buf
+	buf      []float64 // the unconsumed samples, a suffix of mem's
+	mem      []float64 // the backing array
+	consumed int       // samples dropped from the front of buf
 	winLen   int
 	stride   int
 }
@@ -106,7 +113,16 @@ func NewWindower(winLen, stride int) (*Windower, error) {
 }
 
 // Push appends samples to the stream.
-func (w *Windower) Push(samples ...float64) { w.buf = append(w.buf, samples...) }
+func (w *Windower) Push(samples ...float64) {
+	n := len(w.buf) + len(samples)
+	if n > cap(w.buf) {
+		if n > cap(w.mem) {
+			w.mem = make([]float64, 0, max(n, w.winLen))
+		}
+		w.buf = w.mem[:copy(w.mem[:len(w.buf)], w.buf)]
+	}
+	w.buf = append(w.buf, samples...)
+}
 
 // Peek returns the next complete analysis window, or ok=false when fewer
 // than a window's worth of samples are buffered. The returned slice is a

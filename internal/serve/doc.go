@@ -43,6 +43,14 @@
 // window is a gap to the Debouncer — skipped, neither extending nor
 // resetting the consecutive-positive alarm chain.
 //
+// # Memory
+//
+// A long-lived server holds what is still live, not what it has served: per
+// admitted stream, one window of samples in its Windower (which compacts in
+// place) plus the windows cut and not yet scored. A window's samples go when
+// its batch is delivered, or when it is shed; the scoring task's argument goes
+// when the task completes (the runtime drops a completed task's inputs).
+//
 // # Concurrency and ownership
 //
 // One mutex guards all mutable server and stream state; scoring itself

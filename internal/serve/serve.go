@@ -131,9 +131,9 @@ const maxDuration = time.Duration(math.MaxInt64)
 // in-order apply.
 type window struct {
 	st      *Stream
-	seq     int // per-stream apply order
-	end     int // stream sample index past the window (edge.Debouncer.Apply)
-	data    []float64
+	seq     int       // per-stream apply order
+	end     int       // stream sample index past the window (edge.Debouncer.Apply)
+	data    []float64 // the samples; nil once the window is scored or shed
 	ready   time.Time // when the window became ready (latency epoch)
 	shed    bool      // dropped by backpressure; batcher discards it
 	flushed bool      // already taken into a batch
@@ -473,6 +473,9 @@ func (s *Server) launch(batch []*window) {
 		var samples []Sample
 		s.mu.Lock()
 		s.inflight--
+		for _, w := range batch {
+			w.data = nil // scored: the stream's queue may still point at w
+		}
 		per := now.Sub(start).Seconds() / float64(len(batch))
 		if per > 0 {
 			if s.svcEWMA == 0 {

@@ -76,6 +76,7 @@ func (st *Stream) Push(samples ...float64) error {
 			victim := st.queued[0]
 			st.queued = st.queued[1:]
 			victim.shed = true // the batcher queue discards it on contact
+			victim.data = nil
 			s.pending--
 			st.shed++
 			s.shedTotal++

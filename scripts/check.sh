@@ -98,6 +98,12 @@ echo "== go test -race -count=2 -run 'TestRemoteParityBitIdentical/^(dial-in-mem
 go test -race -count=2 -run 'TestRemoteParityBitIdentical/^(dial-in-member|no-cache)$' ./internal/core/
 echo "== go test -race -count=2 -run 'TestServe' ./internal/serve/ ./internal/core/"
 go test -race -count=2 -run 'TestServe' ./internal/serve/ ./internal/core/
+# What a long-lived runtime keeps, pinned by name: a completed task drops its
+# inputs on every terminal path (a task whose output a worker holds keeps its
+# arguments for the lineage rerun), a scored window drops its samples, and a
+# stream's windower holds one window plus one push.
+echo "== go test -race -count=2 -run 'TestCompletedTask|TestHeldOutputKeepsArgs|TestServeLetsGo|TestWindowerCompactsInPlace' ./internal/compss/ ./internal/serve/ ./internal/edge/"
+go test -race -count=2 -run 'TestCompletedTask|TestHeldOutputKeepsArgs|TestServeLetsGo|TestWindowerCompactsInPlace' ./internal/compss/ ./internal/serve/ ./internal/edge/
 
 # The benchmark is a module of its own (bench/go.mod), so ./... above does
 # not reach it, and no file under bench/ may change with the code it
