@@ -14,11 +14,11 @@
 // member itself becomes ready when the response arrives, at most chainCap−1
 // bodies after that member's body returned.
 //
-// A failure costs round trips, never a wrong answer. Only first attempts of
-// deadline-free tasks are chained, on a runtime without a fault plan, over a
-// backend whose reference plane is on. A follower that comes back without
-// values — it failed, an earlier member did, a reference was evicted or never
-// cached — is unmarked and runs the ordinary way, as attempt 0, once its
+// A failure costs round trips, never a wrong answer. Only first attempts are
+// chained, on a runtime without a fault plan, over a backend whose reference
+// plane is on. A follower that comes back without values — it failed, an
+// earlier member did, a reference was evicted or never cached — is
+// unmarked and runs the ordinary way, as attempt 0, once its
 // producers have completed; a head whose body or connection failed is a
 // failed attempt 0 under the ordinary retry / degrade / fail policy, and its
 // retry travels alone. Every mark is cleared before anything completes.
@@ -88,13 +88,13 @@ func collectChain(head *taskState) []*taskState {
 }
 
 // chainable reports whether c — a child of a chain member — can join: a
-// deadline-free backend task whose every producer outside the chain has
-// completed, successfully. While c is mid-submit its sentinel keeps pending
-// above the in-chain count, and the same holds while an outside producer is
-// still running, so the one comparison covers both; once it holds, every
-// outside producer's result is there to read.
+// backend task whose every producer outside the chain has completed,
+// successfully. While c is mid-submit its sentinel keeps pending above the
+// in-chain count, and the same holds while an outside producer is still
+// running, so the one comparison covers both; once it holds, every outside
+// producer's result is there to read.
 func chainable(c *taskState, chain []*taskState) bool {
-	if c.execName == "" || c.deadline > 0 || inChain(chain, c) {
+	if c.execName == "" || inChain(chain, c) {
 		return false
 	}
 	var inside int32

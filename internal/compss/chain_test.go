@@ -326,18 +326,6 @@ func TestChainMembership(t *testing.T) {
 				t.Fatalf("%s: frames %v, want %v", name, got, want)
 			}
 		}
-		// A Deadline task neither heads a chain nor joins one.
-		be := newFakeChains()
-		rt := New(Config{Workers: 2, Backend: be})
-		g, release := gate(rt)
-		a := sum(rt, Opts{}, g)
-		b := sum(rt, Opts{Deadline: time.Minute}, a, 1.0)
-		c := sum(rt, Opts{}, b, 1.0)
-		release()
-		mustGet(t, rt, c, 3)
-		if got, want := be.framesSeen(), [][]int{{a.TaskID()}, {b.TaskID()}, {c.TaskID()}}; !reflect.DeepEqual(got, want) {
-			t.Fatalf("deadline: frames %v, want %v", got, want)
-		}
 	})
 }
 

@@ -29,12 +29,14 @@ type Opts struct {
 	// OutBytes is the size of the produced value, charged by the scheduler
 	// when a dependent runs on a different node (or via the master).
 	OutBytes int64
-	// Retries is how many times a failed attempt is re-executed before the
-	// task is declared failed. 0 falls back to Config.DefaultRetries; a
-	// negative value opts out explicitly (exactly one attempt, even when the
-	// default is positive); the FailFast policy forces 0. Retried attempts
-	// re-run immediately in real time — backoff exists only in the replayed
-	// schedule, so failure handling stays deterministic.
+	// Retries is how many times a failed attempt — an error or a panic from
+	// its body, its backend or a nested child — is re-executed before the
+	// task is declared failed; no attempt is bounded in wall time. 0 falls
+	// back to Config.DefaultRetries; a negative value opts out explicitly
+	// (exactly one attempt, even when the default is positive); the FailFast
+	// policy forces 0. Retried attempts re-run immediately in real time —
+	// backoff exists only in the replayed schedule, so failure handling
+	// stays deterministic.
 	Retries int
 	// Backoff is the virtual-time base delay, in seconds, between a failed
 	// attempt and its retry: the retry after failed attempt k (0-based)
@@ -42,16 +44,6 @@ type Opts struct {
 	// waits the base. 0 falls back to Config.DefaultBackoff. Like Cost it
 	// never affects real execution.
 	Backoff float64
-	// Deadline, when positive, bounds each attempt's wall-clock execution.
-	// An attempt that overruns fails with ErrDeadlineExceeded and is retried
-	// like any other failure; its goroutine is abandoned (its eventual
-	// result is discarded) but keeps running, possibly concurrently with the
-	// retry. The retry shares the resolved argument values with the
-	// abandoned body, so bodies of tasks with a Deadline must treat their
-	// arguments as read-only. The deadline does not extend to nested
-	// children: give long-running children their own Deadline, or Barrier
-	// waits for them even after the parent recovered.
-	Deadline time.Duration
 	// Fallback, when non-nil, is the value published if every attempt fails
 	// under the Degrade policy, letting dependents — typically reduction
 	// merges — proceed on partial results. For SubmitN tasks it must be a
@@ -64,9 +56,9 @@ type Opts struct {
 	// process — and through an in-process registry call otherwise, with
 	// identical semantics. Tasks submitted with SubmitExec/SubmitExecN set
 	// it; tasks with a closure body leave it empty and always run
-	// in-process. Retries, deadlines, fault injection and failure policies
-	// apply identically either way: a backend failure (worker crash,
-	// dropped connection) is an attempt failure like any other.
+	// in-process. Retries, fault injection and failure policies apply
+	// identically either way: a backend failure (worker crash, dropped
+	// connection) is an attempt failure like any other.
 	Exec string
 }
 
@@ -290,10 +282,9 @@ type taskState struct {
 	name    string
 	occ     int // occurrence index among same-named tasks, for fault matching
 	retries int // effective retry budget after Config defaults and policy
-	// The three Opts fields execution needs after submit; carrying them
+	// The two Opts fields execution needs after submit; carrying them
 	// instead of the whole Opts keeps the per-task record (and its zeroing
 	// on the submit hot path) small.
-	deadline time.Duration
 	fallback any
 	execName string
 	// done is the completion broadcast channel, allocated lazily by
@@ -417,28 +408,12 @@ type TaskCtx struct {
 	// ownerSt is the taskState whose body this context belongs to (nil for
 	// main); it seeds taskState.parentSt on nested submissions. wkr is the
 	// deque the executing carrier owns — nested submits push there, the
-	// lock-free fast path — and may be nil (main, or a carrier that found
-	// every deque slot claimed). onCarrier is true when the body runs inline
-	// on the carrier/helper goroutine (no Deadline): such a body blocks by
-	// helping — running other ready tasks — instead of parking, and can
-	// never be abandoned. Deadline bodies run on a spawned goroutine
-	// (onCarrier false) and park passively, so the deadline handler can
-	// abandon them.
-	ownerSt   *taskState
-	wkr       *worker
-	onCarrier bool
-
-	// Attempt slot accounting. A task body starts out owning the worker
-	// slot its attempt acquired; blockingWait parks the body by handing the
-	// slot back to the pool and reacquires it when the awaited value
-	// arrives. A deadline overrun abandons the attempt. The two flags must
-	// change together under slotMu: the timeout handler reclaims the slot
-	// only if the body still holds it (a parked body already gave it back),
-	// and a parked body must never reacquire once abandoned — the retry
-	// owns that capacity now.
-	slotMu    sync.Mutex
-	abandoned bool
-	holdsSlot bool
+	// lock-free fast path — and is nil for main and for a body the main
+	// program ran while it helped. A body runs inline on the carrier or
+	// helper goroutine that dispatched it, holding the worker slot its
+	// attempt acquired, and blocks by helping (blockingWait).
+	ownerSt *taskState
+	wkr     *worker
 
 	// floor is the compactable sync floor: the task IDs whose ordering the
 	// next submission must capture as graph deps. Get(X) both adds X and
@@ -501,9 +476,9 @@ func (tc *TaskCtx) SubmitN(o Opts, nOut int, fn MultiTaskFunc, args ...any) []*F
 // SubmitExec schedules the registered backend function o.Exec as a
 // single-output task: instead of a closure body, the attempt invokes the
 // exec registry — in-process by default, or on a worker process when the
-// runtime has a remote Backend. Dependency detection, retries, deadlines
-// and observers behave exactly as for Submit. It panics if o.Exec is empty
-// or names nothing registered, so typos fail at the submit site.
+// runtime has a remote Backend. Dependency detection, retries, fault
+// injection and observers behave exactly as for Submit. It panics if o.Exec
+// is empty or names nothing registered, so typos fail at the submit site.
 //
 // Registered bodies cannot submit nested tasks (they receive no TaskCtx —
 // a worker process has no route back into the coordinator's graph); use
@@ -651,7 +626,7 @@ func (tc *TaskCtx) submit(o *Opts, nOut int, fn1 TaskFunc, fnN MultiTaskFunc, ar
 
 	st := tc.rt.ex.allocTask(tc.wkr)
 	st.id, st.name, st.occ, st.retries = id, o.Name, occ, retries
-	st.deadline, st.fallback, st.execName = o.Deadline, o.Fallback, o.Exec
+	st.fallback, st.execName = o.Fallback, o.Exec
 	st.fn1, st.fnN, st.nOut, st.args = fn1, fnN, nOut, args
 	st.parentSt, st.floorIDs = tc.ownerSt, floorIDs
 	st.ctx0.rt = tc.rt // a future keeps its runtime, and so its session, alive
@@ -794,8 +769,8 @@ func (st *taskState) letGo() {
 
 // runReady executes a ready task to completion: resolve the (already
 // available) argument values, then loop over attempts — acquire a worker
-// slot, run the body (with panic containment, deadline and fault
-// injection), wait for the attempt's nested children — retrying while the
+// slot, run the body inline (with panic containment and fault injection),
+// wait for the attempt's nested children — retrying while the
 // budget lasts, and finally publish the value, the declared fallback
 // (Degrade), or the failure. Each transition emits the matching Observer
 // event (see observer.go for the guaranteed per-task sequences); the
@@ -819,22 +794,19 @@ func (rt *Runtime) runReady(st *taskState, w *worker, stolen bool) {
 		rt.sem.acquire()
 		rt.emit(EventStart, st, attempt, nil, "", false)
 		// Attempt 0 uses the context embedded in the taskState; retries get
-		// a fresh one, because an abandoned (timed-out) attempt keeps using
-		// its context concurrently with the retry.
+		// a fresh one, so a retry starts with an empty sync floor and no
+		// submitted children.
 		var child *TaskCtx
 		if attempt == 0 {
 			child = &st.ctx0
-			child.rt, child.parent, child.insideTask, child.holdsSlot = rt, id, true, true
+			child.rt, child.parent, child.insideTask = rt, id, true
 		} else {
-			child = &TaskCtx{rt: rt, parent: id, insideTask: true, holdsSlot: true}
+			child = &TaskCtx{rt: rt, parent: id, insideTask: true}
 		}
 		child.ownerSt = st
 		child.wkr = w
-		child.onCarrier = st.deadline <= 0
 		res := rt.execAttempt(st, child, attempt, nOut, st.fn1, st.fnN, resolved)
-		if !res.slotLost {
-			rt.sem.release()
-		}
+		rt.sem.release()
 		chain = res.chain
 		// The body is done and the slot released; End events are stamped
 		// here so End−Start measures body execution, not the bookkeeping
@@ -850,22 +822,14 @@ func (rt *Runtime) runReady(st *taskState, w *worker, stolen bool) {
 			}
 		}
 
-		if res.mode == "timeout" {
-			// Do not wait for the abandoned attempt's children: Deadline
-			// bounds this task's recovery, and Barrier skips child errors an
-			// ancestor's retry absorbed. Children that can hang forever must
-			// carry their own Deadline, or Barrier will wait on them.
-		} else {
-			// An attempt is not complete until its children are; a child
-			// failure fails the attempt, so the retry covers the whole
-			// nested subtree.
-			cerr := child.waitSubmitted()
-			if res.err == nil && cerr != nil {
-				res = attemptResult{
-					err:  &TaskError{ID: id, Name: st.name, Err: fmt.Errorf("nested task failed: %w", cerr)},
-					mode: "error",
-					frac: 1,
-				}
+		// An attempt is not complete until its children are; a child failure
+		// fails the attempt, so the retry covers the whole nested subtree.
+		cerr := child.waitSubmitted()
+		if res.err == nil && cerr != nil {
+			res = attemptResult{
+				err:  &TaskError{ID: id, Name: st.name, Err: fmt.Errorf("nested task failed: %w", cerr)},
+				mode: "error",
+				frac: 1,
 			}
 		}
 		if res.err == nil {
@@ -964,12 +928,8 @@ type attemptResult struct {
 	vals []any
 	val  any // the output when vals is nil: single-output bodies pass it by copy
 	err  error
-	mode string  // "error", "panic" or "timeout"
+	mode string  // "error" or "panic"
 	frac float64 // virtual cost fraction consumed before the failure instant
-	// slotLost reports that the attempt's worker slot is already back in the
-	// pool (the timed-out body was parked in blockingWait when abandoned),
-	// so the run loop must not release it a second time.
-	slotLost bool
 	// worker identifies the execution-backend worker that ran the attempt;
 	// "" for in-process execution (including every non-Exec task).
 	worker string
@@ -978,86 +938,15 @@ type attemptResult struct {
 	chain *chainRun
 }
 
-// execAttempt runs one attempt of the task body inside the caller's worker
-// slot: fault injection swaps the body for a doomed one, a deadline races it
-// against a timer, and panics become errors.
-func (rt *Runtime) execAttempt(st *taskState, child *TaskCtx, attempt, nOut int, fn1 TaskFunc, fnN MultiTaskFunc, resolved []any) attemptResult {
+// execAttempt runs one attempt of the task body inline, inside the caller's
+// worker slot and on the caller's goroutine: fault injection swaps the body
+// for a doomed one, and panics become errors.
+func (rt *Runtime) execAttempt(st *taskState, child *TaskCtx, attempt, nOut int, fn1 TaskFunc, fnN MultiTaskFunc, resolved []any) (res attemptResult) {
 	frac := 1.0
-	var cancel chan struct{}
 	if f := rt.cfg.Faults.match(st.id, st.name, st.occ, attempt); f != nil {
 		frac = f.fraction()
-		mode := f.Mode
-		if mode == FaultHang && st.deadline <= 0 {
-			mode = FaultError // nothing would ever cancel the hang
-		}
-		if mode == FaultHang {
-			cancel = make(chan struct{})
-		}
-		fn1, fnN = nil, injectedBody(st, attempt, mode, cancel)
+		fn1, fnN = nil, injectedBody(attempt, f.Mode)
 	}
-
-	d := st.deadline
-	if d <= 0 {
-		// No deadline: run the body inline on the calling carrier/helper —
-		// no goroutine, no result channel, no closure allocation.
-		return rt.runAttemptBody(st, child, attempt, nOut, fn1, fnN, resolved, frac)
-	}
-	ch := make(chan attemptResult, 1)
-	go func() { ch <- rt.runAttemptBody(st, child, attempt, nOut, fn1, fnN, resolved, frac) }()
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	// While blocked on this select the calling carrier processes nothing, so
-	// uncount it from the live-carrier gate: work the deadline body enqueues
-	// (nested submissions) can then spawn a replacement carrier. The
-	// anyWork recheck closes the race with an enqueue that saw the fleet
-	// full just before the decrement. Helpers running a deadline attempt
-	// were never counted, so the gate dips below the true carrier count —
-	// harmless: it only permits an extra spawn, and execution parallelism is
-	// bounded by the slot pool, not by carrier count.
-	rt.ex.nLive.Add(-1)
-	if rt.ex.anyWork() {
-		rt.ex.signalWork()
-	}
-	var timedOut bool
-	var res attemptResult
-	select {
-	case res = <-ch:
-	case <-timer.C:
-		timedOut = true
-	}
-	rt.ex.nLive.Add(1)
-	if !timedOut {
-		return res
-	}
-	{
-		// Abandon the attempt: its goroutine keeps running but its result is
-		// discarded, and its context stops touching the worker semaphore.
-		// Atomically take the slot away from the body: if it still holds one
-		// (it is computing), the run loop releases it as usual; if it is
-		// parked in blockingWait, the slot is already back in the pool and
-		// must not be consumed again.
-		child.slotMu.Lock()
-		child.abandoned = true
-		held := child.holdsSlot
-		child.holdsSlot = false
-		child.slotMu.Unlock()
-		if cancel != nil {
-			close(cancel)
-		}
-		return attemptResult{
-			err: &TaskError{ID: st.id, Name: st.name,
-				Err: fmt.Errorf("attempt %d: %w (deadline %v)", attempt, ErrDeadlineExceeded, d)},
-			mode:     "timeout",
-			frac:     1, // the node was held until the deadline fired
-			slotLost: !held,
-		}
-	}
-}
-
-// runAttemptBody executes the (possibly fault-swapped) body of one attempt
-// with panic containment. It runs inline on the dispatching goroutine for
-// deadline-free tasks and on a spawned goroutine under a Deadline.
-func (rt *Runtime) runAttemptBody(st *taskState, child *TaskCtx, attempt, nOut int, fn1 TaskFunc, fnN MultiTaskFunc, resolved []any, frac float64) (res attemptResult) {
 	defer func() {
 		if r := recover(); r != nil {
 			res = attemptResult{
@@ -1090,8 +979,8 @@ func (rt *Runtime) runAttemptBody(st *taskState, child *TaskCtx, attempt, nOut i
 	default:
 		// Exec-named body (SubmitExec): dispatch through the backend.
 		// Injected faults never reach here — the injected body replaced
-		// fnN in execAttempt, so a fault-plan entry fails the attempt
-		// without a wire round-trip, exactly as it bypasses closure bodies.
+		// fnN above, so a fault-plan entry fails the attempt without a wire
+		// round-trip, exactly as it bypasses closure bodies.
 		return rt.execBody(st, attempt, nOut, resolved)
 	}
 }
@@ -1114,7 +1003,7 @@ func (rt *Runtime) runAttemptBody(st *taskState, child *TaskCtx, attempt, nOut i
 func (rt *Runtime) execBody(st *taskState, attempt, nOut int, resolved []any) attemptResult {
 	name := st.execName
 	if rt.cfg.Backend != nil {
-		if attempt == 0 && rt.chains != nil && st.deadline <= 0 {
+		if attempt == 0 && rt.chains != nil {
 			if chain := collectChain(st); len(chain) > 1 {
 				// A lost argument, and nothing was sent: the followers are back
 				// with the scheduler, the head goes alone past the loss.
@@ -1230,6 +1119,10 @@ func fallbackValues(fb any, nOut int) ([]any, bool) {
 // Get blocks until f's value is available and raises this context's sync
 // floor: tasks submitted afterwards in this context will not start, in
 // virtual time, before the synchronised data reached the master process.
+//
+// A task body waits from its own goroutine — the one the runtime called it
+// on, as every body in this module does: the wait hands that goroutine's
+// worker slot back while it helps, and takes one again before it returns.
 func (tc *TaskCtx) Get(f *Future) (any, error) {
 	tc.wantHere(f)
 	v, err := tc.blockingWait(f)
@@ -1268,94 +1161,31 @@ func (tc *TaskCtx) raiseFloor(f *Future) {
 	tc.mu.Unlock()
 }
 
-// blockingWait waits for a future. Three callers, three strategies:
-//
-//   - The main program (or any non-task context) helps: it runs ready tasks
-//     inline until the target completes, parking only when the queues are
-//     empty.
-//   - A non-Deadline body runs inline on a carrier or helper goroutine
-//     (onCarrier): it hands its worker slot back to the pool, helps, and
-//     reacquires before resuming — so nested tasks cannot deadlock the pool
-//     and the blocked body's goroutine keeps contributing throughput.
-//     Abandonment is impossible here (no deadline), so the slot bookkeeping
-//     is plain.
-//   - A Deadline body runs on a spawned goroutine and parks: release the
-//     slot, wait passively, reacquire unless the deadline handler abandoned the attempt — in
-//     which case the slot stays with the pool (the retry owns that
-//     capacity) and the body resumes slotless.
+// blockingWait waits for a future by helping: it runs ready tasks inline
+// until the target completes, parking only when the queues are empty. The
+// main program (or any non-task context) just helps. A body — running inline
+// on a carrier or helper goroutine — hands its worker slot back to the pool
+// first and reacquires one before resuming, so nested tasks cannot deadlock
+// the pool and the blocked body's goroutine keeps contributing throughput.
 func (tc *TaskCtx) blockingWait(f *Future) (any, error) {
+	if f.st.completed.Load() { // already resolved: a body keeps its slot
+		return f.wait()
+	}
+	rng := tc.rt.ex.nextSeed()
 	if !tc.insideTask {
-		if !f.st.completed.Load() {
-			rng := tc.rt.ex.nextSeed()
-			tc.rt.ex.helpUntilDone(nil, &rng, f.st)
-		}
+		tc.rt.ex.helpUntilDone(nil, &rng, f.st)
 		return f.wait()
 	}
-	if tc.onCarrier {
-		if f.st.completed.Load() { // already resolved, keep the slot
-			return f.wait()
-		}
-		tc.slotMu.Lock()
-		held := tc.holdsSlot
-		tc.holdsSlot = false
-		tc.slotMu.Unlock()
-		if held {
-			tc.rt.sem.release() // hand the slot back; release never blocks
-		}
-		rng := tc.rt.ex.nextSeed()
-		tc.rt.ex.helpUntilDone(tc.wkr, &rng, f.st)
-		if held {
-			tc.rt.sem.acquire()
-			tc.slotMu.Lock()
-			tc.holdsSlot = true
-			tc.slotMu.Unlock()
-		}
-		return f.wait()
-	}
-	tc.slotMu.Lock()
-	if tc.abandoned || !tc.holdsSlot {
-		tc.slotMu.Unlock()
-		return f.wait()
-	}
-	if f.st.completed.Load() { // already resolved, keep the slot
-		tc.slotMu.Unlock()
-		return f.wait()
-	}
-	// Park: hand the slot back. This attempt holds one, so the pool's count
-	// includes it and release only lowers that count and wakes one waiter.
-	tc.rt.sem.release()
-	tc.holdsSlot = false
-	tc.slotMu.Unlock()
-
-	<-f.st.doneChan()
-
-	// Reacquire before resuming the body, unless the attempt was abandoned
-	// while parked — its deadline handler saw holdsSlot == false and left
-	// the capacity to the retry.
-	tc.slotMu.Lock()
-	if tc.abandoned {
-		tc.slotMu.Unlock()
-		return f.wait()
-	}
-	tc.slotMu.Unlock()
+	tc.rt.sem.release() // hand the slot back; release never blocks
+	tc.rt.ex.helpUntilDone(tc.wkr, &rng, f.st)
 	tc.rt.sem.acquire()
-	tc.slotMu.Lock()
-	if tc.abandoned {
-		// Abandoned while blocked on the reacquire: give back the slot the
-		// acquire above took. The deadline handler saw holdsSlot == false and
-		// released nothing, so the pool counts this slot exactly once.
-		tc.slotMu.Unlock()
-		tc.rt.sem.release()
-		return f.wait()
-	}
-	tc.holdsSlot = true
-	tc.slotMu.Unlock()
 	return f.wait()
 }
 
 // WaitAll is a local barrier: it waits for every task submitted through
 // this context and raises the floor past all of them. It returns the first
-// error among them (in submission order).
+// error among them (in submission order). A body calls it from its own
+// goroutine, as Get.
 func (tc *TaskCtx) WaitAll() error {
 	tc.mu.Lock()
 	snapshot := make([]*Future, len(tc.submitted))
@@ -1461,7 +1291,8 @@ func (rt *Runtime) errorAbsorbed(st *taskState) bool {
 
 // GetAll resolves a slice of futures with Get semantics and returns the
 // values. It fails on the first error. Outputs that workers hold come home
-// together once all are there: a round trip a worker, not one a future.
+// together once all are there: a round trip a worker, not one a future. A
+// body calls it from its own goroutine, as Get.
 func (tc *TaskCtx) GetAll(fs []*Future) ([]any, error) {
 	for _, f := range fs {
 		tc.wantHere(f)

@@ -3,6 +3,7 @@ package compss
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -190,6 +191,98 @@ func TestParallelismIsBounded(t *testing.T) {
 	}
 	if peak > 3 {
 		t.Fatalf("peak concurrency %d exceeds 3 workers", peak)
+	}
+
+	// After bodies parked in Get — each hands its slot back while it helps
+	// and takes one again — the pool is still exactly Workers wide: a leaked
+	// slot lets the probes overlap beyond Workers, a lost one keeps them from
+	// reaching it (or hangs them).
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("parked-workers=%d", workers), func(t *testing.T) {
+			parkedThenProbed(t, workers)
+		})
+	}
+}
+
+// parkedThenProbed runs a parent that parks in Get on a child another
+// goroutine stole, the child parking in Get on a grandchild of its own, then
+// a burst of probes that must overlap at exactly workers.
+func parkedThenProbed(t *testing.T, workers int) {
+	stats := NewStatsObserver()
+	rt := New(Config{Workers: workers, Observers: []Observer{stats}})
+	parentStarted := make(chan struct{})
+	var childID atomic.Int32
+	parent := rt.Submit(Opts{Name: "parent"}, func(tc *TaskCtx, _ []any) (any, error) {
+		// Signal before submitting the child: the main goroutine must not
+		// help until this body owns a carrier's deque, or it would run the
+		// parent inline, deque-less, and the child would not be stolen.
+		close(parentStarted)
+		child := tc.Submit(Opts{Name: "child"}, func(tc *TaskCtx, _ []any) (any, error) {
+			v, err := tc.Get(tc.Submit(Opts{Name: "grandchild"}, constTask(6)))
+			if err != nil {
+				return nil, err
+			}
+			return v.(int) + 1, nil
+		})
+		childID.Store(int32(child.TaskID()))
+		for tc.wkr.size.Load() > 0 { // keep the deque's owner off it until the steal
+			runtime.Gosched()
+		}
+		v, err := tc.Get(child)
+		if err != nil {
+			return nil, err
+		}
+		return v.(int) + 1, nil
+	})
+	within := func(what string, wait func() error) {
+		done := make(chan error, 1)
+		go func() { done <- wait() }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s hung: the pool lost a slot to a parked body", what)
+		}
+	}
+	<-parentStarted
+	within("parent", func() error {
+		v, err := rt.Get(parent)
+		if err == nil && v != 8 {
+			err = fmt.Errorf("got %v, want 8", v)
+		}
+		return err
+	})
+	stolen := false
+	for _, s := range stats.Stats() {
+		if s.ID == int(childID.Load()) {
+			stolen = s.PerAttempt[0].Stolen
+		}
+	}
+	if !stolen {
+		t.Fatal("the child's attempt was not stolen")
+	}
+
+	var cur, peak atomic.Int32
+	probe := func(_ *TaskCtx, _ []any) (any, error) {
+		c := cur.Add(1)
+		for {
+			p := peak.Load()
+			if c <= p || peak.CompareAndSwap(p, c) {
+				break
+			}
+		}
+		time.Sleep(60 * time.Millisecond)
+		cur.Add(-1)
+		return nil, nil
+	}
+	for i := 0; i < 2*workers; i++ {
+		rt.Submit(Opts{Name: "probe"}, probe)
+	}
+	within("probe Barrier", rt.Barrier)
+	if p := peak.Load(); p != int32(workers) {
+		t.Fatalf("probe peak concurrency %d with Workers=%d, want exactly %d", p, workers, workers)
 	}
 }
 

@@ -27,9 +27,12 @@
 // # Execution and time
 //
 // Tasks really run, on a goroutine pool of Config.Workers slots, so model
-// outputs are genuine. Virtual time is handled elsewhere: every submission
-// is recorded in a graph.Graph (with its analytic cost and resource demand)
-// that internal/cluster replays against a virtual cluster description.
+// outputs are genuine. Each attempt runs inline, to completion, on the
+// goroutine that dispatched it — a pool carrier or a waiter that helps (see
+// Scheduling): no attempt is bounded in wall time or preempted. Virtual time
+// is handled elsewhere: every submission is recorded in a graph.Graph (with
+// its analytic cost and resource demand) that internal/cluster replays
+// against a virtual cluster description.
 //
 // Where a body runs is pluggable: SubmitExec / SubmitExecN submit *named*
 // registered functions (internal/exec) instead of closures, and
@@ -48,7 +51,7 @@
 // # Failure, observation
 //
 // Attempts that error or panic become TaskErrors and feed the retry /
-// deadline / degraded-mode machinery selected by Config.OnTaskFailure;
+// degraded-mode machinery selected by Config.OnTaskFailure;
 // FaultPlan injects failures deterministically for tests. Config.Observers
 // receive the full ordered event stream (Submit ≤ DepsReady ≤ Start ≤
 // End/Failure/Retry/Degrade) that internal/trace renders as Chrome traces.
@@ -85,5 +88,6 @@
 //
 // Waits help instead of blocking: Get and Barrier execute ready tasks
 // inline while they wait (within the Config.Workers slot bound), so a
-// parent blocked on its child makes progress even with Workers: 1.
+// parent blocked on its child makes progress even with Workers: 1. A body
+// waits from its own goroutine, the one the runtime called it on.
 package compss

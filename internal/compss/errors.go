@@ -5,19 +5,14 @@ import (
 	"fmt"
 )
 
-// ErrDeadlineExceeded marks an attempt that ran past its Opts.Deadline. Test
-// with errors.Is on the error returned by Get/Barrier.
-var ErrDeadlineExceeded = errors.New("deadline exceeded")
-
 // ErrInjectedFault marks a failure produced by a FaultPlan rather than the
 // task body. Tests use errors.Is to tell injected failures from organic ones.
 var ErrInjectedFault = errors.New("injected fault")
 
 // TaskError is the failure of a task's own execution: its body returned an
-// error or panicked, an attempt missed its deadline, its retry budget ran
-// out, or one of its nested children failed. ID and Name identify the task
-// in the captured graph; Err is the underlying cause, reachable through
-// errors.Is/As.
+// error or panicked, or one of its nested children failed, on every attempt
+// its retry budget allowed. ID and Name identify the task in the captured
+// graph; Err is the underlying cause, reachable through errors.Is/As.
 type TaskError struct {
 	ID   int
 	Name string

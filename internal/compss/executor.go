@@ -4,19 +4,20 @@
 // ring deque of ready tasks. A *carrier* is a goroutine that claims a
 // worker slot and loops pop→execute; carriers are spawned lazily when work
 // appears and exit after a short idle linger, so an idle Runtime costs no
-// goroutines. Execution capacity is bounded by the rt.sem slot pool — a
-// carrier acquires a slot per attempt — because a Deadline body parked in
-// Get hands its slot over through the pool (deadline abandonment releases
-// exactly the slots an attempt holds). The pool and the carrier and deque
-// arrays here are sized once, from the same number (see New); thieves
-// iterate ex.workers unlocked.
+// goroutines. Every attempt runs inline on the carrier or helper that
+// dispatched it. Execution capacity is bounded by the rt.sem slot pool — a
+// carrier or helper acquires a slot per attempt, and a body blocked in Get
+// hands its slot back while it helps — because the main program helps
+// without being a carrier, so the carrier count alone does not bound it. The
+// pool and the carrier and deque arrays here are sized once, from the same
+// number (see New); thieves iterate ex.workers unlocked.
 //
 // Queues. A task body submitting through its TaskCtx pushes onto its own
 // worker's deque bottom (LIFO: the freshest task is the cache-warmest) and
-// never touches a runtime-global lock; external submits (main program,
-// deadline-task bodies that outlive their carrier, abandoned attempts)
-// round-robin over the live-carrier prefix of the deques. A ring that fills
-// doubles, so every ready task sits on exactly one deque. When a task
+// never touches a runtime-global lock; external submits (the main program,
+// and bodies the main program runs while it helps) round-robin over the
+// live-carrier prefix of the deques. A ring that fills doubles, so every
+// ready task sits on exactly one deque. When a task
 // completes, its newly-ready children are pushed onto the completing
 // worker's deque — the locality property Taskflow gets from the same
 // design. Thieves take the deque top (FIFO), so the oldest — most likely
@@ -69,8 +70,7 @@ const (
 
 // worker is one deque owner slot. The structs are created at New and never
 // freed; carriers claim and release them, and thieves sweep all of them, so
-// a deque stays drainable even between owners (an abandoned deadline body
-// may push to its worker's deque after the carrier moved on or exited).
+// a deque stays drainable even between owners.
 type worker struct {
 	idx int
 
@@ -290,21 +290,19 @@ func xorshift(s *uint64) uint64 {
 	return x
 }
 
+// claimWorker hands a starting carrier its deque. One is always free: a
+// carrier claims after signalWork counted it in nLive and releases before it
+// uncounts itself, and nLive never exceeds maxProcs.
 func (ex *executor) claimWorker() *worker {
 	ex.claimMu.Lock()
 	defer ex.claimMu.Unlock()
-	if n := len(ex.free); n > 0 {
-		w := ex.free[n-1]
-		ex.free = ex.free[:n-1]
-		return w
-	}
-	return nil // all slots owned (some carriers are blocked in deadline waits)
+	n := len(ex.free)
+	w := ex.free[n-1]
+	ex.free = ex.free[:n-1]
+	return w
 }
 
 func (ex *executor) releaseWorker(w *worker) {
-	if w == nil {
-		return
-	}
 	ex.claimMu.Lock()
 	ex.free = append(ex.free, w)
 	ex.claimMu.Unlock()

@@ -16,11 +16,6 @@ const (
 	FaultError FaultMode = iota
 	// FaultPanic makes the attempt panic (exercises the recover path).
 	FaultPanic
-	// FaultHang makes the attempt block until its deadline cancels it, so it
-	// fails with ErrDeadlineExceeded. It requires Opts.Deadline > 0 on the
-	// targeted task; without a deadline the runtime downgrades it to
-	// FaultError rather than blocking a worker forever.
-	FaultHang
 )
 
 // Fault selects a set of task attempts to kill. Matching, in priority order:
@@ -44,8 +39,7 @@ type Fault struct {
 	Attempts int
 	Mode     FaultMode
 	// AtFraction is the fraction of the task's virtual cost consumed before
-	// the failure instant, in (0, 1]; out-of-range values mean 0.5. Timeouts
-	// always charge the full cost (the node was held until the deadline).
+	// the failure instant, in (0, 1]; out-of-range values mean 0.5.
 	AtFraction float64
 }
 
@@ -93,16 +87,11 @@ func (p *FaultPlan) match(id int, name string, occ, attempt int) *Fault {
 }
 
 // injectedBody replaces a task body for one doomed attempt.
-func injectedBody(st *taskState, attempt int, mode FaultMode, cancel chan struct{}) MultiTaskFunc {
+func injectedBody(attempt int, mode FaultMode) MultiTaskFunc {
 	return func(_ *TaskCtx, _ []any) ([]any, error) {
-		switch mode {
-		case FaultPanic:
+		if mode == FaultPanic {
 			panic(fmt.Sprintf("injected fault (attempt %d)", attempt))
-		case FaultHang:
-			<-cancel
-			return nil, fmt.Errorf("attempt %d hung: %w", attempt, ErrInjectedFault)
-		default:
-			return nil, fmt.Errorf("attempt %d: %w", attempt, ErrInjectedFault)
 		}
+		return nil, fmt.Errorf("attempt %d: %w", attempt, ErrInjectedFault)
 	}
 }

@@ -207,62 +207,6 @@ func TestDegradeWithoutFallbackStillFails(t *testing.T) {
 	}
 }
 
-// A deadline fails the attempt; the retry's body (which behaves) succeeds,
-// and the timed-out attempt is recorded as mode "timeout".
-func TestDeadlineTimesOutAttemptThenRetries(t *testing.T) {
-	rt := New(Config{Workers: 2})
-	var calls atomic.Int32
-	f := rt.Submit(Opts{Name: "slow", Deadline: 40 * time.Millisecond, Retries: 1},
-		func(_ *TaskCtx, _ []any) (any, error) {
-			if calls.Add(1) == 1 {
-				time.Sleep(400 * time.Millisecond)
-			}
-			return 7, nil
-		})
-	v, err := rt.Get(f)
-	if err != nil || v != 7 {
-		t.Fatalf("got (%v, %v), want the retry to publish 7", v, err)
-	}
-	evs := rt.Graph().FailureEvents()
-	if len(evs) != 1 || evs[0].Mode != "timeout" {
-		t.Fatalf("events = %+v, want one timeout", evs)
-	}
-}
-
-func TestDeadlineExhaustedIsErrDeadlineExceeded(t *testing.T) {
-	rt := New(Config{Workers: 2})
-	f := rt.Submit(Opts{Name: "hang", Deadline: 30 * time.Millisecond},
-		func(_ *TaskCtx, _ []any) (any, error) {
-			time.Sleep(300 * time.Millisecond)
-			return 1, nil
-		})
-	_, err := rt.Get(f)
-	if !errors.Is(err, ErrDeadlineExceeded) {
-		t.Fatalf("want ErrDeadlineExceeded, got %v", err)
-	}
-	var te *TaskError
-	if !errors.As(err, &te) || te.Name != "hang" {
-		t.Fatalf("timeout not wrapped in a TaskError: %v", err)
-	}
-}
-
-// A FaultHang injection is only survivable with a deadline: the timer fires,
-// the hung attempt is abandoned, and the retry runs the real body.
-func TestHangFaultRecoveredByDeadline(t *testing.T) {
-	rt := New(Config{Workers: 2, Faults: &FaultPlan{Faults: []Fault{
-		{Name: "h", Nth: 0, Attempts: 1, Mode: FaultHang},
-	}}})
-	f := rt.Submit(Opts{Name: "h", Deadline: 40 * time.Millisecond, Retries: 1}, constTask(3))
-	v, err := rt.Get(f)
-	if err != nil || v != 3 {
-		t.Fatalf("got (%v, %v), want recovery to 3", v, err)
-	}
-	evs := rt.Graph().FailureEvents()
-	if len(evs) != 1 || evs[0].Mode != "timeout" {
-		t.Fatalf("events = %+v, want one timeout from the hung attempt", evs)
-	}
-}
-
 // Satellite regression: a nested child failing under retry must not deadlock
 // blockingWait's slot release/reacquire with a single worker. The child's own
 // retry recovers it while the parent is parked in Get.
@@ -357,121 +301,6 @@ func TestFaultMatchingByOccurrence(t *testing.T) {
 	}
 	if _, err := rt.Get(f2); err != nil {
 		t.Fatalf("occurrence 2 should survive: %v", err)
-	}
-}
-
-// Regression (review): with a single worker, a parent whose deadline fires
-// while it is parked in Get on a slow child used to corrupt the semaphore
-// accounting — the timeout handler consumed a token the parked body had
-// already given back, the child then hung on its own release, and the
-// workflow deadlocked. The retry must recover, and the pool must still be
-// exactly Workers wide afterwards.
-func TestDeadlineAbandonWhileParkedInGetDoesNotDeadlock(t *testing.T) {
-	rt := New(Config{Workers: 1})
-	var parentRuns atomic.Int32
-	parent := rt.Submit(Opts{Name: "parent", Deadline: 50 * time.Millisecond, Retries: 1},
-		func(tc *TaskCtx, _ []any) (any, error) {
-			slow := parentRuns.Add(1) == 1
-			c := tc.Submit(Opts{Name: "child"}, func(_ *TaskCtx, _ []any) (any, error) {
-				if slow {
-					time.Sleep(250 * time.Millisecond) // outlives the parent's deadline
-				}
-				return 5, nil
-			})
-			v, err := tc.Get(c) // parks, releasing the only slot
-			if err != nil {
-				return nil, err
-			}
-			return v.(int) + 1, nil
-		})
-
-	type outcome struct {
-		v   any
-		err error
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		v, err := rt.Get(parent)
-		done <- outcome{v, err}
-	}()
-	select {
-	case o := <-done:
-		if o.err != nil || o.v != 6 {
-			t.Fatalf("got (%v, %v), want the retry to publish 6", o.v, o.err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("workflow deadlocked after deadline abandonment")
-	}
-	barrier := make(chan error, 1)
-	go func() { barrier <- rt.Barrier() }()
-	select {
-	case err := <-barrier:
-		if err != nil {
-			t.Fatalf("Barrier after recovery: %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("Barrier deadlocked after deadline abandonment")
-	}
-
-	// The pool must still be exactly one slot wide: if the abandonment
-	// leaked a token, these probes overlap; if it lost one, they hang.
-	var cur, peak atomic.Int32
-	probe := func(_ *TaskCtx, _ []any) (any, error) {
-		c := cur.Add(1)
-		for {
-			p := peak.Load()
-			if c <= p || peak.CompareAndSwap(p, c) {
-				break
-			}
-		}
-		time.Sleep(30 * time.Millisecond)
-		cur.Add(-1)
-		return nil, nil
-	}
-	rt.Submit(Opts{Name: "probe"}, probe)
-	rt.Submit(Opts{Name: "probe"}, probe)
-	go func() { barrier <- rt.Barrier() }()
-	select {
-	case err := <-barrier:
-		if err != nil {
-			t.Fatalf("probe Barrier: %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("worker pool lost a slot to the abandoned attempt")
-	}
-	if p := peak.Load(); p != 1 {
-		t.Fatalf("peak concurrency %d with Workers=1: abandonment leaked a slot", p)
-	}
-}
-
-// Regression (review): a deadline retry must not wait for the abandoned
-// attempt's still-running children — Opts.Deadline bounds the task's own
-// recovery. With spare capacity the retry completes while the abandoned
-// child is still asleep; Barrier still waits for (and absorbs) it.
-func TestDeadlineRetryDoesNotWaitForAbandonedChildren(t *testing.T) {
-	rt := New(Config{Workers: 2})
-	var attempts atomic.Int32
-	start := time.Now()
-	parent := rt.Submit(Opts{Name: "parent", Deadline: 50 * time.Millisecond, Retries: 1},
-		func(tc *TaskCtx, _ []any) (any, error) {
-			if attempts.Add(1) == 1 {
-				c := tc.Submit(Opts{Name: "lingering"}, func(_ *TaskCtx, _ []any) (any, error) {
-					time.Sleep(1200 * time.Millisecond)
-					return nil, nil
-				})
-				tc.Get(c) // parks past the deadline
-			}
-			return "ok", nil
-		})
-	v, err := rt.Get(parent)
-	if err != nil || v != "ok" {
-		t.Fatalf("got (%v, %v), want the retry to publish ok", v, err)
-	}
-	if el := time.Since(start); el > 600*time.Millisecond {
-		t.Fatalf("retry took %v — it waited for the abandoned child", el)
-	}
-	if err := rt.Barrier(); err != nil {
-		t.Fatalf("Barrier after recovery: %v", err)
 	}
 }
 

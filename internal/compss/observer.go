@@ -60,10 +60,10 @@ const (
 	// EventRetry fires when a failed attempt re-queues; Attempt is the
 	// *upcoming* attempt index (the one a later Start will carry).
 	EventRetry
-	// EventFailure fires when an attempt fails (Mode "error", "panic" or
-	// "timeout"), or — with Attempt -1 and Mode "deps" — when a dependency
-	// failure prevents the task from ever running. Final marks the task's
-	// terminal failure: no retry follows and no fallback stands in.
+	// EventFailure fires when an attempt fails (Mode "error" or "panic"), or
+	// — with Attempt -1 and Mode "deps" — when a dependency failure prevents
+	// the task from ever running. Final marks the task's terminal failure: no
+	// retry follows and no fallback stands in.
 	EventFailure
 	// EventDegrade fires after the terminal failure of a task that declared
 	// Opts.Fallback under the Degrade policy: the fallback was published and
@@ -112,8 +112,8 @@ type Event struct {
 	Time time.Time
 	// Err is the attempt's failure (Failure events only).
 	Err error
-	// Mode is the failure mode: "error", "panic", "timeout", or "deps" for
-	// a dependency failure (Failure events only).
+	// Mode is the failure mode: "error", "panic", or "deps" for a dependency
+	// failure (Failure events only).
 	Mode string
 	// Final marks a Failure event as the task's terminal outcome: the retry
 	// budget is spent and no fallback stands in.

@@ -15,7 +15,7 @@ import (
 type AttemptStat struct {
 	Queued  time.Duration // runnable (deps ready / retry queued) → body start
 	Run     time.Duration // body start → body return
-	Outcome string        // "ok", "error", "panic" or "timeout"
+	Outcome string        // "ok", "error" or "panic"
 	Stolen  bool          // the attempt ran on a worker that stole the task
 }
 

@@ -1,10 +1,6 @@
 package compss
 
-import (
-	"sync/atomic"
-	"testing"
-	"time"
-)
+import "testing"
 
 // TestStealStress drives the work-stealing dispatcher through its
 // migration paths under deliberately unbalanced load: a hot body that
@@ -101,108 +97,4 @@ func TestStealStress(t *testing.T) {
 	// chainFan leaves per positive-depth link, and the external burst.
 	total := 1 + hotChildren + (chainDepth + 1) + chainDepth*chainFan + burst
 	obs.check(t, total)
-}
-
-// Regression: Opts.Deadline abandonment must release exactly one worker
-// slot when the abandoned attempt was *stolen* — the thief's carrier owns
-// the slot, not the worker whose deque the task was enqueued on, and the
-// timeout handler must charge the right one. The setup pins the steal: the
-// parent body holds its own carrier hostage until the child has started,
-// so the child (sitting on the parent's deque) can only have been taken by
-// another goroutine. Afterwards the pool must still be exactly Workers
-// wide: leaked slot → probes overlap beyond Workers; lost slot → probe
-// concurrency never reaches Workers.
-func TestStolenDeadlineAbandonReleasesExactlyOneSlot(t *testing.T) {
-	stats := NewStatsObserver()
-	rt := New(Config{Workers: 2, Observers: []Observer{stats}})
-
-	childStarted := make(chan struct{})
-	parentStarted := make(chan struct{})
-	var childRuns atomic.Int32
-	var childID atomic.Int32
-	parent := rt.Submit(Opts{Name: "parent"}, func(tc *TaskCtx, _ []any) (any, error) {
-		// Signal before submitting the child: the main goroutine must not
-		// reach its helping wait until this body owns a carrier's deque, or
-		// the helper would run the parent inline (deque-less) and the child
-		// would be dispatched locally instead of stolen.
-		close(parentStarted)
-		child := tc.Submit(Opts{Name: "child", Deadline: 50 * time.Millisecond, Retries: 1},
-			func(_ *TaskCtx, _ []any) (any, error) {
-				if childRuns.Add(1) == 1 {
-					close(childStarted)
-					time.Sleep(250 * time.Millisecond) // overruns the deadline
-				}
-				return 7, nil
-			})
-		childID.Store(int32(child.TaskID()))
-		<-childStarted // keep this carrier busy until the steal happened
-		v, err := tc.Get(child)
-		if err != nil {
-			return nil, err
-		}
-		return v.(int) + 1, nil
-	})
-
-	<-parentStarted
-	if v, err := rt.Get(parent); err != nil || v.(int) != 8 {
-		t.Fatalf("parent = (%v, %v), want the deadline retry to publish 8", v, err)
-	}
-	if err := rt.Barrier(); err != nil {
-		t.Fatalf("Barrier: %v", err)
-	}
-
-	// The abandoned attempt must carry the steal attribution: it ran while
-	// its enqueuing worker's carrier was blocked inside the parent body.
-	var childStat *TaskStat
-	for _, s := range stats.Stats() {
-		if s.ID == int(childID.Load()) {
-			cp := s
-			childStat = &cp
-		}
-	}
-	if childStat == nil {
-		t.Fatal("no stats recorded for the child task")
-	}
-	if childStat.Attempts != 2 {
-		t.Fatalf("child attempts = %d, want 2 (abandoned + retry)", childStat.Attempts)
-	}
-	if !childStat.PerAttempt[0].Stolen {
-		t.Error("abandoned attempt not attributed as stolen")
-	}
-	if childStat.PerAttempt[0].Outcome != "timeout" {
-		t.Errorf("abandoned attempt outcome = %q, want %q", childStat.PerAttempt[0].Outcome, "timeout")
-	}
-
-	// Pool exactness: with Workers=2, four sleeping probes must overlap at
-	// exactly two. Peak 3+ means the abandonment leaked the thief's slot;
-	// a hang (or peak 1) means it released a slot it did not own.
-	var cur, peak atomic.Int32
-	probe := func(_ *TaskCtx, _ []any) (any, error) {
-		c := cur.Add(1)
-		for {
-			p := peak.Load()
-			if c <= p || peak.CompareAndSwap(p, c) {
-				break
-			}
-		}
-		time.Sleep(60 * time.Millisecond)
-		cur.Add(-1)
-		return nil, nil
-	}
-	for i := 0; i < 4; i++ {
-		rt.Submit(Opts{Name: "probe"}, probe)
-	}
-	barrier := make(chan error, 1)
-	go func() { barrier <- rt.Barrier() }()
-	select {
-	case err := <-barrier:
-		if err != nil {
-			t.Fatalf("probe Barrier: %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("worker pool lost a slot to the stolen abandoned attempt")
-	}
-	if p := peak.Load(); p != 2 {
-		t.Fatalf("probe peak concurrency %d with Workers=2, want exactly 2", p)
-	}
 }

@@ -9,17 +9,71 @@ import (
 	"taskml/internal/exec"
 )
 
-// onStart runs fn once, the first time a task of the given name starts.
-type onStart struct {
+// treeOn calls kill once worker provably holds, alone, a tree that a
+// submitted rf_predict will read and none has read yet. A tree is the output
+// of its root, the last rf_join submitted before the next rf_bootstrap or
+// rf_predict; rf_gather opens a fold. A predict reads every tree of its fold,
+// so none can have run — alone or as a chain follower of a tree — while
+// another tree of the fold has not ended: kill fires when a root ends on
+// worker with its fold's predicts submitted and another of its roots still
+// running. Nothing else reads a tree, so it was never pulled.
+type treeOn struct {
 	compss.NopObserver
-	name string
-	once sync.Once
-	fn   func()
+	worker string
+	kill   func()
+
+	mu         sync.Mutex
+	folds      int          // rf_gather tasks submitted
+	lastJoin   int          // the rf_join submitted last, 0 once its tree's root is known
+	rootFold   map[int]int  // root → fold
+	ended      map[int]bool // rf_join tasks that ended
+	running    map[int]int  // fold → its known roots that have not ended
+	predicting map[int]bool // folds whose rf_predicts are submitted
+	fired      bool
 }
 
-func (o *onStart) OnStart(ev compss.Event) {
-	if ev.Name == o.name {
-		o.once.Do(o.fn)
+func newTreeOn(worker string, kill func()) *treeOn {
+	return &treeOn{worker: worker, kill: kill, rootFold: map[int]int{}, ended: map[int]bool{},
+		running: map[int]int{}, predicting: map[int]bool{}}
+}
+
+func (o *treeOn) OnSubmit(ev compss.Event) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	switch ev.Name {
+	case "rf_gather":
+		o.folds++
+	case "rf_join":
+		o.lastJoin = ev.Task
+	case "rf_bootstrap", "rf_predict":
+		if o.lastJoin != 0 {
+			o.rootFold[o.lastJoin] = o.folds
+			if !o.ended[o.lastJoin] {
+				o.running[o.folds]++
+			}
+			o.lastJoin = 0
+		}
+		if ev.Name == "rf_predict" {
+			o.predicting[o.folds] = true
+		}
+	}
+}
+
+func (o *treeOn) OnEnd(ev compss.Event) {
+	if ev.Name != "rf_join" {
+		return
+	}
+	o.mu.Lock()
+	o.ended[ev.Task] = true
+	fold, root := o.rootFold[ev.Task]
+	if root {
+		o.running[fold]--
+	}
+	fire := root && !o.fired && ev.Worker == o.worker && o.predicting[fold] && o.running[fold] > 0
+	o.fired = o.fired || fire
+	o.mu.Unlock()
+	if fire {
+		o.kill()
 	}
 }
 
@@ -57,9 +111,10 @@ func sameReports(t *testing.T, what string, local, remote *CVReport) {
 
 // TestRemoteLineageParity: outputs stay on the worker that made them, so a
 // worker that dies takes values with it that exist nowhere else. Worker 0 is
-// SIGKILLed between a fold's fit and its predict — the first rf_predict is
-// about to be dispatched, every tree worker 0 built is held by it alone — and
-// the trees are rebuilt from lineage: confusion matrices bit-identical to the
+// SIGKILLed while it holds, alone, a tree that a submitted rf_predict will
+// read (treeOn) — when a fold's tree ends there with another of the fold's
+// trees still running — and what it held is rebuilt from lineage: confusion
+// matrices bit-identical to the
 // in-process run, producers recomputed, the stats still a partition. The
 // second variant loses values the other way: a 1 MB cache evicts nearly
 // everything it is asked to hold, and the pass still ends, identical, having
@@ -82,10 +137,10 @@ func TestRemoteLineageParity(t *testing.T) {
 		cfg.Retries = 3
 		cfg.RetryBackoff = 1
 		var heldAtKill uint64
-		cfg.Observers = []compss.Observer{&onStart{name: "rf_predict", fn: func() {
+		cfg.Observers = []compss.Observer{newTreeOn(backend.Workers()[0].ID, func() {
 			heldAtKill = backend.Stats().Held
 			_ = backend.KillWorker(0)
-		}}}
+		})}
 		rf, kn, _ := cvBoth(t, ds, cfg)
 		sameReports(t, "rf", localRF, rf)
 		sameReports(t, "knn", localKNN, kn)

@@ -8,7 +8,7 @@ import (
 
 // Backend executes Opts.Exec-named task attempts on behalf of the compss
 // runtime. One attempt is one ExecuteTask call (or one member of a
-// ChainBackend's ExecuteChain): the runtime's retry/deadline/fault machinery
+// ChainBackend's ExecuteChain): the runtime's retry/fault machinery
 // sits *above* the backend, so a backend failure (worker crash, dropped
 // connection, unknown function) is just an attempt error — a compss.TaskError,
 // retried, degraded or finalised like any in-process failure.

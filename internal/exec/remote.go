@@ -569,9 +569,8 @@ func (r *Remote) failPending(w *workerConn, err error) {
 // immediately, its in-flight attempts run to completion (their responses —
 // and the piggybacked cache reports — still come back and count Completed),
 // and once the last one finishes the connection closes and a loopback child
-// is reaped. An attempt that outlives its deadline instead times out into
-// the runtime's retry machinery like any other slow attempt. Drain returns
-// as soon as the worker is marked; observe completion via Workers (state
+// is reaped; nothing bounds how long those attempts run. Drain returns as
+// soon as the worker is marked; observe completion via Workers (state
 // "dead") or the fleet hook's "drained" event.
 func (r *Remote) Drain(id string) error {
 	r.mu.Lock()

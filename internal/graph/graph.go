@@ -65,7 +65,7 @@ type FailureEvent struct {
 	Task int
 	// Attempt is the 0-based attempt index that failed.
 	Attempt int
-	// Mode is how the attempt died: "error", "panic" or "timeout".
+	// Mode is how the attempt died: "error" or "panic" (any string replays).
 	Mode string
 	// CostFraction is the fraction of the task's virtual cost consumed
 	// before the failure instant, in [0, 1].

@@ -46,7 +46,7 @@ echo "== go test -race ./..."
 go test -race ./...
 
 # The fault-tolerance layer retries attempts concurrently with nested
-# submission and deadline timers, the trace golden test asserts the
+# submission and slot hand-back in Get, the trace golden test asserts the
 # exported shape is schedule-independent, the eddl training loop runs on
 # pooled scratch shared across workers, and the exec backend multiplexes
 # worker connections from many dispatch goroutines; run these packages
@@ -65,16 +65,15 @@ for target in FuzzDecodeValue FuzzDecodeFrame; do
 done
 
 # The work-stealing dispatcher's migration paths (ring growth, cross-worker
-# steals, stolen-task deadline abandonment) only open up under unbalanced
-# load; run the stealing stress tests twice at both GOMAXPROCS extremes so
-# single-threaded interleavings and truly parallel ones are both exercised
-# under the race detector. The deadline-abandon tests guard the slot pool a
-# parked Deadline body hands its slot back through, so they run here too.
-# Chain dispatch marks tasks from one goroutine that another completes, and
-# hands them back across the same boundary: its tests (fake chain backend, no
-# sockets) ride along.
-echo "== go test -race -count=2 -cpu=1,8 -run 'TestStealStress|TestStolenDeadline|TestDeadlineAbandon|TestChainMembership|TestChainHandBack|TestChainHeadFailure|TestChainEventsAndStats' ./internal/compss/"
-go test -race -count=2 -cpu=1,8 -run 'TestStealStress|TestStolenDeadline|TestDeadlineAbandon|TestChainMembership|TestChainHandBack|TestChainHeadFailure|TestChainEventsAndStats' ./internal/compss/
+# steals) only open up under unbalanced load; run the stealing stress tests
+# twice at both GOMAXPROCS extremes so single-threaded interleavings and truly
+# parallel ones are both exercised under the race detector. The pool-width
+# test guards the slot pool a body parked in Get hands its slot back through
+# — one of them stolen — so it runs here too. Chain dispatch marks tasks from
+# one goroutine that another completes, and hands them back across the same
+# boundary: its tests (fake chain backend, no sockets) ride along.
+echo "== go test -race -count=2 -cpu=1,8 -run 'TestStealStress|TestParallelismIsBounded|TestChainMembership|TestChainHandBack|TestChainHeadFailure|TestChainEventsAndStats' ./internal/compss/"
+go test -race -count=2 -cpu=1,8 -run 'TestStealStress|TestParallelismIsBounded|TestChainMembership|TestChainHandBack|TestChainHeadFailure|TestChainEventsAndStats' ./internal/compss/
 
 # internal/core and internal/serve are not in the -count=2 pass above, so
 # the tests there that race membership changes, holder kills and concurrent
