@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -122,8 +123,8 @@ type Runtime struct {
 	main *TaskCtx
 
 	// ex is the work-stealing executor (see executor.go): per-worker ready
-	// deques and the carrier/parking machinery. The task registry lives in
-	// its shards; the runtime keeps no global task list.
+	// deques and the carrier/parking machinery. Neither it nor the runtime
+	// keeps a task list: Barrier walks the main context's submissions.
 	ex *executor
 
 	// obs is the copy-on-write observer list; nil when no observer is
@@ -270,7 +271,10 @@ func (rt *Runtime) WaitAll() error { return rt.main.WaitAll() }
 // returns the first error in submission order, if any. Like a PyCOMPSs
 // barrier it is also a synchronisation: tasks submitted afterwards start,
 // in virtual time, after everything before the barrier.
-// It forwards to Main()'s global barrier.
+// It is Main().WaitAll with the floor raised past every task in the graph:
+// a task completes only after the tasks its body submitted, so the main
+// program's tasks complete last, and a nested failure no ancestor absorbed
+// failed its main-program ancestor too, which has the smaller id.
 func (rt *Runtime) Barrier() error { return rt.main.barrierAll() }
 
 // taskState is the shared completion record behind one or more Futures.
@@ -297,19 +301,16 @@ type taskState struct {
 	degraded bool
 	// last is the attempt that made vals, counted on by reruns of a task whose
 	// held outputs were lost (held.go; chMu serialises them). It sits, like
-	// want below, in what was padding: the arena chunk is at the edge of its
-	// allocation size class.
+	// want below, in what would be padding (TestTaskChunkKeepsItsSizeClass).
 	last int32
 
 	// Execution record carried from submit to runReady: the body, its output
-	// arity, the raw argument list (futures unresolved), and the submitting
-	// context's task state for the barrier's absorbed-error walk. The body
-	// and the arguments go at completion (letGo).
-	fn1      TaskFunc
-	fnN      MultiTaskFunc
-	nOut     int
-	args     []any
-	parentSt *taskState
+	// arity and the raw argument list (futures unresolved). The body and the
+	// arguments go at completion (letGo).
+	fn1  TaskFunc
+	fnN  MultiTaskFunc
+	nOut int
+	args []any
 	// floorIDs snapshots the submitting context's sync floor: every id here
 	// became a (ViaMaster) graph dep of this task, so Get on this task can
 	// compact them out of the floor.
@@ -328,13 +329,6 @@ type taskState struct {
 	// chained marks a follower of a chain in flight (chain.go): becomeReady
 	// leaves it to the chain's runner.
 	chained atomic.Bool
-	// reg marks the submit-time field initialization as complete: the
-	// arena slot is reachable by snapshotTasks the moment it is handed
-	// out, so the gather skips slots whose submit has not yet published
-	// them (the store is the release the gather's load acquires). A task
-	// skipped mid-submit is covered transitively — its submitting parent
-	// is gathered, and a parent's completion waits on its children.
-	reg atomic.Bool
 	// want is set by a Get that waits for the task: its outputs should come
 	// home in the reply instead of staying on the worker (held.go).
 	want atomic.Bool
@@ -386,7 +380,7 @@ type Future struct {
 func (f *Future) TaskID() int { return f.st.id }
 
 // wait blocks until the producing task completed, without sync-floor
-// semantics (used for dependency resolution and barriers).
+// semantics, and returns its outcome (blockingWait's last step).
 func (f *Future) wait() (any, error) {
 	if !f.st.completed.Load() {
 		<-f.st.doneChan()
@@ -405,15 +399,12 @@ type TaskCtx struct {
 	parent     int  // graph ID of the enclosing task, -1 for main
 	insideTask bool // true when this ctx belongs to a running task body
 
-	// ownerSt is the taskState whose body this context belongs to (nil for
-	// main); it seeds taskState.parentSt on nested submissions. wkr is the
-	// deque the executing carrier owns — nested submits push there, the
-	// lock-free fast path — and is nil for main and for a body the main
-	// program ran while it helped. A body runs inline on the carrier or
+	// wkr is the deque the executing carrier owns — nested submits push
+	// there, the lock-free fast path — and is nil for main and for a body the
+	// main program ran while it helped. A body runs inline on the carrier or
 	// helper goroutine that dispatched it, holding the worker slot its
-	// attempt acquired, and blocks by helping (blockingWait).
-	ownerSt *taskState
-	wkr     *worker
+	// attempt acquired, and blocks by helping (blockingWait, waitSubmitted).
+	wkr *worker
 
 	// floor is the compactable sync floor: the task IDs whose ordering the
 	// next submission must capture as graph deps. Get(X) both adds X and
@@ -628,7 +619,7 @@ func (tc *TaskCtx) submit(o *Opts, nOut int, fn1 TaskFunc, fnN MultiTaskFunc, ar
 	st.id, st.name, st.occ, st.retries = id, o.Name, occ, retries
 	st.fallback, st.execName = o.Fallback, o.Exec
 	st.fn1, st.fnN, st.nOut, st.args = fn1, fnN, nOut, args
-	st.parentSt, st.floorIDs = tc.ownerSt, floorIDs
+	st.floorIDs = floorIDs
 	st.ctx0.rt = tc.rt // a future keeps its runtime, and so its session, alive
 	// Count before registering: every future argument plus one submission
 	// sentinel. A producer may complete (and decrement) the instant it has
@@ -647,7 +638,6 @@ func (tc *TaskCtx) submit(o *Opts, nOut int, fn1 TaskFunc, fnN MultiTaskFunc, ar
 			futs[i] = &Future{st: st, idx: i}
 		}
 	}
-	st.reg.Store(true) // init complete: publish to the registry gather
 
 	tc.mu.Lock()
 	if tc.submitted == nil {
@@ -753,10 +743,11 @@ func (rt *Runtime) complete(st *taskState, w *worker) {
 }
 
 // letGo drops what only running st needed — its body, its argument list and
-// its fallback — once its outputs are published: the executor's arena keeps
-// every taskState for the runtime's life (barrierAll), so whatever a completed
-// task still points at lives as long. A task with an output held on a worker
-// keeps args, which its lineage rerun reads (held.go).
+// its fallback — once its outputs are published: a completed main-program
+// task stays reachable from Main().submitted for the runtime's life, and a
+// nested one from its parent's, so whatever a completed task still points at
+// lives as long. A task with an output held on a worker keeps args, which its
+// lineage rerun reads (held.go).
 func (st *taskState) letGo() {
 	st.fn1, st.fnN, st.fallback = nil, nil, nil
 	for _, v := range st.vals {
@@ -803,7 +794,6 @@ func (rt *Runtime) runReady(st *taskState, w *worker, stolen bool) {
 		} else {
 			child = &TaskCtx{rt: rt, parent: id, insideTask: true}
 		}
-		child.ownerSt = st
 		child.wkr = w
 		res := rt.execAttempt(st, child, attempt, nOut, st.fn1, st.fnN, resolved)
 		rt.sem.release()
@@ -824,7 +814,7 @@ func (rt *Runtime) runReady(st *taskState, w *worker, stolen bool) {
 
 		// An attempt is not complete until its children are; a child failure
 		// fails the attempt, so the retry covers the whole nested subtree.
-		cerr := child.waitSubmitted()
+		_, cerr := child.waitSubmitted(false)
 		if res.err == nil && cerr != nil {
 			res = attemptResult{
 				err:  &TaskError{ID: id, Name: st.name, Err: fmt.Errorf("nested task failed: %w", cerr)},
@@ -1187,106 +1177,63 @@ func (tc *TaskCtx) blockingWait(f *Future) (any, error) {
 // error among them (in submission order). A body calls it from its own
 // goroutine, as Get.
 func (tc *TaskCtx) WaitAll() error {
+	fs, err := tc.waitSubmitted(tc.insideTask)
 	tc.mu.Lock()
-	snapshot := make([]*Future, len(tc.submitted))
-	copy(snapshot, tc.submitted)
-	tc.mu.Unlock()
-
-	var first error
-	for _, f := range snapshot {
-		if _, err := tc.blockingWait(f); err != nil && first == nil {
-			first = err
-		}
-	}
-	tc.mu.Lock()
-	for _, f := range snapshot {
+	for _, f := range fs {
 		tc.floorLazy = append(tc.floorLazy, f.st.id)
 	}
 	tc.mu.Unlock()
-	return first
+	return err
 }
 
-// waitSubmitted waits for this context's tasks without floor bookkeeping;
-// used for the implicit wait when a task body returns. The attempt's worker
-// slot is already released at that point, so the calling carrier/helper
-// goroutine helps — running the very children it is waiting for when
-// nothing else claimed them.
-func (tc *TaskCtx) waitSubmitted() error {
-	tc.mu.Lock()
-	if len(tc.submitted) == 0 {
-		tc.mu.Unlock()
-		return nil
-	}
-	snapshot := make([]*Future, len(tc.submitted))
-	copy(snapshot, tc.submitted)
-	tc.mu.Unlock()
-	var first error
-	var rng uint64
-	for _, f := range snapshot {
-		if !f.st.completed.Load() {
-			if rng == 0 {
-				rng = tc.rt.ex.nextSeed()
-			}
-			tc.rt.ex.helpUntilDone(tc.wkr, &rng, f.st)
-		}
-		if _, err := f.wait(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// barrierAll waits for every task in the runtime (main Barrier). Failures
-// compensated upstream — a nested task whose parent retried past it or
-// degraded to its fallback — are not the workflow's failures and are
-// skipped; the first unabsorbed error in submission order is returned.
+// barrierAll is the main context's WaitAll with the floor raised past every
+// task in the graph (Runtime.Barrier): waiting on the main program's tasks
+// waits on every task, since a task completes only after its children.
 func (tc *TaskCtx) barrierAll() error {
-	snapshot := tc.rt.ex.snapshotTasks()
+	n := tc.rt.g.Len()
+	_, err := tc.waitSubmitted(false)
+	tc.mu.Lock()
+	tc.floorLazy = slices.Grow(tc.floorLazy, n)
+	for id := 0; id < n; id++ {
+		tc.floorLazy = append(tc.floorLazy, id)
+	}
+	tc.mu.Unlock()
+	return err
+}
 
-	var first error
-	var rng uint64
-	for _, st := range snapshot {
+// waitSubmitted is the one wait loop over a context's tasks — WaitAll,
+// Barrier, and the implicit wait when a task body returns. It helps until
+// every task submitted so far completed, running the very tasks it waits for
+// when nothing else claimed them, and returns them with the error of the
+// failed one with the lowest id: submission order, since ids are assigned
+// at submit. A body still holding its attempt's worker slot (holdsSlot)
+// hands it back once, and only if it has to wait.
+func (tc *TaskCtx) waitSubmitted(holdsSlot bool) ([]*Future, error) {
+	tc.mu.Lock()
+	fs := tc.submitted // append-only: the prefix never changes
+	tc.mu.Unlock()
+	var err error
+	var errID int
+	var rng uint64 // nonzero once this wait helped
+	for _, f := range fs {
+		st := f.st
 		if !st.completed.Load() {
 			if rng == 0 {
 				rng = tc.rt.ex.nextSeed()
+				if holdsSlot {
+					tc.rt.sem.release() // release never blocks
+				}
 			}
-			tc.rt.ex.helpUntilDone(nil, &rng, st)
+			tc.rt.ex.helpUntilDone(tc.wkr, &rng, st)
 		}
-		if st.err != nil && first == nil && !tc.rt.errorAbsorbed(st) {
-			first = st.err
-		}
-	}
-	tc.mu.Lock()
-	if free := cap(tc.floorLazy) - len(tc.floorLazy); free < len(snapshot) {
-		grown := make([]int, len(tc.floorLazy), len(tc.floorLazy)+len(snapshot))
-		copy(grown, tc.floorLazy)
-		tc.floorLazy = grown
-	}
-	for _, st := range snapshot {
-		tc.floorLazy = append(tc.floorLazy, st.id)
-	}
-	tc.mu.Unlock()
-	return first
-}
-
-// errorAbsorbed reports whether st's failure was compensated upstream: some
-// ancestor task ultimately published a value (via a later attempt whose
-// resubmitted children succeeded, or via its fallback), so the workflow as
-// a whole moved past this failure. Ancestors have smaller graph IDs than
-// their nested children, so by the time the barrier's in-order sweep asks
-// about st every ancestor's done channel is already closed (a parent's
-// completion waits on its children) — the waits below are formally blocking
-// but never park in practice.
-func (rt *Runtime) errorAbsorbed(st *taskState) bool {
-	for p := st.parentSt; p != nil; p = p.parentSt {
-		if !p.completed.Load() {
-			<-p.doneChan()
-		}
-		if p.err == nil {
-			return true
+		if st.err != nil && (err == nil || st.id < errID) {
+			err, errID = st.err, st.id
 		}
 	}
-	return false
+	if holdsSlot && rng != 0 {
+		tc.rt.sem.acquire()
+	}
+	return fs, err
 }
 
 // GetAll resolves a slice of futures with Get semantics and returns the

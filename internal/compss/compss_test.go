@@ -193,21 +193,30 @@ func TestParallelismIsBounded(t *testing.T) {
 		t.Fatalf("peak concurrency %d exceeds 3 workers", peak)
 	}
 
-	// After bodies parked in Get — each hands its slot back while it helps
-	// and takes one again — the pool is still exactly Workers wide: a leaked
-	// slot lets the probes overlap beyond Workers, a lost one keeps them from
-	// reaching it (or hangs them).
+	// After bodies parked in Get or WaitAll — each hands its slot back while
+	// it helps and takes one again — the pool is still exactly Workers wide:
+	// a leaked slot lets the probes overlap beyond Workers, a lost one keeps
+	// them from reaching it (or hangs them).
+	waitAll := func(tc *TaskCtx, f *Future) (any, error) {
+		if err := tc.WaitAll(); err != nil {
+			return nil, err
+		}
+		return tc.Get(f) // resolved: keeps the slot
+	}
 	for _, workers := range []int{1, 2} {
 		t.Run(fmt.Sprintf("parked-workers=%d", workers), func(t *testing.T) {
-			parkedThenProbed(t, workers)
+			parkedThenProbed(t, workers, (*TaskCtx).Get)
+		})
+		t.Run(fmt.Sprintf("parked-in-WaitAll-workers=%d", workers), func(t *testing.T) {
+			parkedThenProbed(t, workers, waitAll)
 		})
 	}
 }
 
-// parkedThenProbed runs a parent that parks in Get on a child another
-// goroutine stole, the child parking in Get on a grandchild of its own, then
+// parkedThenProbed runs a parent that parks in wait on a child another
+// goroutine stole, the child parking in wait on a grandchild of its own, then
 // a burst of probes that must overlap at exactly workers.
-func parkedThenProbed(t *testing.T, workers int) {
+func parkedThenProbed(t *testing.T, workers int, wait func(*TaskCtx, *Future) (any, error)) {
 	stats := NewStatsObserver()
 	rt := New(Config{Workers: workers, Observers: []Observer{stats}})
 	parentStarted := make(chan struct{})
@@ -218,7 +227,7 @@ func parkedThenProbed(t *testing.T, workers int) {
 		// parent inline, deque-less, and the child would not be stolen.
 		close(parentStarted)
 		child := tc.Submit(Opts{Name: "child"}, func(tc *TaskCtx, _ []any) (any, error) {
-			v, err := tc.Get(tc.Submit(Opts{Name: "grandchild"}, constTask(6)))
+			v, err := wait(tc, tc.Submit(Opts{Name: "grandchild"}, constTask(6)))
 			if err != nil {
 				return nil, err
 			}
@@ -228,7 +237,7 @@ func parkedThenProbed(t *testing.T, workers int) {
 		for tc.wkr.size.Load() > 0 { // keep the deque's owner off it until the steal
 			runtime.Gosched()
 		}
-		v, err := tc.Get(child)
+		v, err := wait(tc, child)
 		if err != nil {
 			return nil, err
 		}

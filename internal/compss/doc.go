@@ -86,8 +86,10 @@
 //     terminal event sequence is unchanged, but the failure is observed
 //     after the last dependency settles.
 //
-// Waits help instead of blocking: Get and Barrier execute ready tasks
-// inline while they wait (within the Config.Workers slot bound), so a
+// Waits help instead of blocking: Get, WaitAll and Barrier execute ready
+// tasks inline while they wait (within the Config.Workers slot bound), so a
 // parent blocked on its child makes progress even with Workers: 1. A body
-// waits from its own goroutine, the one the runtime called it on.
+// waits from its own goroutine, the one the runtime called it on. Barrier
+// is the main context's WaitAll: a task completes only after its children,
+// so the runtime keeps no list of every task it ran.
 package compss

@@ -44,11 +44,19 @@
 // re-check, so an enqueue that observed it searching has already made its
 // task visible to that re-check.
 //
-// Helping. Any wait on a task — Runtime.Get, a body's nested Get, the
-// implicit wait for a returning body's children, Barrier — runs ready tasks
-// inline (acquiring a token per attempt, so the Workers bound holds) instead
-// of blocking, via helpUntilDone. That is what lets a carrier whose task
-// blocks on a child execute the child itself with Workers == 1.
+// Helping. Any wait on a task — Runtime.Get, a body's nested Get, and the
+// one wait loop over a context's submissions (WaitAll, the implicit wait for
+// a returning body's children, Barrier) — runs ready tasks inline (acquiring
+// a token per attempt, so the Workers bound holds) instead of blocking, via
+// helpUntilDone. That is what lets a carrier whose task blocks on a child
+// execute the child itself with Workers == 1.
+//
+// Tasks. The executor keeps no registry of the tasks it ran: they are
+// allocated from per-worker slabs (allocTask) and live as long as something
+// — a Future, a context's submitted list, a producer's children — reaches
+// them. Barrier needs none, because an attempt completes only after its
+// children have, so waiting on the main context's submissions waits on
+// every task.
 package compss
 
 import (
@@ -83,8 +91,7 @@ type worker struct {
 	tail int
 	size atomic.Int32
 
-	// shard is this worker's slice of the task registry, a slab arena that
-	// both allocates taskStates and retains them for barrierAll's gather;
+	// shard is the slab this worker's body submissions are allocated from;
 	// shardMu is separate from mu so allocating a submission never contends
 	// with thieves.
 	shardMu sync.Mutex
@@ -95,48 +102,24 @@ type worker struct {
 // this many, one malloc per taskChunk submissions.
 const taskChunk = 32
 
-// taskArena is a chunked slab of taskStates doubling as a registry shard:
-// allocation order is submission order, and the chunks keep every task
-// reachable for barrierAll. Guarded by the owning shard's mutex. Slots are
-// handed out zeroed and never reused, exactly like individual allocations —
-// the slab only batches the malloc and the GC bookkeeping.
+// taskArena hands out taskStates from the slab it is filling, guarded by the
+// owning shard's mutex. It keeps no other slab: a task lives as long as
+// something reaches it (or a sibling in its slab). Slots are handed out
+// zeroed and never reused, exactly like individual allocations — the slab
+// only batches the malloc and the GC bookkeeping.
 type taskArena struct {
-	chunks []*[taskChunk]taskState
-	n      int // used slots in the last chunk
+	chunk *[taskChunk]taskState
+	n     int // used slots in chunk
 }
 
 func (a *taskArena) alloc() *taskState {
-	if a.n == taskChunk || len(a.chunks) == 0 {
-		a.chunks = append(a.chunks, new([taskChunk]taskState))
+	if a.chunk == nil || a.n == taskChunk {
+		a.chunk = new([taskChunk]taskState)
 		a.n = 0
 	}
-	st := &a.chunks[len(a.chunks)-1][a.n]
+	st := &a.chunk[a.n]
 	a.n++
 	return st
-}
-
-func (a *taskArena) len() int {
-	if len(a.chunks) == 0 {
-		return 0
-	}
-	return (len(a.chunks)-1)*taskChunk + a.n
-}
-
-func (a *taskArena) appendTo(dst []*taskState) []*taskState {
-	for i, c := range a.chunks {
-		used := taskChunk
-		if i == len(a.chunks)-1 {
-			used = a.n
-		}
-		for j := 0; j < used; j++ {
-			st := &c[j]
-			if !st.reg.Load() { // reserved, submit not yet published
-				continue
-			}
-			dst = append(dst, st)
-		}
-	}
-	return dst
 }
 
 // push adds st to the deque bottom (owner end). The ring starts small and
@@ -225,8 +208,8 @@ type executor struct {
 	claimMu sync.Mutex
 	free    []*worker
 
-	// extMu guards the registry arena for tasks submitted outside any
-	// worker context.
+	// extMu guards the arena for tasks submitted outside any worker
+	// context.
 	extMu    sync.Mutex
 	extShard taskArena
 
@@ -553,9 +536,8 @@ func (ex *executor) enqueue(st *taskState, w *worker) {
 }
 
 // allocTask hands out a zeroed taskState from the submitting worker's arena
-// (or the external arena). The arena chunk doubles as the task registry
-// entry: every taskState stays reachable for barrierAll anyway, so slab
-// allocation trades nothing for one malloc per taskChunk submissions.
+// (or the external arena): one malloc per taskChunk submissions, and no
+// registry of them (see "Tasks" above).
 func (ex *executor) allocTask(w *worker) *taskState {
 	if w != nil {
 		w.shardMu.Lock()
@@ -567,46 +549,4 @@ func (ex *executor) allocTask(w *worker) *taskState {
 	st := ex.extShard.alloc()
 	ex.extMu.Unlock()
 	return st
-}
-
-// snapshotTasks gathers every registered task across the arenas, sorted by
-// graph ID (== submission order).
-func (ex *executor) snapshotTasks() []*taskState {
-	n := 0
-	ex.extMu.Lock()
-	n += ex.extShard.len()
-	ex.extMu.Unlock()
-	for _, w := range ex.workers {
-		w.shardMu.Lock()
-		n += w.shard.len()
-		w.shardMu.Unlock()
-	}
-	all := make([]*taskState, 0, n)
-	ex.extMu.Lock()
-	all = ex.extShard.appendTo(all)
-	ex.extMu.Unlock()
-	for _, w := range ex.workers {
-		w.shardMu.Lock()
-		all = w.shard.appendTo(all)
-		w.shardMu.Unlock()
-	}
-	// Arenas are individually ordered; a k-way merge is not worth it for a
-	// barrier-rate operation. Tasks submitted between the two locked
-	// passes can push the gather past n — append grows as needed.
-	sortTasksByID(all)
-	return all
-}
-
-func sortTasksByID(ts []*taskState) {
-	// Insertion sort over a nearly-sorted gather is O(n) in the common
-	// single-submitter case and avoids pulling in sort for a hot-free path.
-	for i := 1; i < len(ts); i++ {
-		st := ts[i]
-		j := i - 1
-		for j >= 0 && ts[j].id > st.id {
-			ts[j+1] = ts[j]
-			j--
-		}
-		ts[j+1] = st
-	}
 }

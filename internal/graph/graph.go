@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -257,8 +258,10 @@ func (g *Graph) Task(id int) (Task, bool) {
 
 // Validate checks structural invariants: dependency and parent IDs must
 // reference earlier tasks (the graph is a DAG by construction of submission
-// order) and resource demands must be positive.
+// order), resource demands must be positive, and costs must sum to a finite
+// total (Export writes it, and JSON has no infinity).
 func (g *Graph) Validate() error {
+	var total float64
 	for _, t := range g.Tasks() {
 		if t.Parent >= t.ID {
 			return fmt.Errorf("graph: task %d has parent %d not submitted before it", t.ID, t.Parent)
@@ -276,6 +279,9 @@ func (g *Graph) Validate() error {
 		}
 		if t.Cost < 0 {
 			return fmt.Errorf("graph: task %d has negative cost", t.ID)
+		}
+		if total += t.Cost; math.IsInf(total, 1) {
+			return fmt.Errorf("graph: costs up to task %d sum past the largest float", t.ID)
 		}
 		if t.Retries < 0 {
 			return fmt.Errorf("graph: task %d has negative retry budget", t.ID)

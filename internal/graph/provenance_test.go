@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -60,6 +61,51 @@ func TestReadProvenanceRejectsBadOrdering(t *testing.T) {
 	if _, _, err := ReadProvenance(strings.NewReader(js)); err == nil {
 		t.Fatal("want ordering error")
 	}
+}
+
+// FuzzReadProvenance feeds ReadProvenance arbitrary bytes. It must never
+// panic, and a record it accepts must survive the graph's analyses and
+// export, write and read back to the same tasks.
+func FuzzReadProvenance(f *testing.F) {
+	g := New()
+	a := g.Add(Task{Name: "load", Parent: -1, Cost: 1, Cores: 1, OutBytes: 64})
+	b := g.Add(Task{Name: "fit", Parent: -1, Cost: 5, Cores: 8,
+		Deps: []Dep{{Task: a, ViaMaster: true, OrderOnly: true}}})
+	g.Add(Task{Name: "epoch", Parent: b, Cost: 2, GPUs: 1, Retries: 2, BackoffSec: 0.5,
+		Deps: []Dep{{Task: a}}})
+	var seed bytes.Buffer
+	if err := g.Export("seed", map[string]string{"k": "v"}, time.Unix(0, 0).UTC()).WriteJSON(&seed); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed.Bytes())
+	for _, hostile := range []string{
+		`{"tasks":[{"ID":1,"Name":"t","Parent":-1,"Cost":1,"Cores":1}]}`,
+		`{"tasks":[{"ID":0,"Name":"t","Parent":-1,"Cost":1,"Cores":1,"Deps":[{"Task":1}]}]}`,
+		`{"tasks":[{"ID":0,"Name":"t","Parent":-5,"Cost":1,"Cores":1}]}`,
+		`{"tasks":[{"ID":0,"Name":"t","Parent":-1,"Cost":1,"Cores":0}]}`,
+	} {
+		f.Add([]byte(hostile))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, g, err := ReadProvenance(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		g.CriticalPath()
+		g.MaxWidth()
+		g.DOT(p.Workflow)
+		var out bytes.Buffer
+		if err := g.Export(p.Workflow, p.Metadata, time.Unix(0, 0).UTC()).WriteJSON(&out); err != nil {
+			t.Fatalf("accepted record does not write: %v", err)
+		}
+		p2, _, err := ReadProvenance(&out)
+		if err != nil {
+			t.Fatalf("written record does not read back: %v", err)
+		}
+		if (len(p.Tasks) > 0 || len(p2.Tasks) > 0) && !reflect.DeepEqual(p2.Tasks, p.Tasks) {
+			t.Fatalf("round trip changed the tasks:\n%+v\n%+v", p.Tasks, p2.Tasks)
+		}
+	})
 }
 
 func TestReadProvenanceRejectsInvalidGraph(t *testing.T) {

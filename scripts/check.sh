@@ -57,11 +57,14 @@ go test -race -count=2 ./internal/compss/... ./internal/cluster/... ./internal/t
 
 # Every decoder that faces a socket is fuzzed: arbitrary bytes must cost an
 # error — no panic, no allocation sized by a length prefix — and whatever
-# decodes must re-encode to the same bytes. Ten seconds per target on top of
-# the seed corpus the unit run above already replayed.
-for target in FuzzDecodeValue FuzzDecodeFrame; do
-    echo "== go test -run=NONE -fuzz=$target -fuzztime=10s ./internal/exec/"
-    go test -run=NONE -fuzz="^$target\$" -fuzztime=10s ./internal/exec/
+# decodes must re-encode to the same bytes. So is the provenance import: an
+# accepted record must survive the graph's analyses and write back to the
+# same tasks. Ten seconds per target on top of the seed corpus the unit run
+# above already replayed.
+for spec in FuzzDecodeValue:./internal/exec/ FuzzDecodeFrame:./internal/exec/ FuzzReadProvenance:./internal/graph/; do
+    target=${spec%%:*} pkg=${spec#*:}
+    echo "== go test -run=NONE -fuzz=$target -fuzztime=10s $pkg"
+    go test -run=NONE -fuzz="^$target\$" -fuzztime=10s "$pkg"
 done
 
 # The work-stealing dispatcher's migration paths (ring growth, cross-worker
@@ -71,9 +74,11 @@ done
 # test guards the slot pool a body parked in Get hands its slot back through
 # — one of them stolen — so it runs here too. Chain dispatch marks tasks from
 # one goroutine that another completes, and hands them back across the same
-# boundary: its tests (fake chain backend, no sockets) ride along.
-echo "== go test -race -count=2 -cpu=1,8 -run 'TestStealStress|TestParallelismIsBounded|TestChainMembership|TestChainHandBack|TestChainHeadFailure|TestChainEventsAndStats' ./internal/compss/"
-go test -race -count=2 -cpu=1,8 -run 'TestStealStress|TestParallelismIsBounded|TestChainMembership|TestChainHandBack|TestChainHeadFailure|TestChainEventsAndStats' ./internal/compss/
+# boundary: its tests (fake chain backend, no sockets) ride along. So does
+# the barrier's: parents that fire and forget their children, then Barrier,
+# round after round under a watchdog (the nested task_storm shape).
+echo "== go test -race -count=2 -cpu=1,8 -run 'TestStealStress|TestParallelismIsBounded|TestBarrierNestedStress|TestChainMembership|TestChainHandBack|TestChainHeadFailure|TestChainEventsAndStats' ./internal/compss/"
+go test -race -count=2 -cpu=1,8 -run 'TestStealStress|TestParallelismIsBounded|TestBarrierNestedStress|TestChainMembership|TestChainHandBack|TestChainHeadFailure|TestChainEventsAndStats' ./internal/compss/
 
 # internal/core and internal/serve are not in the -count=2 pass above, so
 # the tests there that race membership changes, holder kills and concurrent
