@@ -24,7 +24,6 @@ import (
 	"taskml/internal/compss"
 	"taskml/internal/core"
 	"taskml/internal/exec"
-	"taskml/internal/par"
 	"taskml/internal/trace"
 )
 
@@ -81,11 +80,6 @@ func main() {
 			r.SetFleetHook(collector.AddFleetEvent)
 		}
 	}
-
-	// From here on, parallelism belongs to the task runtime: cap the
-	// shared kernel layer at one goroutine per task body so W workers ×
-	// kernel threads never oversubscribe the machine (see internal/par).
-	par.SetLimit(1)
 
 	// The PCA stage is shared by all models (the paper excludes its
 	// constant time from the per-model results); run it once.

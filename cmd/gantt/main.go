@@ -25,7 +25,6 @@ import (
 	"taskml/internal/core"
 	"taskml/internal/eddl"
 	"taskml/internal/exec"
-	"taskml/internal/par"
 	"taskml/internal/svm"
 )
 
@@ -59,11 +58,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-
-	// Feature extraction above used the full kernel-layer width; the
-	// workflow below runs on a task runtime, which owns the cores from here
-	// (internal/par oversubscription contract).
-	par.SetLimit(1)
 
 	cfg := core.PipelineConfig{
 		Seed:      1,

@@ -46,7 +46,6 @@ import (
 	"taskml/internal/exec"
 	"taskml/internal/graph"
 	"taskml/internal/mat"
-	"taskml/internal/par"
 	"taskml/internal/preproc"
 	"taskml/internal/svm"
 	"taskml/internal/trace"
@@ -204,11 +203,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-
-	// Dataset generation above ran kernels at full width on the master;
-	// everything below executes through task runtimes, so hand the cores to
-	// the worker pool (see the internal/par oversubscription contract).
-	par.SetLimit(1)
 
 	if *exp == "pca" {
 		runPCA(ds)

@@ -35,7 +35,6 @@ import (
 	"taskml/internal/exec"
 	"taskml/internal/forest"
 	"taskml/internal/mat"
-	"taskml/internal/par"
 	"taskml/internal/serve"
 	"taskml/internal/trace"
 )
@@ -94,10 +93,6 @@ func main() {
 	// 2. Synthetic patient pool: a few dozen distinct paroxysmal
 	//    recordings shared (read-only) by all streams.
 	pool := signalPool(*fs, *streamSec, *seed)
-
-	// From here on parallelism belongs to the task runtime (see
-	// internal/par): scoring bodies get one kernel goroutine each.
-	par.SetLimit(1)
 
 	// 3. The serving plane.
 	cfg := serve.Config{

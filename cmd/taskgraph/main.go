@@ -24,7 +24,6 @@ import (
 	"taskml/internal/core"
 	"taskml/internal/eddl"
 	"taskml/internal/exec"
-	"taskml/internal/par"
 	"taskml/internal/trace"
 )
 
@@ -56,11 +55,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-
-	// The captured run below goes through a task runtime; keep the kernel
-	// layer serial so task-level parallelism owns the machine
-	// (internal/par oversubscription contract).
-	par.SetLimit(1)
 
 	cfg := core.PipelineConfig{
 		Seed:      1,

@@ -845,6 +845,15 @@ func (st *taskState) letGo() {
 	st.args = nil
 }
 
+// acquire takes a worker slot for a body running on w's carrier or — w nil —
+// on a goroutine without one, which keeps the runtime lending (keepLending).
+func (rt *Runtime) acquire(w *worker) {
+	rt.sem.acquire()
+	if w == nil {
+		rt.ex.keepLending()
+	}
+}
+
 // runReady executes a ready task to completion: resolve the (already
 // available) argument values, then loop over attempts — acquire a worker
 // slot, run the body inline (with panic containment and fault injection),
@@ -869,7 +878,7 @@ func (rt *Runtime) runReady(st *taskState, w *worker, stolen bool) {
 	var chain *chainRun
 
 	for attempt := 0; ; attempt++ {
-		rt.sem.acquire()
+		rt.acquire(w)
 		rt.emit(EventStart, st, attempt, nil, "", false)
 		// Attempt 0 uses the context embedded in the taskState; retries get
 		// a fresh one, so a retry starts with an empty sync floor and no
@@ -1262,7 +1271,7 @@ func (tc *TaskCtx) blockingWait(f *Future) (any, error) {
 	}
 	tc.rt.sem.release() // hand the slot back; release never blocks
 	tc.rt.ex.helpUntilDone(tc.wkr, &rng, f.st)
-	tc.rt.sem.acquire()
+	tc.rt.acquire(tc.wkr)
 	return f.wait()
 }
 
@@ -1327,7 +1336,7 @@ func (tc *TaskCtx) waitSubmitted(holdsSlot bool, own *idSet) error {
 		}
 	}
 	if holdsSlot && rng != 0 {
-		tc.rt.sem.acquire()
+		tc.rt.acquire(tc.wkr)
 	}
 	return err
 }

@@ -192,6 +192,7 @@ func TestParallelismIsBounded(t *testing.T) {
 	if peak > 3 {
 		t.Fatalf("peak concurrency %d exceeds 3 workers", peak)
 	}
+	untilIdle(t, rt)
 
 	// After bodies parked in Get or WaitAll — each hands its slot back while
 	// it helps and takes one again — the pool is still exactly Workers wide:
@@ -209,6 +210,14 @@ func TestParallelismIsBounded(t *testing.T) {
 		})
 		t.Run(fmt.Sprintf("parked-in-WaitAll-workers=%d", workers), func(t *testing.T) {
 			parkedThenProbed(t, workers, waitAll)
+		})
+	}
+
+	// Kernels inside the bodies borrow only the slots no body holds, so a
+	// body and its helpers never add up to more than Workers (lend_test.go).
+	for _, workers := range []int{1, 2, 3} {
+		t.Run(fmt.Sprintf("kernels-in-bodies-workers=%d", workers), func(t *testing.T) {
+			kernelsInBodies(t, workers)
 		})
 	}
 }
@@ -293,6 +302,7 @@ func parkedThenProbed(t *testing.T, workers int, wait func(*TaskCtx, *Future) (a
 	if p := peak.Load(); p != int32(workers) {
 		t.Fatalf("probe peak concurrency %d with Workers=%d, want exactly %d", p, workers, workers)
 	}
+	untilIdle(t, rt)
 }
 
 func TestNestedTasksRecordParent(t *testing.T) {

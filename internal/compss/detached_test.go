@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"taskml/internal/exec"
-	"taskml/internal/par"
 )
 
 // kindLog records each task's event kinds and attempts, in order.
@@ -153,7 +152,6 @@ func TestDetachedTaskLeavesNoWorkerCacheEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer par.SetLimit(par.Limit()) // a worker caps the kernels of its process
 	go func() { _ = exec.Serve(l, exec.WorkerConfig{Slots: 1}) }()
 	defer l.Close()
 	backend, err := exec.Dial(exec.RemoteConfig{Peers: []string{l.Addr().String()}})

@@ -51,6 +51,12 @@
 // helpUntilDone. That is what lets a carrier whose task blocks on a child
 // execute the child itself with Workers == 1.
 //
+// Lending. While a carrier is live the runtime is registered with par as a
+// lender of its slot pool, so a kernel region inside a body borrows the
+// slots no attempt holds (lend). Registration changes only when nLive
+// reaches or leaves zero; a body the main program runs keeps a carrier
+// alive (keepLending, leave), so it lends too.
+//
 // Tasks. The executor keeps no registry of the tasks it ran: they are
 // allocated from per-worker slabs (allocTask) and live as long as something
 // — a Future, a context's submitted list, a producer's children — reaches
@@ -64,6 +70,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"taskml/internal/par"
 )
 
 const (
@@ -235,6 +243,11 @@ type executor struct {
 	// the fleet still ramps to maxProcs under sustained load.
 	nSearching atomic.Int32
 
+	// lendMu guards withdraw, which is non-nil while the runtime is
+	// registered with par as a lender (see lend).
+	lendMu   sync.Mutex
+	withdraw func()
+
 	// rr rotates external submits over the worker deques.
 	rr atomic.Uint32
 
@@ -330,11 +343,73 @@ func (ex *executor) signalWork() {
 			return
 		}
 		if ex.nLive.CompareAndSwap(n, n+1) {
-			ex.nSearching.Add(1) // the new carrier starts out searching
-			go ex.carrier()
+			ex.startCarrier(n == 0)
 			return
 		}
 	}
+}
+
+// startCarrier starts a carrier nLive already counts; first says it is the
+// only one, which makes the runtime a lender.
+func (ex *executor) startCarrier(first bool) {
+	if first {
+		ex.lend()
+	}
+	ex.nSearching.Add(1) // the new carrier starts out searching
+	go ex.carrier()
+}
+
+// lend keeps the runtime registered with par as a lender of its slot pool
+// exactly while a carrier is live, so kernel regions borrow the slots no
+// attempt holds. It is called only when nLive reaches or leaves zero — never
+// on the attempt path — and re-reads nLive under lendMu, so of two racing
+// transitions the one that calls last leaves the registration matching the
+// count.
+func (ex *executor) lend() {
+	ex.lendMu.Lock()
+	defer ex.lendMu.Unlock()
+	live := ex.nLive.Load() > 0
+	if live && ex.withdraw == nil {
+		ex.withdraw = par.Lend(ex.rt.sem)
+	} else if !live && ex.withdraw != nil {
+		ex.withdraw()
+		ex.withdraw = nil
+	}
+}
+
+// keepLending is called by a goroutine without a carrier — the main program
+// helping — once it holds a slot for a body: with no carrier live it starts
+// one, and the last carrier does not leave while a slot is held (leave), so
+// the runtime stays a lender while the body runs.
+func (ex *executor) keepLending() {
+	for ex.nLive.Load() == 0 {
+		if ex.nLive.CompareAndSwap(0, 1) {
+			ex.startCarrier(true)
+			return
+		}
+	}
+}
+
+// leave uncounts a carrier whose linger expired, unless it is the last one
+// and a slot is held — by a body the main program runs, or by a region's
+// helper — in which case it reports false and the carrier lingers on. The
+// check and the decrement run under the slot pool's lock, which every
+// acquire takes before keepLending reads nLive: either the acquire sees no
+// carrier and starts one, or this carrier sees the held slot and stays.
+func (ex *executor) leave(w *worker) bool {
+	s := ex.rt.sem
+	s.mu.Lock()
+	if s.held > 0 && ex.nLive.Load() == 1 {
+		s.mu.Unlock()
+		return false
+	}
+	ex.releaseWorker(w)
+	last := ex.nLive.Add(-1) == 0
+	s.mu.Unlock()
+	if last {
+		ex.lend()
+	}
+	return true
 }
 
 // announceIdle parks p on the idler list (phase one of two-phase parking:
@@ -467,8 +542,9 @@ func (ex *executor) carrier() {
 				continue
 			}
 			parkerPool.Put(p)
-			ex.releaseWorker(w)
-			ex.nLive.Add(-1)
+			if !ex.leave(w) {
+				continue
+			}
 			if ex.anyWork() {
 				ex.signalWork() // close the exit/enqueue race
 			}

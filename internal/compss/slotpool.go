@@ -6,7 +6,9 @@ import "sync"
 // while held ≥ cap, release never blocks. Its capacity is fixed at New.
 //
 // A release is always preceded by this goroutine's own acquire;
-// blockingWait's slot parking relies on that pairing.
+// blockingWait's slot parking relies on that pairing. The pool is also the
+// runtime's par.Lender (TryBorrow, Return): a kernel region's helpers borrow
+// the slots no attempt holds, and give them back when the region drains.
 type slotPool struct {
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -38,3 +40,17 @@ func (p *slotPool) release() {
 	p.cond.Signal()
 	p.mu.Unlock()
 }
+
+// TryBorrow takes a slot if one is free, without waiting.
+func (p *slotPool) TryBorrow() bool {
+	p.mu.Lock()
+	ok := p.held < p.cap
+	if ok {
+		p.held++
+	}
+	p.mu.Unlock()
+	return ok
+}
+
+// Return gives back a slot TryBorrow took.
+func (p *slotPool) Return() { p.release() }

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"taskml/internal/compss"
 	"taskml/internal/exec"
@@ -196,67 +197,84 @@ func TestRemoteLineageParity(t *testing.T) {
 	})
 }
 
-// foldSpans records when each task started and ended, and which tasks open a
-// fold's fit.
-type foldSpans struct {
+// foldGate holds each fold's rf_gather — the task that opens the fold's fit
+// — open in OnStart until the next fold's rf_gather has started, so a fold
+// cannot finish before the next one is under way. A main program that waited
+// for fold k before submitting fold k+1 would never start it: the wait times
+// out and the fold is recorded.
+type foldGate struct {
 	compss.NopObserver
-	mu      sync.Mutex
-	gathers []int // ids of the rf_gather tasks, one a fold, in submission order
-	start   map[int]compss.Event
-	end     map[int]compss.Event
+	patience time.Duration
+	mu       sync.Mutex
+	fold     map[int]int     // rf_gather task id → fold, in submission order
+	started  []chan struct{} // closed when fold k's rf_gather starts
+	late     []int           // folds whose successor did not start in time
 }
 
-func (f *foldSpans) OnSubmit(ev compss.Event) {
+func newFoldGate(folds int, patience time.Duration) *foldGate {
+	g := &foldGate{patience: patience, fold: map[int]int{}, started: make([]chan struct{}, folds)}
+	for k := range g.started {
+		g.started[k] = make(chan struct{})
+	}
+	return g
+}
+
+func (g *foldGate) OnSubmit(ev compss.Event) {
 	if ev.Name == "rf_gather" {
-		f.mu.Lock()
-		f.gathers = append(f.gathers, ev.Task)
-		f.mu.Unlock()
+		g.mu.Lock()
+		g.fold[ev.Task] = len(g.fold)
+		g.mu.Unlock()
 	}
 }
 
-func (f *foldSpans) OnStart(ev compss.Event) {
-	f.mu.Lock()
-	f.start[ev.Task] = ev
-	f.mu.Unlock()
-}
-
-func (f *foldSpans) OnEnd(ev compss.Event) {
-	f.mu.Lock()
-	f.end[ev.Task] = ev
-	f.mu.Unlock()
+func (g *foldGate) OnStart(ev compss.Event) {
+	if ev.Name != "rf_gather" {
+		return
+	}
+	g.mu.Lock()
+	k, ok := g.fold[ev.Task]
+	patience := g.patience
+	g.mu.Unlock()
+	if !ok || k >= len(g.started) {
+		return
+	}
+	close(g.started[k])
+	if k+1 == len(g.started) {
+		return
+	}
+	select {
+	case <-g.started[k+1]:
+	case <-time.After(patience):
+		g.mu.Lock()
+		g.late = append(g.late, k)
+		g.patience = 0 // one timeout is the verdict: let the run finish
+		g.mu.Unlock()
+	}
 }
 
 // TestFoldsOverlap: RunCVReduced submits every fold before it scores any, so
-// fold k+1's first task starts before fold k's last one ended — the main
-// program no longer stops between them. Task ids grow with submission, and a
-// fold's fit opens with its rf_gather.
+// fold k+1's first task starts while fold k's first is still running — the
+// main program no longer stops between folds. The gate makes the order a
+// property of the runtime, not of wall stamps: with one more slot than there
+// are folds, the held rf_gathers can never starve the one that releases
+// them.
 func TestFoldsOverlap(t *testing.T) {
 	ds, err := BuildDataset(smallData(27))
 	if err != nil {
 		t.Fatal(err)
 	}
-	spans := &foldSpans{start: map[int]compss.Event{}, end: map[int]compss.Event{}}
 	cfg := fastCfg(27)
-	cfg.Workers = 2
-	cfg.Observers = []compss.Observer{spans}
+	cfg.Workers = cfg.Folds + 1
+	gate := newFoldGate(cfg.Folds, 10*time.Second)
+	cfg.Observers = []compss.Observer{gate}
 	if _, err := RunCV(ModelRF, ds, cfg); err != nil {
 		t.Fatal(err)
 	}
-	if len(spans.gathers) != cfg.Folds {
-		t.Fatalf("%d rf_gather tasks, want one a fold (%d)", len(spans.gathers), cfg.Folds)
+	if len(gate.fold) != cfg.Folds {
+		t.Fatalf("%d rf_gather tasks, want one a fold (%d)", len(gate.fold), cfg.Folds)
 	}
-	for k := 0; k+1 < len(spans.gathers); k++ {
-		lo, hi := spans.gathers[k], spans.gathers[k+1]
-		next := spans.start[hi]
-		var last compss.Event
-		for id := lo; id < hi; id++ {
-			if ev, ok := spans.end[id]; ok && ev.Time.After(last.Time) {
-				last = ev
-			}
-		}
-		if !next.Time.Before(last.Time) {
-			t.Fatalf("fold %d's first task started %v after fold %d's last (%s) ended: the folds run one after another",
-				k+1, next.Time.Sub(last.Time), k, last.Name)
-		}
+	if len(gate.late) > 0 {
+		t.Fatalf("fold %d's rf_gather ran %v without fold %d's starting: the folds run one after another",
+			gate.late[0], 10*time.Second, gate.late[0]+1)
 	}
 }

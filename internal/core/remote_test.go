@@ -10,16 +10,18 @@ import (
 	"time"
 
 	"taskml/internal/exec"
-	"taskml/internal/par"
+	"taskml/internal/leakcheck"
 )
 
 // TestMain lets the coordinator side of the remote tests re-exec this test
 // binary as loopback worker processes (see exec.SpawnLoopback): when spawned
 // with TASKML_EXEC_WORKER set, the process serves the library's registered
-// task functions instead of running the tests.
+// task functions instead of running the tests. Otherwise the tests run
+// under leakcheck: a runtime carrier, a worker connection or a kernel helper
+// that outlives them fails the package with its stack.
 func TestMain(m *testing.M) {
 	exec.MaybeWorkerMain()
-	os.Exit(m.Run())
+	os.Exit(leakcheck.Main(m))
 }
 
 // TestRemoteParityBitIdentical is the acceptance test of the out-of-process
@@ -67,7 +69,6 @@ func TestRemoteParityBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer par.SetLimit(par.Limit()) // a worker caps the kernels of its process
 				go func() { _ = exec.JoinCoordinator(addr, backend.JoinToken(), exec.WorkerConfig{Slots: 1}) }()
 				for deadline := time.Now().Add(5 * time.Second); backend.AliveWorkers() < 2; time.Sleep(time.Millisecond) {
 					if time.Now().After(deadline) {

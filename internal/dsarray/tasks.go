@@ -51,10 +51,10 @@ func init() {
 		return dst, nil
 	}, 0)
 
-	// partial_gram(blk): blkᵀ·blk.
+	// partial_gram(blk): blkᵀ·blk, by the symmetric kernel: the upper
+	// triangle has MulAtB's bits for half its multiply-adds.
 	exec.Register("partial_gram", func(args []any) (any, error) {
-		blk := args[0].(*mat.Dense)
-		return mat.MulAtB(blk, blk), nil
+		return mat.MulAtA(args[0].(*mat.Dense)), nil
 	})
 
 	// center_block(blk, vec, off): blk minus the [off, off+cols) window of

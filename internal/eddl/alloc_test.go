@@ -14,8 +14,7 @@ import (
 // implementation allocated every activation and gradient matrix fresh,
 // ~50 heap objects per step growing with the model.
 func TestBatchStepSteadyStateAllocsBounded(t *testing.T) {
-	defer par.SetLimit(par.Limit())
-	par.SetLimit(1)
+	defer par.Lend(make(par.Slots))() // no slot to borrow: every kernel runs on its caller
 	rng := rand.New(rand.NewSource(3))
 	x, y := waves(rng, 64, 16)
 	net := tinyArch().Build(3)
@@ -32,8 +31,7 @@ func TestBatchStepSteadyStateAllocsBounded(t *testing.T) {
 // per-batch cost must not scale with the batch count — the regression guard
 // for the arena-backed layer scratch.
 func TestTrainEpochSteadyStateAllocsBounded(t *testing.T) {
-	defer par.SetLimit(par.Limit())
-	par.SetLimit(1)
+	defer par.Lend(make(par.Slots))() // no slot to borrow: every kernel runs on its caller
 	rng := rand.New(rand.NewSource(4))
 	x, y := waves(rng, 128, 16)
 	net := tinyArch().Build(4)

@@ -12,20 +12,31 @@ import (
 
 	"taskml/internal/compss"
 	"taskml/internal/exec"
+	"taskml/internal/leakcheck"
 	"taskml/internal/mat"
 )
 
 // TestMain makes the test binary spawnable as a loopback worker: when the
 // coordinator side of a test re-execs it with TASKML_EXEC_WORKER set,
 // MaybeWorkerMain serves the functions registered below instead of running
-// the tests again.
+// the tests again. Otherwise the tests run under leakcheck: a worker link
+// reader, a connection's serve loop or a kernel helper that outlives them
+// fails the package with its stack.
 func TestMain(m *testing.M) {
 	exec.MaybeWorkerMain()
-	code := m.Run()
+	os.Exit(leakcheck.Main(closingBenchFleet{m}))
+}
+
+// closingBenchFleet closes the benchmarks' shared fleet after the run, before
+// leakcheck counts what is left.
+type closingBenchFleet struct{ m *testing.M }
+
+func (c closingBenchFleet) Run() int {
+	code := c.m.Run()
 	if benchFleet != nil {
 		benchFleet.Close()
 	}
-	os.Exit(code)
+	return code
 }
 
 // Test task vocabulary. Registered from init so the re-exec'd worker child

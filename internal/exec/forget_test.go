@@ -11,8 +11,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"taskml/internal/par"
 )
 
 // serveHere starts an in-process worker and returns its address.
@@ -22,11 +20,7 @@ func serveHere(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	limit := par.Limit() // a worker caps the kernels of its process
-	t.Cleanup(func() {
-		l.Close()
-		par.SetLimit(limit)
-	})
+	t.Cleanup(func() { l.Close() })
 	go func() { _ = Serve(l, WorkerConfig{Slots: 1}) }()
 	return l.Addr().String()
 }

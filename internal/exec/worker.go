@@ -78,19 +78,21 @@ func Serve(l net.Listener, cfg WorkerConfig) error {
 // closes the connection or sends a frame that does not decode, an error
 // when the hello could not be sent.
 //
-// The worker caps the kernel layer at par.SetLimit(1): its parallelism
-// budget is Slots concurrent *bodies*, matching the contract the runtime's
-// in-process pool follows (DESIGN.md, "The kernel layer").
+// The connection's Slots are the parallelism budget of its bodies and of
+// their kernels alike: while it is served they are lent to par, so a kernel
+// region inside a body borrows the slots no request holds and a one-slot
+// worker's kernels run serially (DESIGN.md, "The kernel layer"). Nothing
+// else of the process is capped.
 func serveCoordinator(conn net.Conn, token string, cfg WorkerConfig) error {
 	defer conn.Close()
-	par.SetLimit(1)
+	sem := make(par.Slots, cfg.Slots)
+	defer par.Lend(sem)()
 	cache := newFutureCache(cfg.CacheBytes)
 	l := newLink(conn)
 	h := &hello{Proto: protoVersion, Pid: os.Getpid(), Slots: cfg.Slots, Token: token, Caches: cfg.CacheBytes > 0}
 	if err := l.send(h); err != nil {
 		return err
 	}
-	sem := make(chan struct{}, cfg.Slots)
 	var fg forget
 	for {
 		req, pl := new(request), new(pull)

@@ -844,3 +844,64 @@ func BenchmarkForestFit(b *testing.B) {
 		}
 	}
 }
+
+// Candidates whose exact Q ties with the best's take the float path, where
+// the first of them keeps winning: two thresholds of one feature with the
+// same Q (2.5 and 4.5, with a worse candidate between them that the exact
+// pre-filter skips), and the same split offered by two identical features,
+// whichever the permutation samples first.
+func TestBestSplitNearTieFirstWins(t *testing.T) {
+	x := mat.NewFromRows([][]float64{{1}, {2}, {3}, {4}, {5}, {6}})
+	y := []int{0, 0, 1, 1, 0, 0}
+	idx := []int{0, 1, 2, 3, 4, 5}
+	for seed := int64(0); seed < 4; seed++ {
+		p := TreeParams{MaxFeatures: 1}
+		got := BestSplit(trainSet(t, x, y), idx, 2, p, rand.New(rand.NewSource(seed)))
+		want := bestSplitReference(x, y, idx, 2, p, rand.New(rand.NewSource(seed)))
+		if !sameSplit(got, want) || got.Threshold != 2.5 {
+			t.Fatalf("threshold tie: got %+v, reference %+v, want the first tied threshold 2.5", got, want)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(1603))
+	const n = 40
+	xd := mat.New(n, 3)
+	yd := make([]int, n)
+	for i := 0; i < n; i++ {
+		v := rng.NormFloat64()
+		xd.Set(i, 0, v)
+		xd.Set(i, 1, rng.NormFloat64()) // noise
+		xd.Set(i, 2, v)                 // a copy of feature 0
+		if v+rng.NormFloat64()/4 > 0 {
+			yd[i] = 1
+		}
+	}
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
+	}
+	ts := trainSet(t, xd, yd)
+	firsts := map[int]bool{}
+	for seed := int64(0); seed < 16; seed++ {
+		p := TreeParams{MaxFeatures: 3}
+		got := BestSplit(ts, all, 2, p, rand.New(rand.NewSource(seed)))
+		want := bestSplitReference(xd, yd, all, 2, p, rand.New(rand.NewSource(seed)))
+		if !sameSplit(got, want) {
+			t.Fatalf("seed %d: feature tie: got %+v, reference %+v", seed, got, want)
+		}
+		first := 0
+		for _, f := range rand.New(rand.NewSource(seed)).Perm(3) {
+			if f != 1 {
+				first = f
+				break
+			}
+		}
+		if got.Feature != first {
+			t.Fatalf("seed %d: feature %d won, want %d, the copy sampled first", seed, got.Feature, first)
+		}
+		firsts[first] = true
+	}
+	if len(firsts) != 2 {
+		t.Fatal("the seeds never sampled the copy first: the tie is not exercised both ways")
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"slices"
 
 	"taskml/internal/mat"
+	"taskml/internal/par"
 )
 
 // TreeParams configures a single CART tree.
@@ -123,41 +124,63 @@ type rankTable struct {
 }
 
 // rankColumns builds x's rank table. A matrix without rows has nothing to
-// rank, whatever width it claims.
+// rank, whatever width it claims. Columns are independent — each writes its
+// own rank band, values and flag — so they are ranked in a parallel region,
+// each goroutine with its own sort scratch.
 func rankColumns(x *mat.Dense) rankTable {
 	n := x.Rows
 	if n == 0 {
 		return rankTable{}
 	}
 	t := rankTable{rank: make([]int32, len(x.Data)), vals: make([][]float64, x.Cols), nan: make([]bool, x.Cols)}
-	keys, rows := make([]uint64, 2*n), make([]int32, 2*n)
-	vals := make([]float64, 0, n)
-	for f := range t.vals {
-		rank, k := t.rank[f*n:(f+1)*n], 0
-		for i := range rank {
-			v := x.Data[i*x.Cols+f]
-			if math.IsNaN(v) {
-				rank[i] = -1
-				continue
-			}
-			// v+0 makes −0 +0; flipping the sign bit of a positive float and
-			// every bit of a negative one orders the bits as the floats.
-			b := math.Float64bits(v + 0)
-			keys[k], rows[k] = b^(uint64(int64(b)>>63)|1<<63), int32(i)
-			k++
+	// A column costs ≈ 8 radix passes over its rows.
+	par.ForScratch(x.Cols, 1+(1<<13)/n, func() any { return newRankScratch(n) }, func(any) {}, func(f0, f1 int, s any) {
+		for f := f0; f < f1; f++ {
+			t.rankColumn(x, f, s.(*rankScratch))
 		}
-		t.nan[f] = k < n
-		sorted, order := radixSort(keys[:k], rows[:k], keys[n:n+k], rows[n:n+k])
-		vals = vals[:0]
-		for j, key := range sorted {
-			if j == 0 || key != sorted[j-1] {
-				vals = append(vals, x.Data[int(order[j])*x.Cols+f])
-			}
-			rank[order[j]] = int32(len(vals) - 1)
-		}
-		t.vals[f] = slices.Clone(vals)
-	}
+	})
 	return t
+}
+
+// rankScratch is one goroutine's sort scratch for rankColumn.
+type rankScratch struct {
+	keys []uint64
+	rows []int32
+	vals []float64
+}
+
+func newRankScratch(n int) *rankScratch {
+	return &rankScratch{keys: make([]uint64, 2*n), rows: make([]int32, 2*n), vals: make([]float64, 0, n)}
+}
+
+// rankColumn fills column f's rank band, distinct values and NaN flag.
+func (t *rankTable) rankColumn(x *mat.Dense, f int, s *rankScratch) {
+	n := x.Rows
+	keys, rows := s.keys, s.rows
+	rank, k := t.rank[f*n:(f+1)*n], 0
+	for i := range rank {
+		v := x.Data[i*x.Cols+f]
+		if math.IsNaN(v) {
+			rank[i] = -1
+			continue
+		}
+		// v+0 makes −0 +0; flipping the sign bit of a positive float and
+		// every bit of a negative one orders the bits as the floats.
+		b := math.Float64bits(v + 0)
+		keys[k], rows[k] = b^(uint64(int64(b)>>63)|1<<63), int32(i)
+		k++
+	}
+	t.nan[f] = k < n
+	sorted, order := radixSort(keys[:k], rows[:k], keys[n:n+k], rows[n:n+k])
+	vals := s.vals[:0]
+	for j, key := range sorted {
+		if j == 0 || key != sorted[j-1] {
+			vals = append(vals, x.Data[int(order[j])*x.Cols+f])
+		}
+		rank[order[j]] = int32(len(vals) - 1)
+	}
+	t.vals[f] = slices.Clone(vals)
+	s.vals = vals
 }
 
 // radixSort sorts keys ascending and rows with them, one stable counting
@@ -209,10 +232,34 @@ func newSplitter(ts *TrainSet, nClasses int, p TreeParams) *splitter {
 	}
 }
 
+// The exact pre-filter's bounds. A float score errs from its exact value by
+// at most (nc+7)·2⁻⁵³ — giniOf by nc+3 units of roundoff, the weighted sum
+// and the division by three more — so two scores compare in floats as they
+// do exactly once their exact gap exceeds (nc+7)·2⁻⁵². search prunes a
+// candidate only when its gap, (bestA·b − a·bestB)/(bestB·b·total) in its
+// integers, exceeds 2^−pruneShift/total ≥ 2⁻³⁹: at most exactRows rows keep every integer
+// under 2⁶¹ (n⁵/16), and at most exactClasses classes keep 2⁻³⁹ four times
+// over the float error.
+const (
+	exactRows    = 1 << 13
+	exactClasses = 1 << 10
+	pruneShift   = 26
+)
+
 // search finds the Gini-optimal binary split of rows over nFeat randomly
 // sampled features: midpoints of consecutive distinct values in ascending
 // order, features in sampled order, the first best wins. A feature with a
 // NaN among the rows' values has no order to scan and offers no threshold.
+//
+// A candidate's score is (total − Q)/total with Q = ΣL²/nl + ΣR²/nr over
+// its class counts, which search tracks exactly in integers as the walk
+// moves rows left. Once a best exists, a candidate whose exact Q is below
+// the best's by more than the float scores can err is skipped without
+// evaluating its Gini: compared by integer cross-multiplication, its float
+// score could not have won the < test. Everything else — ties, exact
+// improvements, the candidates before the first best, nodes over the exact
+// bounds — takes the float path, so every chosen split is the one the float
+// search alone would choose.
 func (s *splitter) search(rows []int, rng *rand.Rand) (feature int, threshold float64, found bool) {
 	for i := range s.feats { // rng.Perm(d), drawn into scratch
 		j := rng.Intn(i + 1)
@@ -230,6 +277,12 @@ func (s *splitter) search(rows []int, rng *rand.Rand) (feature int, threshold fl
 		return 0, 0, false
 	}
 	best := parentGini - 1e-12
+	exact := len(rows) <= exactRows && nc <= exactClasses
+	var bestA, bestB int64 // the best's exact Q is bestA/bestB
+	var sumP2 int64
+	for _, c := range parent {
+		sumP2 += int64(c) * int64(c)
+	}
 	for _, f := range s.feats[:s.nFeat] {
 		rank := t.rank[f*m : (f+1)*m]
 		if t.nan[f] && slices.ContainsFunc(rows, func(i int) bool { return rank[i] < 0 }) {
@@ -244,26 +297,38 @@ func (s *splitter) search(rows []int, rng *rand.Rand) (feature int, threshold fl
 		// the rows below each rank are the left side of a candidate split.
 		clear(left)
 		vals, nl, prev := t.vals[f], 0, 0
+		sumL2, sumR2 := int64(0), sumP2 // ΣL², ΣR² of the current candidate
 		for w, word := range s.occ[:(len(vals)+63)/64] {
 			s.occ[w] = 0
 			for ; word != 0; word &= word - 1 {
 				r := w<<6 | bits.TrailingZeros64(word)
 				if nl > 0 {
-					nr := total - float64(nl)
-					for c := range right {
-						right[c] = parent[c] - left[c]
-					}
-					score := (float64(nl)*giniOf(left, float64(nl)) + nr*giniOf(right, nr)) / total
-					if score < best {
-						best, feature, threshold, found = score, f, (vals[prev]+vals[r])/2, true
+					nrI := int64(len(rows) - nl)
+					a, b := sumL2*nrI+sumR2*int64(nl), int64(nl)*nrI
+					if !found || !exact || bestA*b-a*bestB <= bestB*b>>pruneShift {
+						nr := total - float64(nl)
+						for c := range right {
+							right[c] = parent[c] - left[c]
+						}
+						score := (float64(nl)*giniOf(left, float64(nl)) + nr*giniOf(right, nr)) / total
+						if score < best {
+							best, feature, threshold, found = score, f, (vals[prev]+vals[r])/2, true
+							bestA, bestB = a, b
+						}
 					}
 				}
 				h := s.hist[r*nc : (r+1)*nc]
 				for c, k := range h {
+					if k == 0 {
+						continue
+					}
+					lc, kk := int64(left[c]), int64(k)
+					sumL2 += (2*lc + kk) * kk
+					sumR2 += (kk - 2*(int64(parent[c])-lc)) * kk
 					left[c] += float64(k)
 					nl += int(k)
+					h[c] = 0
 				}
-				clear(h)
 				prev = r
 			}
 		}

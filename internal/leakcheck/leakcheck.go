@@ -5,7 +5,6 @@ import (
 	"os"
 	"runtime"
 	"strings"
-	"testing"
 	"time"
 )
 
@@ -18,8 +17,9 @@ const settle = 5 * time.Second
 const module = "taskml/"
 
 // Main runs m's tests and returns the exit code for os.Exit: m.Run's, or 1
-// when the tests passed but left goroutines behind.
-func Main(m *testing.M) int {
+// when the tests passed but left goroutines behind. m is a *testing.M, or a
+// wrapper whose Run also tears down what the package's tests share.
+func Main(m interface{ Run() int }) int {
 	before := map[string]bool{}
 	for _, g := range goroutines() {
 		before[g.id] = true

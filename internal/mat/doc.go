@@ -3,22 +3,24 @@
 // products, and a symmetric eigendecomposition (the replacement for
 // numpy.linalg.eigh used by the PCA covariance method in the paper).
 //
-// The hot products (Mul, MulAtB, MulABt, MulVec) are cache-blocked and
-// row-band parallel on the bounded internal/par pool; they and the serial
-// EigSym (tridiagonal QL) share the unrolled Dot/Axpy micro-kernels in
-// kernels.go. Kernel parallelism composes with the task-level parallelism
-// of internal/compss through par.SetLimit — see the par package comment for
-// the oversubscription contract. At par.SetLimit(1) every kernel runs
-// serially on its caller, mirroring how dislib runs serial NumPy kernels
-// inside PyCOMPSs tasks.
+// The hot products (Mul, MulAtB, MulAtA, MulABt, MulVec) are cache-blocked
+// and row-band parallel through internal/par; they and EigSym (Householder
+// tridiagonalisation, then tridiagonal QL whose recorded rotations are
+// applied in one parallel region) share the unrolled Dot/Axpy
+// micro-kernels in kernels.go. A region's helpers borrow the slots the task
+// runtime leaves idle (see the par package comment), so inside a task body
+// with every slot busy a kernel runs serially on its caller — how dislib
+// runs serial NumPy kernels inside PyCOMPSs tasks — and a lone body, like
+// PCA's eigh, gets the idle ones. Every kernel has the same bits however
+// its region is split.
 //
 // # Public surface
 //
 // Dense is the matrix type — all fields exported (Rows, Cols, Data) so
 // values gob-serialize for the out-of-process backend without adapters.
 // Constructors (New, VStack, HStack), element ops (Add, Sub, Scale and
-// their InPlace forms), products (Mul, MulAdd, MulAtB, MulABt, MulVec) and
-// EigSym cover what the estimators need.
+// their InPlace forms), products (Mul, MulAdd, MulAtB, MulAtA, MulABt,
+// MulVec) and EigSym cover what the estimators need.
 //
 // # Concurrency and ownership
 //

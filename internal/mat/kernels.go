@@ -8,9 +8,9 @@ import (
 
 // This file holds the hot numeric layer: the unrolled dot/axpy
 // micro-kernels and the cache-blocked, row-band-parallel GEMM variants that
-// Mul/MulAtB/MulABt/MulVec are built on. Parallelism goes through
-// internal/par, so kernel threads compose with the compss worker pool (see
-// the par package comment for the oversubscription contract).
+// Mul/MulAtB/MulABt/MulVec are built on, and the symmetric MulAtA.
+// Parallelism goes through internal/par, whose helpers borrow the slots the
+// compss worker pool leaves idle (see the par package comment).
 
 // Cache-blocking parameters. kcBlock×(row bytes) keeps the streamed panel
 // of b resident in L2 while a row band reuses it; jcBlock bounds the
@@ -142,6 +142,33 @@ func MulAtBAdd(dst, a, b *Dense) {
 			}
 		}
 	})
+}
+
+// MulAtA computes the symmetric aᵀ·a with half of MulAtB's multiply-adds:
+// row i of the result accumulates only its columns j ≥ i, by the same Axpy
+// sequence MulAtBAdd runs over a row of a (ascending rows of a, a zero
+// coefficient skipped), so the upper triangle is bit for bit MulAtB(a, a)'s;
+// the lower triangle is then its exact mirror. Row bands of the upper
+// triangle run in parallel.
+func MulAtA(a *Dense) *Dense {
+	n := a.Cols
+	out := New(n, n)
+	par.For(n, rowGrain(n, float64(a.Rows)*float64(n)), func(i0, i1 int) {
+		for r := 0; r < a.Rows; r++ {
+			arow := a.Row(r)
+			for i := i0; i < i1; i++ {
+				if av := arow[i]; av != 0 {
+					Axpy(av, arow[i:], out.Data[i*n+i:(i+1)*n])
+				}
+			}
+		}
+	})
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			out.Data[j*n+i] = out.Data[i*n+j]
+		}
+	}
+	return out
 }
 
 // MulABtAdd accumulates a·bᵀ into dst (dst += a·bᵀ). Each output element is

@@ -3,7 +3,6 @@ package mat
 import (
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -67,11 +66,11 @@ func TestDotMatchesSequentialSum(t *testing.T) {
 // every parallelism limit, including shapes that are not multiples of the
 // cache-block sizes.
 func TestBlockedKernelsMatchNaive(t *testing.T) {
-	defer par.SetLimit(runtime.GOMAXPROCS(0))
 	rng := rand.New(rand.NewSource(11))
 	shapes := [][3]int{{1, 1, 1}, {3, 5, 2}, {17, 129, 33}, {64, 64, 64}, {130, 257, 70}}
 	for _, limit := range []int{1, 2, 8} {
-		par.SetLimit(limit)
+		withdraw := par.Lend(make(par.Slots, limit-1)) // limit goroutines a region
+		defer withdraw()
 		for _, sh := range shapes {
 			m, k, n := sh[0], sh[1], sh[2]
 			a := randDense(rng, m, k)
@@ -87,6 +86,7 @@ func TestBlockedKernelsMatchNaive(t *testing.T) {
 				t.Fatalf("limit=%d %v: MulABt disagrees", limit, sh)
 			}
 		}
+		withdraw()
 	}
 }
 
@@ -94,15 +94,15 @@ func TestBlockedKernelsMatchNaive(t *testing.T) {
 // different limits is bit-for-bit identical (chunking never reassociates
 // a given output element's accumulation).
 func TestKernelsBitIdenticalAcrossLimits(t *testing.T) {
-	defer par.SetLimit(runtime.GOMAXPROCS(0))
 	rng := rand.New(rand.NewSource(12))
 	a := randDense(rng, 70, 150)
 	b := randDense(rng, 150, 90)
 	at := a.T()
-	par.SetLimit(1)
+	serialOnly := par.Lend(make(par.Slots)) // no slot to borrow: serial
 	serial := Mul(a, b)
 	serialAtB := MulAtB(at, b)
-	par.SetLimit(8)
+	serialOnly()
+	defer par.Lend(make(par.Slots, 7))() // seven helpers a region
 	if !Equal(Mul(a, b), serial, 0) {
 		t.Fatal("Mul is not bit-identical across limits")
 	}
@@ -156,17 +156,17 @@ func TestMulAddShapePanics(t *testing.T) {
 	}
 }
 
-// EigSym must produce identical eigenpairs at every par limit. The QL
-// solver is serial, so this holds trivially; the test stays so that a
-// parallel solver has to keep it true.
+// EigSym must produce identical eigenpairs whether its rotation sweep runs
+// on the caller alone or split over helpers. At the pca_eigh size, 280, the
+// sweep's region has parts to split.
 func TestEigSymBitIdenticalAcrossLimits(t *testing.T) {
-	defer par.SetLimit(runtime.GOMAXPROCS(0))
 	rng := rand.New(rand.NewSource(14))
-	g := randDense(rng, 40, 40)
+	g := randDense(rng, 300, 280)
 	a := MulAtB(g, g)
-	par.SetLimit(1)
+	serialOnly := par.Lend(make(par.Slots)) // no slot to borrow: serial
 	v1, e1, err1 := EigSym(a)
-	par.SetLimit(8)
+	serialOnly()
+	defer par.Lend(make(par.Slots, 7))() // seven helpers a region
 	v2, e2, err2 := EigSym(a)
 	if (err1 == nil) != (err2 == nil) {
 		t.Fatalf("convergence differs: %v vs %v", err1, err2)
@@ -178,6 +178,42 @@ func TestEigSymBitIdenticalAcrossLimits(t *testing.T) {
 	}
 	if !Equal(e1, e2, 0) {
 		t.Fatal("eigenvectors differ across limits")
+	}
+}
+
+// MulAtA's upper triangle is MulAtB(a, a)'s bit for bit, on serial and
+// split regions alike, and its lower triangle is the exact mirror of its
+// upper — also for zero columns (skipped terms) and −0 columns, where the
+// two halves of MulAtB may differ in a zero's sign.
+func TestMulAtAMatchesMulAtBUpperTriangle(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for _, sh := range [][2]int{{1, 1}, {5, 3}, {37, 20}, {300, 64}} {
+		a := randDense(rng, sh[0], sh[1])
+		for r := 0; r < a.Rows; r++ {
+			a.Set(r, 0, 0)                           // a zero column
+			a.Set(r, a.Cols/2, math.Copysign(0, -1)) // a −0 column
+			if r%3 == 0 && a.Cols > 2 {
+				a.Set(r, 2, 0) // a column with zero rows
+			}
+		}
+		want := MulAtB(a, a)
+		for _, slots := range []int{0, 7} {
+			func() {
+				defer par.Lend(make(par.Slots, slots))()
+				got := MulAtA(a)
+				n := a.Cols
+				for i := 0; i < n; i++ {
+					for j := i; j < n; j++ {
+						if math.Float64bits(got.At(i, j)) != math.Float64bits(want.At(i, j)) {
+							t.Fatalf("%v slots=%d: (%d,%d) = %v, MulAtB %v", sh, slots, i, j, got.At(i, j), want.At(i, j))
+						}
+						if math.Float64bits(got.At(j, i)) != math.Float64bits(got.At(i, j)) {
+							t.Fatalf("%v slots=%d: (%d,%d) = %v is not the mirror of %v", sh, slots, j, i, got.At(j, i), got.At(i, j))
+						}
+					}
+				}
+			}()
+		}
 	}
 }
 
@@ -203,10 +239,9 @@ func BenchmarkGEMM512(b *testing.B) { benchGEMM(b, 512) }
 
 // BenchmarkGEMM512Serial pins the kernel layer to one goroutine: the
 // cache-blocking + unrolled micro-kernel gains without any parallelism, and
-// the tripwire for regressions at par.SetLimit(1).
+// the tripwire for regressions on the serial path.
 func BenchmarkGEMM512Serial(b *testing.B) {
-	defer par.SetLimit(runtime.GOMAXPROCS(0))
-	par.SetLimit(1)
+	defer par.Lend(make(par.Slots))() // no slot to borrow: serial
 	benchGEMM(b, 512)
 }
 
@@ -229,6 +264,25 @@ func BenchmarkEigSym(b *testing.B) { benchEigSym(b, 128, 128) }
 // BenchmarkEigSym280 is the pca_eigh task of the CV workloads: the
 // covariance of 1000 samples by 280 features.
 func BenchmarkEigSym280(b *testing.B) { benchEigSym(b, 1000, 280) }
+
+// BenchmarkMulAtB300x256 and BenchmarkMulAtA300x256 are one partial_gram
+// block of the gram_remote workload, by the general and the symmetric
+// kernel.
+func BenchmarkMulAtB300x256(b *testing.B) {
+	x := randDense(rand.New(rand.NewSource(6)), 300, 256)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		MulAtB(x, x)
+	}
+}
+
+func BenchmarkMulAtA300x256(b *testing.B) {
+	x := randDense(rand.New(rand.NewSource(6)), 300, 256)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		MulAtA(x)
+	}
+}
 
 func BenchmarkMulABt512x64(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))

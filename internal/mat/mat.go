@@ -341,11 +341,17 @@ func EigSym(a *Dense) (vals []float64, vecs *Dense, err error) {
 	}
 	// The solver works on the transpose of the textbook layout: row i of w
 	// ends up holding eigenvector i, so every inner loop below walks a row.
-	w := slices.Clone(a.Data)
+	// QL only records its rotations; rotate then applies them to the
+	// transpose of w, whose row k is component k of every eigenvector.
+	w := Scratch.Get(n * n)
+	copy(w, a.Data)
 	d, e := make([]float64, n), make([]float64, n)
 	if n > 0 {
 		tridiagonalize(w, d, e, n)
-		err = tridiagQL(w, d, e, n)
+		rot := Scratch.Get(2 * n * n)[:0]
+		rot, err = tridiagQL(d, e, n, rot)
+		rotate(w, n, rot)
+		Scratch.Put(rot)
 	}
 	order := make([]int, n)
 	for i := range order {
@@ -355,18 +361,18 @@ func EigSym(a *Dense) (vals []float64, vecs *Dense, err error) {
 	vals, vecs = make([]float64, n), New(n, n)
 	for col, src := range order {
 		vals[col] = d[src]
-		row := w[src*n : (src+1)*n]
 		sign, big := 1.0, 0.0
-		for _, x := range row {
-			if ax := math.Abs(x); ax > big {
-				big = ax
+		for r := 0; r < n; r++ {
+			if x := w[r*n+src]; math.Abs(x) > big {
+				big = math.Abs(x)
 				sign = math.Copysign(1, x)
 			}
 		}
-		for r, x := range row {
-			vecs.Data[r*n+col] = sign * x
+		for r := 0; r < n; r++ {
+			vecs.Data[r*n+col] = sign * w[r*n+src]
 		}
 	}
+	Scratch.Put(w)
 	return vals, vecs, err
 }
 
@@ -449,9 +455,12 @@ func tridiagonalize(w, d, e []float64, n int) {
 }
 
 // tridiagQL diagonalises the tridiagonal matrix (d, e) by implicit-shift QL
-// (tql2), applying every rotation to the rows of w. On return d holds the
-// eigenvalues, unsorted, and row i of w the eigenvector of d[i].
-func tridiagQL(w, d, e []float64, n int) error {
+// (tql2). The d/e recurrence never reads the eigenvectors, so instead of
+// applying each rotation to the rows of the transform it appends it to rot
+// — per sweep the pair (m, l), then (c, s) of each rotation i = m−1 … l —
+// and returns the list for rotate. On return d holds the eigenvalues,
+// unsorted.
+func tridiagQL(d, e []float64, n int, rot []float64) ([]float64, error) {
 	copy(e, e[1:])
 	e[n-1] = 0
 	const eps = 0x1p-52
@@ -467,7 +476,7 @@ func tridiagQL(w, d, e []float64, n int) error {
 				for i := l; i < n; i++ {
 					d[i] += f // undo the shifts on what is left
 				}
-				return ErrNotConverged
+				return rot, ErrNotConverged
 			}
 			g := d[l] // the implicit shift
 			p := (d[l+1] - g) / (2 * e[l])
@@ -483,6 +492,8 @@ func tridiagQL(w, d, e []float64, n int) error {
 			}
 			f += h
 			// QL sweep from m down to l.
+			rot = grow(rot, 2*(m-l+1))
+			rot = append(rot, float64(m), float64(l))
 			p = d[m]
 			el1, c, c2, c3, s, s2 := e[l+1], 1.0, 1.0, 1.0, 0.0, 0.0
 			for i := m - 1; i >= l; i-- {
@@ -495,12 +506,7 @@ func tridiagQL(w, d, e []float64, n int) error {
 				c = p / r
 				p = c*d[i] - s*g
 				d[i+1] = h + s*(c*g+s*d[i])
-				lo, hi := w[i*n:(i+1)*n], w[(i+1)*n:(i+2)*n]
-				for k, x := range lo {
-					y := hi[k]
-					hi[k] = s*x + c*y
-					lo[k] = c*x - s*y
-				}
+				rot = append(rot, c, s)
 			}
 			p = -s * s2 * c3 * el1 * e[l] / dl1
 			e[l] = s * p
@@ -512,7 +518,86 @@ func tridiagQL(w, d, e []float64, n int) error {
 		d[l] += f
 		e[l] = 0
 	}
-	return nil
+	return rot, nil
+}
+
+// grow makes room for k more elements of a Scratch slice, trading it for
+// one twice as large when it is full.
+func grow(s []float64, k int) []float64 {
+	if len(s)+k <= cap(s) {
+		return s
+	}
+	t := Scratch.Get(max(2*cap(s), len(s)+k))[:len(s)]
+	copy(t, s)
+	Scratch.Put(s)
+	return t
+}
+
+// rotate applies the rotations tridiagQL recorded to the n×n transform w:
+// it transposes w in place, so that row k holds component k of every
+// eigenvector, and runs the whole rotation list over each row, four rows a
+// pass over the list, with rows split between the region's helpers. Each
+// component sees the same operations in the same order as when QL rotated
+// the rows of w in place, so the result has the same bits; a component's
+// rotations touch one contiguous row, so helpers never share a cache line
+// but at the ends of their bands.
+func rotate(w []float64, n int, rot []float64) {
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			w[i*n+j], w[j*n+i] = w[j*n+i], w[i*n+j]
+		}
+	}
+	// A group of four rows costs ≈ 4·3·len(rot) flops: a chunk is a group.
+	par.For((n+3)/4, 1, func(g0, g1 int) {
+		k := 4 * g0
+		for ; k+4 <= min(4*g1, n); k += 4 {
+			rotate4(w[k*n:(k+1)*n], w[(k+1)*n:(k+2)*n], w[(k+2)*n:(k+3)*n], w[(k+3)*n:(k+4)*n], rot)
+		}
+		for ; k < min(4*g1, n); k++ {
+			rotate1(w[k*n:(k+1)*n], rot)
+		}
+	})
+}
+
+// rotate1 runs the rotation list over one component row v: per sweep (m, l),
+// rotation i mixes v[i] and v[i+1], carrying the new v[i] into the next.
+func rotate1(v, rot []float64) {
+	for j := 0; j < len(rot); {
+		m, l := int(rot[j]), int(rot[j+1])
+		j += 2
+		y := v[m]
+		for i := m - 1; i >= l; i-- {
+			c, s := rot[j], rot[j+1]
+			j += 2
+			x := v[i]
+			v[i+1] = s*x + c*y
+			y = c*x - s*y
+		}
+		v[l] = y
+	}
+}
+
+// rotate4 is rotate1 over four rows at once: one pass over the list.
+func rotate4(v0, v1, v2, v3, rot []float64) {
+	for j := 0; j < len(rot); {
+		m, l := int(rot[j]), int(rot[j+1])
+		j += 2
+		y0, y1, y2, y3 := v0[m], v1[m], v2[m], v3[m]
+		for i := m - 1; i >= l; i-- {
+			c, s := rot[j], rot[j+1]
+			j += 2
+			x0, x1, x2, x3 := v0[i], v1[i], v2[i], v3[i]
+			v0[i+1] = s*x0 + c*y0
+			v1[i+1] = s*x1 + c*y1
+			v2[i+1] = s*x2 + c*y2
+			v3[i+1] = s*x3 + c*y3
+			y0 = c*x0 - s*y0
+			y1 = c*x1 - s*y1
+			y2 = c*x2 - s*y2
+			y3 = c*x3 - s*y3
+		}
+		v0[l], v1[l], v2[l], v3[l] = y0, y1, y2, y3
+	}
 }
 
 // Identity returns the n×n identity matrix.

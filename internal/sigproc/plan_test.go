@@ -56,8 +56,7 @@ func TestExecuteIntoMatchesExecuteBitIdentical(t *testing.T) {
 	}
 	for _, limit := range []int{1, 4} {
 		func() {
-			defer par.SetLimit(par.Limit())
-			par.SetLimit(limit)
+			defer par.Lend(make(par.Slots, limit-1))() // limit goroutines a region
 			dst := mat.Scratch.GetDense(c.NumBins(), c.NumSegments(len(x)))
 			defer mat.Scratch.PutDense(dst)
 			p.ExecuteInto(x, dst)
@@ -89,8 +88,7 @@ func TestExecuteIntoShapePanics(t *testing.T) {
 // allocation-free regardless of how many segments it covers. The bound
 // leaves headroom for a background GC emptying the sync.Pools mid-loop.
 func TestSTFTSegmentLoopAllocFree(t *testing.T) {
-	defer par.SetLimit(par.Limit())
-	par.SetLimit(1)
+	defer par.Lend(make(par.Slots))() // no slot to borrow: every kernel runs on its caller
 	c := SpectrogramConfig{Fs: 300, WindowSize: 256, Overlap: 32}
 	p, err := NewPlan(c)
 	if err != nil {

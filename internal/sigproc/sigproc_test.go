@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
-	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -306,19 +305,19 @@ func TestFlattenLengthAndOrder(t *testing.T) {
 // bit-for-bit the same as the serial sweep (each segment's arithmetic is
 // untouched by the chunking).
 func TestSpectrogramBitIdenticalAcrossLimits(t *testing.T) {
-	defer par.SetLimit(runtime.GOMAXPROCS(0))
 	rng := rand.New(rand.NewSource(5))
 	x := make([]float64, 4096)
 	for i := range x {
 		x[i] = rng.NormFloat64()
 	}
 	c := SpectrogramConfig{Fs: 300, WindowSize: 128, Overlap: 64}
-	par.SetLimit(1)
+	serialOnly := par.Lend(make(par.Slots)) // no slot to borrow: serial
 	serial, _, _, err := Spectrogram(x, c)
+	serialOnly()
 	if err != nil {
 		t.Fatal(err)
 	}
-	par.SetLimit(8)
+	defer par.Lend(make(par.Slots, 7))() // seven helpers a region
 	parallel, _, _, err := Spectrogram(x, c)
 	if err != nil {
 		t.Fatal(err)

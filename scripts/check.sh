@@ -39,6 +39,16 @@ if go list -deps ./cmd/worker | grep -qx 'encoding/gob'; then
     exit 1
 fi
 
+# Kernel parallelism borrows idle task slots (internal/par): there is no
+# limit to set, and par.SetLimit survives as a no-op only for the frozen
+# benchmark module. A call anywhere else is a program that believes it caps
+# something.
+echo "== no par.SetLimit / par.Limit outside bench/ and tests"
+if grep -rn --include='*.go' -E 'par\.(SetLimit|Limit)\(' . | grep -v '^\./bench/' | grep -v '_test\.go:' | grep -vE ':[0-9]+:[[:space:]]*//'; then
+    echo "par.SetLimit / par.Limit called outside bench/: kernel helpers borrow idle slots, there is no limit" >&2
+    exit 1
+fi
+
 echo "== go build ./..."
 go build ./...
 
@@ -80,6 +90,23 @@ done
 echo "== go test -race -count=2 -cpu=1,8 -run 'TestStealStress|TestParallelismIsBounded|TestBarrierNestedStress|TestChainMembership|TestChainHandBack|TestChainHeadFailure|TestChainEventsAndStats' ./internal/compss/"
 go test -race -count=2 -cpu=1,8 -run 'TestStealStress|TestParallelismIsBounded|TestBarrierNestedStress|TestChainMembership|TestChainHandBack|TestChainHeadFailure|TestChainEventsAndStats' ./internal/compss/
 
+# Kernel helpers borrow idle slots from the live runtime or worker (par.Lend)
+# and must change no bit: the rotation sweep of EigSym at the pca_eigh size,
+# the GEMM and STFT regions, the symmetric Gram kernel against MulAtB, the
+# split search's exact pruning (ties against the float reference, and a
+# whole CV's trees) and the parallel rank build, each at both GOMAXPROCS
+# extremes; the 2 200-node and 60-tree reference tests ran in the -race pass
+# above.
+# Beside them the bounds: kernels inside W bodies never run more than W
+# goroutines, a lone body borrows the idle slots, a one-slot worker's kernels
+# stay serial and an in-process member leaves its host's kernels parallel.
+echo "== go test -race -count=2 -cpu=1,8 (kernel bit-identity and borrowing bounds)"
+go test -race -count=2 -cpu=1,8 -run 'AcrossLimits|TestMulAtAMatchesMulAtBUpperTriangle' ./internal/mat/ ./internal/sigproc/
+go test -race -count=2 -cpu=1,8 -run 'TestBestSplitNearTieFirstWins|TestTrainSetRanks|TestForestCVMatchesReferenceSplit' ./internal/forest/
+go test -race -count=2 -cpu=1,8 ./internal/par/
+go test -race -count=2 -cpu=1,8 -run 'TestParallelismIsBounded|TestKernelsBorrowIdleSlots|TestRuntimeLendsWhileCarriersLive' ./internal/compss/
+go test -race -count=2 -cpu=1,8 -run 'TestWorkerSlotsBoundKernelHelpers|TestInProcessWorkerLeavesHostKernelsParallel' ./internal/exec/
+
 # internal/core and internal/serve are not in the -count=2 pass above, so
 # the tests there that race membership changes, holder kills and concurrent
 # stream pushes against real worker processes are pinned by name:
@@ -96,8 +123,10 @@ go test -race -count=2 -cpu=1,8 -run 'TestStealStress|TestParallelismIsBounded|T
 # (TestCapacityFixedAtNew), its session forgotten once it is unreachable
 # (TestReleaseWhenUnreachable, TestForget*, TestReleaseAfterFleetEnds) — run
 # in the -count=2 compss and exec pass above.
-echo "== go test -race -count=2 -run 'TestRemoteKillThenRejoinParity|TestRemoteHolderKillParity|TestRemoteChainParity|TestRemoteLineageParity|TestRemoteFleetForgetsFinishedRuns' ./internal/core/"
-go test -race -count=2 -run 'TestRemoteKillThenRejoinParity|TestRemoteHolderKillParity|TestRemoteChainParity|TestRemoteLineageParity|TestRemoteFleetForgetsFinishedRuns' ./internal/core/
+# TestFoldsOverlap holds each fold's first task open until the next fold's
+# has started, so it asserts an order the runtime guarantees, not wall stamps.
+echo "== go test -race -count=2 -run 'TestRemoteKillThenRejoinParity|TestRemoteHolderKillParity|TestRemoteChainParity|TestRemoteLineageParity|TestRemoteFleetForgetsFinishedRuns|TestFoldsOverlap' ./internal/core/"
+go test -race -count=2 -run 'TestRemoteKillThenRejoinParity|TestRemoteHolderKillParity|TestRemoteChainParity|TestRemoteLineageParity|TestRemoteFleetForgetsFinishedRuns|TestFoldsOverlap' ./internal/core/
 echo "== go test -race -count=2 -run 'TestRemoteParityBitIdentical/^(dial-in-member|no-cache)\$' ./internal/core/"
 go test -race -count=2 -run 'TestRemoteParityBitIdentical/^(dial-in-member|no-cache)$' ./internal/core/
 echo "== go test -race -count=2 -run 'TestServe' ./internal/serve/ ./internal/core/"
@@ -108,8 +137,9 @@ go test -race -count=2 -run 'TestServe' ./internal/serve/ ./internal/core/
 # stream's windower holds one window plus one push, and a detached task —
 # every batch a server scores — leaves no graph node, no entry in any
 # context and nothing on a worker, over 10⁵ single-window batches here. The
-# serve and compss runs end in leakcheck (their TestMain): a scorer loop or a
-# carrier that outlives the tests fails them with its stack.
+# serve, compss, exec, core and edge runs end in leakcheck (their TestMain):
+# a scorer loop, a carrier, a worker link reader or a kernel helper that
+# outlives the tests fails them with its stack.
 echo "== go test -race -count=2 -run 'TestCompletedTask|TestHeldOutputKeepsArgs|TestDetached|TestRecordedSubmitRefusesDetachedFuture|TestServeLetsGo|TestServeSoak|TestWindowerCompactsInPlace' ./internal/compss/ ./internal/serve/ ./internal/edge/"
 go test -race -count=2 -run 'TestCompletedTask|TestHeldOutputKeepsArgs|TestDetached|TestRecordedSubmitRefusesDetachedFuture|TestServeLetsGo|TestServeSoak|TestWindowerCompactsInPlace' ./internal/compss/ ./internal/serve/ ./internal/edge/
 
@@ -141,12 +171,16 @@ go test -run=NONE -bench=Submit -benchtime=100x -benchmem .
 echo "== go test -run=NONE -bench='Wire|RemoteRoundtrip|RemoteChainTree|RemoteHeldTree' -benchtime=100x -benchmem ./internal/exec/"
 go test -run=NONE -bench='Wire|RemoteRoundtrip|RemoteChainTree|RemoteHeldTree' -benchtime=100x -benchmem ./internal/exec/
 # Kernel smoke: the loops a CV pass spends its time in. EigSym allocates its
-# buffers once per call (7 allocs/op, at most 16 whatever n), BestSplit its
-# scratch once per call (6 allocs/op) and BuildTree once per tree, never per
-# candidate threshold; a count that grows with the input is the regression to
-# catch. NewTrainSet, the rank build every fold pays once, prints beside them.
-echo "== go test -run=NONE -bench='BestSplit|BuildTree|NewTrainSet|EigSym' -benchtime=10x -benchmem ./internal/forest/ ./internal/mat/"
-go test -run=NONE -bench='BestSplit|BuildTree|NewTrainSet|EigSym' -benchtime=10x -benchmem ./internal/forest/ ./internal/mat/
+# buffers once per call (at most 16 allocs/op whatever n: its work buffer and
+# rotation list come from mat.Scratch, its rotation sweep is one region),
+# BestSplit its scratch once per call (6 allocs/op) and BuildTree once per
+# tree, never per candidate threshold; a count that grows with the input is
+# the regression to catch. NewTrainSet, the rank build every fold pays once,
+# prints beside them, and so do EigSym280 (the pca_eigh task) and one
+# partial_gram block by the general and the symmetric kernel (MulAtB300x256,
+# MulAtA300x256: half the multiply-adds).
+echo "== go test -run=NONE -bench='BestSplit|BuildTree|NewTrainSet|EigSym|MulAt.300x256' -benchtime=10x -benchmem ./internal/forest/ ./internal/mat/"
+go test -run=NONE -bench='BestSplit|BuildTree|NewTrainSet|EigSym|MulAt.300x256' -benchtime=10x -benchmem ./internal/forest/ ./internal/mat/
 echo "== go test -run=NONE -bench=Submit -benchtime=100x -mutexprofile ."
 mutexdir=$(mktemp -d)
 go test -run=NONE -bench=Submit -benchtime=100x -mutexprofile "$mutexdir/mutex.prof" -o "$mutexdir/bench.test" .
