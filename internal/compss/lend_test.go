@@ -69,14 +69,21 @@ func kernelsInBodies(t *testing.T, workers int) {
 	untilIdle(t, rt)
 }
 
-// untilIdle waits for rt's carriers to exit, so that it lends nothing to the
-// regions of the tests after it: the lenders are process-wide, and a region
-// may borrow any live runtime's idle slots.
+// untilIdle waits for rt's carriers to exit and for rt to withdraw as a
+// lender, so that it lends nothing to the regions of the tests after it: the
+// lenders are process-wide, and a region may borrow any live runtime's idle
+// slots. The last carrier withdraws just after it drops nLive to zero, so
+// both are waited for.
 func untilIdle(t *testing.T, rt *Runtime) {
 	t.Helper()
-	for deadline := time.Now().Add(5 * time.Second); rt.ex.nLive.Load() > 0; time.Sleep(time.Millisecond) {
+	lending := func() bool {
+		rt.ex.lendMu.Lock()
+		defer rt.ex.lendMu.Unlock()
+		return rt.ex.withdraw != nil
+	}
+	for deadline := time.Now().Add(5 * time.Second); rt.ex.nLive.Load() > 0 || lending(); time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d carriers still live 5 s after the work drained", rt.ex.nLive.Load())
+			t.Fatalf("%d carriers still live (lending %v) 5 s after the work drained", rt.ex.nLive.Load(), lending())
 		}
 	}
 }

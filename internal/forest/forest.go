@@ -167,8 +167,9 @@ func (f *RandomForest) buildDistr(tc *compss.TaskCtx, data, idx *compss.Future, 
 	// paper blames for RF's poor scalability ("the division of the data on
 	// the different decision trees can cause some tasks handle considerably
 	// more data than other[s]"). The fraction is drawn deterministically
-	// per node from the estimator seed.
-	frac := 0.2 + 0.6*rand.New(rand.NewSource(seed^int64(depth*2654435761))).Float64()
+	// per node from the estimator seed; the product is rounded so no
+	// architecture fuses it into the sum (mat's lane contract).
+	frac := 0.2 + float64(0.6*rand.New(rand.NewSource(seed^int64(depth*2654435761))).Float64())
 	left := f.buildDistr(tc, data, outs[1], seed*31+1, depth+1, int(frac*float64(estN))+1, p)
 	right := f.buildDistr(tc, data, outs[2], seed*31+2, depth+1, int((1-frac)*float64(estN))+1, p)
 

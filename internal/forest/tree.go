@@ -98,7 +98,7 @@ func giniOf(counts []float64, total float64) float64 {
 	g := 1.0
 	for _, c := range counts {
 		p := c / total
-		g -= p * p
+		g -= float64(p * p) // rounded: no architecture fuses it (mat's lane contract)
 	}
 	return g
 }
@@ -310,7 +310,8 @@ func (s *splitter) search(rows []int, rng *rand.Rand) (feature int, threshold fl
 						for c := range right {
 							right[c] = parent[c] - left[c]
 						}
-						score := (float64(nl)*giniOf(left, float64(nl)) + nr*giniOf(right, nr)) / total
+						// Each product rounded, as in giniOf.
+						score := (float64(float64(nl)*giniOf(left, float64(nl))) + float64(nr*giniOf(right, nr))) / total
 						if score < best {
 							best, feature, threshold, found = score, f, (vals[prev]+vals[r])/2, true
 							bestA, bestB = a, b

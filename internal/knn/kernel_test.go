@@ -52,7 +52,7 @@ func randBlocks(rng *rand.Rand, rowsPerBlock []int, dims int) []*nnBlock {
 			}
 			labels[i] = rng.Intn(4)
 		}
-		blocks = append(blocks, &nnBlock{x: x, labels: labels, offset: offset, norms: rowNorms(x)})
+		blocks = append(blocks, &nnBlock{x: x, labels: labels, offset: offset, norms: mat.RowNormsInto(make([]float64, x.Rows), x)})
 		offset += rows
 	}
 	return blocks
@@ -101,7 +101,7 @@ func TestQueryBlockMatchesNaiveScan(t *testing.T) {
 // ascending-index tie-break through the heap.
 func TestQueryBlockTieBreakOnIndex(t *testing.T) {
 	x := mat.NewFromRows([][]float64{{1, 0}, {1, 0}, {1, 0}, {0, 2}})
-	b := &nnBlock{x: x, labels: []int{0, 1, 2, 3}, offset: 10, norms: rowNorms(x)}
+	b := &nnBlock{x: x, labels: []int{0, 1, 2, 3}, offset: 10, norms: mat.RowNormsInto(make([]float64, x.Rows), x)}
 	nb := queryBlock(mat.NewFromRows([][]float64{{0, 0}}), []*nnBlock{b}, 2)[0]
 	if nb[0].idx != 10 || nb[1].idx != 11 {
 		t.Fatalf("tie-break order = [%d %d], want [10 11]", nb[0].idx, nb[1].idx)

@@ -58,18 +58,6 @@ type nnBlock struct {
 	norms  []float64
 }
 
-// rowNorms returns ‖row‖² for every row of x, via the same Dot kernel the
-// GEMM path uses (this keeps d² exactly zero for identical vectors: the
-// three terms of the expansion are then bitwise-equal dot products).
-func rowNorms(x *mat.Dense) []float64 {
-	n := make([]float64, x.Rows)
-	for i := range n {
-		row := x.Row(i)
-		n[i] = mat.Dot(row, row)
-	}
-	return n
-}
-
 // ErrNotFitted is returned by queries before Fit.
 var ErrNotFitted = errors.New("knn: model is not fitted")
 
@@ -115,7 +103,11 @@ func (m *KNN) Fit(x, y *dsarray.Array) error {
 			if blk.Rows != lbl.Rows {
 				return nil, fmt.Errorf("knn: block rows %d vs labels %d", blk.Rows, lbl.Rows)
 			}
-			return &nnBlock{x: blk, labels: dsarray.LabelsToInts(lbl), offset: offset, norms: rowNorms(blk)}, nil
+			// The norms go through the same Dot kernel as the GEMM path, so
+			// d² is exactly zero for identical vectors: the three terms of
+			// the expansion are then bitwise-equal dot products.
+			norms := mat.RowNormsInto(make([]float64, blk.Rows), blk)
+			return &nnBlock{x: blk, labels: dsarray.LabelsToInts(lbl), offset: offset, norms: norms}, nil
 		}, x.RowBlock(i), y.RowBlock(i))
 	}
 	m.dims = x.Cols()

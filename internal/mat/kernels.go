@@ -7,8 +7,9 @@ import (
 )
 
 // This file holds the hot numeric layer: the unrolled dot/axpy
-// micro-kernels and the cache-blocked, row-band-parallel GEMM variants that
-// Mul/MulAtB/MulABt/MulVec are built on, and the symmetric MulAtA.
+// micro-kernels (with their AVX twins in vec_amd64.s) and the
+// cache-blocked, row-band-parallel GEMM variants that Mul/MulAtB/MulABt/
+// MulVec are built on, and the symmetric MulAtA.
 // Parallelism goes through internal/par, whose helpers borrow the slots the
 // compss worker pool leaves idle (see the par package comment).
 
@@ -25,26 +26,41 @@ const (
 // serially: smaller products are dominated by goroutine handoff.
 const gemmFlopFloor = 1 << 15
 
+// vecMinLen is the length from which Dot, Axpy and MulABtAdd's panel take
+// the vector kernels. Measured through Dot and Axpy on a 2-core Xeon: at
+// 3–5 elements the Go loops and the assembly tie at ≈ 8 ns a call, from 8
+// the assembly is ≥ 20 % faster. So shorter vectors (eddl's 5-tap
+// convolutions) stay in the Go loops.
+const vecMinLen = 8
+
+// useAVX selects the AVX kernels of vec_amd64.s where haveAVX allows them.
+// Only tests flip it, to run the Go loops as the oracle.
+var useAVX = haveAVX
+
 // Dot returns the inner product of a and b. len(b) must be ≥ len(a); extra
 // elements of b are ignored. Four accumulators keep the FP pipeline full;
 // the summation order differs from a naive loop by at most the usual
-// floating-point reassociation error.
+// floating-point reassociation error. The AVX kernel holds the same four
+// accumulators in the four lanes of one register and returns the same bits.
 func Dot(a, b []float64) float64 {
 	n := len(a)
 	if n == 0 {
 		return 0
 	}
 	b = b[:n]
+	if useAVX && n >= vecMinLen {
+		return dotAVX(a, b)
+	}
 	var s0, s1, s2, s3 float64
 	i := 0
 	for ; i+4 <= n; i += 4 {
-		s0 += a[i] * b[i]
-		s1 += a[i+1] * b[i+1]
-		s2 += a[i+2] * b[i+2]
-		s3 += a[i+3] * b[i+3]
+		s0 += float64(a[i] * b[i])
+		s1 += float64(a[i+1] * b[i+1])
+		s2 += float64(a[i+2] * b[i+2])
+		s3 += float64(a[i+3] * b[i+3])
 	}
 	for ; i < n; i++ {
-		s0 += a[i] * b[i]
+		s0 += float64(a[i] * b[i])
 	}
 	return (s0 + s1) + (s2 + s3)
 }
@@ -57,15 +73,19 @@ func Axpy(alpha float64, x, y []float64) {
 		return
 	}
 	y = y[:n]
+	if useAVX && n >= vecMinLen {
+		axpyAVX(alpha, x, y)
+		return
+	}
 	i := 0
 	for ; i+4 <= n; i += 4 {
-		y[i] += alpha * x[i]
-		y[i+1] += alpha * x[i+1]
-		y[i+2] += alpha * x[i+2]
-		y[i+3] += alpha * x[i+3]
+		y[i] += float64(alpha * x[i])
+		y[i+1] += float64(alpha * x[i+1])
+		y[i+2] += float64(alpha * x[i+2])
+		y[i+3] += float64(alpha * x[i+3])
 	}
 	for ; i < n; i++ {
-		y[i] += alpha * x[i]
+		y[i] += float64(alpha * x[i])
 	}
 }
 
@@ -173,7 +193,8 @@ func MulAtA(a *Dense) *Dense {
 
 // MulABtAdd accumulates a·bᵀ into dst (dst += a·bᵀ). Each output element is
 // a dot product of two stored rows, so the kernel is a row-band-parallel
-// sweep of Dot calls.
+// sweep of Dot calls; with AVX, a panel runs one row of a against four rows
+// of b per pass (four Dots that share the loads of a, the same bits).
 func MulABtAdd(dst, a, b *Dense) {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("mat: MulABtAdd shape mismatch %dx%d, %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -182,10 +203,22 @@ func MulABtAdd(dst, a, b *Dense) {
 		panic(fmt.Sprintf("mat: MulABtAdd dst %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Rows))
 	}
 	par.For(a.Rows, rowGrain(a.Rows, 2*float64(a.Cols)*float64(b.Rows)), func(r0, r1 int) {
+		k := a.Cols
+		var d [4]float64
 		for i := r0; i < r1; i++ {
 			arow := a.Row(i)
 			orow := dst.Row(i)
-			for j := 0; j < b.Rows; j++ {
+			j := 0
+			if useAVX && k >= vecMinLen {
+				for ; j+4 <= b.Rows; j += 4 {
+					dot4AVX(arow, b.Data[j*k:(j+4)*k], &d)
+					orow[j] += d[0]
+					orow[j+1] += d[1]
+					orow[j+2] += d[2]
+					orow[j+3] += d[3]
+				}
+			}
+			for ; j < b.Rows; j++ {
 				orow[j] += Dot(arow, b.Row(j))
 			}
 		}

@@ -395,14 +395,14 @@ func tridiagonalize(w, d, e []float64, n int) {
 			// Householder vector of row i, scaled against under/overflow.
 			for k := range d[:i] {
 				d[k] /= scale
-				h += d[k] * d[k]
+				h += float64(d[k] * d[k])
 			}
 			f, g := d[i-1], math.Sqrt(h)
 			if f > 0 {
 				g = -g
 			}
 			e[i] = scale * g
-			h -= f * g
+			h -= float64(f * g)
 			d[i-1] = f - g
 			// Similarity transform of the leading i×i block: e = A·d from
 			// the upper triangle, then the rank-two update.
@@ -420,7 +420,7 @@ func tridiagonalize(w, d, e []float64, n int) {
 			for j := 0; j < i; j++ {
 				f, g, row := d[j], e[j], w[j*n:j*n+i]
 				for k := j; k < i; k++ {
-					row[k] -= f*e[k] + g*d[k]
+					row[k] -= float64(f*e[k]) + float64(g*d[k])
 				}
 			}
 		}
@@ -499,13 +499,13 @@ func tridiagQL(d, e []float64, n int, rot []float64) ([]float64, error) {
 			for i := m - 1; i >= l; i-- {
 				c3, c2, s2 = c2, c, s
 				g = c * e[i]
-				h = c * p
+				h = float64(c * p)
 				r = math.Hypot(p, e[i])
 				e[i+1] = s * r
 				s = e[i] / r
 				c = p / r
-				p = c*d[i] - s*g
-				d[i+1] = h + s*(c*g+s*d[i])
+				p = float64(c*d[i]) - float64(s*g)
+				d[i+1] = h + float64(s*(float64(c*g)+float64(s*d[i])))
 				rot = append(rot, c, s)
 			}
 			p = -s * s2 * c3 * el1 * e[l] / dl1
@@ -570,8 +570,8 @@ func rotate1(v, rot []float64) {
 			c, s := rot[j], rot[j+1]
 			j += 2
 			x := v[i]
-			v[i+1] = s*x + c*y
-			y = c*x - s*y
+			v[i+1] = float64(s*x) + float64(c*y)
+			y = float64(c*x) - float64(s*y)
 		}
 		v[l] = y
 	}
@@ -587,14 +587,14 @@ func rotate4(v0, v1, v2, v3, rot []float64) {
 			c, s := rot[j], rot[j+1]
 			j += 2
 			x0, x1, x2, x3 := v0[i], v1[i], v2[i], v3[i]
-			v0[i+1] = s*x0 + c*y0
-			v1[i+1] = s*x1 + c*y1
-			v2[i+1] = s*x2 + c*y2
-			v3[i+1] = s*x3 + c*y3
-			y0 = c*x0 - s*y0
-			y1 = c*x1 - s*y1
-			y2 = c*x2 - s*y2
-			y3 = c*x3 - s*y3
+			v0[i+1] = float64(s*x0) + float64(c*y0)
+			v1[i+1] = float64(s*x1) + float64(c*y1)
+			v2[i+1] = float64(s*x2) + float64(c*y2)
+			v3[i+1] = float64(s*x3) + float64(c*y3)
+			y0 = float64(c*x0) - float64(s*y0)
+			y1 = float64(c*x1) - float64(s*y1)
+			y2 = float64(c*x2) - float64(s*y2)
+			y3 = float64(c*x3) - float64(s*y3)
 		}
 		v0[l], v1[l], v2[l], v3[l] = y0, y1, y2, y3
 	}

@@ -22,10 +22,12 @@ func init() {
 		out := mat.New(3, d)
 		for r := 0; r < blk.Rows; r++ {
 			row := blk.Row(r)
+			// v*v is rounded before the sum, so no architecture fuses it
+			// (mat's lane contract); so is mean*mean in scaler_finalize.
 			for c, v := range row {
 				out.Set(0, off+c, out.At(0, off+c)+1)
 				out.Set(1, off+c, out.At(1, off+c)+v)
-				out.Set(2, off+c, out.At(2, off+c)+v*v)
+				out.Set(2, off+c, out.At(2, off+c)+float64(v*v))
 			}
 		}
 		return out, nil
@@ -42,7 +44,7 @@ func init() {
 				return nil, fmt.Errorf("preproc: scaler fitted on empty column %d", c)
 			}
 			mean := m.At(1, c) / n
-			variance := m.At(2, c)/n - mean*mean
+			variance := m.At(2, c)/n - float64(mean*mean)
 			if variance < 0 {
 				variance = 0
 			}

@@ -35,7 +35,7 @@ func IFFT(x []complex128) []complex128 {
 	out := fft(x, true)
 	inv := 1 / float64(len(x))
 	for i := range out {
-		out[i] *= complex(inv, 0)
+		out[i] = cmul(out[i], complex(inv, 0))
 	}
 	return out
 }
@@ -83,13 +83,22 @@ func fftInPlace(x []complex128, inverse bool) {
 			w := complex(1, 0)
 			for k := 0; k < half; k++ {
 				a := x[start+k]
-				b := x[start+k+half] * w
+				b := cmul(x[start+k+half], w)
 				x[start+k] = a + b
 				x[start+k+half] = a - b
-				w *= step
+				w = cmul(w, step)
 			}
 		}
 	}
+}
+
+// cmul is x·y as Go multiplies complex128 values — (ac−bd) + (ad+bc)i —
+// with every product rounded before its sum. Written out, the float64
+// conversions keep arm64 from fusing a product into its sum (FMADDD), so
+// every architecture computes amd64's bits.
+func cmul(x, y complex128) complex128 {
+	a, b, c, d := real(x), imag(x), real(y), imag(y)
+	return complex(float64(a*c)-float64(b*d), float64(a*d)+float64(b*c))
 }
 
 // Hann returns the n-point Hann window (the window we use for the STFT; the
@@ -180,7 +189,7 @@ func NewPlan(c SpectrogramConfig) (*Plan, error) {
 	win := Hann(c.WindowSize)
 	var winPow float64
 	for _, w := range win {
-		winPow += w * w
+		winPow += float64(w * w)
 	}
 	p := &Plan{cfg: c, win: win, scale: 1 / (c.Fs * winPow)}
 	p.getFn, p.putFn = p.getBuf, p.putBuf
@@ -218,7 +227,7 @@ func (p *Plan) Execute(x []float64) (*mat.Dense, []float64, []float64, error) {
 	hop := c.WindowSize - c.Overlap
 	times := make([]float64, nseg)
 	for s := range times {
-		times[s] = (float64(s*hop) + float64(c.WindowSize)/2) / c.Fs
+		times[s] = (float64(s*hop) + float64(float64(c.WindowSize)/2)) / c.Fs
 	}
 	return out, freqs, times, nil
 }
@@ -252,8 +261,8 @@ func (p *Plan) ExecuteInto(x []float64, dst *mat.Dense) {
 			}
 			fftInPlace(buf, false)
 			for b := 0; b < nb; b++ {
-				pw := real(buf[b])*real(buf[b]) + imag(buf[b])*imag(buf[b])
-				pw *= scale
+				pw := float64(real(buf[b])*real(buf[b])) + float64(imag(buf[b])*imag(buf[b]))
+				pw = float64(pw * scale)
 				if b != 0 && b != c.WindowSize/2 {
 					pw *= 2 // one-sided: fold the negative frequencies
 				}

@@ -52,6 +52,28 @@ fi
 echo "== go build ./..."
 go build ./...
 
+# No architecture may fuse a kernel's product into its sum: arm64 compiles
+# x*y + z to FMADDD unless an explicit float64(...) conversion rounds the
+# product first, and a fused kernel computes other bits than amd64, which
+# would break local/remote bit-identity on a mixed-architecture fleet. The
+# compiler's listing of the four kernel packages must hold no fused
+# instruction (a cached build replays the listing), and the Go path of mat,
+# the one every architecture but amd64 runs, must vet clean there.
+echo "== GOARCH=arm64: no fused multiply-add in mat, sigproc, forest, preproc"
+kernelpkgs="./internal/mat/ ./internal/sigproc/ ./internal/forest/ ./internal/preproc/"
+listing=$(GOARCH=arm64 go build -gcflags=-S $kernelpkgs 2>&1) || {
+    GOARCH=arm64 go build $kernelpkgs # prints the build errors alone
+    exit 1
+}
+fused=$(echo "$listing" | grep -E '[[:space:]](FMADDD|FMSUBD|FNMADDD|FNMSUBD)[[:space:]]' || true)
+if [ -n "$fused" ]; then
+    echo "fused multiply-add on arm64; round the product with float64(...):" >&2
+    echo "$fused" >&2
+    exit 1
+fi
+echo "== GOARCH=arm64 go vet ./internal/mat/"
+GOARCH=arm64 go vet ./internal/mat/
+
 echo "== go test -race ./..."
 go test -race ./...
 
@@ -69,9 +91,11 @@ go test -race -count=2 ./internal/compss/... ./internal/cluster/... ./internal/t
 # error — no panic, no allocation sized by a length prefix — and whatever
 # decodes must re-encode to the same bytes. So is the provenance import: an
 # accepted record must survive the graph's analyses and write back to the
-# same tasks. Ten seconds per target on top of the seed corpus the unit run
-# above already replayed.
-for spec in FuzzDecodeValue:./internal/exec/ FuzzDecodeFrame:./internal/exec/ FuzzReadProvenance:./internal/graph/; do
+# same tasks. So are mat's AVX kernels: arbitrary float64 bit patterns must
+# give the Go loops' bits through Dot, Axpy and the MulABt panel. Ten
+# seconds per target on top of the seed corpus the unit run above already
+# replayed.
+for spec in FuzzDecodeValue:./internal/exec/ FuzzDecodeFrame:./internal/exec/ FuzzReadProvenance:./internal/graph/ FuzzKernelsMatchGo:./internal/mat/; do
     target=${spec%%:*} pkg=${spec#*:}
     echo "== go test -run=NONE -fuzz=$target -fuzztime=10s $pkg"
     go test -run=NONE -fuzz="^$target\$" -fuzztime=10s "$pkg"
@@ -102,6 +126,13 @@ go test -race -count=2 -cpu=1,8 -run 'TestStealStress|TestParallelismIsBounded|T
 # stay serial and an in-process member leaves its host's kernels parallel.
 echo "== go test -race -count=2 -cpu=1,8 (kernel bit-identity and borrowing bounds)"
 go test -race -count=2 -cpu=1,8 -run 'AcrossLimits|TestMulAtAMatchesMulAtBUpperTriangle' ./internal/mat/ ./internal/sigproc/
+# The race detector cannot see inside assembly, so a -race build runs mat's
+# Go loops alone. Without -race the same tests, the KNN distance check and
+# the allocation check run on the AVX kernels, beside the table and the fuzz
+# seeds of the kernels against the Go loops.
+echo "== go test -count=2 -cpu=1,8 (AVX kernels, no -race)"
+go test -count=2 -cpu=1,8 -run 'TestVectorKernelsMatchGo|FuzzKernelsMatchGo|AcrossLimits|TestMulAtAMatchesMulAtBUpperTriangle|TestDotAxpyAllocFree' ./internal/mat/
+go test -count=2 -cpu=1,8 -run 'TestQueryBlockMatchesNaiveScan' ./internal/knn/
 go test -race -count=2 -cpu=1,8 -run 'TestBestSplitNearTieFirstWins|TestTrainSetRanks|TestForestCVMatchesReferenceSplit' ./internal/forest/
 go test -race -count=2 -cpu=1,8 ./internal/par/
 go test -race -count=2 -cpu=1,8 -run 'TestParallelismIsBounded|TestKernelsBorrowIdleSlots|TestRuntimeLendsWhileCarriersLive' ./internal/compss/
@@ -178,9 +209,13 @@ go test -run=NONE -bench='Wire|RemoteRoundtrip|RemoteChainTree|RemoteHeldTree' -
 # the regression to catch. NewTrainSet, the rank build every fold pays once,
 # prints beside them, and so do EigSym280 (the pca_eigh task) and one
 # partial_gram block by the general and the symmetric kernel (MulAtB300x256,
-# MulAtA300x256: half the multiply-adds).
+# MulAtA300x256: half the multiply-adds). The micro-kernels print their
+# /go and /avx ratio: one nn_predict block (MulABt100x119), a Dot at its
+# width and one Gram-row Axpy.
 echo "== go test -run=NONE -bench='BestSplit|BuildTree|NewTrainSet|EigSym|MulAt.300x256' -benchtime=10x -benchmem ./internal/forest/ ./internal/mat/"
 go test -run=NONE -bench='BestSplit|BuildTree|NewTrainSet|EigSym|MulAt.300x256' -benchtime=10x -benchmem ./internal/forest/ ./internal/mat/
+echo "== go test -run=NONE -bench='MulABt100x119|Dot119|Axpy256' -benchtime=100ms ./internal/mat/"
+go test -run=NONE -bench='MulABt100x119|Dot119|Axpy256' -benchtime=100ms ./internal/mat/
 echo "== go test -run=NONE -bench=Submit -benchtime=100x -mutexprofile ."
 mutexdir=$(mktemp -d)
 go test -run=NONE -bench=Submit -benchtime=100x -mutexprofile "$mutexdir/mutex.prof" -o "$mutexdir/bench.test" .
