@@ -248,7 +248,7 @@ func signalPool(fs, streamSec float64, seed int64) [][]float64 {
 	pool := make([][]float64, poolSize)
 	for i := range pool {
 		// Vary the AF onset across the pool: between 35% and 65% in.
-		normal := streamSec * (0.35 + 0.3*float64(i)/float64(poolSize-1))
+		normal := float64(streamSec * (0.35 + 0.3*float64(i)/float64(poolSize-1)))
 		gen := ecg.NewGenerator(ecg.GenConfig{
 			Fs: fs, Seed: seed + 100 + int64(i), NoiseStd: 0.05, AFSubtlety: 0.05,
 		})

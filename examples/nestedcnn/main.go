@@ -31,9 +31,9 @@ func dataset(rng *rand.Rand, n, length int) (*mat.Dense, []int) {
 		if c == 1 {
 			freq = 5.0
 		}
-		phase := rng.Float64() * 2 * math.Pi
+		phase := float64(2 * math.Pi * rng.Float64())
 		for j := 0; j < length; j++ {
-			x.Set(i, j, math.Sin(2*math.Pi*freq*float64(j)/float64(length)+phase)+0.15*rng.NormFloat64())
+			x.Set(i, j, math.Sin(2*math.Pi*freq*float64(j)/float64(length)+phase)+float64(0.15*rng.NormFloat64()))
 		}
 	}
 	return x, y

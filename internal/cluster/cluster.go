@@ -457,7 +457,7 @@ func ScheduleGraph(g *graph.Graph, c Cluster) (*Schedule, error) {
 			end := bestStart + dur
 			claim(coreAvail[bestNode], t.Cores, end)
 			claim(gpuAvail[bestNode], t.GPUs, end)
-			busy := dur * float64(max(t.Cores, 1))
+			busy := float64(dur * float64(max(t.Cores, 1)))
 			sched.BusyCoreSeconds += busy
 
 			if failed {
@@ -469,7 +469,7 @@ func ScheduleGraph(g *graph.Graph, c Cluster) (*Schedule, error) {
 			if isFinal {
 				place[id] = Placement{Task: id, Node: bestNode, Start: bestStart, End: end}
 			} else {
-				attemptFloor = end + t.BackoffSec*math.Pow(2, float64(k))
+				attemptFloor = end + float64(t.BackoffSec*math.Pow(2, float64(k)))
 			}
 		}
 		if degraded {

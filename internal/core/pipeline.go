@@ -175,7 +175,7 @@ func Standardize(x *mat.Dense) *mat.Dense {
 		var ss float64
 		for i := 0; i < out.Rows; i++ {
 			v := out.At(i, j)
-			ss += v * v
+			ss += float64(v * v)
 		}
 		std := 1.0
 		if ss > 0 {

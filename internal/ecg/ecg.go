@@ -97,8 +97,8 @@ func NewGenerator(cfg GenConfig) *Generator {
 // gauss adds a Gaussian bump (amplitude amp, center c seconds, width w
 // seconds) to the signal.
 func gauss(sig []float64, fs, c, w, amp float64) {
-	lo := int((c - 4*w) * fs)
-	hi := int((c + 4*w) * fs)
+	lo := int((c - float64(4*w)) * fs)
+	hi := int((c + float64(4*w)) * fs)
 	if lo < 0 {
 		lo = 0
 	}
@@ -107,31 +107,31 @@ func gauss(sig []float64, fs, c, w, amp float64) {
 	}
 	for i := lo; i < hi; i++ {
 		t := float64(i)/fs - c
-		sig[i] += amp * math.Exp(-t*t/(2*w*w))
+		sig[i] += float64(amp * math.Exp(-t*t/(2*w*w)))
 	}
 }
 
 // Record generates one recording of the given class.
 func (g *Generator) Record(class Class) Record {
 	cfg := g.cfg
-	dur := cfg.MinDurSec + g.rng.Float64()*(cfg.MaxDurSec-cfg.MinDurSec)
+	dur := cfg.MinDurSec + float64(g.rng.Float64()*(cfg.MaxDurSec-cfg.MinDurSec))
 	n := int(dur * cfg.Fs)
 	sig := make([]float64, n)
 
-	amp := 0.85 + 0.3*g.rng.Float64() // per-record electrode gain
+	amp := 0.85 + float64(0.3*g.rng.Float64()) // per-record electrode gain
 
 	// Beat train.
-	t := 0.3 + 0.2*g.rng.Float64()
+	t := 0.3 + float64(0.2*g.rng.Float64())
 	var meanRR float64
 	if class == Normal {
-		meanRR = 0.75 + 0.2*g.rng.Float64() // 63–80 bpm
+		meanRR = 0.75 + float64(0.2*g.rng.Float64()) // 63–80 bpm
 	} else {
 		// AF ventricular response is often faster but overlaps the normal
 		// range heavily (rate-controlled patients, resting recordings) —
 		// rhythm *irregularity*, not rate, is the discriminative feature.
-		meanRR = 0.68 + 0.24*g.rng.Float64()
+		meanRR = 0.68 + float64(0.24*g.rng.Float64())
 	}
-	respPhase := g.rng.Float64() * 2 * math.Pi
+	respPhase := float64(2 * math.Pi * g.rng.Float64())
 	for t < dur-0.4 {
 		// QRS complex (both classes).
 		gauss(sig, cfg.Fs, t-0.025, 0.010, -0.12*amp) // Q
@@ -149,12 +149,12 @@ func (g *Generator) Record(class Class) Record {
 		if class == Normal {
 			// Regular rhythm with respiratory sinus arrhythmia and a touch
 			// of jitter.
-			rr = meanRR * (1 + 0.04*math.Sin(2*math.Pi*0.25*t+respPhase) + 0.02*g.rng.NormFloat64())
+			rr = meanRR * (1 + float64(0.04*math.Sin(float64(2*math.Pi*0.25*t)+respPhase)) + float64(0.02*g.rng.NormFloat64()))
 		} else {
 			// Irregularly irregular: wide uniform spread, no structure;
 			// AFSubtlety shrinks the spread toward a regular rhythm.
 			spread := 1 - cfg.AFSubtlety
-			rr = meanRR * (1 + spread*(0.9*g.rng.Float64()-0.4))
+			rr = meanRR * (1 + float64(spread*(float64(0.9*g.rng.Float64())-0.4)))
 		}
 		if rr < 0.3 {
 			rr = 0.3
@@ -164,23 +164,23 @@ func (g *Generator) Record(class Class) Record {
 
 	// AF fibrillatory baseline: 4–9 Hz drifting oscillation.
 	if class == AF {
-		f := 4 + 5*g.rng.Float64()
-		phase := g.rng.Float64() * 2 * math.Pi
-		famp := (0.06 + 0.04*g.rng.Float64()) * amp * (1 - cfg.AFSubtlety)
+		f := 4 + float64(5*g.rng.Float64())
+		phase := float64(2 * math.Pi * g.rng.Float64())
+		famp := (0.06 + float64(0.04*g.rng.Float64())) * amp * (1 - cfg.AFSubtlety)
 		for i := range sig {
 			tt := float64(i) / cfg.Fs
 			// Slight frequency wobble makes the f-wave band realistic.
-			sig[i] += famp * math.Sin(2*math.Pi*f*tt+phase+0.8*math.Sin(2*math.Pi*0.3*tt))
+			sig[i] += float64(famp * math.Sin(float64(2*math.Pi*f*tt)+phase+float64(0.8*math.Sin(2*math.Pi*0.3*tt))))
 		}
 	}
 
 	// Baseline wander (electrode drift, respiration) and white noise.
-	wf := 0.15 + 0.2*g.rng.Float64()
-	wp := g.rng.Float64() * 2 * math.Pi
+	wf := 0.15 + float64(0.2*g.rng.Float64())
+	wp := float64(2 * math.Pi * g.rng.Float64())
 	for i := range sig {
 		tt := float64(i) / cfg.Fs
-		sig[i] += 0.05 * math.Sin(2*math.Pi*wf*tt+wp)
-		sig[i] += cfg.NoiseStd * g.rng.NormFloat64()
+		sig[i] += float64(0.05 * math.Sin(float64(2*math.Pi*wf*tt)+wp))
+		sig[i] += float64(cfg.NoiseStd * g.rng.NormFloat64())
 	}
 	return Record{Signal: sig, Class: class, Fs: cfg.Fs}
 }

@@ -194,7 +194,7 @@ func (o *SGD) Step(n *Network) {
 	for i, p := range params {
 		v := o.velocity[i]
 		for j, g := range p.Grad.Data {
-			v[j] = o.Momentum*v[j] - o.LR*g
+			v[j] = float64(o.Momentum*v[j]) - float64(o.LR*g)
 			p.W.Data[j] += v[j]
 		}
 	}

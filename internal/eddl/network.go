@@ -445,7 +445,7 @@ func (n *Network) TrainEpoch(x *mat.Dense, y []int, lr float64, batch int, rng *
 		total += n.batchStep(x, y, order[at:end])
 		for _, p := range n.paramList() {
 			for i, g := range p.Grad.Data {
-				p.W.Data[i] -= lr * g
+				p.W.Data[i] -= float64(lr * g)
 			}
 		}
 		batches++

@@ -133,7 +133,7 @@ func taskSeconds(samples int, fwdFlops float64, gpus int, syncFrac float64) floa
 		gpus = 1
 	}
 	compute := costs.NNForwardBackward(samples, fwdFlops)
-	return compute / float64(gpus) * (1 + syncFrac*float64(gpus-1))
+	return compute / float64(gpus) * (1 + float64(syncFrac*float64(gpus-1)))
 }
 
 // shard is a worker's slice of the training data.

@@ -12,7 +12,10 @@
 // single-tree CART machinery it distributes. TrainSet and SplitOut are the
 // wire-visible intermediate values of the distributed fit. NewTrainSet ranks
 // each column once a fold; BestSplit, the loop a fit spends its time in, then
-// never sorts: it walks a node's (rank, class) histogram in rank order.
+// never sorts: it walks a node's (rank, class) histogram in rank order,
+// counting classes in exact integers, and partitions rows by rank. A tree's
+// bootstrap repeats are folded into per-row weights once, so a node is its
+// distinct rows while sizes and leaf distributions count samples.
 //
 // # Concurrency and ownership
 //

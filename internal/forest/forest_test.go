@@ -1,6 +1,7 @@
 package forest
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"slices"
@@ -444,11 +445,11 @@ func bestSplitReference(x *mat.Dense, y []int, idx []int, nClasses int, p TreePa
 // buildTreeReference is buildRec over bestSplitReference.
 func buildTreeReference(x *mat.Dense, y []int, idx []int, nClasses int, p TreeParams, rng *rand.Rand, depth int) *Node {
 	if depth >= p.MaxDepth || len(idx) < p.MinSamplesSplit {
-		return leafNode(y, idx, nClasses)
+		return leafNode(y, idx, nil, nClasses)
 	}
 	sp := bestSplitReference(x, y, idx, nClasses, p, rng)
 	if !sp.Found || len(sp.Left) == 0 || len(sp.Right) == 0 {
-		return leafNode(y, idx, nClasses)
+		return leafNode(y, idx, nil, nClasses)
 	}
 	return &Node{
 		Feature:   sp.Feature,
@@ -903,5 +904,178 @@ func TestBestSplitNearTieFirstWins(t *testing.T) {
 	}
 	if len(firsts) != 2 {
 		t.Fatal("the seeds never sampled the copy first: the tie is not exercised both ways")
+	}
+}
+
+// partitionValues are the columns where a midpoint is not between its two
+// values: pairs of adjacent finite values whose midpoint overflows to ±Inf,
+// a pair whose midpoint rounds up to the upper value (1+2⁻⁵² has an odd
+// mantissa), ±Inf together (the midpoint is NaN), and the values that
+// surround them.
+var (
+	roundsUp        = math.Nextafter(1, 2)
+	partitionPairs  = [][2]float64{{1.6e308, 1.7e308}, {-1.7e308, -1.6e308}, {roundsUp, math.Nextafter(roundsUp, 2)}, {math.Inf(-1), math.Inf(1)}, {math.Copysign(0, -1), 1}}
+	partitionExtras = []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), 1.6e308, -1.7e308, roundsUp}
+)
+
+// A split sends a row left when its rank is at most the threshold's cut,
+// and that must be x ≤ threshold for every row: also where the midpoint of
+// two adjacent values overflows to ±Inf or rounds up to the upper value,
+// beside ±0, ±Inf and NaN rows outside the node. BestSplit and BuildTree
+// against the reference, which compares values, over MinSamplesSplit 2, 3
+// and 5 and bootstrap repeats.
+func TestSplitPartitionMatchesComparison(t *testing.T) {
+	rng := rand.New(rand.NewSource(1606))
+	edges, cases := 0, 0
+	for m := 0; m < 300; m++ {
+		rows, d, nClasses := 4+rng.Intn(60), 1+rng.Intn(4), 2+rng.Intn(4)
+		x := mat.New(rows, d)
+		for j := 0; j < d; j++ {
+			pair := partitionPairs[rng.Intn(len(partitionPairs))]
+			for i := 0; i < rows; i++ {
+				v := pair[rng.Intn(2)]
+				if rng.Intn(6) == 0 {
+					v = partitionExtras[rng.Intn(len(partitionExtras))]
+				}
+				x.Set(i, j, v)
+			}
+		}
+		// Labels follow a column's upper value, with noise.
+		y, f := make([]int, rows), rng.Intn(d)
+		for i := range y {
+			if x.At(i, f) > 0 {
+				y[i] = nClasses - 1
+			}
+			if rng.Intn(8) == 0 {
+				y[i] = rng.Intn(nClasses)
+			}
+		}
+		// NaN rows stay outside the node: the reference's sort has no
+		// order for them.
+		nan := map[int]bool{}
+		for k := rng.Intn(3); k > 0; k-- {
+			i := rng.Intn(rows)
+			x.Set(i, rng.Intn(d), math.NaN())
+			nan[i] = true
+		}
+		var idx []int
+		for len(idx) < rows {
+			if i := rng.Intn(rows); !nan[i] {
+				idx = append(idx, i)
+			}
+		}
+		ts := trainSet(t, x, y)
+		p := TreeParams{MaxFeatures: []int{1, d}[rng.Intn(2)], MinSamplesSplit: []int{2, 3, 5}[rng.Intn(3)]}.withDefaults()
+		seed := rng.Int63()
+
+		gotRng, wantRng := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		got := BestSplit(ts, idx, nClasses, p, gotRng)
+		if want := bestSplitReference(x, y, idx, nClasses, p, wantRng); !sameSplit(got, want) {
+			t.Fatalf("case %d: BestSplit\n got %+v\nwant %+v", m, got, want)
+		}
+		if gotRng.Int63() != wantRng.Int63() {
+			t.Fatalf("case %d: rng streams diverge after the split", m)
+		}
+		if got.Found && (math.IsInf(got.Threshold, 0) || got.Threshold == partitionPairs[2][1]) {
+			edges++
+		}
+
+		gotRng, wantRng = rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		tree := BuildTree(ts, idx, nClasses, p, gotRng)
+		if want := buildTreeReference(x, y, idx, nClasses, p, wantRng, 0); !sameTree(tree, want) {
+			t.Fatalf("case %d: trees differ (%d vs %d nodes)", m, tree.CountNodes(), want.CountNodes())
+		}
+		if gotRng.Int63() != wantRng.Int63() {
+			t.Fatalf("case %d: rng streams diverge after the tree", m)
+		}
+		cases++
+	}
+	if edges < cases/10 {
+		t.Fatalf("%d of %d root splits at a threshold outside its two values: the generator no longer reaches the edge", edges, cases)
+	}
+}
+
+// FuzzBuildTreeMatchesReference reads arbitrary bytes as a matrix of any
+// float64 bit patterns (cells, 8 bytes each, d columns), labels for 2–5
+// classes and bootstrap indices with repeats, and grows BuildTree and the
+// reference from one seed: the same tree bit for bit, the same split at the
+// root, and the same rng stream after both. shape picks d, the class count,
+// MaxFeatures and MinSamplesSplit ∈ {2, 3, 5}. Rows holding a NaN stay out
+// of the sample, as the reference's sort has no order for them.
+func FuzzBuildTreeMatchesReference(f *testing.F) {
+	cells := func(vs ...float64) []byte {
+		b := make([]byte, 0, 8*len(vs))
+		for _, v := range vs {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+		return b
+	}
+	negZero, inf, nan := math.Copysign(0, -1), math.Inf(1), math.NaN()
+	f.Add(cells(1.6e308, 1.7e308, 1.7e308, 1.6e308, -1.7e308, -1.6e308), []byte{0, 1, 1, 0, 0, 1}, []byte{0, 1, 2, 3, 4, 5, 5}, uint16(0), int64(1))
+	f.Add(cells(0, negZero, 1, 0, negZero, 2, 0.5), []byte{0, 1, 0, 1, 0, 1, 1}, []byte{0, 1, 2, 3, 4, 5, 6, 1}, uint16(1<<6), int64(2))
+	f.Add(cells(nan, 1, 2, 3, 4, nan, 6, 7), []byte{0, 1, 0, 1}, []byte{0, 1, 2, 3}, uint16(1|1<<4), int64(3))
+	f.Add(cells(-inf, inf, -inf, inf, 1, -1, inf, 0), []byte{0, 1, 2, 1, 0, 2, 1, 0}, []byte{0, 1, 2, 3, 4, 5, 6, 7}, uint16(1<<2|2<<6), int64(4))
+	f.Add(cells(roundsUp, math.Nextafter(roundsUp, 2), roundsUp, math.Nextafter(roundsUp, 2)), []byte{0, 1, 0, 1}, []byte{0, 1, 2, 3}, uint16(0), int64(5))
+	f.Add(cells(3, 1, 2, 3, 4, 5), []byte{0, 1, 0, 1, 1, 0}, []byte{2, 2, 2, 2, 2, 1, 4}, uint16(2<<6), int64(6))
+	f.Fuzz(func(t *testing.T, raw, labels, boot []byte, shape uint16, seed int64) {
+		d := 1 + int(shape)%3
+		nClasses := 2 + int(shape>>2)%4
+		p := TreeParams{MaxFeatures: []int{0, 1, d}[int(shape>>4)%3], MinSamplesSplit: []int{2, 3, 5}[int(shape>>6)%3]}.withDefaults()
+		rows := min(len(raw)/8/d, 96)
+		if rows == 0 {
+			return
+		}
+		x := mat.New(rows, d)
+		nan := make([]bool, rows)
+		for k := range x.Data {
+			x.Data[k] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*k:]))
+			nan[k/d] = nan[k/d] || math.IsNaN(x.Data[k])
+		}
+		y := make([]int, rows)
+		for i := range y {
+			if len(labels) > 0 {
+				y[i] = int(labels[i%len(labels)]) % nClasses
+			}
+		}
+		idx := []int{} // not nil: BuildTree reads nil as every row
+		for _, b := range boot {
+			if i := int(b) % rows; !nan[i] {
+				idx = append(idx, i)
+			}
+		}
+		ts := trainSet(t, x, y)
+		gotRng, wantRng := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		if got, want := BestSplit(ts, idx, nClasses, p, gotRng), bestSplitReference(x, y, idx, nClasses, p, wantRng); !sameSplit(got, want) {
+			t.Fatalf("BestSplit\n got %+v\nwant %+v", got, want)
+		}
+		got, want := BuildTree(ts, idx, nClasses, p, gotRng), buildTreeReference(x, y, idx, nClasses, p, wantRng, 0)
+		if !sameTree(got, want) {
+			t.Fatalf("trees differ (%d vs %d nodes)", got.CountNodes(), want.CountNodes())
+		}
+		if gotRng.Int63() != wantRng.Int63() {
+			t.Fatal("rng streams diverge after the tree")
+		}
+	})
+}
+
+// The feature permutation's draws are rng.Intn's, value for value and
+// stream for stream: every bound of a permutation of up to 4 096 features,
+// and bounds up to 2³¹−1 where Int31n rejects up to half its draws.
+func TestIntnBoundMatchesIntn(t *testing.T) {
+	bounds := []uint32{1<<31 - 1, 1 << 30, 1<<30 + 1, 3 << 29, 1<<31 - 3, 1_000_003}
+	for n := uint32(1); n <= 4096; n++ {
+		bounds = append(bounds, n)
+	}
+	for _, n := range bounds {
+		b := newIntnBound(n)
+		got, want := rand.New(rand.NewSource(int64(n))), rand.New(rand.NewSource(int64(n)))
+		for k := 0; k < 8; k++ {
+			if g, w := b.intn(got, n), want.Intn(int(n)); g != w {
+				t.Fatalf("bound %d draw %d: %d, Intn gives %d", n, k, g, w)
+			}
+		}
+		if got.Int63() != want.Int63() {
+			t.Fatalf("bound %d: the streams diverge", n)
+		}
 	}
 }

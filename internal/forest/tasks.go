@@ -69,11 +69,11 @@ func init() {
 		nClasses := args[4].(int)
 		rng := rand.New(rand.NewSource(seed))
 		if len(rows) < tp.withDefaults().MinSamplesSplit {
-			return []any{&SplitOut{Leaf: leafNode(ts.Y, rows, nClasses)}, []int{}, []int{}}, nil
+			return []any{&SplitOut{Leaf: leafNode(ts.Y, rows, nil, nClasses)}, []int{}, []int{}}, nil
 		}
 		sp := BestSplit(ts, rows, nClasses, tp, rng)
 		if !sp.Found || len(sp.Left) == 0 || len(sp.Right) == 0 {
-			return []any{&SplitOut{Leaf: leafNode(ts.Y, rows, nClasses)}, []int{}, []int{}}, nil
+			return []any{&SplitOut{Leaf: leafNode(ts.Y, rows, nil, nClasses)}, []int{}, []int{}}, nil
 		}
 		return []any{&SplitOut{Split: sp}, sp.Left, sp.Right}, nil
 	})

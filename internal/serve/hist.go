@@ -65,10 +65,10 @@ func (f *costFit) add(b, t float64) {
 	if f.b == 0 {
 		f.b, f.t, f.bb, f.bt = b, t, b*b, b*t
 	} else {
-		f.b += fitDecay * (b - f.b)
-		f.t += fitDecay * (t - f.t)
-		f.bb += fitDecay * (b*b - f.bb)
-		f.bt += fitDecay * (b*t - f.bt)
+		f.b += float64(fitDecay * (b - f.b))
+		f.t += float64(fitDecay * (t - f.t))
+		f.bb += float64(fitDecay * (float64(b*b) - f.bb))
+		f.bt += float64(fitDecay * (float64(b*t) - f.bt))
 	}
 }
 
@@ -83,12 +83,12 @@ func (f *costFit) perWindow(full int) float64 {
 		return 0
 	}
 	mean := f.t / f.b
-	spread := f.bb - f.b*f.b
+	spread := f.bb - float64(f.b*f.b)
 	if spread < 1 {
 		return mean
 	}
-	c1 := (f.bt - f.b*f.t) / spread
-	c0 := f.t - c1*f.b
+	c1 := (f.bt - float64(f.b*f.t)) / spread
+	c0 := f.t - float64(c1*f.b)
 	if c1 <= 0 || c0 < 0 {
 		return mean
 	}

@@ -84,7 +84,7 @@ func effectiveGamma(p SVCParams, x *mat.Dense) float64 {
 	}
 	mean /= float64(len(x.Data))
 	for _, v := range x.Data {
-		sq += (v - mean) * (v - mean)
+		sq += float64((v - mean) * (v - mean))
 	}
 	variance := sq / float64(len(x.Data))
 	if variance == 0 {
@@ -99,7 +99,7 @@ func kernelFn(k Kernel, gamma float64) func(a, b []float64) float64 {
 		return func(a, b []float64) float64 {
 			var s float64
 			for i, v := range a {
-				s += v * b[i]
+				s += float64(v * b[i])
 			}
 			return s
 		}
@@ -108,7 +108,7 @@ func kernelFn(k Kernel, gamma float64) func(a, b []float64) float64 {
 			var s float64
 			for i, v := range a {
 				d := v - b[i]
-				s += d * d
+				s += float64(d * d)
 			}
 			return math.Exp(-gamma * s)
 		}
@@ -214,10 +214,10 @@ func (m *SVC) Fit(x *mat.Dense, y []int) error {
 		if math.Abs(ajNew-aj) < 1e-7*(ajNew+aj+1e-7) {
 			return false
 		}
-		aiNew := ai + ys[i]*ys[j]*(aj-ajNew)
+		aiNew := ai + float64(ys[i]*ys[j]*(aj-ajNew))
 
-		b1 := b - ei - ys[i]*(aiNew-ai)*kij(i, i) - ys[j]*(ajNew-aj)*kij(i, j)
-		b2 := b - ej - ys[i]*(aiNew-ai)*kij(i, j) - ys[j]*(ajNew-aj)*kij(j, j)
+		b1 := b - ei - float64(ys[i]*(aiNew-ai)*kij(i, i)) - float64(ys[j]*(ajNew-aj)*kij(i, j))
+		b2 := b - ej - float64(ys[i]*(aiNew-ai)*kij(i, j)) - float64(ys[j]*(ajNew-aj)*kij(j, j))
 		var bNew float64
 		switch {
 		case aiNew > 0 && aiNew < p.C:
@@ -232,7 +232,7 @@ func (m *SVC) Fit(x *mat.Dense, y []int) error {
 		dj := ys[j] * (ajNew - aj)
 		db := bNew - b
 		for k := 0; k < n; k++ {
-			errs[k] += di*kij(i, k) + dj*kij(j, k) + db
+			errs[k] += float64(di*kij(i, k)) + float64(dj*kij(j, k)) + db
 		}
 		alphas[i], alphas[j], b = aiNew, ajNew, bNew
 		iters++
@@ -354,7 +354,7 @@ func (m *SVC) Decision(x *mat.Dense) ([]float64, error) {
 			if m.Alphas[k] == 0 && m.SupportX.Rows > 1 {
 				continue
 			}
-			s += m.Alphas[k] * m.SupportY[k] * kf(m.SupportX.Row(k), row)
+			s += float64(m.Alphas[k] * m.SupportY[k] * kf(m.SupportX.Row(k), row))
 		}
 		// Degenerate single-class model: bias carries the class.
 		if m.SupportX.Rows == 1 && m.Alphas[0] == 0 {
@@ -407,8 +407,8 @@ func (m *SVC) Objective() (float64, error) {
 	for i := 0; i < m.SupportX.Rows; i++ {
 		w += m.Alphas[i]
 		for j := 0; j < m.SupportX.Rows; j++ {
-			w -= 0.5 * m.Alphas[i] * m.Alphas[j] * m.SupportY[i] * m.SupportY[j] *
-				kf(m.SupportX.Row(i), m.SupportX.Row(j))
+			w -= float64(0.5 * m.Alphas[i] * m.Alphas[j] * m.SupportY[i] * m.SupportY[j] *
+				kf(m.SupportX.Row(i), m.SupportX.Row(j)))
 		}
 	}
 	return w, nil

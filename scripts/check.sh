@@ -52,17 +52,17 @@ fi
 echo "== go build ./..."
 go build ./...
 
-# No architecture may fuse a kernel's product into its sum: arm64 compiles
-# x*y + z to FMADDD unless an explicit float64(...) conversion rounds the
-# product first, and a fused kernel computes other bits than amd64, which
-# would break local/remote bit-identity on a mixed-architecture fleet. The
-# compiler's listing of the four kernel packages must hold no fused
-# instruction (a cached build replays the listing), and the Go path of mat,
-# the one every architecture but amd64 runs, must vet clean there.
-echo "== GOARCH=arm64: no fused multiply-add in mat, sigproc, forest, preproc"
-kernelpkgs="./internal/mat/ ./internal/sigproc/ ./internal/forest/ ./internal/preproc/"
-listing=$(GOARCH=arm64 go build -gcflags=-S $kernelpkgs 2>&1) || {
-    GOARCH=arm64 go build $kernelpkgs # prints the build errors alone
+# No architecture may fuse a product into a sum: arm64 compiles x*y + z to
+# FMADDD unless an explicit float64(...) conversion rounds the product
+# first, and fused code computes other bits than amd64 — other kernels,
+# other synthetic recordings, other SMO steps — which would break
+# local/remote bit-identity on a mixed-architecture fleet. The compiler's
+# listing of every package must hold no fused instruction (a cached build
+# replays the listing), and the Go path of mat, the one every architecture
+# but amd64 runs, must vet clean there.
+echo "== GOARCH=arm64: no fused multiply-add in ./..."
+listing=$(GOARCH=arm64 go build -gcflags=-S ./... 2>&1) || {
+    GOARCH=arm64 go build ./... # prints the build errors alone
     exit 1
 }
 fused=$(echo "$listing" | grep -E '[[:space:]](FMADDD|FMSUBD|FNMADDD|FNMSUBD)[[:space:]]' || true)
@@ -92,10 +92,11 @@ go test -race -count=2 ./internal/compss/... ./internal/cluster/... ./internal/t
 # decodes must re-encode to the same bytes. So is the provenance import: an
 # accepted record must survive the graph's analyses and write back to the
 # same tasks. So are mat's AVX kernels: arbitrary float64 bit patterns must
-# give the Go loops' bits through Dot, Axpy and the MulABt panel. Ten
-# seconds per target on top of the seed corpus the unit run above already
-# replayed.
-for spec in FuzzDecodeValue:./internal/exec/ FuzzDecodeFrame:./internal/exec/ FuzzReadProvenance:./internal/graph/ FuzzKernelsMatchGo:./internal/mat/; do
+# give the Go loops' bits through Dot, Axpy and the MulABt panel. So is the
+# split search: a tree grown on arbitrary float64 bit patterns, labels and
+# bootstrap repeats must be the reference's, node for node. Ten seconds per
+# target on top of the seed corpus the unit run above already replayed.
+for spec in FuzzDecodeValue:./internal/exec/ FuzzDecodeFrame:./internal/exec/ FuzzReadProvenance:./internal/graph/ FuzzKernelsMatchGo:./internal/mat/ FuzzBuildTreeMatchesReference:./internal/forest/; do
     target=${spec%%:*} pkg=${spec#*:}
     echo "== go test -run=NONE -fuzz=$target -fuzztime=10s $pkg"
     go test -run=NONE -fuzz="^$target\$" -fuzztime=10s "$pkg"
@@ -133,6 +134,9 @@ go test -race -count=2 -cpu=1,8 -run 'AcrossLimits|TestMulAtAMatchesMulAtBUpperT
 echo "== go test -count=2 -cpu=1,8 (AVX kernels, no -race)"
 go test -count=2 -cpu=1,8 -run 'TestVectorKernelsMatchGo|FuzzKernelsMatchGo|AcrossLimits|TestMulAtAMatchesMulAtBUpperTriangle|TestDotAxpyAllocFree' ./internal/mat/
 go test -count=2 -cpu=1,8 -run 'TestQueryBlockMatchesNaiveScan' ./internal/knn/
+# The split search's rank partition against the comparison it stands for,
+# at the edges (midpoints that overflow or round up), and its fuzz seeds.
+go test -count=2 -cpu=1,8 -run 'TestSplitPartitionMatchesComparison|FuzzBuildTreeMatchesReference' ./internal/forest/
 go test -race -count=2 -cpu=1,8 -run 'TestBestSplitNearTieFirstWins|TestTrainSetRanks|TestForestCVMatchesReferenceSplit' ./internal/forest/
 go test -race -count=2 -cpu=1,8 ./internal/par/
 go test -race -count=2 -cpu=1,8 -run 'TestParallelismIsBounded|TestKernelsBorrowIdleSlots|TestRuntimeLendsWhileCarriersLive' ./internal/compss/
@@ -204,8 +208,9 @@ go test -run=NONE -bench='Wire|RemoteRoundtrip|RemoteChainTree|RemoteHeldTree' -
 # Kernel smoke: the loops a CV pass spends its time in. EigSym allocates its
 # buffers once per call (at most 16 allocs/op whatever n: its work buffer and
 # rotation list come from mat.Scratch, its rotation sweep is one region),
-# BestSplit its scratch once per call (6 allocs/op) and BuildTree once per
-# tree, never per candidate threshold; a count that grows with the input is
+# BestSplit its scratch once per call (7 allocs/op: five scratch slices and
+# the two sides) and BuildTree once per tree (its other allocations are the
+# tree's nodes), never per candidate threshold; a count that grows with the input is
 # the regression to catch. NewTrainSet, the rank build every fold pays once,
 # prints beside them, and so do EigSym280 (the pca_eigh task) and one
 # partial_gram block by the general and the symmetric kernel (MulAtB300x256,
