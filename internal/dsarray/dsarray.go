@@ -331,16 +331,3 @@ func ReduceTree(tc *compss.TaskCtx, o ReduceOpts, futs []*compss.Future, f func(
 	}
 	return level[0]
 }
-
-// ReduceInPlace is Reduce for merges that accumulate src into dst instead of
-// allocating a combined result, saving one full-block allocation per merge
-// step. The ownership contract: every future in futs must be exclusively
-// owned by this reduction — a fresh task output with no other consumer —
-// because merge tasks mutate their first argument. The tree shape and task
-// names are identical to Reduce's.
-func ReduceInPlace(tc *compss.TaskCtx, name string, futs []*compss.Future, mergeCost float64, outBytes int64, f func(dst, src *mat.Dense)) *compss.Future {
-	return Reduce(tc, name, futs, mergeCost, outBytes, func(x, y *mat.Dense) *mat.Dense {
-		f(x, y)
-		return x
-	})
-}

@@ -47,8 +47,8 @@ func MatMul(a, b *Array) (*Array, error) {
 				}, a.Block(i, k), b.Block(k, j))
 			}
 			// mat_add_to merges in place: each partial is a fresh gemm_block
-			// output exclusively owned by this reduction (the ReduceInPlace
-			// ownership contract), saving one block allocation per merge.
+			// output exclusively owned by this reduction, so mutating it is
+			// safe and saves one block allocation per merge.
 			out[i][j] = ReduceTree(tc, ReduceOpts{
 				Name: "gemm_add", Exec: "mat_add_to",
 				Cost: costs.Copy(h, w), OutBytes: costs.Bytes(h, w),

@@ -391,9 +391,8 @@ func TestRemoteLocalityPlacement(t *testing.T) {
 }
 
 // TestWireArgsSelection pins buildWireArgs' wire forms: resident on a live
-// target → ValueRef, anything else (held by another alive worker, by a
-// draining one, by nobody, on a target already retired, or inlineAll) →
-// RefValue — with refValueBytes counting exactly the RefValues another alive
+// target → ValueRef, anything else (held by another alive worker, by
+// nobody, on a target already retired, or inlineAll) → RefValue — with refValueBytes counting exactly the RefValues another alive
 // worker held.
 func TestWireArgsSelection(t *testing.T) {
 	rf := ref(1)
@@ -410,7 +409,6 @@ func TestWireArgsSelection(t *testing.T) {
 		{name: "resident", target: true, holder: wsAlive, wantRef: true},
 		{name: "holder-alive", holder: wsAlive, wantRVB: 40},
 		{name: "target-dead", target: true, targetDead: true, holder: wsAlive, wantRVB: 40},
-		{name: "holder-draining", holder: wsDraining},
 		{name: "inline-all", inlineAll: true, target: true, holder: wsAlive, wantRVB: 40},
 		{name: "cold", holder: wsDead},
 	}
@@ -512,7 +510,7 @@ func TestCrossWorkerValueShipsThroughCoordinator(t *testing.T) {
 			}
 			defer r.Close()
 			if tc.joined {
-				if _, err := r.Join(serveHere(t)); err != nil {
+				if _, err := r.join(serveHere(t)); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -28,24 +28,24 @@
 //     JoinCoordinator and MaybeWorkerMain are the worker side; cmd/worker
 //     wraps them in a standalone binary. Config / Flags / Open are the
 //     shared backend flag surface of the cmd tools.
-//   - *Remote's membership methods (Join / SpawnWorker / Drain / Leave /
-//     Workers / SlotTotal): workers join, drain and leave mid-run, and
+//   - *Remote's membership methods (SpawnWorker / KillWorker / Workers /
+//     AliveWorkers / SlotTotal): workers join mid-run, and
 //     ListenForWorkers admits dial-in registrations authenticated by
-//     JoinToken. SetFleetHook observes every transition. The fleet never
-//     resizes itself; whoever deploys it adds and removes members.
+//     JoinToken. SetFleetHook observes each join and death. The fleet never
+//     resizes itself; whoever deploys it adds members.
 //   - Sizer admits a domain type's values to the worker future cache and
 //     Cloner lets them be a declared in-place argument; NextSession mints
 //     the per-runtime cache namespace.
 //
 // # Fleet lifecycle
 //
-// A member is alive → draining → dead, never backwards, and dead members
-// are never reused: a restarted worker re-registers as a brand-new member
-// with a fresh id and an empty cache. Drain retires gracefully (no new
-// placements, in-flight attempts finish and count Completed); Leave and
-// connection failures retire immediately (in-flight attempts count Failed
-// and fall into the compss retry machinery). The RemoteStats partition
-// Dispatched == Completed + Failed holds across every transition.
+// A member is alive → dead, never backwards, and dead members are never
+// reused: a restarted worker re-registers as a brand-new member with a
+// fresh id and an empty cache. A member leaves one way: its connection
+// fails (a crash, a network drop, KillWorker) or Close retires the fleet;
+// its in-flight attempts count Failed and fall into the compss retry
+// machinery. The RemoteStats partition Dispatched == Completed + Failed
+// holds across every transition.
 //
 // # The data plane
 //

@@ -33,8 +33,8 @@ type Config struct {
 
 	// Listen, when non-empty, opens the coordinator's fleet listen address
 	// (Remote.ListenForWorkers) so restarted or brand-new workers can dial
-	// in mid-run. Use host:0 for an ephemeral port; the bound address and
-	// join token are available on the Remote.
+	// in mid-run. Use host:0 for an ephemeral port; Open prints the bound
+	// address and the join token on stderr.
 	Listen string
 
 	// DialTimeout bounds each worker dial + handshake (default 5s).

@@ -2,11 +2,8 @@ package exec
 
 // FleetEvent kinds: each narrates one membership transition.
 const (
-	FleetJoin    = "join"    // a member was admitted (fresh id)
-	FleetDrain   = "drain"   // Drain marked a member; in-flight work continues
-	FleetDrained = "drained" // the drain finished; connection closed
-	FleetLeave   = "leave"   // Leave removed a member immediately
-	FleetDead    = "dead"    // connection failure retired a member
+	FleetJoin = "join" // a member was admitted (fresh id)
+	FleetDead = "dead" // connection failure retired a member
 )
 
 // FleetEvent is one membership transition, delivered to the hook installed
@@ -22,10 +19,11 @@ type FleetEvent struct {
 	Slots   int // alive slot total after the transition
 }
 
-// SetFleetHook installs fn to observe every fleet transition (nil
-// uninstalls). The hook runs on whichever goroutine changed membership —
-// dispatchers, the listener, a Drain or Leave caller — and must be cheap and
-// non-blocking.
+// SetFleetHook installs fn to observe each join and death (nil uninstalls);
+// Close retires the fleet without an event. The hook runs on whichever
+// goroutine changed membership — a SpawnWorker caller, the listener, a
+// connection's reader or a dispatcher that saw it fail — and must be cheap
+// and non-blocking.
 func (r *Remote) SetFleetHook(fn func(FleetEvent)) {
 	if fn == nil {
 		r.fleetHook.Store(nil)

@@ -1,7 +1,6 @@
 package exec_test
 
 import (
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -63,82 +62,10 @@ func TestFleetJoinDuringDispatch(t *testing.T) {
 	}
 }
 
-// TestFleetDrainWithInflight drains a worker while it is mid-attempt: the
-// drain must return immediately, the in-flight attempt must complete (not
-// fail), and once idle the worker must retire cleanly — Failed stays 0.
-func TestFleetDrainWithInflight(t *testing.T) {
-	r, err := exec.SpawnLoopback(exec.LoopbackConfig{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-
-	var wg sync.WaitGroup
-	var failures atomic.Int64
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, _, err := r.Execute("test_sleep_ms", 1, []any{80}); err != nil {
-				failures.Add(1)
-			}
-		}()
-	}
-	// Both single-slot workers are busy once Inflight reaches 2.
-	waitFor(t, 5*time.Second, func() bool {
-		n := 0
-		for _, w := range r.Workers() {
-			n += w.Inflight
-		}
-		return n == 2
-	})
-
-	if err := r.Drain("w0"); err != nil {
-		t.Fatalf("Drain: %v", err)
-	}
-	// Drain is asynchronous: w0 is draining (or already dead, if its attempt
-	// just finished) but never accepts new placements.
-	for _, w := range r.Workers() {
-		if w.ID == "w0" && w.State == "alive" {
-			t.Fatal("drained worker still reports alive")
-		}
-	}
-	if err := r.Drain("w0"); err == nil || !strings.Contains(err.Error(), "cannot drain") {
-		t.Fatalf("second Drain should reject a non-alive worker, got %v", err)
-	}
-	wg.Wait()
-	if n := failures.Load(); n != 0 {
-		t.Fatalf("%d in-flight attempts failed during a graceful drain", n)
-	}
-	waitFor(t, 5*time.Second, func() bool {
-		for _, w := range r.Workers() {
-			if w.ID == "w0" {
-				return w.State == "dead"
-			}
-		}
-		return false
-	})
-
-	// The survivor keeps executing; the drained worker never fails anything.
-	if _, wid, err := r.Execute("test_add", 1, []any{1.0, 2.0}); err != nil || wid != "w1" {
-		t.Fatalf("post-drain Execute = worker %q, %v; want w1, nil", wid, err)
-	}
-	st := r.Stats()
-	if st.Failed != 0 {
-		t.Fatalf("graceful drain counted %d Failed; drains must not fail attempts", st.Failed)
-	}
-	if st.Dispatched != st.Completed {
-		t.Fatalf("partition broken at quiescence: dispatched %d != completed %d", st.Dispatched, st.Completed)
-	}
-	if st.Left != 1 {
-		t.Fatalf("Left = %d, want 1", st.Left)
-	}
-}
-
 // TestFleetListenRejoin exercises the coordinator listen mode: a dial-in
 // worker with the right token becomes a fresh member, a wrong token is
-// rejected before it can receive work, and a retired member can re-register
-// — always under a brand-new id.
+// rejected before it can receive work, and a registration after a member
+// died still gets a brand-new id.
 func TestFleetListenRejoin(t *testing.T) {
 	r, err := exec.SpawnLoopback(exec.LoopbackConfig{Workers: 1})
 	if err != nil {
@@ -149,9 +76,6 @@ func TestFleetListenRejoin(t *testing.T) {
 	addr, err := r.ListenForWorkers("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
-	}
-	if r.ListenAddr() != addr {
-		t.Fatalf("ListenAddr = %q, want %q", r.ListenAddr(), addr)
 	}
 
 	// Wrong token: the connection must be dropped, not admitted.
@@ -184,23 +108,70 @@ func TestFleetListenRejoin(t *testing.T) {
 		t.Fatalf("Execute across the joined fleet = %v, %v", v, err)
 	}
 
-	// Retire the dial-in member and re-register: the comeback gets a fresh
-	// id, never w1 again.
-	if err := r.Leave(joined); err != nil {
+	// Retire w0 and register again: the newcomer gets a fresh id, never
+	// the dead member's.
+	if err := r.KillWorker(0); err != nil {
 		t.Fatal(err)
 	}
-	if err := <-joinErr; err != nil {
-		t.Fatalf("JoinCoordinator should return nil when the coordinator closes, got %v", err)
-	}
+	waitFor(t, 5*time.Second, func() bool { return r.AliveWorkers() == 1 })
 	go func() { _ = exec.JoinCoordinator(addr, r.JoinToken(), exec.WorkerConfig{Slots: 1}) }()
 	waitFor(t, 5*time.Second, func() bool { return r.AliveWorkers() == 2 })
 	for _, w := range r.Workers() {
-		if w.State == "alive" && w.ID != "w0" && w.ID != "w2" {
+		if w.State == "alive" && w.ID != "w1" && w.ID != "w2" {
 			t.Fatalf("re-admitted worker id = %q, want the fresh id w2", w.ID)
 		}
 	}
 	st := r.Stats()
 	if st.Dispatched != st.Completed+st.Failed {
 		t.Fatalf("partition broken: %+v", st)
+	}
+	r.Close()
+	if err := <-joinErr; err != nil {
+		t.Fatalf("JoinCoordinator should return nil when the coordinator closes, got %v", err)
+	}
+}
+
+// TestFleetHookNarratesJoinAndDeath installs the fleet hook on a running
+// fleet: a spawned member arrives as a join, a killed one as a death with
+// its cause, each with the alive totals after it, and Close retires the
+// rest without an event.
+func TestFleetHookNarratesJoinAndDeath(t *testing.T) {
+	r, err := exec.SpawnLoopback(exec.LoopbackConfig{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	events := make(chan exec.FleetEvent, 16)
+	r.SetFleetHook(func(ev exec.FleetEvent) { events <- ev })
+	next := func() exec.FleetEvent {
+		t.Helper()
+		select {
+		case ev := <-events:
+			return ev
+		case <-time.After(5 * time.Second):
+			t.Fatal("no fleet event within 5s")
+			return exec.FleetEvent{}
+		}
+	}
+
+	id, err := r.SpawnWorker()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ev := next(); ev.Kind != exec.FleetJoin || ev.Worker != id || ev.Workers != 3 || ev.Slots != 3 {
+		t.Fatalf("after SpawnWorker: %+v, want a join of %s with 3 workers and 3 slots", ev, id)
+	}
+	if err := r.KillWorker(0); err != nil {
+		t.Fatal(err)
+	}
+	ev := next()
+	if ev.Kind != exec.FleetDead || ev.Worker != "w0" || ev.Reason == "" || ev.Workers != 2 || ev.Slots != 2 {
+		t.Fatalf("after KillWorker(0): %+v, want w0 dead with a reason, 2 workers and 2 slots", ev)
+	}
+	r.Close()
+	select {
+	case ev := <-events:
+		t.Fatalf("Close sent %+v; it retires the fleet without an event", ev)
+	case <-time.After(100 * time.Millisecond):
 	}
 }

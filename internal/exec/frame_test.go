@@ -262,7 +262,7 @@ func TestHostileWorkerHelloRefused(t *testing.T) {
 				_, _ = io.Copy(io.Discard, conn) // until the coordinator hangs up
 			}()
 			start := time.Now()
-			if _, err := r.Join(l.Addr().String()); err == nil {
+			if _, err := r.join(l.Addr().String()); err == nil {
 				t.Fatal("a worker whose hello is hostile was admitted")
 			}
 			if el := time.Since(start); el > time.Second {

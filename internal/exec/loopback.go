@@ -41,7 +41,7 @@ type spawnConfig struct {
 // so they carry exactly the same registered-function table as the
 // coordinator (see MaybeWorkerMain, which every spawnable binary calls
 // first thing in main). Membership stays open: SpawnWorker adds one more
-// child and Drain/Leave retire them. Close kills and reaps whatever is left.
+// child and KillWorker crashes one. Close kills and reaps whatever is left.
 func SpawnLoopback(cfg LoopbackConfig) (*Remote, error) {
 	n := cfg.Workers
 	if n < 1 {

@@ -3,6 +3,7 @@ package exec
 import (
 	"cmp"
 	crand "crypto/rand"
+	"crypto/subtle"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -22,27 +23,22 @@ type RemoteConfig struct {
 	DialTimeout time.Duration
 }
 
-// workerState is the lifecycle of one fleet member. Transitions only move
-// forward: alive → draining → dead (graceful Drain) or alive/draining →
-// dead (connection failure, Leave, Close). A dead worker never comes back —
-// a restarted process re-registers as a brand-new member with a fresh id.
+// workerState is the lifecycle of one fleet member: alive → dead, retired
+// by connection failure (KillWorker's kill is one) or Close. A dead worker
+// never comes back — a restarted process re-registers as a brand-new member
+// with a fresh id.
 type workerState int
 
 const (
-	wsAlive    workerState = iota // accepting placements
-	wsDraining                    // finishing in-flight work, no new placements
-	wsDead                        // retired; connection closed
+	wsAlive workerState = iota // accepting placements
+	wsDead                     // retired; connection closed
 )
 
 func (s workerState) String() string {
-	switch s {
-	case wsAlive:
+	if s == wsAlive {
 		return "alive"
-	case wsDraining:
-		return "draining"
-	default:
-		return "dead"
 	}
+	return "dead"
 }
 
 // Remote is the coordinator side of the out-of-process backend: it owns a
@@ -51,20 +47,17 @@ func (s workerState) String() string {
 //
 // # Fleet membership
 //
-// The worker set is fully dynamic. Members are admitted by Dial /
-// SpawnLoopback at construction, by Join (coordinator dials a worker
-// mid-run), by SpawnWorker (one more loopback child), or by dialing in to
-// the coordinator's listen address (ListenForWorkers) with the fleet's
+// Members are admitted by Dial / SpawnLoopback at construction, by
+// SpawnWorker (one more loopback child) mid-run, or by dialing in to the
+// coordinator's listen address (ListenForWorkers) with the fleet's
 // JoinToken — the re-admission path for restarted workers. Every admission
 // mints a fresh id ("w0", "w1", ... never reused), so a worker that crashed
 // and redialed is a new member with an empty cache: its stale residency died
-// with the old connection and cannot alias the new one. Drain retires a
-// member gracefully — no new placements, in-flight attempts finish (their
-// piggybacked cache reports still apply), then the connection closes —
-// while Leave and connection failure retire it immediately, failing
-// in-flight attempts into the runtime's retry machinery. SetFleetHook
-// observes every membership transition (the Chrome trace renders them as
-// instants).
+// with the old connection and cannot alias the new one. A member leaves one
+// way: its connection fails (a crash, a network drop, KillWorker's SIGKILL)
+// or Close retires the whole fleet, and its in-flight attempts fail into the
+// runtime's retry machinery. SetFleetHook observes each join and death (the
+// Chrome trace renders them as instants).
 //
 // # Slot accounting
 //
@@ -121,7 +114,7 @@ type Remote struct {
 
 	peakAlive int
 	joined    uint64 // admissions across the fleet's lifetime
-	left      uint64 // retirements (drained, dead, left) across the lifetime
+	left      uint64 // retirements (deaths, Close) across the lifetime
 
 	nextID                        atomic.Uint64
 	dispatched, completed, failed atomic.Uint64
@@ -178,12 +171,11 @@ type workerConn struct {
 
 	state    workerState
 	inflight int
-	deadErr  error
 	joinTok  string // hello.Token presented on this connection (dial-in auth)
 
 	// proc is the loopback child process behind this connection, nil for
-	// dialed workers. Tombstoned (set nil) under r.mu before any kill/reap so
-	// KillWorker, Close and drain-completion can never reap twice.
+	// dialed workers. Close tombstones it (sets nil) under r.mu before it
+	// reaps, so KillWorker can never signal a reaped process.
 	proc *os.Process
 
 	done atomic.Uint64 // responses received over this connection's lifetime
@@ -209,7 +201,7 @@ type WorkerInfo struct {
 	Addr     string
 	Pid      int
 	Slots    int
-	State    string // "alive", "draining" or "dead"
+	State    string // "alive" or "dead"
 	Inflight int
 	// Done counts responses this member returned across its lifetime.
 	Done uint64
@@ -306,15 +298,14 @@ func (r *Remote) SetCacheHook(fn func(CacheSample)) {
 // Dial connects to every worker address, performs the handshake, and returns
 // the coordinator. It fails if any worker is unreachable or speaks the wrong
 // protocol — a partially-connected start would silently shrink the cluster.
-// The fleet stays open afterwards: Join, ListenForWorkers and Drain/Leave
-// change membership mid-run.
+// The fleet stays open afterwards: ListenForWorkers admits members mid-run.
 func Dial(cfg RemoteConfig) (*Remote, error) {
 	if len(cfg.Peers) == 0 {
 		return nil, fmt.Errorf("exec: Dial needs at least one worker address")
 	}
 	r := newRemote(cfg.DialTimeout)
 	for _, addr := range cfg.Peers {
-		if _, err := r.Join(addr); err != nil {
+		if _, err := r.join(addr); err != nil {
 			r.Close()
 			return nil, err
 		}
@@ -322,11 +313,10 @@ func Dial(cfg RemoteConfig) (*Remote, error) {
 	return r, nil
 }
 
-// Join dials one worker and admits it into the fleet mid-run with a fresh
-// id, which it returns. The new member is placed on as soon as it is
-// admitted; a runtime created afterwards sizes its pool from the new slot
-// total.
-func (r *Remote) Join(addr string) (string, error) {
+// join dials one worker and admits it into the fleet with a fresh id, which
+// it returns. The new member is placed on as soon as it is admitted; a
+// runtime created afterwards sizes its pool from the new slot total.
+func (r *Remote) join(addr string) (string, error) {
 	r.mu.Lock()
 	timeout := r.dialTimeout
 	closed := r.closed
@@ -480,37 +470,26 @@ func (r *Remote) admitDialIn(conn net.Conn) {
 		conn.Close()
 		return
 	}
-	if w.joinTok != r.token {
+	if subtle.ConstantTimeCompare([]byte(w.joinTok), []byte(r.token)) != 1 {
 		conn.Close()
 		return
 	}
 	_, _ = r.admit(w, nil)
 }
 
-// ListenAddr returns the fleet listen address, or "" when ListenForWorkers
-// was not called.
-func (r *Remote) ListenAddr() string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.listener == nil {
-		return ""
-	}
-	return r.listener.Addr().String()
-}
-
 // JoinToken returns the credential a dial-in worker must present (cmd/worker
 // -join -token).
 func (r *Remote) JoinToken() string { return r.token }
 
-// readLoop drains one worker's responses. It owns the link's read side; any
+// readLoop reads one worker's responses. It owns the link's read side; any
 // error means the stream is unusable (crash, kill, network drop, a frame out
-// of bounds or one that does not decode — or the coordinator closed it
-// after a drain) and the worker is retired.
+// of bounds or one that does not decode — or Close closed it) and the
+// worker is retired.
 func (r *Remote) readLoop(w *workerConn) {
 	for {
 		var resp response
 		if err := w.link.recv(&resp); err != nil {
-			r.failWorker(w, fmt.Errorf("connection lost: %w", err), FleetDead)
+			r.failWorker(w, fmt.Errorf("connection lost: %w", err))
 			return
 		}
 		w.done.Add(1)
@@ -527,134 +506,36 @@ func (r *Remote) readLoop(w *workerConn) {
 // failWorker retires w immediately: no further dispatches land on it, its
 // residency is dropped (the cache died with the connection), and every
 // pending request fails with a connection error (which the runtime treats
-// as an attempt failure and may retry elsewhere). Each drained frame counts
+// as an attempt failure and may retry elsewhere). Each pending frame counts
 // its requests Failed here and is handed a connFailure response so the
 // receive path in executeOn does not also count them Completed — the counters stay a
-// partition. kind labels the fleet event ("" emits none: Close retires the
-// whole fleet without narrating it).
-func (r *Remote) failWorker(w *workerConn, err error, kind string) {
+// partition. The death is narrated to the fleet hook unless the fleet is
+// closed: Close retires every member without an event.
+func (r *Remote) failWorker(w *workerConn, err error) {
 	r.mu.Lock()
 	if w.state == wsDead {
 		r.mu.Unlock()
 		return
 	}
 	w.state = wsDead
-	w.deadErr = err
 	w.resident = map[ValueRef]int64{}
 	w.residentBytes = 0
 	r.left++
+	narrate := !r.closed
 	r.cond.Broadcast()
 	r.mu.Unlock()
 	w.link.conn.Close()
-	r.failPending(w, err)
-	if kind != "" {
-		r.membershipChanged(kind, w.id, err.Error())
-	}
-}
-
-// failPending answers every frame still waiting on w's closed connection with
-// a connFailure and counts its requests Failed.
-func (r *Remote) failPending(w *workerConn, err error) {
 	w.pendMu.Lock()
-	drained := w.pending
+	pending := w.pending
 	w.pending = map[uint64]call{}
 	w.pendMu.Unlock()
-	for _, c := range drained {
+	for _, c := range pending {
 		r.failed.Add(c.n)
 		c.ch <- response{Err: fmt.Sprintf("worker %s (%s): %v", w.id, w.addr, err), connFailure: true}
 	}
-}
-
-// Drain retires worker id gracefully: it stops receiving placements
-// immediately, its in-flight attempts run to completion (their responses —
-// and the piggybacked cache reports — still come back and count Completed),
-// and once the last one finishes the connection closes and a loopback child
-// is reaped; nothing bounds how long those attempts run. Drain returns as
-// soon as the worker is marked; observe completion via Workers (state
-// "dead") or the fleet hook's "drained" event.
-func (r *Remote) Drain(id string) error {
-	r.mu.Lock()
-	w := r.findLocked(id)
-	if w == nil {
-		r.mu.Unlock()
-		return fmt.Errorf("exec: no worker %q", id)
+	if narrate {
+		r.membershipChanged(FleetDead, w.id, err.Error())
 	}
-	if st := w.state; st != wsAlive {
-		r.mu.Unlock()
-		return fmt.Errorf("exec: worker %s is %s, cannot drain", id, st)
-	}
-	w.state = wsDraining
-	idle := w.inflight == 0
-	r.mu.Unlock()
-	r.membershipChanged(FleetDrain, id, "")
-	if idle {
-		r.finishDrain(w)
-	}
-	return nil
-}
-
-// finishDrain completes a drain once the worker is idle: close the
-// connection (the readLoop's decode error finds the worker already dead and
-// is a no-op) and reap a loopback child.
-func (r *Remote) finishDrain(w *workerConn) {
-	r.mu.Lock()
-	if w.state != wsDraining || w.inflight != 0 {
-		r.mu.Unlock()
-		return
-	}
-	w.state = wsDead
-	w.deadErr = fmt.Errorf("drained")
-	w.resident = map[ValueRef]int64{}
-	w.residentBytes = 0
-	proc := w.proc
-	w.proc = nil
-	r.left++
-	r.cond.Broadcast()
-	r.mu.Unlock()
-	w.link.conn.Close()
-	r.failPending(w, w.deadErr) // no request is in flight, but a pull may be
-	if proc != nil {
-		_ = proc.Kill()
-		_, _ = proc.Wait()
-	}
-	r.membershipChanged(FleetDrained, w.id, "")
-}
-
-// Leave removes worker id immediately: in-flight attempts fail into the
-// retry machinery (exactly as a crash would) and a loopback child is killed
-// and reaped. Use Drain for the graceful path.
-func (r *Remote) Leave(id string) error {
-	r.mu.Lock()
-	w := r.findLocked(id)
-	if w == nil {
-		r.mu.Unlock()
-		return fmt.Errorf("exec: no worker %q", id)
-	}
-	if w.state == wsDead {
-		r.mu.Unlock()
-		return fmt.Errorf("exec: worker %s is already dead", id)
-	}
-	r.mu.Unlock()
-	r.failWorker(w, fmt.Errorf("removed from the fleet"), FleetLeave)
-	r.mu.Lock()
-	proc := w.proc
-	w.proc = nil
-	r.mu.Unlock()
-	if proc != nil {
-		_ = proc.Kill()
-		_, _ = proc.Wait()
-	}
-	return nil
-}
-
-// findLocked returns the member with the given id; caller holds r.mu.
-func (r *Remote) findLocked(id string) *workerConn {
-	for _, w := range r.workers {
-		if w.id == id {
-			return w
-		}
-	}
-	return nil
 }
 
 // acquire blocks until an alive worker has a free slot and reserves one.
@@ -663,9 +544,7 @@ func (r *Remote) findLocked(id string) *workerConn {
 // inputs), breaking ties — and the nothing-resident case — by least load.
 // Saturated workers are never waited on for locality: a busy data-holder
 // must not stall dispatch when an idle worker can run the task from shipped
-// values. Draining members are skipped for placement but still waited on —
-// their retirement (or a join) will move things along. It errors once no
-// worker is alive or draining.
+// values. It errors once no worker is alive.
 func (r *Remote) acquire(refs []ValueRef) (*workerConn, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -675,13 +554,13 @@ func (r *Remote) acquire(refs []ValueRef) (*workerConn, error) {
 		}
 		var best *workerConn
 		var bestScore int64 = -1
-		anyOpen := false
+		anyAlive := false
 		for _, w := range r.workers {
 			if w.state == wsDead {
 				continue
 			}
-			anyOpen = true
-			if w.state != wsAlive || w.inflight >= w.slots {
+			anyAlive = true
+			if w.inflight >= w.slots {
 				continue
 			}
 			var score int64
@@ -693,7 +572,7 @@ func (r *Remote) acquire(refs []ValueRef) (*workerConn, error) {
 				best, bestScore = w, score
 			}
 		}
-		if !anyOpen {
+		if !anyAlive {
 			return nil, fmt.Errorf("exec: no alive workers")
 		}
 		if best != nil {
@@ -707,12 +586,8 @@ func (r *Remote) acquire(refs []ValueRef) (*workerConn, error) {
 func (r *Remote) release(w *workerConn) {
 	r.mu.Lock()
 	w.inflight--
-	finish := w.state == wsDraining && w.inflight == 0
 	r.cond.Broadcast()
 	r.mu.Unlock()
-	if finish {
-		r.finishDrain(w)
-	}
 }
 
 // Execute ships one anonymous attempt (no task identity, so no caching and
@@ -847,7 +722,7 @@ func (r *Remote) executeOn(w *workerConn, reqs []*Request, inlineAll bool) (resp
 	if len(resp.Chain) != len(msg.Chain) {
 		r.failed.Add(n)
 		// Not an answer to what was asked: the requests are lost with the stream.
-		r.failWorker(w, fmt.Errorf("%d replies to a frame of %d requests", len(resp.Chain)+1, n), FleetDead)
+		r.failWorker(w, fmt.Errorf("%d replies to a frame of %d requests", len(resp.Chain)+1, n))
 		return response{}, fmt.Errorf("exec: worker %s (%s): %d replies to %d requests", w.id, w.addr, len(resp.Chain)+1, n)
 	}
 	r.completed.Add(n)
@@ -886,7 +761,7 @@ func (r *Remote) roundTrip(w *workerConn, id uint64, f frame, n uint64, name str
 		// map before we registered, or it races behind us) and we count the
 		// failure; if the entry is gone, failWorker counted it.
 		if !errors.Is(err, errEncode) {
-			r.failWorker(w, fmt.Errorf("sending %s: %w", name, err), FleetDead)
+			r.failWorker(w, fmt.Errorf("sending %s: %w", name, err))
 		}
 		w.pendMu.Lock()
 		_, mine := w.pending[id]
@@ -899,7 +774,7 @@ func (r *Remote) roundTrip(w *workerConn, id uint64, f frame, n uint64, name str
 	}
 	resp := <-ch
 	if resp.connFailure {
-		// Fabricated by failWorker, already counted Failed; a drained
+		// Fabricated by failWorker, already counted Failed; a failed
 		// request is not a completed one.
 		return response{}, fmt.Errorf("exec: %s: %s", name, resp.Err)
 	}
@@ -963,7 +838,7 @@ func (r *Remote) pullFrom(w *workerConn, hs []*Held) (missing []*Held) {
 	resp, err := r.roundTrip(w, p.ID, p, 0, "pull")
 	if err == nil && len(resp.Vals) != len(hs) {
 		err = fmt.Errorf("%d values to a pull of %d", len(resp.Vals), len(hs))
-		r.failWorker(w, err, FleetDead)
+		r.failWorker(w, err)
 	}
 	if err != nil {
 		return hs // the connection is gone, and its residency with it
@@ -1009,7 +884,7 @@ func (r *Remote) Forget(session uint64) {
 	f := &forget{Sessions: []uint64{session}}
 	for _, w := range to {
 		if err := w.link.send(f); err != nil {
-			r.failWorker(w, fmt.Errorf("sending forget: %w", err), FleetDead)
+			r.failWorker(w, fmt.Errorf("sending forget: %w", err))
 		}
 	}
 }
@@ -1109,9 +984,7 @@ func argAt(args []any, ar ArgRef) (any, bool) {
 }
 
 // applyResidency folds one response frame's Stored/Evicted reports into the
-// coordinator's view of w's cache. Draining members still fold — their
-// in-flight responses are the flush of the piggybacked reports — though the
-// view is dropped wholesale when the drain finishes.
+// coordinator's view of w's cache; a dead member's view stays empty.
 func (r *Remote) applyResidency(w *workerConn, resp *response) {
 	r.mu.Lock()
 	if w.state != wsDead {
@@ -1256,7 +1129,7 @@ func (r *Remote) Close() error {
 		l.Close()
 	}
 	for _, w := range workers {
-		r.failWorker(w, fmt.Errorf("backend closed"), "")
+		r.failWorker(w, fmt.Errorf("backend closed"))
 	}
 	for _, p := range procs {
 		_ = p.Kill()

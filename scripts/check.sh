@@ -125,6 +125,9 @@ go test -race -count=2 -cpu=1,8 -run 'TestStealStress|TestParallelismIsBounded|T
 # Beside them the bounds: kernels inside W bodies never run more than W
 # goroutines, a lone body borrows the idle slots, a one-slot worker's kernels
 # stay serial and an in-process member leaves its host's kernels parallel.
+# The fleet tests ride along on the exec line: an admission raced against
+# dispatch, a dial-in rejoin and the fleet hook's narration, single-threaded
+# and truly parallel.
 echo "== go test -race -count=2 -cpu=1,8 (kernel bit-identity and borrowing bounds)"
 go test -race -count=2 -cpu=1,8 -run 'AcrossLimits|TestMulAtAMatchesMulAtBUpperTriangle' ./internal/mat/ ./internal/sigproc/
 # The race detector cannot see inside assembly, so a -race build runs mat's
@@ -140,7 +143,7 @@ go test -count=2 -cpu=1,8 -run 'TestSplitPartitionMatchesComparison|FuzzBuildTre
 go test -race -count=2 -cpu=1,8 -run 'TestBestSplitNearTieFirstWins|TestTrainSetRanks|TestForestCVMatchesReferenceSplit' ./internal/forest/
 go test -race -count=2 -cpu=1,8 ./internal/par/
 go test -race -count=2 -cpu=1,8 -run 'TestParallelismIsBounded|TestKernelsBorrowIdleSlots|TestRuntimeLendsWhileCarriersLive' ./internal/compss/
-go test -race -count=2 -cpu=1,8 -run 'TestWorkerSlotsBoundKernelHelpers|TestInProcessWorkerLeavesHostKernelsParallel' ./internal/exec/
+go test -race -count=2 -cpu=1,8 -run 'TestWorkerSlotsBoundKernelHelpers|TestInProcessWorkerLeavesHostKernelsParallel|TestFleet' ./internal/exec/
 
 # internal/core and internal/serve are not in the -count=2 pass above, so
 # the tests there that race membership changes, holder kills and concurrent
