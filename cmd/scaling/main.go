@@ -268,8 +268,8 @@ func sweepTable(title string, g *graph.Graph, configs []cluster.Cluster) {
 func faultSweepTable(title string, g *graph.Graph, configs []cluster.Cluster) {
 	clean := g.WithoutFailures()
 	events := g.FailureEvents()
-	fmt.Printf("=== %s (%d tasks, %d injected failures, %d degraded)\n",
-		title, g.Len(), len(events), len(g.DegradedTasks()))
+	fmt.Printf("=== %s (%d tasks, %d injected failures)\n",
+		title, g.Len(), len(events))
 	fmt.Printf("%8s %8s %12s %12s %10s %12s\n",
 		"nodes", "cores", "clean (s)", "faulty (s)", "overhead", "wasted (c·s)")
 	var last *cluster.Schedule

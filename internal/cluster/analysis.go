@@ -109,8 +109,8 @@ func (s *Schedule) RecoverySummary(g *graph.Graph) string {
 	if s.BusyCoreSeconds > 0 {
 		pct = 100 * s.WastedCoreSeconds / s.BusyCoreSeconds
 	}
-	fmt.Fprintf(&b, "recovery: %d failed attempts across %d tasks (%d degraded), %.3f core-s wasted (%.1f%% of busy)\n",
-		len(s.FailedAttempts), len(tasks), s.DegradedTasks, s.WastedCoreSeconds, pct)
+	fmt.Fprintf(&b, "recovery: %d failed attempts across %d tasks, %.3f core-s wasted (%.1f%% of busy)\n",
+		len(s.FailedAttempts), len(tasks), s.WastedCoreSeconds, pct)
 	names := make([]string, 0, len(perName))
 	for n := range perName {
 		names = append(names, n)

@@ -156,9 +156,7 @@ func (c Cluster) TotalGPUs() int {
 }
 
 // Placement records where and when one task ran in the virtual schedule.
-// For a task with failed attempts it describes the final attempt; for a
-// degraded task it describes the last failed attempt (the fallback stands
-// in at the instant the task gave up).
+// For a task with failed attempts it describes the final attempt.
 type Placement struct {
 	Task  int
 	Node  int
@@ -199,9 +197,6 @@ type Schedule struct {
 	// WastedCoreSeconds is the share of BusyCoreSeconds consumed by failed
 	// attempts — the recovery cost the -faults sweeps quantify.
 	WastedCoreSeconds float64
-	// DegradedTasks counts tasks whose declared fallback stood in for a
-	// computed value.
-	DegradedTasks int
 }
 
 // taskHeap orders ready tasks by submission ID, approximating the program
@@ -238,8 +233,7 @@ func (h *taskHeap) Pop() any {
 //     instant — CostFraction of the task's duration — then the task
 //     re-queues BackoffSec·2^k later (k being the failed attempt's 0-based
 //     index, so the first retry waits the base) and is placed afresh,
-//     possibly on a different node. A degraded task ends at its last
-//     failure instant (its fallback stands in; nothing ran to completion).
+//     possibly on a different node.
 func ScheduleGraph(g *graph.Graph, c Cluster) (*Schedule, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
@@ -406,14 +400,9 @@ func ScheduleGraph(g *graph.Graph, c Cluster) (*Schedule, error) {
 
 		// Replay the task's attempts: every recorded failure occupies a node
 		// until its failure instant and pushes the next attempt past the
-		// backoff; the final attempt (absent for degraded tasks) runs to
-		// completion.
+		// backoff; the final attempt runs to completion.
 		evs := failures[id]
-		degraded := g.IsDegraded(id) && len(evs) > 0
 		nAttempts := len(evs) + 1
-		if degraded {
-			nAttempts = len(evs)
-		}
 		attemptFloor := floor
 		for k := 0; k < nAttempts; k++ {
 			failed := k < len(evs)
@@ -471,9 +460,6 @@ func ScheduleGraph(g *graph.Graph, c Cluster) (*Schedule, error) {
 			} else {
 				attemptFloor = end + float64(t.BackoffSec*math.Pow(2, float64(k)))
 			}
-		}
-		if degraded {
-			sched.DegradedTasks++
 		}
 		scheduled[id] = true
 		done++

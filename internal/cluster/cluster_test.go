@@ -460,28 +460,6 @@ func TestReplayBackoffDoubles(t *testing.T) {
 	}
 }
 
-// A degraded task's replay ends at its last failure instant — the fallback
-// costs nothing — and is counted in DegradedTasks.
-func TestReplayDegradedTaskEndsAtFailure(t *testing.T) {
-	g := graph.New()
-	id := g.Add(graph.Task{Name: "a", Parent: -1, Cost: 4, Cores: 1})
-	g.Add(graph.Task{Name: "b", Parent: -1, Cost: 2, Cores: 1, Deps: []graph.Dep{{Task: id}}})
-	g.RecordFailure(graph.FailureEvent{Task: id, Attempt: 0, Mode: "error", CostFraction: 0.5})
-	g.MarkDegraded(id)
-	s := mustSchedule(t, g, zeroOverhead(Homogeneous("c", 1, 1, 0)))
-	p := s.Placements[id]
-	if math.Abs(p.End-2) > 1e-9 {
-		t.Fatalf("degraded task ends at %v, want the failure instant 2", p.End)
-	}
-	if s.DegradedTasks != 1 {
-		t.Fatalf("DegradedTasks = %d, want 1", s.DegradedTasks)
-	}
-	pb := s.Placements[1]
-	if math.Abs(pb.Start-2) > 1e-9 {
-		t.Fatalf("dependent starts at %v, want 2 (right after the fallback)", pb.Start)
-	}
-}
-
 // Replaying the same failed graph twice yields the identical schedule, and
 // the fault-free replay of WithoutFailures() is never slower than the
 // faulty one.

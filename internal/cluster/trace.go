@@ -16,7 +16,6 @@ type nodeInterval struct {
 	start, end    float64 // virtual seconds
 	cores         int
 	mode          string // failure mode for failed attempts, "" otherwise
-	degraded      bool
 }
 
 // ChromeTrace renders the replayed schedule in Chrome trace-event format —
@@ -24,11 +23,10 @@ type nodeInterval struct {
 // and its virtual replay open side-by-side in Perfetto. One trace process
 // per node (rows are occupancy lanes packed within the node, lane count =
 // the node's peak task concurrency), with failed attempts as "name!k"
-// slices followed by a failure instant, degraded tasks closed by a
-// "degrade" instant, and a busy-cores counter per node. Virtual seconds
-// map to trace microseconds (1 virtual second = 1 displayed second), and
-// the backoff gaps between a failure and the next attempt appear as idle
-// space between the slices.
+// slices followed by a failure instant, and a busy-cores counter per node.
+// Virtual seconds map to trace microseconds (1 virtual second = 1 displayed
+// second), and the backoff gaps between a failure and the next attempt
+// appear as idle space between the slices.
 func (s *Schedule) ChromeTrace(g *graph.Graph) *trace.Trace {
 	t := &trace.Trace{}
 	failures := g.FailuresByTask()
@@ -42,27 +40,18 @@ func (s *Schedule) ChromeTrace(g *graph.Graph) *trace.Trace {
 		byNode[node] = append(byNode[node], iv)
 	}
 	for _, p := range s.Placements {
-		// A degraded task's "placement" is its last failed attempt, which
-		// FailedAttempts already carries — skip it here to avoid a
-		// duplicate slice.
-		if g.IsDegraded(p.Task) && len(failures[p.Task]) > 0 {
-			continue
-		}
 		addInterval(nodeInterval{task: p.Task, attempt: -1, start: p.Start, end: p.End}, p.Node)
 	}
 	for _, fa := range s.FailedAttempts {
 		iv := nodeInterval{task: fa.Task, attempt: fa.Attempt, start: fa.Start, end: fa.End}
-		if evs := failures[fa.Task]; len(evs) > 0 {
-			for _, ev := range evs {
-				if ev.Attempt == fa.Attempt {
-					iv.mode = ev.Mode
-					break
-				}
+		for _, ev := range failures[fa.Task] {
+			if ev.Attempt == fa.Attempt {
+				iv.mode = ev.Mode
+				break
 			}
-			if iv.mode == "" {
-				iv.mode = "error"
-			}
-			iv.degraded = g.IsDegraded(fa.Task) && fa.Attempt == evs[len(evs)-1].Attempt
+		}
+		if iv.mode == "" {
+			iv.mode = "error"
 		}
 		addInterval(iv, fa.Node)
 	}
@@ -138,13 +127,6 @@ func (s *Schedule) ChromeTrace(g *graph.Graph) *trace.Trace {
 					Name: "failure", Cat: "fault", Ph: "i", Ts: iv.end * usPerSec,
 					Pid: node, Tid: lanes[i], Scope: "t", Args: iargs,
 				}})
-				if iv.degraded {
-					out = append(out, sortable{ord: 1, task: iv.task, attempt: iv.attempt + 1, ev: trace.TraceEvent{
-						Name: "degrade", Cat: "fault", Ph: "i", Ts: iv.end * usPerSec,
-						Pid: node, Tid: lanes[i], Scope: "t",
-						Args: map[string]any{"task": iv.task, "name": iv.name},
-					}})
-				}
 			}
 			cores := iv.cores
 			if cores < 1 {

@@ -9,7 +9,8 @@ import (
 	"taskml/internal/graph"
 )
 
-// faultyDiamond is the diamond with one retried task and one degraded task.
+// faultyDiamond is the diamond with two retried tasks, one failed by an
+// error and one by a panic.
 func faultyDiamond() *graph.Graph {
 	g := graph.New()
 	src := g.Add(graph.Task{Name: "load", Parent: -1, Cost: 1, Cores: 1})
@@ -18,7 +19,6 @@ func faultyDiamond() *graph.Graph {
 	g.Add(graph.Task{Name: "merge", Parent: -1, Cost: 1, Cores: 1, Deps: []graph.Dep{{Task: a}, {Task: b}}})
 	g.RecordFailure(graph.FailureEvent{Task: a, Attempt: 0, Mode: "error", CostFraction: 0.5})
 	g.RecordFailure(graph.FailureEvent{Task: b, Attempt: 0, Mode: "panic", CostFraction: 1})
-	g.MarkDegraded(b)
 	return g
 }
 
@@ -45,7 +45,7 @@ func TestScheduleChromeTrace(t *testing.T) {
 	type row struct{ pid, tid int }
 	depth := map[row]int{}
 	names := map[string]int{}
-	sawFailure, sawDegrade, sawCounter := 0, 0, 0
+	sawFailure, sawCounter := 0, 0
 	for _, ev := range tr.Events {
 		switch ev.Ph {
 		case "B":
@@ -57,12 +57,10 @@ func TestScheduleChromeTrace(t *testing.T) {
 				t.Fatalf("E before B on node %d lane %d at ts %v", ev.Pid, ev.Tid, ev.Ts)
 			}
 		case "i":
-			switch ev.Name {
-			case "failure":
-				sawFailure++
-			case "degrade":
-				sawDegrade++
+			if ev.Name != "failure" {
+				t.Errorf("unexpected instant %q", ev.Name)
 			}
+			sawFailure++
 			if ev.Scope != "t" {
 				t.Errorf("instant %q missing thread scope", ev.Name)
 			}
@@ -91,10 +89,9 @@ func TestScheduleChromeTrace(t *testing.T) {
 		}
 	}
 
-	// Final placements for load, merge and the retried work; "!0" rows for
-	// both failed first attempts. The degraded task has no final slice —
-	// its last failed attempt stands in.
-	if names["load"] != 1 || names["merge"] != 1 || names["work"] != 1 {
+	// Final placements for load, merge and both retried works; "!0" rows
+	// for both failed first attempts.
+	if names["load"] != 1 || names["merge"] != 1 || names["work"] != 2 {
 		t.Errorf("final slices: %v", names)
 	}
 	if names["work!0"] != 2 {
@@ -102,9 +99,6 @@ func TestScheduleChromeTrace(t *testing.T) {
 	}
 	if sawFailure != 2 {
 		t.Errorf("failure instants = %d, want 2", sawFailure)
-	}
-	if sawDegrade != 1 {
-		t.Errorf("degrade instants = %d, want 1", sawDegrade)
 	}
 	if sawCounter == 0 {
 		t.Error("no busy-cores samples")

@@ -20,7 +20,7 @@
 // earlier member did, a reference was evicted or never cached — is
 // unmarked and runs the ordinary way, as attempt 0, once its
 // producers have completed; a head whose body or connection failed is a
-// failed attempt 0 under the ordinary retry / degrade / fail policy, and its
+// failed attempt 0 under the ordinary retry-then-fail contract, and its
 // retry travels alone. Every mark is cleared before anything completes.
 //
 // Observers see Submit < DepsReady < Start < End for every member. The

@@ -414,20 +414,19 @@ func TestChainHandBack(t *testing.T) {
 }
 
 // TestChainHeadFailure: a chain whose frame is lost is the head's failed
-// attempt 0 — one retry gone, FailFast final, Degrade publishes the fallback
-// — and the followers run afterwards as if never chained.
+// attempt 0 — one retry gone, or final with no budget — and the followers run
+// afterwards as if never chained.
 func TestChainHeadFailure(t *testing.T) {
-	run := func(cfg Config, o Opts, lost int) (*fakeChains, *Runtime, []*Future, *StatsObserver) {
+	run := func(o Opts) (*fakeChains, *Runtime, []*Future, *StatsObserver) {
 		be := newFakeChains()
 		so := NewStatsObserver()
 		seq := newSeqObserver()
-		cfg.Workers, cfg.Backend, cfg.Observers = 2, be, []Observer{so, seq}
-		rt := New(cfg)
+		rt := New(Config{Workers: 2, Backend: be, Observers: []Observer{so, seq}})
 		g, release := gate(rt)
 		a := sum(rt, o, g)
 		b := sum(rt, Opts{}, a, 1.0)
 		c := sum(rt, Opts{}, b, 1.0)
-		be.failHead[a.TaskID()] = lost
+		be.failHead[a.TaskID()] = 1
 		release()
 		_ = rt.Barrier()
 		seq.check(t, rt.Graph().Len())
@@ -442,7 +441,7 @@ func TestChainHeadFailure(t *testing.T) {
 		return -1
 	}
 
-	be, rt, fs, so := run(Config{}, Opts{Retries: 2}, 1)
+	be, rt, fs, so := run(Opts{Retries: 2})
 	mustGet(t, rt, fs[2], 3)
 	a, b, c := fs[0].TaskID(), fs[1].TaskID(), fs[2].TaskID()
 	if got, want := be.framesSeen(), [][]int{{a, b, c}, {a}, {b, c}}; !reflect.DeepEqual(got, want) {
@@ -455,20 +454,13 @@ func TestChainHeadFailure(t *testing.T) {
 		t.Fatalf("retry: a handed-back follower shows %d attempts, want 1", n)
 	}
 
-	_, rt, fs, so = run(Config{OnTaskFailure: FailFast}, Opts{Retries: 2}, 1)
+	_, rt, fs, so = run(Opts{Retries: -1})
 	if _, err := rt.Get(fs[2]); err == nil || attempts(so, fs[0].TaskID()) != 1 {
-		t.Fatalf("FailFast: err %v after %d attempts, want a failure after 1", err, attempts(so, fs[0].TaskID()))
+		t.Fatalf("no retries: err %v after %d attempts, want a failure after 1", err, attempts(so, fs[0].TaskID()))
 	}
 	var de *DepError
 	if _, err := rt.Get(fs[1]); !errors.As(err, &de) {
-		t.Fatalf("FailFast: follower error %v, want a DepError", err)
-	}
-
-	_, rt, fs, _ = run(Config{OnTaskFailure: Degrade}, Opts{Retries: 1, Fallback: 100.0}, 2)
-	mustGet(t, rt, fs[0], 100)
-	mustGet(t, rt, fs[2], 102)
-	if !rt.Graph().IsDegraded(fs[0].TaskID()) {
-		t.Fatal("Degrade: the head is not marked degraded")
+		t.Fatalf("no retries: follower error %v, want a DepError", err)
 	}
 }
 

@@ -34,10 +34,10 @@ type Opts struct {
 	// its body, its backend or a nested child — is re-executed before the
 	// task is declared failed; no attempt is bounded in wall time. 0 falls
 	// back to Config.DefaultRetries; a negative value opts out explicitly
-	// (exactly one attempt, even when the default is positive); the FailFast
-	// policy forces 0. Retried attempts re-run immediately in real time —
-	// backoff exists only in the replayed schedule, so failure handling
-	// stays deterministic.
+	// (exactly one attempt, even when the default is positive). Once the
+	// budget is spent the task fails, and so do its dependents. Retried
+	// attempts re-run immediately in real time — backoff exists only in the
+	// replayed schedule, so failure handling stays deterministic.
 	Retries int
 	// Backoff is the virtual-time base delay, in seconds, between a failed
 	// attempt and its retry: the retry after failed attempt k (0-based)
@@ -45,39 +45,17 @@ type Opts struct {
 	// waits the base. 0 falls back to Config.DefaultBackoff. Like Cost it
 	// never affects real execution.
 	Backoff float64
-	// Fallback, when non-nil, is the value published if every attempt fails
-	// under the Degrade policy, letting dependents — typically reduction
-	// merges — proceed on partial results. For SubmitN tasks it must be a
-	// []any of length nOut. Fallback values may be shared between tasks and
-	// must be treated as read-only by consumers.
-	Fallback any
 	// Exec names a registered execution-backend function (exec.Register)
 	// standing in for the task body: the attempt runs through
 	// Config.Backend when one is attached — typically on a remote worker
 	// process — and through an in-process registry call otherwise, with
 	// identical semantics. Tasks submitted with SubmitExec/SubmitExecN set
 	// it; tasks with a closure body leave it empty and always run
-	// in-process. Retries, fault injection and failure policies apply
-	// identically either way: a backend failure (worker crash, dropped
-	// connection) is an attempt failure like any other.
+	// in-process. Retries and fault injection apply identically either
+	// way: a backend failure (worker crash, dropped connection) is an
+	// attempt failure like any other.
 	Exec string
 }
-
-// FailurePolicy is the runtime-wide answer to a task exhausting its attempts.
-type FailurePolicy int
-
-const (
-	// RetryThenFail (the default) honours per-task retry budgets and fails
-	// the task — and transitively its dependents — when they run out.
-	RetryThenFail FailurePolicy = iota
-	// FailFast ignores retry budgets: the first failed attempt is final.
-	FailFast
-	// Degrade behaves like RetryThenFail, but a task that declared
-	// Opts.Fallback publishes it instead of failing, so the workflow
-	// completes on partial results (at a model-quality cost; the graph
-	// records which tasks degraded).
-	Degrade
-)
 
 // TaskFunc is a task body. It receives a TaskCtx for nested submissions and
 // its resolved arguments (futures replaced by values) and returns the task's
@@ -91,12 +69,8 @@ type MultiTaskFunc func(tc *TaskCtx, args []any) ([]any, error)
 type Config struct {
 	// Workers bounds real goroutine parallelism. Defaults to GOMAXPROCS.
 	Workers int
-	// OnTaskFailure selects what happens when a task exhausts its attempts.
-	// The zero value, RetryThenFail, preserves the historical behaviour for
-	// tasks without retries (first failure is final).
-	OnTaskFailure FailurePolicy
 	// DefaultRetries is the retry budget for tasks that leave Opts.Retries
-	// at 0. Ignored under FailFast.
+	// at 0. With none, a task's first failed attempt is final.
 	DefaultRetries int
 	// DefaultBackoff is the virtual backoff base, in seconds, for tasks that
 	// leave Opts.Backoff at 0.
@@ -241,8 +215,8 @@ func (rt *Runtime) Main() *TaskCtx { return rt.main }
 // Detached returns the context for tasks the workflow graph does not record,
 // such as a server's scoring batches. A task submitted through it — or
 // through a detached task's own context — runs like any other: retries, the
-// failure policy, a fault plan's Name entries and the observer events apply
-// as they do to a recorded task. But once it completes it has left nothing
+// failure that follows them, a fault plan's Name entries and the observer
+// events apply as they do to a recorded task. But once it completes it has left nothing
 // behind: no graph node; no entry in a context's submitted list, sync floor
 // or synced set; and nothing on a worker, because its id, drawn from its own
 // negative sequence, makes it anonymous to a backend (exec.Request.TaskID).
@@ -310,24 +284,18 @@ type taskState struct {
 	id      int
 	name    string
 	occ     int // occurrence index among same-named tasks, for fault matching
-	retries int // effective retry budget after Config defaults and policy
-	// The two Opts fields execution needs after submit; carrying them
-	// instead of the whole Opts keeps the per-task record (and its zeroing
-	// on the submit hot path) small.
-	fallback any
+	retries int // effective retry budget after Config defaults
+	// The one Opts field execution needs after submit; carrying it instead
+	// of the whole Opts keeps the per-task record (and its zeroing on the
+	// submit hot path) small.
 	execName string
 	// done is the completion broadcast channel, allocated lazily by
 	// doneChan: most tasks finish before anyone parks on them and never
 	// pay for one. completed is the authoritative flag — waiters poll it
 	// with one atomic load and only materialize the channel to sleep.
-	done     chan struct{}
-	vals     []any
-	err      error
-	degraded bool
-	// last is the attempt that made vals, counted on by reruns of a task whose
-	// held outputs were lost (held.go; chMu serialises them). It sits, like
-	// want below, in what would be padding (TestTaskChunkKeepsItsSizeClass).
-	last int32
+	done chan struct{}
+	vals []any
+	err  error
 
 	// Execution record carried from submit to runReady: the body, its output
 	// arity and the raw argument list (futures unresolved). The body and the
@@ -357,6 +325,10 @@ type taskState struct {
 	// want is set by a Get that waits for the task: its outputs should come
 	// home in the reply instead of staying on the worker (held.go).
 	want atomic.Bool
+	// last is the attempt that made vals, counted on by reruns of a task whose
+	// held outputs were lost (held.go; chMu serialises them). It sits, like
+	// want above, in what would be padding (TestTaskChunkKeepsItsSizeClass).
+	last int32
 
 	val1  [1]any     // backing for vals when nOut == 1
 	fut1  Future     // the single Future when nOut == 1
@@ -634,13 +606,13 @@ func (tc *TaskCtx) submit(o *Opts, nOut int, fn1 TaskFunc, fnN MultiTaskFunc, ar
 		gdeps, floorIDs = tc.graphDeps(args, nArg)
 	}
 
-	// Resolve the effective failure policy now, so the graph records what
-	// the replay should emulate.
+	// Resolve the effective retry budget now, so the graph records what the
+	// replay should emulate.
 	retries := o.Retries
 	if retries == 0 {
 		retries = tc.rt.cfg.DefaultRetries
 	}
-	if retries < 0 || tc.rt.cfg.OnTaskFailure == FailFast {
+	if retries < 0 {
 		retries = 0 // negative Opts.Retries is an explicit opt-out
 	}
 	backoff := o.Backoff
@@ -679,7 +651,7 @@ func (tc *TaskCtx) submit(o *Opts, nOut int, fn1 TaskFunc, fnN MultiTaskFunc, ar
 
 	st := tc.rt.ex.allocTask(tc.wkr)
 	st.id, st.name, st.occ, st.retries = id, o.Name, occ, retries
-	st.fallback, st.execName = o.Fallback, o.Exec
+	st.execName = o.Exec
 	st.fn1, st.fnN, st.nOut, st.args = fn1, fnN, nOut, args
 	st.floorIDs = floorIDs
 	st.ctx0.rt = tc.rt // a future keeps its runtime, and so its session, alive
@@ -829,14 +801,14 @@ func (rt *Runtime) complete(st *taskState, w *worker) {
 	}
 }
 
-// letGo drops what only running st needed — its body, its argument list and
-// its fallback — once its outputs are published: a completed main-program
-// task stays reachable from Main().submitted for the runtime's life, and a
-// nested one from its parent's, so whatever a completed task still points at
-// lives as long. A task with an output held on a worker keeps args, which its
+// letGo drops what only running st needed — its body and its argument list —
+// once its outputs are published: a completed main-program task stays
+// reachable from Main().submitted for the runtime's life, and a nested one
+// from its parent's, so whatever a completed task still points at lives as
+// long. A task with an output held on a worker keeps args, which its
 // lineage rerun reads (held.go).
 func (st *taskState) letGo() {
-	st.fn1, st.fnN, st.fallback = nil, nil, nil
+	st.fn1, st.fnN = nil, nil
 	for _, v := range st.vals {
 		if _, held := v.(*exec.Held); held {
 			return
@@ -858,8 +830,8 @@ func (rt *Runtime) acquire(w *worker) {
 // available) argument values, then loop over attempts — acquire a worker
 // slot, run the body inline (with panic containment and fault injection),
 // wait for the attempt's nested children — retrying while the
-// budget lasts, and finally publish the value, the declared fallback
-// (Degrade), or the failure. Each transition emits the matching Observer
+// budget lasts, and finally publish the value or the failure, which fails
+// the task's dependents too. Each transition emits the matching Observer
 // event (see observer.go for the guaranteed per-task sequences); the
 // StatsObserver derives the legacy TaskStats entirely from this stream.
 // stolen records whether this task migrated off the deque it was enqueued
@@ -943,18 +915,6 @@ func (rt *Runtime) runReady(st *taskState, w *worker, stolen bool) {
 			rt.emitAt(EventFailure, st, attempt, bodyDone, res.err, res.mode, false, res.worker)
 			rt.emit(EventRetry, st, attempt+1, nil, "", false)
 			continue
-		}
-		if rt.cfg.OnTaskFailure == Degrade {
-			if vals, ok := fallbackValues(st.fallback, nOut); ok {
-				st.vals = vals
-				st.degraded = true
-				if id >= 0 {
-					rt.g.MarkDegraded(id)
-				}
-				rt.emitAt(EventFailure, st, attempt, bodyDone, res.err, res.mode, false, res.worker)
-				rt.emit(EventDegrade, st, attempt, nil, "", false)
-				break
-			}
 		}
 		st.err = res.err
 		rt.emitAt(EventFailure, st, attempt, bodyDone, res.err, res.mode, true, res.worker)
@@ -1189,21 +1149,6 @@ func argRefs(args []any, session uint64, chain []*taskState) []exec.ArgRef {
 		}
 	}
 	return refs
-}
-
-// fallbackValues validates a declared fallback against the task's output
-// arity, returning the values to publish.
-func fallbackValues(fb any, nOut int) ([]any, bool) {
-	if fb == nil {
-		return nil, false
-	}
-	if nOut == 1 {
-		return []any{fb}, true
-	}
-	if vs, ok := fb.([]any); ok && len(vs) == nOut {
-		return vs, true
-	}
-	return nil, false
 }
 
 // Get blocks until f's value is available and raises this context's sync

@@ -40,7 +40,6 @@ func (l *kindLog) OnStart(ev Event)     { l.add(ev) }
 func (l *kindLog) OnEnd(ev Event)       { l.add(ev) }
 func (l *kindLog) OnRetry(ev Event)     { l.add(ev) }
 func (l *kindLog) OnFailure(ev Event)   { l.add(ev) }
-func (l *kindLog) OnDegrade(ev Event)   { l.add(ev) }
 
 // flaky fails its first attempt and returns v from the second, submitting
 // a child that nobody waits for on the way.

@@ -46,7 +46,7 @@
 // task's first attempt carries along every submitted task only it still holds
 // back — up to 16, one round trip for a whole forest tree — and anything
 // that does not come back with values runs the ordinary way (chain.go); the
-// event sequences and failure policies below are unchanged by it. Over a
+// event sequences and the failure contract below are unchanged by it. Over a
 // backend that holds results (exec.Holder) an output nobody is known to read
 // here stays on its worker: Get, GetAll and closure bodies pull what they
 // read — a round trip a worker — and a value lost with its holder is rebuilt
@@ -54,11 +54,13 @@
 //
 // # Failure, observation
 //
-// Attempts that error or panic become TaskErrors and feed the retry /
-// degraded-mode machinery selected by Config.OnTaskFailure;
-// FaultPlan injects failures deterministically for tests. Config.Observers
-// receive the full ordered event stream (Submit ≤ DepsReady ≤ Start ≤
-// End/Failure/Retry/Degrade) that internal/trace renders as Chrome traces.
+// Attempts that error or panic become TaskErrors. A failed attempt is
+// retried while its budget (Opts.Retries, Config.DefaultRetries) lasts; then
+// the task fails, and so do its dependents — every value a task publishes
+// was computed by its body. FaultPlan injects failures deterministically for
+// tests. Config.Observers receive the full ordered event stream (Submit ≤
+// DepsReady ≤ Start ≤ End/Failure/Retry) that internal/trace renders as
+// Chrome traces.
 //
 // # Concurrency and ownership
 //

@@ -128,23 +128,6 @@ func TestRetriesExhaustedSurfacesInjectedFault(t *testing.T) {
 	}
 }
 
-func TestFailFastIgnoresRetries(t *testing.T) {
-	rt := New(Config{Workers: 1, OnTaskFailure: FailFast, DefaultRetries: 5,
-		Faults: &FaultPlan{Faults: []Fault{{Name: "x", Nth: 0, Attempts: 1}}}})
-	f := rt.Submit(Opts{Name: "x", Retries: 3}, constTask(1))
-	_, err := rt.Get(f)
-	if !errors.Is(err, ErrInjectedFault) {
-		t.Fatalf("FailFast must surface the first failure, got %v", err)
-	}
-	if n := len(rt.Graph().FailureEvents()); n != 1 {
-		t.Fatalf("FailFast ran %d attempts, want exactly 1", n)
-	}
-	tk, _ := rt.Graph().Task(f.TaskID())
-	if tk.Retries != 0 {
-		t.Fatalf("graph records retry budget %d under FailFast, want 0", tk.Retries)
-	}
-}
-
 func TestPanicFaultRecordsPanicMode(t *testing.T) {
 	rt := New(Config{Workers: 1, Faults: &FaultPlan{Faults: []Fault{
 		{Name: "p", Nth: 0, Attempts: 1, Mode: FaultPanic},
@@ -157,53 +140,6 @@ func TestPanicFaultRecordsPanicMode(t *testing.T) {
 	evs := rt.Graph().FailureEvents()
 	if len(evs) != 1 || evs[0].Mode != "panic" {
 		t.Fatalf("events = %+v, want one panic-mode failure", evs)
-	}
-}
-
-// Degrade: after the retry budget is spent, a task with a declared fallback
-// publishes it instead of failing; dependents consume the fallback and
-// Barrier reports a clean run (the degradation is visible in the graph).
-func TestDegradePublishesFallback(t *testing.T) {
-	so := NewStatsObserver()
-	rt := New(Config{Workers: 2, OnTaskFailure: Degrade, Observers: []Observer{so},
-		Faults: &FaultPlan{Faults: []Fault{{Name: "d", Nth: 0, Attempts: -1}}}})
-	d := rt.Submit(Opts{Name: "d", Retries: 1, Fallback: 40}, constTask(999))
-	sum := rt.Submit(Opts{Name: "consume"}, func(_ *TaskCtx, args []any) (any, error) {
-		return args[0].(int) + 2, nil
-	}, d)
-	v, err := rt.Get(sum)
-	if err != nil {
-		t.Fatalf("dependent of a degraded task must run: %v", err)
-	}
-	if v != 42 {
-		t.Fatalf("dependent saw %v, want fallback 40 + 2", v)
-	}
-	if err := rt.Barrier(); err != nil {
-		t.Fatalf("Barrier must be clean after degradation, got %v", err)
-	}
-	if !rt.Graph().IsDegraded(d.TaskID()) {
-		t.Fatal("graph does not mark the task degraded")
-	}
-	var seen bool
-	for _, s := range so.Stats() {
-		if s.ID == d.TaskID() {
-			seen = true
-			if !s.Degraded {
-				t.Fatal("TaskStat does not flag the degraded task")
-			}
-		}
-	}
-	if !seen {
-		t.Fatal("degraded task missing from stats")
-	}
-}
-
-func TestDegradeWithoutFallbackStillFails(t *testing.T) {
-	rt := New(Config{Workers: 1, OnTaskFailure: Degrade,
-		Faults: &FaultPlan{Faults: []Fault{{Name: "nf", Nth: 0, Attempts: -1}}}})
-	f := rt.Submit(Opts{Name: "nf", Retries: 1}, constTask(1))
-	if _, err := rt.Get(f); !errors.Is(err, ErrInjectedFault) {
-		t.Fatalf("no fallback declared: failure must surface, got %v", err)
 	}
 }
 

@@ -34,7 +34,7 @@ func heapAfterGC() uint64 {
 }
 
 // TestCompletedTaskLetsGo: on every terminal path a completed task drops its
-// body, its argument list and its fallback, and keeps its outputs.
+// body and its argument list, and keeps its outputs.
 func TestCompletedTaskLetsGo(t *testing.T) {
 	boom := errors.New("boom")
 	fail := func(*TaskCtx, []any) (any, error) { return nil, boom }
@@ -48,10 +48,7 @@ func TestCompletedTaskLetsGo(t *testing.T) {
 			return rt.Submit(Opts{}, echo, 1.0)
 		}},
 		{"failure", Config{}, func(rt *Runtime) *Future {
-			return rt.Submit(Opts{Fallback: 2.0}, fail, 1.0)
-		}},
-		{"degrade", Config{OnTaskFailure: Degrade}, func(rt *Runtime) *Future {
-			return rt.Submit(Opts{Fallback: 2.0}, fail, 1.0)
+			return rt.Submit(Opts{}, fail, 1.0)
 		}},
 		{"dependency failed", Config{}, func(rt *Runtime) *Future {
 			return rt.Submit(Opts{}, echo, rt.Submit(Opts{}, fail))
@@ -74,9 +71,9 @@ func TestCompletedTaskLetsGo(t *testing.T) {
 			f := tc.submit(rt)
 			_ = rt.Barrier()
 			st := f.st
-			if st.args != nil || st.fn1 != nil || st.fnN != nil || st.fallback != nil {
-				t.Fatalf("completed task keeps args %v, fn1 %t, fnN %t, fallback %v",
-					st.args, st.fn1 != nil, st.fnN != nil, st.fallback)
+			if st.args != nil || st.fn1 != nil || st.fnN != nil {
+				t.Fatalf("completed task keeps args %v, fn1 %t, fnN %t",
+					st.args, st.fn1 != nil, st.fnN != nil)
 			}
 			if st.err == nil && st.vals[f.idx] == nil {
 				t.Fatal("completed task lost its output")

@@ -16,10 +16,9 @@
 //
 //	Submit < DepsReady < Start(0) < Failure(0) < Retry(1) < Start(1) < ...
 //
-// terminated by exactly one of End(k) (success), Failure(k, Final=true)
-// (attempts exhausted), or Failure(k) < Degrade(k) (the declared fallback
-// was published). A task whose dependency failed — so its body never ran —
-// emits Submit < Failure(Attempt: -1, Mode: "deps", Final: true) only.
+// terminated by exactly one of End(k) (success) or Failure(k, Final=true)
+// (attempts exhausted). A task whose dependency failed — so its body never
+// ran — emits Submit < Failure(Attempt: -1, Mode: "deps", Final: true) only.
 //
 // # Ordering and concurrency
 //
@@ -63,12 +62,8 @@ const (
 	// EventFailure fires when an attempt fails (Mode "error" or "panic"), or
 	// — with Attempt -1 and Mode "deps" — when a dependency failure prevents
 	// the task from ever running. Final marks the task's terminal failure: no
-	// retry follows and no fallback stands in.
+	// retry follows.
 	EventFailure
-	// EventDegrade fires after the terminal failure of a task that declared
-	// Opts.Fallback under the Degrade policy: the fallback was published and
-	// the task completed degraded.
-	EventDegrade
 )
 
 // String returns the event kind's wire name (used by trace exporters).
@@ -86,8 +81,6 @@ func (k EventKind) String() string {
 		return "retry"
 	case EventFailure:
 		return "failure"
-	case EventDegrade:
-		return "degrade"
 	default:
 		return "unknown"
 	}
@@ -117,7 +110,7 @@ type Event struct {
 	// failure (Failure events only).
 	Mode string
 	// Final marks a Failure event as the task's terminal outcome: the retry
-	// budget is spent and no fallback stands in.
+	// budget is spent.
 	Final bool
 	// Worker identifies the execution-backend worker that ran the attempt
 	// (End and Failure events of Opts.Exec tasks dispatched through a
@@ -145,7 +138,6 @@ type Observer interface {
 	OnEnd(Event)
 	OnRetry(Event)
 	OnFailure(Event)
-	OnDegrade(Event)
 }
 
 // NopObserver implements Observer with empty hooks; embed it in sinks that
@@ -158,7 +150,6 @@ func (NopObserver) OnStart(Event)     {}
 func (NopObserver) OnEnd(Event)       {}
 func (NopObserver) OnRetry(Event)     {}
 func (NopObserver) OnFailure(Event)   {}
-func (NopObserver) OnDegrade(Event)   {}
 
 // emit dispatches one event at time.Now(); see emitAt.
 func (rt *Runtime) emit(kind EventKind, st *taskState, attempt int, err error, mode string, final bool) {
@@ -201,8 +192,6 @@ func (rt *Runtime) emitAt(kind EventKind, st *taskState, attempt int, at time.Ti
 			o.OnRetry(ev)
 		case EventFailure:
 			o.OnFailure(ev)
-		case EventDegrade:
-			o.OnDegrade(ev)
 		}
 	}
 }

@@ -102,15 +102,6 @@ func (o *seqObserver) OnFailure(ev Event) {
 	}
 }
 
-func (o *seqObserver) OnDegrade(ev Event) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if o.state[ev.Task] != "failed" {
-		o.fail(ev, `"failed" (non-final Failure precedes Degrade)`)
-	}
-	o.state[ev.Task] = "done"
-}
-
 // check reports accumulated violations and verifies every task terminated.
 func (o *seqObserver) check(t *testing.T, wantTasks int) {
 	t.Helper()
@@ -130,21 +121,21 @@ func (o *seqObserver) check(t *testing.T, wantTasks int) {
 }
 
 // TestObserverCausalOrder drives a concurrent workload through every event
-// path — plain success, fan-in dependencies, fault-injected retries, a
-// degraded task, a permanently failed task and its dep-failed dependents —
+// path — plain success, fan-in dependencies, fault-injected retries, a task
+// that panics on every attempt, a permanently failed task and its dep-failed
+// dependents —
 // and asserts each task's event sequence respects the documented causal
 // order. Run under -race, it also proves per-task events never fire
 // concurrently.
 func TestObserverCausalOrder(t *testing.T) {
 	obs := newSeqObserver()
 	rt := New(Config{
-		Workers:       8,
-		OnTaskFailure: Degrade,
-		Observers:     []Observer{obs},
+		Workers:   8,
+		Observers: []Observer{obs},
 		Faults: &FaultPlan{Faults: []Fault{
 			{Name: "flaky", Nth: -1, Attempts: 1, Mode: FaultError},
 			{Name: "dead", Nth: -1, Attempts: -1, Mode: FaultError},
-			{Name: "degrading", Nth: -1, Attempts: -1, Mode: FaultPanic},
+			{Name: "panicking", Nth: -1, Attempts: -1, Mode: FaultPanic},
 		}},
 	})
 	body := func(_ *TaskCtx, _ []any) (any, error) {
@@ -160,7 +151,7 @@ func TestObserverCausalOrder(t *testing.T) {
 	for i := 0; i < 24; i++ {
 		mids = append(mids, rt.Submit(Opts{Name: "flaky", Retries: 2}, body, layer[i%len(layer)]))
 	}
-	deg := rt.Submit(Opts{Name: "degrading", Retries: 1, Fallback: 7}, body, mids[0])
+	panicking := rt.Submit(Opts{Name: "panicking", Retries: 1}, body, mids[0])
 	dead := rt.Submit(Opts{Name: "dead", Retries: 1}, body)
 	var poisoned []*Future
 	for i := 0; i < 4; i++ {
@@ -168,10 +159,13 @@ func TestObserverCausalOrder(t *testing.T) {
 	}
 	sink := rt.Submit(Opts{Name: "sink"}, func(_ *TaskCtx, args []any) (any, error) {
 		return len(args), nil
-	}, mids, deg)
+	}, mids)
 
-	if v, err := rt.Get(sink); err != nil || v.(int) != 2 {
+	if v, err := rt.Get(sink); err != nil || v.(int) != 1 {
 		t.Fatalf("sink = %v, %v", v, err)
+	}
+	if _, err := rt.Get(panicking); err == nil {
+		t.Fatal("a task that panics on every attempt must fail")
 	}
 	for _, p := range poisoned {
 		if _, err := rt.Get(p); err == nil {
@@ -180,7 +174,7 @@ func TestObserverCausalOrder(t *testing.T) {
 	}
 	rt.WaitAll() // drain; the dead/victim errors are expected
 
-	want := len(layer) + len(mids) + len(poisoned) + 3 // + deg, dead, sink
+	want := len(layer) + len(mids) + len(poisoned) + 3 // + panicking, dead, sink
 	obs.check(t, want)
 }
 

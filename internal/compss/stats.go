@@ -42,7 +42,6 @@ type TaskStat struct {
 	// order; len(PerAttempt) == Attempts.
 	PerAttempt []AttemptStat
 	Failed     bool // the task's terminal outcome was a failure (deps or exhausted attempts)
-	Degraded   bool // the published value is the declared fallback
 }
 
 // statBuild accumulates one task's in-flight timings between its Submit
@@ -143,15 +142,6 @@ func (s *StatsObserver) OnFailure(ev Event) {
 	}
 }
 
-func (s *StatsObserver) OnDegrade(ev Event) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if b := s.open[ev.Task]; b != nil {
-		b.stat.Degraded = true
-		s.finalize(ev.Task, b)
-	}
-}
-
 // closeAttempt charges the current attempt's body time and outcome.
 func (b *statBuild) closeAttempt(end time.Time, outcome string) {
 	d := end.Sub(b.started)
@@ -190,9 +180,8 @@ func (s *StatsObserver) ByName() map[string]time.Duration {
 // Summary renders a per-name profile table sorted by total execution time,
 // with the aggregate dependency wait (wait) and worker-slot wait (queued)
 // alongside — the split separates "blocked on the graph" from "blocked on
-// capacity". The retries/failed/degraded columns keep the three failure
-// outcomes apart: a retried task recovered, a failed one poisoned its
-// dependents, a degraded one published its declared fallback.
+// capacity". The retries/failed columns keep the two failure outcomes
+// apart: a retried task recovered, a failed one poisoned its dependents.
 func (s *StatsObserver) Summary() string {
 	type row struct {
 		name                string
@@ -200,7 +189,7 @@ func (s *StatsObserver) Summary() string {
 		qstolen             time.Duration
 		count, retries      int
 		stolen              int
-		failed, degraded    int
+		failed              int
 	}
 	agg := map[string]*row{}
 	for _, t := range s.Stats() {
@@ -218,10 +207,7 @@ func (s *StatsObserver) Summary() string {
 		if t.Attempts > 1 {
 			r.retries += t.Attempts - 1
 		}
-		switch {
-		case t.Degraded:
-			r.degraded++
-		case t.Failed:
+		if t.Failed {
 			r.failed++
 		}
 	}
@@ -231,16 +217,16 @@ func (s *StatsObserver) Summary() string {
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].total > rows[j].total })
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-20s %10s %8s %12s %10s %10s %10s %7s %8s %7s %9s\n",
-		"task", "total", "count", "mean", "wait", "queued", "q-stolen", "stolen", "retries", "failed", "degraded")
+	fmt.Fprintf(&b, "%-20s %10s %8s %12s %10s %10s %10s %7s %8s %7s\n",
+		"task", "total", "count", "mean", "wait", "queued", "q-stolen", "stolen", "retries", "failed")
 	for _, r := range rows {
 		mean := time.Duration(0)
 		if r.count > 0 {
 			mean = r.total / time.Duration(r.count)
 		}
-		fmt.Fprintf(&b, "%-20s %10s %8d %12s %10s %10s %10s %7d %8d %7d %9d\n", r.name, r.total.Round(time.Microsecond), r.count,
+		fmt.Fprintf(&b, "%-20s %10s %8d %12s %10s %10s %10s %7d %8d %7d\n", r.name, r.total.Round(time.Microsecond), r.count,
 			mean.Round(time.Microsecond), r.wait.Round(time.Microsecond), r.queued.Round(time.Microsecond),
-			r.qstolen.Round(time.Microsecond), r.stolen, r.retries, r.failed, r.degraded)
+			r.qstolen.Round(time.Microsecond), r.stolen, r.retries, r.failed)
 	}
 	return b.String()
 }

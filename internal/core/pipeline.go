@@ -69,9 +69,6 @@ type PipelineConfig struct {
 	// RetryBackoff is the virtual-time backoff base, in seconds, between a
 	// failed attempt and its retry.
 	RetryBackoff float64
-	// OnTaskFailure selects the runtime failure policy; the zero value is
-	// compss.RetryThenFail.
-	OnTaskFailure compss.FailurePolicy
 	// Faults injects deterministic failures (tests, cmd/scaling -faults).
 	Faults *compss.FaultPlan
 	// Observers are attached to every runtime the pipeline constructs
@@ -91,7 +88,6 @@ type PipelineConfig struct {
 func (c PipelineConfig) runtimeConfig() compss.Config {
 	return compss.Config{
 		Workers:        c.Workers,
-		OnTaskFailure:  c.OnTaskFailure,
 		DefaultRetries: c.Retries,
 		DefaultBackoff: c.RetryBackoff,
 		Faults:         c.Faults,

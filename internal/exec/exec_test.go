@@ -310,7 +310,7 @@ func TestKillWorker(t *testing.T) {
 	}
 
 	// Killing the survivor too leaves no capacity: Execute must error, not
-	// hang — the runtime turns this into task failure / degraded mode.
+	// hang — the runtime retries the attempt, then fails the task.
 	if err := r.KillWorker(1); err != nil {
 		t.Fatal(err)
 	}

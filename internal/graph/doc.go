@@ -12,7 +12,7 @@
 //
 // # Public surface
 //
-// Graph records tasks (Add), failure/degradation events, and answers
+// Graph records tasks (Add) and failure events, and answers
 // structural queries (CriticalPath, TotalCost, MaxWidth, CountByName,
 // Validate); DOT and Export render it as Graphviz and as a provenance
 // record. Scaled returns a cost-scaled copy for paper-scale replays.

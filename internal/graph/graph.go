@@ -86,7 +86,6 @@ type Graph struct {
 	tasks     []Task
 	nameCount map[string]int
 	failures  []FailureEvent
-	degraded  map[int]bool
 }
 
 // New returns an empty graph. The task slice starts with room for a small
@@ -168,39 +167,8 @@ func (g *Graph) FailuresByTask() map[int][]FailureEvent {
 	return out
 }
 
-// MarkDegraded records that a task exhausted its attempts and published its
-// declared fallback instead of a computed value.
-func (g *Graph) MarkDegraded(id int) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.degraded == nil {
-		g.degraded = map[int]bool{}
-	}
-	g.degraded[id] = true
-}
-
-// IsDegraded reports whether the task's published value is its fallback.
-func (g *Graph) IsDegraded(id int) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.degraded[id]
-}
-
-// DegradedTasks returns the IDs of degraded tasks in ascending order.
-func (g *Graph) DegradedTasks() []int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	out := make([]int, 0, len(g.degraded))
-	for id := range g.degraded {
-		out = append(out, id)
-	}
-	sort.Ints(out)
-	return out
-}
-
 // Attempts returns how many attempts the task took: failed attempts plus
-// the final successful one — or failed attempts alone when the task
-// degraded (its fallback stood in; nothing succeeded).
+// the final successful one.
 func (g *Graph) Attempts(id int) int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -210,14 +178,11 @@ func (g *Graph) Attempts(id int) int {
 			n++
 		}
 	}
-	if g.degraded[id] {
-		return n
-	}
 	return n + 1
 }
 
 // WithoutFailures returns a copy of the graph with the same tasks but no
-// failure events or degraded marks — the fault-free baseline a faulty
+// failure events — the fault-free baseline a faulty
 // replay is compared against (cmd/scaling -faults).
 func (g *Graph) WithoutFailures() *Graph {
 	out := New()
@@ -300,11 +265,6 @@ func (g *Graph) Validate() error {
 		}
 		if !(ev.CostFraction >= 0 && ev.CostFraction <= 1) {
 			return fmt.Errorf("graph: failure event for task %d has cost fraction %v outside [0,1]", ev.Task, ev.CostFraction)
-		}
-	}
-	for _, id := range g.DegradedTasks() {
-		if id < 0 || id >= n {
-			return fmt.Errorf("graph: degraded mark references unknown task %d", id)
 		}
 	}
 	return nil
@@ -485,7 +445,7 @@ func (g *Graph) DOT(title string) string {
 // emulate paper-scale payloads: the captured graph's *structure* comes from
 // a laptop-scale run, while per-task work and data sizes are rescaled to
 // the ratios of the paper's dataset (EXPERIMENTS.md derives the factors).
-// Failure events and degraded marks carry over unchanged; BackoffSec is a
+// Failure events carry over unchanged; BackoffSec is a
 // retry policy parameter, not workload, and is not scaled.
 func (g *Graph) Scaled(costF, bytesF float64) *Graph {
 	out := New()
@@ -499,9 +459,6 @@ func (g *Graph) Scaled(costF, bytesF float64) *Graph {
 	}
 	for _, ev := range g.FailureEvents() {
 		out.RecordFailure(ev)
-	}
-	for _, id := range g.DegradedTasks() {
-		out.MarkDegraded(id)
 	}
 	return out
 }

@@ -304,30 +304,13 @@ func TestRecordFailureClampsFraction(t *testing.T) {
 	}
 }
 
-func TestDegradedMarks(t *testing.T) {
-	g := chain(3)
-	g.RecordFailure(FailureEvent{Task: 2, Attempt: 0, Mode: "error", CostFraction: 1})
-	g.MarkDegraded(2)
-	if !g.IsDegraded(2) || g.IsDegraded(1) {
-		t.Fatal("degraded marks wrong")
-	}
-	if ids := g.DegradedTasks(); len(ids) != 1 || ids[0] != 2 {
-		t.Fatalf("DegradedTasks = %v", ids)
-	}
-	// A degraded task's final "attempt" is its fallback, not an execution.
-	if g.Attempts(2) != 1 {
-		t.Fatalf("Attempts(degraded) = %d, want just the failed one", g.Attempts(2))
-	}
-}
-
 func TestScaledPreservesFailuresWithoutScalingBackoff(t *testing.T) {
 	g := New()
 	g.Add(Task{Name: "a", Parent: -1, Cost: 2, Cores: 1, Retries: 2, BackoffSec: 5})
 	g.RecordFailure(FailureEvent{Task: 0, Attempt: 0, Mode: "error", CostFraction: 0.5})
-	g.MarkDegraded(0)
 	s := g.Scaled(10, 1)
-	if len(s.FailureEvents()) != 1 || !s.IsDegraded(0) {
-		t.Fatal("Scaled dropped failure events or degraded marks")
+	if len(s.FailureEvents()) != 1 {
+		t.Fatal("Scaled dropped failure events")
 	}
 	ts, _ := s.Task(0)
 	if ts.Retries != 2 || ts.BackoffSec != 5 {
@@ -338,12 +321,11 @@ func TestScaledPreservesFailuresWithoutScalingBackoff(t *testing.T) {
 func TestWithoutFailuresStripsEvents(t *testing.T) {
 	g := chain(2)
 	g.RecordFailure(FailureEvent{Task: 0, Attempt: 0, Mode: "error", CostFraction: 1})
-	g.MarkDegraded(1)
 	clean := g.WithoutFailures()
 	if clean.Len() != g.Len() {
 		t.Fatal("WithoutFailures changed the task set")
 	}
-	if len(clean.FailureEvents()) != 0 || len(clean.DegradedTasks()) != 0 {
+	if len(clean.FailureEvents()) != 0 {
 		t.Fatal("WithoutFailures kept failure state")
 	}
 	if len(g.FailureEvents()) != 1 {
@@ -372,7 +354,6 @@ func TestValidateRejectsBadFailureState(t *testing.T) {
 		{"negative attempt", func(g *Graph) {
 			g.RecordFailure(FailureEvent{Task: 0, Attempt: -1, Mode: "error", CostFraction: 1})
 		}},
-		{"degraded unknown task", func(g *Graph) { g.MarkDegraded(42) }},
 	}
 	for _, c := range cases {
 		g := chain(2)

@@ -22,24 +22,10 @@ type MinMaxScaler struct {
 	cols   int
 }
 
-// neutralRanges is the min/max reduction's neutral element: +Inf minima and
-// -Inf maxima, which any real partial overrides. Declared as the fallback of
-// the fit tasks so a Degrade-policy runtime can lose a block's partial (or a
-// merge) and still produce usable — if narrower — ranges.
-func neutralRanges(d int) *mat.Dense {
-	out := mat.New(2, d)
-	for c := 0; c < d; c++ {
-		out.Set(0, c, math.Inf(1))
-		out.Set(1, c, math.Inf(-1))
-	}
-	return out
-}
-
 // Fit computes per-feature minima and maxima of x.
 func (s *MinMaxScaler) Fit(x *dsarray.Array) {
 	tc := x.Ctx()
 	d := x.Cols()
-	partialFallback := neutralRanges(d)
 	partials := make([]*compss.Future, 0, x.NumRowBlocks()*x.NumColBlocks())
 	for i := 0; i < x.NumRowBlocks(); i++ {
 		for j := 0; j < x.NumColBlocks(); j++ {
@@ -48,7 +34,6 @@ func (s *MinMaxScaler) Fit(x *dsarray.Array) {
 				Name:     "minmax_partial",
 				Cost:     costs.Copy(x.BlockRows(), x.BlockCols()),
 				OutBytes: costs.Bytes(2, d),
-				Fallback: partialFallback,
 			}, func(_ *compss.TaskCtx, args []any) (any, error) {
 				blk := args[0].(*mat.Dense)
 				out := mat.New(2, d)
@@ -74,7 +59,6 @@ func (s *MinMaxScaler) Fit(x *dsarray.Array) {
 	}
 	s.ranges = dsarray.ReduceTree(tc, dsarray.ReduceOpts{
 		Name: "minmax_merge", Cost: costs.Copy(2, d), OutBytes: costs.Bytes(2, d),
-		Fallback: neutralRanges(d),
 	}, partials,
 		func(a, b *mat.Dense) *mat.Dense {
 			out := a.Clone()

@@ -1,6 +1,7 @@
 package preproc
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -392,20 +393,19 @@ func TestMinMaxScalerTransformNewData(t *testing.T) {
 	}
 }
 
-// Losing one minmax_partial under Degrade narrows the fitted ranges to the
-// surviving blocks' extremes — the scaler still fits and transforms.
-func TestMinMaxScalerDegradedPartial(t *testing.T) {
+// Losing one minmax_partial fails the fit: the partial exhausts its retries
+// and the transform of every block fails with it, rather than ranges
+// narrowed to the surviving blocks standing in for the whole.
+func TestMinMaxScalerLostPartialFailsTheFit(t *testing.T) {
 	rt := compss.New(compss.Config{
 		Workers:        4,
-		OnTaskFailure:  compss.Degrade,
 		DefaultRetries: 1,
 		Faults: &compss.FaultPlan{Faults: []compss.Fault{
 			{Name: "minmax_partial", Nth: 0, Attempts: -1, Mode: compss.FaultError},
 		}},
 	})
 	// Two row blocks of a 1-column matrix: block 0 holds the global extremes
-	// [-100, 100], block 1 only [0, 10]. Degrading block 0's partial leaves
-	// the neutral-element fallback, so the fit sees only block 1.
+	// [-100, 100], block 1 only [0, 10]. Block 0's partial is lost.
 	m := mat.New(4, 1)
 	m.Set(0, 0, -100)
 	m.Set(1, 0, 100)
@@ -417,25 +417,10 @@ func TestMinMaxScalerDegradedPartial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := scaled.Collect()
-	if err != nil {
-		t.Fatalf("degraded fit must still transform: %v", err)
+	if got, err := scaled.Collect(); !errors.Is(err, compss.ErrInjectedFault) {
+		t.Fatalf("Collect = %v, %v; want the lost partial's injected fault", got, err)
 	}
-	// Fitted range is [0, 10]: block 1's rows land on 0 and 1, block 0's
-	// extremes map outside [0, 1].
-	if v := got.At(2, 0); math.Abs(v) > 1e-12 {
-		t.Fatalf("surviving min maps to %v, want 0", v)
-	}
-	if v := got.At(3, 0); math.Abs(v-1) > 1e-12 {
-		t.Fatalf("surviving max maps to %v, want 1", v)
-	}
-	if v := got.At(0, 0); v >= 0 {
-		t.Fatalf("lost block's min maps to %v, want < 0 under narrowed ranges", v)
-	}
-	if err := rt.Barrier(); err != nil {
-		t.Fatalf("Barrier after degraded fit: %v", err)
-	}
-	if n := len(rt.Graph().DegradedTasks()); n != 1 {
-		t.Fatalf("want 1 degraded task, got %d", n)
+	if err := rt.Barrier(); !errors.Is(err, compss.ErrInjectedFault) {
+		t.Fatalf("Barrier = %v, want the lost partial's injected fault", err)
 	}
 }

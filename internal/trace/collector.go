@@ -70,7 +70,6 @@ func (c *Collector) OnStart(ev compss.Event)     { c.add(ev) }
 func (c *Collector) OnEnd(ev compss.Event)       { c.add(ev) }
 func (c *Collector) OnRetry(ev compss.Event)     { c.add(ev) }
 func (c *Collector) OnFailure(ev compss.Event)   { c.add(ev) }
-func (c *Collector) OnDegrade(ev compss.Event)   { c.add(ev) }
 
 // AddCacheSample records one exec data-plane observation, stamped with the
 // arrival time. It is shaped to be installed directly as an
@@ -162,8 +161,8 @@ type sortable struct {
 //
 //   - "worker N" rows: one B/E slice per executed in-process attempt,
 //     failed attempts labelled "name!k" (matching the virtual-cluster Gantt
-//     convention), with instant markers for failures, retries and
-//     degradations on the lane of the attempt they refer to;
+//     convention), with instant markers for failures and retries on the
+//     lane of the attempt they refer to;
 //   - "wN" rows: the same, for attempts executed by remote worker wN;
 //   - a "failed deps" row holding instant markers for tasks whose body
 //     never ran because a dependency failed;
@@ -226,7 +225,7 @@ func renderEvents(t *Trace, origin time.Time, events []compss.Event) {
 	// (body-less) attempts can close within the clock's resolution. Every
 	// rendered event takes its ts from tsOf, which enforces per-task
 	// monotonicity — with a strict 1 ns step for the events that close an
-	// attempt slice — so a slice's E, its failure/degrade instants and the
+	// attempt slice — so a slice's E, its failure instant and the
 	// derived counter samples can never sort before its B no matter how
 	// coarse the clock: the exported shape is deterministic, which the
 	// golden test relies on.
@@ -419,8 +418,6 @@ func renderEvents(t *Trace, origin time.Time, events []compss.Event) {
 			busy--
 			out = append(out, counter(ts, ev.Task, "workers", busy))
 			out = append(out, instant(ts, ev, "failure", laneOf[attemptKey{ev.Task, ev.Attempt}]))
-		case compss.EventDegrade:
-			out = append(out, instant(ts, ev, "degrade", laneOf[attemptKey{ev.Task, ev.Attempt}]))
 		}
 	}
 	if hasDepLane {

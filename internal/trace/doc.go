@@ -6,8 +6,8 @@
 // Two producers emit the format:
 //
 //   - Collector.Chrome (this package) renders a *real* execution: per-lane
-//     B/E duration slices for every attempt, instant markers for retries,
-//     failures and degradations, and counter tracks for worker-pool
+//     B/E duration slices for every attempt, instant markers for retries
+//     and failures, and counter tracks for worker-pool
 //     occupancy and the ready queue;
 //   - Schedule.ChromeTrace (internal/cluster) renders a *replayed* virtual
 //     schedule into the same format, so a run and its replay open

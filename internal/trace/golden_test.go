@@ -3,6 +3,7 @@ package trace_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
@@ -18,7 +19,7 @@ var update = flag.Bool("update", false, "rewrite the golden trace file")
 // chainTrace runs the reference workflow the golden file captures: a
 // three-task chain on one worker, where the middle task loses its first
 // attempt to an injected fault and recovers, and the last task loses every
-// attempt and degrades to its declared fallback. One worker plus strict
+// attempt and fails. One worker plus strict
 // chaining makes the event stream — and therefore the exported trace
 // shape — fully deterministic; the ~1 ms bodies keep successive events on
 // distinct clock readings.
@@ -26,9 +27,8 @@ func chainTrace(t *testing.T) *trace.Trace {
 	t.Helper()
 	col := trace.NewCollector()
 	rt := compss.New(compss.Config{
-		Workers:       1,
-		OnTaskFailure: compss.Degrade,
-		Observers:     []compss.Observer{col},
+		Workers:   1,
+		Observers: []compss.Observer{col},
 		Faults: &compss.FaultPlan{Faults: []compss.Fault{
 			{Name: "flaky", Nth: -1, Attempts: 1, Mode: compss.FaultError},
 			{Name: "doomed", Nth: -1, Attempts: -1, Mode: compss.FaultError},
@@ -40,12 +40,12 @@ func chainTrace(t *testing.T) *trace.Trace {
 	}
 	a := rt.Submit(compss.Opts{Name: "steady"}, body)
 	b := rt.Submit(compss.Opts{Name: "flaky", Retries: 1}, body, a)
-	c := rt.Submit(compss.Opts{Name: "doomed", Retries: 1, Fallback: 0}, body, b)
-	if _, err := rt.Get(c); err != nil {
-		t.Fatalf("degraded chain must still publish: %v", err)
+	c := rt.Submit(compss.Opts{Name: "doomed", Retries: 1}, body, b)
+	if _, err := rt.Get(c); !errors.Is(err, compss.ErrInjectedFault) {
+		t.Fatalf("Get(doomed) = %v, want its injected fault", err)
 	}
-	if err := rt.Barrier(); err != nil {
-		t.Fatal(err)
+	if err := rt.Barrier(); !errors.Is(err, compss.ErrInjectedFault) {
+		t.Fatalf("Barrier = %v, want doomed's injected fault", err)
 	}
 	return col.Chrome()
 }
@@ -137,10 +137,9 @@ func TestChromeTraceWellFormed(t *testing.T) {
 	if kinds["B"] != 5 || kinds["E"] != 5 {
 		t.Errorf("attempt slices = %d/%d, want 5/5", kinds["B"], kinds["E"])
 	}
-	// failures: flaky!0, doomed!0, doomed!1; retries: flaky#1, doomed#1;
-	// degrade: doomed.
-	if kinds["i"] != 6 {
-		t.Errorf("instants = %d, want 6", kinds["i"])
+	// failures: flaky!0, doomed!0, doomed!1; retries: flaky#1, doomed#1.
+	if kinds["i"] != 5 {
+		t.Errorf("instants = %d, want 5", kinds["i"])
 	}
 	if kinds["C"] == 0 {
 		t.Error("no counter samples emitted")

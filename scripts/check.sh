@@ -111,9 +111,12 @@ done
 # one goroutine that another completes, and hands them back across the same
 # boundary: its tests (fake chain backend, no sockets) ride along. So does
 # the barrier's: parents that fire and forget their children, then Barrier,
-# round after round under a watchdog (the nested task_storm shape).
-echo "== go test -race -count=2 -cpu=1,8 -run 'TestStealStress|TestParallelismIsBounded|TestBarrierNestedStress|TestChainMembership|TestChainHandBack|TestChainHeadFailure|TestChainEventsAndStats' ./internal/compss/"
-go test -race -count=2 -cpu=1,8 -run 'TestStealStress|TestParallelismIsBounded|TestBarrierNestedStress|TestChainMembership|TestChainHandBack|TestChainHeadFailure|TestChainEventsAndStats' ./internal/compss/
+# round after round under a watchdog (the nested task_storm shape). So does
+# the observer's causal-order test, the one that drives every terminal path
+# at once on eight workers: success, retry, final error, final panic and the
+# dependency cascade.
+echo "== go test -race -count=2 -cpu=1,8 -run 'TestStealStress|TestParallelismIsBounded|TestBarrierNestedStress|TestChainMembership|TestChainHandBack|TestChainHeadFailure|TestChainEventsAndStats|TestObserverCausalOrder' ./internal/compss/"
+go test -race -count=2 -cpu=1,8 -run 'TestStealStress|TestParallelismIsBounded|TestBarrierNestedStress|TestChainMembership|TestChainHandBack|TestChainHeadFailure|TestChainEventsAndStats|TestObserverCausalOrder' ./internal/compss/
 
 # Kernel helpers borrow idle slots from the live runtime or worker (par.Lend)
 # and must change no bit: the rotation sweep of EigSym at the pca_eigh size,
