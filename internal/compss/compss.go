@@ -1038,9 +1038,8 @@ func (rt *Runtime) execAttempt(st *taskState, child *TaskCtx, attempt, nOut int,
 // execBody runs one attempt of an Opts.Exec-named task. With a Backend
 // attached the attempt is the backend's problem (an exec.Remote ships it to
 // a worker process and the returned worker id lands on the End/Failure
-// event); without one it is a direct registry call — the single-output
-// local path passes the value by copy, so an in-process exec task costs the
-// same as a closure body.
+// event); without one it is exec.Invoke, the registry call the worker loop
+// makes too.
 //
 // The backend request carries the task's identity (execSession + id) and
 // the provenance of every future-valued argument (exec.ArgRef), so a
@@ -1051,8 +1050,12 @@ func (rt *Runtime) execAttempt(st *taskState, child *TaskCtx, attempt, nOut int,
 // A first attempt over a chain backend takes along every task only it still
 // holds back (chain.go); alone, it is the ordinary ExecuteTask.
 func (rt *Runtime) execBody(st *taskState, attempt, nOut int, resolved []any) attemptResult {
-	name := st.execName
-	if rt.cfg.Backend != nil {
+	var vals []any
+	var worker string
+	var err error
+	if rt.cfg.Backend == nil {
+		vals, err = exec.Invoke(st.execName, nOut, resolved)
+	} else {
 		if attempt == 0 && rt.chains != nil {
 			if chain := collectChain(st); len(chain) > 1 {
 				// A lost argument, and nothing was sent: the followers are back
@@ -1062,45 +1065,20 @@ func (rt *Runtime) execBody(st *taskState, attempt, nOut int, resolved []any) at
 				}
 			}
 		}
-		vals, worker, err := rt.dispatch(st, resolved, false)
-		if err != nil {
-			return attemptResult{
-				err:    &TaskError{ID: st.id, Name: st.name, Err: err},
-				mode:   "error",
-				frac:   1,
-				worker: worker,
-			}
-		}
-		if nOut == 1 {
-			return attemptResult{val: vals[0], worker: worker}
-		}
-		return attemptResult{vals: vals, worker: worker}
-	}
-	f1, fN, ok := exec.Fns(name)
-	if f1 != nil && nOut == 1 {
-		v, err := f1(resolved)
-		if err != nil {
-			return attemptResult{err: &TaskError{ID: st.id, Name: st.name, Err: err}, mode: "error", frac: 1}
-		}
-		return attemptResult{val: v}
-	}
-	var vals []any
-	var err error
-	switch {
-	case !ok:
-		err = fmt.Errorf("exec function %q is not registered", name)
-	case fN == nil:
-		err = fmt.Errorf("exec function %q has 1 output, %d declared", name, nOut)
-	default:
-		vals, err = fN(resolved)
-		if err == nil && len(vals) != nOut {
-			err = fmt.Errorf("exec function %q returned %d values, declared %d", name, len(vals), nOut)
-		}
+		vals, worker, err = rt.dispatch(st, resolved, false)
 	}
 	if err != nil {
-		return attemptResult{err: &TaskError{ID: st.id, Name: st.name, Err: err}, mode: "error", frac: 1}
+		return attemptResult{
+			err:    &TaskError{ID: st.id, Name: st.name, Err: err},
+			mode:   "error",
+			frac:   1,
+			worker: worker,
+		}
 	}
-	return attemptResult{vals: vals}
+	if nOut == 1 {
+		return attemptResult{val: vals[0], worker: worker}
+	}
+	return attemptResult{vals: vals, worker: worker}
 }
 
 // request builds st's backend request from its resolved arguments. The

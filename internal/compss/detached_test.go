@@ -19,7 +19,7 @@ type kindLog struct {
 	evs map[int][]string
 }
 
-func (l *kindLog) add(ev Event) {
+func (l *kindLog) Observe(ev Event) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.evs == nil {
@@ -33,13 +33,6 @@ func (l *kindLog) of(task int) []string {
 	defer l.mu.Unlock()
 	return l.evs[task]
 }
-
-func (l *kindLog) OnSubmit(ev Event)    { l.add(ev) }
-func (l *kindLog) OnDepsReady(ev Event) { l.add(ev) }
-func (l *kindLog) OnStart(ev Event)     { l.add(ev) }
-func (l *kindLog) OnEnd(ev Event)       { l.add(ev) }
-func (l *kindLog) OnRetry(ev Event)     { l.add(ev) }
-func (l *kindLog) OnFailure(ev Event)   { l.add(ev) }
 
 // flaky fails its first attempt and returns v from the second, submitting
 // a child that nobody waits for on the way.

@@ -22,12 +22,12 @@
 //
 // # Ordering and concurrency
 //
-// Events of one task are causally ordered: each hook returns before the next
-// one for the same task fires, and the sequences above are guaranteed.
+// Events of one task are causally ordered: each Observe call returns before
+// the next one for the same task is made, and the sequences above are guaranteed.
 // Events of *different* tasks arrive concurrently from the worker goroutines
-// executing them, so observers must be safe for concurrent use. Hooks run
+// executing them, so observers must be safe for concurrent use. Observe runs
 // inline on the runtime's hot path: a slow observer slows the workflow down
-// (keep hooks O(1); buffer and post-process, as internal/trace does).
+// (keep it O(1); buffer and post-process, as internal/trace does).
 //
 // # Overhead contract
 //
@@ -127,29 +127,13 @@ type Event struct {
 	Stolen bool
 }
 
-// Observer receives lifecycle events. Implementations must be safe for
+// Observer receives lifecycle events: one Observe call per event, which
+// the sink tells apart by Event.Kind. Implementations must be safe for
 // concurrent use (events of different tasks arrive from different
 // goroutines); events of a single task are delivered in causal order.
-// Embed NopObserver to implement only the hooks a sink cares about.
 type Observer interface {
-	OnSubmit(Event)
-	OnDepsReady(Event)
-	OnStart(Event)
-	OnEnd(Event)
-	OnRetry(Event)
-	OnFailure(Event)
+	Observe(Event)
 }
-
-// NopObserver implements Observer with empty hooks; embed it in sinks that
-// only care about a subset of events.
-type NopObserver struct{}
-
-func (NopObserver) OnSubmit(Event)    {}
-func (NopObserver) OnDepsReady(Event) {}
-func (NopObserver) OnStart(Event)     {}
-func (NopObserver) OnEnd(Event)       {}
-func (NopObserver) OnRetry(Event)     {}
-func (NopObserver) OnFailure(Event)   {}
 
 // emit dispatches one event at time.Now(); see emitAt.
 func (rt *Runtime) emit(kind EventKind, st *taskState, attempt int, err error, mode string, final bool) {
@@ -179,19 +163,6 @@ func (rt *Runtime) emitAt(kind EventKind, st *taskState, attempt int, at time.Ti
 		Stolen: kind == EventStart && st.stolen,
 	}
 	for _, o := range *obs {
-		switch kind {
-		case EventSubmit:
-			o.OnSubmit(ev)
-		case EventDepsReady:
-			o.OnDepsReady(ev)
-		case EventStart:
-			o.OnStart(ev)
-		case EventEnd:
-			o.OnEnd(ev)
-		case EventRetry:
-			o.OnRetry(ev)
-		case EventFailure:
-			o.OnFailure(ev)
-		}
+		o.Observe(ev)
 	}
 }

@@ -2,6 +2,7 @@ package compss
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -30,75 +31,59 @@ func (o *seqObserver) fail(ev Event, want string) {
 		ev.Task, ev.Name, ev.Kind, ev.Attempt, ev.Final, o.state[ev.Task], want))
 }
 
-func (o *seqObserver) OnSubmit(ev Event) {
+// Observe checks ev against its task's state and advances the state.
+func (o *seqObserver) Observe(ev Event) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if _, dup := o.state[ev.Task]; dup {
-		o.fail(ev, "no prior state")
-	}
-	o.state[ev.Task] = "submitted"
-}
-
-func (o *seqObserver) OnDepsReady(ev Event) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if o.state[ev.Task] != "submitted" {
-		o.fail(ev, `"submitted"`)
-	}
-	o.state[ev.Task] = "ready"
-}
-
-func (o *seqObserver) OnStart(ev Event) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if s := o.state[ev.Task]; s != "ready" {
-		o.fail(ev, `"ready"`)
-	}
-	if ev.Attempt != o.attempts[ev.Task] {
-		o.fail(ev, fmt.Sprintf("attempt %d", o.attempts[ev.Task]))
-	}
-	o.attempts[ev.Task]++
-	o.state[ev.Task] = "running"
-}
-
-func (o *seqObserver) OnEnd(ev Event) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if o.state[ev.Task] != "running" {
-		o.fail(ev, `"running"`)
-	}
-	o.state[ev.Task] = "done"
-}
-
-func (o *seqObserver) OnRetry(ev Event) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if o.state[ev.Task] != "failed" {
-		o.fail(ev, `"failed"`)
-	}
-	if ev.Attempt != o.attempts[ev.Task] {
-		o.fail(ev, fmt.Sprintf("upcoming attempt %d", o.attempts[ev.Task]))
-	}
-	o.state[ev.Task] = "ready"
-}
-
-func (o *seqObserver) OnFailure(ev Event) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if ev.Attempt < 0 { // dependency failure: body never ran
-		if o.state[ev.Task] != "submitted" || ev.Mode != "deps" || !ev.Final {
-			o.fail(ev, `"submitted" with mode "deps", final`)
+	switch ev.Kind {
+	case EventSubmit:
+		if _, dup := o.state[ev.Task]; dup {
+			o.fail(ev, "no prior state")
+		}
+		o.state[ev.Task] = "submitted"
+	case EventDepsReady:
+		if o.state[ev.Task] != "submitted" {
+			o.fail(ev, `"submitted"`)
+		}
+		o.state[ev.Task] = "ready"
+	case EventStart:
+		if s := o.state[ev.Task]; s != "ready" {
+			o.fail(ev, `"ready"`)
+		}
+		if ev.Attempt != o.attempts[ev.Task] {
+			o.fail(ev, fmt.Sprintf("attempt %d", o.attempts[ev.Task]))
+		}
+		o.attempts[ev.Task]++
+		o.state[ev.Task] = "running"
+	case EventEnd:
+		if o.state[ev.Task] != "running" {
+			o.fail(ev, `"running"`)
 		}
 		o.state[ev.Task] = "done"
-		return
-	}
-	if o.state[ev.Task] != "running" {
-		o.fail(ev, `"running"`)
-	}
-	if ev.Final {
-		o.state[ev.Task] = "done"
-	} else {
-		o.state[ev.Task] = "failed"
+	case EventRetry:
+		if o.state[ev.Task] != "failed" {
+			o.fail(ev, `"failed"`)
+		}
+		if ev.Attempt != o.attempts[ev.Task] {
+			o.fail(ev, fmt.Sprintf("upcoming attempt %d", o.attempts[ev.Task]))
+		}
+		o.state[ev.Task] = "ready"
+	case EventFailure:
+		if ev.Attempt < 0 { // dependency failure: body never ran
+			if o.state[ev.Task] != "submitted" || ev.Mode != "deps" || !ev.Final {
+				o.fail(ev, `"submitted" with mode "deps", final`)
+			}
+			o.state[ev.Task] = "done"
+			return
+		}
+		if o.state[ev.Task] != "running" {
+			o.fail(ev, `"running"`)
+		}
+		if ev.Final {
+			o.state[ev.Task] = "done"
+		} else {
+			o.state[ev.Task] = "failed"
+		}
 	}
 }
 
@@ -213,5 +198,55 @@ func TestObserversViaConfigFeedStats(t *testing.T) {
 		if st.Attempts != 1 || len(st.PerAttempt) != 1 || st.PerAttempt[0].Outcome != "ok" {
 			t.Fatalf("unexpected per-attempt record: %+v", st)
 		}
+	}
+}
+
+// TestStatsObserverFoldsSyntheticStream feeds StatsObserver a hand-built
+// event stream with fixed times and checks every TaskStat field: a task
+// whose stolen first attempt fails and whose retry ends, a dependency
+// failure, and a final panic, interleaved as the runtime would deliver
+// them, plus an event for a task that was never submitted.
+func TestStatsObserverFoldsSyntheticStream(t *testing.T) {
+	t0 := time.Unix(1_000_000, 0)
+	at := func(ms int) time.Time { return t0.Add(time.Duration(ms) * time.Millisecond) }
+	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
+	boom := fmt.Errorf("boom")
+	s := NewStatsObserver()
+	for _, ev := range []Event{
+		{Kind: EventSubmit, Task: 1, Name: "a", Attempt: -1, Time: at(0)},
+		{Kind: EventSubmit, Task: 2, Name: "b", Attempt: -1, Time: at(1)},
+		{Kind: EventDepsReady, Task: 1, Name: "a", Attempt: -1, Time: at(2)},
+		{Kind: EventSubmit, Task: 3, Name: "c", Attempt: -1, Time: at(3)},
+		{Kind: EventDepsReady, Task: 3, Name: "c", Attempt: -1, Time: at(4)},
+		{Kind: EventStart, Task: 1, Name: "a", Attempt: 0, Time: at(5), Stolen: true},
+		{Kind: EventStart, Task: 3, Name: "c", Attempt: 0, Time: at(10)},
+		{Kind: EventFailure, Task: 1, Name: "a", Attempt: 0, Time: at(12), Err: boom, Mode: "error"},
+		{Kind: EventRetry, Task: 1, Name: "a", Attempt: 1, Time: at(13)},
+		{Kind: EventEnd, Task: 99, Name: "stray", Attempt: 0, Time: at(14)},
+		{Kind: EventStart, Task: 1, Name: "a", Attempt: 1, Time: at(20)},
+		{Kind: EventFailure, Task: 3, Name: "c", Attempt: 0, Time: at(25), Err: boom, Mode: "panic", Final: true},
+		{Kind: EventEnd, Task: 1, Name: "a", Attempt: 1, Time: at(31)},
+		{Kind: EventFailure, Task: 2, Name: "b", Attempt: -1, Time: at(40), Err: boom, Mode: "deps", Final: true},
+	} {
+		s.Observe(ev)
+	}
+	want := []TaskStat{
+		{
+			ID: 3, Name: "c", WaitDeps: ms(1), Queued: ms(6), Duration: ms(15), Attempts: 1,
+			PerAttempt: []AttemptStat{{Queued: ms(6), Run: ms(15), Outcome: "panic"}},
+			Failed:     true,
+		},
+		{
+			ID: 1, Name: "a", WaitDeps: ms(2), Queued: ms(10), Duration: ms(18), Attempts: 2,
+			QueuedStolen: ms(3), Stolen: 1,
+			PerAttempt: []AttemptStat{
+				{Queued: ms(3), Run: ms(7), Outcome: "error", Stolen: true},
+				{Queued: ms(7), Run: ms(11), Outcome: "ok"},
+			},
+		},
+		{ID: 2, Name: "b", WaitDeps: ms(39), Failed: true},
+	}
+	if got := s.Stats(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Stats =\n%+v\nwant\n%+v", got, want)
 	}
 }

@@ -71,28 +71,26 @@ func NewStatsObserver() *StatsObserver {
 
 var _ Observer = (*StatsObserver)(nil)
 
-func (s *StatsObserver) OnSubmit(ev Event) {
+// Observe folds one event into its task's in-flight build.
+func (s *StatsObserver) Observe(ev Event) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.open[ev.Task] = &statBuild{
-		submitted: ev.Time,
-		stat:      TaskStat{ID: ev.Task, Name: ev.Name},
+	if ev.Kind == EventSubmit {
+		s.open[ev.Task] = &statBuild{
+			submitted: ev.Time,
+			stat:      TaskStat{ID: ev.Task, Name: ev.Name},
+		}
+		return
 	}
-}
-
-func (s *StatsObserver) OnDepsReady(ev Event) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if b := s.open[ev.Task]; b != nil {
+	b := s.open[ev.Task]
+	if b == nil {
+		return
+	}
+	switch ev.Kind {
+	case EventDepsReady:
 		b.stat.WaitDeps = ev.Time.Sub(b.submitted)
 		b.runnable = ev.Time
-	}
-}
-
-func (s *StatsObserver) OnStart(ev Event) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if b := s.open[ev.Task]; b != nil {
+	case EventStart:
 		q := ev.Time.Sub(b.runnable)
 		b.started = ev.Time
 		b.stat.Queued += q
@@ -102,43 +100,23 @@ func (s *StatsObserver) OnStart(ev Event) {
 		}
 		b.stat.Attempts++
 		b.stat.PerAttempt = append(b.stat.PerAttempt, AttemptStat{Queued: q, Stolen: ev.Stolen})
-	}
-}
-
-func (s *StatsObserver) OnEnd(ev Event) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if b := s.open[ev.Task]; b != nil {
+	case EventEnd:
 		b.closeAttempt(ev.Time, "ok")
 		s.finalize(ev.Task, b)
-	}
-}
-
-func (s *StatsObserver) OnRetry(ev Event) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if b := s.open[ev.Task]; b != nil {
+	case EventRetry:
 		b.runnable = ev.Time
-	}
-}
-
-func (s *StatsObserver) OnFailure(ev Event) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b := s.open[ev.Task]
-	if b == nil {
-		return
-	}
-	if ev.Attempt < 0 { // dependency failure: the body never ran
-		b.stat.WaitDeps = ev.Time.Sub(b.submitted)
-		b.stat.Failed = true
-		s.finalize(ev.Task, b)
-		return
-	}
-	b.closeAttempt(ev.Time, ev.Mode)
-	if ev.Final {
-		b.stat.Failed = true
-		s.finalize(ev.Task, b)
+	case EventFailure:
+		if ev.Attempt < 0 { // dependency failure: the body never ran
+			b.stat.WaitDeps = ev.Time.Sub(b.submitted)
+			b.stat.Failed = true
+			s.finalize(ev.Task, b)
+			return
+		}
+		b.closeAttempt(ev.Time, ev.Mode)
+		if ev.Final {
+			b.stat.Failed = true
+			s.finalize(ev.Task, b)
+		}
 	}
 }
 

@@ -19,7 +19,6 @@ import (
 // worker with its fold's predicts submitted and another of its roots still
 // running. Nothing else reads a tree, so it was never pulled.
 type treeOn struct {
-	compss.NopObserver
 	worker string
 	kill   func()
 
@@ -38,40 +37,37 @@ func newTreeOn(worker string, kill func()) *treeOn {
 		running: map[int]int{}, predicting: map[int]bool{}}
 }
 
-func (o *treeOn) OnSubmit(ev compss.Event) {
+func (o *treeOn) Observe(ev compss.Event) {
 	o.mu.Lock()
-	defer o.mu.Unlock()
-	switch ev.Name {
-	case "rf_gather":
-		o.folds++
-	case "rf_join":
-		o.lastJoin = ev.Task
-	case "rf_bootstrap", "rf_predict":
-		if o.lastJoin != 0 {
-			o.rootFold[o.lastJoin] = o.folds
-			if !o.ended[o.lastJoin] {
-				o.running[o.folds]++
+	fire := false
+	switch {
+	case ev.Kind == compss.EventSubmit:
+		switch ev.Name {
+		case "rf_gather":
+			o.folds++
+		case "rf_join":
+			o.lastJoin = ev.Task
+		case "rf_bootstrap", "rf_predict":
+			if o.lastJoin != 0 {
+				o.rootFold[o.lastJoin] = o.folds
+				if !o.ended[o.lastJoin] {
+					o.running[o.folds]++
+				}
+				o.lastJoin = 0
 			}
-			o.lastJoin = 0
+			if ev.Name == "rf_predict" {
+				o.predicting[o.folds] = true
+			}
 		}
-		if ev.Name == "rf_predict" {
-			o.predicting[o.folds] = true
+	case ev.Kind == compss.EventEnd && ev.Name == "rf_join":
+		o.ended[ev.Task] = true
+		fold, root := o.rootFold[ev.Task]
+		if root {
+			o.running[fold]--
 		}
+		fire = root && !o.fired && ev.Worker == o.worker && o.predicting[fold] && o.running[fold] > 0
+		o.fired = o.fired || fire
 	}
-}
-
-func (o *treeOn) OnEnd(ev compss.Event) {
-	if ev.Name != "rf_join" {
-		return
-	}
-	o.mu.Lock()
-	o.ended[ev.Task] = true
-	fold, root := o.rootFold[ev.Task]
-	if root {
-		o.running[fold]--
-	}
-	fire := root && !o.fired && ev.Worker == o.worker && o.predicting[fold] && o.running[fold] > 0
-	o.fired = o.fired || fire
 	o.mu.Unlock()
 	if fire {
 		o.kill()
@@ -198,12 +194,11 @@ func TestRemoteLineageParity(t *testing.T) {
 }
 
 // foldGate holds each fold's rf_gather — the task that opens the fold's fit
-// — open in OnStart until the next fold's rf_gather has started, so a fold
+// — open in its Start event until the next fold's rf_gather has started, so a fold
 // cannot finish before the next one is under way. A main program that waited
 // for fold k before submitting fold k+1 would never start it: the wait times
 // out and the fold is recorded.
 type foldGate struct {
-	compss.NopObserver
 	patience time.Duration
 	mu       sync.Mutex
 	fold     map[int]int     // rf_gather task id → fold, in submission order
@@ -219,36 +214,35 @@ func newFoldGate(folds int, patience time.Duration) *foldGate {
 	return g
 }
 
-func (g *foldGate) OnSubmit(ev compss.Event) {
-	if ev.Name == "rf_gather" {
-		g.mu.Lock()
-		g.fold[ev.Task] = len(g.fold)
-		g.mu.Unlock()
-	}
-}
-
-func (g *foldGate) OnStart(ev compss.Event) {
+func (g *foldGate) Observe(ev compss.Event) {
 	if ev.Name != "rf_gather" {
 		return
 	}
-	g.mu.Lock()
-	k, ok := g.fold[ev.Task]
-	patience := g.patience
-	g.mu.Unlock()
-	if !ok || k >= len(g.started) {
-		return
-	}
-	close(g.started[k])
-	if k+1 == len(g.started) {
-		return
-	}
-	select {
-	case <-g.started[k+1]:
-	case <-time.After(patience):
+	switch ev.Kind {
+	case compss.EventSubmit:
 		g.mu.Lock()
-		g.late = append(g.late, k)
-		g.patience = 0 // one timeout is the verdict: let the run finish
+		g.fold[ev.Task] = len(g.fold)
 		g.mu.Unlock()
+	case compss.EventStart:
+		g.mu.Lock()
+		k, ok := g.fold[ev.Task]
+		patience := g.patience
+		g.mu.Unlock()
+		if !ok || k >= len(g.started) {
+			return
+		}
+		close(g.started[k])
+		if k+1 == len(g.started) {
+			return
+		}
+		select {
+		case <-g.started[k+1]:
+		case <-time.After(patience):
+			g.mu.Lock()
+			g.late = append(g.late, k)
+			g.patience = 0 // one timeout is the verdict: let the run finish
+			g.mu.Unlock()
+		}
 	}
 }
 

@@ -128,27 +128,3 @@ type ArgRef struct {
 	Elem int // index into Args[Arg].([]any), or -1 for the argument itself
 	Ref  ValueRef
 }
-
-// Local is the in-process Backend: ExecuteTask is a registry call on the
-// caller's goroutine, with no serialization and no new allocations beyond
-// the body's own. A nil compss.Config.Backend has identical semantics — the
-// runtime special-cases it to skip even the interface dispatch — so Local
-// exists for code that wants an explicit Backend value (tests, parity
-// harnesses).
-type Local struct{}
-
-// ExecuteTask runs the named body in-process.
-func (Local) ExecuteTask(req *Request) ([]any, string, error) {
-	vals, err := Invoke(req.Name, req.NOut, req.Args)
-	return vals, "", err
-}
-
-// Execute runs the named body in-process (convenience wrapper over
-// ExecuteTask for anonymous attempts).
-func (Local) Execute(name string, nOut int, args []any) ([]any, string, error) {
-	vals, err := Invoke(name, nOut, args)
-	return vals, "", err
-}
-
-// Close is a no-op.
-func (Local) Close() error { return nil }

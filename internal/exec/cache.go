@@ -30,16 +30,9 @@ import (
 // declared at registration that it writes to an argument (RegisterInPlace)
 // gets a private copy of that argument when it came out of the cache.
 // cloneValue below knows the builtin numeric kinds, *mat.Dense and the
-// common slice shapes; other types join through Cloner. Only values with a
-// known size are cached at all (sizeOfValue, Sizer).
-
-// Cloner lets a domain type be handed to a body that mutates it in place.
-// CloneExecValue must return a deep copy sharing no mutable state with the
-// receiver; an in-place argument that is resident and has no clone path
-// fails its request rather than expose the resident value.
-type Cloner interface {
-	CloneExecValue() any
-}
+// common slice shapes; an in-place argument of any other type that is
+// resident fails its request rather than expose the resident value. Only
+// values with a known size are cached at all (sizeOfValue, Sizer).
 
 // sessionCounter backs NextSession. Session 0 is reserved as "no session"
 // (requests with Store=false).
@@ -269,8 +262,6 @@ func cloneValue(v any) (any, bool) {
 		return out, true
 	case float64, int, int64, uint64, bool, string:
 		return x, true
-	case Cloner:
-		return x.CloneExecValue(), true
 	default:
 		return nil, false
 	}

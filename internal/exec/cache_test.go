@@ -227,16 +227,11 @@ type sizedOnly struct{}
 
 func (sizedOnly) ExecValueBytes() int64 { return 16 }
 
-type cloneOnly struct{}
+type unsizable struct{}
 
-func (c cloneOnly) CloneExecValue() any { return c }
+type sizedFloats struct{ v []float64 }
 
-type sizedCloner struct{ v []float64 }
-
-func (s *sizedCloner) ExecValueBytes() int64 { return int64(len(s.v)) * 8 }
-func (s *sizedCloner) CloneExecValue() any {
-	return &sizedCloner{v: append([]float64(nil), s.v...)}
-}
+func (s *sizedFloats) ExecValueBytes() int64 { return int64(len(s.v)) * 8 }
 
 func TestFutureCacheRejects(t *testing.T) {
 	if _, ok := newFutureCache(0).put(ref(1), floats(1)); ok {
@@ -249,10 +244,10 @@ func TestFutureCacheRejects(t *testing.T) {
 	if _, ok := c.put(ref(1), floats(4)); ok {
 		t.Fatal("oversized value accepted")
 	}
-	if _, ok := c.put(ref(3), cloneOnly{}); ok {
+	if _, ok := c.put(ref(3), unsizable{}); ok {
 		t.Fatal("unsizable value accepted")
 	}
-	if _, ok := c.put(ref(4), &sizedCloner{v: []float64{1}}); !ok {
+	if _, ok := c.put(ref(4), &sizedFloats{v: []float64{1}}); !ok {
 		t.Fatal("Sizer value rejected")
 	}
 	if c.occupancy() != 8 {
@@ -309,15 +304,6 @@ func TestCloneValue(t *testing.T) {
 	}
 	if _, ok := cloneValue([]any{1.0, make(chan int)}); ok {
 		t.Fatal("one unclonable element should poison the []any")
-	}
-	sc := &sizedCloner{v: []float64{5}}
-	clc, ok := cloneValue(sc)
-	if !ok {
-		t.Fatal("Cloner not clonable")
-	}
-	clc.(*sizedCloner).v[0] = 9
-	if sc.v[0] != 5 {
-		t.Fatal("Cloner clone shares memory")
 	}
 }
 

@@ -13,13 +13,14 @@
 //     registry of named, argument-pure task bodies ("rf_bootstrap",
 //     "mat_add", ...); RegisterInPlace additionally declares which
 //     arguments the body overwrites (InPlaceArgs reads it back). Has /
-//     Names / Fns / Invoke query and run the registry.
+//     Names / Invoke query and run the registry.
 //   - RegisterCodec gives a domain type its binary wire form, written with
 //     an Encoder and read with a Decoder. A type with neither a built-in
 //     tag nor a codec is refused at encode, costing only its attempt.
-//   - Backend is the two-method seam (ExecuteTask, Close); Local adapts the
-//     registry to it. Request carries resolved argument values plus optional
-//     identity (Session/TaskID/ArgRefs) for the data plane. ChainBackend adds
+//   - Backend is the two-method seam (ExecuteTask, Close); a nil one is
+//     the registry itself, called through Invoke. Request carries resolved
+//     argument values plus optional identity (Session/TaskID/ArgRefs) for
+//     the data plane. ChainBackend adds
 //     ExecuteChain: a ready task and the tasks only it holds back, as one
 //     request frame on one slot, answered by one frame of Replies. Holder
 //     adds Pull — outputs left on their workers (*Held) come home when read —
@@ -33,9 +34,8 @@
 //     ListenForWorkers admits dial-in registrations authenticated by
 //     JoinToken. SetFleetHook observes each join and death. The fleet never
 //     resizes itself; whoever deploys it adds members.
-//   - Sizer admits a domain type's values to the worker future cache and
-//     Cloner lets them be a declared in-place argument; NextSession mints
-//     the per-runtime cache namespace.
+//   - Sizer admits a domain type's values to the worker future cache;
+//     NextSession mints the per-runtime cache namespace.
 //
 // # Fleet lifecycle
 //

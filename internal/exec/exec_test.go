@@ -108,17 +108,13 @@ func TestRegistry(t *testing.T) {
 	exec.Register("test_add", func([]any) (any, error) { return nil, nil })
 }
 
-func TestLocalBackend(t *testing.T) {
-	var l exec.Local
-	vals, worker, err := l.Execute("test_add", 1, []any{2.0, 3.0})
+func TestInvoke(t *testing.T) {
+	vals, err := exec.Invoke("test_add", 1, []any{2.0, 3.0})
 	if err != nil || vals[0].(float64) != 5 {
-		t.Fatalf("Local.Execute = %v, %v", vals, err)
+		t.Fatalf("Invoke = %v, %v", vals, err)
 	}
-	if worker != "" {
-		t.Fatalf("Local worker id = %q, want empty (in-process)", worker)
-	}
-	if _, _, err := l.Execute("no_such_function", 1, nil); err == nil {
-		t.Fatal("Local.Execute of an unregistered name should error")
+	if _, err := exec.Invoke("no_such_function", 1, nil); err == nil {
+		t.Fatal("Invoke of an unregistered name should error")
 	}
 }
 

@@ -16,23 +16,21 @@ import (
 
 // endsAndRetries counts, per task, the End and Retry events it emitted.
 type endsAndRetries struct {
-	compss.NopObserver
 	mu            sync.Mutex
 	ends, retries map[int]int
 	afterEnd      bool // a Retry arrived for a task that had ended
 }
 
-func (o *endsAndRetries) OnEnd(ev compss.Event) {
+func (o *endsAndRetries) Observe(ev compss.Event) {
 	o.mu.Lock()
-	o.ends[ev.Task]++
-	o.mu.Unlock()
-}
-
-func (o *endsAndRetries) OnRetry(ev compss.Event) {
-	o.mu.Lock()
-	o.retries[ev.Task]++
-	o.afterEnd = o.afterEnd || o.ends[ev.Task] > 0
-	o.mu.Unlock()
+	defer o.mu.Unlock()
+	switch ev.Kind {
+	case compss.EventEnd:
+		o.ends[ev.Task]++
+	case compss.EventRetry:
+		o.retries[ev.Task]++
+		o.afterEnd = o.afterEnd || o.ends[ev.Task] > 0
+	}
 }
 
 func ramp(rows, cols int) *mat.Dense {

@@ -12,13 +12,13 @@ import (
 //
 // Registered bodies must be *argument-pure*: all state arrives through args
 // (no captured closures — a closure cannot be shipped to another process),
-// and arguments are read-only. On the Local backend they are the caller's
-// in-memory values; on a worker they are decoded copies or the values
-// resident in its future cache, shared with every other consumer, with
-// retries and with pulls — so a body that writes to an argument
-// corrupts someone else's input on either backend. The one exception is
-// declared: a body registered with RegisterInPlace names the arguments it
-// overwrites (the caller must own them exclusively on the Local backend;
+// and arguments are read-only. In-process (a nil compss.Config.Backend)
+// they are the caller's in-memory values; on a worker they are decoded
+// copies or the values resident in its future cache, shared with every
+// other consumer, with retries and with pulls — so a body that writes to an
+// argument corrupts someone else's input on either backend. The one
+// exception is declared: a body registered with RegisterInPlace names the
+// arguments it overwrites (the caller must own them exclusively in-process;
 // the worker hands it a private copy of a resident one). Results are
 // freshly allocated, or share structure with an argument only where no
 // in-place consumer can ever receive them (rf_join's node points at its
@@ -112,35 +112,27 @@ func Names() []string {
 	return out
 }
 
-// Fns returns the registered bodies for name (one of the two is non-nil
-// when ok). compss's Local fast path calls the fn1 form directly so a
-// single-output in-process exec task costs no more than a plain TaskFunc.
-func Fns(name string) (Func, FuncN, bool) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	e, ok := reg[name]
-	return e.fn1, e.fnN, ok
-}
-
 // Invoke runs the named body in-process and normalises the result to a
-// slice of nOut values. It is the execution path of both the Local backend
-// and the worker loop.
+// slice of nOut values. It is the execution path of both a runtime with no
+// Backend and the worker loop.
 func Invoke(name string, nOut int, args []any) ([]any, error) {
-	fn1, fnN, ok := Fns(name)
+	regMu.RLock()
+	e, ok := reg[name]
+	regMu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("exec: function %q is not registered", name)
 	}
-	if fn1 != nil {
+	if e.fn1 != nil {
 		if nOut != 1 {
 			return nil, fmt.Errorf("exec: %q has 1 output, %d requested", name, nOut)
 		}
-		v, err := fn1(args)
+		v, err := e.fn1(args)
 		if err != nil {
 			return nil, err
 		}
 		return []any{v}, nil
 	}
-	vals, err := fnN(args)
+	vals, err := e.fnN(args)
 	if err != nil {
 		return nil, err
 	}

@@ -40,11 +40,11 @@
 // steady-state load added (measured latency histogram scaled by M/M/1
 // waiting-time growth over the measured cost of a window in a full batch) and rejects
 // with a *CapacityError when the projection exceeds the SLO or utilisation
-// would cross Headroom. Backpressure: each stream's ingress buffer holds
-// at most StreamBuffer waiting windows; a newer window sheds the oldest,
-// counted on the stream and the server and reported through Hook. A shed
-// window is a gap to the Debouncer — skipped, neither extending nor
-// resetting the consecutive-positive alarm chain.
+// would cross a fixed headroom of 0.85. Backpressure: each stream's ingress
+// buffer holds at most StreamBuffer waiting windows; a newer window sheds
+// the oldest, counted on the stream and the server and reported through
+// Hook. A shed window is a gap to the Debouncer — skipped, neither
+// extending nor resetting the consecutive-positive alarm chain.
 //
 // # Memory
 //

@@ -51,14 +51,6 @@ type Config struct {
 	// Default: what the runtime runs at once (compss.Runtime.Slots), its
 	// worker count or, over a fleet with more, the fleet's slot total.
 	Slots int
-	// Headroom is the utilisation ceiling of the admission projection:
-	// a stream whose steady-state load would push utilisation to or past
-	// it is rejected outright. Default 0.85.
-	Headroom float64
-	// MinSamples is how many latency observations the projection needs
-	// before it trusts the measured p99 over the cold-start estimate.
-	// Default 32.
-	MinSamples int
 
 	// RecordEvents keeps every applied event on the stream (Stream.Events)
 	// — the parity-test and debugging mode. Off by default: a long-lived
@@ -123,6 +115,16 @@ func (e *CapacityError) Error() string { return "serve: admission rejected: " + 
 
 // maxDuration stands in for an unbounded latency projection.
 const maxDuration = time.Duration(math.MaxInt64)
+
+const (
+	// headroom is the utilisation ceiling of the admission projection: a
+	// stream whose steady-state load would push utilisation to or past it
+	// is rejected outright.
+	headroom = 0.85
+	// minSamples is how many latency observations the projection needs
+	// before it trusts the measured p99 over the cold-start estimate.
+	minSamples = 32
+)
 
 // window is one cut analysis window travelling through the serving
 // pipeline: stream ingress buffer → waiting queue → scoring batch →
@@ -203,12 +205,6 @@ func New(rt *compss.Runtime, cfg Config) (*Server, error) {
 	}
 	if cfg.Slots <= 0 {
 		cfg.Slots = rt.Slots()
-	}
-	if cfg.Headroom <= 0 || cfg.Headroom > 1 {
-		cfg.Headroom = 0.85
-	}
-	if cfg.MinSamples <= 0 {
-		cfg.MinSamples = 32
 	}
 	s := &Server{
 		cfg:     cfg,
@@ -298,12 +294,12 @@ func (s *Server) Admit() (*Stream, error) {
 // (stride·slots). The observed p99 (or, cold, svc: a window scores the
 // moment it is cut while a scorer is free) is inflated by
 // (1-ρnow)/(1-ρ(n)) — the M/M/1 waiting-time scaling, a deliberately
-// pessimistic heuristic — and any n at or past Headroom·capacity projects
+// pessimistic heuristic — and any n at or past headroom·capacity projects
 // to +inf: tail latency under a bursty arrival process explodes well
 // before ρ = 1.
 func (s *Server) projectedP99Locked(n int) time.Duration {
 	base := time.Duration(s.svc * float64(time.Second))
-	if s.winHist.n >= int64(s.cfg.MinSamples) {
+	if s.winHist.n >= minSamples {
 		base = s.winHist.quantile(0.99)
 	}
 	if s.svc <= 0 {
@@ -311,7 +307,7 @@ func (s *Server) projectedP99Locked(n int) time.Duration {
 	}
 	capacity := float64(s.cfg.Slots) / s.svc // windows/second
 	rho := float64(n) / s.stride / capacity
-	if rho >= s.cfg.Headroom {
+	if rho >= headroom {
 		return maxDuration
 	}
 	rhoNow := float64(len(s.streams)) / s.stride / capacity

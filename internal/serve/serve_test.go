@@ -257,7 +257,7 @@ func TestServeAdmissionSLOProjection(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Prime the measured service time: 50 ms/window on 1 slot = 20
-	// windows/s capacity. Headroom 0.85 admits while n·1win/s < 17.
+	// windows/s capacity. headroom 0.85 admits while n·1win/s < 17.
 	s.mu.Lock()
 	s.svc = 0.05
 	s.mu.Unlock()

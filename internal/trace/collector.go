@@ -11,11 +11,11 @@ import (
 	"taskml/internal/serve"
 )
 
-// Collector is the lock-cheap in-memory Observer sink: every hook appends
-// the event to a mutex-guarded buffer and returns. All rendering cost is
+// Collector is the lock-cheap in-memory Observer sink: Observe appends the
+// event to a mutex-guarded buffer and returns. All rendering cost is
 // deferred to Chrome(), which runs after the workflow finished.
 //
-// Beyond the Observer hooks it accepts exec data-plane samples (cache
+// Beyond the Observer events it accepts exec data-plane samples (cache
 // hit/miss outcomes and occupancy per worker response) via AddCacheSample —
 // wire it with exec.Remote.SetCacheHook(collector.AddCacheSample) — and
 // renders them as extra trace rows alongside the task slices.
@@ -58,18 +58,12 @@ func NewCollector() *Collector { return &Collector{} }
 
 var _ compss.Observer = (*Collector)(nil)
 
-func (c *Collector) add(ev compss.Event) {
+// Observe buffers one lifecycle event.
+func (c *Collector) Observe(ev compss.Event) {
 	c.mu.Lock()
 	c.events = append(c.events, ev)
 	c.mu.Unlock()
 }
-
-func (c *Collector) OnSubmit(ev compss.Event)    { c.add(ev) }
-func (c *Collector) OnDepsReady(ev compss.Event) { c.add(ev) }
-func (c *Collector) OnStart(ev compss.Event)     { c.add(ev) }
-func (c *Collector) OnEnd(ev compss.Event)       { c.add(ev) }
-func (c *Collector) OnRetry(ev compss.Event)     { c.add(ev) }
-func (c *Collector) OnFailure(ev compss.Event)   { c.add(ev) }
 
 // AddCacheSample records one exec data-plane observation, stamped with the
 // arrival time. It is shaped to be installed directly as an

@@ -15,7 +15,7 @@
 //
 // # Public surface
 //
-// Collector is a compss.Observer that buffers events (and exec data-plane,
+// Collector is a compss.Observer whose Observe buffers events (and exec data-plane,
 // fleet and serving samples via AddCacheSample / AddFleetEvent /
 // AddServeSample); its Chrome method builds a Trace, which
 // Add/WriteJSON/WriteFile assemble and emit. PackLanes is the greedy

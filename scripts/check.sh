@@ -114,9 +114,10 @@ done
 # round after round under a watchdog (the nested task_storm shape). So does
 # the observer's causal-order test, the one that drives every terminal path
 # at once on eight workers: success, retry, final error, final panic and the
-# dependency cascade.
-echo "== go test -race -count=2 -cpu=1,8 -run 'TestStealStress|TestParallelismIsBounded|TestBarrierNestedStress|TestChainMembership|TestChainHandBack|TestChainHeadFailure|TestChainEventsAndStats|TestObserverCausalOrder' ./internal/compss/"
-go test -race -count=2 -cpu=1,8 -run 'TestStealStress|TestParallelismIsBounded|TestBarrierNestedStress|TestChainMembership|TestChainHandBack|TestChainHeadFailure|TestChainEventsAndStats|TestObserverCausalOrder' ./internal/compss/
+# dependency cascade, and the StatsObserver's tests: the fold of that stream
+# into TaskStats, over real runtimes and over a hand-built stream.
+echo "== go test -race -count=2 -cpu=1,8 -run 'TestStealStress|TestParallelismIsBounded|TestBarrierNestedStress|TestChainMembership|TestChainHandBack|TestChainHeadFailure|TestChainEventsAndStats|TestObserverCausalOrder|TestStatsRecording|TestObserversViaConfigFeedStats|TestStatsObserverFoldsSyntheticStream' ./internal/compss/"
+go test -race -count=2 -cpu=1,8 -run 'TestStealStress|TestParallelismIsBounded|TestBarrierNestedStress|TestChainMembership|TestChainHandBack|TestChainHeadFailure|TestChainEventsAndStats|TestObserverCausalOrder|TestStatsRecording|TestObserversViaConfigFeedStats|TestStatsObserverFoldsSyntheticStream' ./internal/compss/
 
 # Kernel helpers borrow idle slots from the live runtime or worker (par.Lend)
 # and must change no bit: the rotation sweep of EigSym at the pca_eigh size,
