@@ -76,8 +76,7 @@ func main() {
 		// resident-bytes counters) and the fleet (membership transitions as
 		// instants); both land in their own trace process.
 		if r, ok := backend.(*exec.Remote); ok {
-			r.SetCacheHook(collector.AddCacheSample)
-			r.SetFleetHook(collector.AddFleetEvent)
+			r.SetHook(collector.AddExecEvent)
 		}
 	}
 

@@ -186,8 +186,7 @@ func main() {
 		defer backend.Close()
 	}
 	if r, ok := backend.(*exec.Remote); ok && collector != nil {
-		r.SetCacheHook(collector.AddCacheSample)
-		r.SetFleetHook(collector.AddFleetEvent)
+		r.SetHook(collector.AddExecEvent)
 	}
 
 	fmt.Printf("generating dataset (%d rows)...\n", *samples)

@@ -74,8 +74,7 @@ func main() {
 		collector = trace.NewCollector()
 		observers = []compss.Observer{collector}
 		if r, ok := backend.(*exec.Remote); ok {
-			r.SetCacheHook(collector.AddCacheSample)
-			r.SetFleetHook(collector.AddFleetEvent)
+			r.SetHook(collector.AddExecEvent)
 		}
 	}
 	rt := compss.New(compss.Config{Workers: *workers, Observers: observers, Backend: backend})

@@ -25,9 +25,10 @@
 // opens no other listener, and a value another worker produced reaches it
 // through the coordinator.
 //
-// The worker caps the shared kernel layer at one goroutine per task body
-// (internal/par): its parallelism budget is -slots concurrent bodies, and
-// cluster-level parallelism comes from running many workers.
+// A worker runs at most -slots task bodies at once, and a body's kernels
+// (internal/par) borrow the connection's idle slots: a lone body on a
+// four-slot worker uses all four, a one-slot worker's kernels stay serial.
+// Cluster-level parallelism comes from running many workers.
 //
 // The binary links internal/core, so it carries every registered function
 // of the library — dsarray block ops, the random-forest tasks, the

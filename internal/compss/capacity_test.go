@@ -12,12 +12,15 @@ import (
 
 // fakeFleet is an exec.Backend that reports a settable slot total, as
 // exec.Remote does: the compss runtime sizes its slot pool from it at New.
+// It executes nothing, holds nothing and records the sessions it is told to
+// forget.
 type fakeFleet struct {
-	mu    sync.Mutex
-	slots int
+	mu     sync.Mutex
+	slots  int
+	forgot []uint64
 }
 
-func (f *fakeFleet) ExecuteTask(*exec.Request) ([]any, string, error) {
+func (f *fakeFleet) ExecuteChain([]*exec.Request) ([]exec.Reply, string, error) {
 	return nil, "", errors.New("fakeFleet executes nothing")
 }
 func (f *fakeFleet) Close() error { return nil }
@@ -34,23 +37,16 @@ func (f *fakeFleet) setSlots(n int) {
 	f.mu.Unlock()
 }
 
-// holdingFleet is a fakeFleet that is also an exec.Holder: it holds nothing
-// and records the sessions it is told to forget.
-type holdingFleet struct {
-	fakeFleet
-	forgot []uint64 // under fakeFleet.mu
-}
+func (f *fakeFleet) Pull([]*exec.Held) error { return exec.ErrLost }
 
-func (f *holdingFleet) Pull([]*exec.Held) error { return exec.ErrLost }
-
-func (f *holdingFleet) Forget(session uint64) {
+func (f *fakeFleet) Forget(session uint64) {
 	f.mu.Lock()
 	f.forgot = append(f.forgot, session)
 	f.mu.Unlock()
 }
 
 // forgotten returns how often session was forgotten.
-func (f *holdingFleet) forgotten(session uint64) (n int) {
+func (f *fakeFleet) forgotten(session uint64) (n int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for _, s := range f.forgot {
@@ -60,8 +56,6 @@ func (f *holdingFleet) forgotten(session uint64) (n int) {
 	}
 	return n
 }
-
-var _ exec.Holder = (*holdingFleet)(nil)
 
 // TestCapacityFixedAtNew pins the capacity contract: a runtime over a
 // backend reporting SlotTotal() = N runs max(Workers, N) bodies at once, and
@@ -132,7 +126,7 @@ func gcUntil(cond func() bool) bool {
 // Future still held keeps the runtime, so nothing is forgotten and Get
 // through it still answers.
 func TestReleaseWhenUnreachable(t *testing.T) {
-	fleet := &holdingFleet{fakeFleet: fakeFleet{slots: 1}}
+	fleet := &fakeFleet{slots: 1}
 	run := func() *Future {
 		rt := New(Config{Workers: 1, Backend: fleet})
 		f := rt.Submit(Opts{Name: "one"}, func(*TaskCtx, []any) (any, error) { return 1, nil })

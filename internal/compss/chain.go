@@ -9,18 +9,18 @@
 // chain — every other producer is done, the submission sentinel is gone —
 // joins, up to chainCap members. Followers are marked, so becomeReady leaves
 // them to the runner, and the list goes to the backend as one request frame
-// on one slot (exec.ChainBackend), arguments produced inside it as bare
-// references. What it delays: a dependent of an early member that is not a
-// member itself becomes ready when the response arrives, at most chainCap−1
-// bodies after that member's body returned.
+// on one slot (exec.Backend.ExecuteChain), arguments produced inside it as
+// bare references. What it delays: a dependent of an early member that is
+// not a member itself becomes ready when the response arrives, at most
+// chainCap−1 bodies after that member's body returned.
 //
 // A failure costs round trips, never a wrong answer. Only first attempts are
-// chained, on a runtime without a fault plan, over a backend whose reference
-// plane is on. A follower that comes back without values — it failed, an
-// earlier member did, a reference was evicted or never cached — is
-// unmarked and runs the ordinary way, as attempt 0, once its
-// producers have completed; a head whose body or connection failed is a
-// failed attempt 0 under the ordinary retry-then-fail contract, and its
+// chained, on a runtime without a fault plan; a fleet offers a chain only to
+// a member that caches. A follower that comes back without values — it
+// failed, an earlier member did, a reference was evicted or never cached, an
+// argument was lost — is unmarked and runs the ordinary way, as attempt 0,
+// once its producers have completed; a head whose body or connection failed
+// is a failed attempt 0 under the ordinary retry-then-fail contract, and its
 // retry travels alone. Every mark is cleared before anything completes.
 //
 // Observers see Submit < DepsReady < Start < End for every member. The
@@ -31,6 +31,7 @@
 package compss
 
 import (
+	"errors"
 	"time"
 
 	"taskml/internal/exec"
@@ -115,18 +116,35 @@ func chainable(c *taskState, chain []*taskState) bool {
 	return ok
 }
 
-// execChain runs chain as the head's attempt 0: one ExecuteChain call, then
-// every follower that did not come back with values is handed back — its
-// mark cleared, here, before the head or anything else completes.
-func (rt *Runtime) execChain(chain []*taskState, resolved []any) attemptResult {
+// ship runs chain — a task alone, or a chain's head and the followers it
+// took along — as the head's attempt in one backend call; redo marks the
+// lineage rerun of a task that completed before (held.go). A lost argument
+// costs round trips, never an answer: nothing was sent, so the followers are
+// handed back and the head goes alone; lost again, its arguments are brought
+// home or rebuilt and it goes once more, which cannot be lost. Every follower
+// that did not come back with values is handed back — its mark cleared,
+// here, before the head or anything else completes.
+func (rt *Runtime) ship(chain []*taskState, resolved []any, redo bool) attemptResult {
 	st := chain[0]
 	reqs := make([]*exec.Request, len(chain))
-	reqs[0] = rt.request(st, resolved, nil, false)
+	reqs[0] = rt.request(st, resolved, nil, redo)
 	for i, m := range chain[1:] {
 		reqs[i+1] = rt.request(m, rt.resolveArgs(m.args, chain), chain, false)
 	}
 	sent := time.Now()
-	replies, worker, err := rt.chains.ExecuteChain(reqs)
+	replies, worker, err := rt.cfg.Backend.ExecuteChain(reqs)
+	if errors.Is(err, exec.ErrLost) && len(chain) > 1 {
+		for _, m := range chain[1:] {
+			m.chained.Store(false)
+		}
+		chain, reqs = chain[:1], reqs[:1]
+		replies, worker, err = rt.cfg.Backend.ExecuteChain(reqs)
+	}
+	if errors.Is(err, exec.ErrLost) {
+		if err = rt.restore(st.args); err == nil {
+			replies, worker, err = rt.cfg.Backend.ExecuteChain(reqs)
+		}
+	}
 	headEnd := time.Now()
 	if err == nil {
 		err = replies[0].Err
@@ -141,11 +159,14 @@ func (rt *Runtime) execChain(chain []*taskState, resolved []any) attemptResult {
 	if err != nil {
 		return attemptResult{err: &TaskError{ID: st.id, Name: st.name, Err: err}, mode: "error", frac: 1, worker: worker}
 	}
-	if headEnd.Before(sent) {
-		headEnd = sent // a worker clock that runs fast
+	res := attemptResult{vals: replies[0].Vals, worker: worker}
+	if len(chain) > 1 {
+		if headEnd.Before(sent) {
+			headEnd = sent // a worker clock that runs fast
+		}
+		res.chain = &chainRun{members: chain, replies: replies, headEnd: headEnd, worker: worker}
 	}
-	run := &chainRun{members: chain, replies: replies, headEnd: headEnd, worker: worker}
-	return attemptResult{vals: replies[0].Vals, worker: worker, chain: run}
+	return res
 }
 
 // finishChain completes, in order, the followers that ran with a head that

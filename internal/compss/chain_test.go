@@ -16,6 +16,9 @@ import (
 // outputs under their ValueRef like a worker cache, and can be told to fail a
 // member's body, to lose a member's output (what an eviction or a disabled
 // cache does: its dependents miss) or to fail a whole frame (a dead worker).
+// With hold set it leaves outputs it may keep in its cache, answering with a
+// marker each, and a frame naming a marker whose value is neither home nor
+// kept any more is lost whole, before anything runs — as a fleet finds it.
 
 func init() {
 	num := func(v any) float64 {
@@ -60,6 +63,15 @@ type fakeChains struct {
 	lose     map[int]bool          // task id → its outputs are not kept, once, inside a chain
 	failHead map[int]int           // task id → that many frames headed by it fail whole
 	ran      map[int]int           // task id → times its body ran
+	hold     bool                  // answer Hold requests with markers
+	calls    []fakeCall            // every frame and pull, in arrival order
+}
+
+// fakeCall is one backend call: a frame of task ids, lost or not (redo: a
+// lineage rerun), or a pull.
+type fakeCall struct {
+	ids              []int
+	lost, redo, pull bool
 }
 
 func newFakeChains() *fakeChains {
@@ -69,19 +81,12 @@ func newFakeChains() *fakeChains {
 	}
 }
 
-func (f *fakeChains) Close() error { return nil }
+func (f *fakeChains) Close() error   { return nil }
+func (f *fakeChains) SlotTotal() int { return 0 }
 
-// unchained is f as a plain exec.Backend: not being a ChainBackend is all it
-// takes for the runtime to offer no chains.
-func (f *fakeChains) unchained() exec.Backend { return struct{ exec.Backend }{f} }
-
-func (f *fakeChains) ExecuteTask(req *exec.Request) ([]any, string, error) {
-	replies, worker, err := f.ExecuteChain([]*exec.Request{req})
-	if err != nil {
-		return nil, worker, err
-	}
-	return replies[0].Vals, worker, replies[0].Err
-}
+// unchained is a fault plan that matches nothing: a runtime with one offers
+// no chains.
+var unchained = &FaultPlan{Faults: []Fault{{Name: "nothing"}}}
 
 func (f *fakeChains) ExecuteChain(reqs []*exec.Request) ([]exec.Reply, string, error) {
 	head := reqs[0].TaskID
@@ -95,9 +100,14 @@ func (f *fakeChains) ExecuteChain(reqs []*exec.Request) ([]exec.Reply, string, e
 	if dead {
 		f.failHead[head]--
 	}
+	lost := f.lostLocked(reqs)
+	f.calls = append(f.calls, fakeCall{ids: ids, lost: lost, redo: reqs[0].Redo})
 	f.mu.Unlock()
 	if dead {
 		return nil, "fake", errors.New("fake: connection lost")
+	}
+	if lost {
+		return nil, "fake", exec.ErrLost
 	}
 	replies := make([]exec.Reply, len(reqs))
 	for i, r := range reqs {
@@ -107,6 +117,51 @@ func (f *fakeChains) ExecuteChain(reqs []*exec.Request) ([]exec.Reply, string, e
 	}
 	return replies, "fake", nil
 }
+
+// lostLocked reports whether a member of reqs names a marker whose value is
+// neither home nor in the cache.
+func (f *fakeChains) lostLocked(reqs []*exec.Request) bool {
+	lost := false
+	var walk func(v any)
+	walk = func(v any) {
+		switch x := v.(type) {
+		case *exec.Held:
+			if _, home := x.Value(); !home {
+				_, kept := f.cache[x.Ref]
+				lost = lost || !kept
+			}
+		case []any:
+			for _, e := range x {
+				walk(e)
+			}
+		}
+	}
+	for _, r := range reqs {
+		walk(r.Args)
+	}
+	return lost
+}
+
+// Pull brings markers home from the cache; ErrLost if one is not there.
+func (f *fakeChains) Pull(hs []*exec.Held) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.calls = append(f.calls, fakeCall{pull: true})
+	var err error
+	for _, h := range hs {
+		if _, home := h.Value(); home {
+			continue
+		}
+		if v, ok := f.cache[h.Ref]; ok {
+			h.Fill(v)
+		} else {
+			err = exec.ErrLost
+		}
+	}
+	return err
+}
+
+func (f *fakeChains) Forget(uint64) {}
 
 // run is one member: resolve references against the cache (a missing one is
 // the member's Miss), run the body, keep the outputs.
@@ -123,6 +178,13 @@ func (f *fakeChains) run(r *exec.Request, chained bool) ([]any, error) {
 				miss = fmt.Errorf("fake: miss %v", x)
 			}
 			return val
+		case *exec.Held:
+			if val, home := x.Value(); home {
+				return val
+			}
+			f.mu.Lock()
+			defer f.mu.Unlock()
+			return f.cache[x.Ref] // lostLocked vouched for it
 		case []any:
 			out := make([]any, len(x))
 			for i, e := range x {
@@ -150,11 +212,33 @@ func (f *fakeChains) run(r *exec.Request, chained bool) ([]any, error) {
 		return vals, err
 	}
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	for i, v := range vals {
 		f.cache[exec.ValueRef{Session: r.Session, Task: r.TaskID, Out: i}] = v
 	}
-	f.mu.Unlock()
+	if f.hold && r.Hold {
+		for i := range vals {
+			vals[i] = &exec.Held{Ref: exec.ValueRef{Session: r.Session, Task: r.TaskID, Out: i}}
+		}
+	}
 	return vals, nil
+}
+
+// drop forgets every output of task id, as a dead holder or an eviction does.
+func (f *fakeChains) drop(id int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for ref := range f.cache {
+		if ref.Task == id {
+			delete(f.cache, ref)
+		}
+	}
+}
+
+func (f *fakeChains) callsSeen() []fakeCall {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return append([]fakeCall(nil), f.calls...)
 }
 
 func (f *fakeChains) framesSeen() [][]int {
@@ -307,24 +391,15 @@ func TestChainMembership(t *testing.T) {
 		mustGet(t, rt, b, 2)
 	})
 	t.Run("never", func(t *testing.T) {
-		for name, cfg := range map[string]Config{
-			"fault plan":         {Faults: &FaultPlan{Faults: []Fault{{Name: "nothing"}}}},
-			"not a ChainBackend": {},
-		} {
-			be := newFakeChains()
-			cfg.Workers, cfg.Backend = 2, be
-			if name == "not a ChainBackend" {
-				cfg.Backend = be.unchained()
-			}
-			rt := New(cfg)
-			g, release := gate(rt)
-			a := sum(rt, Opts{}, g)
-			b := sum(rt, Opts{}, a, 1.0)
-			release()
-			mustGet(t, rt, b, 2)
-			if got, want := be.framesSeen(), [][]int{{a.TaskID()}, {b.TaskID()}}; !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: frames %v, want %v", name, got, want)
-			}
+		be := newFakeChains()
+		rt := New(Config{Workers: 2, Backend: be, Faults: unchained})
+		g, release := gate(rt)
+		a := sum(rt, Opts{}, g)
+		b := sum(rt, Opts{}, a, 1.0)
+		release()
+		mustGet(t, rt, b, 2)
+		if got, want := be.framesSeen(), [][]int{{a.TaskID()}, {b.TaskID()}}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("fault plan: frames %v, want %v", got, want)
 		}
 	})
 }
@@ -364,12 +439,12 @@ func TestChainHandBack(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			outcome := func(chains bool) (vals []any, errs []string, be *fakeChains) {
 				be = newFakeChains()
-				var backend exec.Backend = be
-				if !chains {
-					backend = be.unchained()
-				}
 				so := newSeqObserver()
-				rt := New(Config{Workers: 2, Backend: backend, Observers: []Observer{so}})
+				cfg := Config{Workers: 2, Backend: be, Observers: []Observer{so}}
+				if !chains {
+					cfg.Faults = unchained
+				}
+				rt := New(cfg)
 				fs, release := chainDAG(rt, Opts{})
 				if tc.lose >= 0 {
 					be.lose[fs[tc.lose].TaskID()] = true
@@ -410,6 +485,75 @@ func TestChainHandBack(t *testing.T) {
 				t.Fatalf("frames %v, want the whole DAG in one", be.framesSeen())
 			}
 		})
+	}
+}
+
+// TestChainLostArgument: a chain whose follower names a held value from
+// outside the chain that no worker has any more is lost whole, nothing run.
+// The followers are handed back and the head goes alone, before anything is
+// pulled — its own held argument is still kept and travels as it is; only
+// when the head alone is lost too are its arguments brought home — the lost
+// producer rerun from lineage — and it goes once more. The values are the
+// unchained run's.
+func TestChainLostArgument(t *testing.T) {
+	run := func(cfg Config) (vals []any, calls []fakeCall, ids [4]int) {
+		be := newFakeChains()
+		be.hold = true
+		cfg.Workers, cfg.Backend = 2, be
+		rt := New(cfg)
+		// Run p, then q, each to completion without a Get, which would have
+		// its output come home.
+		held := func(f *Future) {
+			for deadline := time.Now().Add(10 * time.Second); !f.st.completed.Load(); time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("task %d never ran", f.TaskID())
+				}
+			}
+			if _, ok := f.st.vals[0].(*exec.Held); !ok {
+				t.Fatalf("task %d's output came home: %v", f.TaskID(), f.st.vals[0])
+			}
+		}
+		p := sum(rt, Opts{Name: "p"}, 5.0)
+		held(p)
+		q := sum(rt, Opts{Name: "q"}, 2.0)
+		held(q)
+		g, release := gate(rt)
+		a := sum(rt, Opts{}, g, q)
+		b := sum(rt, Opts{}, a, p)
+		be.drop(p.TaskID())
+		release()
+		// b first: what a Get pulls comes after the call sequence asserted.
+		for _, f := range []*Future{b, a, p, q} {
+			v, err := rt.Get(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			vals = append(vals, v)
+		}
+		return vals, be.callsSeen(), [4]int{p.TaskID(), q.TaskID(), a.TaskID(), b.TaskID()}
+	}
+	check := func(name string, calls []fakeCall, want []fakeCall) {
+		t.Helper()
+		if len(calls) < len(want) || !reflect.DeepEqual(calls[:len(want)], want) {
+			t.Fatalf("%s: calls %+v, want %+v first", name, calls, want)
+		}
+	}
+
+	wantVals, calls, id := run(Config{Faults: unchained})
+	p, q, a, b := id[0], id[1], id[2], id[3]
+	check("unchained", calls, []fakeCall{
+		{ids: []int{p}}, {ids: []int{q}}, {ids: []int{a}}, {ids: []int{b}, lost: true},
+		{pull: true}, {ids: []int{p}, redo: true}, {ids: []int{b}},
+	})
+
+	vals, calls, id := run(Config{})
+	p, q, a, b = id[0], id[1], id[2], id[3]
+	check("chained", calls, []fakeCall{
+		{ids: []int{p}}, {ids: []int{q}}, {ids: []int{a, b}, lost: true}, {ids: []int{a}}, {ids: []int{b}, lost: true},
+		{pull: true}, {ids: []int{p}, redo: true}, {ids: []int{b}},
+	})
+	if !reflect.DeepEqual(vals, wantVals) || !reflect.DeepEqual(vals, []any{8.0, 3.0, 5.0, 2.0}) {
+		t.Fatalf("chained run %v, unchained %v, want [8 3 5 2]", vals, wantVals)
 	}
 }
 

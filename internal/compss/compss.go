@@ -1,7 +1,6 @@
 package compss
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"slices"
@@ -117,41 +116,32 @@ type Runtime struct {
 	// never alias each other's cached outputs. 0 when no Backend is
 	// attached.
 	execSession uint64
-	// chains is the backend's chain-dispatch side (see chain.go); nil — no
-	// task is ever chained — without a backend that has one, while its
-	// reference plane is off, or on a runtime with a fault plan.
-	chains exec.ChainBackend
-	// holder is the backend's held-results side (held.go); nil when outputs
-	// always come home in the reply.
-	holder exec.Holder
-	rel    *release // given back once nothing can reach the runtime (New)
+	rel         *release // given back once nothing can reach the runtime (New)
 
 	mu sync.Mutex
 }
 
-// release is a runtime's claim on a backend that holds values: the session
-// the backend holds them under. It points at nothing of the runtime, so it
-// becomes unreachable with it, and its finalizer lets go.
+// release is a runtime's claim on its backend: the session the backend
+// holds values under. It points at nothing of the runtime, so it becomes
+// unreachable with it, and its finalizer lets go.
 type release struct {
 	session uint64
-	holder  exec.Holder
+	backend exec.Backend
 }
 
 func (r *release) run() {
-	go r.holder.Forget(r.session) // it writes to sockets: not on the finalizer goroutine
+	go r.backend.Forget(r.session) // it writes to sockets: not on the finalizer goroutine
 }
 
 // New creates a runtime.
 //
 // Its parallelism is fixed here: the executor and the slot pool are both
-// sized to max(Workers, the backend's SlotTotal() now) when the backend
-// reports one, as exec.Remote does. A worker that joins the fleet later
-// makes up for one that was lost and is fully used by runtimes created after
-// it.
+// sized to max(Workers, the backend's SlotTotal() now). A worker that joins
+// the fleet later makes up for one that was lost and is fully used by
+// runtimes created after it.
 //
 // A runtime has no Close. Once nothing can reach it — every Future, TaskCtx
-// and running body leads back to it — over a backend that holds values
-// (exec.Holder, like exec.Remote) a finalizer has the backend forget its
+// and running body leads back to it — a finalizer has its backend forget its
 // session everywhere.
 func New(cfg Config) *Runtime {
 	w := cfg.Workers
@@ -164,8 +154,8 @@ func New(cfg Config) *Runtime {
 	if cfg.DefaultBackoff < 0 {
 		cfg.DefaultBackoff = 0
 	}
-	if fleet, ok := cfg.Backend.(interface{ SlotTotal() int }); ok {
-		w = max(w, fleet.SlotTotal())
+	if cfg.Backend != nil {
+		w = max(w, cfg.Backend.SlotTotal())
 	}
 	rt := &Runtime{
 		g:   graph.New(),
@@ -175,13 +165,7 @@ func New(cfg Config) *Runtime {
 	rt.ex = newExecutor(rt, w)
 	if cfg.Backend != nil {
 		rt.execSession = exec.NextSession()
-	}
-	if cb, ok := cfg.Backend.(exec.ChainBackend); ok && cfg.Faults == nil {
-		rt.chains = cb
-	}
-	rt.holder, _ = cfg.Backend.(exec.Holder)
-	if rt.holder != nil {
-		rt.rel = &release{session: rt.execSession, holder: rt.holder}
+		rt.rel = &release{session: rt.execSession, backend: cfg.Backend}
 		runtime.SetFinalizer(rt.rel, (*release).run)
 	}
 	if len(cfg.Observers) > 0 {
@@ -839,7 +823,7 @@ func (rt *Runtime) acquire(w *worker) {
 func (rt *Runtime) runReady(st *taskState, w *worker, stolen bool) {
 	st.stolen = stolen
 	id, nOut := st.id, st.nOut
-	if st.execName == "" && rt.holder != nil {
+	if st.execName == "" && rt.cfg.Backend != nil {
 		// A body that runs here reads its arguments here.
 		if err := rt.restore(st.args); err != nil {
 			rt.failDepsCascade(st, err, w)
@@ -1038,47 +1022,31 @@ func (rt *Runtime) execAttempt(st *taskState, child *TaskCtx, attempt, nOut int,
 // execBody runs one attempt of an Opts.Exec-named task. With a Backend
 // attached the attempt is the backend's problem (an exec.Remote ships it to
 // a worker process and the returned worker id lands on the End/Failure
-// event); without one it is exec.Invoke, the registry call the worker loop
-// makes too.
+// event): a first attempt, on a runtime without a fault plan, takes along
+// every task only it still holds back (chain.go). Without one it is
+// exec.Invoke, the registry call the worker loop makes too.
 //
 // The backend request carries the task's identity (execSession + id) and
 // the provenance of every future-valued argument (exec.ArgRef), so a
 // data-plane backend can place the attempt near resident inputs and pass
 // references instead of values. The resolved values always travel too —
 // identity is a hint, never a dependency.
-//
-// A first attempt over a chain backend takes along every task only it still
-// holds back (chain.go); alone, it is the ordinary ExecuteTask.
 func (rt *Runtime) execBody(st *taskState, attempt, nOut int, resolved []any) attemptResult {
-	var vals []any
-	var worker string
-	var err error
-	if rt.cfg.Backend == nil {
-		vals, err = exec.Invoke(st.execName, nOut, resolved)
-	} else {
-		if attempt == 0 && rt.chains != nil {
-			if chain := collectChain(st); len(chain) > 1 {
-				// A lost argument, and nothing was sent: the followers are back
-				// with the scheduler, the head goes alone past the loss.
-				if res := rt.execChain(chain, resolved); !errors.Is(res.err, exec.ErrLost) {
-					return res
-				}
-			}
+	if rt.cfg.Backend != nil {
+		chain := []*taskState{st}
+		if attempt == 0 && rt.cfg.Faults == nil {
+			chain = collectChain(st)
 		}
-		vals, worker, err = rt.dispatch(st, resolved, false)
+		return rt.ship(chain, resolved, false)
 	}
+	vals, err := exec.Invoke(st.execName, nOut, resolved)
 	if err != nil {
-		return attemptResult{
-			err:    &TaskError{ID: st.id, Name: st.name, Err: err},
-			mode:   "error",
-			frac:   1,
-			worker: worker,
-		}
+		return attemptResult{err: &TaskError{ID: st.id, Name: st.name, Err: err}, mode: "error", frac: 1}
 	}
 	if nOut == 1 {
-		return attemptResult{val: vals[0], worker: worker}
+		return attemptResult{val: vals[0]}
 	}
-	return attemptResult{vals: vals, worker: worker}
+	return attemptResult{vals: vals}
 }
 
 // request builds st's backend request from its resolved arguments. The
@@ -1089,7 +1057,7 @@ func (rt *Runtime) request(st *taskState, resolved []any, chain []*taskState, re
 		Name: st.execName, NOut: st.nOut, Args: resolved,
 		Session: rt.execSession, TaskID: st.id,
 		ArgRefs: argRefs(st.args, rt.execSession, chain),
-		Hold:    !redo && rt.holder != nil && !st.readHere(), Redo: redo,
+		Hold:    !redo && !st.readHere(), Redo: redo,
 	}
 }
 
@@ -1149,7 +1117,7 @@ func (tc *TaskCtx) Get(f *Future) (any, error) {
 
 // wantHere tells a task still to run that f will be read on this side.
 func (tc *TaskCtx) wantHere(f *Future) {
-	if tc.rt.holder != nil && !f.st.completed.Load() {
+	if tc.rt.cfg.Backend != nil && !f.st.completed.Load() {
 		f.st.want.Store(true)
 	}
 }

@@ -42,15 +42,16 @@
 // registered functions (internal/exec) instead of closures, and
 // Config.Backend routes those attempts either in-process (nil backend) or
 // to out-of-process workers (exec.Remote). Closure tasks always run
-// in-process. Over a backend that takes chains (exec.ChainBackend), a ready
-// task's first attempt carries along every submitted task only it still holds
-// back — up to 16, one round trip for a whole forest tree — and anything
-// that does not come back with values runs the ordinary way (chain.go); the
-// event sequences and the failure contract below are unchanged by it. Over a
-// backend that holds results (exec.Holder) an output nobody is known to read
-// here stays on its worker: Get, GetAll and closure bodies pull what they
-// read — a round trip a worker — and a value lost with its holder is rebuilt
-// by running its producer again (held.go; a Retry after the End, no more).
+// in-process. New asks nothing of its backend beyond the one exec.Backend
+// contract. On a runtime without a fault plan, a ready task's first attempt
+// carries along every submitted task only it still holds back — up to 16,
+// one round trip for a whole forest tree — and anything that does not come
+// back with values runs the ordinary way (chain.go); the event sequences and
+// the failure contract below are unchanged by it. An output nobody is known
+// to read here may stay on its worker: Get, GetAll and closure bodies pull
+// what they read — a round trip a worker — and a value lost with its holder
+// is rebuilt by running its producer again (held.go; a Retry after the End,
+// no more).
 //
 // # Failure, observation
 //

@@ -1,6 +1,6 @@
-// Held results: over an exec.Holder, a backend task whose outputs nobody is
-// known to read on this side completes with an *exec.Held per output, the
-// value staying on its worker. Markers flow to backend consumers as they are;
+// Held results: over a backend, a task whose outputs nobody is known to read
+// on this side may complete with an *exec.Held per output, the value staying
+// on its worker. Markers flow to backend consumers as they are;
 // the two places that read a value here — Get/GetAll and the arguments of a
 // body that runs here — go through values, which pulls, and rebuilds from
 // lineage what no worker has any more: a task with a held output keeps its
@@ -45,7 +45,7 @@ func (rt *Runtime) values(fs []*Future) ([]any, error) {
 			held = append(held, h)
 		}
 	}
-	lost := len(held) > 0 && rt.holder.Pull(held) != nil
+	lost := len(held) > 0 && rt.cfg.Backend.Pull(held) != nil
 	for i, f := range fs {
 		h, ok := out[i].(*exec.Held)
 		if !ok {
@@ -69,20 +69,6 @@ func (rt *Runtime) restore(args []any) error {
 	return err
 }
 
-// dispatch runs st alone on the backend; redo marks the rerun of a task that
-// completed before. When the backend finds an argument lost, the arguments
-// are restored and the request goes once more: it cannot be lost twice.
-func (rt *Runtime) dispatch(st *taskState, resolved []any, redo bool) ([]any, string, error) {
-	req := rt.request(st, resolved, nil, redo)
-	vals, worker, err := rt.cfg.Backend.ExecuteTask(req)
-	if errors.Is(err, exec.ErrLost) {
-		if err = rt.restore(st.args); err == nil {
-			vals, worker, err = rt.cfg.Backend.ExecuteTask(req)
-		}
-	}
-	return vals, worker, err
-}
-
 // recompute runs p again because an output it left on a worker is gone, and
 // fills p's markers from the reply, which carries the values. p completed long
 // ago: its chMu is free to serialise the reruns (a submit that names p's
@@ -100,11 +86,11 @@ func (rt *Runtime) recompute(p *taskState) error {
 	}
 	p.last++
 	rt.emit(EventRetry, p, int(p.last), nil, "", false)
-	vals, _, err := rt.dispatch(p, rt.resolveArgs(p.args, nil), true)
-	if err != nil {
-		return &TaskError{ID: p.id, Name: p.name, Err: fmt.Errorf("recomputing a lost output: %w", err)}
+	res := rt.ship([]*taskState{p}, rt.resolveArgs(p.args, nil), true)
+	if res.err != nil {
+		return &TaskError{ID: p.id, Name: p.name, Err: fmt.Errorf("recomputing a lost output: %w", errors.Unwrap(res.err))}
 	}
-	for i, v := range vals {
+	for i, v := range res.vals {
 		p.vals[i].(*exec.Held).Fill(v)
 	}
 	return nil

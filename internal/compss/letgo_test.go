@@ -8,21 +8,26 @@ import (
 	"taskml/internal/exec"
 )
 
-// losingHolder is a holdingFleet that runs requests through the exec
-// registry: a request that may hold its outputs completes with a marker per
-// output, and every Pull loses, so reading a held output reruns its producer
-// from lineage.
-type losingHolder struct{ holdingFleet }
+// losingHolder is a fakeFleet that runs requests through the exec registry,
+// a chain's head alone: a request that may hold its outputs completes with a
+// marker per output, and every Pull loses, so reading a held output reruns
+// its producer from lineage.
+type losingHolder struct{ fakeFleet }
 
-func (f *losingHolder) ExecuteTask(req *exec.Request) ([]any, string, error) {
+func (f *losingHolder) ExecuteChain(reqs []*exec.Request) ([]exec.Reply, string, error) {
+	replies := make([]exec.Reply, len(reqs))
+	for i := range replies[1:] {
+		replies[i+1].Err = errors.New("losingHolder runs no chains")
+	}
+	req := reqs[0]
 	vals, err := exec.Invoke(req.Name, req.NOut, req.Args)
-	if err != nil || !req.Hold {
-		return vals, "fake", err
+	if err == nil && req.Hold {
+		for i := range vals {
+			vals[i] = &exec.Held{Ref: exec.ValueRef{Session: req.Session, Task: req.TaskID, Out: i}}
+		}
 	}
-	for i := range vals {
-		vals[i] = &exec.Held{Ref: exec.ValueRef{Session: req.Session, Task: req.TaskID, Out: i}}
-	}
-	return vals, "fake", nil
+	replies[0] = exec.Reply{Vals: vals, Err: err}
+	return replies, "fake", nil
 }
 
 // heapAfterGC is the live heap once the collector has run.

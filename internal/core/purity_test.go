@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -29,7 +30,18 @@ type purityGuard struct {
 	violations []string
 }
 
-func (g *purityGuard) ExecuteTask(req *exec.Request) ([]any, string, error) {
+// ExecuteChain runs the head alone; the followers go back to the runtime and
+// come again as heads of their own.
+func (g *purityGuard) ExecuteChain(reqs []*exec.Request) ([]exec.Reply, string, error) {
+	replies := make([]exec.Reply, len(reqs))
+	for i := range replies[1:] {
+		replies[i+1].Err = errors.New("purityGuard runs no chains")
+	}
+	replies[0].Vals, replies[0].Err = g.execute(reqs[0])
+	return replies, "", nil
+}
+
+func (g *purityGuard) execute(req *exec.Request) ([]any, error) {
 	declared := exec.InPlaceArgs(req.Name)
 	before := make([]uint64, len(req.Args))
 	for i, a := range req.Args {
@@ -47,10 +59,13 @@ func (g *purityGuard) ExecuteTask(req *exec.Request) ([]any, string, error) {
 			g.violations = append(g.violations, fmt.Sprintf("%s wrote to argument %d (%T)", req.Name, i, a))
 		}
 	}
-	return vals, "", err
+	return vals, err
 }
 
-func (g *purityGuard) Close() error { return nil }
+func (g *purityGuard) Pull([]*exec.Held) error { return nil } // it holds nothing
+func (g *purityGuard) Forget(uint64)           {}
+func (g *purityGuard) SlotTotal() int          { return 0 }
+func (g *purityGuard) Close() error            { return nil }
 
 // hashValue folds every bit reachable from v — floats by their bits, so a
 // flipped sign of zero or a changed NaN payload counts as a write.
@@ -169,7 +184,7 @@ func TestRegisteredBodiesLeaveArgumentsAlone(t *testing.T) {
 
 	a, b := mat.New(2, 2), mat.New(2, 2)
 	b.Data[0] = 1
-	if _, _, err := guard.ExecuteTask(&exec.Request{Name: "test_undeclared_add_to", NOut: 1, Args: []any{a, b}}); err != nil {
+	if _, err := guard.execute(&exec.Request{Name: "test_undeclared_add_to", NOut: 1, Args: []any{a, b}}); err != nil {
 		t.Fatal(err)
 	}
 	if len(guard.violations) != 1 || !strings.Contains(guard.violations[0], "test_undeclared_add_to wrote to argument 0") {

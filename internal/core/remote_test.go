@@ -406,7 +406,7 @@ func TestRemoteFleetForgetsFinishedRuns(t *testing.T) {
 	// each what its cache holds.
 	var mu sync.Mutex
 	reported := map[string]int64{}
-	backend.SetCacheHook(func(s exec.CacheSample) {
+	backend.SetHook(func(s exec.Event) {
 		mu.Lock()
 		reported[s.Worker] = s.CacheBytes
 		mu.Unlock()
@@ -426,7 +426,11 @@ func TestRemoteFleetForgetsFinishedRuns(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if _, _, err := backend.ExecuteTask(&exec.Request{Name: "test_hold_ms", NOut: 1, Args: []any{50}, Session: probe, TaskID: -1}); err != nil {
+				replies, _, err := backend.ExecuteChain([]*exec.Request{{Name: "test_hold_ms", NOut: 1, Args: []any{50}, Session: probe, TaskID: -1}})
+				if err == nil {
+					err = replies[0].Err
+				}
+				if err != nil {
 					t.Error(err)
 				}
 			}()

@@ -6,48 +6,36 @@ import (
 	"time"
 )
 
-// Backend executes Opts.Exec-named task attempts on behalf of the compss
-// runtime. One attempt is one ExecuteTask call (or one member of a
-// ChainBackend's ExecuteChain): the runtime's retry/fault machinery
-// sits *above* the backend, so a backend failure (worker crash, dropped
-// connection, unknown function) is just an attempt error — a compss.TaskError,
-// retried or finalised like any in-process failure.
+// Backend is the one contract between the compss runtime and a fleet: it
+// runs Opts.Exec-named task attempts and may keep their outputs where they
+// were made. The runtime's retry/fault machinery sits *above* the backend, so
+// a backend failure (worker crash, dropped connection, unknown function) is
+// just an attempt error — a compss.TaskError, retried or finalised like any
+// in-process failure.
 type Backend interface {
-	// ExecuteTask runs the registered function req.Name with req.Args and
-	// returns its req.NOut outputs. worker identifies the executing worker
-	// for observability ("" when the body ran in-process); it is advisory
-	// and carries no routing semantics. The identity fields of req
-	// (Session/TaskID/ArgRefs) are optional hints for data-plane backends;
-	// a backend without a data plane ignores them.
-	ExecuteTask(req *Request) (vals []any, worker string, err error)
+	// ExecuteChain runs reqs[0] and then, as far as each one's inputs allow,
+	// the requests after it, in one round trip on one worker: a lone attempt
+	// is the chain of one. An argument an earlier member produces is a bare
+	// ValueRef in Args and has no ArgRef. err is the head's lost attempt (no
+	// worker, connection failure, ErrLost); without one, replies has an entry
+	// per request. worker identifies the executing worker for observability;
+	// it is advisory and carries no routing semantics.
+	ExecuteChain(reqs []*Request) (replies []Reply, worker string, err error)
+	// Pull brings the values of hs — outputs a Request with Hold set left on
+	// their worker — home, one round trip a worker however many of hs it
+	// holds. ErrLost — from Pull, or from a request that needs a held
+	// argument by value — means a value is on no worker any more: its
+	// producer has to run again (Redo).
+	Pull(hs []*Held) error
+	// Forget says nothing can read a value of session any more: the backend
+	// drops them all, here and wherever it keeps them.
+	Forget(session uint64)
+	// SlotTotal is how many attempts the backend runs at once now; the
+	// runtime sizes its pool from it once, when it is created.
+	SlotTotal() int
 	// Close releases the backend's resources (connections, spawned loopback
 	// processes). The backend must not be used after Close.
 	Close() error
-}
-
-// ChainBackend is a Backend that runs a chain — a ready task and tasks only
-// it still holds back — in one round trip, on one worker, in order.
-type ChainBackend interface {
-	Backend
-	// ExecuteChain runs reqs[0] and then, as far as each one's inputs allow,
-	// the requests after it. An argument an earlier member produces is a bare
-	// ValueRef in Args and has no ArgRef; all else is as in ExecuteTask, the
-	// chain of one. err is the head's lost attempt (no worker, connection
-	// failure); without one, replies has an entry per request.
-	ExecuteChain(reqs []*Request) (replies []Reply, worker string, err error)
-}
-
-// Holder is a Backend that may leave the outputs of a Request with Hold set
-// where they were made: Vals then has a *Held per output, and Pull brings
-// values home, one round trip a worker however many of hs it holds. ErrLost —
-// from Pull, or from a request that needs a held argument by value — means a
-// value is on no worker any more: its producer has to run again (Redo).
-// Forget says nothing can read a value of session any more: the holder drops
-// them all, here and wherever it keeps them.
-type Holder interface {
-	Backend
-	Pull(hs []*Held) error
-	Forget(session uint64)
 }
 
 // ErrLost reports a held value that every holder lost, evicted or died with.
@@ -112,8 +100,8 @@ type Request struct {
 	// ArgRefs names the task-output provenance of arguments that are
 	// futures. Arguments not covered by an ArgRef are plain values.
 	ArgRefs []ArgRef
-	// Hold allows a Holder to answer with *Held outputs: nobody is known to
-	// read them on this side. Redo marks the rerun of a task whose held
+	// Hold allows the backend to answer with *Held outputs: nobody is known
+	// to read them on this side. Redo marks the rerun of a task whose held
 	// outputs were lost (counted in RemoteStats.Recomputed; never held).
 	Hold, Redo bool
 }

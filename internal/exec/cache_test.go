@@ -329,7 +329,7 @@ func TestRemoteLocalityPlacement(t *testing.T) {
 	for i := range m.Data {
 		m.Data[i] = float64(i)
 	}
-	vals, producer, err := r.ExecuteTask(&Request{
+	vals, producer, err := r.executeOne(&Request{
 		Name: "test_scale_mat", NOut: 1, Args: []any{m, 1.0},
 		Session: sess, TaskID: 1,
 	})
@@ -341,7 +341,7 @@ func TestRemoteLocalityPlacement(t *testing.T) {
 
 	for i := 0; i < 4; i++ {
 		args := []any{vals[0], 2.0}
-		_, w, err := r.ExecuteTask(&Request{
+		_, w, err := r.executeOne(&Request{
 			Name: "test_scale_mat", NOut: 1, Args: args,
 			Session: sess, TaskID: 10 + i,
 			ArgRefs: []ArgRef{{Arg: 0, Elem: -1, Ref: out}},
@@ -511,7 +511,7 @@ func crossWorker(t *testing.T, r *Remote) {
 	t.Helper()
 	sess := NextSession()
 	m, want := testMatrix()
-	_, producer, err := r.ExecuteTask(&Request{
+	_, producer, err := r.executeOne(&Request{
 		Name: "test_scale_mat", NOut: 1, Args: []any{m, 1.0},
 		Session: sess, TaskID: 1,
 	})
@@ -521,7 +521,7 @@ func crossWorker(t *testing.T, r *Remote) {
 	out := ValueRef{Session: sess, Task: 1, Out: 0}
 
 	wait := saturateWorker(t, r)
-	vals, consumer, err := r.ExecuteTask(&Request{
+	vals, consumer, err := r.executeOne(&Request{
 		Name: "test_scale_mat", NOut: 1, Args: []any{mat.Scale(1.0, m), 2.0},
 		Session: sess, TaskID: 2,
 		ArgRefs: []ArgRef{{Arg: 0, Elem: -1, Ref: out}},
@@ -572,7 +572,7 @@ func TestRemoteNestedRefs(t *testing.T) {
 	defer r.Close()
 
 	sess := NextSession()
-	vals, _, err := r.ExecuteTask(&Request{
+	vals, _, err := r.executeOne(&Request{
 		Name: "test_add", NOut: 1, Args: []any{4.0, 5.0},
 		Session: sess, TaskID: 1,
 	})
@@ -582,7 +582,7 @@ func TestRemoteNestedRefs(t *testing.T) {
 	out := ValueRef{Session: sess, Task: 1, Out: 0}
 
 	inner := []any{vals[0], 3.0}
-	sum, _, err := r.ExecuteTask(&Request{
+	sum, _, err := r.executeOne(&Request{
 		Name: "test_sum_list", NOut: 1, Args: []any{inner},
 		Session: sess, TaskID: 2,
 		ArgRefs: []ArgRef{{Arg: 0, Elem: 0, Ref: out}},
@@ -624,7 +624,7 @@ func TestRemoteMissResend(t *testing.T) {
 	r.workers[0].residentBytes = 1
 	r.mu.Unlock()
 
-	vals, _, err := r.ExecuteTask(&Request{
+	vals, _, err := r.executeOne(&Request{
 		Name: "test_scale_mat", NOut: 1, Args: []any{m, 2.0},
 		Session: sess, TaskID: 9,
 		ArgRefs: []ArgRef{{Arg: 0, Elem: -1, Ref: poisoned}},
@@ -658,7 +658,7 @@ func TestRemoteMissResend(t *testing.T) {
 		t.Fatal("resend did not seed residency for the missed ref")
 	}
 	hitsBefore := st.RefHits
-	if _, _, err := r.ExecuteTask(&Request{
+	if _, _, err := r.executeOne(&Request{
 		Name: "test_scale_mat", NOut: 1, Args: []any{m, 3.0},
 		Session: sess, TaskID: 10,
 		ArgRefs: []ArgRef{{Arg: 0, Elem: -1, Ref: poisoned}},

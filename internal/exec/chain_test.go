@@ -27,7 +27,7 @@ func outOf(sess uint64, task int) ValueRef { return ValueRef{Session: sess, Task
 
 // TestChainOneFrame: a chain is one frame on one slot; every request in it
 // counts Dispatched and Completed, reports its own body time and gets its own
-// cache sample; ExecuteTask is the chain of one.
+// cache sample.
 func TestChainOneFrame(t *testing.T) {
 	r, err := SpawnLoopback(LoopbackConfig{Workers: 1, Slots: 1})
 	if err != nil {
@@ -35,8 +35,8 @@ func TestChainOneFrame(t *testing.T) {
 	}
 	defer r.Close()
 	var mu sync.Mutex
-	var samples []CacheSample
-	r.SetCacheHook(func(s CacheSample) {
+	var samples []Event
+	r.SetHook(func(s Event) {
 		mu.Lock()
 		samples = append(samples, s)
 		mu.Unlock()
@@ -88,7 +88,7 @@ func TestChainOneFrame(t *testing.T) {
 	}
 	mu.Unlock()
 
-	if _, _, err := r.ExecuteTask(chainReq(sess, 6, "test_identity", 1.0)); err != nil {
+	if _, _, err := r.executeOne(chainReq(sess, 6, "test_identity", 1.0)); err != nil {
 		t.Fatal(err)
 	}
 	if st := r.Stats(); st.Frames != 2 || st.Dispatched != 6 || st.Completed != 6 {
@@ -128,7 +128,7 @@ func TestChainEvictedInput(t *testing.T) {
 			t.Fatalf("member 3 returned %d floats, want %d", len(got), n)
 		}
 		// Handed back: the same task, alone, with its value and provenance.
-		vals, _, err := r.ExecuteTask(&Request{
+		vals, _, err := r.executeOne(&Request{
 			Name: "test_identity", NOut: 1, Args: []any{replies[0].Vals[0]}, Session: sess, TaskID: 3,
 			ArgRefs: []ArgRef{{Arg: 0, Elem: -1, Ref: outOf(sess, 1)}},
 		})

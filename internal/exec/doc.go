@@ -17,14 +17,15 @@
 //   - RegisterCodec gives a domain type its binary wire form, written with
 //     an Encoder and read with a Decoder. A type with neither a built-in
 //     tag nor a codec is refused at encode, costing only its attempt.
-//   - Backend is the two-method seam (ExecuteTask, Close); a nil one is
-//     the registry itself, called through Invoke. Request carries resolved
-//     argument values plus optional identity (Session/TaskID/ArgRefs) for
-//     the data plane. ChainBackend adds
-//     ExecuteChain: a ready task and the tasks only it holds back, as one
-//     request frame on one slot, answered by one frame of Replies. Holder
-//     adds Pull — outputs left on their workers (*Held) come home when read —
-//     and Forget, which drops a session's values everywhere.
+//   - Backend is the one contract a fleet implements; a nil one is the
+//     registry itself, called through Invoke. ExecuteChain ships a ready
+//     task and the tasks only it holds back — a lone attempt is the chain of
+//     one — as one request frame on one slot, answered by one frame of
+//     Replies; Pull brings outputs left on their workers (*Held) home when
+//     read; Forget drops a session's values everywhere; SlotTotal is the
+//     capacity a runtime sizes its pool from; Close retires the fleet.
+//     Request carries resolved argument values plus optional identity
+//     (Session/TaskID/ArgRefs) for the data plane.
 //   - Dial / SpawnLoopback construct a *Remote coordinator; Serve,
 //     JoinCoordinator and MaybeWorkerMain are the worker side; cmd/worker
 //     wraps them in a standalone binary. Config / Flags / Open are the
@@ -32,8 +33,10 @@
 //   - *Remote's membership methods (SpawnWorker / KillWorker / Workers /
 //     AliveWorkers / SlotTotal): workers join mid-run, and
 //     ListenForWorkers admits dial-in registrations authenticated by
-//     JoinToken. SetFleetHook observes each join and death. The fleet never
-//     resizes itself; whoever deploys it adds members.
+//     JoinToken, minted when the listener opens (no token, no listener).
+//     SetHook observes the fleet through one Event stream: each response
+//     that touched the data plane, each pull, each join and death. The
+//     fleet never resizes itself; whoever deploys it adds members.
 //   - Sizer admits a domain type's values to the worker future cache;
 //     NextSession mints the per-runtime cache namespace.
 //
@@ -86,7 +89,7 @@
 //
 // The registry is write-at-init, read-only afterwards (Register panics on
 // duplicates so collisions surface at program start). Remote is safe for
-// concurrent ExecuteTask / ExecuteChain calls: each worker connection is
+// concurrent ExecuteChain, Pull and Forget calls: each worker connection is
 // multiplexed by frame ID, writes are serialised per connection, and a
 // per-worker slot count bounds in-flight frames (a chain's requests run one
 // after another on its frame's slot), composing with compss.Config.Workers:

@@ -171,3 +171,12 @@ func (p *Pipe) RoundTrip(v any) (any, error) {
 	}
 	return p.got.Val, nil
 }
+
+// executeOne ships req alone, as the chain of one, and returns its outcome.
+func (r *Remote) executeOne(req *Request) ([]any, string, error) {
+	replies, worker, err := r.ExecuteChain([]*Request{req})
+	if err != nil {
+		return nil, worker, err
+	}
+	return replies[0].Vals, worker, replies[0].Err
+}

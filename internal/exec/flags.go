@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 )
 
 // Config is the one-stop backend configuration shared by the cmd tools: a
@@ -36,9 +35,6 @@ type Config struct {
 	// in mid-run. Use host:0 for an ephemeral port; Open prints the bound
 	// address and the join token on stderr.
 	Listen string
-
-	// DialTimeout bounds each worker dial + handshake (default 5s).
-	DialTimeout time.Duration
 }
 
 // Flags binds the standard backend flags onto fs, writing into cfg. The
@@ -84,7 +80,7 @@ func Open(cfg Config) (Backend, error) {
 				addrs = append(addrs, a)
 			}
 		}
-		r, err = Dial(RemoteConfig{Peers: addrs, DialTimeout: cfg.DialTimeout})
+		r, err = Dial(RemoteConfig{Peers: addrs})
 	} else {
 		n := cfg.Workers
 		if n < 1 {

@@ -131,26 +131,31 @@ func TestFleetListenRejoin(t *testing.T) {
 	}
 }
 
-// TestFleetHookNarratesJoinAndDeath installs the fleet hook on a running
-// fleet: a spawned member arrives as a join, a killed one as a death with
-// its cause, each with the alive totals after it, and Close retires the
-// rest without an event.
+// TestFleetHookNarratesJoinAndDeath installs the hook on a running fleet: a
+// spawned member arrives as a join, a killed one as a death with its cause,
+// each with the alive totals after it, and Close retires the rest without an
+// event. A join raced against a death from n alive members reports its own
+// totals, never the other's: n+1 then n, or n−1 then n.
 func TestFleetHookNarratesJoinAndDeath(t *testing.T) {
 	r, err := exec.SpawnLoopback(exec.LoopbackConfig{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	events := make(chan exec.FleetEvent, 16)
-	r.SetFleetHook(func(ev exec.FleetEvent) { events <- ev })
-	next := func() exec.FleetEvent {
+	events := make(chan exec.Event, 16)
+	r.SetHook(func(ev exec.Event) {
+		if ev.Kind != exec.EventCache {
+			events <- ev
+		}
+	})
+	next := func() exec.Event {
 		t.Helper()
 		select {
 		case ev := <-events:
 			return ev
 		case <-time.After(5 * time.Second):
 			t.Fatal("no fleet event within 5s")
-			return exec.FleetEvent{}
+			return exec.Event{}
 		}
 	}
 
@@ -158,16 +163,38 @@ func TestFleetHookNarratesJoinAndDeath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ev := next(); ev.Kind != exec.FleetJoin || ev.Worker != id || ev.Workers != 3 || ev.Slots != 3 {
+	if ev := next(); ev.Kind != exec.EventJoin || ev.Worker != id || ev.Workers != 3 || ev.Slots != 3 {
 		t.Fatalf("after SpawnWorker: %+v, want a join of %s with 3 workers and 3 slots", ev, id)
 	}
 	if err := r.KillWorker(0); err != nil {
 		t.Fatal(err)
 	}
 	ev := next()
-	if ev.Kind != exec.FleetDead || ev.Worker != "w0" || ev.Reason == "" || ev.Workers != 2 || ev.Slots != 2 {
+	if ev.Kind != exec.EventDead || ev.Worker != "w0" || ev.Reason == "" || ev.Workers != 2 || ev.Slots != 2 {
 		t.Fatalf("after KillWorker(0): %+v, want w0 dead with a reason, 2 workers and 2 slots", ev)
 	}
+
+	const n = 2
+	spawned := make(chan error, 1)
+	go func() {
+		_, err := r.SpawnWorker()
+		spawned <- err
+	}()
+	if err := r.KillWorker(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-spawned; err != nil {
+		t.Fatal(err)
+	}
+	totals := map[string]int{}
+	for i := 0; i < 2; i++ {
+		ev := next()
+		totals[ev.Kind] = ev.Workers
+	}
+	if j, d := totals[exec.EventJoin], totals[exec.EventDead]; !(j == n+1 && d == n) && !(d == n-1 && j == n) {
+		t.Fatalf("raced join and death report %d and %d workers, want %d and %d or %d and %d", j, d, n+1, n, n, n-1)
+	}
+
 	r.Close()
 	select {
 	case ev := <-events:

@@ -32,8 +32,8 @@ func TestForgetSession(t *testing.T) {
 	}
 	defer r.Close()
 	var mu sync.Mutex
-	var last CacheSample
-	r.SetCacheHook(func(s CacheSample) {
+	var last Event
+	r.SetHook(func(s Event) {
 		mu.Lock()
 		last = s
 		mu.Unlock()
@@ -54,7 +54,7 @@ func TestForgetSession(t *testing.T) {
 	}
 
 	// The live session still hits, and the worker reports only its bytes.
-	vals, _, err := r.ExecuteTask(&Request{
+	vals, _, err := r.executeOne(&Request{
 		Name: "test_identity", NOut: 1, Args: []any{h}, Session: live, TaskID: -1,
 		ArgRefs: []ArgRef{{Arg: 0, Elem: -1, Ref: h.Ref}},
 	})
@@ -76,7 +76,7 @@ func TestForgetSession(t *testing.T) {
 	r.mu.Lock()
 	r.workers[0].resident[gone] = 8*2000 + 8
 	r.mu.Unlock()
-	vals, _, err = r.ExecuteTask(&Request{
+	vals, _, err = r.executeOne(&Request{
 		Name: "test_identity", NOut: 1, Args: []any{make([]float64, 2000)}, Session: dead, TaskID: -1,
 		ArgRefs: []ArgRef{{Arg: 0, Elem: -1, Ref: gone}},
 	})

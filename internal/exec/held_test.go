@@ -29,7 +29,7 @@ func holdReq(sess uint64, task int, name string, args ...any) *Request {
 // heldOf runs req and returns the marker it must be answered with.
 func heldOf(t *testing.T, r *Remote, req *Request) *Held {
 	t.Helper()
-	vals, _, err := r.ExecuteTask(req)
+	vals, _, err := r.executeOne(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestHeldReplyAndPull(t *testing.T) {
 
 	// A consumer takes the marker where the value would be: a bare reference
 	// on the wire, nothing pulled.
-	vals, _, err := r.ExecuteTask(&Request{
+	vals, _, err := r.executeOne(&Request{
 		Name: "test_identity", NOut: 1, Args: []any{h}, Session: sess, TaskID: 2,
 		ArgRefs: []ArgRef{{Arg: 0, Elem: -1, Ref: h.Ref}},
 	})
@@ -111,7 +111,7 @@ func TestHeldReplyAndPull(t *testing.T) {
 		t.Fatalf("Stats = %+v, want the ten pulled in one frame", st)
 	}
 	anon := holdReq(sess, -1, "test_floats_n", 4)
-	if vals, _, err := r.ExecuteTask(anon); err != nil || len(vals[0].([]float64)) != 4 {
+	if vals, _, err := r.executeOne(anon); err != nil || len(vals[0].([]float64)) != 4 {
 		t.Fatalf("anonymous request: %v, %v", vals, err)
 	}
 	if st := r.Stats(); st.Dispatched != st.Completed+st.Failed || st.Failed != 0 {
@@ -197,7 +197,7 @@ func TestHeldNotWithoutCache(t *testing.T) {
 	if r.workers[0].caches {
 		t.Fatal("a worker with its cache disabled announced one")
 	}
-	vals, _, err := r.ExecuteTask(holdReq(NextSession(), 1, "test_floats_n", 16))
+	vals, _, err := r.executeOne(holdReq(NextSession(), 1, "test_floats_n", 16))
 	if err != nil || len(vals[0].([]float64)) != 16 {
 		t.Fatalf("%v, %v: want the value inline", vals, err)
 	}

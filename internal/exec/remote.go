@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"slices"
@@ -43,7 +44,7 @@ func (s workerState) String() string {
 
 // Remote is the coordinator side of the out-of-process backend: it owns a
 // dynamic fleet of workers — one multiplexed framed TCP connection each
-// (wire.go) — and dispatches ExecuteTask calls onto them.
+// (wire.go) — and dispatches ExecuteChain calls onto them.
 //
 // # Fleet membership
 //
@@ -56,13 +57,13 @@ func (s workerState) String() string {
 // with the old connection and cannot alias the new one. A member leaves one
 // way: its connection fails (a crash, a network drop, KillWorker's SIGKILL)
 // or Close retires the whole fleet, and its in-flight attempts fail into the
-// runtime's retry machinery. SetFleetHook observes each join and death (the
+// runtime's retry machinery. SetHook observes each join and death (the
 // Chrome trace renders them as instants).
 //
 // # Slot accounting
 //
 // Every worker advertises a slot count in its hello (how many task bodies it
-// runs concurrently). ExecuteChain — and ExecuteTask, its chain of one — picks
+// runs concurrently). ExecuteChain — a lone attempt is the chain of one — picks
 // an alive worker with a free slot and blocks while all are saturated, so a
 // worker never has more frames in flight than slots; a chain's requests run
 // one after another on their frame's slot, and a pull takes none. The
@@ -107,7 +108,7 @@ type Remote struct {
 	closed  bool
 
 	nextWID     int    // fresh member ids: w<nextWID>, monotone, never reused
-	token       string // fleet join credential (hello.Token on dial-in)
+	token       string // fleet join credential, minted when the listener opens
 	listener    net.Listener
 	spawn       *spawnConfig // how to re-exec one more loopback worker; nil for dialed fleets
 	dialTimeout time.Duration
@@ -125,8 +126,7 @@ type Remote struct {
 	pullBytes                     atomic.Int64
 	refValueBytes                 atomic.Int64 // see RemoteStats.RefValueBytes
 
-	cacheHook atomic.Pointer[func(CacheSample)]
-	fleetHook atomic.Pointer[func(FleetEvent)]
+	hook atomic.Pointer[func(Event)]
 }
 
 // newRemote builds an empty fleet; members are admitted afterwards.
@@ -134,22 +134,13 @@ func newRemote(dialTimeout time.Duration) *Remote {
 	if dialTimeout <= 0 {
 		dialTimeout = 5 * time.Second
 	}
-	r := &Remote{
-		dialTimeout: dialTimeout,
-		token:       newJoinToken(),
-	}
+	r := &Remote{dialTimeout: dialTimeout}
 	r.cond = sync.NewCond(&r.mu)
 	return r
 }
 
-// newJoinToken mints the fleet join credential.
-func newJoinToken() string {
-	var b [12]byte
-	if _, err := crand.Read(b[:]); err != nil {
-		return fmt.Sprintf("tok-%d-%d", os.Getpid(), time.Now().UnixNano())
-	}
-	return hex.EncodeToString(b[:])
-}
+// randReader is where join tokens come from; a test swaps in one that fails.
+var randReader io.Reader = crand.Reader
 
 // workerConn is one fleet member. Scheduling state (state, inflight,
 // resident, proc) is guarded by the owning Remote's mutex; the pending map
@@ -269,30 +260,61 @@ type RemoteStats struct {
 	PeakWorkers int
 }
 
-// CacheSample is one data-plane observation delivered to the hook installed
-// with SetCacheHook: the reference-resolution outcome and cache occupancy
-// reported by one worker response.
-type CacheSample struct {
-	Worker     string // worker id (w0, w1, ...)
-	Task       int    // runtime task id, -1 for anonymous requests
-	Hits       int    // references resolved from the worker's cache
-	Misses     int    // references the worker could not resolve
-	CacheBytes int64  // the worker's cache occupancy after the request
-	// Pulled counts the held values a pull brought home from this worker (a
-	// sample of its own, Task -1); Redo marks the rerun of a lost producer.
-	Pulled int
-	Redo   bool
+// Event kinds: what one worker response or pull did to the data plane, and
+// the two membership transitions.
+const (
+	EventCache = "cache"
+	EventJoin  = "join" // a member was admitted (fresh id)
+	EventDead  = "dead" // connection failure retired a member
+)
+
+// Event is one observation delivered to the hook installed with SetHook.
+type Event struct {
+	Kind   string // one of the Event* constants
+	Worker string // member id (w0, w1, ...)
+
+	// EventCache: the reference-resolution outcome and cache occupancy one
+	// response reported. Task is the runtime task id, -1 for anonymous
+	// requests; a pull is a sample of its own (Task -1) whose Pulled counts
+	// the held values it brought home; Redo marks the rerun of a lost
+	// producer.
+	Task         int
+	Hits, Misses int
+	CacheBytes   int64 // the worker's cache occupancy after the request
+	Pulled       int
+	Redo         bool
+
+	// EventJoin, EventDead: the cause ("connection lost: ...") and the alive
+	// totals *after* the transition — the Chrome trace renders them as the
+	// fleet-size counter next to the event instant.
+	Reason         string
+	Workers, Slots int
 }
 
-// SetCacheHook installs fn to receive one CacheSample per worker response
-// that touched the data plane (nil uninstalls). The hook runs on dispatch
-// goroutines and must be cheap and non-blocking.
-func (r *Remote) SetCacheHook(fn func(CacheSample)) {
+// SetHook installs fn to observe the fleet (nil uninstalls): one Event per
+// worker response that touched the data plane, per pull, and per join and
+// death; Close retires the fleet without an event. The hook runs on whichever
+// goroutine saw it — a dispatcher, a SpawnWorker caller, the listener, a
+// connection's reader — and must be cheap and non-blocking.
+func (r *Remote) SetHook(fn func(Event)) {
 	if fn == nil {
-		r.cacheHook.Store(nil)
+		r.hook.Store(nil)
 		return
 	}
-	r.cacheHook.Store(&fn)
+	r.hook.Store(&fn)
+}
+
+func (r *Remote) emit(ev Event) {
+	if hook := r.hook.Load(); hook != nil {
+		(*hook)(ev)
+	}
+}
+
+// fleetEventLocked describes a membership transition by the alive totals
+// after it. The caller holds r.mu in the transition's own critical section,
+// so a join racing a death cannot report the other's totals.
+func (r *Remote) fleetEventLocked(kind, worker, reason string) Event {
+	return Event{Kind: kind, Worker: worker, Reason: reason, Workers: r.aliveLocked(), Slots: r.slotTotalLocked()}
 }
 
 // Dial connects to every worker address, performs the handshake, and returns
@@ -353,13 +375,12 @@ func (r *Remote) admit(w *workerConn, proc *os.Process) (string, error) {
 		r.spawned = append(r.spawned, w)
 	}
 	r.joined++
-	if n := r.aliveLocked(); n > r.peakAlive {
-		r.peakAlive = n
-	}
+	ev := r.fleetEventLocked(EventJoin, w.id, "")
+	r.peakAlive = max(r.peakAlive, ev.Workers)
 	r.cond.Broadcast()
 	r.mu.Unlock()
 	go r.readLoop(w)
-	r.membershipChanged(FleetJoin, w.id, "")
+	r.emit(ev)
 	return w.id, nil
 }
 
@@ -426,13 +447,19 @@ func handshake(conn net.Conn, addr string, timeout time.Duration) (*workerConn, 
 	}, nil
 }
 
-// ListenForWorkers opens the coordinator's fleet listen address: workers
-// that dial it and present the fleet's JoinToken in their hello are admitted
-// as new members — the path a restarted worker (or a brand-new one absorbing
-// load) takes to register mid-run. Returns the bound address (addr may use
-// port 0). A connection with a wrong or missing token is dropped before it
-// can receive work.
+// ListenForWorkers mints the fleet's JoinToken and opens the coordinator's
+// fleet listen address: workers that dial it and present the token in their
+// hello are admitted as new members — the path a restarted worker (or a
+// brand-new one absorbing load) takes to register mid-run. Returns the bound
+// address (addr may use port 0). A connection with a wrong or missing token
+// is dropped before it can receive work; when no token can be minted,
+// nothing opens.
 func (r *Remote) ListenForWorkers(addr string) (string, error) {
+	var b [12]byte
+	if _, err := io.ReadFull(randReader, b[:]); err != nil {
+		return "", fmt.Errorf("exec: minting the fleet join token: %w", err)
+	}
+	token := hex.EncodeToString(b[:])
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", fmt.Errorf("exec: fleet listen %s: %w", addr, err)
@@ -447,7 +474,7 @@ func (r *Remote) ListenForWorkers(addr string) (string, error) {
 		}
 		return "", fmt.Errorf("exec: backend is closed")
 	}
-	r.listener = l
+	r.listener, r.token = l, token
 	r.mu.Unlock()
 	go func() {
 		for {
@@ -455,22 +482,22 @@ func (r *Remote) ListenForWorkers(addr string) (string, error) {
 			if err != nil {
 				return // listener closed (Close)
 			}
-			go r.admitDialIn(conn)
+			go r.admitDialIn(conn, token)
 		}
 	}()
 	return l.Addr().String(), nil
 }
 
-// admitDialIn handshakes one inbound registration and admits it when the
-// token matches.
-func (r *Remote) admitDialIn(conn net.Conn) {
+// admitDialIn handshakes one inbound registration and admits it when it
+// presents token, the one the listener was opened with: never empty.
+func (r *Remote) admitDialIn(conn net.Conn, token string) {
 	addr := conn.RemoteAddr().String()
 	w, err := handshake(conn, addr, r.dialTimeout)
 	if err != nil {
 		conn.Close()
 		return
 	}
-	if subtle.ConstantTimeCompare([]byte(w.joinTok), []byte(r.token)) != 1 {
+	if subtle.ConstantTimeCompare([]byte(w.joinTok), []byte(token)) != 1 {
 		conn.Close()
 		return
 	}
@@ -478,8 +505,12 @@ func (r *Remote) admitDialIn(conn net.Conn) {
 }
 
 // JoinToken returns the credential a dial-in worker must present (cmd/worker
-// -join -token).
-func (r *Remote) JoinToken() string { return r.token }
+// -join -token); "" until ListenForWorkers has opened.
+func (r *Remote) JoinToken() string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.token
+}
 
 // readLoop reads one worker's responses. It owns the link's read side; any
 // error means the stream is unusable (crash, kill, network drop, a frame out
@@ -522,6 +553,7 @@ func (r *Remote) failWorker(w *workerConn, err error) {
 	w.residentBytes = 0
 	r.left++
 	narrate := !r.closed
+	ev := r.fleetEventLocked(EventDead, w.id, err.Error())
 	r.cond.Broadcast()
 	r.mu.Unlock()
 	w.link.conn.Close()
@@ -534,7 +566,7 @@ func (r *Remote) failWorker(w *workerConn, err error) {
 		c.ch <- response{Err: fmt.Sprintf("worker %s (%s): %v", w.id, w.addr, err), connFailure: true}
 	}
 	if narrate {
-		r.membershipChanged(FleetDead, w.id, err.Error())
+		r.emit(ev)
 	}
 }
 
@@ -591,14 +623,9 @@ func (r *Remote) release(w *workerConn) {
 }
 
 // Execute ships one anonymous attempt (no task identity, so no caching and
-// no locality), for direct callers and tests.
+// no locality) as the chain of one, for direct callers and tests.
 func (r *Remote) Execute(name string, nOut int, args []any) ([]any, string, error) {
-	return r.ExecuteTask(&Request{Name: name, NOut: nOut, Args: args, TaskID: -1})
-}
-
-// ExecuteTask ships one attempt to a worker: the chain of one request.
-func (r *Remote) ExecuteTask(req *Request) ([]any, string, error) {
-	replies, worker, err := r.ExecuteChain([]*Request{req})
+	replies, worker, err := r.ExecuteChain([]*Request{{Name: name, NOut: nOut, Args: args, TaskID: -1}})
 	if err != nil {
 		return nil, worker, err
 	}
@@ -727,13 +754,13 @@ func (r *Remote) executeOn(w *workerConn, reqs []*Request, inlineAll bool) (resp
 	}
 	r.completed.Add(n)
 	r.applyResidency(w, &resp)
-	hook := r.cacheHook.Load()
+	hook := r.hook.Load()
 	resp.each(func(i int, m *response) {
 		r.refHits.Add(uint64(m.RefHits))
 		r.refMisses.Add(uint64(m.RefMisses))
 		if hook != nil && reqs[i].Session != 0 {
-			(*hook)(CacheSample{
-				Worker: w.id, Task: max(reqs[i].TaskID, -1),
+			(*hook)(Event{
+				Kind: EventCache, Worker: w.id, Task: max(reqs[i].TaskID, -1),
 				Hits: m.RefHits, Misses: m.RefMisses,
 				CacheBytes: resp.CacheBytes, Redo: reqs[i].Redo,
 			})
@@ -853,9 +880,7 @@ func (r *Remote) pullFrom(w *workerConn, hs []*Held) (missing []*Held) {
 		r.pullBytes.Add(h.Bytes)
 	}
 	r.applyResidency(w, &response{Evicted: gone})
-	if hook := r.cacheHook.Load(); hook != nil {
-		(*hook)(CacheSample{Worker: w.id, Task: -1, Pulled: len(hs) - len(missing)})
-	}
+	r.emit(Event{Kind: EventCache, Worker: w.id, Task: -1, Pulled: len(hs) - len(missing)})
 	return missing
 }
 
@@ -1030,28 +1055,11 @@ func (r *Remote) AliveWorkers() int {
 }
 
 // SlotTotal returns the live slot total across alive members — the fleet's
-// current execution capacity. The compss runtime reads it once, in New, to
-// size its pool.
+// current execution capacity.
 func (r *Remote) SlotTotal() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.slotTotalLocked()
-}
-
-// membershipChanged publishes one fleet transition as a FleetEvent to the
-// hook (traces).
-func (r *Remote) membershipChanged(kind, worker, reason string) {
-	hook := r.fleetHook.Load()
-	if hook == nil {
-		return
-	}
-	r.mu.Lock()
-	ev := FleetEvent{
-		Kind: kind, Worker: worker, Reason: reason,
-		Workers: r.aliveLocked(), Slots: r.slotTotalLocked(),
-	}
-	r.mu.Unlock()
-	(*hook)(ev)
 }
 
 // Stats returns cumulative dispatch counters.

@@ -70,7 +70,7 @@ type Config struct {
 }
 
 // Sample is one serving-plane observation, exported through Config.Hook —
-// the serve counterpart of exec.CacheSample. trace.Collector.AddServeSample
+// the serve counterpart of exec.Event. trace.Collector.AddServeSample
 // stamps and renders the stream as a "serving" process in the Chrome
 // export.
 type Sample struct {

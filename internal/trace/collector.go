@@ -15,32 +15,25 @@ import (
 // event to a mutex-guarded buffer and returns. All rendering cost is
 // deferred to Chrome(), which runs after the workflow finished.
 //
-// Beyond the Observer events it accepts exec data-plane samples (cache
-// hit/miss outcomes and occupancy per worker response) via AddCacheSample —
-// wire it with exec.Remote.SetCacheHook(collector.AddCacheSample) — and
-// renders them as extra trace rows alongside the task slices.
+// Beyond the Observer events it accepts the exec fleet's events (cache
+// hit/miss outcomes and occupancy per worker response, pulls, joins and
+// deaths) via AddExecEvent — wire it with
+// exec.Remote.SetHook(collector.AddExecEvent) — and renders them as extra
+// trace rows alongside the task slices.
 type Collector struct {
 	mu      sync.Mutex
 	events  []compss.Event
-	samples []CacheSample
-	fleet   []FleetSample
+	cache   []ExecSample // EventCache
+	fleet   []ExecSample // EventJoin, EventDead
 	serving []ServeSample
 }
 
-// CacheSample is one exec data-plane observation plus its arrival time (the
-// Collector stamps Time on delivery, putting cache activity on the same
-// clock as the Observer events).
-type CacheSample struct {
+// ExecSample is one exec fleet event plus its arrival time (the Collector
+// stamps Time on delivery, putting data-plane and membership activity on the
+// same clock as the Observer events).
+type ExecSample struct {
 	Time time.Time
-	exec.CacheSample
-}
-
-// FleetSample is one fleet membership transition plus its arrival time —
-// joins and deaths on the same clock as the task slices. Wire it with
-// exec.Remote.SetFleetHook(collector.AddFleetEvent).
-type FleetSample struct {
-	Time time.Time
-	exec.FleetEvent
+	exec.Event
 }
 
 // ServeSample is one serving-plane observation plus its arrival time —
@@ -65,23 +58,17 @@ func (c *Collector) Observe(ev compss.Event) {
 	c.mu.Unlock()
 }
 
-// AddCacheSample records one exec data-plane observation, stamped with the
-// arrival time. It is shaped to be installed directly as an
-// exec.Remote cache hook and is safe for concurrent use.
-func (c *Collector) AddCacheSample(s exec.CacheSample) {
-	ts := CacheSample{Time: time.Now(), CacheSample: s}
+// AddExecEvent records one exec fleet event, stamped with the arrival time.
+// It is shaped to be installed directly as an exec.Remote hook and is safe
+// for concurrent use.
+func (c *Collector) AddExecEvent(ev exec.Event) {
+	es := ExecSample{Time: time.Now(), Event: ev}
 	c.mu.Lock()
-	c.samples = append(c.samples, ts)
-	c.mu.Unlock()
-}
-
-// AddFleetEvent records one fleet transition, stamped with the arrival
-// time. It is shaped to be installed directly as an exec.Remote fleet hook
-// and is safe for concurrent use.
-func (c *Collector) AddFleetEvent(ev exec.FleetEvent) {
-	fs := FleetSample{Time: time.Now(), FleetEvent: ev}
-	c.mu.Lock()
-	c.fleet = append(c.fleet, fs)
+	if ev.Kind == exec.EventCache {
+		c.cache = append(c.cache, es)
+	} else {
+		c.fleet = append(c.fleet, es)
+	}
 	c.mu.Unlock()
 }
 
@@ -163,10 +150,10 @@ type sortable struct {
 //   - counter tracks "ready" (tasks runnable but not yet started) and
 //     "workers" (attempts executing), sampled at every transition.
 //
-// Cache or fleet samples add a second process ("exec data plane"): one
-// instant row per remote worker (cache hit / miss markers) and a "resident
-// bytes" counter with one series per worker — the re-shipping a reduction
-// tree avoids (or pays) is visible directly in the viewer — plus one
+// Exec events add a second process ("exec data plane"): one instant row per
+// remote worker (cache hit / miss markers) and a "resident bytes" counter
+// with one series per worker — the re-shipping a reduction tree avoids (or
+// pays) is visible directly in the viewer — plus one
 // instant lane ("fleet") marking joins and deaths and a "fleet size"
 // counter tracking alive workers and slots, so a run's membership changes
 // sit next to its queue-depth counters. Serving samples add a third process
@@ -176,7 +163,7 @@ func (c *Collector) Chrome() *Trace {
 	// The slices are append-only, so the prefixes read here stay valid
 	// without a copy.
 	c.mu.Lock()
-	events, samples, fleet, serving := c.events, c.samples, c.fleet, c.serving
+	events, cache, fleet, serving := c.events, c.cache, c.fleet, c.serving
 	c.mu.Unlock()
 	// The trace origin is the earliest timestamp of any stream.
 	var origin time.Time
@@ -189,7 +176,7 @@ func (c *Collector) Chrome() *Trace {
 	for _, ev := range events {
 		earliest(ev.Time)
 	}
-	for _, s := range samples {
+	for _, s := range cache {
 		earliest(s.Time)
 	}
 	for _, f := range fleet {
@@ -200,9 +187,9 @@ func (c *Collector) Chrome() *Trace {
 	}
 	t := &Trace{}
 	renderEvents(t, origin, events)
-	if len(samples) > 0 || len(fleet) > 0 {
+	if len(cache) > 0 || len(fleet) > 0 {
 		t.Add(processName(cachePid, "exec data plane"))
-		nLanes := renderCacheRows(t, origin, samples)
+		nLanes := renderCacheRows(t, origin, cache)
 		renderFleetRows(t, origin, fleet, nLanes)
 	}
 	renderServeRows(t, origin, serving)
@@ -450,7 +437,7 @@ const cachePid = 1
 // instant rows and the multi-series "resident bytes" counter, all on the
 // same clock as the task slices; it returns the number of lanes it used
 // (the fleet lane starts after them).
-func renderCacheRows(t *Trace, origin time.Time, samples []CacheSample) int {
+func renderCacheRows(t *Trace, origin time.Time, samples []ExecSample) int {
 	if len(samples) == 0 {
 		return 0
 	}
@@ -581,7 +568,7 @@ func renderServeRows(t *Trace, origin time.Time, serving []ServeSample) {
 // transition (named by its kind — "join" or "dead") and a
 // "fleet size" counter carrying the alive worker and slot totals after each
 // transition.
-func renderFleetRows(t *Trace, origin time.Time, fleet []FleetSample, lane int) {
+func renderFleetRows(t *Trace, origin time.Time, fleet []ExecSample, lane int) {
 	if len(fleet) == 0 {
 		return
 	}

@@ -15,14 +15,13 @@
 //
 // # Public surface
 //
-// Collector is a compss.Observer whose Observe buffers events (and exec data-plane,
-// fleet and serving samples via AddCacheSample / AddFleetEvent /
-// AddServeSample); its Chrome method builds a Trace, which
-// Add/WriteJSON/WriteFile assemble and emit. PackLanes is the greedy
-// interval-packing helper both producers share. In-process attempts pack
-// into "worker N" lanes; attempts executed by a remote backend
-// (internal/exec) are pinned to per-worker-id lanes instead, so a
-// distributed run shows one swimlane per worker process.
+// Collector is a compss.Observer whose Observe buffers events (and exec fleet
+// events and serving samples via AddExecEvent / AddServeSample); its Chrome
+// method builds a Trace, which Add/WriteJSON/WriteFile assemble and emit.
+// PackLanes is the greedy interval-packing helper both producers share.
+// In-process attempts pack into "worker N" lanes; attempts executed by a
+// remote backend (internal/exec) are pinned to per-worker-id lanes instead,
+// so a distributed run shows one swimlane per worker process.
 //
 // # Concurrency and ownership
 //

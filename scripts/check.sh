@@ -49,6 +49,15 @@ if grep -rn --include='*.go' -E 'par\.(SetLimit|Limit)\(' . | grep -v '^\./bench
     exit 1
 fi
 
+# The runtime and the fleet meet in one interface, exec.Backend: compss asks
+# its backend nothing beyond it. A type assertion on the backend is a second,
+# hidden contract — a capability a fake fleet would have to guess.
+echo "== internal/compss does not type-assert its backend"
+if grep -n -E 'Backend\.\(' $(ls internal/compss/*.go | grep -v '_test\.go$'); then
+    echo "internal/compss type-asserts its backend: exec.Backend is the whole contract" >&2
+    exit 1
+fi
+
 echo "== go build ./..."
 go build ./...
 
@@ -109,15 +118,16 @@ done
 # test guards the slot pool a body parked in Get hands its slot back through
 # — one of them stolen — so it runs here too. Chain dispatch marks tasks from
 # one goroutine that another completes, and hands them back across the same
-# boundary: its tests (fake chain backend, no sockets) ride along. So does
+# boundary: its tests (fake chain backend, no sockets) ride along, the order
+# a chain lost to a gone held argument takes among them. So does
 # the barrier's: parents that fire and forget their children, then Barrier,
 # round after round under a watchdog (the nested task_storm shape). So does
 # the observer's causal-order test, the one that drives every terminal path
 # at once on eight workers: success, retry, final error, final panic and the
 # dependency cascade, and the StatsObserver's tests: the fold of that stream
 # into TaskStats, over real runtimes and over a hand-built stream.
-echo "== go test -race -count=2 -cpu=1,8 -run 'TestStealStress|TestParallelismIsBounded|TestBarrierNestedStress|TestChainMembership|TestChainHandBack|TestChainHeadFailure|TestChainEventsAndStats|TestObserverCausalOrder|TestStatsRecording|TestObserversViaConfigFeedStats|TestStatsObserverFoldsSyntheticStream' ./internal/compss/"
-go test -race -count=2 -cpu=1,8 -run 'TestStealStress|TestParallelismIsBounded|TestBarrierNestedStress|TestChainMembership|TestChainHandBack|TestChainHeadFailure|TestChainEventsAndStats|TestObserverCausalOrder|TestStatsRecording|TestObserversViaConfigFeedStats|TestStatsObserverFoldsSyntheticStream' ./internal/compss/
+echo "== go test -race -count=2 -cpu=1,8 -run 'TestStealStress|TestParallelismIsBounded|TestBarrierNestedStress|TestChainMembership|TestChainHandBack|TestChainLostArgument|TestChainHeadFailure|TestChainEventsAndStats|TestObserverCausalOrder|TestStatsRecording|TestObserversViaConfigFeedStats|TestStatsObserverFoldsSyntheticStream' ./internal/compss/"
+go test -race -count=2 -cpu=1,8 -run 'TestStealStress|TestParallelismIsBounded|TestBarrierNestedStress|TestChainMembership|TestChainHandBack|TestChainLostArgument|TestChainHeadFailure|TestChainEventsAndStats|TestObserverCausalOrder|TestStatsRecording|TestObserversViaConfigFeedStats|TestStatsObserverFoldsSyntheticStream' ./internal/compss/
 
 # Kernel helpers borrow idle slots from the live runtime or worker (par.Lend)
 # and must change no bit: the rotation sweep of EigSym at the pca_eigh size,
