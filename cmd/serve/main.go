@@ -60,6 +60,14 @@ func main() {
 	ecfg.Flags(flag.CommandLine)
 	flag.Parse()
 
+	window := edge.Config{
+		Fs: *fs, WindowSec: *windowSec, StrideSec: *strideSec,
+		AlarmAfter: *alarmAfter, PositiveLabel: core.LabelAF,
+	}
+	if err := window.Validate(); err != nil {
+		fatal(err)
+	}
+
 	backend, err := exec.Open(ecfg)
 	if err != nil {
 		fatal(err)
@@ -95,10 +103,7 @@ func main() {
 
 	// 3. The serving plane.
 	cfg := serve.Config{
-		Window: edge.Config{
-			Fs: *fs, WindowSec: *windowSec, StrideSec: *strideSec,
-			AlarmAfter: *alarmAfter, PositiveLabel: core.LabelAF,
-		},
+		Window:       window,
 		Score:        core.ServeScorer(rt.Main(), model),
 		SLO:          time.Duration(*sloMS) * time.Millisecond,
 		MaxBatch:     *batch,

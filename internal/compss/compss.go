@@ -105,9 +105,8 @@ type Runtime struct {
 	// keeps a task list: Barrier walks the main context's submissions.
 	ex *executor
 
-	// obs is the copy-on-write observer list; nil when no observer is
-	// attached (the zero-cost default). mu guards only the observer-list
-	// swap.
+	// obs is the observer list, stored once by New; nil when no observer
+	// is attached (the zero-cost default).
 	obs atomic.Pointer[[]Observer]
 
 	// execSession is this runtime's exec-backend session token (see
@@ -117,8 +116,6 @@ type Runtime struct {
 	// attached.
 	execSession uint64
 	rel         *release // given back once nothing can reach the runtime (New)
-
-	mu sync.Mutex
 }
 
 // release is a runtime's claim on its backend: the session the backend

@@ -67,10 +67,9 @@
 //
 // Runtime methods are safe for concurrent use from the main program and
 // from task bodies. A Future's value is owned by the runtime; bodies
-// receive resolved arguments they must treat as shared and immutable unless
-// the submit site guarantees exclusive ownership (see dsarray.MatMul's
-// mat_add_to merge for the one sanctioned exception). Observer callbacks
-// run on runtime goroutines and must not block.
+// receive resolved arguments they must treat as shared and immutable, with
+// no exception. Observer callbacks run on runtime goroutines and must not
+// block.
 //
 // # Scheduling
 //

@@ -6,7 +6,6 @@ import (
 	"hash/fnv"
 	"math"
 	"reflect"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -15,15 +14,15 @@ import (
 	"taskml/internal/dsarray"
 	"taskml/internal/exec"
 	"taskml/internal/mat"
+	"taskml/internal/preproc"
 )
 
 // purityGuard is a Backend that runs every registered body in-process and
-// hashes each argument before and after it: a body that wrote to an
-// argument it did not declare in-place (exec.RegisterInPlace) is recorded.
-// Workers hand bodies the values resident in their cache, shared with every
-// later consumer, retry and peer fetch, so such a write would corrupt
-// someone else's input — silently, and only on some placements. The guard
-// catches it on every run of the DAG.
+// hashes each argument before and after it: a body that wrote to any
+// argument is recorded. Workers hand bodies the values resident in their
+// cache, shared with every later consumer, retry and pull, so such a write
+// would corrupt someone else's input — silently, and only on some
+// placements. The guard catches it on every run of the DAG.
 type purityGuard struct {
 	mu         sync.Mutex
 	bodies     map[string]int
@@ -42,7 +41,6 @@ func (g *purityGuard) ExecuteChain(reqs []*exec.Request) ([]exec.Reply, string, 
 }
 
 func (g *purityGuard) execute(req *exec.Request) ([]any, error) {
-	declared := exec.InPlaceArgs(req.Name)
 	before := make([]uint64, len(req.Args))
 	for i, a := range req.Args {
 		before[i] = hashValue(a)
@@ -55,7 +53,7 @@ func (g *purityGuard) execute(req *exec.Request) ([]any, error) {
 	}
 	g.bodies[req.Name]++
 	for i, a := range req.Args {
-		if !slices.Contains(declared, i) && hashValue(a) != before[i] {
+		if hashValue(a) != before[i] {
 			g.violations = append(g.violations, fmt.Sprintf("%s wrote to argument %d (%T)", req.Name, i, a))
 		}
 	}
@@ -122,8 +120,7 @@ func hashValue(v any) uint64 {
 }
 
 func init() {
-	// The guard's own positive control: mat_add_to's body without its
-	// declaration.
+	// The guard's own positive control: a body that writes its argument.
 	exec.Register("test_undeclared_add_to", func(args []any) (any, error) {
 		dst := args[0].(*mat.Dense)
 		mat.AddInPlace(dst, args[1].(*mat.Dense))
@@ -134,10 +131,9 @@ func init() {
 // TestRegisteredBodiesLeaveArgumentsAlone runs the DAGs of the parity tests
 // — the random-forest cross-validation of TestRemoteParityBitIdentical, the
 // served scoring of TestServeRemoteParityBitIdentical, the Gram reduction —
-// and the blocked product, whose merge is the one declared in-place body,
-// under the guard: no registered body may write to an argument it did not
-// declare. A body like mat_add_to registered without the declaration must
-// trip it.
+// and a StandardScaler fit and transform under the guard, which together
+// reach every registered body: none may write to any of its arguments. A
+// body that writes its argument must trip it.
 func TestRegisteredBodiesLeaveArgumentsAlone(t *testing.T) {
 	guard := &purityGuard{}
 
@@ -162,24 +158,25 @@ func TestRegisteredBodiesLeaveArgumentsAlone(t *testing.T) {
 	if _, err := rt.Get(xa.Gram()); err != nil {
 		t.Fatal(err)
 	}
-	prod, err := dsarray.MatMul(xa.Transpose(), xa)
+	var sc preproc.StandardScaler
+	scaled, err := sc.FitTransform(xa)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := prod.Collect(); err != nil {
+	if _, err := scaled.Collect(); err != nil {
 		t.Fatal(err)
 	}
 	if err := rt.Barrier(); err != nil {
 		t.Fatal(err)
 	}
 
-	for _, name := range []string{"rf_split", "rf_subtree", "rf_join", "rf_predict", "partial_gram", "mat_add", "mat_add_to", "serve_score"} {
-		if guard.bodies[name] == 0 {
+	for _, name := range exec.Names() {
+		if !strings.HasPrefix(name, "test_") && guard.bodies[name] == 0 {
 			t.Errorf("the guarded DAGs never ran %s", name)
 		}
 	}
 	if len(guard.violations) > 0 {
-		t.Fatalf("registered bodies wrote to arguments they did not declare in-place:\n  %s", strings.Join(guard.violations, "\n  "))
+		t.Fatalf("registered bodies wrote to their arguments:\n  %s", strings.Join(guard.violations, "\n  "))
 	}
 
 	a, b := mat.New(2, 2), mat.New(2, 2)
@@ -188,6 +185,6 @@ func TestRegisteredBodiesLeaveArgumentsAlone(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(guard.violations) != 1 || !strings.Contains(guard.violations[0], "test_undeclared_add_to wrote to argument 0") {
-		t.Fatalf("the guard missed an undeclared in-place write: %v", guard.violations)
+		t.Fatalf("the guard missed a body that writes its argument: %v", guard.violations)
 	}
 }

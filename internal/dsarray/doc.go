@@ -8,8 +8,8 @@
 // # Public surface
 //
 // Array is the block-partitioned matrix (FromMatrix / FromBlocks construct
-// it; RowBlock, Map, ColSums, Gram, SubRowVec, MulDense, MatMul, Transpose
-// and friends submit its per-block task workflows). Reduce / ReduceTree
+// it; RowBlock, Map, ColSums, Gram, SubRowVec, MulDense and friends submit
+// its per-block task workflows). Reduce / ReduceTree
 // are the merge combinators every estimator shares; LabelsToInts is the
 // label codec used across the classifiers.
 //
@@ -18,9 +18,7 @@
 // Blocks are futures: once published by their producing task they are
 // immutable and may feed any number of downstream tasks, including on
 // out-of-process workers (block task bodies are registered with
-// internal/exec and must stay argument-pure). The one exception is the
-// mat_add_to merge of MatMul's reduction, which mutates its left operand —
-// sanctioned only because those partials are exclusively owned by the
-// reduction that created them. Array itself is safe for concurrent reads
-// after construction.
+// internal/exec and must stay argument-pure): no task writes to a block,
+// merges included. Array itself is safe for concurrent reads after
+// construction.
 package dsarray

@@ -41,16 +41,6 @@ func init() {
 		return mat.Add(args[0].(*mat.Dense), args[1].(*mat.Dense)), nil
 	})
 
-	// mat_add_to(dst, src): dst += src, returning dst. The in-place merge of
-	// reductions whose partials are exclusively owned (ReduceOpts contract),
-	// and the one body that writes to an argument: declared, so a worker
-	// hands it a private copy of a cache-resident dst.
-	exec.RegisterInPlace("mat_add_to", func(args []any) (any, error) {
-		dst := args[0].(*mat.Dense)
-		mat.AddInPlace(dst, args[1].(*mat.Dense))
-		return dst, nil
-	}, 0)
-
 	// partial_gram(blk): blkᵀ·blk, by the symmetric kernel: the upper
 	// triangle has MulAtB's bits for half its multiply-adds.
 	exec.Register("partial_gram", func(args []any) (any, error) {
@@ -75,24 +65,5 @@ func init() {
 			return nil, fmt.Errorf("dsarray: transform shape mismatch %dx%d · %dx%d", blk.Rows, blk.Cols, wm.Rows, wm.Cols)
 		}
 		return mat.Mul(blk, wm), nil
-	})
-
-	// gemm_block(x, y): one partial product of the blocked GEMM, into a
-	// fresh output block (the gemm_add reduction merges in place, so each
-	// partial must be exclusively owned and never alias an input block).
-	exec.Register("gemm_block", func(args []any) (any, error) {
-		x := args[0].(*mat.Dense)
-		y := args[1].(*mat.Dense)
-		if x.Cols != y.Rows {
-			return nil, fmt.Errorf("dsarray: block product %dx%d · %dx%d", x.Rows, x.Cols, y.Rows, y.Cols)
-		}
-		p := mat.New(x.Rows, y.Cols)
-		mat.MulAdd(p, x, y)
-		return p, nil
-	})
-
-	// transpose_block(blk): blkᵀ.
-	exec.Register("transpose_block", func(args []any) (any, error) {
-		return args[0].(*mat.Dense).T(), nil
 	})
 }

@@ -12,10 +12,10 @@
 //
 // # Public surface
 //
-// Layer implementations (Conv1D, MaxPool1D, Dense, Dropout, ...) compose
-// into a Network; NewCNN builds the paper's architecture. TrainKFold runs
-// the data-parallel cross-validated trainer on a compss runtime (plain or
-// nested — Figures 9 and 10); TrainFederated is the federated variant.
+// Layer implementations (Conv1D, Dense, ReLU) compose into a Network;
+// NewCNN builds the paper's architecture. TrainKFold runs the data-parallel
+// cross-validated trainer on a compss runtime (plain or nested — Figures 9
+// and 10); TrainFederated is the federated variant.
 //
 // # Concurrency and ownership
 //

@@ -17,8 +17,8 @@ import (
 // Memory contract: the matrices Forward and Backward return are
 // layer-owned scratch drawn from mat.Scratch — valid until the layer's
 // next Forward/Backward call or the network's ReleaseScratch, whichever
-// comes first — and stateless layers (ReLU, Dropout) may rewrite the grad
-// they are handed in place and return it. Callers that need a result to
+// comes first — and the stateless ReLU may rewrite the grad it is handed
+// in place and return it. Callers that need a result to
 // outlive the training loop must Clone it; trainable parameters (Params)
 // are never pooled.
 type Layer interface {

@@ -60,8 +60,9 @@ type Event struct {
 	Alarm bool
 }
 
-// Validate checks the sampling rate and window geometry (NewMonitor and
-// the serving layer share it).
+// Validate checks the sampling rate and window geometry, in seconds and in
+// the whole samples they round down to (NewMonitor and the serving layer
+// share it).
 func (c Config) Validate() error {
 	c = c.withDefaults()
 	if c.Fs <= 0 {
@@ -69,6 +70,10 @@ func (c Config) Validate() error {
 	}
 	if c.StrideSec <= 0 || c.WindowSec <= 0 || c.StrideSec > c.WindowSec {
 		return fmt.Errorf("edge: invalid window %gs / stride %gs", c.WindowSec, c.StrideSec)
+	}
+	if c.WindowSamples() < 1 || c.StrideSamples() < 1 {
+		return fmt.Errorf("edge: window %gs / stride %gs at %g Hz is %d / %d samples, want at least 1 each",
+			c.WindowSec, c.StrideSec, c.Fs, c.WindowSamples(), c.StrideSamples())
 	}
 	return nil
 }

@@ -42,6 +42,8 @@ func TestMonitorConfigValidation(t *testing.T) {
 		{Fs: 0},
 		{Fs: 300, WindowSec: 2, StrideSec: 5},
 		{Fs: 300, WindowSec: -1},
+		{Fs: 100, WindowSec: 8, StrideSec: 0.001}, // a stride of 0.1 samples
+		{Fs: 100, WindowSec: 0.001, StrideSec: 0.001},
 	}
 	for i, cfg := range bad {
 		if _, err := NewMonitor(cfg, rrFeaturizer, rrClassifier); err == nil {

@@ -25,13 +25,7 @@ import (
 // kept as decoded; nothing is copied on the way in, and a hit returns the
 // resident value itself, which later consumers, the response encoder and a
 // pull all only read. That is what makes Miss/resend, retries and pulls
-// safe without copies. The one
-// clone on the data path is the worker's (handle, worker.go): a body that
-// declared at registration that it writes to an argument (RegisterInPlace)
-// gets a private copy of that argument when it came out of the cache.
-// cloneValue below knows the builtin numeric kinds, *mat.Dense and the
-// common slice shapes; an in-place argument of any other type that is
-// resident fails its request rather than expose the resident value. Only
+// safe without copies: no registered body writes to an argument. Only
 // values with a known size are cached at all (sizeOfValue, Sizer).
 
 // sessionCounter backs NextSession. Session 0 is reserved as "no session"
@@ -223,46 +217,4 @@ func sizeOfValue(v any) int64 {
 // it to the cache; without it the type re-ships by value every time.
 type Sizer interface {
 	ExecValueBytes() int64
-}
-
-// cloneValue returns a deep copy of v, or ok=false when v's type has no
-// clone path. Immutable-by-convention scalars are returned as-is.
-func cloneValue(v any) (any, bool) {
-	switch x := v.(type) {
-	case nil:
-		return nil, true
-	case *mat.Dense:
-		if x == nil {
-			return (*mat.Dense)(nil), true
-		}
-		return x.Clone(), true
-	case []float64:
-		return append([]float64(nil), x...), true
-	case [][]float64:
-		out := make([][]float64, len(x))
-		for i, row := range x {
-			out[i] = append([]float64(nil), row...)
-		}
-		return out, true
-	case []int:
-		return append([]int(nil), x...), true
-	case []bool:
-		return append([]bool(nil), x...), true
-	case []string:
-		return append([]string(nil), x...), true
-	case []any:
-		out := make([]any, len(x))
-		for i, e := range x {
-			ce, ok := cloneValue(e)
-			if !ok {
-				return nil, false
-			}
-			out[i] = ce
-		}
-		return out, true
-	case float64, int, int64, uint64, bool, string:
-		return x, true
-	default:
-		return nil, false
-	}
 }

@@ -2,8 +2,8 @@ package exec
 
 // White-box tests for the worker future cache (cache.go) and the
 // coordinator data plane that rides on it (remote.go): LRU accounting, who
-// owns a value at each step (moved in, shared out, cloned only for a
-// declared in-place argument), the size/clone type tables, locality-aware
+// owns a value at each step (moved in, shared out, never copied), the size
+// type table, locality-aware
 // placement, the wire form each argument takes, a value crossing from one
 // worker to another through the coordinator, and the Miss/resend recovery
 // path driven by a deliberately poisoned residency map.
@@ -25,21 +25,14 @@ func init() {
 		}
 		return s, nil
 	})
-	// The ownership tests' bodies: one makes a value, one hands its argument
-	// back untouched, one overwrites its declared in-place argument.
+	// The ownership test's bodies: one makes a value, one hands its argument
+	// back untouched.
 	Register("test_make_floats", func(args []any) (any, error) {
 		return []float64{1, 2, 3}, nil
 	})
 	Register("test_identity", func(args []any) (any, error) {
 		return args[0], nil
 	})
-	RegisterInPlace("test_bump_in_place", func(args []any) (any, error) {
-		dst := args[0].([]float64)
-		for i := range dst {
-			dst[i] += args[1].(float64)
-		}
-		return dst, nil
-	}, 0)
 }
 
 func ref(task int) ValueRef { return ValueRef{Session: 1, Task: task, Out: 0} }
@@ -122,10 +115,8 @@ func TestFutureCacheForget(t *testing.T) {
 
 // TestCacheOwnership walks a value through the worker: the output a body
 // returns becomes resident as it is, a read-only consumer is handed the
-// resident value itself, and only a declared in-place argument is cloned —
-// so running the in-place body twice over one resident input (the retry and
-// Miss-resend case) gives the same answer twice and leaves the input's bits
-// alone.
+// resident value itself, and a RefValue is kept as decoded — nothing is
+// copied on the way in or out.
 func TestCacheOwnership(t *testing.T) {
 	cache := newFutureCache(1 << 20)
 	produced := ValueRef{Session: 1, Task: 1}
@@ -148,25 +139,7 @@ func TestCacheOwnership(t *testing.T) {
 		t.Fatal("a hit on a read-only argument was copied; the body must see the resident value")
 	}
 
-	for run := 0; run < 2; run++ {
-		resp = handle(&request{Name: "test_bump_in_place", NOut: 1, Args: []any{produced, 10.0}}, cache)
-		if resp.Err != "" {
-			t.Fatal(resp.Err)
-		}
-		got := resp.Vals[0].([]float64)
-		if got[0] != 11 || got[1] != 12 || got[2] != 13 {
-			t.Fatalf("run %d: in-place body returned %v, want [11 12 13] from an untouched input", run, got)
-		}
-		if &got[0] == &out[0] {
-			t.Fatal("a declared in-place argument was handed the resident value, not a clone")
-		}
-		if out[0] != 1 || out[1] != 2 || out[2] != 3 {
-			t.Fatalf("run %d: resident value is now %v, want [1 2 3]", run, out)
-		}
-	}
-
-	// A RefValue is kept as decoded and handed to a read-only body as is; an
-	// in-place body still gets its own copy of it.
+	// A RefValue is kept as decoded and handed to the body as is.
 	arrived := []float64{5, 6}
 	seeded := ValueRef{Session: 1, Task: 2}
 	resp = handle(&request{Name: "test_identity", NOut: 1, Args: []any{RefValue{Ref: seeded, Val: arrived}}}, cache)
@@ -176,28 +149,6 @@ func TestCacheOwnership(t *testing.T) {
 	resident, _ = cache.get(seeded)
 	if &resident.([]float64)[0] != &arrived[0] || &resp.Vals[0].([]float64)[0] != &arrived[0] {
 		t.Fatal("a RefValue was copied on its way into the cache or to the body")
-	}
-	resp = handle(&request{Name: "test_bump_in_place", NOut: 1, Args: []any{RefValue{Ref: seeded, Val: arrived}, 1.0}}, cache)
-	if got := resp.Vals[0].([]float64); resp.Err != "" || got[0] != 6 || arrived[0] != 5 {
-		t.Fatalf("in-place body over a RefValue: got %v (err %q), resident %v — want [6 7] and [5 6]", resp.Vals, resp.Err, arrived)
-	}
-
-	// A plain argument was decoded for this request alone: no clone needed.
-	plain := []float64{1}
-	resp = handle(&request{Name: "test_bump_in_place", NOut: 1, Args: []any{plain, 1.0}}, cache)
-	if got := resp.Vals[0].([]float64); resp.Err != "" || &got[0] != &plain[0] {
-		t.Fatalf("a plain in-place argument was copied (err %q)", resp.Err)
-	}
-
-	// A resident in-place argument without a clone path fails the request
-	// instead of exposing the resident value.
-	opaque := ValueRef{Session: 1, Task: 3}
-	if _, ok := cache.put(opaque, sizedOnly{}); !ok {
-		t.Fatal("put of a sized value rejected")
-	}
-	resp = handle(&request{Name: "test_bump_in_place", NOut: 1, Args: []any{opaque, 1.0}}, cache)
-	if resp.Err == "" {
-		t.Fatal("an unclonable resident in-place argument must fail the request")
 	}
 }
 
@@ -280,30 +231,6 @@ func TestSizeOfValue(t *testing.T) {
 		if got := sizeOfValue(tc.v); got != tc.want {
 			t.Errorf("sizeOfValue(%T %v) = %d, want %d", tc.v, tc.v, got, tc.want)
 		}
-	}
-}
-
-func TestCloneValue(t *testing.T) {
-	// Deep-copy shapes: mutating the clone must not touch the original.
-	nested := []any{[]float64{1, 2}, []any{[]int{3}}}
-	cl, ok := cloneValue(nested)
-	if !ok {
-		t.Fatal("cloneValue([]any) not clonable")
-	}
-	cl.([]any)[0].([]float64)[0] = 99
-	cl.([]any)[1].([]any)[0].([]int)[0] = 99
-	if nested[0].([]float64)[0] != 1 || nested[1].([]any)[0].([]int)[0] != 3 {
-		t.Fatalf("clone shares memory with original: %v", nested)
-	}
-
-	if v, ok := cloneValue((*mat.Dense)(nil)); !ok || v.(*mat.Dense) != nil {
-		t.Fatalf("cloneValue(nil *Dense) = %v, %v", v, ok)
-	}
-	if _, ok := cloneValue(make(chan int)); ok {
-		t.Fatal("cloneValue(chan) should not be clonable")
-	}
-	if _, ok := cloneValue([]any{1.0, make(chan int)}); ok {
-		t.Fatal("one unclonable element should poison the []any")
 	}
 }
 

@@ -9,11 +9,10 @@
 //
 // # Public surface
 //
-//   - Register / RegisterN / RegisterInPlace build the process-global
-//     registry of named, argument-pure task bodies ("rf_bootstrap",
-//     "mat_add", ...); RegisterInPlace additionally declares which
-//     arguments the body overwrites (InPlaceArgs reads it back). Has /
-//     Names / Invoke query and run the registry.
+//   - Register / RegisterN build the process-global registry of named,
+//     argument-pure task bodies ("rf_bootstrap", "mat_add", ...): no body
+//     writes to an argument. Has / Names / Invoke query and run the
+//     registry.
 //   - RegisterCodec gives a domain type its binary wire form, written with
 //     an Encoder and read with a Decoder. A type with neither a built-in
 //     tag nor a codec is refused at encode, costing only its attempt.
@@ -65,8 +64,7 @@
 // it, a RefValue otherwise. Workers have no links to each other: a value
 // another worker holds is pulled to the coordinator if it is not there yet
 // and travels on as a RefValue. Resident values are immutable and nothing is
-// copied on the way in or out; the one clone goes to a body that declared it
-// overwrites an argument (RegisterInPlace).
+// copied on the way in or out.
 // Types without a known size are never cached and ship by value. A value
 // stays until the LRU pushes it out or its session is forgotten: once nothing
 // can reach the compss runtime that drew the session (compss.New).
@@ -96,10 +94,10 @@
 // a runtime fixes its pool at max(Workers, Σ alive slots) when it is
 // created; a member lost afterwards lowers what runs at once, and one that
 // joins afterwards makes up for it. Arguments reach a body as bit-exact
-// decoded copies or as the values resident in the
-// worker's cache, which other consumers, retries and pulls share —
-// so registered bodies must be argument-pure: no captured state, arguments
-// read-only unless declared in-place, results freshly allocated. That is
+// decoded copies or as the values resident in the worker's cache, which
+// other consumers, retries and pulls share — so registered bodies must be
+// argument-pure: no captured state, every argument read-only, results
+// freshly allocated. That is
 // exactly what makes local and remote execution bit-identical. Every
 // decoder that faces a socket bounds a frame before reading it and checks
 // every length inside it against the bytes the frame has left before

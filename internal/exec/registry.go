@@ -16,26 +16,21 @@ import (
 // they are the caller's in-memory values; on a worker they are decoded
 // copies or the values resident in its future cache, shared with every
 // other consumer, with retries and with pulls — so a body that writes to an
-// argument corrupts someone else's input on either backend. The one
-// exception is declared: a body registered with RegisterInPlace names the
-// arguments it overwrites (the caller must own them exclusively in-process;
-// the worker hands it a private copy of a resident one). Results are
-// freshly allocated, or share structure with an argument only where no
-// in-place consumer can ever receive them (rf_join's node points at its
-// child subtrees); the body does not touch them after returning — on a
-// worker they become resident as they are.
+// argument corrupts someone else's input on either backend. There is no
+// exception. Results are freshly allocated or share structure with an
+// argument (rf_join's node points at its child subtrees), which is safe
+// because no one writes to either; the body does not touch them after
+// returning — on a worker they become resident as they are.
 type Func func(args []any) (any, error)
 
 // FuncN is a registered multi-output task body (the exec counterpart of
 // compss.MultiTaskFunc).
 type FuncN func(args []any) ([]any, error)
 
-// entry is one registered body; exactly one of fn1/fnN is non-nil. inPlace
-// lists the argument indices the body declared it writes to.
+// entry is one registered body; exactly one of fn1/fnN is non-nil.
 type entry struct {
-	fn1     Func
-	fnN     FuncN
-	inPlace []int
+	fn1 Func
+	fnN FuncN
 }
 
 var (
@@ -55,21 +50,6 @@ var (
 // agrees on the name table before any task is dispatched.
 func Register(name string, fn Func) {
 	register(name, entry{fn1: fn})
-}
-
-// RegisterInPlace is Register for a body that writes to its arguments: args
-// lists the indices it overwrites (dsarray's "mat_add_to" accumulates into
-// args[0]). Every other argument of every body is read-only.
-func RegisterInPlace(name string, fn Func, args ...int) {
-	register(name, entry{fn1: fn, inPlace: args})
-}
-
-// InPlaceArgs returns the argument indices name's body declared it writes
-// to; nil for a body registered with Register or RegisterN.
-func InPlaceArgs(name string) []int {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	return reg[name].inPlace
 }
 
 // RegisterN binds name to a multi-output body; see Register.

@@ -179,8 +179,8 @@ func JoinCoordinator(addr, token string, cfg WorkerConfig) error {
 // values: a ValueRef resolves to the resident value itself, and a RefValue
 // contributes its decoded value and makes it resident under its identity, so
 // the next co-located consumer resolves it locally. Nothing is copied: what
-// comes back may be shared with the cache and must only be read (handle
-// clones the declared exceptions). Nested references inside a []any argument
+// comes back may be shared with the cache and must only be read, as every
+// registered body does. Nested references inside a []any argument
 // (the wire form of a []*Future parameter) resolve the same way.
 //
 // When any ValueRef misses, resolution fails as a whole: the returned miss
@@ -220,22 +220,6 @@ func resolveArgs(args []any, cache *futureCache) (resolved []any, miss []ValueRe
 	return resolved, miss, stored, hits
 }
 
-// holdsRef reports whether a wire argument is, or contains, a reference
-// form — that is, whether its resolved value may be resident in the cache.
-func holdsRef(v any) bool {
-	switch x := v.(type) {
-	case ValueRef, RefValue:
-		return true
-	case []any:
-		for _, e := range x {
-			if holdsRef(e) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // handle executes one request with panic containment: a panicking body
 // fails its request, not the worker process, mirroring the in-process
 // runtime's panic→error conversion. Reference arguments are resolved
@@ -261,20 +245,6 @@ func handle(req *request, cache *futureCache) (resp response) {
 	if len(miss) > 0 {
 		resp.Miss = miss
 		return resp
-	}
-	// The one clone on the data path: an argument the body declared it
-	// writes to, when it arrived by reference and so may be resident. A
-	// plain value was decoded for this request alone and is already private.
-	for _, i := range InPlaceArgs(req.Name) {
-		if i >= len(args) || !holdsRef(req.Args[i]) {
-			continue
-		}
-		cl, ok := cloneValue(args[i])
-		if !ok {
-			resp.Err = fmt.Sprintf("%s: in-place argument %d (%T) is resident and has no clone path", req.Name, i, args[i])
-			return resp
-		}
-		args[i] = cl
 	}
 	vals, err := Invoke(req.Name, req.NOut, args)
 	if err != nil {

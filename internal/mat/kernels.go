@@ -108,7 +108,7 @@ func rowGrain(rows int, flopsPerRow float64) int {
 
 // MulAdd accumulates the product a·b into dst (dst += a·b). It is the
 // in-place GEMM behind Mul and the allocation-free accumulate variant used
-// by the ds-array blocked matmul reduction.
+// by eddl's Dense layer.
 func MulAdd(dst, a, b *Dense) {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("mat: MulAdd shape mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))

@@ -6,8 +6,7 @@
 // # Public surface
 //
 // StandardScaler and PCA follow the estimator shape (Fit over a
-// dsarray.Array, then Transform); MinMaxScaler is the streaming-friendly
-// variant used at the edge.
+// dsarray.Array, then Transform).
 //
 // # Concurrency and ownership
 //

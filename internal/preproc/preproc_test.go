@@ -1,7 +1,6 @@
 package preproc
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -304,123 +303,5 @@ func BenchmarkPCAFit64Features(b *testing.B) {
 		if err := p.Fit(a); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func TestMinMaxScalerRange(t *testing.T) {
-	rt := newRT()
-	rng := rand.New(rand.NewSource(20))
-	m := randMatrix(rng, 40, 6, 5, -7)
-	a := dsarray.FromMatrix(rt.Main(), m, 13, 3)
-	var s MinMaxScaler
-	scaled, err := s.FitTransform(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := scaled.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := 0; j < got.Cols; j++ {
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for i := 0; i < got.Rows; i++ {
-			v := got.At(i, j)
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
-		}
-		if math.Abs(lo) > 1e-12 || math.Abs(hi-1) > 1e-12 {
-			t.Fatalf("column %d range [%v, %v], want [0, 1]", j, lo, hi)
-		}
-	}
-}
-
-func TestMinMaxScalerConstantColumn(t *testing.T) {
-	rt := newRT()
-	m := mat.NewFromRows([][]float64{{3, 1}, {3, 2}, {3, 4}})
-	a := dsarray.FromMatrix(rt.Main(), m, 2, 2)
-	var s MinMaxScaler
-	scaled, err := s.FitTransform(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := scaled.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if got.At(i, 0) != 0 {
-			t.Fatalf("constant column must map to 0, got %v", got.At(i, 0))
-		}
-	}
-}
-
-func TestMinMaxScalerErrors(t *testing.T) {
-	rt := newRT()
-	a := dsarray.FromMatrix(rt.Main(), mat.New(4, 2), 2, 2)
-	var s MinMaxScaler
-	if _, err := s.Transform(a); err != ErrNotFitted {
-		t.Fatalf("err = %v, want ErrNotFitted", err)
-	}
-	s.Fit(a)
-	wide := dsarray.FromMatrix(rt.Main(), mat.New(4, 5), 2, 5)
-	if _, err := s.Transform(wide); err == nil {
-		t.Fatal("want dimension error")
-	}
-}
-
-func TestMinMaxScalerTransformNewData(t *testing.T) {
-	// Transforming unseen data can leave [0,1]; the mapping itself must be
-	// the fitted affine map.
-	rt := newRT()
-	train := mat.NewFromRows([][]float64{{0}, {10}})
-	test := mat.NewFromRows([][]float64{{5}, {20}})
-	var s MinMaxScaler
-	s.Fit(dsarray.FromMatrix(rt.Main(), train, 2, 1))
-	out, err := s.Transform(dsarray.FromMatrix(rt.Main(), test, 2, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := out.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got.At(0, 0)-0.5) > 1e-12 || math.Abs(got.At(1, 0)-2) > 1e-12 {
-		t.Fatalf("mapped values %v, %v; want 0.5, 2", got.At(0, 0), got.At(1, 0))
-	}
-}
-
-// Losing one minmax_partial fails the fit: the partial exhausts its retries
-// and the transform of every block fails with it, rather than ranges
-// narrowed to the surviving blocks standing in for the whole.
-func TestMinMaxScalerLostPartialFailsTheFit(t *testing.T) {
-	rt := compss.New(compss.Config{
-		Workers:        4,
-		DefaultRetries: 1,
-		Faults: &compss.FaultPlan{Faults: []compss.Fault{
-			{Name: "minmax_partial", Nth: 0, Attempts: -1, Mode: compss.FaultError},
-		}},
-	})
-	// Two row blocks of a 1-column matrix: block 0 holds the global extremes
-	// [-100, 100], block 1 only [0, 10]. Block 0's partial is lost.
-	m := mat.New(4, 1)
-	m.Set(0, 0, -100)
-	m.Set(1, 0, 100)
-	m.Set(2, 0, 0)
-	m.Set(3, 0, 10)
-	a := dsarray.FromMatrix(rt.Main(), m, 2, 1)
-	var s MinMaxScaler
-	scaled, err := s.FitTransform(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := scaled.Collect(); !errors.Is(err, compss.ErrInjectedFault) {
-		t.Fatalf("Collect = %v, %v; want the lost partial's injected fault", got, err)
-	}
-	if err := rt.Barrier(); !errors.Is(err, compss.ErrInjectedFault) {
-		t.Fatalf("Barrier = %v, want the lost partial's injected fault", err)
 	}
 }

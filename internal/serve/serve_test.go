@@ -105,6 +105,19 @@ func (g *gate) busy(n int) {
 	}
 }
 
+// A window geometry that rounds to zero samples is refused by New, not by
+// every Admit after it: a stride of 0.001 s at 100 Hz is 0.1 samples.
+func TestServeNewRefusesZeroSampleStride(t *testing.T) {
+	rt := compss.New(compss.Config{Workers: 1})
+	s, err := newServer(t, rt, Config{
+		Window: edge.Config{Fs: 100, WindowSec: 8, StrideSec: 0.001},
+		Score:  constScorer(&batchLog{}, 1),
+	})
+	if err == nil {
+		t.Fatalf("New accepted a %d-sample stride", s.strideN)
+	}
+}
+
 // An idle server scores a lone window at once: no Flush, and a clock that
 // never moves.
 func TestServeScoresLoneWindowAtOnce(t *testing.T) {

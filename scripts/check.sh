@@ -177,8 +177,11 @@ go test -race -count=2 -cpu=1,8 -run 'TestWorkerSlotsBoundKernelHelpers|TestInPr
 # in the -count=2 compss and exec pass above.
 # TestFoldsOverlap holds each fold's first task open until the next fold's
 # has started, so it asserts an order the runtime guarantees, not wall stamps.
-echo "== go test -race -count=2 -run 'TestRemoteKillThenRejoinParity|TestRemoteHolderKillParity|TestRemoteChainParity|TestRemoteLineageParity|TestRemoteFleetForgetsFinishedRuns|TestFoldsOverlap' ./internal/core/"
-go test -race -count=2 -run 'TestRemoteKillThenRejoinParity|TestRemoteHolderKillParity|TestRemoteChainParity|TestRemoteLineageParity|TestRemoteFleetForgetsFinishedRuns|TestFoldsOverlap' ./internal/core/
+# The purity guard rides along: every registered body runs under it, and a
+# write to any argument — the one thing that would make sharing a resident
+# value with later consumers, retries and pulls unsafe — fails it.
+echo "== go test -race -count=2 -run 'TestRemoteKillThenRejoinParity|TestRemoteHolderKillParity|TestRemoteChainParity|TestRemoteLineageParity|TestRemoteFleetForgetsFinishedRuns|TestFoldsOverlap|TestRegisteredBodiesLeaveArgumentsAlone' ./internal/core/"
+go test -race -count=2 -run 'TestRemoteKillThenRejoinParity|TestRemoteHolderKillParity|TestRemoteChainParity|TestRemoteLineageParity|TestRemoteFleetForgetsFinishedRuns|TestFoldsOverlap|TestRegisteredBodiesLeaveArgumentsAlone' ./internal/core/
 echo "== go test -race -count=2 -run 'TestRemoteParityBitIdentical/^(dial-in-member|no-cache)\$' ./internal/core/"
 go test -race -count=2 -run 'TestRemoteParityBitIdentical/^(dial-in-member|no-cache)$' ./internal/core/
 echo "== go test -race -count=2 -run 'TestServe' ./internal/serve/ ./internal/core/"
