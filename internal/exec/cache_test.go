@@ -221,8 +221,14 @@ func TestSizeOfValue(t *testing.T) {
 		{[]string{"ab"}, 8 + 2 + 16},
 		{[]any{1.0, []int{1}}, 8 + 8 + 16},
 		{[]any{1.0, struct{}{}}, 0}, // one unsizable element poisons the whole
+		{[]any{1.0, (*mat.Dense)(nil)}, 0},
 		{3.14, 8},
 		{int(7), 8},
+		{int64(7), 8},
+		{uint64(7), 8},
+		{true, 8},
+		{ValueRef{}, 0},
+		{RefValue{}, 0},
 		{"abcd", 20},
 		{sizedOnly{}, 16},
 		{struct{}{}, 0},

@@ -383,3 +383,17 @@ func BenchmarkWireTrainSet800x115(b *testing.B) {
 	ts := mustTrainSet(filled(800, 115), y)
 	benchWire(b, ts, 8*len(ts.X.Data)+8*len(ts.Y))
 }
+
+// TestWireDenseRoundTripAllocs: a matrix crosses a connection's encoder and
+// decoder with two allocations, its decoded data and the Dense around it —
+// nothing per value on the way out, nothing boxed on the way in.
+func TestWireDenseRoundTripAllocs(t *testing.T) {
+	p, m := exec.NewPipe(), filled(300, 256)
+	if allocs := testing.AllocsPerRun(20, func() {
+		if _, err := p.RoundTrip(m); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 2 {
+		t.Fatalf("a 300x256 round trip allocates %v times, want at most 2", allocs)
+	}
+}
