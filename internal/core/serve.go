@@ -68,11 +68,14 @@ func (m *ServeModel) Clone() *ServeModel {
 	return out
 }
 
-// ExecValueBytes reports the resident size (dominated by the trees) and so
-// opts the model into the worker future cache: the "serve_model" output
-// stays resident per worker and every "serve_score" batch reads it through
-// a local reference instead of re-shipping the forest.
+// ExecValueBytes is the resident size (the trees, mostly; 8 when nil, like a
+// nil forest value) that admits the model to the worker future cache: the
+// "serve_model" output stays resident per worker and every "serve_score"
+// batch reads it through a local reference instead of re-shipping the forest.
 func (m *ServeModel) ExecValueBytes() int64 {
+	if m == nil {
+		return 8
+	}
 	n := int64(64)
 	for _, t := range m.Trees {
 		n += t.ExecValueBytes()
@@ -126,7 +129,7 @@ func decodeServeModel(d *exec.Decoder) *ServeModel {
 }
 
 func init() {
-	exec.RegisterCodec(encodeServeModel, decodeServeModel)
+	exec.RegisterCodec(encodeServeModel, decodeServeModel, (*ServeModel).ExecValueBytes)
 
 	// serve_model(model) publishes the deployed model as a task output so
 	// scoring batches take it as a future: on a remote backend the forest

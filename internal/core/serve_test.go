@@ -183,3 +183,26 @@ func TestServeRemoteParityBitIdentical(t *testing.T) {
 		})
 	}
 }
+
+// TestServeModelNilSameInProcessAndOnWorker: serve_model on a nil model
+// answers the same in process and on a worker. The worker sizes every stored
+// output for its cache, and a nil model must size like the nil forest values
+// do rather than panic there.
+func TestServeModelNilSameInProcessAndOnWorker(t *testing.T) {
+	args := []any{(*ServeModel)(nil)}
+	local, localErr := exec.Invoke("serve_model", 1, args)
+	b, err := exec.SpawnLoopback(exec.LoopbackConfig{Workers: 1, Slots: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	session := exec.NextSession()
+	defer b.Forget(session)
+	replies, _, err := b.ExecuteChain([]*exec.Request{{Name: "serve_model", NOut: 1, Args: args, Session: session, TaskID: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if remote := replies[0]; (remote.Err == nil) != (localErr == nil) || !reflect.DeepEqual(remote.Vals, local) {
+		t.Fatalf("on a worker: %#v, %v; in process: %#v, %v", remote.Vals, remote.Err, local, localErr)
+	}
+}

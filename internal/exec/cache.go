@@ -5,8 +5,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-
-	"taskml/internal/mat"
 )
 
 // The worker-side future cache: task outputs (and RefValue replicas) kept
@@ -26,7 +24,8 @@ import (
 // resident value itself, which later consumers, the response encoder and a
 // pull all only read. That is what makes Miss/resend, retries and pulls
 // safe without copies: no registered body writes to an argument. Only
-// values with a known size are cached at all (sizeOfValue, Sizer).
+// values with a known size are cached at all: the size their codec row
+// gives (sizeOfValue).
 
 // sessionCounter backs NextSession. Session 0 is reserved as "no session"
 // (requests with Store=false).
@@ -161,60 +160,13 @@ func (c *futureCache) occupancy() int64 {
 }
 
 // sizeOfValue estimates the resident size of a value in bytes, for the
-// cache bound and for placement scoring. 0 means "unknown" and the value is
-// not cached. The estimate covers the payload (the float data of a matrix,
-// the elements of a slice), not Go object headers — placement only needs
-// relative magnitudes.
+// cache bound and for placement scoring: its row's size (codec.go). 0 means
+// "unknown" and the value is not cached. The estimate covers the payload
+// (the float data of a matrix, the elements of a slice), not Go object
+// headers — placement only needs relative magnitudes.
 func sizeOfValue(v any) int64 {
-	switch x := v.(type) {
-	case nil:
-		return 0
-	case *mat.Dense:
-		if x == nil {
-			return 0
-		}
-		return int64(len(x.Data))*8 + 16
-	case []float64:
-		return int64(len(x))*8 + 8
-	case [][]float64:
-		var n int64 = 8
-		for _, row := range x {
-			n += int64(len(row))*8 + 24
-		}
-		return n
-	case []int:
-		return int64(len(x))*8 + 8
-	case []bool:
-		return int64(len(x)) + 8
-	case []string:
-		var n int64 = 8
-		for _, s := range x {
-			n += int64(len(s)) + 16
-		}
-		return n
-	case []any:
-		var n int64 = 8
-		for _, e := range x {
-			en := sizeOfValue(e)
-			if en <= 0 {
-				return 0
-			}
-			n += en
-		}
-		return n
-	case float64, int, int64, uint64, bool:
-		return 8
-	case string:
-		return int64(len(x)) + 16
-	case Sizer:
-		return x.ExecValueBytes()
-	default:
-		return 0
+	if r := rowOf(v); r != nil && r.size != nil {
+		return r.size(v)
 	}
-}
-
-// Sizer lets a domain type report its resident size, which is what admits
-// it to the cache; without it the type re-ships by value every time.
-type Sizer interface {
-	ExecValueBytes() int64
+	return 0
 }

@@ -184,6 +184,14 @@ type sizedFloats struct{ v []float64 }
 
 func (s *sizedFloats) ExecValueBytes() int64 { return int64(len(s.v)) * 8 }
 
+// The sized test types get their sizes the way a domain type does: from
+// their codec rows.
+func init() {
+	RegisterCodec(func(*Encoder, sizedOnly) {}, func(*Decoder) sizedOnly { return sizedOnly{} }, sizedOnly.ExecValueBytes)
+	RegisterCodec(func(e *Encoder, s *sizedFloats) { e.Float64s(s.v) },
+		func(d *Decoder) *sizedFloats { return &sizedFloats{v: d.Float64s()} }, (*sizedFloats).ExecValueBytes)
+}
+
 func TestFutureCacheRejects(t *testing.T) {
 	if _, ok := newFutureCache(0).put(ref(1), floats(1)); ok {
 		t.Fatal("disabled cache accepted a put")
@@ -199,7 +207,7 @@ func TestFutureCacheRejects(t *testing.T) {
 		t.Fatal("unsizable value accepted")
 	}
 	if _, ok := c.put(ref(4), &sizedFloats{v: []float64{1}}); !ok {
-		t.Fatal("Sizer value rejected")
+		t.Fatal("value sized by its codec rejected")
 	}
 	if c.occupancy() != 8 {
 		t.Fatalf("occupancy = %d, want 8", c.occupancy())

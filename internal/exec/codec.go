@@ -16,26 +16,13 @@ import (
 
 // The value codec: how everything inside request.Args and response.Vals is
 // laid out in a frame (wire.go). One tag byte, then a body that depends on
-// the tag:
-//
-//	tag            body
-//	nil            —
-//	bool           1 byte, 0 or 1
-//	int, int64     zigzag varint
-//	uint64         uvarint
-//	float64        8 bytes, little-endian IEEE bits
-//	string         uvarint length, bytes
-//	[]float64      length+1 (0 = nil), 8 raw bytes per element
-//	[][]float64    length+1, each row as a []float64 body
-//	[]int          length+1, one zigzag varint per element
-//	[]bool         length+1, one byte per element
-//	[]string       length+1, each as a string body
-//	[]any          length+1, each as a tagged value
-//	*mat.Dense     rows, cols, then Data as a []float64 body
-//	nil *mat.Dense —
-//	ValueRef       session uvarint, task varint, out varint
-//	RefValue       ValueRef body, then a tagged value
-//	named          type name string, then the body its RegisterCodec wrote
+// the tag. The vocabulary is one table with a row per type that can cross:
+// the built-in kinds, added in tag order by the init below (each row's
+// comment is its body; DESIGN.md's value-tag table lists the same rows), and
+// the RegisterCodec types, which travel under tagNamed as their type name
+// string and then the body their enc wrote. A row also gives a value's
+// resident size, which is what admits it to the worker cache (cache.go).
+// nil and a nil *mat.Dense are their tag alone.
 //
 // Float bits are copied, never converted, so NaN payloads and −0 cross
 // unchanged; []int stays varint because row-index slices would quadruple as
@@ -81,17 +68,167 @@ func float64Bytes(s []float64) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*8)
 }
 
-// valueCodec is the binary wire form of one registered domain type.
-type valueCodec struct {
-	name string
+// row is one type of the wire vocabulary: how a value of it is written,
+// read back and sized.
+type row struct {
+	tag  byte   // tagNamed for a RegisterCodec type
+	name string // the Go type name, which a tagNamed value travels under
 	enc  func(*Encoder, any)
 	dec  func(*Decoder) any
+	size func(any) int64 // resident bytes; nil: never cached
 }
 
-var (
-	codecByType = map[reflect.Type]*valueCodec{}
-	codecByName = map[string]*valueCodec{}
-)
+// table holds every row, found by Go type on encode and by tag — then by
+// name, for tagNamed — on decode. regMu guards the maps; byTag is filled by
+// this file's init alone and read without it.
+var table = struct {
+	byType map[reflect.Type]*row
+	byTag  [tagNamed]*row
+	byName map[string]*row // the tagNamed rows
+}{byType: map[reflect.Type]*row{}, byName: map[string]*row{}}
+
+// addRow puts T's row in the table under tag. A type that already has a
+// row, or a name another tagNamed row travels under, panics and leaves the
+// table as it was: one value, one wire form.
+func addRow[T any](tag byte, enc func(*Encoder, T), dec func(*Decoder) T, size func(T) int64) {
+	t := reflect.TypeOf((*T)(nil)).Elem()
+	r := &row{
+		tag:  tag,
+		name: t.String(),
+		enc:  func(e *Encoder, v any) { enc(e, v.(T)) },
+		dec:  func(d *Decoder) any { return dec(d) },
+	}
+	if size != nil {
+		r.size = func(v any) int64 { return size(v.(T)) }
+	}
+	regMu.Lock()
+	defer regMu.Unlock()
+	if table.byType[t] != nil || tag == tagNamed && table.byName[r.name] != nil {
+		panic(fmt.Sprintf("exec: duplicate codec for %s", r.name))
+	}
+	table.byType[t] = r
+	if tag == tagNamed {
+		table.byName[r.name] = r
+	} else {
+		table.byTag[tag] = r
+	}
+}
+
+// rowOf returns the row of v's type, or nil when v has no wire form.
+func rowOf(v any) *row {
+	regMu.RLock()
+	defer regMu.RUnlock()
+	return table.byType[reflect.TypeOf(v)]
+}
+
+// word is the resident size of a scalar.
+func word[T any](T) int64 { return 8 }
+
+// listSize sizes a slice by its elements: 8 for the slice, plus each
+// element's size. One unsized element (0) leaves the whole unsized.
+func listSize[E any](elem func(E) int64) func([]E) int64 {
+	return func(s []E) int64 {
+		n := int64(8)
+		for _, x := range s {
+			en := elem(x)
+			if en <= 0 {
+				return 0
+			}
+			n += en
+		}
+		return n
+	}
+}
+
+// The built-in rows, in tag order; the comment on each is its body.
+func init() {
+	addRow(tagBool, (*Encoder).Bool, (*Decoder).Bool, word[bool])             // 1 byte, 0 or 1
+	addRow(tagInt, (*Encoder).Int, (*Decoder).Int, word[int])                 // zigzag varint
+	addRow(tagInt64, (*Encoder).varint, (*Decoder).varint, word[int64])       // zigzag varint
+	addRow(tagUint64, (*Encoder).uvarint, (*Decoder).uvarint, word[uint64])   // uvarint
+	addRow(tagFloat64, (*Encoder).Float64, (*Decoder).Float64, word[float64]) // 8 bytes, little-endian IEEE bits
+	strSize := func(s string) int64 { return int64(len(s)) + 16 }
+	addRow(tagString, (*Encoder).str, (*Decoder).str, strSize) // uvarint length, bytes
+	// length+1 (0 = nil), 8 raw bytes per element
+	addRow(tagFloat64s, (*Encoder).Float64s, (*Decoder).Float64s, func(s []float64) int64 { return int64(len(s))*8 + 8 })
+	// length+1, each row as a []float64 body
+	addRow(tagFloat64Rows, func(e *Encoder, s [][]float64) { encList(e, s, (*Encoder).Float64s) },
+		func(d *Decoder) [][]float64 { return decList(d, 1, (*Decoder).Float64s) },
+		listSize(func(r []float64) int64 { return int64(len(r))*8 + 24 }))
+	// length+1, one zigzag varint per element
+	addRow(tagInts, (*Encoder).Ints, (*Decoder).Ints, func(s []int) int64 { return int64(len(s))*8 + 8 })
+	// length+1, one byte per element
+	addRow(tagBools, func(e *Encoder, s []bool) { encList(e, s, (*Encoder).Bool) },
+		func(d *Decoder) []bool { return decList(d, 1, (*Decoder).Bool) },
+		func(s []bool) int64 { return int64(len(s)) + 8 })
+	// length+1, each as a string body
+	addRow(tagStrings, func(e *Encoder, s []string) { encList(e, s, (*Encoder).str) },
+		func(d *Decoder) []string { return decList(d, 1, (*Decoder).str) },
+		listSize(strSize))
+	addRow(tagAnys, (*Encoder).anys, (*Decoder).anys, listSize(sizeOfValue)) // length+1, each as a tagged value
+	// rows, cols, then Data as a []float64 body
+	addRow(tagDense, (*Encoder).Dense, (*Decoder).Dense, func(m *mat.Dense) int64 {
+		if m == nil {
+			return 0 // a nil matrix is never cached
+		}
+		return int64(len(m.Data))*8 + 16
+	})
+	addRow(tagValueRef, (*Encoder).ref, (*Decoder).ref, nil) // session uvarint, task varint, out varint
+	// a ValueRef body, then a tagged value
+	addRow(tagRefValue, func(e *Encoder, rv RefValue) { e.ref(rv.Ref); e.Value(rv.Val) },
+		func(d *Decoder) (rv RefValue) {
+			if d.Nest() {
+				rv = RefValue{Ref: d.ref(), Val: d.Value()}
+				d.Unnest()
+			}
+			return rv
+		}, nil)
+}
+
+// encList writes s as length+1 (0 = nil), so nil and empty stay apart, then
+// each element with enc.
+func encList[E any](e *Encoder, s []E, enc func(*Encoder, E)) {
+	e.sliceLen(len(s), s == nil)
+	for _, x := range s {
+		enc(e, x)
+	}
+}
+
+// decList reads what encList wrote, each element at least minBytes long on
+// the wire.
+func decList[E any](d *Decoder, minBytes int, dec func(*Decoder) E) []E {
+	n, isNil := d.sliceLen(minBytes)
+	if isNil || d.err != nil {
+		return nil
+	}
+	return decEach(d, n, dec)
+}
+
+// encCount writes s as a plain count, where nil and empty are one value,
+// then each element with enc.
+func encCount[E any](e *Encoder, s []E, enc func(*Encoder, E)) {
+	e.Len(len(s))
+	for _, x := range s {
+		enc(e, x)
+	}
+}
+
+// decCount reads what encCount wrote, nil for a count of 0.
+func decCount[E any](d *Decoder, minBytes int, dec func(*Decoder) E) []E {
+	if n := d.Len(minBytes); n > 0 {
+		return decEach(d, n, dec)
+	}
+	return nil
+}
+
+// decEach reads n elements with dec, stopping at the first error.
+func decEach[E any](d *Decoder, n int, dec func(*Decoder) E) []E {
+	s := make([]E, 0, prealloc(n))
+	for i := 0; i < n && d.err == nil; i++ {
+		s = append(s, dec(d))
+	}
+	return s
+}
 
 // RegisterCodec gives T a hand-written binary wire form: enc writes a value
 // with the Encoder's methods and dec reads it back in the same order. The
@@ -99,25 +236,15 @@ var (
 // link the registering package — which holds whenever they can run the same
 // task bodies. dec reports malformed input through Decoder.Fail (the
 // Decoder's own methods do so themselves) and must check a length with
-// Decoder.Len before allocating from it. A type with neither a built-in tag
-// nor a codec cannot cross the wire at all.
+// Decoder.Len before allocating from it. size reports a value's resident
+// bytes, which is what admits it to the worker future cache; with a nil
+// size the type is never cached and re-ships by value every time. A type
+// with neither a built-in tag nor a codec cannot cross the wire at all.
 //
 // Call it from the init that registers the bodies using T; like Register it
-// panics on a duplicate.
-func RegisterCodec[T any](enc func(*Encoder, T), dec func(*Decoder) T) {
-	t := reflect.TypeOf((*T)(nil)).Elem()
-	c := &valueCodec{
-		name: t.String(),
-		enc:  func(e *Encoder, v any) { enc(e, v.(T)) },
-		dec:  func(d *Decoder) any { return dec(d) },
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := codecByName[c.name]; dup {
-		panic(fmt.Sprintf("exec: duplicate codec for %s", c.name))
-	}
-	codecByType[t] = c
-	codecByName[c.name] = c
+// panics on a duplicate, and so it does for a type that has a built-in tag.
+func RegisterCodec[T any](enc func(*Encoder, T), dec func(*Decoder) T, size func(T) int64) {
+	addRow(tagNamed, enc, dec, size)
 }
 
 // Encoder writes wire values. A frame body is encoded twice through the
@@ -191,11 +318,10 @@ func (e *Encoder) str(s string) {
 
 // sliceLen writes the length of a slice body: 0 for nil, else length+1.
 func (e *Encoder) sliceLen(n int, isNil bool) {
-	if isNil {
-		e.uvarint(0)
-		return
+	if !isNil {
+		n++
 	}
-	e.uvarint(uint64(n) + 1)
+	e.uvarint(uint64(n))
 }
 
 // Bool writes one byte.
@@ -219,28 +345,19 @@ func (e *Encoder) Float64(f float64) {
 	e.write(e.buf[:8])
 }
 
-// Float64s writes s, nil-ness included, copying the bits of every element.
+// Float64s writes s, nil-ness included, copying the bits of every element:
+// on a little-endian host straight from its backing array.
 func (e *Encoder) Float64s(s []float64) {
-	e.sliceLen(len(s), s == nil)
-	switch {
-	case hostLittleEndian:
-		e.write(float64Bytes(s))
-	case e.w == nil:
-		e.n += 8 * len(s)
-	default:
-		for _, f := range s {
-			e.Float64(f)
-		}
+	if !hostLittleEndian {
+		encList(e, s, (*Encoder).Float64)
+		return
 	}
+	e.sliceLen(len(s), s == nil)
+	e.write(float64Bytes(s))
 }
 
 // Ints writes s, nil-ness included, one varint per element.
-func (e *Encoder) Ints(s []int) {
-	e.sliceLen(len(s), s == nil)
-	for _, x := range s {
-		e.varint(int64(x))
-	}
-}
+func (e *Encoder) Ints(s []int) { encList(e, s, (*Encoder).Int) }
 
 // Dense writes a non-nil matrix.
 func (e *Encoder) Dense(m *mat.Dense) {
@@ -259,97 +376,32 @@ func (e *Encoder) ref(r ValueRef) {
 	e.varint(int64(r.Out))
 }
 
-func (e *Encoder) refs(rs []ValueRef) {
-	e.Len(len(rs))
-	for _, r := range rs {
-		e.ref(r)
-	}
-}
+func (e *Encoder) anys(vs []any) { encList(e, vs, (*Encoder).Value) }
 
-func (e *Encoder) anys(vs []any) {
-	e.sliceLen(len(vs), vs == nil)
-	for _, v := range vs {
-		e.Value(v)
-	}
-}
-
-// Value writes v behind its tag: the built-in kinds and the RegisterCodec
-// types. Anything else fails the frame before a byte of it is written.
+// Value writes v behind its tag — its row's, or tagNamed and its type name
+// for a RegisterCodec type. A value with no row fails the frame before a
+// byte of it is written.
 func (e *Encoder) Value(v any) {
 	switch x := v.(type) {
 	case nil:
 		e.byte(tagNil)
-	case bool:
-		e.byte(tagBool)
-		e.Bool(x)
-	case int:
-		e.byte(tagInt)
-		e.varint(int64(x))
-	case int64:
-		e.byte(tagInt64)
-		e.varint(x)
-	case uint64:
-		e.byte(tagUint64)
-		e.uvarint(x)
-	case float64:
-		e.byte(tagFloat64)
-		e.Float64(x)
-	case string:
-		e.byte(tagString)
-		e.str(x)
-	case []float64:
-		e.byte(tagFloat64s)
-		e.Float64s(x)
-	case [][]float64:
-		e.byte(tagFloat64Rows)
-		e.sliceLen(len(x), x == nil)
-		for _, row := range x {
-			e.Float64s(row)
-		}
-	case []int:
-		e.byte(tagInts)
-		e.Ints(x)
-	case []bool:
-		e.byte(tagBools)
-		e.sliceLen(len(x), x == nil)
-		for _, b := range x {
-			e.Bool(b)
-		}
-	case []string:
-		e.byte(tagStrings)
-		e.sliceLen(len(x), x == nil)
-		for _, s := range x {
-			e.str(s)
-		}
-	case []any:
-		e.byte(tagAnys)
-		e.anys(x)
+		return
 	case *mat.Dense:
 		if x == nil {
 			e.byte(tagNilDense)
 			return
 		}
-		e.byte(tagDense)
-		e.Dense(x)
-	case ValueRef:
-		e.byte(tagValueRef)
-		e.ref(x)
-	case RefValue:
-		e.byte(tagRefValue)
-		e.ref(x.Ref)
-		e.Value(x.Val)
-	default:
-		regMu.RLock()
-		c := codecByType[reflect.TypeOf(v)]
-		regMu.RUnlock()
-		if c == nil {
-			e.fail(fmt.Errorf("%T has no wire form: give it one with exec.RegisterCodec", v))
-			return
-		}
-		e.byte(tagNamed)
-		e.str(c.name)
-		c.enc(e, v)
 	}
+	r := rowOf(v)
+	if r == nil {
+		e.fail(fmt.Errorf("%T has no wire form: give it one with exec.RegisterCodec", v))
+		return
+	}
+	e.byte(r.tag)
+	if r.tag == tagNamed {
+		e.str(r.name)
+	}
+	r.enc(e, v)
 }
 
 // Decoder reads wire values out of one frame. It never trusts a length: a
@@ -537,17 +589,7 @@ func (d *Decoder) Float64s() []float64 {
 }
 
 // Ints reads a slice written by Encoder.Ints.
-func (d *Decoder) Ints() []int {
-	n, isNil := d.sliceLen(1)
-	if isNil || d.err != nil {
-		return nil
-	}
-	s := make([]int, 0, prealloc(n))
-	for i := 0; i < n && d.err == nil; i++ {
-		s = append(s, d.Int())
-	}
-	return s
-}
+func (d *Decoder) Ints() []int { return decList(d, 1, (*Decoder).Int) }
 
 // Dense reads a matrix written by Encoder.Dense; rows×cols must equal the
 // element count that follows.
@@ -586,110 +628,36 @@ func (d *Decoder) ref() ValueRef {
 	return ValueRef{Session: d.uvarint(), Task: d.Int(), Out: d.Int()}
 }
 
-func (d *Decoder) refs() []ValueRef {
-	n := d.Len(3)
-	if n == 0 {
-		return nil
-	}
-	rs := make([]ValueRef, 0, prealloc(n))
-	for i := 0; i < n && d.err == nil; i++ {
-		rs = append(rs, d.ref())
-	}
-	return rs
-}
-
+// anys reads a []any body; its elements sit one nesting level deeper.
 func (d *Decoder) anys() []any {
 	n, isNil := d.sliceLen(1)
 	if isNil || !d.Nest() {
 		return nil
 	}
-	vs := make([]any, 0, prealloc(n))
-	for i := 0; i < n && d.err == nil; i++ {
-		vs = append(vs, d.Value())
-	}
-	d.Unnest()
-	return vs
+	defer d.Unnest()
+	return decEach(d, n, (*Decoder).Value)
 }
 
-// Value reads one tagged value.
+// Value reads one tagged value: the row of its tag, or of the type name
+// that follows tagNamed, reads the body.
 func (d *Decoder) Value() any {
-	switch tag := d.byte(); tag {
-	case tagNil:
+	switch tag := d.byte(); {
+	case tag == tagNil:
 		return nil
-	case tagBool:
-		return d.Bool()
-	case tagInt:
-		return d.Int()
-	case tagInt64:
-		return d.varint()
-	case tagUint64:
-		return d.uvarint()
-	case tagFloat64:
-		return d.Float64()
-	case tagString:
-		return d.str()
-	case tagFloat64s:
-		return d.Float64s()
-	case tagFloat64Rows:
-		n, isNil := d.sliceLen(1)
-		if isNil {
-			return [][]float64(nil)
-		}
-		rows := make([][]float64, 0, prealloc(n))
-		for i := 0; i < n && d.err == nil; i++ {
-			rows = append(rows, d.Float64s())
-		}
-		return rows
-	case tagInts:
-		return d.Ints()
-	case tagBools:
-		n, isNil := d.sliceLen(1)
-		if isNil {
-			return []bool(nil)
-		}
-		bs := make([]bool, n)
-		for i := 0; i < n && d.err == nil; i++ {
-			bs[i] = d.Bool()
-		}
-		return bs
-	case tagStrings:
-		n, isNil := d.sliceLen(1)
-		if isNil {
-			return []string(nil)
-		}
-		ss := make([]string, 0, prealloc(n))
-		for i := 0; i < n && d.err == nil; i++ {
-			ss = append(ss, d.str())
-		}
-		return ss
-	case tagAnys:
-		return d.anys()
-	case tagDense:
-		return d.Dense()
-	case tagNilDense:
+	case tag == tagNilDense:
 		return (*mat.Dense)(nil)
-	case tagValueRef:
-		return d.ref()
-	case tagRefValue:
-		if !d.Nest() {
-			return nil
-		}
-		rv := RefValue{Ref: d.ref(), Val: d.Value()}
-		d.Unnest()
-		return rv
-	case tagNamed:
+	case tag == tagNamed:
 		name := d.str()
-		if d.err != nil {
-			return nil
-		}
 		regMu.RLock()
-		c := codecByName[name]
+		r := table.byName[name]
 		regMu.RUnlock()
-		if c == nil {
-			d.Fail(fmt.Errorf("no codec registered for %q", name))
+		if r == nil {
+			d.Fail(fmt.Errorf("no codec registered for %q", name)) // a name that failed to read keeps its own error
 			return nil
 		}
-		return c.dec(d)
+		return r.dec(d)
+	case tag < tagNamed && table.byTag[tag] != nil:
+		return table.byTag[tag].dec(d)
 	default:
 		d.Fail(fmt.Errorf("unknown value tag %d", tag))
 		return nil

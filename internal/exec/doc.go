@@ -13,9 +13,10 @@
 //     argument-pure task bodies ("rf_bootstrap", "mat_add", ...): no body
 //     writes to an argument. Has / Names / Invoke query and run the
 //     registry.
-//   - RegisterCodec gives a domain type its binary wire form, written with
-//     an Encoder and read with a Decoder. A type with neither a built-in
-//     tag nor a codec is refused at encode, costing only its attempt.
+//   - RegisterCodec gives a domain type its row in the one table of wire
+//     types: its binary form, written with an Encoder and read with a
+//     Decoder, and its resident size, which admits it to the worker future
+//     cache. A type with no row is refused at encode, costing its attempt.
 //   - Backend is the one contract a fleet implements; a nil one is the
 //     registry itself, called through Invoke. ExecuteChain ships a ready
 //     task and the tasks only it holds back — a lone attempt is the chain of
@@ -36,8 +37,7 @@
 //     SetHook observes the fleet through one Event stream: each response
 //     that touched the data plane, each pull, each join and death. The
 //     fleet never resizes itself; whoever deploys it adds members.
-//   - Sizer admits a domain type's values to the worker future cache;
-//     NextSession mints the per-runtime cache namespace.
+//   - NextSession mints the per-runtime cache namespace.
 //
 // # Fleet lifecycle
 //

@@ -257,12 +257,12 @@ func (p *pull) kind() byte { return kindPull }
 
 func (p *pull) encode(e *Encoder) {
 	e.uvarint(p.ID)
-	e.refs(p.Refs)
+	encCount(e, p.Refs, (*Encoder).ref)
 }
 
 func (p *pull) decode(d *Decoder) {
 	p.ID = d.uvarint()
-	p.Refs = d.refs()
+	p.Refs = decCount(d, 3, (*Decoder).ref)
 }
 
 // forget tells a worker that nothing can read a value of these sessions any
@@ -273,19 +273,9 @@ type forget struct {
 
 func (f *forget) kind() byte { return kindForget }
 
-func (f *forget) encode(e *Encoder) {
-	e.Len(len(f.Sessions))
-	for _, s := range f.Sessions {
-		e.uvarint(s)
-	}
-}
+func (f *forget) encode(e *Encoder) { encCount(e, f.Sessions, (*Encoder).uvarint) }
 
-func (f *forget) decode(d *Decoder) {
-	f.Sessions = nil
-	for n := d.Len(1); n > 0 && d.err == nil; n-- {
-		f.Sessions = append(f.Sessions, d.uvarint())
-	}
-}
+func (f *forget) decode(d *Decoder) { f.Sessions = decCount(d, 1, (*Decoder).uvarint) }
 
 // response is the worker's reply to one request. Err is a string — error
 // values have no wire form — and is re-wrapped by the coordinator; the task-level
@@ -367,14 +357,12 @@ func (d *Decoder) skipRest() {
 func (r *request) kind() byte { return kindRequest }
 
 func (r *request) encode(e *Encoder) {
-	r.encodeOne(e)
-	e.Len(len(r.Chain))
-	for i := range r.Chain {
-		r.Chain[i].encodeOne(e)
-	}
+	writeRequest(e, *r)
+	encCount(e, r.Chain, writeRequest)
 }
 
-func (r *request) encodeOne(e *Encoder) {
+// writeRequest writes one member of a request frame, without its chain.
+func writeRequest(e *Encoder, r request) {
 	e.uvarint(r.ID)
 	e.str(r.Name)
 	e.Int(r.NOut)
@@ -386,46 +374,34 @@ func (r *request) encodeOne(e *Encoder) {
 }
 
 func (r *request) decode(d *Decoder) {
-	r.decodeOne(d)
-	for n := d.Len(8); n > 0 && d.err == nil; n-- { // 8: the smallest member
-		var m request
-		m.decodeOne(d)
-		r.Chain = append(r.Chain, m)
-	}
+	*r = readRequest(d)
+	r.Chain = decCount(d, 8, readRequest) // 8: the smallest member
 }
 
-func (r *request) decodeOne(d *Decoder) {
-	r.ID = d.uvarint()
-	r.Name = d.str()
-	r.NOut = d.Int()
-	r.Session = d.uvarint()
-	r.Task = d.Int()
-	r.Store = d.Bool()
-	r.Hold = d.Bool()
-	r.Args = d.anys()
+// readRequest reads what writeRequest wrote, field by field in order.
+func readRequest(d *Decoder) request {
+	return request{ID: d.uvarint(), Name: d.str(), NOut: d.Int(), Session: d.uvarint(),
+		Task: d.Int(), Store: d.Bool(), Hold: d.Bool(), Args: d.anys()}
 }
 
 func (r *response) kind() byte { return kindResponse }
 
 func (r *response) encode(e *Encoder) {
-	r.encodeOne(e)
-	e.Len(len(r.Chain))
-	for i := range r.Chain {
-		r.Chain[i].encodeOne(e)
-	}
+	writeResponse(e, *r)
+	encCount(e, r.Chain, writeResponse)
 }
 
-func (r *response) encodeOne(e *Encoder) {
+// writeResponse writes one member of a response frame, without its chain.
+func writeResponse(e *Encoder, r response) {
 	e.uvarint(r.ID)
 	e.anys(r.Vals)
 	e.str(r.Err)
-	e.refs(r.Miss)
-	e.Len(len(r.Stored))
-	for _, st := range r.Stored {
+	encCount(e, r.Miss, (*Encoder).ref)
+	encCount(e, r.Stored, func(e *Encoder, st StoredRef) {
 		e.ref(st.Ref)
 		e.varint(st.Bytes)
-	}
-	e.refs(r.Evicted)
+	})
+	encCount(e, r.Evicted, (*Encoder).ref)
 	e.varint(r.CacheBytes)
 	e.Int(r.RefHits)
 	e.Int(r.RefMisses)
@@ -433,30 +409,24 @@ func (r *response) encodeOne(e *Encoder) {
 }
 
 func (r *response) decode(d *Decoder) {
-	r.decodeOne(d)
-	for n := d.Len(10); n > 0 && d.err == nil; n-- { // 10: the smallest member
-		var m response
-		m.decodeOne(d)
-		r.Chain = append(r.Chain, m)
-	}
+	*r = readResponse(d)
+	r.Chain = decCount(d, 10, readResponse) // 10: the smallest member
 }
 
-func (r *response) decodeOne(d *Decoder) {
-	r.ID = d.uvarint()
-	r.Vals = d.anys()
-	r.Err = d.str()
-	r.Miss = d.refs()
-	if n := d.Len(4); n > 0 {
-		r.Stored = make([]StoredRef, 0, prealloc(n))
-		for i := 0; i < n && d.err == nil; i++ {
-			r.Stored = append(r.Stored, StoredRef{Ref: d.ref(), Bytes: d.varint()})
-		}
+// readResponse reads what writeResponse wrote, field by field in order.
+func readResponse(d *Decoder) response {
+	return response{
+		ID:         d.uvarint(),
+		Vals:       d.anys(),
+		Err:        d.str(),
+		Miss:       decCount(d, 3, (*Decoder).ref),
+		Stored:     decCount(d, 4, func(d *Decoder) StoredRef { return StoredRef{Ref: d.ref(), Bytes: d.varint()} }),
+		Evicted:    decCount(d, 3, (*Decoder).ref),
+		CacheBytes: d.varint(),
+		RefHits:    d.Int(),
+		RefMisses:  d.Int(),
+		BodyNs:     d.varint(),
 	}
-	r.Evicted = d.refs()
-	r.CacheBytes = d.varint()
-	r.RefHits = d.Int()
-	r.RefMisses = d.Int()
-	r.BodyNs = d.varint()
 }
 
 // each calls fn on the head reply and on every chain member's, in order.

@@ -7,6 +7,7 @@ package exec_test
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
@@ -268,6 +269,33 @@ func TestWireRefusesUnregisteredType(t *testing.T) {
 	}
 	if st := r.Stats(); st.Dispatched != st.Completed+st.Failed || st.Failed != 1 {
 		t.Fatalf("Stats = %+v, want the refused send counted Failed and the partition intact", st)
+	}
+}
+
+// TestRegisterCodecRefusesBuiltinType: a type that already has a wire form
+// cannot get a second one. Registering []int panics and changes nothing: the
+// built-in form stays the only one, and the named form a codec would have
+// read is still refused at decode.
+func TestRegisterCodecRefusesBuiltinType(t *testing.T) {
+	func() {
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "duplicate codec for []int") {
+				t.Fatalf("RegisterCodec[[]int] recovered %v, want a duplicate-codec panic", r)
+			}
+		}()
+		exec.RegisterCodec((*exec.Encoder).Ints, (*exec.Decoder).Ints, nil)
+	}()
+	builtin, err := exec.EncodeValue([]int{1})
+	if err != nil || len(builtin) != 3 {
+		t.Fatalf("[]int{1} encodes to %x (err %v), want its 3-byte built-in form", builtin, err)
+	}
+	named, err := exec.EncodeValue(forest.TreeParams{}) // its first byte is the named tag
+	if err != nil {
+		t.Fatal(err)
+	}
+	named = append(append([]byte{named[0], byte(len("[]int"))}, "[]int"...), builtin[1:]...)
+	if v, err := exec.DecodeValue(named); err == nil {
+		t.Fatalf("a named []int decoded to %#v: a second wire form of one value", v)
 	}
 }
 

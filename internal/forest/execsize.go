@@ -1,12 +1,12 @@
 package forest
 
-// Future-cache participation (see internal/exec cache.go): a value with a
-// known resident size is kept on the worker that produced or received it.
-// TrainSet is the payoff — every rf_bootstrap of an estimator consumes the
-// same gathered TrainSet, so a resident copy on the worker that ran
-// rf_gather turns N full-dataset transfers into N references, and since no
-// forest body writes to its arguments every one of them reads that one
-// copy.
+// Future-cache participation (see internal/exec cache.go): a value whose
+// codec has a size (tasks.go passes these to exec.RegisterCodec) is kept on
+// the worker that produced or received it. TrainSet is the payoff — every
+// rf_bootstrap of an estimator consumes the same gathered TrainSet, so a
+// resident copy on the worker that ran rf_gather turns N full-dataset
+// transfers into N references, and since no forest body writes to its
+// arguments every one of them reads that one copy.
 
 // ExecValueBytes reports the resident payload size, rank table included:
 // with distinct values in every column the table is 1.5× the size of X.

@@ -15,10 +15,10 @@ import (
 // (TrainSet, SplitOut, Node, TreeParams) are registered alongside with
 // their binary codecs (codec.go). Every body only reads its arguments.
 func init() {
-	exec.RegisterCodec(encodeTrainSet, decodeTrainSet)
-	exec.RegisterCodec(encodeSplitOut, decodeSplitOut)
-	exec.RegisterCodec(encodeNode, decodeNode)
-	exec.RegisterCodec(encodeTreeParams, decodeTreeParams)
+	exec.RegisterCodec(encodeTrainSet, decodeTrainSet, (*TrainSet).ExecValueBytes)
+	exec.RegisterCodec(encodeSplitOut, decodeSplitOut, (*SplitOut).ExecValueBytes)
+	exec.RegisterCodec(encodeNode, decodeNode, (*Node).ExecValueBytes)
+	exec.RegisterCodec(encodeTreeParams, decodeTreeParams, nil)
 
 	// rf_gather(blocks): alternating x row block / y row block futures,
 	// concatenated into the single TrainSet the tree tasks consume.
