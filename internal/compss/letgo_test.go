@@ -142,3 +142,35 @@ func TestCompletedTasksRetainNoInputs(t *testing.T) {
 		t.Fatalf("%d completed tasks retain %.1f MB, want < 16 MB", tasks, float64(grown)/(1<<20))
 	}
 }
+
+// TestSubmitBytesPerTask holds what a recorded Submit+Get costs in memory:
+// the task itself (its share of the executor's slabs) plus its graph
+// record, written once into the graph's chunked store. A store that
+// re-copies its records as it grows allocates each record several times
+// over, about 1 KB a task here. TotalAlloc counts every byte handed out, so
+// the bound holds whatever the collector does meanwhile.
+func TestSubmitBytesPerTask(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow allocations are not the program's")
+	}
+	const n, perTask = 20000, 640
+	rt := New(Config{Workers: 4})
+	noop := func(*TaskCtx, []any) (any, error) { return nil, nil }
+	run := func(k int) {
+		for i := 0; i < k; i++ {
+			if _, err := rt.Get(rt.Submit(Opts{Name: "noop"}, noop)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	run(1000) // carriers started, slabs and the first chunks in place
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run(n)
+	runtime.ReadMemStats(&after)
+	got := (after.TotalAlloc - before.TotalAlloc) / n
+	if got > perTask {
+		t.Fatalf("%d B allocated a Submit+Get over %d tasks, want at most %d", got, n, perTask)
+	}
+	t.Logf("%d B allocated a Submit+Get over %d tasks", got, n)
+}

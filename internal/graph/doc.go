@@ -19,9 +19,12 @@
 //
 // # Concurrency and ownership
 //
-// Add and the event recorders are safe for concurrent use (the runtime
-// appends from many worker goroutines); IDs are dense and assigned in
-// submission order. Readers should query after the producing runtime has
+// Add, Append, AddCounted and the event recorders are safe for concurrent
+// use (the runtime appends from many worker goroutines); IDs are dense and
+// assigned in submission order. An append is O(1) under the graph's lock:
+// records live in fixed-size chunks and are written once, never copied as
+// the graph grows. Readers should query after the producing runtime has
 // quiesced — queries take the same lock but see a consistent snapshot only
-// once no more tasks are being added.
+// once no more tasks are being added. Tasks returns a copy, which later
+// appends do not touch.
 package graph

@@ -79,21 +79,37 @@ type FailureEvent struct {
 	At time.Time
 }
 
+// chunkLen is how many records one chunk of a Graph holds: 13 KB of Task,
+// so a small workflow's graph is one chunk.
+const chunkLen = 128
+
 // Graph is an append-only record of submitted tasks. It is safe for
 // concurrent use: nested tasks submit from worker goroutines.
+//
+// Records live in fixed-size chunks, id at chunks[id/chunkLen][id%chunkLen],
+// written once and never moved. An append that finds the last chunk full
+// allocates the next one; none copies the records before it.
 type Graph struct {
 	mu        sync.Mutex
-	tasks     []Task
+	chunks    []*[chunkLen]Task
+	n         int
 	nameCount map[string]int
 	failures  []FailureEvent
 }
 
-// New returns an empty graph. The task slice starts with room for a small
-// workflow: Task is a wide struct, so growing from zero capacity through
-// repeated doubling re-copies every record several times and leaves the
-// abandoned arrays to the garbage collector — measurable on the submit hot
-// path.
-func New() *Graph { return &Graph{tasks: make([]Task, 0, 128)} }
+// New returns an empty graph. It allocates no chunk until the first task
+// arrives.
+func New() *Graph { return &Graph{} }
+
+// slot assigns the next id and returns its record. Callers hold g.mu.
+func (g *Graph) slot() (int, *Task) {
+	id := g.n
+	if id%chunkLen == 0 {
+		g.chunks = append(g.chunks, new([chunkLen]Task))
+	}
+	g.n++
+	return id, &g.chunks[id/chunkLen][id%chunkLen]
+}
 
 // Add appends a task and returns its assigned ID.
 func (g *Graph) Add(t Task) int {
@@ -101,17 +117,18 @@ func (g *Graph) Add(t Task) int {
 	return id
 }
 
-// Append appends *t (by copy) without maintaining the per-name occurrence
-// counter. Submitters that never consult occurrence indices (no fault plan
-// to match against) use it to skip the map work on the hot path; the
-// pointer parameter spares a second copy of the wide struct. Mixing Append
-// with AddCounted on one graph skews the indices AddCounted hands out, so
-// a graph should stick to one of the two.
+// Append copies *t into the next record and returns its ID, without
+// maintaining the per-name occurrence counter. Submitters that never
+// consult occurrence indices (no fault plan to match against) use it to
+// skip the map work on the hot path; the pointer parameter spares a second
+// copy of the wide struct. The lock is held for that one copy, whatever the
+// graph's size. Mixing Append with AddCounted on one graph skews the
+// indices AddCounted hands out, so a graph should stick to one of the two.
 func (g *Graph) Append(t *Task) int {
 	g.mu.Lock()
-	id := len(g.tasks)
-	g.tasks = append(g.tasks, *t)
-	g.tasks[id].ID = id
+	id, rec := g.slot()
+	*rec = *t
+	rec.ID = id
 	g.mu.Unlock()
 	return id
 }
@@ -123,14 +140,15 @@ func (g *Graph) Append(t *Task) int {
 func (g *Graph) AddCounted(t Task) (id, occ int) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	t.ID = len(g.tasks)
-	g.tasks = append(g.tasks, t)
+	id, rec := g.slot()
+	*rec = t
+	rec.ID = id
 	if g.nameCount == nil {
 		g.nameCount = map[string]int{}
 	}
 	occ = g.nameCount[t.Name]
 	g.nameCount[t.Name] = occ + 1
-	return t.ID, occ
+	return id, occ
 }
 
 // RecordFailure appends a failed-attempt event. CostFraction is clamped to
@@ -199,15 +217,17 @@ func (g *Graph) WithoutFailures() *Graph {
 func (g *Graph) Len() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return len(g.tasks)
+	return g.n
 }
 
 // Tasks returns a snapshot copy of the captured tasks in submission order.
 func (g *Graph) Tasks() []Task {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	out := make([]Task, len(g.tasks))
-	copy(out, g.tasks)
+	out := make([]Task, g.n)
+	for i, c := range g.chunks {
+		copy(out[i*chunkLen:], c[:])
+	}
 	return out
 }
 
@@ -215,10 +235,10 @@ func (g *Graph) Tasks() []Task {
 func (g *Graph) Task(id int) (Task, bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if id < 0 || id >= len(g.tasks) {
+	if id < 0 || id >= g.n {
 		return Task{}, false
 	}
-	return g.tasks[id], true
+	return g.chunks[id/chunkLen][id%chunkLen], true
 }
 
 // Validate checks structural invariants: dependency and parent IDs must

@@ -128,6 +128,13 @@ done
 # into TaskStats, over real runtimes and over a hand-built stream.
 echo "== go test -race -count=2 -cpu=1,8 -run 'TestStealStress|TestParallelismIsBounded|TestBarrierNestedStress|TestChainMembership|TestChainHandBack|TestChainLostArgument|TestChainHeadFailure|TestChainEventsAndStats|TestObserverCausalOrder|TestStatsRecording|TestObserversViaConfigFeedStats|TestStatsObserverFoldsSyntheticStream' ./internal/compss/"
 go test -race -count=2 -cpu=1,8 -run 'TestStealStress|TestParallelismIsBounded|TestBarrierNestedStress|TestChainMembership|TestChainHandBack|TestChainLostArgument|TestChainHeadFailure|TestChainEventsAndStats|TestObserverCausalOrder|TestStatsRecording|TestObserversViaConfigFeedStats|TestStatsObserverFoldsSyntheticStream' ./internal/compss/
+# Every recorded submit appends to the graph under its one lock, from
+# whichever goroutine submits: the chunked store's tests (appends across
+# chunk boundaries, a snapshot that must not alias a chunk, eight goroutines
+# whose records must each land whole under their own id, occurrence indices
+# in id order) run at both GOMAXPROCS extremes too.
+echo "== go test -race -count=2 -cpu=1,8 ./internal/graph/"
+go test -race -count=2 -cpu=1,8 ./internal/graph/
 
 # Kernel helpers borrow idle slots from the live runtime or worker (par.Lend)
 # and must change no bit: the rotation sweep of EigSym at the pca_eigh size,
@@ -211,9 +218,14 @@ sh bench/run.sh -quick
 # Submit-path smoke: a quick -benchmem pass over the Submit benchmarks so a
 # regression that re-inflates the per-task allocation count is visible in
 # every gate run (the numbers land in the log; bench/'s task_storm workload,
-# compss.submit_ns_per_task, is the measurement). The -mutexprofile run keeps
+# compss.submit_ns_per_task, is the measurement). The bytes a task costs are
+# a check, not a log line: TestSubmitBytesPerTask fails past 640 B a
+# Submit+Get. The race detector adds allocations of its own, so the -race
+# passes above skip it and it runs here without. The -mutexprofile run keeps
 # the submit fast path honest: it must stay off contended runtime-global
 # locks, and a profile that suddenly grows is the early warning.
+echo "== go test -count=2 -cpu=1,8 -run '^TestSubmitBytesPerTask\$' ./internal/compss/"
+go test -count=2 -cpu=1,8 -run '^TestSubmitBytesPerTask$' ./internal/compss/
 echo "== go test -run=NONE -bench=Submit -benchtime=100x -benchmem ."
 go test -run=NONE -bench=Submit -benchtime=100x -benchmem .
 # Wire-path smoke, same idea: one matrix through a connection's encoder and
