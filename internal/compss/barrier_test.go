@@ -145,6 +145,7 @@ func TestBarrierNestedStress(t *testing.T) {
 		if n := rt.Graph().Len(); n != parents*(children+1) {
 			t.Fatalf("round %d: graph holds %d tasks, want %d", rounds, n, parents*(children+1))
 		}
+		quiescent(t, rt)
 	}
 	t.Logf("%d rounds in %v", rounds, span)
 }

@@ -92,7 +92,6 @@ type Config struct {
 type Runtime struct {
 	g    *graph.Graph
 	cfg  Config
-	sem  *slotPool
 	main *TaskCtx
 
 	// detached is the context Detached returns; detachedN counts its tasks,
@@ -132,9 +131,9 @@ func (r *release) run() {
 
 // New creates a runtime.
 //
-// Its parallelism is fixed here: the executor and the slot pool are both
-// sized to max(Workers, the backend's SlotTotal() now). A worker that joins
-// the fleet later makes up for one that was lost and is fully used by
+// Its parallelism is fixed here: the executor's deques, carriers and slots
+// are sized to max(Workers, the backend's SlotTotal() now). A worker that
+// joins the fleet later makes up for one that was lost and is fully used by
 // runtimes created after it.
 //
 // A runtime has no Close. Once nothing can reach it — every Future, TaskCtx
@@ -157,7 +156,6 @@ func New(cfg Config) *Runtime {
 	rt := &Runtime{
 		g:   graph.New(),
 		cfg: cfg,
-		sem: newSlotPool(w),
 	}
 	rt.ex = newExecutor(rt, w)
 	if cfg.Backend != nil {
@@ -175,9 +173,9 @@ func New(cfg Config) *Runtime {
 	return rt
 }
 
-// Slots returns how many attempts run at once: the slot pool's width, fixed
+// Slots returns how many attempts run at once: the executor's width, fixed
 // at New.
-func (rt *Runtime) Slots() int { return rt.sem.cap }
+func (rt *Runtime) Slots() int { return rt.ex.maxProcs }
 
 // Graph returns the captured task graph. It grows as the program submits
 // tasks; replay it with internal/cluster once the workflow is complete
@@ -519,8 +517,8 @@ func appendArgDep(deps []graph.Dep, id int, synced idSet) []graph.Dep {
 }
 
 // graphDeps assembles a recorded submission's graph deps — the nArg future
-// arguments first, then the sync floor — and snapshots the floor (see
-// submit).
+// arguments first, then the sync floor in ascending id order, so the same
+// program records the same graph — and snapshots the floor (see submit).
 func (tc *TaskCtx) graphDeps(args []any, nArg int) (gdeps []graph.Dep, floorIDs []int) {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
@@ -532,9 +530,12 @@ func (tc *TaskCtx) graphDeps(args []any, nArg int) (gdeps []graph.Dep, floorIDs 
 	nArgDeps := len(gdeps)
 	if len(tc.floor) > 0 {
 		floorIDs = make([]int, 0, len(tc.floor))
+		for id := range tc.floor {
+			floorIDs = append(floorIDs, id)
+		}
+		slices.Sort(floorIDs)
 	}
-	for id := range tc.floor {
-		floorIDs = append(floorIDs, id)
+	for _, id := range floorIDs {
 		isArg := false
 		for i := 0; i < nArgDeps; i++ {
 			if gdeps[i].Task == id {
@@ -798,15 +799,6 @@ func (st *taskState) letGo() {
 	st.args = nil
 }
 
-// acquire takes a worker slot for a body running on w's carrier or — w nil —
-// on a goroutine without one, which keeps the runtime lending (keepLending).
-func (rt *Runtime) acquire(w *worker) {
-	rt.sem.acquire()
-	if w == nil {
-		rt.ex.keepLending()
-	}
-}
-
 // runReady executes a ready task to completion: resolve the (already
 // available) argument values, then loop over attempts — acquire a worker
 // slot, run the body inline (with panic containment and fault injection),
@@ -831,7 +823,7 @@ func (rt *Runtime) runReady(st *taskState, w *worker, stolen bool) {
 	var chain *chainRun
 
 	for attempt := 0; ; attempt++ {
-		rt.acquire(w)
+		rt.ex.acquire(w)
 		rt.emit(EventStart, st, attempt, nil, "", false)
 		// Attempt 0 uses the context embedded in the taskState; retries get
 		// a fresh one, so a retry starts with an empty sync floor and no
@@ -845,7 +837,7 @@ func (rt *Runtime) runReady(st *taskState, w *worker, stolen bool) {
 		}
 		child.wkr, child.detached = w, id < 0
 		res := rt.execAttempt(st, child, attempt, nOut, st.fn1, st.fnN, resolved)
-		rt.sem.release()
+		rt.ex.release()
 		chain = res.chain
 		// The body is done and the slot released; End events are stamped
 		// here so End−Start measures body execution, not the bookkeeping
@@ -1145,9 +1137,9 @@ func (tc *TaskCtx) raiseFloor(f *Future) {
 // blockingWait waits for a future by helping: it runs ready tasks inline
 // until the target completes, parking only when the queues are empty. The
 // main program (or any non-task context) just helps. A body — running inline
-// on a carrier or helper goroutine — hands its worker slot back to the pool
-// first and reacquires one before resuming, so nested tasks cannot deadlock
-// the pool and the blocked body's goroutine keeps contributing throughput.
+// on a carrier or helper goroutine — hands its worker slot back first and
+// reacquires one before resuming, so nested tasks cannot deadlock the slots
+// and the blocked body's goroutine keeps contributing throughput.
 func (tc *TaskCtx) blockingWait(f *Future) (any, error) {
 	if f.st.completed.Load() { // already resolved: a body keeps its slot
 		return f.wait()
@@ -1157,9 +1149,9 @@ func (tc *TaskCtx) blockingWait(f *Future) (any, error) {
 		tc.rt.ex.helpUntilDone(nil, &rng, f.st)
 		return f.wait()
 	}
-	tc.rt.sem.release() // hand the slot back; release never blocks
+	tc.rt.ex.release() // hand the slot back; release never blocks
 	tc.rt.ex.helpUntilDone(tc.wkr, &rng, f.st)
-	tc.rt.acquire(tc.wkr)
+	tc.rt.ex.acquire(tc.wkr)
 	return f.wait()
 }
 
@@ -1214,7 +1206,7 @@ func (tc *TaskCtx) waitSubmitted(holdsSlot bool, own *idSet) error {
 			if rng == 0 {
 				rng = tc.rt.ex.nextSeed()
 				if holdsSlot {
-					tc.rt.sem.release() // release never blocks
+					tc.rt.ex.release() // release never blocks
 				}
 			}
 			tc.rt.ex.helpUntilDone(tc.wkr, &rng, st)
@@ -1224,7 +1216,7 @@ func (tc *TaskCtx) waitSubmitted(holdsSlot bool, own *idSet) error {
 		}
 	}
 	if holdsSlot && rng != 0 {
-		tc.rt.acquire(tc.wkr)
+		tc.rt.ex.acquire(tc.wkr)
 	}
 	return err
 }

@@ -193,6 +193,7 @@ func TestParallelismIsBounded(t *testing.T) {
 		t.Fatalf("peak concurrency %d exceeds 3 workers", peak)
 	}
 	untilIdle(t, rt)
+	quiescent(t, rt)
 
 	// After bodies parked in Get or WaitAll — each hands its slot back while
 	// it helps and takes one again — the pool is still exactly Workers wide:

@@ -1,16 +1,17 @@
 // Work-stealing executor: per-worker deques and a parking protocol.
 //
-// Layout. The runtime owns Config.Workers worker structs, each holding a
-// ring deque of ready tasks. A *carrier* is a goroutine that claims a
-// worker slot and loops pop→execute; carriers are spawned lazily when work
-// appears and exit after a short idle linger, so an idle Runtime costs no
-// goroutines. Every attempt runs inline on the carrier or helper that
-// dispatched it. Execution capacity is bounded by the rt.sem slot pool — a
-// carrier or helper acquires a slot per attempt, and a body blocked in Get
-// hands its slot back while it helps — because the main program helps
-// without being a carrier, so the carrier count alone does not bound it. The
-// pool and the carrier and deque arrays here are sized once, from the same
-// number (see New); thieves iterate ex.workers unlocked.
+// Layout. The executor owns maxProcs worker structs, each holding a ring
+// deque of ready tasks and the parker its carrier waits on. A *carrier* is
+// a goroutine that claims a worker and loops pop→execute; carriers are
+// spawned lazily when work appears and exit after a short idle linger, so
+// an idle Runtime costs no goroutines. Every attempt runs inline on the
+// carrier or helper that dispatched it, holding one of maxProcs slots
+// (held, under slotMu); a body blocked in Get hands its slot back while it
+// helps. Slots are counted apart from carriers because the main program
+// helps without being one. Thieves iterate ex.workers unlocked. Every
+// object a wait blocks on — a parker, the slot condition, a task's done
+// channel — belongs to this runtime, so one made inside a testing/synctest
+// bubble runs there in virtual time (virtual_test.go).
 //
 // Queues. A task body submitting through its TaskCtx pushes onto its own
 // worker's deque bottom (LIFO: the freshest task is the cache-warmest) and
@@ -30,32 +31,36 @@
 // uncontended-in-the-common-case lock, which the race detector can verify,
 // instead of a fenced Chase-Lev protocol it cannot.
 //
-// Parking. Idle carriers and blocked helpers park on cap-1 channels kept in
-// an idler list. Every enqueue signals — wake one idler, or spawn a carrier
-// if none is parked and fewer than Workers are live — unless a carrier is
-// already *searching* for work (nSearching > 0), in which case the signal
-// is elided: the searcher's sweep is guaranteed to find the task, so a
-// burst of submits ramps up one carrier at a time instead of one per task.
-// Parking is two-phase (announce, then re-check the queues, then sleep) so
-// a signal sent between the check and the sleep is never lost; a parker
-// popped from the list concurrently with its own timeout/target-wake
-// consumes the in-flight signal and hands it on, so no enqueue's wake is
-// dropped. A carrier leaves the searching state *before* its final queue
+// Parking. Idle carriers and blocked helpers park on their parker, a cap-1
+// channel kept in an idler list while they sleep. A carrier parks on its
+// worker's parker, and so does every body it runs inline; a helper that
+// owns no deque (the main program, a server's scorer loop, a detached wait)
+// makes a parker the first time its wait has to park. Every enqueue signals
+// — wake one idler, or spawn a carrier if none is parked and fewer than
+// Workers are live — unless a carrier is already *searching* for work
+// (nSearching > 0), in which case the signal is elided: the searcher's sweep
+// is guaranteed to find the task, so a burst of submits ramps up one carrier
+// at a time instead of one per task. Parking is two-phase (announce, then
+// re-check the queues, then sleep) so a signal sent between the check and
+// the sleep is never lost; a parker popped from the list concurrently with
+// its own timeout/target-wake consumes the in-flight signal and hands it on,
+// so no enqueue's wake is dropped, and the parker is empty again before its
+// next park. A carrier leaves the searching state *before* its final queue
 // re-check, so an enqueue that observed it searching has already made its
 // task visible to that re-check.
 //
 // Helping. Any wait on a task — Runtime.Get, a body's nested Get, and the
 // one wait loop over a context's submissions (WaitAll, the implicit wait for
 // a returning body's children, Barrier) — runs ready tasks inline (acquiring
-// a token per attempt, so the Workers bound holds) instead of blocking, via
+// a slot per attempt, so the Workers bound holds) instead of blocking, via
 // helpUntilDone. That is what lets a carrier whose task blocks on a child
 // execute the child itself with Workers == 1.
 //
-// Lending. While a carrier is live the runtime is registered with par as a
-// lender of its slot pool, so a kernel region inside a body borrows the
-// slots no attempt holds (lend). Registration changes only when nLive
-// reaches or leaves zero; a body the main program runs keeps a carrier
-// alive (keepLending, leave), so it lends too.
+// Lending. While a carrier is live the executor is registered with par as
+// a lender of its slots (TryBorrow, Return), so a kernel region inside a
+// body borrows the slots no attempt holds (lend). Registration changes only
+// when nLive reaches or leaves zero; a body the main program runs keeps a
+// carrier alive (keepLending, leave), so it lends too.
 //
 // Tasks. The executor keeps no registry of the tasks it ran: they are
 // allocated from per-worker slabs (allocTask) and live as long as something
@@ -89,6 +94,11 @@ const (
 // a deque stays drainable even between owners.
 type worker struct {
 	idx int
+
+	// park is the parker of the carrier that claims this worker, and of
+	// every body that carrier runs inline while it helps: one goroutine at a
+	// time, so one parker does.
+	park parker
 
 	// mu guards the ring below — the light victim lock. head is the steal
 	// end, tail the owner end; size mirrors tail-head for lock-free
@@ -186,30 +196,32 @@ func (w *worker) steal() *taskState {
 }
 
 // parker is one parked goroutine's wake channel (cap 1: a signal sent to a
-// parker that is concurrently leaving is buffered, not lost). timer is the
-// carrier-linger timer, lazily created and reused across parks; it is
-// always stopped-and-drained outside a park, so Reset is safe under the
-// pre-1.23 timer semantics this module pins.
+// parker that is concurrently leaving is buffered, not lost). A signaler
+// pops a parker from the idler list before it sends, and the owner takes
+// that token before it parks again, so outside a park it holds none. timer
+// is the carrier-linger timer, made at the first park and reused; it is
+// stopped and drained outside a park, and the `if !Stop() { <-C }` drain is
+// safe under both timer semantics: go.mod's go 1.22 and the
+// asynctimerchan=0 the virtual-time tests run.
 type parker struct {
 	ch    chan struct{}
 	timer *time.Timer
 }
 
-var parkerPool = sync.Pool{New: func() any { return &parker{ch: make(chan struct{}, 1)} }}
-
-func getParker() *parker {
-	p := parkerPool.Get().(*parker)
-	select { // drop a stale token from a prior hand-off race
-	case <-p.ch:
-	default:
-	}
-	return p
-}
-
 // executor is the scheduler state hanging off a Runtime.
 type executor struct {
+	// slotMu guards held, the slots attempts and borrowing kernel helpers
+	// hold; at most maxProcs at once. slotFree wakes one acquire a release.
+	// Every attempt writes these twice, so they lead the struct and the pad
+	// keeps them off the cache lines of the fields every enqueue and steal
+	// reads: sharing a line with them cost task_storm ≈ 4.5 % on 2 cores.
+	slotMu   sync.Mutex
+	held     int
+	slotFree sync.Cond
+	_        [64]byte
+
 	rt       *Runtime
-	maxProcs int // carrier/deque count: the slot pool's capacity
+	maxProcs int // carrier/deque count and slot count
 	workers  []*worker
 
 	// claimMu guards the free-worker stack.
@@ -256,6 +268,7 @@ type executor struct {
 
 func newExecutor(rt *Runtime, procs int) *executor {
 	ex := &executor{rt: rt, maxProcs: procs}
+	ex.slotFree.L = &ex.slotMu
 	// One backing array for the worker structs — a runtime costs a few
 	// small allocations here instead of one per worker.
 	arr := make([]worker, procs)
@@ -263,6 +276,7 @@ func newExecutor(rt *Runtime, procs int) *executor {
 	ex.free = make([]*worker, procs)
 	for i := range arr {
 		arr[i].idx = i
+		arr[i].park.ch = make(chan struct{}, 1)
 		ex.workers[i] = &arr[i]
 		// The free stack is popped from the back: fill it reversed so the
 		// first carriers claim w0, w1, ... — the same prefix the round-robin
@@ -285,6 +299,45 @@ func xorshift(s *uint64) uint64 {
 	*s = x
 	return x
 }
+
+// acquire takes a slot for a body, blocking while all maxProcs are held. A
+// goroutine without a carrier — w nil, the main program helping — then keeps
+// the runtime lending (keepLending).
+func (ex *executor) acquire(w *worker) {
+	ex.slotMu.Lock()
+	for ex.held >= ex.maxProcs {
+		ex.slotFree.Wait()
+	}
+	ex.held++
+	ex.slotMu.Unlock()
+	if w == nil {
+		ex.keepLending()
+	}
+}
+
+// release gives back a slot the calling goroutine took; it never blocks. One
+// slot admits one waiter, so it wakes one.
+func (ex *executor) release() {
+	ex.slotMu.Lock()
+	ex.held--
+	ex.slotFree.Signal()
+	ex.slotMu.Unlock()
+}
+
+// TryBorrow takes a slot for a kernel region's helper if one is free,
+// without waiting: the executor is the runtime's par.Lender (see lend).
+func (ex *executor) TryBorrow() bool {
+	ex.slotMu.Lock()
+	ok := ex.held < ex.maxProcs
+	if ok {
+		ex.held++
+	}
+	ex.slotMu.Unlock()
+	return ok
+}
+
+// Return gives back a slot TryBorrow took.
+func (ex *executor) Return() { ex.release() }
 
 // claimWorker hands a starting carrier its deque. One is always free: a
 // carrier claims after signalWork counted it in nLive and releases before it
@@ -359,7 +412,7 @@ func (ex *executor) startCarrier(first bool) {
 	go ex.carrier()
 }
 
-// lend keeps the runtime registered with par as a lender of its slot pool
+// lend keeps the executor registered with par as a lender of its slots
 // exactly while a carrier is live, so kernel regions borrow the slots no
 // attempt holds. It is called only when nLive reaches or leaves zero — never
 // on the attempt path — and re-reads nLive under lendMu, so of two racing
@@ -370,7 +423,7 @@ func (ex *executor) lend() {
 	defer ex.lendMu.Unlock()
 	live := ex.nLive.Load() > 0
 	if live && ex.withdraw == nil {
-		ex.withdraw = par.Lend(ex.rt.sem)
+		ex.withdraw = par.Lend(ex)
 	} else if !live && ex.withdraw != nil {
 		ex.withdraw()
 		ex.withdraw = nil
@@ -393,19 +446,18 @@ func (ex *executor) keepLending() {
 // leave uncounts a carrier whose linger expired, unless it is the last one
 // and a slot is held — by a body the main program runs, or by a region's
 // helper — in which case it reports false and the carrier lingers on. The
-// check and the decrement run under the slot pool's lock, which every
-// acquire takes before keepLending reads nLive: either the acquire sees no
-// carrier and starts one, or this carrier sees the held slot and stays.
+// check and the decrement run under slotMu, which every acquire takes before
+// keepLending reads nLive: either the acquire sees no carrier and starts
+// one, or this carrier sees the held slot and stays.
 func (ex *executor) leave(w *worker) bool {
-	s := ex.rt.sem
-	s.mu.Lock()
-	if s.held > 0 && ex.nLive.Load() == 1 {
-		s.mu.Unlock()
+	ex.slotMu.Lock()
+	if ex.held > 0 && ex.nLive.Load() == 1 {
+		ex.slotMu.Unlock()
 		return false
 	}
 	ex.releaseWorker(w)
 	last := ex.nLive.Add(-1) == 0
-	s.mu.Unlock()
+	ex.slotMu.Unlock()
 	if last {
 		ex.lend()
 	}
@@ -449,7 +501,6 @@ func (ex *executor) retire(p *parker) {
 			ex.signalWork()
 		}
 	}
-	parkerPool.Put(p)
 }
 
 // findWork returns the next ready task for a processor that owns deque w
@@ -482,6 +533,7 @@ func (ex *executor) findWork(w *worker, rng *uint64) (st *taskState, stolen bool
 // skipped spawning is never stranded.
 func (ex *executor) carrier() {
 	w := ex.claimWorker()
+	p := &w.park
 	rng := ex.nextSeed()
 	spins := 0
 	searching := true // spawned searching, counted by the spawner
@@ -508,7 +560,6 @@ func (ex *executor) carrier() {
 			continue
 		}
 		spins = 0
-		p := getParker()
 		ex.announceIdle(p)
 		// Stop counting as a searcher strictly before the phase-two queue
 		// re-check: an enqueuer that observed this carrier searching (and
@@ -521,7 +572,6 @@ func (ex *executor) carrier() {
 			if !ex.cancelIdle(p) {
 				<-p.ch
 			}
-			parkerPool.Put(p)
 			continue
 		}
 		if p.timer == nil {
@@ -534,14 +584,11 @@ func (ex *executor) carrier() {
 			if !p.timer.Stop() {
 				<-p.timer.C
 			}
-			parkerPool.Put(p)
 		case <-p.timer.C:
 			if !ex.cancelIdle(p) { // a signaler beat the timer: serve it
 				<-p.ch
-				parkerPool.Put(p)
 				continue
 			}
-			parkerPool.Put(p)
 			if !ex.leave(w) {
 				continue
 			}
@@ -556,10 +603,16 @@ func (ex *executor) carrier() {
 // helpUntilDone runs ready tasks inline until target completes — the
 // blocking strategy of every wait in the runtime. A helper with nothing to
 // run parks as an idler, waking on either its target's completion or a work
-// signal, so parked helpers still serve the pool. Completion is polled via
-// target.completed (one atomic load per round); the target's done channel
-// is only materialized when the helper actually has to sleep.
+// signal, so parked helpers still serve the pool. It parks on w's parker; a
+// helper that owns no deque (w nil) makes one the first time this call has
+// to park. Completion is polled via target.completed (one atomic load per
+// round); the target's done channel is only materialized when the helper
+// actually has to sleep.
 func (ex *executor) helpUntilDone(w *worker, rng *uint64, target *taskState) {
+	var p *parker
+	if w != nil {
+		p = &w.park
+	}
 	for {
 		if target.completed.Load() {
 			return
@@ -568,7 +621,9 @@ func (ex *executor) helpUntilDone(w *worker, rng *uint64, target *taskState) {
 			ex.rt.runReady(st, w, stolen)
 			continue
 		}
-		p := getParker()
+		if p == nil {
+			p = &parker{ch: make(chan struct{}, 1)}
+		}
 		ex.announceIdle(p)
 		if target.completed.Load() {
 			ex.retire(p)
@@ -578,7 +633,6 @@ func (ex *executor) helpUntilDone(w *worker, rng *uint64, target *taskState) {
 			if !ex.cancelIdle(p) {
 				<-p.ch
 			}
-			parkerPool.Put(p)
 			continue
 		}
 		select {
@@ -586,7 +640,6 @@ func (ex *executor) helpUntilDone(w *worker, rng *uint64, target *taskState) {
 			ex.retire(p)
 			return
 		case <-p.ch:
-			parkerPool.Put(p)
 		}
 	}
 }

@@ -114,9 +114,9 @@ func TestKernelsBorrowIdleSlots(t *testing.T) {
 	if _, err := rt.Get(f); err != nil {
 		t.Fatal(err)
 	}
-	rt.sem.mu.Lock()
-	held := rt.sem.held
-	rt.sem.mu.Unlock()
+	rt.ex.slotMu.Lock()
+	held := rt.ex.held
+	rt.ex.slotMu.Unlock()
 	if held != 0 {
 		t.Fatalf("%d slots held after the body returned", held)
 	}

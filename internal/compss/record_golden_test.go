@@ -163,3 +163,42 @@ func TestRecordGolden(t *testing.T) {
 		t.Fatalf("%d lines recorded, %s has %d", len(gotLines)-1, recordGolden, len(wantLines)-1)
 	}
 }
+
+// TestRecordedFloorDepsAscend: a submit after Gets of four independent tasks
+// carries all four in its sync floor, and records them as OrderOnly deps in
+// ascending id order, so fifty runtimes running the same program export the
+// same bytes.
+func TestRecordedFloorDepsAscend(t *testing.T) {
+	var first []byte
+	for run := 0; run < 50; run++ {
+		rt := New(Config{Workers: 2})
+		leaves := make([]*Future, 4)
+		for i := range leaves {
+			leaves[i] = rt.Submit(Opts{Name: "leaf"}, constTask(i))
+		}
+		for _, f := range leaves {
+			if _, err := rt.Get(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := rt.Get(rt.Submit(Opts{Name: "after"}, constTask(4))); err != nil {
+			t.Fatal(err)
+		}
+		after, _ := rt.Graph().Task(4)
+		for i, d := range after.Deps {
+			if d.Task != i || !d.OrderOnly || !d.ViaMaster {
+				t.Fatalf("run %d: deps %+v, want tasks 0..3 in order, each ViaMaster and OrderOnly", run, after.Deps)
+			}
+		}
+		if len(after.Deps) != 4 {
+			t.Fatalf("run %d: deps %+v, want tasks 0..3", run, after.Deps)
+		}
+		var b bytes.Buffer
+		writeRecord(t, &b, "floor", rt.Graph())
+		if run == 0 {
+			first = b.Bytes()
+		} else if !bytes.Equal(b.Bytes(), first) {
+			t.Fatalf("run %d records other bytes than run 0:\n%s\nwant\n%s", run, b.Bytes(), first)
+		}
+	}
+}

@@ -9,9 +9,6 @@ import "fmt"
 // allocating counterpart — zero the destination, then the shared accumulate
 // kernel — so results are bit-identical to Mul/MulABt/MulAtB.
 
-// Zero clears every element of m.
-func Zero(m *Dense) { clear(m.Data) }
-
 // MulInto computes dst = a·b, overwriting dst. dst must be pre-shaped to
 // a.Rows×b.Cols and must not alias a or b.
 func MulInto(dst, a, b *Dense) {

@@ -10,7 +10,7 @@
 // internal/compss: a runtime with Config.Workers = W runs W task bodies, and
 // a kernel inside one of them must not add goroutines the runtime did not
 // budget for. So a parallel region's helpers borrow their slots from a
-// Lender — the runtime's own slot pool, or an exec worker's request slots —
+// Lender — a compss runtime's own slots, or an exec worker's request slots —
 // and give them back when the region drains:
 //
 //   - compss registers a runtime (Lend) while it has a live carrier; an exec

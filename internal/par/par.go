@@ -9,7 +9,7 @@ import (
 )
 
 // A Lender is a budget of execution slots a parallel region's helpers may
-// borrow: a task runtime's slot pool, a worker's request slots. TryBorrow
+// borrow: a task runtime's slots, a worker's request slots. TryBorrow
 // takes one free slot and reports whether it did; it never blocks. Return
 // gives back a slot TryBorrow took.
 type Lender interface {

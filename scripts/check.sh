@@ -128,6 +128,15 @@ done
 # into TaskStats, over real runtimes and over a hand-built stream.
 echo "== go test -race -count=2 -cpu=1,8 -run 'TestStealStress|TestParallelismIsBounded|TestBarrierNestedStress|TestChainMembership|TestChainHandBack|TestChainLostArgument|TestChainHeadFailure|TestChainEventsAndStats|TestObserverCausalOrder|TestStatsRecording|TestObserversViaConfigFeedStats|TestStatsObserverFoldsSyntheticStream' ./internal/compss/"
 go test -race -count=2 -cpu=1,8 -run 'TestStealStress|TestParallelismIsBounded|TestBarrierNestedStress|TestChainMembership|TestChainHandBack|TestChainLostArgument|TestChainHeadFailure|TestChainEventsAndStats|TestObserverCausalOrder|TestStatsRecording|TestObserversViaConfigFeedStats|TestStatsObserverFoldsSyntheticStream' ./internal/compss/
+# The runtime in virtual time: a runtime made inside a testing/synctest
+# bubble blocks only on objects it owns, so the bubble's clock moves and a
+# makespan reads as the schedule's, exactly — after a runtime used outside
+# any bubble, for nested children that share their parent's slot, for a
+# nested Barrier storm under its greedy budget, and for a carrier's linger
+# exit. The tests build only under the experiment (go1.24), so tier-1 does
+# not see them; a lost wake-up there is a deadlock panic with every stack.
+echo "== GOEXPERIMENT=synctest go test -count=1 -timeout 120s -run Virtual ./internal/..."
+GOEXPERIMENT=synctest go test -count=1 -timeout 120s -run Virtual ./internal/...
 # Every recorded submit appends to the graph under its one lock, from
 # whichever goroutine submits: the chunked store's tests (appends across
 # chunk boundaries, a snapshot that must not alias a chunk, eight goroutines
