@@ -132,9 +132,11 @@ go test -race -count=2 -cpu=1,8 -run 'TestStealStress|TestParallelismIsBounded|T
 # bubble blocks only on objects it owns, so the bubble's clock moves and a
 # makespan reads as the schedule's, exactly — after a runtime used outside
 # any bubble, for nested children that share their parent's slot, for a
-# nested Barrier storm under its greedy budget, and for a carrier's linger
-# exit. The tests build only under the experiment (go1.24), so tier-1 does
-# not see them; a lost wake-up there is a deadlock panic with every stack.
+# nested Barrier storm under its greedy budget, for a carrier's linger exit,
+# and for a work signal that lands at the instant a linger expires (the
+# runtime must come to rest with no wake token left). The tests build only
+# under the experiment (go1.24), so tier-1 does not see them; a lost wake-up
+# there is a deadlock panic with every stack.
 echo "== GOEXPERIMENT=synctest go test -count=1 -timeout 120s -run Virtual ./internal/..."
 GOEXPERIMENT=synctest go test -count=1 -timeout 120s -run Virtual ./internal/...
 # Every recorded submit appends to the graph under its one lock, from
