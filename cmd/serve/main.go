@@ -1,6 +1,6 @@
 // Command serve runs the always-on AF inference service (internal/serve)
 // against synthetic paroxysmal patient streams: it trains a random forest
-// through the task runtime (the edgemonitor recipe), then admits -streams
+// through the task runtime (core.TrainServeModel), then admits -streams
 // concurrent ECG streams, scores their analysis windows in registered
 // tasks — each window as soon as a scorer is free, batched with whatever
 // waited meanwhile — and reports serving-latency quantiles,
@@ -23,18 +23,14 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"time"
 
 	"taskml/internal/compss"
 	"taskml/internal/core"
-	"taskml/internal/dsarray"
 	"taskml/internal/ecg"
 	"taskml/internal/edge"
 	"taskml/internal/exec"
-	"taskml/internal/forest"
-	"taskml/internal/mat"
 	"taskml/internal/serve"
 	"taskml/internal/trace"
 )
@@ -91,7 +87,7 @@ func main() {
 	//    Figure 1), on exact analysis windows.
 	fmt.Printf("training %d-tree forest on %d windows/class...\n", *trees, *trainPerClass)
 	start := time.Now()
-	model, err := trainModel(rt, *fs, *windowSec, *trees, *trainPerClass, *seed)
+	model, err := core.TrainServeModel(rt, *fs, *windowSec, *trees, *trainPerClass, *seed)
 	if err != nil {
 		fatal(err)
 	}
@@ -199,49 +195,6 @@ func main() {
 		fmt.Printf("trace: %d events, %d serving samples -> %s (open in https://ui.perfetto.dev)\n",
 			len(collector.Events()), len(collector.ServeSamples()), *traceOut)
 	}
-}
-
-// trainModel fits the deployed forest on exact analysis windows cut from
-// synthetic recordings — the edgemonitor recipe, parameterised.
-func trainModel(rt *compss.Runtime, fs, windowSec float64, trees, perClass int, seed int64) (*core.ServeModel, error) {
-	feat := core.FeatureConfig{PadSec: windowSec, Window: 128, MaxFreqHz: 30, TimePool: 2}
-	gen := ecg.NewGenerator(ecg.GenConfig{
-		Fs: fs, Seed: seed, MinDurSec: windowSec + 1, MaxDurSec: windowSec + 6,
-		NoiseStd: 0.05, AFSubtlety: 0.05,
-	})
-	rng := rand.New(rand.NewSource(seed + 1))
-	var rows [][]float64
-	var labels []int
-	for _, class := range []ecg.Class{ecg.Normal, ecg.AF} {
-		for i := 0; i < perClass; i++ {
-			rec := gen.Record(class)
-			win := int(windowSec * rec.Fs)
-			at := rng.Intn(len(rec.Signal) - win)
-			f, err := feat.Features(ecg.Record{Signal: rec.Signal[at : at+win], Fs: rec.Fs})
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, f)
-			label := core.LabelNormal
-			if class == ecg.AF {
-				label = core.LabelAF
-			}
-			labels = append(labels, label)
-		}
-	}
-	x := mat.NewFromRows(rows)
-	chunk := max(len(rows)/4, 1)
-	xa := dsarray.FromMatrix(rt.Main(), x, chunk, x.Cols)
-	ya := dsarray.FromLabels(rt.Main(), labels, chunk)
-	rf := &forest.RandomForest{Params: forest.Params{NEstimators: trees, Seed: seed}}
-	if err := rf.Fit(xa, ya); err != nil {
-		return nil, err
-	}
-	nodes, err := rf.Trees(rt.Main())
-	if err != nil {
-		return nil, err
-	}
-	return &core.ServeModel{Feat: feat, Trees: nodes}, nil
 }
 
 // signalPool builds a few dozen distinct paroxysmal recordings; streams

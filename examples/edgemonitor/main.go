@@ -5,10 +5,11 @@
 // fibrillation episode begins — the inference-at-the-edge part the paper
 // leaves as future work.
 //
-// A practical lesson is baked in: the training examples are cut as exact
-// analysis windows from longer recordings, so the deployed model sees the
-// same distribution it was trained on (training on whole zero-padded
-// recordings and serving 10-second windows mis-calibrates the features).
+// A practical lesson is baked in (core.TrainServeModel): the training
+// examples are cut as exact analysis windows from longer recordings, so the
+// deployed model sees the same distribution it was trained on (training on
+// whole zero-padded recordings and serving 10-second windows mis-calibrates
+// the features).
 //
 // Run: go run ./examples/edgemonitor
 package main
@@ -16,87 +17,33 @@ package main
 import (
 	"fmt"
 	"log"
-	"math/rand"
 
 	"taskml/internal/compss"
 	"taskml/internal/core"
-	"taskml/internal/dsarray"
 	"taskml/internal/ecg"
 	"taskml/internal/edge"
-	"taskml/internal/forest"
-	"taskml/internal/mat"
 )
 
-const windowSec = 10.0
+const (
+	windowSec = 10.0
+	fs        = 300.0
+)
 
 func main() {
-	feat := core.FeatureConfig{PadSec: windowSec, Window: 256, MaxFreqHz: 30, TimePool: 2}
-	gen := ecg.NewGenerator(ecg.GenConfig{Seed: 11, MinDurSec: 14, MaxDurSec: 20, NoiseStd: 0.05, AFSubtlety: 0.05})
-	rng := rand.New(rand.NewSource(12))
-
-	// 1. Build window-level training data: one exact analysis window cut
-	//    from each recording.
-	const perClass = 120
-	var rows [][]float64
-	var labels []int
-	for _, class := range []ecg.Class{ecg.Normal, ecg.AF} {
-		for i := 0; i < perClass; i++ {
-			rec := gen.Record(class)
-			win := int(windowSec * rec.Fs)
-			at := rng.Intn(len(rec.Signal) - win)
-			f, err := feat.Features(ecg.Record{Signal: rec.Signal[at : at+win], Fs: rec.Fs})
-			if err != nil {
-				log.Fatal(err)
-			}
-			rows = append(rows, f)
-			label := core.LabelNormal
-			if class == ecg.AF {
-				label = core.LabelAF
-			}
-			labels = append(labels, label)
-		}
-	}
-	x := mat.NewFromRows(rows)
-	fmt.Printf("cloud training set: %d windows × %d features\n", x.Rows, x.Cols)
-
-	// 2. Train the forest through the distributed pipeline.
+	// 1. Train the forest through the distributed pipeline, on 120 exact
+	//    analysis windows per class.
 	rt := compss.New(compss.Config{})
-	xa := dsarray.FromMatrix(rt.Main(), x, 60, x.Cols)
-	ya := dsarray.FromLabels(rt.Main(), labels, 60)
-	rf := &forest.RandomForest{Params: forest.Params{NEstimators: 30, Seed: 11}}
-	if err := rf.Fit(xa, ya); err != nil {
-		log.Fatal(err)
-	}
-	acc, err := rf.Score(xa, ya)
+	model, err := core.TrainServeModel(rt, fs, windowSec, 30, 120, 11)
 	if err != nil {
 		log.Fatal(err)
 	}
-	trees, err := rf.Trees(rt.Main())
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("training accuracy %.1f%%, deployed %d trees to the edge device (%d tasks ran)\n\n",
-		100*acc, len(trees), rt.Graph().Len())
+	fmt.Printf("deployed %d trees to the edge device (%d tasks ran)\n\n", len(model.Trees), rt.Graph().Len())
 
-	// 3. The edge side: same featurizer, forest majority vote.
-	featurize := func(window []float64, fs float64) ([]float64, error) {
-		return feat.Features(ecg.Record{Signal: window, Fs: fs})
-	}
-	classify := edge.ClassifierFunc(func(f []float64) (int, error) {
-		probs := make([]float64, 2)
-		for _, t := range trees {
-			for c, p := range t.PredictProbs(f) {
-				probs[c] += p
-			}
-		}
-		if probs[core.LabelAF] >= probs[core.LabelNormal] {
-			return core.LabelAF, nil
-		}
-		return core.LabelNormal, nil
-	})
+	// 2. The edge side: the model's featurizer and forest majority vote.
+	featurize, classify := model.Edge()
 
-	// 4. Stream a paroxysmal recording: 60 s sinus rhythm, then AF.
-	streamGen := ecg.NewGenerator(ecg.GenConfig{Seed: 99, NoiseStd: 0.05, AFSubtlety: 0.05})
+	// 3. Stream a paroxysmal recording: 60 s sinus rhythm, then AF.
+	streamGen := ecg.NewGenerator(ecg.GenConfig{Fs: fs, Seed: 99, NoiseStd: 0.05, AFSubtlety: 0.05})
 	rec, onset := streamGen.Paroxysmal(60, 60)
 	onsetSec := float64(onset) / rec.Fs
 	events, alarm, err := edge.Run(edge.Config{

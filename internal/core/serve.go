@@ -3,12 +3,15 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 
 	"taskml/internal/compss"
+	"taskml/internal/dsarray"
 	"taskml/internal/ecg"
 	"taskml/internal/edge"
 	"taskml/internal/exec"
 	"taskml/internal/forest"
+	"taskml/internal/mat"
 	"taskml/internal/serve"
 )
 
@@ -31,7 +34,7 @@ func (m *ServeModel) Featurize(window []float64, fs float64) ([]float64, error) 
 
 // Classify majority-votes the forest over one feature vector, breaking
 // ties toward LabelAF (a monitor prefers a false alarm to a missed
-// episode) — identical to the edgemonitor example's deployed classifier.
+// episode).
 func (m *ServeModel) Classify(feats []float64) (int, error) {
 	if len(m.Trees) == 0 {
 		return 0, errors.New("core: ServeModel has no trees")
@@ -53,7 +56,53 @@ func (m *ServeModel) Classify(feats []float64) (int, error) {
 // Edge returns the model as the batch path's (edge.Featurizer,
 // edge.Classifier) pair — the parity tests run edge.Run with exactly these.
 func (m *ServeModel) Edge() (edge.Featurizer, edge.Classifier) {
-	return m.Featurize, edge.ClassifierFunc(m.Classify)
+	return m.Featurize, m.Classify
+}
+
+// TrainServeModel fits the deployed forest through rt on exact analysis
+// windows: perClass windows of windowSec seconds per class, each cut at a
+// random offset from its own synthetic recording sampled at fs. Training on
+// the windows the model will score, rather than on whole zero-padded
+// recordings, keeps the served features on the training distribution.
+func TrainServeModel(rt *compss.Runtime, fs, windowSec float64, trees, perClass int, seed int64) (*ServeModel, error) {
+	feat := FeatureConfig{PadSec: windowSec, Window: 128, MaxFreqHz: 30, TimePool: 2}
+	gen := ecg.NewGenerator(ecg.GenConfig{
+		Fs: fs, Seed: seed, MinDurSec: windowSec + 1, MaxDurSec: windowSec + 6,
+		NoiseStd: 0.05, AFSubtlety: 0.05,
+	})
+	rng := rand.New(rand.NewSource(seed + 1))
+	var rows [][]float64
+	var labels []int
+	for _, class := range []ecg.Class{ecg.Normal, ecg.AF} {
+		for i := 0; i < perClass; i++ {
+			rec := gen.Record(class)
+			win := int(windowSec * rec.Fs)
+			at := rng.Intn(len(rec.Signal) - win)
+			f, err := feat.Features(ecg.Record{Signal: rec.Signal[at : at+win], Fs: rec.Fs})
+			if err != nil {
+				return nil, err
+			}
+			rows = append(rows, f)
+			label := LabelNormal
+			if class == ecg.AF {
+				label = LabelAF
+			}
+			labels = append(labels, label)
+		}
+	}
+	x := mat.NewFromRows(rows)
+	chunk := max(len(rows)/4, 1)
+	xa := dsarray.FromMatrix(rt.Main(), x, chunk, x.Cols)
+	ya := dsarray.FromLabels(rt.Main(), labels, chunk)
+	rf := &forest.RandomForest{Params: forest.Params{NEstimators: trees, Seed: seed}}
+	if err := rf.Fit(xa, ya); err != nil {
+		return nil, err
+	}
+	nodes, err := rf.Trees(rt.Main())
+	if err != nil {
+		return nil, err
+	}
+	return &ServeModel{Feat: feat, Trees: nodes}, nil
 }
 
 // Clone returns a deep copy (trees included).

@@ -9,33 +9,31 @@
 //
 // # Public surface
 //
-// NewMonitor wires a Featurizer and a Classifier behind a sliding-window
-// Config; Push feeds samples and returns the events raised so far. Run is
-// the one-shot convenience over a full signal; DetectionLatency scores an
-// alarm against a known episode onset.
+// A Windower cuts sliding windows from an incrementally pushed stream
+// (Push / Peek / Advance), and a Debouncer turns the ordered label sequence
+// back into events and alarms (Apply). Run is the reference loop over a
+// whole signal: every complete window, featurized by a Featurizer,
+// labelled by a Classifier and applied to a Debouncer in stream order.
+// DetectionLatency scores an alarm against a known episode onset.
 //
-// The two halves of the monitor are exported separately for callers that
-// score windows asynchronously: a Windower cuts sliding windows
-// incrementally (Push / Peek / Advance), and a Debouncer turns the ordered
-// label sequence back into events and alarms (Apply). Monitor ≡ Windower +
-// synchronous featurize/classify + Debouncer, which is the contract that
-// keeps internal/serve's micro-batched scoring bit-identical to the batch
-// Run path: same windows in, same labels applied in stream order, same
-// debounce state machine. A window that is never scored (serve's overload
-// shedding) is simply not Applied — a gap neither extends nor resets the
-// consecutive-positive chain.
+// internal/serve composes a Windower and a Debouncer around asynchronous
+// micro-batched scoring; its parity tests require the served events to
+// equal Run's on the same signal — same windows in, same labels applied in
+// stream order, same debounce state machine. A window that is never scored
+// (serve's overload shedding) is simply not Applied — a gap neither
+// extends nor resets the consecutive-positive chain.
 //
 // # Concurrency and ownership
 //
 // Every type here is a single-stream state machine with no internal
-// locking: one goroutine pushes samples, events are returned (not
-// delivered asynchronously), and the injected Featurizer/Classifier are
-// called synchronously from Monitor.Push. Windower.Peek returns a view
-// into the internal buffer valid until the next Push — copy it to retain
-// it (internal/serve does, since its windows outlive the ingest call): the
+// locking: one goroutine pushes samples and applies labels, and events are
+// returned, not delivered asynchronously. Run calls the Featurizer and
+// Classifier synchronously, the Featurizer on a view into the caller's
+// signal that it must not modify. Windower.Peek returns a view into the
+// internal buffer valid until the next Push — copy it to retain it
+// (internal/serve does, since its windows outlive the ingest call): the
 // Windower compacts its one backing array in place, so a Push may move the
 // samples a view points at, and a stream holds at most one window and one
-// push of samples however long it runs. Use
-// one Monitor (or Windower/Debouncer pair) per stream; distinct instances
-// are independent.
+// push of samples however long it runs. Use one Windower/Debouncer pair
+// per stream; distinct instances are independent.
 package edge

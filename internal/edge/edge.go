@@ -7,21 +7,14 @@ import (
 
 // Classifier labels one analysis window's feature vector (the label values
 // are the application's, e.g. core.LabelAF / core.LabelNormal).
-type Classifier interface {
-	Classify(features []float64) (int, error)
-}
-
-// ClassifierFunc adapts a plain function to the Classifier interface.
-type ClassifierFunc func(features []float64) (int, error)
-
-// Classify implements Classifier.
-func (f ClassifierFunc) Classify(features []float64) (int, error) { return f(features) }
+type Classifier func(features []float64) (int, error)
 
 // Featurizer converts a raw signal window into the classifier's feature
-// vector (e.g. the zero-pad + STFT + PCA-projection pipeline).
+// vector (e.g. the zero-pad + STFT + PCA-projection pipeline). It must not
+// modify the window it is given.
 type Featurizer func(window []float64, fs float64) ([]float64, error)
 
-// Config parameterises the monitor.
+// Config parameterises a stream's windows and alarm.
 type Config struct {
 	// Fs is the stream's sampling rate in Hz.
 	Fs float64
@@ -61,8 +54,8 @@ type Event struct {
 }
 
 // Validate checks the sampling rate and window geometry, in seconds and in
-// the whole samples they round down to (NewMonitor and the serving layer
-// share it).
+// the whole samples they round down to (Run and the serving layer share
+// it).
 func (c Config) Validate() error {
 	c = c.withDefaults()
 	if c.Fs <= 0 {
@@ -91,9 +84,8 @@ func (c Config) StrideSamples() int {
 }
 
 // Windower cuts fixed-length sliding windows from an incrementally pushed
-// sample stream. It is the buffering half of a Monitor, split out so a
-// serving coordinator can cut windows synchronously while scoring them
-// elsewhere.
+// sample stream, so a serving coordinator can cut windows as samples
+// arrive while scoring them elsewhere.
 //
 // It reuses one backing array, compacting in place: a Push that finds the
 // array full moves the unconsumed samples to its front, and the array grows
@@ -151,17 +143,13 @@ func (w *Windower) Advance() {
 	w.consumed += w.stride
 }
 
-// Buffered returns the number of samples currently held.
-func (w *Windower) Buffered() int { return len(w.buf) }
-
 // Debouncer turns one stream's ordered per-window label sequence into
-// events, applying the consecutive-positive alarm rule. It is the decision
-// half of a Monitor: feed it every window's label in stream order and it
-// reproduces Monitor's events exactly. A window that was never scored
-// (e.g. shed under overload by the serving layer) is represented by *not*
-// calling Apply for it — a gap neither extends nor resets the
-// consecutive-positive chain, so a dropped window can never mask an
-// ongoing episode.
+// events, applying the consecutive-positive alarm rule: fed every window's
+// label in stream order, it reproduces Run's events exactly. A window that
+// was never scored (e.g. shed under overload by the serving layer) is
+// represented by *not* calling Apply for it — a gap neither extends nor
+// resets the consecutive-positive chain, so a dropped window can never mask
+// an ongoing episode.
 type Debouncer struct {
 	fs          float64
 	alarmAfter  int
@@ -170,7 +158,7 @@ type Debouncer struct {
 	alarmRaised bool
 }
 
-// NewDebouncer builds a debouncer from the monitor configuration (Fs,
+// NewDebouncer builds a debouncer from the stream configuration (Fs,
 // AlarmAfter and PositiveLabel are used; defaults apply).
 func NewDebouncer(cfg Config) *Debouncer {
 	cfg = cfg.withDefaults()
@@ -197,99 +185,37 @@ func (d *Debouncer) Apply(endSample, label int) Event {
 // AlarmRaised reports whether the alarm has fired.
 func (d *Debouncer) AlarmRaised() bool { return d.alarmRaised }
 
-// Reset clears the alarm and debounce state.
-func (d *Debouncer) Reset() {
-	d.consecPos = 0
-	d.alarmRaised = false
-}
-
-// Monitor consumes a sample stream incrementally and classifies sliding
-// windows. It is a plain state machine (no goroutines): push samples, get
-// events. Internally it is a Windower feeding a Debouncer with the
-// featurize+classify step run synchronously in between; the serving layer
-// (internal/serve) composes the same two halves around asynchronous
-// micro-batched scoring, which is what keeps its alarms bit-identical to
-// this path.
-type Monitor struct {
-	cfg       Config
-	classify  Classifier
-	featurize Featurizer
-	win       *Windower
-	deb       *Debouncer
-}
-
-// NewMonitor builds a streaming monitor.
-func NewMonitor(cfg Config, featurize Featurizer, classify Classifier) (*Monitor, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if featurize == nil || classify == nil {
-		return nil, errors.New("edge: featurizer and classifier are required")
-	}
-	win, err := NewWindower(cfg.WindowSamples(), cfg.StrideSamples())
-	if err != nil {
-		return nil, err
-	}
-	return &Monitor{
-		cfg:       cfg,
-		classify:  classify,
-		featurize: featurize,
-		win:       win,
-		deb:       NewDebouncer(cfg),
-	}, nil
-}
-
-// AlarmRaised reports whether the alarm has fired.
-func (m *Monitor) AlarmRaised() bool { return m.deb.AlarmRaised() }
-
-// Reset clears the alarm and debounce state (the stream position is kept).
-func (m *Monitor) Reset() { m.deb.Reset() }
-
-// Push appends samples to the stream and returns the events of every
-// analysis window completed by them. Splitting the same stream into
-// different Push chunk sizes yields identical events. On a featurizer or
-// classifier error the failing window stays buffered (a later Push retries
-// it) and the events already raised are returned alongside the error.
-func (m *Monitor) Push(samples ...float64) ([]Event, error) {
-	m.win.Push(samples...)
-	var events []Event
-	for {
-		window, end, ok := m.win.Peek()
-		if !ok {
-			break
-		}
-		feats, err := m.featurize(window, m.cfg.Fs)
-		if err != nil {
-			return events, fmt.Errorf("edge: featurize: %w", err)
-		}
-		label, err := m.classify.Classify(feats)
-		if err != nil {
-			return events, fmt.Errorf("edge: classify: %w", err)
-		}
-		m.win.Advance()
-		events = append(events, m.deb.Apply(end, label))
-	}
-	return events, nil
-}
-
 // Run processes a whole recording at once and returns all events plus the
-// alarm time (-1 when no alarm fired).
+// alarm time (-1 when no alarm fired). It is the reference loop the serving
+// layer's parity tests check against: every complete window, in stream
+// order, featurized, classified and applied to a Debouncer. On a featurizer
+// or classifier error the events raised before the failing window are
+// returned alongside the error.
 func Run(cfg Config, featurize Featurizer, classify Classifier, signal []float64) ([]Event, float64, error) {
-	m, err := NewMonitor(cfg, featurize, classify)
-	if err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, -1, err
 	}
-	events, err := m.Push(signal...)
-	if err != nil {
-		return events, -1, err
+	if featurize == nil || classify == nil {
+		return nil, -1, errors.New("edge: featurizer and classifier are required")
 	}
+	win, stride := cfg.WindowSamples(), cfg.StrideSamples()
+	deb := NewDebouncer(cfg)
+	var events []Event
 	alarm := -1.0
-	for _, e := range events {
-		if e.Alarm {
-			alarm = e.TimeSec
-			break
+	for end := win; end <= len(signal); end += stride {
+		feats, err := featurize(signal[end-win:end:end], cfg.Fs)
+		if err != nil {
+			return events, -1, fmt.Errorf("edge: featurize: %w", err)
 		}
+		label, err := classify(feats)
+		if err != nil {
+			return events, -1, fmt.Errorf("edge: classify: %w", err)
+		}
+		ev := deb.Apply(end, label)
+		if ev.Alarm {
+			alarm = ev.TimeSec
+		}
+		events = append(events, ev)
 	}
 	return events, alarm, nil
 }

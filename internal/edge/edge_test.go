@@ -30,12 +30,12 @@ func rrFeaturizer(window []float64, fs float64) ([]float64, error) {
 }
 
 // rrClassifier flags high RR variability as AF (label 0).
-var rrClassifier = ClassifierFunc(func(f []float64) (int, error) {
+func rrClassifier(f []float64) (int, error) {
 	if f[1] > 0.12 {
 		return 0, nil // AF
 	}
 	return 1, nil // Normal
-})
+}
 
 func TestMonitorConfigValidation(t *testing.T) {
 	bad := []Config{
@@ -46,14 +46,14 @@ func TestMonitorConfigValidation(t *testing.T) {
 		{Fs: 100, WindowSec: 0.001, StrideSec: 0.001},
 	}
 	for i, cfg := range bad {
-		if _, err := NewMonitor(cfg, rrFeaturizer, rrClassifier); err == nil {
+		if _, _, err := Run(cfg, rrFeaturizer, rrClassifier, nil); err == nil {
 			t.Fatalf("config %d should be invalid", i)
 		}
 	}
-	if _, err := NewMonitor(Config{Fs: 300}, nil, rrClassifier); err == nil {
+	if _, _, err := Run(Config{Fs: 300}, nil, rrClassifier, nil); err == nil {
 		t.Fatal("nil featurizer must error")
 	}
-	if _, err := NewMonitor(Config{Fs: 300}, rrFeaturizer, nil); err == nil {
+	if _, _, err := Run(Config{Fs: 300}, rrFeaturizer, nil, nil); err == nil {
 		t.Fatal("nil classifier must error")
 	}
 }
@@ -105,13 +105,13 @@ func TestDebounceSuppressesIsolatedPositives(t *testing.T) {
 	// A classifier that flags exactly one window as positive cannot trip a
 	// 2-window debounce.
 	calls := 0
-	flaky := ClassifierFunc(func(_ []float64) (int, error) {
+	flaky := func(_ []float64) (int, error) {
 		calls++
 		if calls == 3 {
 			return 0, nil
 		}
 		return 1, nil
-	})
+	}
 	signal := make([]float64, 300*60)
 	_, alarm, err := Run(Config{Fs: 300, WindowSec: 10, StrideSec: 5, AlarmAfter: 2},
 		rrFeaturizer, flaky, signal)
@@ -123,6 +123,11 @@ func TestDebounceSuppressesIsolatedPositives(t *testing.T) {
 	}
 }
 
+// TestPushChunkingInvariance drives a Windower and a Debouncer the way
+// internal/serve does — samples pushed in 777-sample chunks, every window
+// cut as it completes, its label applied in stream order — and requires
+// the events of Run, the reference loop over the whole signal, event for
+// event.
 func TestPushChunkingInvariance(t *testing.T) {
 	g := ecg.NewGenerator(ecg.GenConfig{Seed: 3, NoiseStd: 0.02})
 	rec, _ := g.Paroxysmal(30, 30)
@@ -132,21 +137,30 @@ func TestPushChunkingInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewMonitor(cfg, rrFeaturizer, rrClassifier)
+	w, err := NewWindower(cfg.WindowSamples(), cfg.StrideSamples())
 	if err != nil {
 		t.Fatal(err)
 	}
+	deb := NewDebouncer(cfg)
 	var chunked []Event
 	for at := 0; at < len(rec.Signal); at += 777 {
-		end := at + 777
-		if end > len(rec.Signal) {
-			end = len(rec.Signal)
+		w.Push(rec.Signal[at:min(at+777, len(rec.Signal))]...)
+		for {
+			window, end, ok := w.Peek()
+			if !ok {
+				break
+			}
+			feats, err := rrFeaturizer(window, cfg.Fs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			label, err := rrClassifier(feats)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.Advance()
+			chunked = append(chunked, deb.Apply(end, label))
 		}
-		evs, err := m.Push(rec.Signal[at:end]...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		chunked = append(chunked, evs...)
 	}
 	if len(whole) != len(chunked) {
 		t.Fatalf("chunked %d events vs %d whole", len(chunked), len(whole))
@@ -158,38 +172,8 @@ func TestPushChunkingInvariance(t *testing.T) {
 	}
 }
 
-func TestMonitorReset(t *testing.T) {
-	alwaysAF := ClassifierFunc(func(_ []float64) (int, error) { return 0, nil })
-	m, err := NewMonitor(Config{Fs: 300, WindowSec: 2, StrideSec: 1, AlarmAfter: 1}, rrFeaturizer, alwaysAF)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Push(make([]float64, 300*3)...); err != nil {
-		t.Fatal(err)
-	}
-	if !m.AlarmRaised() {
-		t.Fatal("alarm should have fired")
-	}
-	m.Reset()
-	if m.AlarmRaised() {
-		t.Fatal("Reset did not clear the alarm")
-	}
-	evs, err := m.Push(make([]float64, 300)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range evs {
-		if e.Alarm {
-			return // re-armed correctly
-		}
-	}
-	if !m.AlarmRaised() {
-		t.Fatal("alarm should re-fire after Reset")
-	}
-}
-
 func TestClassifierErrorPropagates(t *testing.T) {
-	boom := ClassifierFunc(func(_ []float64) (int, error) { return 0, errors.New("model gone") })
+	boom := func(_ []float64) (int, error) { return 0, errors.New("model gone") }
 	_, _, err := Run(Config{Fs: 300, WindowSec: 1, StrideSec: 1}, rrFeaturizer, boom, make([]float64, 600))
 	if err == nil {
 		t.Fatal("classifier error must propagate")

@@ -20,18 +20,19 @@
 //
 // # Data path
 //
-// Each stream owns the two halves of an edge.Monitor: an edge.Windower
-// cuts analysis windows on Push, and an edge.Debouncer applies scored
-// labels in stream order. Between them sit Slots scorer loops: ready windows
-// from all streams join one FIFO queue, and a loop that is free takes up to
-// MaxBatch of the oldest at once into one scoring task, submitted through
-// the runtime's Detached context. An idle server scores a window the moment
-// it is cut; under load a batch is whatever waited while every loop was
-// busy. No timer is involved. Batches complete in any order; a
-// per-stream reorder buffer holds results until every earlier window of
-// that stream is terminal, so the Debouncer sees exactly the label
-// sequence the synchronous Monitor would — which is what makes served
-// alarms bit-identical to batch edge.Run on the same signal.
+// Each stream composes an edge.Windower, which cuts analysis windows on
+// Push, and an edge.Debouncer, which applies scored labels in stream order.
+// Between them sit the scorer loops, one per runtime slot
+// (compss.Runtime.Slots: its worker count or, over a fleet with more, the
+// fleet's slot total): ready windows from all streams join one FIFO queue,
+// and a loop that is free takes up to MaxBatch of the oldest at once into
+// one scoring task, submitted through the runtime's Detached context. An
+// idle server scores a window the moment it is cut; under load a batch is
+// whatever waited while every loop was busy. No timer is involved. Batches
+// complete in any order; a per-stream reorder buffer holds results until
+// every earlier window of that stream is terminal, so the Debouncer sees
+// exactly the label sequence edge.Run's reference loop applies — which is
+// what makes served alarms bit-identical to edge.Run on the same signal.
 //
 // # Overload behaviour
 //
@@ -58,13 +59,12 @@
 //
 // # Concurrency and ownership
 //
-// One mutex guards all mutable server and stream state. New starts Slots
-// scorer loops that hold it only to take and to deliver a batch; scoring
+// One mutex guards all mutable server and stream state. New starts the
+// scorer loops, which hold it only to take and to deliver a batch; scoring
 // runs outside it, and so do the OnAlarm/Hook callbacks (possibly
 // concurrently — they must be thread-safe). Close drains the server and the
 // loops return; none outlives it.
 // Exactly one goroutine may Push to a given Stream; distinct streams push
 // concurrently. Window data is copied out of the Windower at cut time and
 // owned by the server; Scorer implementations must treat it read-only.
-// Config.Now only stamps times: nothing waits on a clock.
 package serve

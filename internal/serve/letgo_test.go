@@ -33,7 +33,6 @@ func TestServeLetsGoOfScoredWindows(t *testing.T) {
 		MaxBatch:     64,
 		MaxDelay:     time.Hour,
 		StreamBuffer: 1 << 20, // nothing is shed
-		Now:          newVclock().now,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +108,6 @@ func TestServeSoakLeavesNothingBehind(t *testing.T) {
 		},
 		MaxBatch:     1,
 		StreamBuffer: 1 << 20, // nothing is shed
-		Now:          newVclock().now,
 	})
 	if err != nil {
 		t.Fatal(err)

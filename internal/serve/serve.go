@@ -46,11 +46,6 @@ type Config struct {
 	StreamBuffer int
 	// MaxStreams is a hard admission cap; 0 means no fixed cap.
 	MaxStreams int
-	// Slots is how many scorer loops the server runs — how many batches
-	// score at once — and the scoring capacity of the admission projection.
-	// Default: what the runtime runs at once (compss.Runtime.Slots), its
-	// worker count or, over a fleet with more, the fleet's slot total.
-	Slots int
 
 	// RecordEvents keeps every applied event on the stream (Stream.Events)
 	// — the parity-test and debugging mode. Off by default: a long-lived
@@ -65,8 +60,6 @@ type Config struct {
 	// trace.Collector.AddServeSample for the Chrome export. Called outside
 	// the server lock, possibly concurrently.
 	Hook func(Sample)
-	// Now overrides the wall clock (virtual-clock tests); nil = time.Now.
-	Now func() time.Time
 }
 
 // Sample is one serving-plane observation, exported through Config.Hook —
@@ -150,10 +143,10 @@ type scored struct {
 
 // Server is the always-on inference coordinator: it multiplexes many
 // concurrent streams onto one task runtime, handing ready windows across
-// streams to Slots scorers — each takes whatever waits when it comes free,
-// so batches grow with the load and a lone window waits for nothing — and
-// enforcing per-stream latency SLOs with admission control and
-// bounded-buffer shedding.
+// streams to one scorer loop per runtime slot — each takes whatever waits
+// when it comes free, so batches grow with the load and a lone window waits
+// for nothing — and enforcing per-stream latency SLOs with admission
+// control and bounded-buffer shedding.
 type Server struct {
 	cfg     Config
 	rt      *compss.Runtime
@@ -169,7 +162,7 @@ type Server struct {
 	nextID   int
 	q        []*window // FIFO by ready time across all streams
 	pending  int       // non-shed windows in q: waiting for a scorer loop
-	inflight int       // batches scoring: at most Slots
+	inflight int       // batches scoring: at most the runtime's slots
 
 	winHist   latHist
 	alarmHist latHist
@@ -184,7 +177,8 @@ type Server struct {
 	closed                      bool
 }
 
-// New builds a Server submitting onto rt and starts its Slots scorer loops.
+// New builds a Server submitting onto rt and starts one scorer loop per
+// runtime slot (compss.Runtime.Slots).
 // The caller owns the runtime (and its backend); Close drains the server and
 // ends the loops but leaves the runtime usable.
 func New(rt *compss.Runtime, cfg Config) (*Server, error) {
@@ -203,9 +197,6 @@ func New(rt *compss.Runtime, cfg Config) (*Server, error) {
 	if cfg.StreamBuffer <= 0 {
 		cfg.StreamBuffer = 4
 	}
-	if cfg.Slots <= 0 {
-		cfg.Slots = rt.Slots()
-	}
 	s := &Server{
 		cfg:     cfg,
 		rt:      rt,
@@ -217,10 +208,7 @@ func New(rt *compss.Runtime, cfg Config) (*Server, error) {
 	s.stride = float64(s.strideN) / s.fs
 	s.cond = sync.NewCond(&s.mu)
 	s.work = sync.NewCond(&s.mu)
-	if s.cfg.Now == nil {
-		s.cfg.Now = time.Now
-	}
-	for range s.cfg.Slots {
+	for range rt.Slots() {
 		go s.scorer()
 	}
 	return s, nil
@@ -289,9 +277,9 @@ func (s *Server) Admit() (*Stream, error) {
 
 // projectedP99Locked estimates the p99 serving latency (window ready →
 // label applied) with n open streams. Each stream offers one window per
-// stride, each window costs what it costs in a full batch (svc), and
-// Slots scorings proceed concurrently, so utilisation is ρ(n) = n·svc/
-// (stride·slots). The observed p99 (or, cold, svc: a window scores the
+// stride, each window costs what it costs in a full batch (svc), and one
+// scoring per runtime slot proceeds at once, so utilisation is ρ(n) =
+// n·svc/(stride·slots). The observed p99 (or, cold, svc: a window scores the
 // moment it is cut while a scorer is free) is inflated by
 // (1-ρnow)/(1-ρ(n)) — the M/M/1 waiting-time scaling, a deliberately
 // pessimistic heuristic — and any n at or past headroom·capacity projects
@@ -305,7 +293,7 @@ func (s *Server) projectedP99Locked(n int) time.Duration {
 	if s.svc <= 0 {
 		return base // cold start: no throughput estimate yet
 	}
-	capacity := float64(s.cfg.Slots) / s.svc // windows/second
+	capacity := float64(s.rt.Slots()) / s.svc // windows/second
 	rho := float64(n) / s.stride / capacity
 	if rho >= headroom {
 		return maxDuration
@@ -355,11 +343,11 @@ type alarmFire struct {
 	lat time.Duration
 }
 
-// scorer is one of the Slots scorer loops. As soon as it is free it takes up
-// to MaxBatch of the oldest waiting windows and scores them, so a lone window
-// on an idle server leaves at once and a busy server batches whatever arrived
-// meanwhile, with no timer. It parks while no window waits and returns once
-// the server is closed and none does.
+// scorer is one of the scorer loops, one per runtime slot. As soon as it is
+// free it takes up to MaxBatch of the oldest waiting windows and scores them,
+// so a lone window on an idle server leaves at once and a busy server batches
+// whatever arrived meanwhile, with no timer. It parks while no window waits
+// and returns once the server is closed and none does.
 func (s *Server) scorer() {
 	s.mu.Lock()
 	for {
@@ -386,13 +374,13 @@ func (s *Server) scorer() {
 // the streams' sequences advance past them.
 func (s *Server) score(batch []*window) {
 	tc := s.rt.Detached()
-	start := s.cfg.Now()
+	start := time.Now()
 	wins := make([][]float64, len(batch))
 	for i, w := range batch {
 		wins[i] = w.data
 	}
 	v, err := tc.Get(s.cfg.Score(tc, wins, s.fs))
-	now := s.cfg.Now()
+	now := time.Now()
 	var labels []int
 	if err == nil {
 		var ok bool

@@ -14,21 +14,6 @@ import (
 	"taskml/internal/edge"
 )
 
-// vclock is the virtual clock of the deterministic tests: it moves only when
-// a test advances it, so nothing in them depends on the time.
-type vclock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func newVclock() *vclock { return &vclock{t: time.Unix(1000, 0)} }
-
-func (c *vclock) now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
 // batchLog records every scored batch's size.
 type batchLog struct {
 	mu    sync.Mutex
@@ -118,15 +103,13 @@ func TestServeNewRefusesZeroSampleStride(t *testing.T) {
 	}
 }
 
-// An idle server scores a lone window at once: no Flush, and a clock that
-// never moves.
+// An idle server scores a lone window at once: no Flush, and no timer.
 func TestServeScoresLoneWindowAtOnce(t *testing.T) {
 	log := &batchLog{}
 	rt := compss.New(compss.Config{Workers: 2})
 	s, err := newServer(t, rt, Config{
 		Window: testConfig(),
 		Score:  constScorer(log, 1),
-		Now:    newVclock().now,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -151,14 +134,12 @@ func TestServeScoresLoneWindowAtOnce(t *testing.T) {
 func TestServeBatchesWhatWaited(t *testing.T) {
 	log := &batchLog{}
 	g := newGate()
-	rt := compss.New(compss.Config{Workers: 2})
+	rt := compss.New(compss.Config{Workers: 1})
 	s, err := newServer(t, rt, Config{
 		Window:       testConfig(),
 		Score:        g.scorer(log, 1),
 		MaxBatch:     4,
-		Slots:        1,
 		StreamBuffer: 100,
-		Now:          newVclock().now,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -184,18 +165,16 @@ func TestServeBatchesWhatWaited(t *testing.T) {
 	}
 }
 
-// Slots loops score at once and no more: with both busy a third window
-// waits, and goes as soon as either is free.
+// One scorer loop a runtime slot scores at once and no more: with both
+// busy a third window waits, and goes as soon as either is free.
 func TestServeScoresOnSlotsLoops(t *testing.T) {
 	log := &batchLog{}
 	g := newGate()
-	rt := compss.New(compss.Config{Workers: 4})
+	rt := compss.New(compss.Config{Workers: 2})
 	s, err := newServer(t, rt, Config{
 		Window:       testConfig(),
 		Score:        g.scorer(log, 1),
-		Slots:        2,
 		StreamBuffer: 100,
-		Now:          newVclock().now,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -221,13 +200,11 @@ func TestServeScoresOnSlotsLoops(t *testing.T) {
 }
 
 func TestServeAdmissionMaxStreams(t *testing.T) {
-	clk := newVclock()
 	rt := compss.New(compss.Config{Workers: 1})
 	s, err := newServer(t, rt, Config{
 		Window:     testConfig(),
 		Score:      constScorer(nil, 1),
 		MaxStreams: 3,
-		Now:        clk.now,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -257,14 +234,11 @@ func TestServeAdmissionMaxStreams(t *testing.T) {
 }
 
 func TestServeAdmissionSLOProjection(t *testing.T) {
-	clk := newVclock()
 	rt := compss.New(compss.Config{Workers: 1})
 	s, err := newServer(t, rt, Config{
 		Window: testConfig(), // 1 s stride: each stream offers 1 window/s
 		Score:  constScorer(nil, 1),
 		SLO:    10 * time.Second,
-		Slots:  1,
-		Now:    clk.now,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -300,8 +274,6 @@ func TestServeAdmissionSLOProjection(t *testing.T) {
 		Window: testConfig(),
 		Score:  constScorer(nil, 1),
 		SLO:    time.Millisecond,
-		Slots:  1,
-		Now:    clk.now,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -337,20 +309,17 @@ func TestServeCostFitChargesFullBatches(t *testing.T) {
 }
 
 func TestServeBackpressureShedding(t *testing.T) {
-	clk := newVclock()
 	log := &batchLog{}
 	g := newGate()
 	var shedSamples atomic.Int64
-	rt := compss.New(compss.Config{Workers: 2})
+	rt := compss.New(compss.Config{Workers: 1})
 	var s *Server
 	s, err := newServer(t, rt, Config{
 		Window:       testConfig(),
 		Score:        g.scorer(log, 0), // every window positive (AF)
 		MaxBatch:     100,
-		Slots:        1,
 		StreamBuffer: 2,
 		RecordEvents: true,
-		Now:          clk.now,
 		Hook: func(sm Sample) {
 			if sm.Kind == "shed" {
 				shedSamples.Add(1)
@@ -405,7 +374,6 @@ func TestServeBackpressureShedding(t *testing.T) {
 }
 
 func TestServeScoreErrorSkips(t *testing.T) {
-	clk := newVclock()
 	var fail atomic.Bool
 	rt := compss.New(compss.Config{Workers: 2})
 	scorer := func(tc *compss.TaskCtx, windows [][]float64, fs float64) *compss.Future {
@@ -424,7 +392,6 @@ func TestServeScoreErrorSkips(t *testing.T) {
 		MaxBatch:     100,
 		StreamBuffer: 100,
 		RecordEvents: true,
-		Now:          clk.now,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -491,7 +458,7 @@ func paritySignal(seed, n, onset int) []float64 {
 
 func TestServeParityWithEdgeRun(t *testing.T) {
 	cfg := edge.Config{Fs: 100, WindowSec: 2, StrideSec: 1, AlarmAfter: 2}
-	rt := compss.New(compss.Config{Workers: 4})
+	rt := compss.New(compss.Config{Workers: 2})
 	// The scorer runs the same featurize+classify the batch path uses,
 	// inside a submitted task.
 	scorer := func(tc *compss.TaskCtx, windows [][]float64, fs float64) *compss.Future {
@@ -515,7 +482,6 @@ func TestServeParityWithEdgeRun(t *testing.T) {
 		Window:       cfg,
 		Score:        scorer,
 		MaxBatch:     3,
-		Slots:        2,
 		StreamBuffer: 1 << 20, // parity needs every window scored
 		RecordEvents: true,
 	})
@@ -554,7 +520,7 @@ func TestServeParityWithEdgeRun(t *testing.T) {
 	s.WaitIdle()
 
 	for i, sig := range signals {
-		wantEvents, wantAlarm, err := edge.Run(cfg, parityFeaturize, edge.ClassifierFunc(parityClassify), sig)
+		wantEvents, wantAlarm, err := edge.Run(cfg, parityFeaturize, parityClassify, sig)
 		if err != nil {
 			t.Fatal(err)
 		}

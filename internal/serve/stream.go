@@ -29,9 +29,6 @@ type Stream struct {
 	closed   bool
 }
 
-// ID returns the stream's server-assigned identifier.
-func (st *Stream) ID() int { return st.id }
-
 // Push appends raw samples to the stream, cutting every analysis window
 // they complete and handing the windows to a free scorer, or queueing them
 // for the next one to come free. When the stream's ingress buffer is full,
@@ -59,7 +56,7 @@ func (st *Stream) Push(samples ...float64) error {
 	if len(cuts) == 0 {
 		return nil
 	}
-	now := s.cfg.Now()
+	now := time.Now()
 	var alarms []alarmFire
 	var obs []Sample
 	s.mu.Lock()

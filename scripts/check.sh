@@ -135,7 +135,8 @@ go test -race -count=2 -cpu=1,8 -run 'TestStealStress|TestParallelismIsBounded|T
 # nested Barrier storm under its greedy budget, for a carrier's linger exit,
 # and for a work signal that lands at the instant a linger expires (the
 # runtime must come to rest with no wake token left). The tests build only
-# under the experiment (go1.24), so tier-1 does not see them; a lost wake-up
+# under the experiment (go1.24); tier-1 runs them through the root package's
+# TestVirtualSuites, and this line runs them on their own. A lost wake-up
 # there is a deadlock panic with every stack.
 echo "== GOEXPERIMENT=synctest go test -count=1 -timeout 120s -run Virtual ./internal/..."
 GOEXPERIMENT=synctest go test -count=1 -timeout 120s -run Virtual ./internal/...
@@ -185,7 +186,8 @@ go test -race -count=2 -cpu=1,8 -run 'TestWorkerSlotsBoundKernelHelpers|TestInPr
 # lost with their only holder or to a 1 MB cache (rebuilt from lineage) must
 # stay bit-identical, finished runs on a shared fleet must be collected and
 # forgotten on every worker, and served alarms must match batch edge.Run
-# in-process and across workers. Two more fleets of the one data plane ride
+# in-process and across workers, and so must a Windower fed in chunks and
+# its labels applied through a Debouncer. Two more fleets of the one data plane ride
 # along by variant name: an in-process member that dialed in to the fleet
 # listener beside a loopback worker (values cross between them through the
 # coordinator) and workers that do not cache (values inline).
@@ -202,8 +204,8 @@ echo "== go test -race -count=2 -run 'TestRemoteKillThenRejoinParity|TestRemoteH
 go test -race -count=2 -run 'TestRemoteKillThenRejoinParity|TestRemoteHolderKillParity|TestRemoteChainParity|TestRemoteLineageParity|TestRemoteFleetForgetsFinishedRuns|TestFoldsOverlap|TestRegisteredBodiesLeaveArgumentsAlone' ./internal/core/
 echo "== go test -race -count=2 -run 'TestRemoteParityBitIdentical/^(dial-in-member|no-cache)\$' ./internal/core/"
 go test -race -count=2 -run 'TestRemoteParityBitIdentical/^(dial-in-member|no-cache)$' ./internal/core/
-echo "== go test -race -count=2 -run 'TestServe' ./internal/serve/ ./internal/core/"
-go test -race -count=2 -run 'TestServe' ./internal/serve/ ./internal/core/
+echo "== go test -race -count=2 -run 'TestServe|TestPushChunkingInvariance' ./internal/serve/ ./internal/core/ ./internal/edge/"
+go test -race -count=2 -run 'TestServe|TestPushChunkingInvariance' ./internal/serve/ ./internal/core/ ./internal/edge/
 # What a long-lived runtime keeps, pinned by name: a completed task drops its
 # inputs on every terminal path (a task whose output a worker holds keeps its
 # arguments for the lineage rerun), a scored window drops its samples, a
