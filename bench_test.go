@@ -339,6 +339,9 @@ func BenchmarkFigure12CNNVariants(b *testing.B) {
 	if nestGain <= oneVsFour {
 		b.Fatalf("nesting (%.2fx) should beat the 1-GPU baseline (%.2fx)", nestGain, oneVsFour)
 	}
+	if g := times["1gpu"] / times["nested"]; g <= 2 {
+		b.Fatalf("nesting gains %.2fx over the 1-GPU baseline, want > 2x (paper: 2.24x)", g)
+	}
 	if times["1gpu"]/times["nested"] > 6 {
 		b.Fatalf("nested speedup implausibly high")
 	}

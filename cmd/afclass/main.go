@@ -62,16 +62,15 @@ func main() {
 		time.Since(start).Round(time.Millisecond), af, n, ds.X.Cols)
 
 	cfg := core.TableIPipeline(*seed)
-	cfg.Workers = *workers
+	cfg.Runtime = compss.Config{Workers: *workers, Backend: backend}
 	cfg.CNNNested = *nested
-	cfg.Backend = backend
 
 	// One collector spans the PCA runtime and every per-model runtime, so
 	// the exported trace shows the whole experiment on a shared clock.
 	var collector *trace.Collector
 	if *traceOut != "" {
 		collector = trace.NewCollector()
-		cfg.Observers = []compss.Observer{collector}
+		cfg.Runtime.Observers = []compss.Observer{collector}
 		// Remote runs also sample the data plane (cache hit/miss instants,
 		// resident-bytes counters) and the fleet (membership transitions as
 		// instants); both land in their own trace process.
@@ -83,7 +82,7 @@ func main() {
 	// The PCA stage is shared by all models (the paper excludes its
 	// constant time from the per-model results); run it once.
 	start = time.Now()
-	rt := compss.New(compss.Config{Workers: *workers, Observers: cfg.Observers, Backend: backend})
+	rt := compss.New(cfg.Runtime)
 	rx, k, err := core.ReduceWithPCA(rt, ds, cfg)
 	if err != nil {
 		fatal(err)
@@ -96,7 +95,7 @@ func main() {
 	}
 	for _, m := range models {
 		start = time.Now()
-		mrt := compss.New(compss.Config{Workers: *workers, Observers: cfg.Observers, Backend: backend})
+		mrt := compss.New(cfg.Runtime)
 		rep, err := core.RunCVReduced(m, mrt, rx, k, ds.Y, cfg)
 		if err != nil {
 			fatal(fmt.Errorf("%s: %w", m, err))

@@ -65,14 +65,14 @@ func main() {
 		BlockCols: ds.X.Cols,
 		CSVM:      svm.CascadeParams{Iterations: 2},
 		CNNTrain:  eddl.TrainConfig{Folds: 5, Epochs: 7, Workers: 4},
-		Backend:   backend,
+		Runtime:   compss.Config{Backend: backend},
 	}
 	if *faults > 0 {
-		cfg.Faults = &compss.FaultPlan{Faults: []compss.Fault{
+		cfg.Runtime.Faults = &compss.FaultPlan{Faults: []compss.Fault{
 			{EveryNth: *faults, Attempts: 1, Mode: compss.FaultError, AtFraction: 0.5},
 		}}
-		cfg.Retries = *retries
-		cfg.RetryBackoff = *backoff
+		cfg.Runtime.DefaultRetries = *retries
+		cfg.Runtime.DefaultBackoff = *backoff
 	}
 	m := core.Model(*model)
 	isCNN := *model == "cnn" || *model == "cnn-nested"

@@ -41,12 +41,10 @@ import (
 	"taskml/internal/cluster"
 	"taskml/internal/compss"
 	"taskml/internal/core"
-	"taskml/internal/dsarray"
 	"taskml/internal/eddl"
 	"taskml/internal/exec"
 	"taskml/internal/graph"
 	"taskml/internal/mat"
-	"taskml/internal/preproc"
 	"taskml/internal/svm"
 	"taskml/internal/trace"
 )
@@ -75,34 +73,21 @@ const (
 	CNNDistributeScale = 12
 )
 
-// ft holds the fault-injection settings shared by the experiment runners;
-// filled from flags in main. every == 0 disables injection.
-var ft struct {
-	every   int
-	retries int
-	backoff float64
-}
+// rtCfg configures the runtime of the experiment's workflow, built from
+// the flags in main: the execution backend behind -backend/-peers (nil =
+// local), the trace collector as its one observer when -trace is set
+// (otherwise none, so the runtimes keep the zero-observer submit path), and
+// with -faults the injection plan — the first attempt of every Nth task
+// (by graph ID) fails halfway through its virtual cost — with its retry
+// budget and backoff.
+var rtCfg compss.Config
 
 // collector captures the real execution's event stream when -trace is set;
-// traceOut is the output path. Shared by the runners the same way ft is.
+// traceOut is the output path. Shared by the runners the same way rtCfg is.
 var (
 	collector *trace.Collector
 	traceOut  string
 )
-
-// backend is the execution backend behind -backend/-peers (nil = local),
-// shared by the runners the same way ft is.
-var backend exec.Backend
-
-// observers is the observer list shared by every runtime this command
-// creates: the trace collector when -trace is set, otherwise none, so the
-// runtimes keep the zero-observer submit path.
-func observers() []compss.Observer {
-	if collector == nil {
-		return nil
-	}
-	return []compss.Observer{collector}
-}
 
 // replayPath derives the replay trace's file name from -trace's value:
 // base.json → base.replay.json.
@@ -136,57 +121,39 @@ func writeRunTrace() {
 		len(collector.Events()), traceOut)
 }
 
-// faultPlan returns the injection plan for the model workflow, or nil when
-// -faults is off: the first attempt of every Nth task (by graph ID) fails
-// halfway through its virtual cost.
-func faultPlan() *compss.FaultPlan {
-	if ft.every <= 0 {
-		return nil
-	}
-	return &compss.FaultPlan{Faults: []compss.Fault{
-		{EveryNth: ft.every, Attempts: 1, Mode: compss.FaultError, AtFraction: 0.5},
-	}}
-}
-
-// withFaults applies the -faults and -trace settings to a pipeline
-// configuration.
-func withFaults(cfg core.PipelineConfig) core.PipelineConfig {
-	cfg.Observers = observers()
-	cfg.Backend = backend
-	if ft.every <= 0 {
-		return cfg
-	}
-	cfg.Faults = faultPlan()
-	cfg.Retries = ft.retries
-	cfg.RetryBackoff = ft.backoff
-	return cfg
-}
-
 func main() {
 	exec.MaybeWorkerMain() // loopback re-exec hook: serve tasks instead when spawned as a worker
 	exp := flag.String("exp", "csvm", "experiment: csvm | knn | rf | cnn | pca")
 	samples := flag.Int("samples", 1200, "dataset rows (after balancing)")
 	seed := flag.Int64("seed", 1, "experiment seed")
-	flag.IntVar(&ft.every, "faults", 0, "inject a first-attempt failure into every Nth task of the model workflow (0 disables)")
-	flag.IntVar(&ft.retries, "retries", 2, "per-task retry budget when -faults is set")
-	flag.Float64Var(&ft.backoff, "backoff", 5, "virtual-time retry backoff base in seconds (the retry after failed attempt k waits backoff·2^k)")
+	faults := flag.Int("faults", 0, "inject a first-attempt failure into every Nth task of the model workflow (0 disables)")
+	retries := flag.Int("retries", 2, "per-task retry budget when -faults is set")
+	backoff := flag.Float64("backoff", 5, "virtual-time retry backoff base in seconds (the retry after failed attempt k waits backoff·2^k)")
 	flag.StringVar(&traceOut, "trace", "", "write Chrome traces: the real run to this file, the last replayed schedule to <name>.replay.json")
 	var ecfg exec.Config
 	ecfg.Flags(flag.CommandLine)
 	flag.Parse()
-	if traceOut != "" {
-		collector = trace.NewCollector()
-	}
-	var err error
-	backend, err = exec.Open(ecfg)
+	backend, err := exec.Open(ecfg)
 	if err != nil {
 		fatal(err)
 	}
 	if backend != nil {
 		defer backend.Close()
 	}
-	if r, ok := backend.(*exec.Remote); ok && collector != nil {
-		r.SetHook(collector.AddExecEvent)
+	rtCfg.Backend = backend
+	if traceOut != "" {
+		collector = trace.NewCollector()
+		rtCfg.Observers = []compss.Observer{collector}
+		if r, ok := backend.(*exec.Remote); ok {
+			r.SetHook(collector.AddExecEvent)
+		}
+	}
+	if *faults > 0 {
+		rtCfg.Faults = &compss.FaultPlan{Faults: []compss.Fault{
+			{EveryNth: *faults, Attempts: 1, Mode: compss.FaultError, AtFraction: 0.5},
+		}}
+		rtCfg.DefaultRetries = *retries
+		rtCfg.DefaultBackoff = *backoff
 	}
 
 	fmt.Printf("generating dataset (%d rows)...\n", *samples)
@@ -211,8 +178,9 @@ func main() {
 
 	// The paper's Figure 11 protocol: PCA runs first and its time is not
 	// counted; models train on the reduced features. The trace collector
-	// still spans it: the exported run shows the whole experiment.
-	rt := compss.New(compss.Config{Observers: observers(), Backend: backend})
+	// still spans it: the exported run shows the whole experiment. The
+	// injected faults target the model workflow, not this reduction.
+	rt := compss.New(compss.Config{Observers: rtCfg.Observers, Backend: rtCfg.Backend})
 	rx, k, err := core.ReduceWithPCA(rt, ds, core.PipelineConfig{BlockRows: 100, BlockCols: 100})
 	if err != nil {
 		fatal(err)
@@ -299,12 +267,13 @@ func faultSweepTable(title string, g *graph.Graph, configs []cluster.Cluster) {
 // runCSVM regenerates Figure 11a: the paper runs 6 tasks per node, each
 // using 8 cores, and sees improvements up to 192 cores.
 func runCSVM(x *mat.Dense, y []int, seed int64) {
-	rt, err := core.TrainGraph(core.ModelCSVM, x, y, withFaults(core.PipelineConfig{
+	rt, err := core.TrainGraph(core.ModelCSVM, x, y, core.PipelineConfig{
+		Runtime:   rtCfg,
 		Seed:      seed,
 		BlockRows: 50, // ~24 row blocks: the first cascade layer
 		BlockCols: x.Cols,
 		CSVM:      svm.CascadeParams{CoresPerTask: 8, Iterations: 3},
-	}))
+	})
 	if err != nil {
 		fatal(err)
 	}
@@ -318,11 +287,12 @@ func runCSVM(x *mat.Dense, y []int, seed int64) {
 // runKNN regenerates Figure 11b: StandardScaler + KNN fit, 250×250-style
 // blocking (scaled to the dataset).
 func runKNN(x *mat.Dense, y []int, seed int64) {
-	rt, err := core.TrainGraph(core.ModelKNN, x, y, withFaults(core.PipelineConfig{
+	rt, err := core.TrainGraph(core.ModelKNN, x, y, core.PipelineConfig{
+		Runtime:   rtCfg,
 		Seed:      seed,
 		BlockRows: 25, // small blocks: parallelism bound by block count
 		BlockCols: (x.Cols + 1) / 2,
-	}))
+	})
 	if err != nil {
 		fatal(err)
 	}
@@ -336,11 +306,12 @@ func runKNN(x *mat.Dense, y []int, seed int64) {
 // runRF regenerates Figure 11c: 40 estimators; the paper observes poor,
 // erratic scaling (few tasks, load imbalance, extra transfers at 3 nodes).
 func runRF(x *mat.Dense, y []int, seed int64) {
-	rt, err := core.TrainGraph(core.ModelRF, x, y, withFaults(core.PipelineConfig{
+	rt, err := core.TrainGraph(core.ModelRF, x, y, core.PipelineConfig{
+		Runtime:   rtCfg,
 		Seed:      seed,
 		BlockRows: 100,
 		BlockCols: x.Cols,
-	}))
+	})
 	if err != nil {
 		fatal(err)
 	}
@@ -370,13 +341,14 @@ func runCNN(x *mat.Dense, y []int, seed int64) {
 	var lastSched *cluster.Schedule
 	var lastGraph *graph.Graph
 	for _, v := range variants {
-		rt, err := core.TrainGraph(core.ModelCNN, x, y, withFaults(core.PipelineConfig{
+		rt, err := core.TrainGraph(core.ModelCNN, x, y, core.PipelineConfig{
+			Runtime:   rtCfg,
 			Seed:      seed,
 			CNNNested: v.nested,
 			CNNTrain: eddl.TrainConfig{GPUsPerTask: v.gpus, Epochs: 7, Workers: 4, Folds: 5,
 				ComputeScale: CNNComputeScale, PayloadScale: CNNPayloadScale,
 				DistributeScale: CNNDistributeScale},
-		}))
+		})
 		if err != nil {
 			fatal(err)
 		}
@@ -409,20 +381,8 @@ func runCNN(x *mat.Dense, y []int, seed int64) {
 // runPCA reports the PCA stage on its own — the paper notes it takes about
 // 850 s and excludes it from the per-model plots.
 func runPCA(ds *core.Dataset) {
-	var rcfg compss.Config
-	if ft.every > 0 {
-		rcfg = compss.Config{Faults: faultPlan(), DefaultRetries: ft.retries, DefaultBackoff: ft.backoff}
-	}
-	rcfg.Observers = observers()
-	rcfg.Backend = backend
-	rt := compss.New(rcfg)
-	xa := dsarray.FromMatrix(rt.Main(), ds.X, 100, 100)
-	pca := preproc.PCA{VarianceToRetain: 0.95}
-	reduced, err := pca.FitTransform(xa)
-	if err != nil {
-		fatal(err)
-	}
-	if _, err := reduced.Collect(); err != nil {
+	rt := compss.New(rtCfg)
+	if _, _, err := core.ReduceWithPCA(rt, ds, core.PipelineConfig{BlockRows: 100, BlockCols: 100}); err != nil {
 		fatal(err)
 	}
 	if err := rt.Barrier(); err != nil {

@@ -61,7 +61,7 @@ func main() {
 		BlockRows: *blockRows,
 		BlockCols: 64,
 		CNNTrain:  eddl.TrainConfig{Folds: 5, Epochs: 3, Workers: 4},
-		Backend:   backend,
+		Runtime:   compss.Config{Backend: backend},
 	}
 	m := core.Model(*model)
 	if *model == "cnn-nested" {
@@ -71,7 +71,7 @@ func main() {
 	var collector *trace.Collector
 	if *traceOut != "" {
 		collector = trace.NewCollector()
-		cfg.Observers = []compss.Observer{collector}
+		cfg.Runtime.Observers = []compss.Observer{collector}
 	}
 
 	// The graph of interest is the training workflow (the paper's figures

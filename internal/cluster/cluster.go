@@ -199,20 +199,67 @@ type Schedule struct {
 	WastedCoreSeconds float64
 }
 
-// taskHeap orders ready tasks by submission ID, approximating the program
-// order PyCOMPSs releases tasks in.
-type taskHeap []int
+// taskHeap orders ready tasks by their programOrder rank, the order
+// PyCOMPSs releases tasks in.
+type taskHeap struct {
+	ids  []int
+	rank []int
+}
 
-func (h taskHeap) Len() int           { return len(h) }
-func (h taskHeap) Less(i, j int) bool { return h[i] < h[j] }
-func (h taskHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *taskHeap) Push(x any)        { *h = append(*h, x.(int)) }
+func (h taskHeap) Len() int           { return len(h.ids) }
+func (h taskHeap) Less(i, j int) bool { return h.rank[h.ids[i]] < h.rank[h.ids[j]] }
+func (h taskHeap) Swap(i, j int)      { h.ids[i], h.ids[j] = h.ids[j], h.ids[i] }
+func (h *taskHeap) Push(x any)        { h.ids = append(h.ids, x.(int)) }
 func (h *taskHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
+	n := len(h.ids)
+	x := h.ids[n-1]
+	h.ids = h.ids[:n-1]
 	return x
+}
+
+// programOrder ranks every task by a key computed from the program alone:
+// (nesting depth, ordinal among its parent's submissions, the parent's
+// key). A main-program task's ordinal is its place among the main
+// program's submissions, so a graph without nesting ranks every task by
+// its id. A nested task's id is the moment its parent's body happened to
+// submit it, which the host's thread timing decides; the key instead
+// models concurrently running parents that advance at the same pace —
+// every parent's first child, then every parent's second — so one program
+// replays to one schedule however its run interleaved the bodies.
+func programOrder(tasks []graph.Task) []int {
+	ordinal := make([]int, len(tasks))
+	nextOrdinal := make([]int, len(tasks)+1) // by parent id + 1: the main program is -1
+	var byDepth [][]int
+	depth := make([]int, len(tasks))
+	for _, t := range tasks {
+		if t.Parent >= 0 {
+			depth[t.ID] = depth[t.Parent] + 1
+		}
+		ordinal[t.ID] = nextOrdinal[t.Parent+1]
+		nextOrdinal[t.Parent+1]++
+		if depth[t.ID] == len(byDepth) {
+			byDepth = append(byDepth, nil)
+		}
+		byDepth[depth[t.ID]] = append(byDepth[depth[t.ID]], t.ID)
+	}
+	rank := make([]int, len(tasks))
+	r := 0
+	for _, ids := range byDepth {
+		// A depth's keys differ in ordinal or, for equal ordinals, in the
+		// parent, whose rank the previous depth fixed.
+		sort.Slice(ids, func(i, j int) bool {
+			a, b := ids[i], ids[j]
+			if ordinal[a] != ordinal[b] {
+				return ordinal[a] < ordinal[b]
+			}
+			return rank[tasks[a].Parent] < rank[tasks[b].Parent]
+		})
+		for _, id := range ids {
+			rank[id] = r
+			r++
+		}
+	}
+	return rank
 }
 
 // ScheduleGraph replays g on c with a greedy earliest-start list scheduler.
@@ -286,7 +333,7 @@ func ScheduleGraph(g *graph.Graph, c Cluster) (*Schedule, error) {
 	fin := make([]float64, n) // finalized end (incl. descendants)
 	place := make([]Placement, n)
 
-	ready := &taskHeap{}
+	ready := &taskHeap{rank: programOrder(tasks)}
 	isReady := func(id int) bool {
 		t := tasks[id]
 		if pendingDeps[id] > 0 {
@@ -536,19 +583,4 @@ func fits(t graph.Task, c Cluster) bool {
 		}
 	}
 	return false
-}
-
-// Sweep replays the same graph on each cluster configuration and returns
-// the makespans in order. It is the primitive behind the Figure 11/12
-// core-count sweeps.
-func Sweep(g *graph.Graph, configs []Cluster) ([]float64, error) {
-	out := make([]float64, len(configs))
-	for i, c := range configs {
-		s, err := ScheduleGraph(g, c)
-		if err != nil {
-			return nil, fmt.Errorf("sweep %q: %w", c.Name, err)
-		}
-		out[i] = s.Makespan
-	}
-	return out, nil
 }

@@ -618,14 +618,6 @@ func TestStatsRecording(t *testing.T) {
 			t.Fatalf("negative timing: %+v", s)
 		}
 	}
-	byName := so.ByName()
-	if len(byName) != 2 {
-		t.Fatalf("ByName = %v", byName)
-	}
-	summary := so.Summary()
-	if !strings.Contains(summary, "work") || !strings.Contains(summary, "other") {
-		t.Fatalf("summary:\n%s", summary)
-	}
 }
 
 // A task blocked on a slow dependency must account that time as WaitDeps,

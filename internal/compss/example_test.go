@@ -1,14 +1,4 @@
-// Quickstart: the task-based programming model in one page.
-//
-// A plain Go program becomes a distributed workflow by submitting functions
-// as tasks: any *compss.Future argument is a dependency the runtime
-// resolves before the task runs, exactly like PyCOMPSs infers dependencies
-// from task arguments. The runtime records the task graph while it
-// executes, and the virtual-cluster scheduler replays that graph on any
-// machine description to predict its makespan.
-//
-// Run: go run ./examples/quickstart
-package main
+package compss_test
 
 import (
 	"fmt"
@@ -18,14 +8,20 @@ import (
 	"taskml/internal/compss"
 )
 
-func main() {
+// The task-based programming model in one page. A plain Go program becomes
+// a distributed workflow by submitting functions as tasks: any
+// *compss.Future argument is a dependency the runtime resolves before the
+// task runs, exactly like PyCOMPSs infers dependencies from task arguments.
+// The runtime records the task graph while it executes, and the
+// virtual-cluster scheduler replays that graph on any machine description
+// to predict its makespan.
+func Example() {
 	rt := compss.New(compss.Config{})
 
 	// A fan-out of independent tasks: each one squares a number. Cost is
 	// the task's virtual duration in reference-core seconds.
 	var squares []*compss.Future
 	for i := 1; i <= 8; i++ {
-		i := i
 		squares = append(squares, rt.Submit(compss.Opts{Name: "square", Cost: 1},
 			func(_ *compss.TaskCtx, _ []any) (any, error) {
 				return i * i, nil
@@ -65,4 +61,9 @@ func main() {
 		fmt.Printf("on %-18s makespan %.2f s, utilization %.0f%%\n",
 			c.Name, s.Makespan, 100*s.Utilization)
 	}
+	// Output:
+	// sum of squares 1..8 = 204
+	// captured 9 tasks, critical path 1.5 s, total work 8.5 s
+	// on 1 node × 2 cores   makespan 4.55 s, utilization 94%
+	// on 2 nodes × 4 cores  makespan 1.52 s, utilization 71%
 }

@@ -40,9 +40,6 @@ func TestDepFailedTasksStillRecordStats(t *testing.T) {
 			}
 		}
 	}
-	if !strings.Contains(so.Summary(), "dep") {
-		t.Fatal("Summary lost the dep-failed tasks")
-	}
 }
 
 // Regression: a failure propagating through a chain of dependents used to

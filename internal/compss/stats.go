@@ -1,9 +1,6 @@
 package compss
 
 import (
-	"fmt"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 )
@@ -144,67 +141,4 @@ func (s *StatsObserver) Stats() []TaskStat {
 	out := make([]TaskStat, len(s.stats))
 	copy(out, s.stats)
 	return out
-}
-
-// ByName aggregates total real execution time per task name.
-func (s *StatsObserver) ByName() map[string]time.Duration {
-	out := map[string]time.Duration{}
-	for _, t := range s.Stats() {
-		out[t.Name] += t.Duration
-	}
-	return out
-}
-
-// Summary renders a per-name profile table sorted by total execution time,
-// with the aggregate dependency wait (wait) and worker-slot wait (queued)
-// alongside — the split separates "blocked on the graph" from "blocked on
-// capacity". The retries/failed columns keep the two failure outcomes
-// apart: a retried task recovered, a failed one poisoned its dependents.
-func (s *StatsObserver) Summary() string {
-	type row struct {
-		name                string
-		total, wait, queued time.Duration
-		qstolen             time.Duration
-		count, retries      int
-		stolen              int
-		failed              int
-	}
-	agg := map[string]*row{}
-	for _, t := range s.Stats() {
-		r, ok := agg[t.Name]
-		if !ok {
-			r = &row{name: t.Name}
-			agg[t.Name] = r
-		}
-		r.total += t.Duration
-		r.wait += t.WaitDeps
-		r.queued += t.Queued
-		r.qstolen += t.QueuedStolen
-		r.stolen += t.Stolen
-		r.count++
-		if t.Attempts > 1 {
-			r.retries += t.Attempts - 1
-		}
-		if t.Failed {
-			r.failed++
-		}
-	}
-	rows := make([]*row, 0, len(agg))
-	for _, r := range agg {
-		rows = append(rows, r)
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].total > rows[j].total })
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-20s %10s %8s %12s %10s %10s %10s %7s %8s %7s\n",
-		"task", "total", "count", "mean", "wait", "queued", "q-stolen", "stolen", "retries", "failed")
-	for _, r := range rows {
-		mean := time.Duration(0)
-		if r.count > 0 {
-			mean = r.total / time.Duration(r.count)
-		}
-		fmt.Fprintf(&b, "%-20s %10s %8d %12s %10s %10s %10s %7d %8d %7d\n", r.name, r.total.Round(time.Microsecond), r.count,
-			mean.Round(time.Microsecond), r.wait.Round(time.Microsecond), r.queued.Round(time.Microsecond),
-			r.qstolen.Round(time.Microsecond), r.stolen, r.retries, r.failed)
-	}
-	return b.String()
 }

@@ -10,9 +10,11 @@
 //
 // BuildDataset constructs the augmented feature dataset from a DataConfig
 // (TableIData gives the calibrated Table I configuration). PipelineConfig
-// carries every experiment knob — folds, block geometry, retry policy,
-// observers, and the execution Backend (nil in-process, exec.Remote for
-// worker processes). RunCV runs a full cross-validation for one Model;
+// carries every experiment knob — folds, block geometry, the estimators'
+// parameters, and in Runtime the compss.Config of every runtime the
+// pipeline builds: retry policy, observers, and the execution Backend (nil
+// in-process, exec.Remote for worker processes). RunCV runs a full
+// cross-validation for one Model;
 // ReduceWithPCA + RunCVReduced split out the shared PCA stage;
 // TrainGraph captures a training workflow's task graph for replay.
 //
@@ -21,6 +23,6 @@
 // Each Run*/TrainGraph call drives its own compss.Runtime and is safe to
 // call from one goroutine at a time per runtime; datasets returned by
 // BuildDataset are immutable after construction and may be shared across
-// concurrent runs. A caller-provided Backend is borrowed, not owned: the
-// caller closes it.
+// concurrent runs. A caller-provided Runtime.Backend is borrowed, not
+// owned: the caller closes it.
 package core

@@ -79,7 +79,7 @@ func (o *treeOn) Observe(ev compss.Event) {
 func cvBoth(t *testing.T, ds *Dataset, cfg PipelineConfig) (rf, kn *CVReport, tasks int) {
 	t.Helper()
 	cfg = cfg.withDefaults()
-	rt := compss.New(cfg.runtimeConfig())
+	rt := compss.New(cfg.Runtime)
 	rx, k, err := ReduceWithPCA(rt, ds, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -130,11 +130,11 @@ func TestRemoteLineageParity(t *testing.T) {
 		}
 		defer backend.Close()
 		cfg := fastCfg(26)
-		cfg.Backend = backend
-		cfg.Retries = 3
-		cfg.RetryBackoff = 1
+		cfg.Runtime.Backend = backend
+		cfg.Runtime.DefaultRetries = 3
+		cfg.Runtime.DefaultBackoff = 1
 		var heldAtKill uint64
-		cfg.Observers = []compss.Observer{newTreeOn(backend.Workers()[0].ID, func() {
+		cfg.Runtime.Observers = []compss.Observer{newTreeOn(backend.Workers()[0].ID, func() {
 			heldAtKill = backend.Stats().Held
 			_ = backend.KillWorker(0)
 		})}
@@ -172,7 +172,7 @@ func TestRemoteLineageParity(t *testing.T) {
 		}
 		defer backend.Close()
 		cfg := fastCfg(26)
-		cfg.Backend = backend
+		cfg.Runtime.Backend = backend
 		rf, kn, remoteTasks := cvBoth(t, ds, cfg)
 		sameReports(t, "rf", localRF, rf)
 		sameReports(t, "knn", localKNN, kn)
@@ -258,9 +258,9 @@ func TestFoldsOverlap(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := fastCfg(27)
-	cfg.Workers = cfg.Folds + 1
+	cfg.Runtime.Workers = cfg.Folds + 1
 	gate := newFoldGate(cfg.Folds, 10*time.Second)
-	cfg.Observers = []compss.Observer{gate}
+	cfg.Runtime.Observers = []compss.Observer{gate}
 	if _, err := RunCV(ModelRF, ds, cfg); err != nil {
 		t.Fatal(err)
 	}

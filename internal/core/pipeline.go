@@ -7,7 +7,6 @@ import (
 	"taskml/internal/compss"
 	"taskml/internal/dsarray"
 	"taskml/internal/eddl"
-	"taskml/internal/exec"
 	"taskml/internal/forest"
 	"taskml/internal/knn"
 	"taskml/internal/mat"
@@ -30,10 +29,20 @@ const (
 // Models lists all model identifiers.
 var Models = []Model{ModelCSVM, ModelKNN, ModelRF, ModelCNN}
 
+// pcaVariance is the variance the pipeline's PCA retains: the paper
+// preserves "the 95% of the information".
+const pcaVariance = 0.95
+
 // PipelineConfig parameterises the experiment pipelines.
 type PipelineConfig struct {
-	// Workers bounds real execution parallelism. Default GOMAXPROCS.
-	Workers int
+	// Runtime configures every runtime the pipeline constructs (RunCV and
+	// TrainGraph pass it to compss.New as it is): real parallelism, the
+	// retry budget and backoff, injected faults, observers such as a
+	// trace.Collector behind the cmd tools' -trace flag, and the backend
+	// — nil runs registered bodies in-process; an exec.Remote, the cmd
+	// tools' -backend=remote, ships them to worker processes. The caller
+	// owns the backend and closes it after the pipeline finishes.
+	Runtime compss.Config
 	// Folds is the cross-validation arity. Default 5 (every experiment in
 	// the paper runs K-fold with K=5).
 	Folds int
@@ -41,11 +50,6 @@ type PipelineConfig struct {
 	// 500×500 for CSVM and 250×250 for KNN; defaults 100×100 match the
 	// scaled-down dataset.
 	BlockRows, BlockCols int
-	// PCAVariance selects PCA dimensionality by retained variance.
-	// Default 0.95 (the paper preserves "the 95% of the information").
-	PCAVariance float64
-	// PCAComponents overrides PCAVariance with a fixed dimensionality.
-	PCAComponents int
 	// Seed drives fold splitting and estimator seeds.
 	Seed int64
 
@@ -62,38 +66,6 @@ type PipelineConfig struct {
 	CNNTrain eddl.TrainConfig
 	// CNNNested selects the Figure 10 nested variant.
 	CNNNested bool
-
-	// Retries is the runtime-wide default retry budget per task
-	// (compss.Config.DefaultRetries); 0 keeps failures final.
-	Retries int
-	// RetryBackoff is the virtual-time backoff base, in seconds, between a
-	// failed attempt and its retry.
-	RetryBackoff float64
-	// Faults injects deterministic failures (tests, cmd/scaling -faults).
-	Faults *compss.FaultPlan
-	// Observers are attached to every runtime the pipeline constructs
-	// (compss.Config.Observers) — e.g. a trace.Collector behind the cmd
-	// tools' -trace flag. Pipelines that build several runtimes (PCA
-	// reduction + per-model training) attach the same observers to each.
-	Observers []compss.Observer
-	// Backend is the execution backend for registered task bodies
-	// (compss.Config.Backend): nil runs them in-process; an exec.Remote —
-	// the cmd tools' -backend=remote — ships them to worker processes. The
-	// caller owns the backend and closes it after the pipeline finishes.
-	Backend exec.Backend
-}
-
-// runtimeConfig assembles the compss configuration for this pipeline,
-// including the fault-tolerance knobs.
-func (c PipelineConfig) runtimeConfig() compss.Config {
-	return compss.Config{
-		Workers:        c.Workers,
-		DefaultRetries: c.Retries,
-		DefaultBackoff: c.RetryBackoff,
-		Faults:         c.Faults,
-		Observers:      c.Observers,
-		Backend:        c.Backend,
-	}
 }
 
 func (c PipelineConfig) withDefaults() PipelineConfig {
@@ -105,9 +77,6 @@ func (c PipelineConfig) withDefaults() PipelineConfig {
 	}
 	if c.BlockCols == 0 {
 		c.BlockCols = 100
-	}
-	if c.PCAVariance == 0 {
-		c.PCAVariance = 0.95
 	}
 	if c.CSVM.SVC.C == 0 {
 		c.CSVM.SVC.C = 10
@@ -192,7 +161,7 @@ func Standardize(x *mat.Dense) *mat.Dense {
 func ReduceWithPCA(rt *compss.Runtime, ds *Dataset, cfg PipelineConfig) (*mat.Dense, int, error) {
 	cfg = cfg.withDefaults()
 	xa := dsarray.FromMatrix(rt.Main(), ds.X, cfg.BlockRows, cfg.BlockCols)
-	pca := preproc.PCA{NComponents: cfg.PCAComponents, VarianceToRetain: cfg.PCAVariance}
+	pca := preproc.PCA{VarianceToRetain: pcaVariance}
 	reduced, err := pca.FitTransform(xa)
 	if err != nil {
 		return nil, 0, fmt.Errorf("core: PCA: %w", err)
@@ -241,7 +210,7 @@ func foldConfusion(pred, truth *dsarray.Array) (*metrics.Confusion, error) {
 // behind Table I.
 func RunCV(model Model, ds *Dataset, cfg PipelineConfig) (*CVReport, error) {
 	cfg = cfg.withDefaults()
-	rt := compss.New(cfg.runtimeConfig())
+	rt := compss.New(cfg.Runtime)
 	rx, k, err := ReduceWithPCA(rt, ds, cfg)
 	if err != nil {
 		return nil, err
@@ -341,7 +310,7 @@ func RunCVReduced(model Model, rt *compss.Runtime, rx *mat.Dense, k int, y []int
 // training of Figure 9 (or 10 when cfg.CNNNested).
 func TrainGraph(model Model, x *mat.Dense, y []int, cfg PipelineConfig) (*compss.Runtime, error) {
 	cfg = cfg.withDefaults()
-	rt := compss.New(cfg.runtimeConfig())
+	rt := compss.New(cfg.Runtime)
 	tc := rt.Main()
 	switch model {
 	case ModelCSVM:

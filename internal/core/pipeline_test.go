@@ -225,9 +225,9 @@ func TestRunCVSurvivesInjectedFaultsBitIdentical(t *testing.T) {
 	}
 
 	cfg := fastCfg(14)
-	cfg.Retries = 2
-	cfg.RetryBackoff = 5
-	cfg.Faults = &compss.FaultPlan{Faults: []compss.Fault{
+	cfg.Runtime.DefaultRetries = 2
+	cfg.Runtime.DefaultBackoff = 5
+	cfg.Runtime.Faults = &compss.FaultPlan{Faults: []compss.Fault{
 		{Name: "load_block", Nth: 0, Attempts: 1, Mode: compss.FaultError},
 		{Name: "rf_bootstrap", Nth: 0, Attempts: 1, Mode: compss.FaultPanic},
 	}}

@@ -142,7 +142,7 @@ func TestRegisteredBodiesLeaveArgumentsAlone(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := fastCfg(21)
-	cfg.Backend = guard
+	cfg.Runtime.Backend = guard
 	if _, err := RunCV(ModelRF, ds, cfg); err != nil {
 		t.Fatal(err)
 	}

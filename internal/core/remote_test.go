@@ -77,7 +77,7 @@ func TestRemoteParityBitIdentical(t *testing.T) {
 				}
 			}
 			cfg := fastCfg(21)
-			cfg.Backend = backend
+			cfg.Runtime.Backend = backend
 			remote, err := RunCV(ModelRF, ds, cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -146,9 +146,9 @@ func TestRemoteSurvivesWorkerKill(t *testing.T) {
 	}
 	defer backend.Close()
 	cfg := fastCfg(22)
-	cfg.Backend = backend
-	cfg.Retries = 3
-	cfg.RetryBackoff = 1
+	cfg.Runtime.Backend = backend
+	cfg.Runtime.DefaultRetries = 3
+	cfg.Runtime.DefaultBackoff = 1
 
 	// Kill one worker once the run is demonstrably using the fleet. The
 	// victim may or may not have an attempt in flight at that instant;
@@ -216,9 +216,9 @@ func TestRemoteHolderKillParity(t *testing.T) {
 	}
 	defer backend.Close()
 	cfg := fastCfg(24)
-	cfg.Backend = backend
-	cfg.Retries = 3
-	cfg.RetryBackoff = 1
+	cfg.Runtime.Backend = backend
+	cfg.Runtime.DefaultRetries = 3
+	cfg.Runtime.DefaultBackoff = 1
 
 	done := make(chan struct{})
 	defer close(done)
@@ -292,9 +292,9 @@ func TestRemoteKillThenRejoinParity(t *testing.T) {
 	}
 	defer backend.Close()
 	cfg := fastCfg(23)
-	cfg.Backend = backend
-	cfg.Retries = 3
-	cfg.RetryBackoff = 1
+	cfg.Runtime.Backend = backend
+	cfg.Runtime.DefaultRetries = 3
+	cfg.Runtime.DefaultBackoff = 1
 
 	// Kill w0 once the run is underway, then immediately re-admit a
 	// replacement: the comeback must be a new member, not a resurrection.
@@ -388,7 +388,7 @@ func TestRemoteFleetForgetsFinishedRuns(t *testing.T) {
 	defer backend.Close()
 	for pass := 0; pass < 3; pass++ {
 		cfg := fastCfg(28)
-		cfg.Backend = backend
+		cfg.Runtime.Backend = backend
 		remote, err := RunCV(ModelRF, ds, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -492,12 +492,12 @@ func TestRemoteChainParity(t *testing.T) {
 			}
 			defer backend.Close()
 			cfg := fastCfg(25)
-			cfg.Backend = backend
+			cfg.Runtime.Backend = backend
 			done := make(chan struct{})
 			defer close(done)
 			if v.killAt > 0 {
-				cfg.Retries = 3
-				cfg.RetryBackoff = 1
+				cfg.Runtime.DefaultRetries = 3
+				cfg.Runtime.DefaultBackoff = 1
 				go func() {
 					// Freeze worker 0 (SIGSTOP), then kill it once Workers()
 					// has reported it Inflight for a millisecond: frozen, it

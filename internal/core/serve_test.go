@@ -19,7 +19,8 @@ import (
 const serveTestWindowSec = 4.0
 
 // trainServeModel fits a small forest on exact analysis windows (the
-// edgemonitor recipe, shrunk for test time) and bundles it for serving.
+// ExampleTrainServeModel recipe, shrunk for test time) and bundles it for
+// serving.
 func trainServeModel(t *testing.T) *ServeModel {
 	t.Helper()
 	feat := FeatureConfig{PadSec: serveTestWindowSec, Window: 128, MaxFreqHz: 30, TimePool: 2}

@@ -235,9 +235,8 @@ func TestMergeWeightsAverages(t *testing.T) {
 }
 
 func TestTaskSecondsGPUModel(t *testing.T) {
-	cfg := TrainConfig{}.withDefaults()
-	t1 := taskSeconds(1000, 1e6, 1, cfg.GPUSyncFrac)
-	t4 := taskSeconds(1000, 1e6, 4, cfg.GPUSyncFrac)
+	t1 := taskSeconds(1000, 1e6, 1)
+	t4 := taskSeconds(1000, 1e6, 4)
 	ratio := t4 / t1
 	if ratio < 1.15 || ratio > 1.25 {
 		t.Fatalf("4-GPU/1-GPU ratio %v, want ≈ 1.2 (the paper's observation)", ratio)

@@ -22,6 +22,9 @@ import (
 // tasks, a FedAvg aggregation task per round, and a global evaluation —
 // device data never leaves its task.
 
+// holdoutFraction of the data is kept at the server for evaluation.
+const holdoutFraction = 0.2
+
 // FederatedConfig drives TrainFederated.
 type FederatedConfig struct {
 	// Devices is the number of participating edge devices. Default 8.
@@ -39,9 +42,6 @@ type FederatedConfig struct {
 	Batch int
 	// Seed drives sharding and initialisation.
 	Seed int64
-	// HoldoutFraction of the data is kept at the server for evaluation.
-	// Default 0.2.
-	HoldoutFraction float64
 }
 
 func (c FederatedConfig) withDefaults() FederatedConfig {
@@ -59,9 +59,6 @@ func (c FederatedConfig) withDefaults() FederatedConfig {
 	}
 	if c.Batch == 0 {
 		c.Batch = 16
-	}
-	if c.HoldoutFraction == 0 {
-		c.HoldoutFraction = 0.2
 	}
 	return c
 }
@@ -162,14 +159,11 @@ func TrainFederated(rt *compss.Runtime, x *mat.Dense, y []int, arch Arch, cfg Fe
 		return nil, fmt.Errorf("eddl: input length %d, data has %d features", arch.InputLen, x.Cols)
 	}
 	cfg = cfg.withDefaults()
-	if cfg.HoldoutFraction <= 0 || cfg.HoldoutFraction >= 1 {
-		return nil, fmt.Errorf("eddl: HoldoutFraction %v outside (0,1)", cfg.HoldoutFraction)
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	// Server-side holdout.
 	perm := rng.Perm(x.Rows)
-	nHold := int(cfg.HoldoutFraction * float64(x.Rows))
+	nHold := int(holdoutFraction * float64(x.Rows))
 	if nHold < 1 || x.Rows-nHold < cfg.Devices {
 		return nil, errors.New("eddl: dataset too small for the federation")
 	}

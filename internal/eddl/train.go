@@ -78,14 +78,6 @@ type TrainConfig struct {
 	// (per-fold staging to the parallel filesystem, worker deployment)
 	// costs more than one serialization pass. Default 1.
 	DistributeScale float64
-	// GPUSyncFrac is the per-extra-GPU synchronisation overhead fraction in
-	// the virtual-time model: a task on g GPUs costs
-	// compute/g · (1 + GPUSyncFrac·(g-1)). The default 1.267 is calibrated
-	// so a 4-GPU task takes ≈1.2× the time of a 1-GPU task on the same
-	// shard — the paper's observation that "the dataset is not big enough
-	// to fill the 4 GPUs ... and the communication between the GPUs is
-	// causing unnecessary overhead" (§IV-B).
-	GPUSyncFrac float64
 }
 
 func (c TrainConfig) withDefaults() TrainConfig {
@@ -107,9 +99,6 @@ func (c TrainConfig) withDefaults() TrainConfig {
 	if c.Batch == 0 {
 		c.Batch = 32
 	}
-	if c.GPUSyncFrac == 0 {
-		c.GPUSyncFrac = 1.267
-	}
 	if c.ComputeScale == 0 {
 		c.ComputeScale = 1
 	}
@@ -125,15 +114,24 @@ func (c TrainConfig) withDefaults() TrainConfig {
 // scaleBytes applies PayloadScale to a payload size.
 func (c TrainConfig) scaleBytes(b int64) int64 { return int64(float64(b) * c.PayloadScale) }
 
+// gpuSyncFrac is the per-extra-GPU synchronisation overhead fraction in
+// the virtual-time model: a task on g GPUs costs
+// compute/g · (1 + gpuSyncFrac·(g-1)). 1.267 is calibrated so a 4-GPU task
+// takes ≈1.2× the time of a 1-GPU task on the same shard — the paper's
+// observation that "the dataset is not big enough to fill the 4 GPUs ...
+// and the communication between the GPUs is causing unnecessary overhead"
+// (§IV-B).
+const gpuSyncFrac = 1.267
+
 // taskSeconds is the virtual cost of one data-parallel training task: the
 // shard's forward+backward work split across the task's GPUs, inflated by
 // inter-GPU synchronisation.
-func taskSeconds(samples int, fwdFlops float64, gpus int, syncFrac float64) float64 {
+func taskSeconds(samples int, fwdFlops float64, gpus int) float64 {
 	if gpus < 1 {
 		gpus = 1
 	}
 	compute := costs.NNForwardBackward(samples, fwdFlops)
-	return compute / float64(gpus) * (1 + float64(syncFrac*float64(gpus-1)))
+	return compute / float64(gpus) * (1 + float64(gpuSyncFrac*float64(gpus-1)))
 }
 
 // shard is a worker's slice of the training data.
@@ -225,7 +223,7 @@ func trainFoldWorkflow(tc *compss.TaskCtx, arch Arch, cfg TrainConfig, dist *com
 			wSeed := epochSeed + int64(w)*31
 			trained[w] = tc.Submit(compss.Opts{
 				Name:     "cnn_train",
-				Cost:     taskSeconds(shardRows, fwdFlops, cfg.GPUsPerTask, cfg.GPUSyncFrac) * cfg.ComputeScale,
+				Cost:     taskSeconds(shardRows, fwdFlops, cfg.GPUsPerTask) * cfg.ComputeScale,
 				GPUs:     cfg.GPUsPerTask,
 				Cores:    1,
 				OutBytes: cfg.scaleBytes(weightBytes),

@@ -3,7 +3,6 @@ package knn
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"taskml/internal/compss"
 	"taskml/internal/costs"
@@ -321,53 +320,6 @@ func (m *KNN) Predict(x *dsarray.Array) (*dsarray.Array, error) {
 		}, x.RowBlock(i), m.fitted)}
 	}
 	return dsarray.FromBlocks(tc, blocks, x.Rows(), 1, x.BlockRows(), 1), nil
-}
-
-// Kneighbors returns, for each row of x, the distances (not squared) and
-// dataset-global indices of its K nearest training samples, as two
-// ds-arrays of shape (rows × K) with x's row blocking — the kneighbors()
-// query of the paper's parameter list.
-func (m *KNN) Kneighbors(x *dsarray.Array) (dists, indices *dsarray.Array, err error) {
-	if m.fitted == nil {
-		return nil, nil, ErrNotFitted
-	}
-	if x.Cols() != m.dims {
-		return nil, nil, fmt.Errorf("knn: %d features, model fitted on %d", x.Cols(), m.dims)
-	}
-	p := m.Params.withDefaults()
-	tc := x.Ctx()
-	nrb := x.NumRowBlocks()
-	dblocks := make([][]*compss.Future, nrb)
-	iblocks := make([][]*compss.Future, nrb)
-	for i := 0; i < nrb; i++ {
-		rows := x.RowBlockRows(i)
-		fs := tc.SubmitN(compss.Opts{
-			Name:     "nn_kneighbors",
-			Cost:     costs.KNNQuery(m.nTrain, rows, m.dims),
-			OutBytes: 2 * costs.Bytes(rows, p.K),
-		}, 2, func(_ *compss.TaskCtx, args []any) ([]any, error) {
-			q := args[0].(*mat.Dense)
-			fitted := make([]*nnBlock, 0, len(args[1].([]any)))
-			for _, v := range args[1].([]any) {
-				fitted = append(fitted, v.(*nnBlock))
-			}
-			neighbors := queryBlock(q, fitted, p.K)
-			d := mat.New(q.Rows, p.K)
-			ix := mat.New(q.Rows, p.K)
-			for r, nb := range neighbors {
-				for c, n := range nb {
-					d.Set(r, c, math.Sqrt(n.d2))
-					ix.Set(r, c, float64(n.idx))
-				}
-			}
-			return []any{d, ix}, nil
-		}, x.RowBlock(i), m.fitted)
-		dblocks[i] = []*compss.Future{fs[0]}
-		iblocks[i] = []*compss.Future{fs[1]}
-	}
-	dists = dsarray.FromBlocks(tc, dblocks, x.Rows(), p.K, x.BlockRows(), p.K)
-	indices = dsarray.FromBlocks(tc, iblocks, x.Rows(), p.K, x.BlockRows(), p.K)
-	return dists, indices, nil
 }
 
 // Score returns the mean accuracy on (x, y).

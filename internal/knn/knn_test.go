@@ -1,7 +1,6 @@
 package knn
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -90,32 +89,6 @@ func TestKNNKnownGeometry(t *testing.T) {
 	}
 	if labels[0] != 1 || labels[1] != 0 {
 		t.Fatalf("labels = %v, want [1 0]", labels)
-	}
-}
-
-func TestKneighborsDistancesAndIndices(t *testing.T) {
-	x := mat.NewFromRows([][]float64{{0}, {1}, {5}, {6}})
-	y := []int{0, 0, 1, 1}
-	rt := newRT()
-	m := fitKNN(t, rt, x, y, 2, Params{K: 2})
-	q := dsarray.FromMatrix(rt.Main(), mat.NewFromRows([][]float64{{0.4}}), 1, 1)
-	dists, idx, err := m.Kneighbors(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dm, err := dists.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	im, err := idx.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int(im.At(0, 0)) != 0 || int(im.At(0, 1)) != 1 {
-		t.Fatalf("indices = %v", im)
-	}
-	if math.Abs(dm.At(0, 0)-0.4) > 1e-12 || math.Abs(dm.At(0, 1)-0.6) > 1e-12 {
-		t.Fatalf("distances = %v", dm)
 	}
 }
 
@@ -256,9 +229,6 @@ func TestKNNErrors(t *testing.T) {
 		t.Fatal("want mismatch error")
 	}
 	if _, err := m.Predict(x); err != ErrNotFitted {
-		t.Fatalf("err = %v, want ErrNotFitted", err)
-	}
-	if _, _, err := m.Kneighbors(x); err != ErrNotFitted {
 		t.Fatalf("err = %v, want ErrNotFitted", err)
 	}
 	yGood := dsarray.FromLabels(rt.Main(), make([]int, 10), 5)

@@ -3,7 +3,7 @@
 // products, and a symmetric eigendecomposition (the replacement for
 // numpy.linalg.eigh used by the PCA covariance method in the paper).
 //
-// The hot products (Mul, MulAtB, MulAtA, MulABt, MulVec) are cache-blocked
+// The hot products (Mul, MulAtB, MulAtA, MulABt) are cache-blocked
 // and row-band parallel through internal/par; they and EigSym (Householder
 // tridiagonalisation, then tridiagonal QL whose recorded rotations are
 // applied in one parallel region) share the unrolled Dot/Axpy
@@ -43,8 +43,9 @@
 // other packages build and read one without adapters; the exec wire
 // encodes it under a built-in tag.
 // Constructors (New, VStack, HStack), element ops (Add, Sub, Scale and
-// their InPlace forms), products (Mul, MulAdd, MulAtB, MulAtA, MulABt,
-// MulVec) and EigSym cover what the estimators need.
+// their InPlace forms), products (Mul, MulAdd, MulAtB, MulAtA, MulABt and
+// MulABtInto, which overwrites a pooled destination) and EigSym cover what
+// the estimators need.
 //
 // # Concurrency and ownership
 //

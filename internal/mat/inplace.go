@@ -6,18 +6,8 @@ import "fmt"
 // the *Into variants overwrite a caller-provided matrix instead of
 // allocating one, so hot loops can keep a pooled scratch destination (see
 // pool.go) alive across iterations. Each is the exact arithmetic of its
-// allocating counterpart — zero the destination, then the shared accumulate
-// kernel — so results are bit-identical to Mul/MulABt/MulAtB.
-
-// MulInto computes dst = a·b, overwriting dst. dst must be pre-shaped to
-// a.Rows×b.Cols and must not alias a or b.
-func MulInto(dst, a, b *Dense) {
-	if dst.Rows != a.Rows || dst.Cols != b.Cols {
-		panic(fmt.Sprintf("mat: MulInto dst %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Cols))
-	}
-	clear(dst.Data)
-	MulAdd(dst, a, b)
-}
+// allocating counterpart — MulABtInto zeroes the destination, then runs the
+// shared accumulate kernel — so results are bit-identical to MulABt.
 
 // MulABtInto computes dst = a·bᵀ, overwriting dst. dst must be pre-shaped
 // to a.Rows×b.Rows and must not alias a or b.
@@ -27,16 +17,6 @@ func MulABtInto(dst, a, b *Dense) {
 	}
 	clear(dst.Data)
 	MulABtAdd(dst, a, b)
-}
-
-// MulAtBInto computes dst = aᵀ·b, overwriting dst. dst must be pre-shaped
-// to a.Cols×b.Cols and must not alias a or b.
-func MulAtBInto(dst, a, b *Dense) {
-	if dst.Rows != a.Cols || dst.Cols != b.Cols {
-		panic(fmt.Sprintf("mat: MulAtBInto dst %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Cols, b.Cols))
-	}
-	clear(dst.Data)
-	MulAtBAdd(dst, a, b)
 }
 
 // TakeRowsInto copies the rows of m selected by idx into dst, which must be

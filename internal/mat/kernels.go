@@ -8,8 +8,8 @@ import (
 
 // This file holds the hot numeric layer: the unrolled dot/axpy
 // micro-kernels (with their AVX twins in vec_amd64.s) and the
-// cache-blocked, row-band-parallel GEMM variants that Mul/MulAtB/MulABt/
-// MulVec are built on, and the symmetric MulAtA.
+// cache-blocked, row-band-parallel GEMM variants that Mul/MulAtB/MulABt
+// are built on, and the symmetric MulAtA.
 // Parallelism goes through internal/par, whose helpers borrow the slots the
 // compss worker pool leaves idle (see the par package comment).
 

@@ -190,20 +190,6 @@ func MulABt(a, b *Dense) *Dense {
 	return out
 }
 
-// MulVec computes the matrix-vector product a·x.
-func MulVec(a *Dense, x []float64) []float64 {
-	if a.Cols != len(x) {
-		panic(fmt.Sprintf("mat: MulVec shape mismatch %dx%d · %d", a.Rows, a.Cols, len(x)))
-	}
-	out := make([]float64, a.Rows)
-	par.For(a.Rows, rowGrain(a.Rows, 2*float64(a.Cols)), func(r0, r1 int) {
-		for i := r0; i < r1; i++ {
-			out[i] = Dot(a.Row(i), x)
-		}
-	})
-	return out
-}
-
 // ColMeans returns the per-column mean of m. A 0-row matrix yields zeros.
 func ColMeans(m *Dense) []float64 {
 	means := make([]float64, m.Cols)

@@ -189,14 +189,6 @@ func TestFusedTransposeProductsAgree(t *testing.T) {
 	}
 }
 
-func TestMulVec(t *testing.T) {
-	a := NewFromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	got := MulVec(a, []float64{1, 0, -1})
-	if got[0] != -2 || got[1] != -2 {
-		t.Fatalf("MulVec = %v, want [-2 -2]", got)
-	}
-}
-
 func TestColMeansAndSums(t *testing.T) {
 	m := NewFromRows([][]float64{{1, 10}, {3, 20}})
 	means := ColMeans(m)

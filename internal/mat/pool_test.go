@@ -218,20 +218,12 @@ func TestPoolSteadyStateAllocFree(t *testing.T) {
 // counterparts — they share the same accumulate kernels after a clear.
 func TestIntoVariantsMatchAllocating(t *testing.T) {
 	a := fill(17, 23, 1)
-	b := fill(23, 9, 2)
-	bt := b.T()
+	bt := fill(23, 9, 2).T()
 	dst := Scratch.GetDense(17, 9)
 	defer Scratch.PutDense(dst)
 
-	MulInto(dst, a, b)
-	requireEqual(t, "MulInto", dst, Mul(a, b))
 	MulABtInto(dst, a, bt)
 	requireEqual(t, "MulABtInto", dst, MulABt(a, bt))
-	at := a.T()
-	dst2 := Scratch.GetDense(17, 9)
-	defer Scratch.PutDense(dst2)
-	MulAtBInto(dst2, at, b)
-	requireEqual(t, "MulAtBInto", dst2, MulAtB(at, b))
 
 	idx := []int{3, 0, 16, 7}
 	sub := Scratch.GetDense(len(idx), a.Cols)
@@ -253,9 +245,7 @@ func TestIntoVariantsShapePanics(t *testing.T) {
 	b := fill(5, 3, 2)
 	bad := New(4, 4)
 	for name, f := range map[string]func(){
-		"MulInto":      func() { MulInto(bad, a, b) },
 		"MulABtInto":   func() { MulABtInto(bad, a, b.T()) },
-		"MulAtBInto":   func() { MulAtBInto(bad, a.T(), b) },
 		"TakeRowsInto": func() { TakeRowsInto(bad, a, []int{0, 1}) },
 	} {
 		func() {

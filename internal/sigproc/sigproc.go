@@ -10,22 +10,12 @@ import (
 	"taskml/internal/par"
 )
 
-// NextPow2 returns the smallest power of two >= n (and >= 1).
-func NextPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
-
 // IsPow2 reports whether n is a positive power of two.
 func IsPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 
 // FFT computes the discrete Fourier transform of x with an iterative
-// radix-2 Cooley-Tukey algorithm. len(x) must be a power of two (use
-// NextPow2 + ZeroPadComplex to arrange it); FFT panics otherwise, as that
-// is a programming error in this codebase. The input is not modified.
+// radix-2 Cooley-Tukey algorithm. len(x) must be a power of two; FFT
+// panics otherwise, as that is a programming error in this codebase. The input is not modified.
 func FFT(x []complex128) []complex128 {
 	return fft(x, false)
 }
@@ -301,15 +291,6 @@ func Spectrogram(x []float64, c SpectrogramConfig) (*mat.Dense, []float64, []flo
 		return nil, nil, nil, err
 	}
 	return p.Execute(x)
-}
-
-// Flatten concatenates the spectrogram rows into the 1-D feature vector the
-// paper feeds to PCA ("the array elements are concatenated to produce a
-// 1-dimensional array").
-func Flatten(m *mat.Dense) []float64 {
-	out := make([]float64, len(m.Data))
-	copy(out, m.Data)
-	return out
 }
 
 // FeatureLen returns the flattened feature length for signals of length n —

@@ -27,15 +27,6 @@ func naiveDFT(x []complex128) []complex128 {
 	return out
 }
 
-func TestNextPow2(t *testing.T) {
-	cases := map[int]int{0: 1, 1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 1000: 1024}
-	for in, want := range cases {
-		if got := NextPow2(in); got != want {
-			t.Fatalf("NextPow2(%d) = %d, want %d", in, got, want)
-		}
-	}
-}
-
 func TestIsPow2(t *testing.T) {
 	for _, n := range []int{1, 2, 4, 1024} {
 		if !IsPow2(n) {
@@ -274,30 +265,6 @@ func TestSpectrogramNonNegative(t *testing.T) {
 		if v < 0 {
 			t.Fatalf("negative PSD value %v", v)
 		}
-	}
-}
-
-func TestFlattenLengthAndOrder(t *testing.T) {
-	c := SpectrogramConfig{Fs: 300, WindowSize: 64, Overlap: 0}
-	x := make([]float64, 256)
-	for i := range x {
-		x[i] = math.Sin(float64(i))
-	}
-	m, _, _, err := Spectrogram(x, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flat := Flatten(m)
-	if len(flat) != m.Rows*m.Cols {
-		t.Fatalf("Flatten length = %d, want %d", len(flat), m.Rows*m.Cols)
-	}
-	if flat[m.Cols] != m.At(1, 0) {
-		t.Fatal("Flatten must be row-major")
-	}
-	// Flatten must copy, not alias.
-	flat[0] = 12345
-	if m.Data[0] == 12345 {
-		t.Fatal("Flatten aliases the spectrogram")
 	}
 }
 

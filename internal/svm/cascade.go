@@ -10,6 +10,11 @@ import (
 	"taskml/internal/mat"
 )
 
+// svFraction is the fraction of a task's input rows assumed to become
+// support vectors when estimating downstream task costs (costs must be
+// declared at submission time, before the actual SV count exists).
+const svFraction = 0.5
+
 // CascadeParams configures the CascadeSVM estimator.
 type CascadeParams struct {
 	// SVC configures the solver run inside every cascade task.
@@ -25,11 +30,6 @@ type CascadeParams struct {
 	// the paper's Figure 11a runs "6 tasks [per node], each using 8 cores".
 	// Default 1.
 	CoresPerTask int
-	// SVFraction is the fraction of a task's input rows assumed to become
-	// support vectors when estimating downstream task costs (costs must be
-	// declared at submission time, before the actual SV count exists).
-	// Default 0.5.
-	SVFraction float64
 	// CheckConvergence stops the cascade early when the dual objective's
 	// relative change between iterations drops below ConvergenceTol —
 	// dislib's check_convergence, which the paper's description covers
@@ -50,9 +50,6 @@ func (p CascadeParams) withDefaults() CascadeParams {
 	}
 	if p.CoresPerTask == 0 {
 		p.CoresPerTask = 1
-	}
-	if p.SVFraction == 0 {
-		p.SVFraction = 0.5
 	}
 	if p.ConvergenceTol == 0 {
 		p.ConvergenceTol = 1e-3
@@ -116,7 +113,7 @@ func (c *CascadeSVM) Fit(x, y *dsarray.Array) error {
 			Name:     name,
 			Cost:     costs.SVCFit(est, d),
 			Cores:    p.CoresPerTask,
-			OutBytes: costs.Bytes(int(p.SVFraction*float64(est))+1, d+1),
+			OutBytes: costs.Bytes(int(svFraction*float64(est))+1, d+1),
 		}, func(_ *compss.TaskCtx, resolved []any) (any, error) {
 			// Gather training rows from every input: (block, labels) pairs
 			// and/or casNodes from previous layers.
@@ -145,7 +142,7 @@ func (c *CascadeSVM) Fit(x, y *dsarray.Array) error {
 			svx, svy := model.SupportSet()
 			return &casNode{x: svx, y: svy, model: model}, nil
 		}, args...)
-		return lf{fut: fut, est: int(p.SVFraction*float64(est)) + 1}
+		return lf{fut: fut, est: int(svFraction*float64(est)) + 1}
 	}
 
 	var prev *lf // final node of the previous iteration
@@ -246,10 +243,9 @@ func (c *CascadeSVM) Predict(x *dsarray.Array) (*dsarray.Array, error) {
 	tc := x.Ctx()
 	nrb := x.NumRowBlocks()
 	blocks := make([][]*compss.Future, nrb)
-	p := c.Params.withDefaults()
 	for i := 0; i < nrb; i++ {
 		rows := x.RowBlockRows(i)
-		estSV := int(p.SVFraction*float64(x.BlockRows())) + 1
+		estSV := int(svFraction*float64(x.BlockRows())) + 1
 		blocks[i] = []*compss.Future{tc.Submit(compss.Opts{
 			Name:     "svc_predict",
 			Cost:     costs.SVCPredict(estSV, rows, c.dims),

@@ -20,6 +20,18 @@ const (
 	Linear
 )
 
+// The SMO solver's fixed settings.
+const (
+	// kktTol is the KKT violation tolerance.
+	kktTol = 1e-3
+	// maxPasses is the number of consecutive full passes without an update
+	// that ends training.
+	maxPasses = 5
+	// maxIterPerSample caps total alpha updates at maxIterPerSample·n, a
+	// safety net.
+	maxIterPerSample = 100
+)
+
 // SVCParams configures the SMO solver.
 type SVCParams struct {
 	// C is the soft-margin penalty. Default 1.
@@ -29,13 +41,6 @@ type SVCParams struct {
 	Gamma float64
 	// Kernel selects the kernel. Default RBF.
 	Kernel Kernel
-	// Tol is the KKT violation tolerance. Default 1e-3.
-	Tol float64
-	// MaxPasses is the number of consecutive full passes without an update
-	// that ends training. Default 5.
-	MaxPasses int
-	// MaxIter caps total alpha updates as a safety net. Default 100·n.
-	MaxIter int
 	// Seed seeds the SMO partner-selection randomness.
 	Seed int64
 }
@@ -43,12 +48,6 @@ type SVCParams struct {
 func (p SVCParams) withDefaults() SVCParams {
 	if p.C == 0 {
 		p.C = 1
-	}
-	if p.Tol == 0 {
-		p.Tol = 1e-3
-	}
-	if p.MaxPasses == 0 {
-		p.MaxPasses = 5
 	}
 	return p
 }
@@ -176,10 +175,7 @@ func (m *SVC) Fit(x *mat.Dense, y []int) error {
 	}
 	b := 0.0
 	rng := rand.New(rand.NewSource(p.Seed + 1))
-	maxIter := p.MaxIter
-	if maxIter == 0 {
-		maxIter = 100 * n
-	}
+	maxIter := maxIterPerSample * n
 
 	iters := 0
 	// takeStep attempts the joint optimisation of (alphas[i], alphas[j]);
@@ -249,7 +245,7 @@ func (m *SVC) Fit(x *mat.Dense, y []int) error {
 	const maxFallback = 48
 	examine := func(i int) bool {
 		ei := errs[i]
-		if !((ys[i]*ei < -p.Tol && alphas[i] < p.C) || (ys[i]*ei > p.Tol && alphas[i] > 0)) {
+		if !((ys[i]*ei < -kktTol && alphas[i] < p.C) || (ys[i]*ei > kktTol && alphas[i] > 0)) {
 			return false
 		}
 		j, best := -1, -1.0
@@ -281,11 +277,11 @@ func (m *SVC) Fit(x *mat.Dense, y []int) error {
 	}
 
 	// Platt's outer loop: alternate full sweeps with sweeps over the
-	// non-bound subset until MaxPasses consecutive full sweeps change
+	// non-bound subset until maxPasses consecutive full sweeps change
 	// nothing.
 	passes := 0
 	examineAll := true
-	for passes < p.MaxPasses && iters < maxIter {
+	for passes < maxPasses && iters < maxIter {
 		changed := 0
 		for i := 0; i < n && iters < maxIter; i++ {
 			if !examineAll && (alphas[i] <= 0 || alphas[i] >= p.C) {
