@@ -18,6 +18,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"time"
 
 	"taskml/internal/compss"
@@ -104,8 +105,14 @@ func main() {
 		fmt.Printf("total work: %.3f reference-seconds\n", g.TotalCost())
 		fmt.Printf("max width: %d\n", g.MaxWidth())
 		fmt.Println("tasks by name:")
-		for name, n := range g.CountByName() {
-			fmt.Printf("  %-18s %d\n", name, n)
+		counts := g.CountByName()
+		names := make([]string, 0, len(counts))
+		for name := range counts {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			fmt.Printf("  %-18s %d\n", name, counts[name])
 		}
 		return
 	}

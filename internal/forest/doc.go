@@ -24,5 +24,6 @@
 // forest trains identically in-process and on remote workers. A fitted
 // RandomForest (and any Node tree) is immutable and safe for concurrent
 // Predict calls. Randomness is explicit: every task derives its rand.Rand
-// from a seed argument, never from shared state.
+// from a seed argument, never from shared state. Its source is
+// internal/randsrc's: math/rand's stream for that seed, seeded by jump-ahead.
 package forest

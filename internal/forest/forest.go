@@ -9,6 +9,7 @@ import (
 	"taskml/internal/costs"
 	"taskml/internal/dsarray"
 	"taskml/internal/mat"
+	"taskml/internal/randsrc"
 )
 
 // Params configures the RandomForest estimator.
@@ -169,7 +170,7 @@ func (f *RandomForest) buildDistr(tc *compss.TaskCtx, data, idx *compss.Future, 
 	// more data than other[s]"). The fraction is drawn deterministically
 	// per node from the estimator seed; the product is rounded so no
 	// architecture fuses it into the sum (mat's lane contract).
-	frac := 0.2 + float64(0.6*rand.New(rand.NewSource(seed^int64(depth*2654435761))).Float64())
+	frac := 0.2 + float64(0.6*rand.New(randsrc.New(seed^int64(depth*2654435761))).Float64())
 	left := f.buildDistr(tc, data, outs[1], seed*31+1, depth+1, int(frac*float64(estN))+1, p)
 	right := f.buildDistr(tc, data, outs[2], seed*31+2, depth+1, int((1-frac)*float64(estN))+1, p)
 

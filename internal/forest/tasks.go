@@ -6,6 +6,7 @@ import (
 	"taskml/internal/dsarray"
 	"taskml/internal/exec"
 	"taskml/internal/mat"
+	"taskml/internal/randsrc"
 )
 
 // Registered task bodies of the random-forest workflow. The estimator
@@ -38,7 +39,7 @@ func init() {
 	exec.Register("rf_bootstrap", func(args []any) (any, error) {
 		ts := args[0].(*TrainSet)
 		seed := args[1].(int64)
-		rng := rand.New(rand.NewSource(seed))
+		rng := rand.New(randsrc.New(seed))
 		idx := make([]int, len(ts.Y))
 		for i := range idx {
 			idx[i] = rng.Intn(len(ts.Y))
@@ -55,7 +56,7 @@ func init() {
 		seed := args[2].(int64)
 		tp := args[3].(TreeParams)
 		nClasses := args[4].(int)
-		rng := rand.New(rand.NewSource(seed))
+		rng := rand.New(randsrc.New(seed))
 		return BuildTree(ts, rows, nClasses, tp, rng), nil
 	})
 
@@ -67,7 +68,7 @@ func init() {
 		seed := args[2].(int64)
 		tp := args[3].(TreeParams)
 		nClasses := args[4].(int)
-		rng := rand.New(rand.NewSource(seed))
+		rng := rand.New(randsrc.New(seed))
 		if len(rows) < tp.withDefaults().MinSamplesSplit {
 			return []any{&SplitOut{Leaf: leafNode(ts.Y, rows, nil, nClasses)}, []int{}, []int{}}, nil
 		}

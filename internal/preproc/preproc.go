@@ -88,19 +88,6 @@ func (s *StandardScaler) FitTransform(x *dsarray.Array) (*dsarray.Array, error) 
 	return s.Transform(x)
 }
 
-// Stats synchronises the fitted statistics: means and standard deviations.
-func (s *StandardScaler) Stats(tc *compss.TaskCtx) (means, stds []float64, err error) {
-	if s.stats == nil {
-		return nil, nil, ErrNotFitted
-	}
-	v, err := tc.Get(s.stats)
-	if err != nil {
-		return nil, nil, err
-	}
-	m := v.(*mat.Dense)
-	return append([]float64(nil), m.Row(0)...), append([]float64(nil), m.Row(1)...), nil
-}
-
 // PCA reduces dimensionality with the covariance method of §III-B.4:
 // features are centered (not standardized), the covariance matrix is
 // estimated as xᵀx/(n-1) "in two successive map-reduce phases, partitioning

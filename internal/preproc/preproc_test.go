@@ -24,6 +24,12 @@ func TestScalerProducesZeroMeanUnitStd(t *testing.T) {
 	rt := newRT()
 	rng := rand.New(rand.NewSource(1))
 	m := randMatrix(rng, 50, 7, 3.5, 10)
+	// Column constCol is constant: its std is taken as 1 (the scikit-learn
+	// convention), so it scales to exact zeros, not 0/0 = NaN.
+	const constCol = 4
+	for i := 0; i < m.Rows; i++ {
+		m.Set(i, constCol, 10)
+	}
 	a := dsarray.FromMatrix(rt.Main(), m, 13, 3)
 	var s StandardScaler
 	scaled, err := s.FitTransform(a)
@@ -39,7 +45,15 @@ func TestScalerProducesZeroMeanUnitStd(t *testing.T) {
 			t.Fatalf("column %d mean = %v", j, mean)
 		}
 	}
+	for i := 0; i < got.Rows; i++ {
+		if v := got.At(i, constCol); v != 0 {
+			t.Fatalf("constant column, row %d = %v, want 0", i, v)
+		}
+	}
 	for j := 0; j < got.Cols; j++ {
+		if j == constCol {
+			continue
+		}
 		var ss float64
 		for i := 0; i < got.Rows; i++ {
 			ss += got.At(i, j) * got.At(i, j)
@@ -48,29 +62,6 @@ func TestScalerProducesZeroMeanUnitStd(t *testing.T) {
 		if math.Abs(std-1) > 1e-9 {
 			t.Fatalf("column %d std = %v", j, std)
 		}
-	}
-}
-
-func TestScalerStats(t *testing.T) {
-	rt := newRT()
-	m := mat.NewFromRows([][]float64{{1, 10}, {3, 10}, {5, 10}})
-	a := dsarray.FromMatrix(rt.Main(), m, 2, 2)
-	var s StandardScaler
-	s.Fit(a)
-	means, stds, err := s.Stats(rt.Main())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(means[0]-3) > 1e-12 || math.Abs(means[1]-10) > 1e-12 {
-		t.Fatalf("means = %v", means)
-	}
-	// Column 0: population std of {1,3,5} = sqrt(8/3).
-	if math.Abs(stds[0]-math.Sqrt(8.0/3)) > 1e-12 {
-		t.Fatalf("stds = %v", stds)
-	}
-	// Constant column: std treated as 1.
-	if stds[1] != 1 {
-		t.Fatalf("constant column std = %v, want 1", stds[1])
 	}
 }
 

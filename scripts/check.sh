@@ -103,9 +103,11 @@ go test -race -count=2 ./internal/compss/... ./internal/cluster/... ./internal/t
 # same tasks. So are mat's AVX kernels: arbitrary float64 bit patterns must
 # give the Go loops' bits through Dot, Axpy and the MulABt panel. So is the
 # split search: a tree grown on arbitrary float64 bit patterns, labels and
-# bootstrap repeats must be the reference's, node for node. Ten seconds per
-# target on top of the seed corpus the unit run above already replayed.
-for spec in FuzzDecodeValue:./internal/exec/ FuzzDecodeFrame:./internal/exec/ FuzzReadProvenance:./internal/graph/ FuzzKernelsMatchGo:./internal/mat/ FuzzBuildTreeMatchesReference:./internal/forest/; do
+# bootstrap repeats must be the reference's, node for node. So is the
+# forest's jump-ahead source: any seed and any mix of draws must give
+# math/rand's stream. Ten seconds per target on top of the seed corpus the
+# unit run above already replayed.
+for spec in FuzzDecodeValue:./internal/exec/ FuzzDecodeFrame:./internal/exec/ FuzzReadProvenance:./internal/graph/ FuzzKernelsMatchGo:./internal/mat/ FuzzBuildTreeMatchesReference:./internal/forest/ FuzzSourceMatchesMathRand:./internal/randsrc/; do
     target=${spec%%:*} pkg=${spec#*:}
     echo "== go test -run=NONE -fuzz=$target -fuzztime=10s $pkg"
     go test -run=NONE -fuzz="^$target\$" -fuzztime=10s "$pkg"
