@@ -69,14 +69,8 @@ func main() {
 	// the exported trace shows the whole experiment on a shared clock.
 	var collector *trace.Collector
 	if *traceOut != "" {
-		collector = trace.NewCollector()
+		collector = trace.NewCollectorFor(backend)
 		cfg.Runtime.Observers = []compss.Observer{collector}
-		// Remote runs also sample the data plane (cache hit/miss instants,
-		// resident-bytes counters) and the fleet (membership transitions as
-		// instants); both land in their own trace process.
-		if r, ok := backend.(*exec.Remote); ok {
-			r.SetHook(collector.AddExecEvent)
-		}
 	}
 
 	// The PCA stage is shared by all models (the paper excludes its

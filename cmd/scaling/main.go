@@ -142,11 +142,8 @@ func main() {
 	}
 	rtCfg.Backend = backend
 	if traceOut != "" {
-		collector = trace.NewCollector()
+		collector = trace.NewCollectorFor(backend)
 		rtCfg.Observers = []compss.Observer{collector}
-		if r, ok := backend.(*exec.Remote); ok {
-			r.SetHook(collector.AddExecEvent)
-		}
 	}
 	if *faults > 0 {
 		rtCfg.Faults = &compss.FaultPlan{Faults: []compss.Fault{

@@ -75,11 +75,8 @@ func main() {
 	var collector *trace.Collector
 	var observers []compss.Observer
 	if *traceOut != "" {
-		collector = trace.NewCollector()
+		collector = trace.NewCollectorFor(backend)
 		observers = []compss.Observer{collector}
-		if r, ok := backend.(*exec.Remote); ok {
-			r.SetHook(collector.AddExecEvent)
-		}
 	}
 	rt := compss.New(compss.Config{Workers: *workers, Observers: observers, Backend: backend})
 

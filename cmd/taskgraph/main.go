@@ -71,7 +71,7 @@ func main() {
 	}
 	var collector *trace.Collector
 	if *traceOut != "" {
-		collector = trace.NewCollector()
+		collector = trace.NewCollectorFor(backend)
 		cfg.Runtime.Observers = []compss.Observer{collector}
 	}
 

@@ -61,6 +61,10 @@ func main() {
 	cfg := exec.WorkerConfig{Slots: *slots, CacheBytes: int64(*cacheMB) << 20, Log: os.Stderr}
 
 	if *join != "" {
+		if *token == "" { // a coordinator mints every token, and admits no empty one
+			fmt.Fprintln(os.Stderr, "worker: -join needs -token: copy the coordinator's \"worker -join ADDR -token TOKEN\" line")
+			os.Exit(1)
+		}
 		if err := exec.JoinCoordinator(*join, *token, cfg); err != nil {
 			fmt.Fprintln(os.Stderr, "worker:", err)
 			os.Exit(1)

@@ -286,7 +286,7 @@ type taskState struct {
 	// floorIDs snapshots the submitting context's sync floor: every id here
 	// became a (ViaMaster) graph dep of this task, so Get on this task can
 	// compact them out of the floor.
-	floorIDs []int
+	floorIDs idSet
 
 	// Readiness. pending counts unmet argument producers plus one submission
 	// sentinel; the transition to 0 is the ready edge (becomeReady). chMu
@@ -386,17 +386,13 @@ type TaskCtx struct {
 
 	// floor is the compactable sync floor: the task IDs whose ordering the
 	// next submission must capture as graph deps. Get(X) both adds X and
-	// deletes every id in X.floorIDs — those became deps of X, so ordering
+	// removes every id in X.floorIDs — those became deps of X, so ordering
 	// through X subsumes them and the floor stays O(live sync points)
-	// instead of growing with every Get. synced is every id this context
-	// ever synchronised; it drives the ViaMaster flag on argument deps, which
-	// must not forget compacted entries, and as ranges it stays small.
-	// Invariant: floor ⊆ synced.
-	// floorLazy holds barrier results not yet folded into the floor:
-	// WaitAll/Barrier synchronise on *every* task, so eagerly inserting each
-	// id costs a map write per task even when the program ends right after
-	// the barrier. The ids are folded in (materializeFloorLocked) the next
-	// time the floor is actually consulted.
+	// instead of growing with every Get. WaitAll adds the context's own ids
+	// and Barrier the range 0..n, each a few ranges however many tasks they
+	// cover. synced is every id this context ever synchronised; it drives the
+	// ViaMaster flag on argument deps, which must not forget compacted
+	// entries. Invariant: floor ⊆ synced.
 	//
 	// submitted holds the futures of the tasks submitted here that have not
 	// completed cleanly — a failure stays, WaitAll reports it — and own the id
@@ -409,28 +405,10 @@ type TaskCtx struct {
 	// have no graph node to order, and it keeps submitted only inside a
 	// detached body, for the attempt's wait on its children.
 	mu        sync.Mutex
-	floor     map[int]bool
+	floor     idSet
 	synced    idSet
-	floorLazy idSet
 	submitted []*Future
 	own       idSet
-}
-
-// materializeFloorLocked folds pending barrier ids into the floor. Callers
-// hold tc.mu.
-func (tc *TaskCtx) materializeFloorLocked() {
-	if len(tc.floorLazy) == 0 {
-		return
-	}
-	if tc.floor == nil {
-		tc.floor = map[int]bool{}
-	}
-	for _, r := range tc.floorLazy {
-		for id := r.lo; id < r.hi; id++ {
-			tc.floor[id] = true
-		}
-	}
-	tc.floorLazy = tc.floorLazy[:0]
 }
 
 // Submit schedules fn as a task. Arguments may be plain values, *Future, or
@@ -519,35 +497,26 @@ func appendArgDep(deps []graph.Dep, id int, synced idSet) []graph.Dep {
 // graphDeps assembles a recorded submission's graph deps — the nArg future
 // arguments first, then the sync floor in ascending id order, so the same
 // program records the same graph — and snapshots the floor (see submit).
-func (tc *TaskCtx) graphDeps(args []any, nArg int) (gdeps []graph.Dep, floorIDs []int) {
+func (tc *TaskCtx) graphDeps(args []any, nArg int) (gdeps []graph.Dep, floorIDs idSet) {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
-	tc.materializeFloorLocked()
-	if n := nArg + len(tc.floor); n > 0 {
+	n := nArg
+	for _, r := range tc.floor {
+		n += r.hi - r.lo
+	}
+	if n > 0 {
 		gdeps = make([]graph.Dep, 0, n)
 	}
 	eachFuture(args, func(f *Future) { gdeps = appendArgDep(gdeps, f.st.id, tc.synced) })
 	nArgDeps := len(gdeps)
-	if len(tc.floor) > 0 {
-		floorIDs = make([]int, 0, len(tc.floor))
-		for id := range tc.floor {
-			floorIDs = append(floorIDs, id)
-		}
-		slices.Sort(floorIDs)
-	}
-	for _, id := range floorIDs {
-		isArg := false
-		for i := 0; i < nArgDeps; i++ {
-			if gdeps[i].Task == id {
-				isArg = true
-				break
+	for _, r := range tc.floor {
+		for id := r.lo; id < r.hi; id++ {
+			if !slices.ContainsFunc(gdeps[:nArgDeps], func(d graph.Dep) bool { return d.Task == id }) {
+				gdeps = append(gdeps, graph.Dep{Task: id, ViaMaster: true, OrderOnly: true})
 			}
 		}
-		if !isArg {
-			gdeps = append(gdeps, graph.Dep{Task: id, ViaMaster: true, OrderOnly: true})
-		}
 	}
-	return gdeps, floorIDs
+	return gdeps, slices.Clone(tc.floor)
 }
 
 // submit is the single submission code path. Exactly one of fn1 / fnN is
@@ -583,7 +552,7 @@ func (tc *TaskCtx) submit(o *Opts, nOut int, fn1 TaskFunc, fnN MultiTaskFunc, ar
 		}
 	})
 	var gdeps []graph.Dep
-	var floorIDs []int
+	var floorIDs idSet
 	if !tc.detached {
 		gdeps, floorIDs = tc.graphDeps(args, nArg)
 	}
@@ -1118,18 +1087,14 @@ func (tc *TaskCtx) raiseFloor(f *Future) {
 		return
 	}
 	tc.mu.Lock()
-	tc.materializeFloorLocked()
-	if tc.floor == nil {
-		tc.floor = map[int]bool{}
-	}
-	tc.floor[f.st.id] = true
+	tc.floor.add(f.st.id)
 	tc.synced.add(f.st.id)
 	// Compact: every id the awaited task snapshotted from a sync floor at
 	// submission became one of its graph deps, so ordering through it
 	// subsumes them — without this the floor grows by one per Get and every
 	// later Submit pays a linear scan over it (the old quadratic wall).
-	for _, id := range f.st.floorIDs {
-		delete(tc.floor, id)
+	for _, r := range f.st.floorIDs {
+		tc.floor.removeRange(r.lo, r.hi)
 	}
 	tc.mu.Unlock()
 }
@@ -1164,7 +1129,7 @@ func (tc *TaskCtx) WaitAll() error {
 	err := tc.waitSubmitted(tc.insideTask, &own)
 	tc.mu.Lock()
 	tc.synced.addSet(own)
-	tc.floorLazy.addSet(own)
+	tc.floor.addSet(own)
 	tc.mu.Unlock()
 	return err
 }
@@ -1177,7 +1142,7 @@ func (tc *TaskCtx) barrierAll() error {
 	err := tc.waitSubmitted(false, nil)
 	tc.mu.Lock()
 	tc.synced.addRange(0, n)
-	tc.floorLazy.addRange(0, n)
+	tc.floor.addRange(0, n)
 	tc.mu.Unlock()
 	return err
 }

@@ -69,7 +69,7 @@ func TestDetachedTaskLeavesNothingBehind(t *testing.T) {
 	}
 	nodes := rt.Graph().Len()
 	rt.main.mu.Lock()
-	submitted, synced, floor := len(rt.main.submitted), slices.Clone(rt.main.synced), len(rt.main.floor)
+	submitted, synced, floor := len(rt.main.submitted), slices.Clone(rt.main.synced), idCount(rt.main.floor)
 	rt.main.mu.Unlock()
 
 	d := rt.Detached()
@@ -105,16 +105,16 @@ func TestDetachedTaskLeavesNothingBehind(t *testing.T) {
 		}
 	}
 	rt.main.mu.Lock()
-	if len(rt.main.submitted) != submitted || !reflect.DeepEqual(rt.main.synced, synced) || len(rt.main.floor) > floor {
+	if len(rt.main.submitted) != submitted || !reflect.DeepEqual(rt.main.synced, synced) || idCount(rt.main.floor) > floor {
 		t.Errorf("main context grew: submitted %d → %d, synced %v → %v, floor %d → %d",
-			submitted, len(rt.main.submitted), synced, rt.main.synced, floor, len(rt.main.floor))
+			submitted, len(rt.main.submitted), synced, rt.main.synced, floor, idCount(rt.main.floor))
 	}
 	rt.main.mu.Unlock()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.submitted != nil || d.floor != nil || d.synced != nil || d.floorLazy != nil || d.own != nil {
-		t.Errorf("the detached context keeps state: submitted %d, floor %v, synced %v, lazy %v, own %v",
-			len(d.submitted), d.floor, d.synced, d.floorLazy, d.own)
+	if d.submitted != nil || d.floor != nil || d.synced != nil || d.own != nil {
+		t.Errorf("the detached context keeps state: submitted %d, floor %v, synced %v, own %v",
+			len(d.submitted), d.floor, d.synced, d.own)
 	}
 }
 

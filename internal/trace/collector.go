@@ -17,9 +17,8 @@ import (
 //
 // Beyond the Observer events it accepts the exec fleet's events (cache
 // hit/miss outcomes and occupancy per worker response, pulls, joins and
-// deaths) via AddExecEvent — wire it with
-// exec.Remote.SetHook(collector.AddExecEvent) — and renders them as extra
-// trace rows alongside the task slices.
+// deaths) via AddExecEvent — NewCollectorFor wires it to a remote backend —
+// and renders them as extra trace rows alongside the task slices.
 type Collector struct {
 	mu      sync.Mutex
 	events  []compss.Event
@@ -48,6 +47,18 @@ type ServeSample struct {
 // NewCollector returns an empty collector; attach it via
 // compss.Config.Observers.
 func NewCollector() *Collector { return &Collector{} }
+
+// NewCollectorFor returns an empty collector for runs on backend: when that
+// is a remote fleet, its data plane and membership events (AddExecEvent)
+// land in the collector too, in a trace process of their own. Attach it via
+// compss.Config.Observers, as NewCollector's.
+func NewCollectorFor(backend exec.Backend) *Collector {
+	c := NewCollector()
+	if r, ok := backend.(*exec.Remote); ok {
+		r.SetHook(c.AddExecEvent)
+	}
+	return c
+}
 
 var _ compss.Observer = (*Collector)(nil)
 

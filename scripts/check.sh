@@ -105,9 +105,11 @@ go test -race -count=2 ./internal/compss/... ./internal/cluster/... ./internal/t
 # split search: a tree grown on arbitrary float64 bit patterns, labels and
 # bootstrap repeats must be the reference's, node for node. So is the
 # forest's jump-ahead source: any seed and any mix of draws must give
-# math/rand's stream. Ten seconds per target on top of the seed corpus the
-# unit run above already replayed.
-for spec in FuzzDecodeValue:./internal/exec/ FuzzDecodeFrame:./internal/exec/ FuzzReadProvenance:./internal/graph/ FuzzKernelsMatchGo:./internal/mat/ FuzzBuildTreeMatchesReference:./internal/forest/ FuzzSourceMatchesMathRand:./internal/randsrc/; do
+# math/rand's stream. So is the sync floor: any program of submits, Gets,
+# WaitAlls, Barriers and nested bodies on Main() must record the deps a
+# map-based model of the floor rule gives. Ten seconds per target on top of
+# the seed corpus the unit run above already replayed.
+for spec in FuzzDecodeValue:./internal/exec/ FuzzDecodeFrame:./internal/exec/ FuzzReadProvenance:./internal/graph/ FuzzKernelsMatchGo:./internal/mat/ FuzzBuildTreeMatchesReference:./internal/forest/ FuzzSourceMatchesMathRand:./internal/randsrc/ FuzzFloorMatchesModel:./internal/compss/; do
     target=${spec%%:*} pkg=${spec#*:}
     echo "== go test -run=NONE -fuzz=$target -fuzztime=10s $pkg"
     go test -run=NONE -fuzz="^$target\$" -fuzztime=10s "$pkg"
@@ -127,9 +129,12 @@ done
 # the observer's causal-order test, the one that drives every terminal path
 # at once on eight workers: success, retry, final error, final panic and the
 # dependency cascade, and the StatsObserver's tests: the fold of that stream
-# into TaskStats, over real runtimes and over a hand-built stream.
-echo "== go test -race -count=2 -cpu=1,8 -run 'TestStealStress|TestParallelismIsBounded|TestBarrierNestedStress|TestChainMembership|TestChainHandBack|TestChainLostArgument|TestChainHeadFailure|TestChainEventsAndStats|TestObserverCausalOrder|TestStatsRecording|TestObserversViaConfigFeedStats|TestStatsObserverFoldsSyntheticStream' ./internal/compss/"
-go test -race -count=2 -cpu=1,8 -run 'TestStealStress|TestParallelismIsBounded|TestBarrierNestedStress|TestChainMembership|TestChainHandBack|TestChainLostArgument|TestChainHeadFailure|TestChainEventsAndStats|TestObserverCausalOrder|TestStatsRecording|TestObserversViaConfigFeedStats|TestStatsObserverFoldsSyntheticStream' ./internal/compss/
+# into TaskStats, over real runtimes and over a hand-built stream. So do the
+# sync floor's: random programs whose nested bodies submit and Get while the
+# main program synchronises, checked against the floor model, and the floor
+# deps of a submit recorded in ascending id order.
+echo "== go test -race -count=2 -cpu=1,8 -run 'TestStealStress|TestParallelismIsBounded|TestBarrierNestedStress|TestChainMembership|TestChainHandBack|TestChainLostArgument|TestChainHeadFailure|TestChainEventsAndStats|TestObserverCausalOrder|TestStatsRecording|TestObserversViaConfigFeedStats|TestStatsObserverFoldsSyntheticStream|TestFloorMatchesModel|TestRecordedFloorDepsAscend' ./internal/compss/"
+go test -race -count=2 -cpu=1,8 -run 'TestStealStress|TestParallelismIsBounded|TestBarrierNestedStress|TestChainMembership|TestChainHandBack|TestChainLostArgument|TestChainHeadFailure|TestChainEventsAndStats|TestObserverCausalOrder|TestStatsRecording|TestObserversViaConfigFeedStats|TestStatsObserverFoldsSyntheticStream|TestFloorMatchesModel|TestRecordedFloorDepsAscend' ./internal/compss/
 # The runtime in virtual time: a runtime made inside a testing/synctest
 # bubble blocks only on objects it owns, so the bubble's clock moves and a
 # makespan reads as the schedule's, exactly — after a runtime used outside
