@@ -294,22 +294,21 @@ func BenchmarkFigure11cRFScaling(b *testing.B) {
 func BenchmarkFigure12CNNVariants(b *testing.B) {
 	scalingFixture(b)
 	type variant struct {
-		name   string
-		gpus   int
-		nested bool
-		nodes  int
+		name  string
+		gpus  int
+		model core.Model
+		nodes int
 	}
 	variants := []variant{
-		{"4gpu", 4, false, 4},
-		{"1gpu", 1, false, 1},
-		{"nested", 1, true, 5},
+		{"4gpu", 4, core.ModelCNN, 4},
+		{"1gpu", 1, core.ModelCNN, 1},
+		{"nested", 1, core.ModelCNNNested, 5},
 	}
 	times := map[string]float64{}
 	for i := 0; i < b.N; i++ {
 		for _, v := range variants {
-			rt, err := core.TrainGraph(core.ModelCNN, scaling.rx, scaling.y, core.PipelineConfig{
-				Seed:      2,
-				CNNNested: v.nested,
+			rt, err := core.TrainGraph(v.model, scaling.rx, scaling.y, core.PipelineConfig{
+				Seed: 2,
 				CNNTrain: eddl.TrainConfig{GPUsPerTask: v.gpus, Epochs: 7, Workers: 4, Folds: 5,
 					ComputeScale: cnnComputeScale, PayloadScale: cnnPayloadScale,
 					DistributeScale: cnnDistributeScale},
@@ -449,8 +448,8 @@ func BenchmarkFigure9And10GraphCNN(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		nested, err = core.TrainGraph(core.ModelCNN, scaling.rx, scaling.y, core.PipelineConfig{
-			Seed: 2, CNNNested: true, CNNTrain: eddl.TrainConfig{Epochs: 7, Workers: 4, Folds: 5},
+		nested, err = core.TrainGraph(core.ModelCNNNested, scaling.rx, scaling.y, core.PipelineConfig{
+			Seed: 2, CNNTrain: eddl.TrainConfig{Epochs: 7, Workers: 4, Folds: 5},
 		})
 		if err != nil {
 			b.Fatal(err)

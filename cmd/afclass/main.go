@@ -9,6 +9,7 @@
 //
 //	afclass                      # all four models, laptop-scale dataset
 //	afclass -model rf            # a single model
+//	afclass -model cnn-nested    # the CNN with each fold nested in one task (Figure 10)
 //	afclass -scale 4             # 4× the class counts (slower, smoother)
 //	afclass -trace run.json      # Chrome trace of the run (open in Perfetto)
 //	afclass -backend remote      # registered tasks on loopback worker processes
@@ -29,11 +30,10 @@ import (
 
 func main() {
 	exec.MaybeWorkerMain() // loopback re-exec hook: serve tasks instead when spawned as a worker
-	model := flag.String("model", "all", "model to run: csvm | knn | rf | cnn | all")
+	model := flag.String("model", "all", "model to run: csvm | knn | rf | cnn | cnn-nested | all")
 	scale := flag.Int("scale", 1, "dataset scale (1 → 120 Normal + 18 AF before augmentation)")
 	seed := flag.Int64("seed", 1, "experiment seed")
 	workers := flag.Int("workers", 0, "runtime worker goroutines (0 = GOMAXPROCS)")
-	nested := flag.Bool("nested", false, "use nesting for the CNN (Figure 10)")
 	traceOut := flag.String("trace", "", "write a Chrome trace of the real execution to this file")
 	var ecfg exec.Config
 	ecfg.Flags(flag.CommandLine)
@@ -63,7 +63,6 @@ func main() {
 
 	cfg := core.TableIPipeline(*seed)
 	cfg.Runtime = compss.Config{Workers: *workers, Backend: backend}
-	cfg.CNNNested = *nested
 
 	// One collector spans the PCA runtime and every per-model runtime, so
 	// the exported trace shows the whole experiment on a shared clock.

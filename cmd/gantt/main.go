@@ -75,12 +75,6 @@ func main() {
 		cfg.Runtime.DefaultBackoff = *backoff
 	}
 	m := core.Model(*model)
-	isCNN := *model == "cnn" || *model == "cnn-nested"
-	if *model == "cnn-nested" {
-		m = core.ModelCNN
-		cfg.CNNNested = true
-	}
-
 	rt, err := core.TrainGraph(m, ds.X, ds.Y, cfg)
 	if err != nil {
 		fatal(err)
@@ -88,7 +82,7 @@ func main() {
 	// Paper-scale task weights, as in cmd/scaling.
 	g := rt.Graph().Scaled(1e4, 1e3)
 	var c cluster.Cluster
-	if isCNN {
+	if m == core.ModelCNN || m == core.ModelCNNNested {
 		c = cluster.CTEPower(*nodes)
 	} else {
 		c = cluster.MareNostrum4(*nodes)

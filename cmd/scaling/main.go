@@ -184,14 +184,10 @@ func main() {
 	}
 	fmt.Printf("PCA reduced %d → %d features\n\n", ds.X.Cols, k)
 
-	switch *exp {
-	case "csvm":
-		runCSVM(rx, ds.Y, *seed)
-	case "knn":
-		runKNN(rx, ds.Y, *seed)
-	case "rf":
-		runRF(rx, ds.Y, *seed)
-	case "cnn":
+	switch m := core.Model(*exp); m {
+	case core.ModelCSVM, core.ModelKNN, core.ModelRF:
+		runFigure11(m, rx, ds.Y, *seed)
+	case core.ModelCNN:
 		runCNN(rx, ds.Y, *seed)
 	default:
 		fatal(fmt.Errorf("unknown experiment %q", *exp))
@@ -261,62 +257,50 @@ func faultSweepTable(title string, g *graph.Graph, configs []cluster.Cluster) {
 	writeReplayTrace(last, g)
 }
 
-// runCSVM regenerates Figure 11a: the paper runs 6 tasks per node, each
-// using 8 cores, and sees improvements up to 192 cores.
-func runCSVM(x *mat.Dense, y []int, seed int64) {
-	rt, err := core.TrainGraph(core.ModelCSVM, x, y, core.PipelineConfig{
-		Runtime:   rtCfg,
-		Seed:      seed,
-		BlockRows: 50, // ~24 row blocks: the first cascade layer
-		BlockCols: x.Cols,
-		CSVM:      svm.CascadeParams{CoresPerTask: 8, Iterations: 3},
-	})
-	if err != nil {
-		fatal(err)
+// runFigure11 regenerates the panel of Figure 11 that trains model on a
+// MareNostrum4-like cluster of each size in its sweep. Figure 11a: the paper
+// runs CSVM as 6 tasks per node, each using 8 cores, and sees improvements
+// up to 192 cores. Figure 11b: StandardScaler + KNN fit, 250×250-style
+// blocking (scaled to the dataset). Figure 11c: 40 estimators; the paper
+// observes poor, erratic scaling (few tasks, load imbalance, extra
+// transfers at 3 nodes).
+func runFigure11(model core.Model, x *mat.Dense, y []int, seed int64) {
+	panels := []struct {
+		model     core.Model
+		title     string
+		cfg       core.PipelineConfig
+		costScale float64
+		nodes     []int
+	}{
+		{core.ModelCSVM, "Figure 11a — CSVM training time vs cores (8 cores/task)", core.PipelineConfig{
+			BlockRows: 50, // ~24 row blocks: the first cascade layer
+			BlockCols: x.Cols,
+			CSVM:      svm.CascadeParams{CoresPerTask: 8, Iterations: 3},
+		}, CSVMCostScale, []int{1, 2, 3, 4, 6, 8}},
+		{core.ModelKNN, "Figure 11b — StandardScaler + KNN fit time vs cores", core.PipelineConfig{
+			BlockRows: 25, // small blocks: parallelism bound by block count
+			BlockCols: (x.Cols + 1) / 2,
+		}, KNNCostScale, []int{1, 2, 3, 4, 6, 8}},
+		{core.ModelRF, "Figure 11c — RandomForest (40 estimators) time vs nodes", core.PipelineConfig{
+			BlockRows: 100,
+			BlockCols: x.Cols,
+		}, RFCostScale, []int{1, 2, 3}},
 	}
-	var configs []cluster.Cluster
-	for _, nodes := range []int{1, 2, 3, 4, 6, 8} {
-		configs = append(configs, cluster.MareNostrum4(nodes))
+	for _, p := range panels {
+		if p.model != model {
+			continue
+		}
+		p.cfg.Runtime, p.cfg.Seed = rtCfg, seed
+		rt, err := core.TrainGraph(p.model, x, y, p.cfg)
+		if err != nil {
+			fatal(err)
+		}
+		var configs []cluster.Cluster
+		for _, nodes := range p.nodes {
+			configs = append(configs, cluster.MareNostrum4(nodes))
+		}
+		sweepTable(p.title, rt.Graph().Scaled(p.costScale, BytesScale), configs)
 	}
-	sweepTable("Figure 11a — CSVM training time vs cores (8 cores/task)", rt.Graph().Scaled(CSVMCostScale, BytesScale), configs)
-}
-
-// runKNN regenerates Figure 11b: StandardScaler + KNN fit, 250×250-style
-// blocking (scaled to the dataset).
-func runKNN(x *mat.Dense, y []int, seed int64) {
-	rt, err := core.TrainGraph(core.ModelKNN, x, y, core.PipelineConfig{
-		Runtime:   rtCfg,
-		Seed:      seed,
-		BlockRows: 25, // small blocks: parallelism bound by block count
-		BlockCols: (x.Cols + 1) / 2,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	var configs []cluster.Cluster
-	for _, nodes := range []int{1, 2, 3, 4, 6, 8} {
-		configs = append(configs, cluster.MareNostrum4(nodes))
-	}
-	sweepTable("Figure 11b — StandardScaler + KNN fit time vs cores", rt.Graph().Scaled(KNNCostScale, BytesScale), configs)
-}
-
-// runRF regenerates Figure 11c: 40 estimators; the paper observes poor,
-// erratic scaling (few tasks, load imbalance, extra transfers at 3 nodes).
-func runRF(x *mat.Dense, y []int, seed int64) {
-	rt, err := core.TrainGraph(core.ModelRF, x, y, core.PipelineConfig{
-		Runtime:   rtCfg,
-		Seed:      seed,
-		BlockRows: 100,
-		BlockCols: x.Cols,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	var configs []cluster.Cluster
-	for _, nodes := range []int{1, 2, 3} {
-		configs = append(configs, cluster.MareNostrum4(nodes))
-	}
-	sweepTable("Figure 11c — RandomForest (40 estimators) time vs nodes", rt.Graph().Scaled(RFCostScale, BytesScale), configs)
 }
 
 // runCNN regenerates Figure 12: the three EDDL configurations.
@@ -324,13 +308,13 @@ func runCNN(x *mat.Dense, y []int, seed int64) {
 	type variant struct {
 		label   string
 		gpus    int
-		nested  bool
+		model   core.Model
 		cluster cluster.Cluster
 	}
 	variants := []variant{
-		{"4 GPUs/task, no nesting (4 nodes)", 4, false, cluster.CTEPower(4)},
-		{"1 GPU/task, no nesting (1 node)", 1, false, cluster.CTEPower(1)},
-		{"1 GPU/task, nesting (5 nodes)", 1, true, cluster.CTEPower(5)},
+		{"4 GPUs/task, no nesting (4 nodes)", 4, core.ModelCNN, cluster.CTEPower(4)},
+		{"1 GPU/task, no nesting (1 node)", 1, core.ModelCNN, cluster.CTEPower(1)},
+		{"1 GPU/task, nesting (5 nodes)", 1, core.ModelCNNNested, cluster.CTEPower(5)},
 	}
 	fmt.Println("=== Figure 12 — EDDL CNN training configurations")
 	fmt.Printf("%-36s %12s %10s\n", "configuration", "time (s)", "speedup")
@@ -338,10 +322,9 @@ func runCNN(x *mat.Dense, y []int, seed int64) {
 	var lastSched *cluster.Schedule
 	var lastGraph *graph.Graph
 	for _, v := range variants {
-		rt, err := core.TrainGraph(core.ModelCNN, x, y, core.PipelineConfig{
-			Runtime:   rtCfg,
-			Seed:      seed,
-			CNNNested: v.nested,
+		rt, err := core.TrainGraph(v.model, x, y, core.PipelineConfig{
+			Runtime: rtCfg,
+			Seed:    seed,
 			CNNTrain: eddl.TrainConfig{GPUsPerTask: v.gpus, Epochs: 7, Workers: 4, Folds: 5,
 				ComputeScale: CNNComputeScale, PayloadScale: CNNPayloadScale,
 				DistributeScale: CNNDistributeScale},

@@ -64,11 +64,6 @@ func main() {
 		CNNTrain:  eddl.TrainConfig{Folds: 5, Epochs: 3, Workers: 4},
 		Runtime:   compss.Config{Backend: backend},
 	}
-	m := core.Model(*model)
-	if *model == "cnn-nested" {
-		m = core.ModelCNN
-		cfg.CNNNested = true
-	}
 	var collector *trace.Collector
 	if *traceOut != "" {
 		collector = trace.NewCollectorFor(backend)
@@ -77,7 +72,7 @@ func main() {
 
 	// The graph of interest is the training workflow (the paper's figures
 	// show fit-time task graphs).
-	rt, err := core.TrainGraph(m, ds.X, ds.Y, cfg)
+	rt, err := core.TrainGraph(core.Model(*model), ds.X, ds.Y, cfg)
 	if err != nil {
 		fatal(err)
 	}

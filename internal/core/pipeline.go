@@ -15,18 +15,22 @@ import (
 	"taskml/internal/svm"
 )
 
-// Model identifies one of the paper's four classifiers.
+// Model identifies one of the paper's workflows: a classifier and how its
+// training is submitted.
 type Model string
 
-// The four models compared in §IV.
+// The four models compared in §IV, and Figure 10's way to train the CNN.
 const (
 	ModelCSVM Model = "csvm"
 	ModelKNN  Model = "knn"
 	ModelRF   Model = "rf"
 	ModelCNN  Model = "cnn"
+	// ModelCNNNested is ModelCNN's network, folds and epochs with each
+	// fold's training nested in one task (Figure 10).
+	ModelCNNNested Model = "cnn-nested"
 )
 
-// Models lists all model identifiers.
+// Models lists the four models of §IV.
 var Models = []Model{ModelCSVM, ModelKNN, ModelRF, ModelCNN}
 
 // pcaVariance is the variance the pipeline's PCA retains: the paper
@@ -64,8 +68,6 @@ type PipelineConfig struct {
 	CNNArch eddl.Arch
 	// CNNTrain configures the distributed CNN training.
 	CNNTrain eddl.TrainConfig
-	// CNNNested selects the Figure 10 nested variant.
-	CNNNested bool
 }
 
 func (c PipelineConfig) withDefaults() PipelineConfig {
@@ -189,6 +191,54 @@ func foldArrays(tc *compss.TaskCtx, x *mat.Dense, y []int, fold metrics.Fold, br
 	return
 }
 
+// estimator is what fit needs of a classical model: dislib's fit and
+// predict over ds-arrays.
+type estimator interface {
+	Fit(x, y *dsarray.Array) error
+	Predict(x *dsarray.Array) (*dsarray.Array, error)
+}
+
+// fit submits the training workflow of a classical model (CSVM,
+// StandardScaler+KNN or RF) on xtr, ytr and, given a test array xte, its
+// prediction of xte, which it returns. Without one it submits the training
+// alone and returns nil: the graph TrainGraph captures.
+func fit(model Model, cfg PipelineConfig, xtr, ytr, xte *dsarray.Array) (*dsarray.Array, error) {
+	var est estimator
+	switch model {
+	case ModelCSVM:
+		est = &svm.CascadeSVM{Params: cfg.CSVM}
+	case ModelKNN:
+		// The paper's KNN pipeline applies a StandardScaler first
+		// (§IV-B): fit on the training fold, transform both sides.
+		var scaler preproc.StandardScaler
+		var err error
+		if xtr, err = scaler.FitTransform(xtr); err != nil {
+			return nil, fmt.Errorf("scaler: %w", err)
+		}
+		if xte != nil {
+			if xte, err = scaler.Transform(xte); err != nil {
+				return nil, fmt.Errorf("scaler transform: %w", err)
+			}
+		}
+		est = &knn.KNN{Params: cfg.KNN}
+	case ModelRF:
+		est = &forest.RandomForest{Params: cfg.RF}
+	default:
+		return nil, fmt.Errorf("unknown model %q", model)
+	}
+	if err := est.Fit(xtr, ytr); err != nil {
+		return nil, fmt.Errorf("%s fit: %w", model, err)
+	}
+	if xte == nil {
+		return nil, nil
+	}
+	pred, err := est.Predict(xte)
+	if err != nil {
+		return nil, fmt.Errorf("%s predict: %w", model, err)
+	}
+	return pred, nil
+}
+
 // foldConfusion collects a fold's predictions and tallies them.
 func foldConfusion(pred, truth *dsarray.Array) (*metrics.Confusion, error) {
 	p, err := dsarray.CollectLabels(pred)
@@ -225,13 +275,12 @@ func RunCV(model Model, ds *Dataset, cfg PipelineConfig) (*CVReport, error) {
 // one reduction.
 func RunCVReduced(model Model, rt *compss.Runtime, rx *mat.Dense, k int, y []int, cfg PipelineConfig) (*CVReport, error) {
 	cfg = cfg.withDefaults()
-	var err error
 	report := &CVReport{Model: model, Confusion: metrics.NewConfusion(2), PCAK: k, Runtime: rt}
 
-	if model == ModelCNN {
+	if model == ModelCNN || model == ModelCNNNested {
 		arch := cfg.CNNArch
 		arch.InputLen = k
-		res, err := eddl.TrainKFold(rt, Standardize(rx), y, arch, cfg.CNNTrain, cfg.CNNNested)
+		res, err := eddl.TrainKFold(rt, Standardize(rx), y, arch, cfg.CNNTrain, model == ModelCNNNested)
 		if err != nil {
 			return nil, fmt.Errorf("core: CNN training: %w", err)
 		}
@@ -240,50 +289,17 @@ func RunCVReduced(model Model, rt *compss.Runtime, rx *mat.Dense, k int, y []int
 		return report, nil
 	}
 
-	// Every fold is submitted before any is scored: nothing in the estimators
-	// below synchronises, so fold k+1's first tasks overlap fold k's last and
+	// Every fold is submitted before any is scored: nothing in fit
+	// synchronises, so fold k+1's first tasks overlap fold k's last and
 	// the main program stops once a model, not once a fold. The folds' blocks
 	// are alive together until then.
 	folds := metrics.StratifiedKFold(y, cfg.Folds, cfg.Seed)
 	preds, truths := make([]*dsarray.Array, len(folds)), make([]*dsarray.Array, len(folds))
 	for fi, fold := range folds {
 		xtr, ytr, xte, yte := foldArrays(rt.Main(), rx, y, fold, cfg.BlockRows)
-		var pred *dsarray.Array
-		switch model {
-		case ModelCSVM:
-			est := &svm.CascadeSVM{Params: cfg.CSVM}
-			if err := est.Fit(xtr, ytr); err != nil {
-				return nil, fmt.Errorf("core: fold %d CSVM fit: %w", fi, err)
-			}
-			pred, err = est.Predict(xte)
-		case ModelKNN:
-			// The paper's KNN pipeline applies a StandardScaler first
-			// (§IV-B): fit on the training fold, transform both sides.
-			var scaler preproc.StandardScaler
-			xtrS, serr := scaler.FitTransform(xtr)
-			if serr != nil {
-				return nil, fmt.Errorf("core: fold %d scaler: %w", fi, serr)
-			}
-			xteS, serr := scaler.Transform(xte)
-			if serr != nil {
-				return nil, fmt.Errorf("core: fold %d scaler transform: %w", fi, serr)
-			}
-			est := &knn.KNN{Params: cfg.KNN}
-			if err := est.Fit(xtrS, ytr); err != nil {
-				return nil, fmt.Errorf("core: fold %d KNN fit: %w", fi, err)
-			}
-			pred, err = est.Predict(xteS)
-		case ModelRF:
-			est := &forest.RandomForest{Params: cfg.RF}
-			if err := est.Fit(xtr, ytr); err != nil {
-				return nil, fmt.Errorf("core: fold %d RF fit: %w", fi, err)
-			}
-			pred, err = est.Predict(xte)
-		default:
-			return nil, fmt.Errorf("core: unknown model %q", model)
-		}
+		pred, err := fit(model, cfg, xtr, ytr, xte)
 		if err != nil {
-			return nil, fmt.Errorf("core: fold %d predict: %w", fi, err)
+			return nil, fmt.Errorf("core: fold %d: %w", fi, err)
 		}
 		preds[fi], truths[fi] = pred, yte
 	}
@@ -307,46 +323,24 @@ func RunCVReduced(model Model, rt *compss.Runtime, rx *mat.Dense, k int, y []int
 // For CSVM the graph is the cascade of Figure 4; for KNN, the
 // StandardScaler + fit workflow of Figures 6/11b; for RF, the
 // estimator/distr_depth workflow of Figure 8; for the CNN, the full K-fold
-// training of Figure 9 (or 10 when cfg.CNNNested).
+// training of Figure 9, and for ModelCNNNested that of Figure 10. The
+// classical models submit through the same fit as RunCVReduced's folds.
 func TrainGraph(model Model, x *mat.Dense, y []int, cfg PipelineConfig) (*compss.Runtime, error) {
 	cfg = cfg.withDefaults()
 	rt := compss.New(cfg.Runtime)
 	tc := rt.Main()
-	switch model {
-	case ModelCSVM:
-		xa := dsarray.FromMatrix(tc, x, cfg.BlockRows, cfg.BlockCols)
-		ya := dsarray.FromLabels(tc, y, cfg.BlockRows)
-		est := &svm.CascadeSVM{Params: cfg.CSVM}
-		if err := est.Fit(xa, ya); err != nil {
-			return nil, err
-		}
-	case ModelKNN:
-		xa := dsarray.FromMatrix(tc, x, cfg.BlockRows, cfg.BlockCols)
-		ya := dsarray.FromLabels(tc, y, cfg.BlockRows)
-		var scaler preproc.StandardScaler
-		scaled, err := scaler.FitTransform(xa)
-		if err != nil {
-			return nil, err
-		}
-		est := &knn.KNN{Params: cfg.KNN}
-		if err := est.Fit(scaled, ya); err != nil {
-			return nil, err
-		}
-	case ModelRF:
-		xa := dsarray.FromMatrix(tc, x, cfg.BlockRows, cfg.BlockCols)
-		ya := dsarray.FromLabels(tc, y, cfg.BlockRows)
-		est := &forest.RandomForest{Params: cfg.RF}
-		if err := est.Fit(xa, ya); err != nil {
-			return nil, err
-		}
-	case ModelCNN:
+	var err error
+	if model == ModelCNN || model == ModelCNNNested {
 		arch := cfg.CNNArch
 		arch.InputLen = x.Cols
-		if _, err := eddl.TrainKFold(rt, x, y, arch, cfg.CNNTrain, cfg.CNNNested); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("core: unknown model %q", model)
+		_, err = eddl.TrainKFold(rt, x, y, arch, cfg.CNNTrain, model == ModelCNNNested)
+	} else {
+		xa := dsarray.FromMatrix(tc, x, cfg.BlockRows, cfg.BlockCols)
+		ya := dsarray.FromLabels(tc, y, cfg.BlockRows)
+		_, err = fit(model, cfg, xa, ya, nil)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	if err := rt.Barrier(); err != nil {
 		return nil, err

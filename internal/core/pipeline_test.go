@@ -153,8 +153,7 @@ func TestTrainGraphNestedCNNFasterOnManyNodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.CNNNested = true
-	nestedRT, err := TrainGraph(ModelCNN, rx, ds.Y, cfg)
+	nestedRT, err := TrainGraph(ModelCNNNested, rx, ds.Y, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

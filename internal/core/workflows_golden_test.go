@@ -79,9 +79,7 @@ func TestWorkflowsGolden(t *testing.T) {
 		}
 		fmt.Fprintf(&got, "== RunCV %s\n%s", m, rep.Runtime.Graph().DOT(string(m)))
 	}
-	nested := cfg
-	nested.CNNNested = true
-	rt, err := TrainGraph(ModelCNN, ds.X, ds.Y, nested)
+	rt, err := TrainGraph(ModelCNNNested, ds.X, ds.Y, cfg)
 	if err != nil {
 		t.Fatalf("TrainGraph cnn-nested: %v", err)
 	}
