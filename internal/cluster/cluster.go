@@ -199,7 +199,7 @@ type Schedule struct {
 	WastedCoreSeconds float64
 }
 
-// taskHeap orders ready tasks by their programOrder rank, the order
+// taskHeap orders ready tasks by their graph.ProgramOrder rank, the order
 // PyCOMPSs releases tasks in.
 type taskHeap struct {
 	ids  []int
@@ -215,51 +215,6 @@ func (h *taskHeap) Pop() any {
 	x := h.ids[n-1]
 	h.ids = h.ids[:n-1]
 	return x
-}
-
-// programOrder ranks every task by a key computed from the program alone:
-// (nesting depth, ordinal among its parent's submissions, the parent's
-// key). A main-program task's ordinal is its place among the main
-// program's submissions, so a graph without nesting ranks every task by
-// its id. A nested task's id is the moment its parent's body happened to
-// submit it, which the host's thread timing decides; the key instead
-// models concurrently running parents that advance at the same pace —
-// every parent's first child, then every parent's second — so one program
-// replays to one schedule however its run interleaved the bodies.
-func programOrder(tasks []graph.Task) []int {
-	ordinal := make([]int, len(tasks))
-	nextOrdinal := make([]int, len(tasks)+1) // by parent id + 1: the main program is -1
-	var byDepth [][]int
-	depth := make([]int, len(tasks))
-	for _, t := range tasks {
-		if t.Parent >= 0 {
-			depth[t.ID] = depth[t.Parent] + 1
-		}
-		ordinal[t.ID] = nextOrdinal[t.Parent+1]
-		nextOrdinal[t.Parent+1]++
-		if depth[t.ID] == len(byDepth) {
-			byDepth = append(byDepth, nil)
-		}
-		byDepth[depth[t.ID]] = append(byDepth[depth[t.ID]], t.ID)
-	}
-	rank := make([]int, len(tasks))
-	r := 0
-	for _, ids := range byDepth {
-		// A depth's keys differ in ordinal or, for equal ordinals, in the
-		// parent, whose rank the previous depth fixed.
-		sort.Slice(ids, func(i, j int) bool {
-			a, b := ids[i], ids[j]
-			if ordinal[a] != ordinal[b] {
-				return ordinal[a] < ordinal[b]
-			}
-			return rank[tasks[a].Parent] < rank[tasks[b].Parent]
-		})
-		for _, id := range ids {
-			rank[id] = r
-			r++
-		}
-	}
-	return rank
 }
 
 // ScheduleGraph replays g on c with a greedy earliest-start list scheduler.
@@ -333,7 +288,7 @@ func ScheduleGraph(g *graph.Graph, c Cluster) (*Schedule, error) {
 	fin := make([]float64, n) // finalized end (incl. descendants)
 	place := make([]Placement, n)
 
-	ready := &taskHeap{rank: programOrder(tasks)}
+	ready := &taskHeap{rank: graph.ProgramOrder(tasks)}
 	isReady := func(id int) bool {
 		t := tasks[id]
 		if pendingDeps[id] > 0 {

@@ -262,7 +262,6 @@ func (rt *Runtime) Barrier() error { return rt.main.barrierAll() }
 type taskState struct {
 	id      int
 	name    string
-	occ     int // occurrence index among same-named tasks, for fault matching
 	retries int // effective retry budget after Config defaults
 	// The one Opts field execution needs after submit; carrying it instead
 	// of the whole Opts keeps the per-task record (and its zeroing on the
@@ -586,22 +585,18 @@ func (tc *TaskCtx) submit(o *Opts, nOut int, fn1 TaskFunc, fnN MultiTaskFunc, ar
 		Retries:    retries,
 		BackoffSec: backoff,
 	}
-	// The occurrence index only feeds fault matching; without a fault plan
-	// the cheaper Append skips the graph's per-name counter map. A detached
-	// task draws -2, -3, … instead: below every graph id and below the -1 that
-	// names the main program as a parent, and anonymous to a backend.
-	var id, occ int
-	switch {
-	case tc.detached:
-		id, occ = -1-int(tc.rt.detachedN.Add(1)), -1
-	case tc.rt.cfg.Faults == nil:
+	// A detached task draws -2, -3, … instead of a graph id: below every
+	// graph id and below the -1 that names the main program as a parent, and
+	// anonymous to a backend.
+	var id int
+	if tc.detached {
+		id = -1 - int(tc.rt.detachedN.Add(1))
+	} else {
 		id = tc.rt.g.Append(&gt)
-	default:
-		id, occ = tc.rt.g.AddCounted(gt)
 	}
 
 	st := tc.rt.ex.allocTask(tc.wkr)
-	st.id, st.name, st.occ, st.retries = id, o.Name, occ, retries
+	st.id, st.name, st.retries = id, o.Name, retries
 	st.execName = o.Exec
 	st.fn1, st.fnN, st.nOut, st.args = fn1, fnN, nOut, args
 	st.floorIDs = floorIDs
@@ -935,7 +930,7 @@ type attemptResult struct {
 // for a doomed one, and panics become errors.
 func (rt *Runtime) execAttempt(st *taskState, child *TaskCtx, attempt, nOut int, fn1 TaskFunc, fnN MultiTaskFunc, resolved []any) (res attemptResult) {
 	frac := 1.0
-	if f := rt.cfg.Faults.match(st.id, st.name, st.occ, attempt); f != nil {
+	if f := rt.cfg.Faults.match(rt.g, st.id, st.name, attempt); f != nil {
 		frac = f.fraction()
 		fn1, fnN = nil, injectedBody(attempt, f.Mode)
 	}

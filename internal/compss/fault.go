@@ -6,7 +6,11 @@
 // workflow's results stay bit-identical to a fault-free run.
 package compss
 
-import "fmt"
+import (
+	"fmt"
+
+	"taskml/internal/graph"
+)
 
 // FaultMode selects how an injected attempt dies.
 type FaultMode int
@@ -21,9 +25,11 @@ const (
 // Fault selects a set of task attempts to kill. Matching, in priority order:
 //
 //   - Name != "": tasks of that kind. Nth picks the occurrence (0-based, in
-//     graph-ID order among same-named tasks); Nth < 0 hits every occurrence.
-//     Occurrence order is deterministic when same-named tasks are submitted
-//     from one context; for concurrently-submitted kinds prefer Nth: -1.
+//     graph-ID order among same-named tasks: the task the graph records
+//     with exactly Nth same-named tasks before it); Nth < 0 hits every
+//     occurrence. Occurrence order is deterministic when same-named tasks
+//     are submitted from one context; for concurrently-submitted kinds
+//     prefer Nth: -1.
 //   - EveryNth > 0: tasks whose graph ID is a multiple of EveryNth.
 //   - otherwise: the task with graph ID == TaskID (zero value targets task 0).
 //
@@ -43,15 +49,28 @@ type Fault struct {
 	AtFraction float64
 }
 
-func (f *Fault) matches(id int, name string, occ int) bool {
+func (f *Fault) matches(g *graph.Graph, id int, name string) bool {
 	switch {
 	case f.Name != "":
-		return name == f.Name && (f.Nth < 0 || occ == f.Nth)
+		return name == f.Name && (f.Nth < 0 || id >= 0 && isNth(g, id, name, f.Nth))
 	case f.EveryNth > 0:
 		return id >= 0 && id%f.EveryNth == 0 // a graph id: a detached task has none
 	default:
 		return id == f.TaskID
 	}
+}
+
+// isNth reports whether the graph records exactly nth tasks named name
+// with an id below id. A record takes its id under the graph's lock, so
+// every smaller id is already written.
+func isNth(g *graph.Graph, id int, name string, nth int) bool {
+	seen := 0
+	for i := 0; i < id && seen <= nth; i++ {
+		if t, _ := g.Task(i); t.Name == name {
+			seen++
+		}
+	}
+	return seen == nth
 }
 
 // fraction returns the virtual cost fraction charged for this failure.
@@ -69,7 +88,7 @@ type FaultPlan struct {
 }
 
 // match returns the first fault that kills this attempt, or nil.
-func (p *FaultPlan) match(id int, name string, occ, attempt int) *Fault {
+func (p *FaultPlan) match(g *graph.Graph, id int, name string, attempt int) *Fault {
 	if p == nil {
 		return nil
 	}
@@ -79,7 +98,7 @@ func (p *FaultPlan) match(id int, name string, occ, attempt int) *Fault {
 		if n == 0 {
 			n = 1
 		}
-		if (n < 0 || attempt < n) && f.matches(id, name, occ) {
+		if (n < 0 || attempt < n) && f.matches(g, id, name) {
 			return f
 		}
 	}

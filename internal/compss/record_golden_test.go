@@ -88,10 +88,10 @@ func recordedWorkflow(t *testing.T) *graph.Graph {
 	return rt.Graph()
 }
 
-// faultyWorkflow runs under a fault plan, so the graph counts occurrences
-// (AddCounted) and records failed attempts: a fan of 140 tasks, two chunks,
-// with every "flaky" losing its first attempt and the 130th "work" task
-// panicking twice before it succeeds.
+// faultyWorkflow runs under a fault plan, which picks a task by its
+// occurrence among same-named records, and records failed attempts: a fan
+// of 140 tasks, two chunks, with every "flaky" losing its first attempt and
+// the 130th "work" task panicking twice before it succeeds.
 func faultyWorkflow(t *testing.T) *graph.Graph {
 	t.Helper()
 	rt := New(Config{Workers: 2, DefaultRetries: 2, Faults: &FaultPlan{Faults: []Fault{

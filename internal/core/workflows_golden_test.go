@@ -56,7 +56,8 @@ func writeShape(b *bytes.Buffer, g *graph.Graph) {
 // TestWorkflowsGolden pins the task graph of every workflow the figures and
 // Table I run: the DOT of each model's training workflow at cmd/taskgraph's
 // reduced instance, the DOT of a small cross-validation pass for the three
-// classical models, and the shape of Figure 10's nested CNN. A change to
+// classical models, and the shape and DOT of Figure 10's nested CNN, whose
+// fold bodies interleave differently from run to run. A change to
 // how a workflow is built or recorded must leave the file as it is; run
 // with -update only when a workflow changes on purpose.
 func TestWorkflowsGolden(t *testing.T) {
@@ -85,6 +86,7 @@ func TestWorkflowsGolden(t *testing.T) {
 	}
 	fmt.Fprintf(&got, "== TrainGraph cnn-nested shape\n")
 	writeShape(&got, rt.Graph())
+	fmt.Fprintf(&got, "== TrainGraph cnn-nested\n%s", rt.Graph().DOT(string(ModelCNNNested)))
 
 	if *update {
 		if err := os.MkdirAll(filepath.Dir(workflowsGolden), 0o755); err != nil {

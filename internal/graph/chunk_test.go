@@ -23,49 +23,40 @@ func sameRecord(got Task, id, k int) bool {
 	return reflect.DeepEqual(got, want)
 }
 
-// TestChunkBoundaries appends past the first chunks through both append
-// paths and reads every record back, by Task and by Tasks, at and around
-// each boundary.
+// TestChunkBoundaries appends past the first chunks and reads every record
+// back, by Task and by Tasks, at and around each boundary.
 func TestChunkBoundaries(t *testing.T) {
 	const n = 2*chunkLen + 1
-	for _, path := range []struct {
-		name string
-		add  func(g *Graph, t Task) int
-	}{
-		{"Append", func(g *Graph, t Task) int { return g.Append(&t) }},
-		{"AddCounted", func(g *Graph, t Task) int { id, _ := g.AddCounted(t); return id }},
-	} {
-		t.Run(path.name, func(t *testing.T) {
-			g := New()
-			for k := 0; k < n; k++ {
-				if id := path.add(g, rec(k)); id != k {
-					t.Fatalf("append %d got id %d", k, id)
-				}
-				if g.Len() != k+1 {
-					t.Fatalf("Len = %d after %d appends", g.Len(), k+1)
-				}
+	t.Run("Append", func(t *testing.T) {
+		g := New()
+		for k := 0; k < n; k++ {
+			if id := g.Add(rec(k)); id != k {
+				t.Fatalf("append %d got id %d", k, id)
 			}
-			for _, id := range []int{0, 1, chunkLen - 1, chunkLen, chunkLen + 1, 2*chunkLen - 1, 2 * chunkLen} {
-				if got, ok := g.Task(id); !ok || !sameRecord(got, id, id) {
-					t.Fatalf("Task(%d) = %+v, %v", id, got, ok)
-				}
+			if g.Len() != k+1 {
+				t.Fatalf("Len = %d after %d appends", g.Len(), k+1)
 			}
-			for _, id := range []int{-1, g.Len()} {
-				if got, ok := g.Task(id); ok {
-					t.Fatalf("Task(%d) = %+v, want none", id, got)
-				}
+		}
+		for _, id := range []int{0, 1, chunkLen - 1, chunkLen, chunkLen + 1, 2*chunkLen - 1, 2 * chunkLen} {
+			if got, ok := g.Task(id); !ok || !sameRecord(got, id, id) {
+				t.Fatalf("Task(%d) = %+v, %v", id, got, ok)
 			}
-			tasks := g.Tasks()
-			if len(tasks) != n {
-				t.Fatalf("Tasks has %d records, want %d", len(tasks), n)
+		}
+		for _, id := range []int{-1, g.Len()} {
+			if got, ok := g.Task(id); ok {
+				t.Fatalf("Task(%d) = %+v, want none", id, got)
 			}
-			for id, got := range tasks {
-				if !sameRecord(got, id, id) {
-					t.Fatalf("Tasks()[%d] = %+v", id, got)
-				}
+		}
+		tasks := g.Tasks()
+		if len(tasks) != n {
+			t.Fatalf("Tasks has %d records, want %d", len(tasks), n)
+		}
+		for id, got := range tasks {
+			if !sameRecord(got, id, id) {
+				t.Fatalf("Tasks()[%d] = %+v", id, got)
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestTasksSnapshotDoesNotAlias: a snapshot taken mid-chunk is the caller's
@@ -128,33 +119,5 @@ func TestConcurrentAppendKeepsEveryRecord(t *testing.T) {
 				t.Fatalf("id %d holds %+v, want the record of append %d", id, got, w*per+i)
 			}
 		}
-	}
-}
-
-// TestConcurrentAddCountedOccurrencesFollowIDs: whatever the interleaving,
-// the k-th task of a name by id is that name's occurrence k — the order
-// fault plans match against.
-func TestConcurrentAddCountedOccurrencesFollowIDs(t *testing.T) {
-	const workers, per = 8, 2 * chunkLen
-	g := New()
-	occOf := make([]int, workers*per)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				id, occ := g.AddCounted(rec(w*per + i))
-				occOf[id] = occ // ids are distinct: no two goroutines write one element
-			}
-		}(w)
-	}
-	wg.Wait()
-	next := map[string]int{}
-	for id, tk := range g.Tasks() {
-		if occOf[id] != next[tk.Name] {
-			t.Fatalf("task %d (%s) has occurrence %d, want %d", id, tk.Name, occOf[id], next[tk.Name])
-		}
-		next[tk.Name]++
 	}
 }

@@ -16,10 +16,13 @@
 // structural queries (CriticalPath, TotalCost, MaxWidth, CountByName,
 // Validate); DOT and Export render it as Graphviz and as a provenance
 // record. Scaled returns a cost-scaled copy for paper-scale replays.
+// ProgramOrder ranks tasks by the program that submitted them, not by the
+// thread timing that numbered nested ones: the replay releases ready tasks
+// in that order and DOT numbers its nodes by it.
 //
 // # Concurrency and ownership
 //
-// Add, Append, AddCounted and the event recorders are safe for concurrent
+// Add, Append and the event recorders are safe for concurrent
 // use (the runtime appends from many worker goroutines); IDs are dense and
 // assigned in submission order. An append is O(1) under the graph's lock:
 // records live in fixed-size chunks and are written once, never copied as

@@ -90,11 +90,10 @@ const chunkLen = 128
 // written once and never moved. An append that finds the last chunk full
 // allocates the next one; none copies the records before it.
 type Graph struct {
-	mu        sync.Mutex
-	chunks    []*[chunkLen]Task
-	n         int
-	nameCount map[string]int
-	failures  []FailureEvent
+	mu       sync.Mutex
+	chunks   []*[chunkLen]Task
+	n        int
+	failures []FailureEvent
 }
 
 // New returns an empty graph. It allocates no chunk until the first task
@@ -112,18 +111,11 @@ func (g *Graph) slot() (int, *Task) {
 }
 
 // Add appends a task and returns its assigned ID.
-func (g *Graph) Add(t Task) int {
-	id, _ := g.AddCounted(t)
-	return id
-}
+func (g *Graph) Add(t Task) int { return g.Append(&t) }
 
-// Append copies *t into the next record and returns its ID, without
-// maintaining the per-name occurrence counter. Submitters that never
-// consult occurrence indices (no fault plan to match against) use it to
-// skip the map work on the hot path; the pointer parameter spares a second
-// copy of the wide struct. The lock is held for that one copy, whatever the
-// graph's size. Mixing Append with AddCounted on one graph skews the
-// indices AddCounted hands out, so a graph should stick to one of the two.
+// Append copies *t into the next record and returns its ID; the pointer
+// parameter spares the submit hot path a second copy of the wide struct.
+// The lock is held for that one copy, whatever the graph's size.
 func (g *Graph) Append(t *Task) int {
 	g.mu.Lock()
 	id, rec := g.slot()
@@ -131,24 +123,6 @@ func (g *Graph) Append(t *Task) int {
 	rec.ID = id
 	g.mu.Unlock()
 	return id
-}
-
-// AddCounted appends a task and returns its assigned ID together with its
-// occurrence index among same-named tasks (0 for the first "svc_fit", 1 for
-// the second, ...). Both are assigned under one lock, so the occurrence
-// order always matches graph-ID order — what fault plans match against.
-func (g *Graph) AddCounted(t Task) (id, occ int) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	id, rec := g.slot()
-	*rec = t
-	rec.ID = id
-	if g.nameCount == nil {
-		g.nameCount = map[string]int{}
-	}
-	occ = g.nameCount[t.Name]
-	g.nameCount[t.Name] = occ + 1
-	return id, occ
 }
 
 // RecordFailure appends a failed-attempt event. CostFraction is clamped to
@@ -392,6 +366,54 @@ func (g *Graph) MaxWidth() int {
 	return width
 }
 
+// ProgramOrder ranks every task by a key computed from the program alone:
+// (nesting depth, ordinal among its parent's submissions, the parent's
+// key). A main-program task's ordinal is its place among the main
+// program's submissions, so a graph without nesting ranks every task by
+// its id. A nested task's id is the moment its parent's body happened to
+// submit it, which the host's thread timing decides; the key instead
+// models concurrently running parents that advance at the same pace —
+// every parent's first child, then every parent's second — so one program
+// replays to one schedule, and renders to one DOT, however its run
+// interleaved the bodies. tasks is a snapshot as Tasks returns it, indexed
+// by id.
+func ProgramOrder(tasks []Task) []int {
+	ordinal := make([]int, len(tasks))
+	nextOrdinal := make([]int, len(tasks)+1) // by parent id + 1: the main program is -1
+	var byDepth [][]int
+	depth := make([]int, len(tasks))
+	for _, t := range tasks {
+		parent := max(t.Parent, -1) // any negative parent is the main program
+		if parent >= 0 {
+			depth[t.ID] = depth[parent] + 1
+		}
+		ordinal[t.ID] = nextOrdinal[parent+1]
+		nextOrdinal[parent+1]++
+		if depth[t.ID] == len(byDepth) {
+			byDepth = append(byDepth, nil)
+		}
+		byDepth[depth[t.ID]] = append(byDepth[depth[t.ID]], t.ID)
+	}
+	rank := make([]int, len(tasks))
+	r := 0
+	for _, ids := range byDepth {
+		// A depth's keys differ in ordinal or, for equal ordinals, in the
+		// parent, whose rank the previous depth fixed.
+		sort.Slice(ids, func(i, j int) bool {
+			a, b := ids[i], ids[j]
+			if ordinal[a] != ordinal[b] {
+				return ordinal[a] < ordinal[b]
+			}
+			return rank[tasks[a].Parent] < rank[tasks[b].Parent]
+		})
+		for _, id := range ids {
+			rank[id] = r
+			r++
+		}
+	}
+	return rank
+}
+
 // dotPalette mirrors the multi-color task circles of the paper's PyCOMPSs
 // execution graphs (Figures 4, 6, 8, 9, 10): each task name gets a stable
 // color.
@@ -402,29 +424,35 @@ var dotPalette = []string{
 
 // DOT renders the captured graph in Graphviz format, one node per task,
 // colored by task name, with nested tasks grouped in subgraph clusters —
-// the same visual structure as the execution graphs in the paper.
+// the same visual structure as the execution graphs in the paper. Nodes are
+// numbered and written in ProgramOrder, each task's edges in the order its
+// deps were recorded, so one program renders to one DOT however its nested
+// bodies interleaved; without nesting a node's number is its task id.
 func (g *Graph) DOT(title string) string {
 	tasks := g.Tasks()
+	rank := ProgramOrder(tasks)
+	byRank := make([]int, len(tasks))
+	for id, r := range rank {
+		byRank[r] = id
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "digraph %q {\n", title)
 	b.WriteString("  rankdir=TB;\n  node [style=filled, shape=circle, fontsize=9];\n")
 
 	colorOf := map[string]string{}
 	var names []string
-	for _, t := range tasks {
+	children := map[int][]int{}
+	var top []int
+	for _, id := range byRank {
+		t := tasks[id]
 		if _, ok := colorOf[t.Name]; !ok {
 			colorOf[t.Name] = dotPalette[len(colorOf)%len(dotPalette)]
 			names = append(names, t.Name)
 		}
-	}
-
-	children := map[int][]int{}
-	var top []int
-	for _, t := range tasks {
 		if t.Parent >= 0 {
-			children[t.Parent] = append(children[t.Parent], t.ID)
+			children[t.Parent] = append(children[t.Parent], id)
 		} else {
-			top = append(top, t.ID)
+			top = append(top, id)
 		}
 	}
 
@@ -432,22 +460,22 @@ func (g *Graph) DOT(title string) string {
 	emit = func(indent string, ids []int) {
 		for _, id := range ids {
 			t := tasks[id]
-			fmt.Fprintf(&b, "%st%d [label=%q, fillcolor=%q];\n", indent, id, fmt.Sprintf("%d", id), colorOf[t.Name])
+			fmt.Fprintf(&b, "%st%d [label=%q, fillcolor=%q];\n", indent, rank[id], fmt.Sprintf("%d", rank[id]), colorOf[t.Name])
 			if kids := children[id]; len(kids) > 0 {
-				fmt.Fprintf(&b, "%ssubgraph cluster_t%d {\n%s  label=%q; style=dashed;\n", indent, id, indent, t.Name)
+				fmt.Fprintf(&b, "%ssubgraph cluster_t%d {\n%s  label=%q; style=dashed;\n", indent, rank[id], indent, t.Name)
 				emit(indent+"  ", kids)
 				fmt.Fprintf(&b, "%s}\n", indent)
 			}
 		}
 	}
 	emit("  ", top)
-	for _, t := range tasks {
-		for _, d := range t.Deps {
+	for _, id := range byRank {
+		for _, d := range tasks[id].Deps {
 			style := ""
 			if d.ViaMaster {
 				style = " [style=dashed]"
 			}
-			fmt.Fprintf(&b, "  t%d -> t%d%s;\n", d.Task, t.ID, style)
+			fmt.Fprintf(&b, "  t%d -> t%d%s;\n", rank[d.Task], rank[id], style)
 		}
 	}
 	// Legend.

@@ -217,12 +217,53 @@ func TestDOTStructure(t *testing.T) {
 	for _, want := range []string{
 		"digraph \"cnn\"",
 		"subgraph cluster_t0",     // nesting cluster for the fold task
-		"t1 -> t2 [style=dashed]", // via-master edge is dashed
+		"t2 -> t1 [style=dashed]", // via-master edge is dashed; nested train numbers after merge
 		"cluster_legend",
 	} {
 		if !strings.Contains(dot, want) {
 			t.Fatalf("DOT missing %q:\n%s", want, dot)
 		}
+	}
+}
+
+// TestDOTIgnoresNestedSubmissionOrder: two parents whose bodies submit the
+// same children, recorded once round-robin and once parent after parent,
+// render to one DOT. Which body submitted first is thread timing, not the
+// program.
+func TestDOTIgnoresNestedSubmissionOrder(t *testing.T) {
+	record := func(roundRobin bool) string {
+		g := New()
+		parents := []int{
+			g.Add(Task{Name: "fold", Parent: -1, Cost: 1, Cores: 1}),
+			g.Add(Task{Name: "fold", Parent: -1, Cost: 1, Cores: 1}),
+		}
+		prev := map[int]int{}
+		child := func(p int, name string) {
+			tk := Task{Name: name, Parent: p, Cost: 1, Cores: 1}
+			if d, ok := prev[p]; ok {
+				tk.Deps = []Dep{{Task: d}}
+			}
+			prev[p] = g.Add(tk)
+		}
+		names := []string{"init", "train", "merge"}
+		if roundRobin {
+			for _, name := range names {
+				for _, p := range parents {
+					child(p, name)
+				}
+			}
+		} else {
+			for _, p := range parents {
+				for _, name := range names {
+					child(p, name)
+				}
+			}
+		}
+		g.Add(Task{Name: "eval", Parent: -1, Cost: 1, Cores: 1, Deps: []Dep{{Task: prev[0]}, {Task: prev[1]}}})
+		return g.DOT("nested")
+	}
+	if rr, ff := record(true), record(false); rr != ff {
+		t.Fatalf("round-robin and parent-after-parent records render differently:\n%s\n%s", rr, ff)
 	}
 }
 
@@ -330,16 +371,6 @@ func TestWithoutFailuresStripsEvents(t *testing.T) {
 	}
 	if len(g.FailureEvents()) != 1 {
 		t.Fatal("WithoutFailures mutated the source graph")
-	}
-}
-
-func TestAddCountedNumbersOccurrences(t *testing.T) {
-	g := New()
-	_, o0 := g.AddCounted(Task{Name: "x", Parent: -1, Cost: 1, Cores: 1})
-	_, o1 := g.AddCounted(Task{Name: "y", Parent: -1, Cost: 1, Cores: 1})
-	_, o2 := g.AddCounted(Task{Name: "x", Parent: -1, Cost: 1, Cores: 1})
-	if o0 != 0 || o1 != 0 || o2 != 1 {
-		t.Fatalf("occurrences = %d,%d,%d; want 0,0,1", o0, o1, o2)
 	}
 }
 
