@@ -25,11 +25,9 @@ const (
 // Fault selects a set of task attempts to kill. Matching, in priority order:
 //
 //   - Name != "": tasks of that kind. Nth picks the occurrence (0-based, in
-//     graph-ID order among same-named tasks: the task the graph records
-//     with exactly Nth same-named tasks before it); Nth < 0 hits every
-//     occurrence. Occurrence order is deterministic when same-named tasks
-//     are submitted from one context; for concurrently-submitted kinds
-//     prefer Nth: -1.
+//     graph-ID order among same-named tasks); Nth < 0 hits every occurrence.
+//     Occurrence order is deterministic when same-named tasks are submitted
+//     from one context; for concurrently-submitted kinds prefer Nth: -1.
 //   - EveryNth > 0: tasks whose graph ID is a multiple of EveryNth.
 //   - otherwise: the task with graph ID == TaskID (zero value targets task 0).
 //
@@ -52,25 +50,12 @@ type Fault struct {
 func (f *Fault) matches(g *graph.Graph, id int, name string) bool {
 	switch {
 	case f.Name != "":
-		return name == f.Name && (f.Nth < 0 || id >= 0 && isNth(g, id, name, f.Nth))
+		return name == f.Name && (f.Nth < 0 || g.Occurrence(id) == f.Nth)
 	case f.EveryNth > 0:
 		return id >= 0 && id%f.EveryNth == 0 // a graph id: a detached task has none
 	default:
 		return id == f.TaskID
 	}
-}
-
-// isNth reports whether the graph records exactly nth tasks named name
-// with an id below id. A record takes its id under the graph's lock, so
-// every smaller id is already written.
-func isNth(g *graph.Graph, id int, name string, nth int) bool {
-	seen := 0
-	for i := 0; i < id && seen <= nth; i++ {
-		if t, _ := g.Task(i); t.Name == name {
-			seen++
-		}
-	}
-	return seen == nth
 }
 
 // fraction returns the virtual cost fraction charged for this failure.

@@ -13,10 +13,13 @@
 // carries every experiment knob — folds, block geometry, the estimators'
 // parameters, and in Runtime the compss.Config of every runtime the
 // pipeline builds: retry policy, observers, and the execution Backend (nil
-// in-process, exec.Remote for worker processes). RunCV runs a full
-// cross-validation for one Model;
-// ReduceWithPCA + RunCVReduced split out the shared PCA stage;
-// TrainGraph captures a training workflow's task graph for replay.
+// in-process, exec.Remote for worker processes). A Model names one
+// workflow: the four classifiers of §IV, and ModelCNNNested for Figure
+// 10's nested CNN training. RunCV runs a full cross-validation for one
+// Model; ReduceWithPCA + RunCVReduced split out the shared PCA stage;
+// TrainGraph captures a training workflow's task graph for replay. A
+// cross-validation fold and TrainGraph submit a classical model's training
+// the same way, so a figure's graph is a fold's training workflow.
 //
 // # Concurrency and ownership
 //

@@ -121,3 +121,29 @@ func TestConcurrentAppendKeepsEveryRecord(t *testing.T) {
 		}
 	}
 }
+
+// TestConcurrentAppendOccurrencesFollowIDs: whatever the interleaving,
+// the k-th task of a name by id is that name's occurrence k — the order
+// fault plans match against.
+func TestConcurrentAppendOccurrencesFollowIDs(t *testing.T) {
+	const workers, per = 8, 2 * chunkLen
+	g := New()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				g.Add(rec(w*per + i))
+			}
+		}(w)
+	}
+	wg.Wait()
+	next := map[string]int{}
+	for id, tk := range g.Tasks() {
+		if occ := g.Occurrence(id); occ != next[tk.Name] {
+			t.Fatalf("task %d (%s) has occurrence %d, want %d", id, tk.Name, occ, next[tk.Name])
+		}
+		next[tk.Name]++
+	}
+}

@@ -14,7 +14,7 @@
 //
 // Graph records tasks (Add) and failure events, and answers
 // structural queries (CriticalPath, TotalCost, MaxWidth, CountByName,
-// Validate); DOT and Export render it as Graphviz and as a provenance
+// Occurrence, Validate); DOT and Export render it as Graphviz and as a provenance
 // record. Scaled returns a cost-scaled copy for paper-scale replays.
 // ProgramOrder ranks tasks by the program that submitted them, not by the
 // thread timing that numbered nested ones: the replay releases ready tasks

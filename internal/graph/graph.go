@@ -125,6 +125,25 @@ func (g *Graph) Append(t *Task) int {
 	return id
 }
 
+// Occurrence returns the task's place among same-named tasks: how many
+// records with a smaller id share its name (0 for the first "svc_fit", 1
+// for the second, ...), the order fault plans match against. It is -1 for
+// an id the graph does not hold, such as a detached task's.
+func (g *Graph) Occurrence(id int) int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if id < 0 || id >= g.n {
+		return -1
+	}
+	name, n := g.chunks[id/chunkLen][id%chunkLen].Name, 0
+	for i := 0; i < id; i++ {
+		if g.chunks[i/chunkLen][i%chunkLen].Name == name {
+			n++
+		}
+	}
+	return n
+}
+
 // RecordFailure appends a failed-attempt event. CostFraction is clamped to
 // [0, 1]; non-finite values become 1 (full cost charged).
 func (g *Graph) RecordFailure(ev FailureEvent) {

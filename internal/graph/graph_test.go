@@ -374,6 +374,19 @@ func TestWithoutFailuresStripsEvents(t *testing.T) {
 	}
 }
 
+func TestOccurrenceCountsSameNamedRecords(t *testing.T) {
+	g := New()
+	x0 := g.Add(Task{Name: "x", Parent: -1, Cost: 1, Cores: 1})
+	y0 := g.Add(Task{Name: "y", Parent: -1, Cost: 1, Cores: 1})
+	x1 := g.Add(Task{Name: "x", Parent: -1, Cost: 1, Cores: 1})
+	if o0, o1, o2 := g.Occurrence(x0), g.Occurrence(y0), g.Occurrence(x1); o0 != 0 || o1 != 0 || o2 != 1 {
+		t.Fatalf("occurrences = %d,%d,%d; want 0,0,1", o0, o1, o2)
+	}
+	if o := g.Occurrence(-2); o != -1 {
+		t.Fatalf("Occurrence(-2) = %d, want -1", o)
+	}
+}
+
 func TestValidateRejectsBadFailureState(t *testing.T) {
 	cases := []struct {
 		name string

@@ -161,6 +161,12 @@ GOEXPERIMENT=synctest go test -count=1 -timeout 120s -run Virtual $virtual
 # in id order) run at both GOMAXPROCS extremes too.
 echo "== go test -race -count=2 -cpu=1,8 ./internal/graph/"
 go test -race -count=2 -cpu=1,8 ./internal/graph/
+# Every workflow the figures and Table I run renders to the DOT pinned in
+# internal/core/testdata/workflows.golden. Figure 10's fold bodies submit
+# concurrently and interleave differently on each run and at each CPU
+# count; the DOT's program order must give the same bytes every time.
+echo "== go test -count=3 -cpu=1,8 -run '^TestWorkflowsGolden\$' ./internal/core/"
+go test -count=3 -cpu=1,8 -run '^TestWorkflowsGolden$' ./internal/core/
 
 # Kernel helpers borrow idle slots from the live runtime or worker (par.Lend)
 # and must change no bit: the rotation sweep of EigSym at the pca_eigh size,
