@@ -57,9 +57,9 @@ func writeShape(b *bytes.Buffer, g *graph.Graph) {
 // Table I run: the DOT of each model's training workflow at cmd/taskgraph's
 // reduced instance, the DOT of a small cross-validation pass for the three
 // classical models, and the shape and DOT of Figure 10's nested CNN, whose
-// fold bodies interleave differently from run to run. A change to
-// how a workflow is built or recorded must leave the file as it is; run
-// with -update only when a workflow changes on purpose.
+// fold bodies interleave differently from run to run. A change to how a
+// workflow is built or recorded must leave the file as it is; run with
+// -update only when a workflow changes on purpose.
 func TestWorkflowsGolden(t *testing.T) {
 	ds, cfg := goldenInstance(t)
 	var got bytes.Buffer
